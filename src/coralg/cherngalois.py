@@ -22,7 +22,7 @@ from .errors import (
     IotaNotInjective, MembershipFailure, NotACycle, NotIdempotent,
     NoLocalDualSystem,
 )
-from .exactla import Mat, SubspaceBasis, rank, rref_solve, solve_right
+from .exactla import Mat, SubspaceBasis, lincomb, rank, rref_solve, solve_right
 from .ncalg import (
     Equation, Report, hom_solve, kron_id, leg_apply, tensor_space,
 )
@@ -488,20 +488,12 @@ def verify_gamma_identities(x, em, gamma, gammas):
         acc = [f.zero] * mw.dim
         for c, key2 in enumerate(em.index):
             bvec = em.entries[(a, c)]
-            act = _left_b_combo(mw, b, bvec)
+            act = lincomb(mw.outer_left[b], bvec)
             term = act.apply(gammas[key2])
             acc = [f.add(p_, q_) for p_, q_ in zip(acc, term)]
         if acc != gammas[key]:
             rep.fail("gamma-recombination", key)
     return rep
-
-
-def _left_b_combo(mw, b, bvec):
-    out = Mat.zeros(b.field, mw.dim, mw.dim)
-    for i, c in enumerate(bvec):
-        if c:
-            out = out + mw.outer_left[b][i].scale(c)
-    return out
 
 
 def theta_isomorphism(x, em, gamma, gammas):
@@ -521,7 +513,7 @@ def theta_isomorphism(x, em, gamma, gammas):
     theta = Mat.zeros(f, gamma.space.dim, dim_free)
     for a, key in enumerate(em.index):
         for beta in range(b.dim):
-            col = _left_b_combo(gamma.space, b, b.basis_vector(beta)).apply(gammas[key])
+            col = lincomb(gamma.space.outer_left[b], b.basis_vector(beta)).apply(gammas[key])
             for i_, v in enumerate(col):
                 if v:
                     theta.rows[i_][a * b.dim + beta] = v

@@ -37,6 +37,8 @@ def _extension(ws, t_name=None):
     _, _, rho = ws.single_coaction()
     t_basis = None
     if t_name:
+        if t_name not in ws.subalgebras:
+            raise SchemaError(f"subalgebras.{t_name}", "unknown subalgebra")
         sub, incl = ws.subalgebras[t_name]
         t_basis = [incl.apply(sub.basis_vector(i)) for i in range(sub.dim)]
     g = _detect_grouplike(ent, rho)
@@ -64,6 +66,13 @@ def _detect_grouplike(ent, rho):
     gcol = Mat.from_cols(ent.ring.field, [g], ent.coring.dim)
     rho2 = ent.psi @ leg_apply(ent.a_mod, ent.CA, 0, 0, gcol, check="skip")
     return g if rho2 == rho else None
+
+
+def _coidempotent(ws, args):
+    name = args.coidempotent
+    if name not in ws.coidempotents:
+        raise SchemaError(f"coidempotents.{name}", "unknown coidempotent")
+    return ws.coidempotents[name]
 
 
 def _fail_list(failures):
@@ -169,10 +178,8 @@ def cmd_hc(ws, args):
 
 def cmd_chg(ws, args):
     from .cherngalois import assemble_and_class, chg_components
+    e = _coidempotent(ws, args)
     x = _extension(ws, args.T)
-    if args.coidempotent not in ws.coidempotents:
-        raise SchemaError(f"coidempotents.{args.coidempotent}", "unknown")
-    e = ws.coidempotents[args.coidempotent]
     sc = _connection_from_args(ws, x, args)
     n = args.degree
     chg = chg_components(e, sc, 2 * n)
@@ -186,14 +193,18 @@ def cmd_chg(ws, args):
             }}, 0
 
 
-def cmd_idempotent(ws, args):
+def _idempotent_setup(ws, args):
+    """The coidempotent e, the strong connection and the idempotent matrix E."""
     from .cherngalois import idempotent_e, local_dual_system
+    e = _coidempotent(ws, args)
     x = _extension(ws, args.T)
-    e = ws.coidempotents[args.coidempotent]
     sc = _connection_from_args(ws, x, args)
     dual = local_dual_system(x, sc, e)
-    phi = _default_phi(x)
-    em = idempotent_e(x, sc, e, dual, phi)
+    return e, sc, idempotent_e(x, sc, e, dual, _default_phi(x))
+
+
+def cmd_idempotent(ws, args):
+    _, _, em = _idempotent_setup(ws, args)
     entries = {f"{a},{c}": _fmt_vec(ws.field, em.entries[(a, c)])
                for a in range(em.size) for c in range(em.size)}
     return {"verdicts": {"idempotent": True},
@@ -216,14 +227,8 @@ def _default_phi(x):
 
 
 def cmd_compare(ws, args):
-    from .cherngalois import chg_components, compare_chg_ch, idempotent_e, \
-        local_dual_system
-    x = _extension(ws, args.T)
-    e = ws.coidempotents[args.coidempotent]
-    sc = _connection_from_args(ws, x, args)
-    dual = local_dual_system(x, sc, e)
-    phi = _default_phi(x)
-    em = idempotent_e(x, sc, e, dual, phi)
+    from .cherngalois import chg_components, compare_chg_ch
+    e, sc, em = _idempotent_setup(ws, args)
     L = 4
     chg = chg_components(e, sc, L)
     rep = compare_chg_ch(chg, em, L)

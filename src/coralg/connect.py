@@ -11,7 +11,7 @@ cantilde_T(ell(c)) = 1_A (x) c.
 from .errors import (
     ImageNotCoinvariant, MembershipFailure, NotASection, NotGalois,
 )
-from .exactla import Mat, SubspaceBasis, rank, rref_solve, solve_right
+from .exactla import Mat, SubspaceBasis, lincomb, rank, rref_solve, solve_right
 from .ncalg import (
     Equation, Report, _fail_cols, eqs_linear, eq_right_colinear,
     eq_left_colinear, eq_value, hom_solve, leg_apply,
@@ -448,9 +448,8 @@ def tflatness_check(x, t_alg=None):
     circ_a = tensor_space([a_mod], [], circular=t, name=f"{ring.name}/[,{t.name}]")
     circ_d = tensor_space([carrier], [], circular=t)
     circ_b = tensor_space([b_mod], [], circular=t, name=f"{x.B.name}/[,{t.name}]")
-    from .entwine import _apply_combo
     g_assoc = x.rho.apply(ring.unit)
-    cols = [_apply_combo(e.AC.outer_left[ring], ring.basis_vector(i), g_assoc, f)
+    cols = [lincomb(e.AC.outer_left[ring], ring.basis_vector(i)).apply(g_assoc)
             for i in range(ring.dim)]
     m = x.rho - Mat.from_cols(f, cols, e.AC.dim)
     rep = Report("upsilon")

@@ -273,16 +273,6 @@ def separability_idempotent(a, base, a_mod):
     return {"z": z, "space": aa, "retraction": retraction, "solutions": sol}
 
 
-def separability_solve(kind, *args, **kwargs):
-    """Dispatcher: kind "cointegral" solves for a cointegral of a coring;
-    kind "separability" for a separability idempotent of an algebra."""
-    if kind == "cointegral":
-        return cointegral(*args, **kwargs)
-    if kind == "separability":
-        return separability_idempotent(*args, **kwargs)
-    raise ValueError(f"unknown separability kind {kind!r}")
-
-
 def search_grouplikes(c, max_bits=16):
     """Exhaustive grouplike search, prime fields only; guarded by
     dim(C) * log2(p) <= max_bits.  Grouplike verification is quadratic, so

@@ -18,24 +18,22 @@ Conventions for the bicomplex (binding):
   (-1)^n (b_n b_0) (*) b_1 ... (*) b_{n-1}
 """
 
-from .errors import DegreeMismatch, DegreeOutOfRange, NotACycle
+from .errors import ActionMismatch, DegreeMismatch, DegreeOutOfRange, NotACycle
 from .exactla import (
-    Mat, SubspaceBasis, guard_dim, rref_solve, solve_right,
+    Mat, SubspaceBasis, guard_dim, quotient_space, rref_solve, solve_right,
 )
-from .ncalg import Report, tensor_space, trivial_subalgebra
-
-
-_CC_CACHE = {}
+from .ncalg import Report, regular_bimodule, tensor_space, trivial_subalgebra
 
 
 def cyclic_complex(b, t_pair=None, name=""):
     """Memoized CyclicComplex factory (coordinates must be shared between
-    the chg pipeline and the total complexes it feeds)."""
-    key = (id(b), id(t_pair[0]) if t_pair else None)
-    cc = _CC_CACHE.get(key)
+    the chg pipeline and the total complexes it feeds).  The memo lives on
+    ``b`` and is keyed by the (T, inclusion) pair."""
+    key = tuple(t_pair) if t_pair else None
+    memo = b._cyclic_complexes
+    cc = memo.get(key)
     if cc is None:
-        cc = CyclicComplex(b, t_pair, name)
-        _CC_CACHE[key] = cc
+        cc = memo[key] = CyclicComplex(b, t_pair, name)
     return cc
 
 
@@ -48,7 +46,6 @@ class CyclicComplex:
         if t_pair is None:
             t_pair = trivial_subalgebra(b)
         self.t, self.t_incl = t_pair
-        from .ncalg import regular_bimodule
         self.b_mod = regular_bimodule(b)
         if self.t is not b:
             self.b_mod.restrict_left(self.t, self.t_incl)
@@ -170,7 +167,6 @@ class CyclicComplex:
         m = tgt.Q @ amb @ src.S
         if not src.trivial:
             if (m @ src.Q) != tgt.Q @ amb:
-                from .errors import ActionMismatch
                 raise ActionMismatch(f"operator does not descend to {src.name}")
         return m
 
@@ -304,39 +300,30 @@ class HomologySpace:
             coords = ker.membership(dense)
             assert coords is not None, "boundaries must be cycles"
             rels.append(coords)
-        from .exactla import QuotientSpace
-        self.class_space = QuotientSpace(
-            f, ker.dim, SubspaceBasis.from_vectors(f, ker.dim, rels))
+        self.class_space = quotient_space(f, ker.dim, rels)
         self.dim = self.class_space.dim
+
+    def _lift(self, cls):
+        """The class with coordinates ``cls`` and its canonical representative."""
+        f = self.tc.cc.field
+        rep = [f.zero] * self.tc.tot_dim[self.n]
+        for i, c in enumerate(self.class_space.represent(cls)):
+            if c:
+                row = self.kernel.mat.row_list(i)
+                rep = [f.add(a, f.mul(c, b)) for a, b in zip(rep, row)]
+        return HomologyClass(self.n, rep, cls)
 
     def class_of(self, chain):
         """Canonical class coordinates of a cycle."""
         coords = self.kernel.membership(chain)
         if coords is None:
             raise NotACycle(f"chain is not a cycle in degree {self.n}")
-        cls = self.class_space.project(coords)
-        rep_k = self.class_space.represent(cls)
-        f = self.tc.cc.field
-        rep = [f.zero] * self.tc.tot_dim[self.n]
-        for i, c in enumerate(rep_k):
-            if c:
-                row = self.kernel.mat.row_list(i)
-                rep = [f.add(a, f.mul(c, b)) for a, b in zip(rep, row)]
-        return HomologyClass(self.n, rep, cls)
+        return self._lift(self.class_space.project(coords))
 
     def basis_classes(self):
-        out = []
         f = self.tc.cc.field
-        for i in range(self.dim):
-            cls = [f.one if j == i else f.zero for j in range(self.dim)]
-            rep_k = self.class_space.represent(cls)
-            rep = [f.zero] * self.tc.tot_dim[self.n]
-            for k, c in enumerate(rep_k):
-                if c:
-                    row = self.kernel.mat.row_list(k)
-                    rep = [f.add(a, f.mul(c, b)) for a, b in zip(rep, row)]
-            out.append(HomologyClass(self.n, rep, cls))
-        return out
+        return [self._lift([f.one if j == i else f.zero for j in range(self.dim)])
+                for i in range(self.dim)]
 
 
 def homology(tc, n):
@@ -381,9 +368,3 @@ def lambda_projection(tc_k, tc_t, verify_degrees=None):
         if tc_t.d[n] @ lam[n] != lam[n - 1] @ tc_k.d[n]:
             raise DegreeMismatch(f"lambda is not a chain map at degree {n}")
     return lam
-
-
-def lambda_project_class(tc_k, tc_t, n, chain, lam=None):
-    if lam is None:
-        lam = lambda_projection(tc_k, tc_t)
-    return lam[n].apply(chain)

@@ -18,7 +18,7 @@ subalgebra computed by both one-sided kernel formulas.
 from .errors import (
     CompatibilityFailure, CoinvariantMismatch, NotBijective, NotEntwinedModule,
 )
-from .exactla import Mat, rref_solve, inverse
+from .exactla import Mat, inverse, kron_vec, lincomb, rref_solve
 from .ncalg import (
     AlgebraMorphism, Module, Report, _fail_cols, _kron_id_left,
     generated_subalgebra, kron_id, leg_apply, regular_bimodule, tensor_space,
@@ -245,7 +245,7 @@ def entwining_from_coring(stub, right_action_mats):
     AC, CA = stub.AC, stub.CA
     f = ring.field
     for i in range(base.dim):
-        given = _combine_mats(right_action_mats, eta.apply(base.basis_vector(i)), f)
+        given = lincomb(right_action_mats, eta.apply(base.basis_vector(i)))
         if given != AC.outer_right[base][i]:
             raise CompatibilityFailure(
                 f"right action of eta(r_{i}) differs from the C-leg R-action")
@@ -265,14 +265,6 @@ def entwining_from_coring(stub, right_action_mats):
     return stub
 
 
-def _combine_mats(mats, vec, field):
-    out = Mat.zeros(field, mats[0].nrows, mats[0].ncols)
-    for i, c in enumerate(vec):
-        if c:
-            out = out + mats[i].scale(c)
-    return out
-
-
 def sweedler_coring(ring, sub, sub_incl):
     """The canonical Sweedler A-coring A (x)_B A of a subalgebra B of A:
     Delta(a (x) a') = (a (x) 1) (x)_A (1 (x) a'), eps = multiplication."""
@@ -283,18 +275,13 @@ def sweedler_coring(ring, sub, sub_incl):
     aa = tensor_space([a_mod, a_mod], [sub], name=f"{ring.name}(x)_{sub.name}{ring.name}")
     carrier = module_of_space(aa, f"Sw({ring.name}|{sub.name})")
     cc = tensor_space([carrier, carrier], [ring])
-    unit2 = Mat.from_cols(f, [__kron2(f, ring.unit, ring.unit)], ring.dim * ring.dim)
+    unit2 = Mat.from_cols(f, [kron_vec(f, ring.unit, ring.unit)], ring.dim * ring.dim)
     amb = kron_id(ring.dim, unit2, ring.dim)
     delta = cc.Q @ (aa.Q.kron(aa.Q)) @ amb @ aa.S
     eps = leg_apply(aa, regular_bimodule(ring), 0, 2, ring.mult_mat(), check="skip")
     cor = Coring(ring, carrier, delta, eps, name=carrier.name)
     cor.aa_space = aa
     return cor, aa
-
-
-def __kron2(f, u, v):
-    from .exactla import kron_vec
-    return kron_vec(f, u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +408,7 @@ def make_extension(e, rho, t_basis=None, grouplike=None, strict=True):
     if strict and not ok:
         raise NotEntwinedModule("rho(1_A) is not a grouplike of (A(x)C)_psi")
     # left coaction a -> psi^{-1}(a rho(1))  (condition (h) form)
-    cols = [_apply_combo(e.AC.outer_left[ring], ring.basis_vector(i), g_assoc, f)
+    cols = [lincomb(e.AC.outer_left[ring], ring.basis_vector(i)).apply(g_assoc)
             for i in range(ring.dim)]
     m1 = Mat.from_cols(f, cols, e.AC.dim)
     lrho = e.psi_inv @ m1
@@ -437,7 +424,7 @@ def make_extension(e, rho, t_basis=None, grouplike=None, strict=True):
     # coinvariants, two one-sided kernel formulas
     b_right = rref_solve(rho - m1)["kernel"]
     lrho_one = lrho.apply(ring.unit)
-    cols = [_apply_combo(e.CA.outer_right[ring], ring.basis_vector(i), lrho_one, f)
+    cols = [lincomb(e.CA.outer_right[ring], ring.basis_vector(i)).apply(lrho_one)
             for i in range(ring.dim)]
     m2 = Mat.from_cols(f, cols, e.CA.dim)
     b_left = rref_solve(lrho - m2)["kernel"]
@@ -462,15 +449,6 @@ def make_extension(e, rho, t_basis=None, grouplike=None, strict=True):
     t_incl_b = AlgebraMorphism(t_alg, b_alg, Mat.from_cols(f, cols, b_alg.dim))
     return EntwinedExtension(e, rho, lrho, g_assoc, b_alg, b_incl,
                              t_alg, t_incl_b, grouplike=grouplike)
-
-
-def _apply_combo(mats, vec, target, field):
-    out = [field.zero] * mats[0].nrows
-    for i, c in enumerate(vec):
-        if c:
-            img = mats[i].apply(target)
-            out = [field.add(a, field.mul(c, b)) for a, b in zip(out, img)]
-    return out
 
 
 def _validate_left_entwined(e, lrho):
@@ -564,7 +542,6 @@ def _sweedler_of_extension(x, aab):
     f = ring.field
     carrier = module_of_space(aab, f"Sw({ring.name}|{x.B.name})")
     cc = tensor_space([carrier, carrier], [ring])
-    from .exactla import kron_vec
     unit2 = Mat.from_cols(f, [kron_vec(f, ring.unit, ring.unit)],
                           ring.dim * ring.dim)
     amb = kron_id(ring.dim, unit2, ring.dim)
@@ -579,7 +556,7 @@ def galois_check(e, rho):
     ring = e.ring
     f = ring.field
     g_assoc = rho.apply(ring.unit)
-    cols = [_apply_combo(e.AC.outer_left[ring], ring.basis_vector(i), g_assoc, f)
+    cols = [lincomb(e.AC.outer_left[ring], ring.basis_vector(i)).apply(g_assoc)
             for i in range(ring.dim)]
     m1 = Mat.from_cols(f, cols, e.AC.dim)
     b_ker = rref_solve(rho - m1)["kernel"]

@@ -356,6 +356,15 @@ def kron_vec(field, u, v):
     return out
 
 
+def lincomb(mats, coeffs):
+    """sum of coeffs[i] * mats[i]; ``mats`` is non-empty, all of one shape."""
+    out = Mat.zeros(mats[0].field, mats[0].nrows, mats[0].ncols)
+    for i, c in enumerate(coeffs):
+        if c:
+            out = out + mats[i].scale(c)
+    return out
+
+
 class _Echelon:
     """Incremental row echelon form; ``close()`` yields the canonical rref.
 
@@ -564,20 +573,6 @@ class SubspaceBasis:
 
     def __repr__(self):
         return f"SubspaceBasis(dim {self.dim} in k^{self.ambient_dim})"
-
-
-def subspace_ops(a, b, which, v=None):
-    """Dispatcher for the subspace operations; ``which`` in
-    {"membership", "intersect", "sum", "contains"}."""
-    if which == "membership":
-        return a.membership(v)
-    if which == "intersect":
-        return a.intersect(b)
-    if which == "sum":
-        return a.sum_with(b)
-    if which == "contains":
-        return a.contains(b)
-    raise ValueError(f"unknown subspace op {which!r}")
 
 
 def rref_solve(m, b=None):

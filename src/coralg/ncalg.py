@@ -22,7 +22,9 @@ Conventions:
 from math import prod
 
 from .errors import ActionMismatch, DimensionMismatch
-from .exactla import Mat, SubspaceBasis, _Echelon, guard_dim, kron_vec
+from .exactla import (
+    Mat, SubspaceBasis, _Echelon, guard_dim, kron_vec, lincomb, quotient_space,
+)
 
 
 class Report:
@@ -69,6 +71,7 @@ class Algebra:
         self._left_mats = None
         self._right_mats = None
         self._mult_mat = None
+        self._cyclic_complexes = {}  # memo of cyclic.cyclic_complex
 
     def __repr__(self):
         return f"Algebra({self.name}, dim {self.dim})"
@@ -123,20 +126,10 @@ class Algebra:
         return Mat.from_cols(self.field, [self.unit], self.dim)
 
     def left_mult_by(self, vec):
-        f = self.field
-        m = Mat.zeros(f, self.dim, self.dim)
-        for i, c in enumerate(vec):
-            if c:
-                m = m + self.left_mult_mats()[i].scale(c)
-        return m
+        return lincomb(self.left_mult_mats(), vec)
 
     def right_mult_by(self, vec):
-        f = self.field
-        m = Mat.zeros(f, self.dim, self.dim)
-        for j, c in enumerate(vec):
-            if c:
-                m = m + self.right_mult_mats()[j].scale(c)
-        return m
+        return lincomb(self.right_mult_mats(), vec)
 
 
 def scalar_algebra(field, name="k"):
@@ -205,7 +198,9 @@ class Module:
     """A k-module with declared left/right algebra actions.
 
     Module elements are dense coordinate vectors.  ``left[alg][i]`` is the
-    matrix of the action of the i-th basis element of ``alg``.
+    matrix of the action of the i-th basis element of ``alg``.  Actions for
+    new algebras may be added at any time, but a declared action is never
+    changed: the tensor-space memo (see ``tensor_space``) relies on that.
     """
 
     def __init__(self, field, name, dim):
@@ -214,37 +209,44 @@ class Module:
         self.dim = dim
         self.left = {}
         self.right = {}
+        self._tensor_spaces = {}  # memo of tensor_space, for spaces led by self
 
     def __repr__(self):
         return f"Module({self.name}, dim {self.dim})"
 
-    def add_left(self, alg, mats):
-        self.left[alg] = mats
+    def _declare(self, actions, side, alg, mats):
+        """Add an action; re-declaring the same matrices is a no-op."""
+        old = actions.get(alg)
+        if old is None:
+            actions[alg] = mats
+        elif old != mats:
+            raise ActionMismatch(
+                f"{self.name}: {alg.name} already acts on the {side} differently")
         return self
 
+    def add_left(self, alg, mats):
+        return self._declare(self.left, "left", alg, mats)
+
     def add_right(self, alg, mats):
-        self.right[alg] = mats
-        return self
+        return self._declare(self.right, "right", alg, mats)
 
     def restrict_left(self, sub, morphism):
         """Declare the action of ``sub`` through an existing action of
         ``morphism.target``."""
-        mats = self.left[morphism.target]
-        self.left[sub] = [_combine(mats, morphism.apply(sub.basis_vector(i)), self.field)
-                          for i in range(sub.dim)]
-        return self
+        return self.add_left(sub, [
+            self.left_action_of(morphism.target, morphism.apply(sub.basis_vector(i)))
+            for i in range(sub.dim)])
 
     def restrict_right(self, sub, morphism):
-        mats = self.right[morphism.target]
-        self.right[sub] = [_combine(mats, morphism.apply(sub.basis_vector(i)), self.field)
-                           for i in range(sub.dim)]
-        return self
+        return self.add_right(sub, [
+            self.right_action_of(morphism.target, morphism.apply(sub.basis_vector(i)))
+            for i in range(sub.dim)])
 
     def left_action_of(self, alg, vec):
-        return _combine(self.left[alg], vec, self.field)
+        return lincomb(self.left[alg], vec)
 
     def right_action_of(self, alg, vec):
-        return _combine(self.right[alg], vec, self.field)
+        return lincomb(self.right[alg], vec)
 
     def act_left(self, alg, avec, v):
         return self.left_action_of(alg, avec).apply(v)
@@ -268,14 +270,6 @@ class Module:
         v = [self.field.zero] * self.dim
         v[i] = self.field.one
         return v
-
-
-def _combine(mats, vec, field):
-    out = Mat.zeros(field, mats[0].nrows, mats[0].ncols)
-    for i, c in enumerate(vec):
-        if c:
-            out = out + mats[i].scale(c)
-    return out
 
 
 def regular_bimodule(a, name=None):
@@ -406,7 +400,6 @@ class TensorSpace:
         cur_dim = first.dim
         Q = Mat.identity(field, cur_dim)
         S = Mat.identity(field, cur_dim)
-        trivial = True
         outer_left = {alg: list(mats) for alg, mats in first.left.items()}
         outer_right = {alg: list(mats) for alg, mats in first.right.items()}
 
@@ -447,11 +440,8 @@ class TensorSpace:
                             if vec:
                                 rel_vectors.append(vec)
             if rel_vectors:
-                rels = SubspaceBasis.from_vectors(field, amb, rel_vectors)
-                from .exactla import QuotientSpace
-                qs = QuotientSpace(field, amb, rels)
+                qs = quotient_space(field, amb, rel_vectors)
                 P, S2 = qs.proj, qs.sect
-                trivial = False
             else:
                 P = Mat.identity(field, amb)
                 S2 = P
@@ -482,9 +472,7 @@ class TensorSpace:
                     if diff_cols[u]:
                         rel_vectors.append(dict(diff_cols[u]))
             if rel_vectors:
-                rels = SubspaceBasis.from_vectors(field, cur_dim, rel_vectors)
-                from .exactla import QuotientSpace
-                qs = QuotientSpace(field, cur_dim, rels)
+                qs = quotient_space(field, cur_dim, rel_vectors)
                 Q = qs.proj @ Q
                 S = S @ qs.sect
                 cur_dim = qs.dim
@@ -561,32 +549,23 @@ def kron_id(pre, f, post):
     return _kron_id_left(pre, _kron_id_right(f, post))
 
 
-_TS_CACHE = {}
-
-
 def tensor_space(factors, junctions, circular=None, name=""):
-    """Memoized TensorSpace factory.  The key includes each factor's set of
-    declared actions: adding an action to a Module later yields a fresh
-    space with identical coordinates but complete outer-action data."""
-    key = (tuple(id(f) for f in factors),
-           tuple(id(j) if j is not None else None for j in junctions),
-           id(circular) if circular is not None else None,
-           tuple((tuple(sorted(map(id, f.left))), tuple(sorted(map(id, f.right))))
-                 for f in factors))
-    sp = _TS_CACHE.get(key)
+    """Memoized TensorSpace factory; the memo lives on the first factor.
+    The key includes each factor's set of declared acting algebras: adding
+    an action to a Module later yields a fresh space with identical
+    coordinates but complete outer-action data."""
+    key = (tuple(factors[1:]), tuple(junctions), circular,
+           tuple((frozenset(f.left), frozenset(f.right)) for f in factors))
+    memo = factors[0]._tensor_spaces
+    sp = memo.get(key)
     if sp is None:
-        sp = TensorSpace(list(factors), list(junctions), circular, name)
-        _TS_CACHE[key] = sp
+        sp = memo[key] = TensorSpace(list(factors), list(junctions), circular, name)
     return sp
 
 
 def tensor_over(m, n, t, name=""):
     """The balanced tensor M (x)_T N; pass t=None for the ground field."""
     return tensor_space([m, n], [t], name=name)
-
-
-def space_dim(sp):
-    return sp.dim
 
 
 def space_Q(sp):
@@ -626,11 +605,6 @@ def leg_apply(src, tgt, pos, span, fmat, check="auto"):
             raise ActionMismatch(
                 f"leg map at position {pos} does not descend to {getattr(src, 'name', src)}")
     return M
-
-
-def lift_to_full(f, src_sp, tgt_sp):
-    """Lift a quotient-coordinates map to full ambient coordinates."""
-    return space_S(tgt_sp) @ f @ space_Q(src_sp)
 
 
 # ---------------------------------------------------------------------------
@@ -962,17 +936,11 @@ def projective_dual_basis(module, alg, side="left", generators=None):
                       [dict(sigma.rows[i * dS + s]) for s in range(dS)])
             chis.append(chi)
             ws.append(list(generators[i]))
-    hom_alg = hom_solve(field, module.dim, dS, eqs_linear(alg, module, _alg_as_module(alg, side), side))
+    hom_alg = hom_solve(field, module.dim, dS,
+                        eqs_linear(alg, module, regular_bimodule(alg), side))
     trace = _trace_ideal(alg, hom_alg, module)
     generator = trace.dim == dS
     return DualBasis(side, ws, chis, projective, generator)
-
-
-def _alg_as_module(alg, side):
-    m = Module(alg.field, alg.name, alg.dim)
-    m.add_left(alg, alg.left_mult_mats())
-    m.add_right(alg, alg.right_mult_mats())
-    return m
 
 
 def _trace_ideal(alg, hom_set, module):

@@ -163,6 +163,15 @@ def test_cli_non_galois_exit_code(tmp_path):
     assert not json.loads(out)["verdicts"]["galois"]
 
 
+def test_cli_unknown_names_are_input_errors(tmp_path, z2_path):
+    code, _ = run_cli(tmp_path, "galois", "--workspace", z2_path, "--T", "nope")
+    assert code == 2
+    for command in ("chg", "idempotent", "compare"):
+        code, _ = run_cli(tmp_path, command, "--workspace", z2_path,
+                          "--coidempotent", "nope")
+        assert code == 2
+
+
 def test_report_determinism(tmp_path, z2_path):
     _, out1 = run_cli(tmp_path, "chg", "--workspace", z2_path,
                       "--degree", "1", "--coidempotent", "e1")

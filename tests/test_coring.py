@@ -261,15 +261,13 @@ def test_cotensor_respects_direct_sums():
     assert d_sum == d0 + d1
 
 
-def test_separability_solve_dispatcher_and_grouplike_search():
-    from coralg.coring import search_grouplikes, separability_solve
+def test_cointegral_separability_and_grouplike_search():
+    from coralg.coring import search_grouplikes
     from coralg.exactla import GF
     z2 = group_z2_coring(QQ)
-    assert separability_solve("cointegral", z2) is not None
+    assert cointegral(z2) is not None
     r = product_field_algebra(QQ)
-    assert separability_solve("separability", r, None, regular_bimodule(r)) is not None
-    with pytest.raises(ValueError):
-        separability_solve("nonsense", z2)
+    assert separability_idempotent(r, None, regular_bimodule(r)) is not None
     c5 = group_z2_coring(GF(5))
     assert search_grouplikes(c5) == [[1, 0], [0, 1]]
     with pytest.raises(ValueError):

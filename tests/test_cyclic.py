@@ -1,9 +1,12 @@
 """Circular spaces, cyclic operators, the total complex and its homology."""
 
+import gc
+import weakref
+
 import pytest
 
 from coralg.cyclic import (
-    CyclicComplex, homology, lambda_projection,
+    CyclicComplex, cyclic_complex, homology, lambda_projection,
 )
 from coralg.errors import DegreeOutOfRange, MemoryGuard
 from coralg.exactla import QQ, Mat, rank
@@ -11,7 +14,7 @@ from coralg.fixtures import (
     diagonal_subalgebra, matrix_algebra, quadratic_algebra,
     upper_triangular_algebra,
 )
-from coralg.ncalg import scalar_algebra
+from coralg.ncalg import AlgebraMorphism, scalar_algebra, validate_morphism
 
 
 def qi(x):
@@ -242,3 +245,25 @@ def test_contract_surface_wrappers():
     assert set(ops) == {"tau", "tautilde", "N", "dprime", "d"}
     tc = build_total_complex(a, None, 2)
     assert tc.d_squared.ok
+
+
+def test_cyclic_complex_memo_keys_on_the_inclusion():
+    m2 = matrix_algebra(QQ, 2)
+    t, incl = diagonal_subalgebra(m2)
+    # a second unital embedding of the same T: t1 -> [[1,1],[0,0]],
+    # t2 -> [[0,-1],[0,1]]
+    incl2 = AlgebraMorphism(t, m2, Mat.from_cols(
+        QQ, [[qi(1), qi(1), qi(0), qi(0)], [qi(0), qi(-1), qi(0), qi(1)]], 4))
+    assert validate_morphism(incl2).ok
+    assert cyclic_complex(m2, (t, incl)).t_incl is incl
+    cc2 = cyclic_complex(m2, (t, incl2))
+    assert cc2.t_incl is incl2
+    assert cc2.operators(1)["d"] == CyclicComplex(m2, (t, incl2)).operators(1)["d"]
+
+
+def test_cyclic_complex_memo_is_freed_with_its_algebra():
+    ut2 = upper_triangular_algebra(QQ)
+    space = weakref.ref(cyclic_complex(ut2).space(2))
+    del ut2
+    gc.collect()
+    assert space() is None

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from coralg.errors import DimensionMismatch, MemoryGuard
 from coralg.exactla import (
     GF, QQ, Field, Mat, SubspaceBasis, identity_quotient, inverse, kron_vec,
-    quotient_space, rank, rref_solve, solve_right, subspace_ops,
+    quotient_space, rank, rref_solve, solve_right,
 )
 
 Q1 = QQ.one
@@ -176,9 +176,9 @@ def test_subspace_membership_and_sum():
     e1 = qvec([1, 0])
     e2 = qvec([0, 1])
     a = SubspaceBasis.from_vectors(QQ, 2, [e1, e2])
-    assert subspace_ops(a, None, "membership", v=e1) == qvec([1, 0])
-    s = subspace_ops(SubspaceBasis.from_vectors(QQ, 2, [e1]),
-                     SubspaceBasis.from_vectors(QQ, 2, [e2]), "sum")
+    assert a.membership(e1) == qvec([1, 0])
+    s = SubspaceBasis.from_vectors(QQ, 2, [e1]).sum_with(
+        SubspaceBasis.from_vectors(QQ, 2, [e2]))
     assert s.dim == 2
 
 
@@ -186,7 +186,7 @@ def test_subspace_intersection_by_joint_solve():
     # span{e1+e2} cap span{e1} = 0 in Q^2
     a = SubspaceBasis.from_vectors(QQ, 2, [qvec([1, 1])])
     b = SubspaceBasis.from_vectors(QQ, 2, [qvec([1, 0])])
-    assert subspace_ops(a, b, "intersect").dim == 0
+    assert a.intersect(b).dim == 0
     c = SubspaceBasis.from_vectors(QQ, 3, [qvec([1, 0, 0]), qvec([0, 1, 0])])
     d = SubspaceBasis.from_vectors(QQ, 3, [qvec([0, 1, 0]), qvec([0, 0, 1])])
     i = c.intersect(d)

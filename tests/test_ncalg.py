@@ -5,11 +5,11 @@ import pytest
 from coralg.errors import ActionMismatch
 from coralg.exactla import QQ, Mat, rank
 from coralg.fixtures import (
-    matrix_algebra, product_field_algebra, quadratic_algebra,
+    diagonal_subalgebra, matrix_algebra, product_field_algebra, quadratic_algebra,
     upper_triangular_algebra, upper_triangular_subalgebra,
 )
 from coralg.ncalg import (
-    Module, eq_value, eqs_linear,
+    AlgebraMorphism, Module, eq_value, eqs_linear,
     generated_subalgebra, hom_solve, leg_apply, projective_dual_basis,
     regular_bimodule, scalar_algebra, tensor_over, tensor_space,
     validate_algebra, validate_module, validate_morphism,
@@ -302,3 +302,23 @@ def test_tensor_dim_equals_ambient_minus_relation_rank():
                 rels.append([a - c for a, c in zip(u, v)])
     rank_rel = SubspaceBasis.from_vectors(QQ, 16, rels).dim
     assert t.dim == 16 - rank_rel
+
+
+def test_declared_action_is_never_replaced():
+    # the tensor-space memo keys on the declared acting algebras, so an
+    # action, once declared, may not change under it
+    m2 = matrix_algebra(QQ, 2)
+    t, incl = diagonal_subalgebra(m2)
+    incl2 = AlgebraMorphism(t, m2, Mat.from_cols(
+        QQ, [[qi(1), qi(1), qi(0), qi(0)], [qi(0), qi(-1), qi(0), qi(1)]], 4))
+    assert validate_morphism(incl2).ok
+    m = regular_bimodule(m2)
+    m.restrict_left(t, incl).restrict_right(t, incl)
+    sp = tensor_space([m, m], [t])
+    m.restrict_left(t, incl)  # the same matrices again: a no-op
+    assert tensor_space([m, m], [t]) is sp
+    with pytest.raises(ActionMismatch):
+        m.restrict_left(t, incl2)
+    with pytest.raises(ActionMismatch):
+        m.restrict_right(t, incl2)
+    assert tensor_space([m, m], [t]) is sp
