@@ -15,6 +15,7 @@ assembles the components with coefficients (-1)^{floor(l/2)} l!/floor(l/2)!
 at bicomplex positions (p, q) = (2n - l, l).
 """
 
+import itertools
 import warnings
 from math import factorial
 
@@ -24,11 +25,13 @@ from .errors import (
 )
 from .exactla import Mat, SubspaceBasis, lincomb, rank, rref_solve, solve_right
 from .ncalg import (
-    Equation, Report, hom_solve, kron_id, leg_apply, tensor_space,
+    AlgebraMorphism, Equation, Module, Report, Term, _fail_cols, hom_solve,
+    kron_id, leg_apply, projective_dual_basis, regular_bimodule, tensor_space,
 )
 from .coring import Comodule, cotensor
 from .cyclic import cyclic_complex, homology
-from .connect import _mixed_mult
+from .connect import _mixed_mult, tflatness_check
+from .entwine import canonical_maps
 
 
 def chg_coefficient(field, l):
@@ -66,8 +69,6 @@ def a_side_component(e, sc, l):
     reps = [[rep_of(e.entries[i][j]) for j in range(n_idx)] for i in range(n_idx)]
     total = d ** (l + 1)
     out = {}
-
-    import itertools
     for tup in itertools.product(range(n_idx), repeat=l + 1):
         # connection value #j is ell(e_{tup[j-1], tup[j mod (l+1)]}), 1-based
         ell_reps = [reps[tup[j]][tup[(j + 1) % (l + 1)]] for j in range(l + 1)]
@@ -142,7 +143,6 @@ def t_pairs_of(sc):
     if t is x.T:
         return (t, x.incl_T_B), (t, x.incl_T_A)
     if t is x.B:
-        from .ncalg import AlgebraMorphism
         return (t, AlgebraMorphism.identity(t)), (t, x.incl_B)
     raise NoLocalDualSystem(f"no inclusion data for {t.name}")
 
@@ -156,7 +156,6 @@ def chg_components(e, sc, L, tflat=None):
     """
     x = sc.extension
     if tflat is None:
-        from .connect import tflatness_check
         tflat = tflatness_check(x, sc.t)
     if not tflat["verdict"]:
         warnings.warn("extension is not T-flat; relying on membership "
@@ -264,8 +263,6 @@ def associated_module(x, w):
             cols.append(coords)
         mats.append(Mat.from_cols(b.field, cols, ker.dim))
     gamma = AssociatedModule(x, w, ker, mw, mats)
-    from .entwine import canonical_maps
-    from .ncalg import projective_dual_basis, Module
     galois = canonical_maps(x)["galois"]
     if galois and projective_dual_basis(x.a_mod, b, "right").projective:
         gm = Module(b.field, "Gamma", ker.dim)
@@ -350,13 +347,13 @@ def local_dual_system(x, sc, e, supplied=None):
                     L.rows[i][p * t.dim + jj] = f.add(
                         L.rows[i].get(p * t.dim + jj, f.zero), v)
         vmat = Mat.from_cols(f, [xbasis.mat.row_list(r) for r in range(xbasis.dim)], d)
-        eqs = [Equation([("LXR", L, vmat, 1)], rhs=vmat, label="dual-system")]
+        eqs = [Equation([Term(L, vmat)], rhs=vmat, label="dual-system")]
         for k in range(t.dim):
             ra = ring.right_mult_by(t_incl_a.apply(t.basis_vector(k)))
             dk = kron_id(P, t.right_mult_mats()[k], 1)
             eqs.append(Equation([
-                ("LXR", Mat.identity(f, P * t.dim), ra, 1),
-                ("LXR", dk, Mat.identity(f, d), -1)], label="right-T-linear"))
+                Term(Mat.identity(f, P * t.dim), ra),
+                Term(dk, Mat.identity(f, d), -1)], label="right-T-linear"))
         sol = hom_solve(f, d, P * t.dim, eqs)
         if not sol.is_empty:
             xi_stack = sol.particular
@@ -389,14 +386,10 @@ def ell_p_maps(x, sc, dual):
     """ell_p = (xi_p (x)_T A) . ell as matrices C -> A."""
     e = x.entwining
     ring = e.ring
-    f = ring.field
     t = sc.t
     pair_b, pair_a = t_pairs_of(sc)
     t_incl_a = pair_a[1]
-    from .ncalg import Module
-    t_mod = Module(f, f"{t.name}-mod", t.dim)
-    t_mod.add_left(t, t.left_mult_mats())
-    t_mod.add_right(t, t.right_mult_mats())
+    t_mod = regular_bimodule(t, f"{t.name}-mod")
     ta = tensor_space([t_mod, x.a_mod], [t])
     coll = leg_apply(ta, x.a_mod, 0, 2, _mixed_mult(ring, t_incl_a, left=True),
                      check="skip")
@@ -412,7 +405,6 @@ def verify_b_t_retraction(x, sc, phi):
     rep = Report("phi")
     b, ring = x.B, x.entwining.ring
     f = ring.field
-    from .ncalg import _fail_cols
     _fail_cols(rep, "retraction", phi @ x.incl_B.matrix - Mat.identity(f, b.dim))
     for i in range(b.dim):
         _fail_cols(rep, f"left-B-linear[{i}]",
@@ -431,7 +423,6 @@ def idempotent_e(x, sc, e, dual, phi):
     """E_{(i,p),(j,q)} = phi(ell_p(e_ij) x_q); verified idempotent, with the
     gamma system and both parts of the gamma identity certified."""
     ring = x.entwining.ring
-    f = ring.field
     b = x.B
     rep = verify_b_t_retraction(x, sc, phi)
     if not rep.ok:
@@ -445,7 +436,16 @@ def idempotent_e(x, sc, e, dual, phi):
             val = ring.mul_vec(ells[p].apply(e.entries[i][j]), xs[q])
             entries[(a, c)] = phi.apply(val)
     em = IdempotentE(entries, index, {"xs": xs, "phi": phi})
-    n = len(index)
+    bad = _first_non_idempotent(b, entries, len(index))
+    if bad is not None:
+        raise NotIdempotent(f"E^2 differs from E first at {bad}")
+    return em
+
+
+def _first_non_idempotent(b, entries, n):
+    """The first (a, c) with (F^2)_ac != F_ac for the n x n matrix F over b
+    given as entries[(a, c)], or None when F is idempotent."""
+    f = b.field
     for a in range(n):
         for c in range(n):
             acc = [f.zero] * b.dim
@@ -453,8 +453,8 @@ def idempotent_e(x, sc, e, dual, phi):
                 w = b.mul_vec(entries[(a, m)], entries[(m, c)])
                 acc = [f.add(p_, q_) for p_, q_ in zip(acc, w)]
             if acc != entries[(a, c)]:
-                raise NotIdempotent(f"E^2 differs from E first at {(a, c)}")
-    return em
+                return a, c
+    return None
 
 
 def gamma_elements(x, sc, e, dual, gamma, ws):
@@ -513,7 +513,7 @@ def theta_isomorphism(x, em, gamma, gammas):
     theta = Mat.zeros(f, gamma.space.dim, dim_free)
     for a, key in enumerate(em.index):
         for beta in range(b.dim):
-            col = lincomb(gamma.space.outer_left[b], b.basis_vector(beta)).apply(gammas[key])
+            col = gamma.space.outer_left[b][beta].apply(gammas[key])
             for i_, v in enumerate(col):
                 if v:
                     theta.rows[i_][a * b.dim + beta] = v
@@ -551,14 +551,9 @@ def ch_components(fmat_entries, n_size, cc_b, L, check_idempotent=True):
     f = b.field
     d = b.dim
     if check_idempotent:
-        for a in range(n_size):
-            for c in range(n_size):
-                acc = [f.zero] * b.dim
-                for m in range(n_size):
-                    w = b.mul_vec(fmat_entries[(a, m)], fmat_entries[(m, c)])
-                    acc = [f.add(p_, q_) for p_, q_ in zip(acc, w)]
-                if acc != fmat_entries[(a, c)]:
-                    raise NotIdempotent(f"F^2 != F first at {(a, c)}")
+        bad = _first_non_idempotent(b, fmat_entries, n_size)
+        if bad is not None:
+            raise NotIdempotent(f"F^2 != F first at {bad}")
     comps = []
     for l in range(L + 1):
         sp = cc_b.space(l)

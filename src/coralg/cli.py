@@ -12,14 +12,29 @@ import sys
 import time
 
 from .errors import CoralgError, SchemaError, UnknownFixture, ValidationError
-from .exactla import Mat
+from .exactla import Mat, solve_right
+from .ncalg import Equation, Term, eqs_linear, hom_solve, leg_apply, tensor_space
+from .coring import verify_grouplike
+from .entwine import canonical_maps, make_extension
+from .connect import (
+    StrongConnection, solve_strong_connection, tflatness_check, total_integral,
+    verify_strong_connection,
+)
+from .cyclic import cyclic_complex, homology
+from .cherngalois import (
+    assemble_and_class, chg_components, compare_chg_ch, idempotent_e,
+    local_dual_system,
+)
 from .fixtures import FIXTURE_NAMES, fixture_document
-from .workspace import parse_workspace, _fmt_mat, _fmt_vec
+from .workspace import parse_workspace, _fmt_mat, _fmt_vec, _parse_matrix
 
 
 def _load(path):
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(path, f"malformed JSON: {exc}")
 
 
 def _emit(report, out):
@@ -32,7 +47,6 @@ def _emit(report, out):
 
 
 def _extension(ws, t_name=None):
-    from .entwine import make_extension
     ent = ws.single_entwining()
     _, _, rho = ws.single_coaction()
     t_basis = None
@@ -48,8 +62,6 @@ def _extension(ws, t_name=None):
 def _detect_grouplike(ent, rho):
     """Recover g with rho = psi(g (x) -) when the coaction is grouplike
     induced; None otherwise."""
-    from .coring import verify_grouplike
-    from .exactla import solve_right
     z = ent.psi_inv.apply(rho.apply(ent.ring.unit)) if ent.psi_inv else None
     if z is None:
         return None
@@ -62,7 +74,6 @@ def _detect_grouplike(ent, rho):
     g = g.col(0)
     if not verify_grouplike(ent.coring, g)[0]:
         return None
-    from .ncalg import leg_apply
     gcol = Mat.from_cols(ent.ring.field, [g], ent.coring.dim)
     rho2 = ent.psi @ leg_apply(ent.a_mod, ent.CA, 0, 0, gcol, check="skip")
     return g if rho2 == rho else None
@@ -97,7 +108,6 @@ def cmd_coinvariants(ws, args):
 
 
 def cmd_galois(ws, args):
-    from .entwine import canonical_maps
     x = _extension(ws, args.T)
     res = canonical_maps(x)
     rep = {"verdicts": {"galois": res["galois"]},
@@ -108,20 +118,16 @@ def cmd_galois(ws, args):
 
 
 def _connection_from_args(ws, x, args):
-    from .connect import StrongConnection
     name = args.connection
     if name:
         if name not in ws.connections:
             raise SchemaError(f"connections.{name}", "unknown connection")
         ext, tname, raw = ws.connections[name]
         t_alg = x.T
-        from .ncalg import tensor_space
-        from .workspace import _parse_matrix
         aat = tensor_space([x.a_mod, x.a_mod], [t_alg])
         mat = _parse_matrix(ws.field, raw, aat.dim, x.entwining.coring.dim,
                             f"connections.{name}.matrix")
         return StrongConnection(x, mat, t_alg=t_alg)
-    from .connect import solve_strong_connection
     sc, _ = solve_strong_connection(x)
     if sc is None:
         raise CoralgError("no strong connection exists")
@@ -129,7 +135,6 @@ def _connection_from_args(ws, x, args):
 
 
 def cmd_connection(ws, args):
-    from .connect import solve_strong_connection, verify_strong_connection
     x = _extension(ws, args.T)
     if args.mode == "solve":
         sc, sol = solve_strong_connection(x)
@@ -145,7 +150,6 @@ def cmd_connection(ws, args):
 
 
 def cmd_integral(ws, args):
-    from .connect import total_integral
     x = _extension(ws, args.T)
     res = total_integral(x)
     rep = {"verdicts": {"relative_injective": res["relative_injective"],
@@ -157,7 +161,6 @@ def cmd_integral(ws, args):
 
 
 def cmd_tflat(ws, args):
-    from .connect import tflatness_check
     x = _extension(ws, args.T)
     res = tflatness_check(x)
     return {"verdicts": {"t_flat": res["verdict"], "iso": res["iso"],
@@ -165,7 +168,6 @@ def cmd_tflat(ws, args):
 
 
 def cmd_hc(ws, args):
-    from .cyclic import cyclic_complex, homology
     x = _extension(ws, args.T)
     n = args.degree
     D = max(ws.options["max_degree"], n + 1)
@@ -177,7 +179,6 @@ def cmd_hc(ws, args):
 
 
 def cmd_chg(ws, args):
-    from .cherngalois import assemble_and_class, chg_components
     e = _coidempotent(ws, args)
     x = _extension(ws, args.T)
     sc = _connection_from_args(ws, x, args)
@@ -195,7 +196,6 @@ def cmd_chg(ws, args):
 
 def _idempotent_setup(ws, args):
     """The coidempotent e, the strong connection and the idempotent matrix E."""
-    from .cherngalois import idempotent_e, local_dual_system
     e = _coidempotent(ws, args)
     x = _extension(ws, args.T)
     sc = _connection_from_args(ws, x, args)
@@ -213,12 +213,11 @@ def cmd_idempotent(ws, args):
 
 def _default_phi(x):
     """A B-T bilinear retraction of B in A found by the solver."""
-    from .ncalg import Equation, eqs_linear, hom_solve
     f = x.B.field
     ring = x.entwining.ring
     eqs = eqs_linear(x.B, x.a_mod, x.b_mod, "left")
     eqs += eqs_linear(x.T, x.a_mod, x.b_mod, "right")
-    eqs.append(Equation([("LXR", Mat.identity(f, x.B.dim), x.incl_B.matrix, 1)],
+    eqs.append(Equation([Term(Mat.identity(f, x.B.dim), x.incl_B.matrix)],
                         rhs=Mat.identity(f, x.B.dim)))
     sol = hom_solve(f, ring.dim, x.B.dim, eqs)
     if sol.is_empty:
@@ -227,7 +226,6 @@ def _default_phi(x):
 
 
 def cmd_compare(ws, args):
-    from .cherngalois import chg_components, compare_chg_ch
     e, sc, em = _idempotent_setup(ws, args)
     L = 4
     chg = chg_components(e, sc, L)

@@ -11,13 +11,13 @@ cantilde_T(ell(c)) = 1_A (x) c.
 from .errors import (
     ImageNotCoinvariant, MembershipFailure, NotASection, NotGalois,
 )
-from .exactla import Mat, SubspaceBasis, lincomb, rank, rref_solve, solve_right
+from .exactla import Mat, SubspaceBasis, rank, rref_solve, solve_right
 from .ncalg import (
-    Equation, Report, _fail_cols, eqs_linear, eq_right_colinear,
+    Equation, Report, Term, _fail_cols, eqs_linear, eq_right_colinear,
     eq_left_colinear, eq_value, hom_solve, leg_apply,
-    projective_dual_basis, tensor_space,
+    projective_dual_basis, regular_bimodule, tensor_space,
 )
-from .entwine import cantilde
+from .entwine import associated_coring, canonical_maps, cantilde
 
 
 class StrongConnection:
@@ -54,18 +54,16 @@ def _mixed_mult(ring, incl, left=True):
     return Mat.from_cols(f, cols, ring.dim)
 
 
-def _comodule_structures(sc):
+def _comodule_structures(x, t):
     """(right coaction, its space) and (left coaction, its space) of
     A (x)_T A, plus the lifted canonical map."""
-    x = sc.extension
     e = x.entwining
     a_mod, cor, base = x.a_mod, e.coring, e.base
-    aat = sc.space
-    aatc = tensor_space([a_mod, a_mod, cor.carrier], [sc.t, base])
-    caat = tensor_space([cor.carrier, a_mod, a_mod], [base, sc.t])
+    ct, aat = cantilde(x, t)
+    aatc = tensor_space([a_mod, a_mod, cor.carrier], [t, base])
+    caat = tensor_space([cor.carrier, a_mod, a_mod], [base, t])
     rho_aat = leg_apply(aat, aatc, 1, 1, e.AC.S @ x.rho, check="skip")
     lrho_aat = leg_apply(aat, caat, 0, 1, e.CA.S @ x.lrho, check="skip")
-    ct, _ = cantilde(x, sc.t)
     return (rho_aat, aatc), (lrho_aat, caat), ct
 
 
@@ -77,7 +75,7 @@ def verify_strong_connection(sc):
     e = x.entwining
     cor, base = e.coring, e.base
     aat = sc.space
-    (rho_aat, aatc), (lrho_aat, caat), ct = _comodule_structures(sc)
+    (rho_aat, aatc), (lrho_aat, caat), ct = _comodule_structures(x, sc.t)
     for i in range(base.dim):
         _fail_cols(rep, f"right-linear[{i}]",
                    sc.ell @ cor.carrier.right[base][i]
@@ -106,11 +104,7 @@ def solve_strong_connection(x, t_alg=None):
     t = t_alg if t_alg is not None else x.T
     a_mod = x.a_mod
     aat = tensor_space([a_mod, a_mod], [t])
-    aatc = tensor_space([a_mod, a_mod, cor.carrier], [t, base])
-    caat = tensor_space([cor.carrier, a_mod, a_mod], [base, t])
-    rho_aat = leg_apply(aat, aatc, 1, 1, e.AC.S @ x.rho, check="skip")
-    lrho_aat = leg_apply(aat, caat, 0, 1, e.CA.S @ x.lrho, check="skip")
-    ct, _ = cantilde(x, t)
+    (rho_aat, aatc), (lrho_aat, caat), ct = _comodule_structures(x, t)
     carrier = cor.carrier
     eqs = eqs_linear(base, carrier, aat, "left") + eqs_linear(base, carrier, aat, "right")
     eqs.append(eq_right_colinear(cor.delta, rho_aat, carrier, aat,
@@ -118,7 +112,7 @@ def solve_strong_connection(x, t_alg=None):
     eqs.append(eq_left_colinear(cor.delta, lrho_aat, carrier, aat,
                                 cor.CC, caat, cor.dim))
     ins = leg_apply(carrier, e.AC, 0, 0, e.ring.unit_col(), check="skip")
-    eqs.append(Equation([("LXR", ct, Mat.identity(base.field, carrier.dim), 1)],
+    eqs.append(Equation([Term(ct, Mat.identity(base.field, carrier.dim))],
                         rhs=ins, label="splitting"))
     sol = hom_solve(base.field, carrier.dim, aat.dim, eqs)
     if sol.is_empty:
@@ -153,20 +147,11 @@ def restrict_connection(sc, xi_full, t_prime):
         a_mod.restrict_left(tp_alg, tp_incl)
         a_mod.restrict_right(tp_alg, tp_incl)
     t_incl_a = _inclusion_into_ring(x, t)
-    t_mod_name = f"{t.name}-mod"
-    from .ncalg import Module
-    t_mod = Module(f, t_mod_name, t.dim)
-    t_mod.add_left(t, t.left_mult_mats())
-    t_mod.add_right(t, t.right_mult_mats())
-    # T as a right T'-module via the inclusion T' -> A factored through T
-    cols = []
-    for i in range(tp_alg.dim):
-        v = tp_incl.apply(tp_alg.basis_vector(i))
-        w = solve_right(t_incl_a.matrix, Mat.from_cols(f, [v], ring.dim))
-        if w is None:
-            raise NotASection("T' is not contained in T")
-        cols.append(w.col(0))
-    tp_in_t = Mat.from_cols(f, cols, t.dim)
+    t_mod = regular_bimodule(t, f"{t.name}-mod")
+    # T as a T'-bimodule via the inclusion T' -> A factored through T
+    tp_in_t = solve_right(t_incl_a.matrix, tp_incl.matrix)
+    if tp_in_t is None:
+        raise NotASection("T' is not contained in T")
     t_mod.add_right(tp_alg, [t.right_mult_by(tp_in_t.col(i))
                              for i in range(tp_alg.dim)])
     t_mod.add_left(tp_alg, [t.left_mult_by(tp_in_t.col(i))
@@ -295,7 +280,6 @@ def differential_forms(x, t_alg=None):
 def connection_from_galois(x):
     """The translation map varpi(c) = can^{-1}(1 (x) c), a strong
     B-connection of a Galois extension."""
-    from .entwine import canonical_maps
     res = canonical_maps(x)
     if not res["galois"]:
         raise NotGalois("canonical map is not bijective")
@@ -323,7 +307,6 @@ def total_integral(x, side="right"):
     ring, base, cor = e.ring, e.base, e.coring
     f = ring.field
     a_mod, carrier = x.a_mod, cor.carrier
-    from .entwine import canonical_maps
     if side == "right":
         eqs = eqs_linear(base, carrier, a_mod, "right")
         eqs.append(eq_right_colinear(cor.delta, x.rho, carrier, a_mod,
@@ -405,13 +388,12 @@ def normalization_and_splitting(x, sc, f_retr):
     _fail_cols(rep, "retraction-of-inclusion",
                f_retr @ x.incl_B.matrix - Mat.identity(fld, b.dim))
     t_incl_a = _inclusion_into_ring(x, t)
+    t_in_b = solve_right(x.incl_B.matrix, t_incl_a.matrix)
+    assert t_in_b is not None, "T must sit inside B"
     for i in range(t.dim):
-        ti = t_incl_a.apply(t.basis_vector(i))
-        ti_in_b = solve_right(x.incl_B.matrix, Mat.from_cols(fld, [ti], ring.dim))
-        assert ti_in_b is not None, "T must sit inside B"
         _fail_cols(rep, f"left-T-linear[{i}]",
-                   f_retr @ ring.left_mult_by(ti)
-                   - b.left_mult_by(ti_in_b.col(0)) @ f_retr)
+                   f_retr @ ring.left_mult_by(t_incl_a.matrix.col(i))
+                   - b.left_mult_by(t_in_b.col(i)) @ f_retr)
     if not rep.ok:
         raise MembershipFailure(f"f is not a T-linear retraction: {rep.failures[:3]}")
     s1 = leg_apply(ba, bb, 1, 1, f_retr, check="skip")
@@ -438,7 +420,6 @@ def tflatness_check(x, t_alg=None):
     f = ring.field
     t = t_alg if t_alg is not None else x.T
     a_mod, b_mod = x.a_mod, x.b_mod
-    from .entwine import associated_coring
     assoc = associated_coring(e)
     carrier = assoc.carrier
     if t not in carrier.left:
@@ -448,10 +429,7 @@ def tflatness_check(x, t_alg=None):
     circ_a = tensor_space([a_mod], [], circular=t, name=f"{ring.name}/[,{t.name}]")
     circ_d = tensor_space([carrier], [], circular=t)
     circ_b = tensor_space([b_mod], [], circular=t, name=f"{x.B.name}/[,{t.name}]")
-    g_assoc = x.rho.apply(ring.unit)
-    cols = [lincomb(e.AC.outer_left[ring], ring.basis_vector(i)).apply(g_assoc)
-            for i in range(ring.dim)]
-    m = x.rho - Mat.from_cols(f, cols, e.AC.dim)
+    m = x.rho - e.left_action_on(x.rho.apply(ring.unit))
     rep = Report("upsilon")
     if (circ_d.Q @ m @ circ_a.S) @ circ_a.Q != circ_d.Q @ m:
         rep.fail("not-well-defined", None)

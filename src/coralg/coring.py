@@ -7,10 +7,12 @@ coassociativity and the counit laws.  Sweedler components are only ever
 manipulated through canonical quotient coordinates.
 """
 
+import math
+
 from .errors import InvalidCoidempotent, NotProjective
-from .exactla import Mat, SubspaceBasis
+from .exactla import Mat, SubspaceBasis, rref_solve
 from .ncalg import (
-    Algebra, Equation, Module, Report, _fail_cols, _kron_id_left,
+    Algebra, Equation, Module, Report, Term, _fail_cols, _kron_id_left,
     _kron_id_right, eqs_linear, hom_solve, kron_id, leg_apply,
     regular_bimodule, tensor_space, validate_module,
 )
@@ -168,7 +170,6 @@ def coinvariants(m, e):
         legs = [b, e] if m.side == "right" else [e, b]
         cols.append(m.space.embed_pure(legs))
     em = Mat.from_cols(car.field, cols, m.space.dim)
-    from .exactla import rref_solve
     return rref_solve(m.coaction - em)["kernel"]
 
 
@@ -248,10 +249,10 @@ def separability_idempotent(a, base, a_mod):
     eqs = []
     one_col = Mat.identity(f, 1)
     for i in range(a.dim):
-        eqs.append(Equation([("LXR", aa.outer_left[a][i], one_col, 1),
-                             ("LXR", aa.outer_right[a][i], one_col, -1)]))
+        eqs.append(Equation([Term(aa.outer_left[a][i], one_col),
+                             Term(aa.outer_right[a][i], one_col, -1)]))
     mu_bar = leg_apply(aa, a_mod, 0, 2, a.mult_mat(), check="skip")
-    eqs.append(Equation([("LXR", mu_bar, one_col, 1)],
+    eqs.append(Equation([Term(mu_bar, one_col)],
                         rhs=Mat.from_cols(f, [a.unit], a.dim)))
     sol = hom_solve(f, 1, aa.dim, eqs)
     if sol.is_empty:
@@ -280,7 +281,6 @@ def search_grouplikes(c, max_bits=16):
     field = c.base.field
     if field.p is None:
         raise ValueError("exhaustive search needs a prime field")
-    import math
     if c.carrier.dim * math.log2(field.p) > max_bits:
         raise ValueError("search space exceeds the configured bound")
     found = []
@@ -305,7 +305,6 @@ def cointegral(c):
     base, car = c.base, c.carrier
     f = base.field
     rreg = regular_bimodule(base)
-    from .ncalg import Equation
     eqs = eqs_linear(base, c.CC, rreg, "left") + eqs_linear(base, c.CC, rreg, "right")
     ccc = c.triple_space()
     d1 = leg_apply(c.CC, ccc, 0, 1, c.delta_full(), check="skip")
@@ -314,10 +313,10 @@ def cointegral(c):
     lc = car.left_collapse_mat(base)
     u_left = _kron_id_left(car.dim, c.CC.Q) @ ccc.S @ d1
     u_right = _kron_id_right(c.CC.Q, car.dim) @ ccc.S @ d2
-    eqs.append(Equation([("QXU_left", rc, u_left, car.dim, 1),
-                         ("QXU_right", lc, u_right, car.dim, -1)],
+    eqs.append(Equation([Term(rc, u_left, pre=car.dim),
+                         Term(lc, u_right, -1, post=car.dim)],
                         label="cointegral-coassoc"))
-    eqs.append(Equation([("LXR", Mat.identity(f, base.dim), c.delta, 1)],
+    eqs.append(Equation([Term(Mat.identity(f, base.dim), c.delta)],
                         rhs=c.eps, label="cointegral-counit"))
     sol = hom_solve(f, c.CC.dim, base.dim, eqs)
     if sol.is_empty:
@@ -565,6 +564,5 @@ def cotensor(m, w):
     mcw = tensor_space([m.carrier, c.carrier, w.carrier], [base, base])
     t1 = leg_apply(mw, mcw, 0, 1, m.coaction_full(), check="skip")
     t2 = leg_apply(mw, mcw, 1, 1, w.coaction_full(), check="skip")
-    from .exactla import rref_solve
     ker = rref_solve(t1 - t2)["kernel"]
     return ker, mw

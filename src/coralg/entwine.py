@@ -18,7 +18,7 @@ subalgebra computed by both one-sided kernel formulas.
 from .errors import (
     CompatibilityFailure, CoinvariantMismatch, NotBijective, NotEntwinedModule,
 )
-from .exactla import Mat, inverse, kron_vec, lincomb, rref_solve
+from .exactla import Mat, inverse, kron_vec, lincomb, rank, rref_solve, solve_right
 from .ncalg import (
     AlgebraMorphism, Module, Report, _fail_cols, _kron_id_left,
     generated_subalgebra, kron_id, leg_apply, regular_bimodule, tensor_space,
@@ -67,6 +67,13 @@ class Entwining:
 
     def psi_inv_full(self):
         return self.CA.S @ self.psi_inv @ self.AC.Q
+
+    def left_action_on(self, g):
+        """The map a -> a g from A to A (x)_R C; for g = rho(1_A) the
+        coinvariants of rho are the kernel of rho minus this map."""
+        return Mat.from_cols(self.ring.field,
+                             [m.apply(g) for m in self.AC.outer_left[self.ring]],
+                             self.AC.dim)
 
 
 def validate_entwining(e):
@@ -268,20 +275,25 @@ def entwining_from_coring(stub, right_action_mats):
 def sweedler_coring(ring, sub, sub_incl):
     """The canonical Sweedler A-coring A (x)_B A of a subalgebra B of A:
     Delta(a (x) a') = (a (x) 1) (x)_A (1 (x) a'), eps = multiplication."""
-    f = ring.field
     a_mod = regular_bimodule(ring)
     a_mod.restrict_left(sub, sub_incl)
     a_mod.restrict_right(sub, sub_incl)
     aa = tensor_space([a_mod, a_mod], [sub], name=f"{ring.name}(x)_{sub.name}{ring.name}")
-    carrier = module_of_space(aa, f"Sw({ring.name}|{sub.name})")
+    cor = _sweedler_on(ring, aa, f"Sw({ring.name}|{sub.name})")
+    cor.aa_space = aa
+    return cor, aa
+
+
+def _sweedler_on(ring, aa, name):
+    """The Sweedler A-coring carried by a given A (x)_B A space."""
+    f = ring.field
+    carrier = module_of_space(aa, name)
     cc = tensor_space([carrier, carrier], [ring])
     unit2 = Mat.from_cols(f, [kron_vec(f, ring.unit, ring.unit)], ring.dim * ring.dim)
     amb = kron_id(ring.dim, unit2, ring.dim)
     delta = cc.Q @ (aa.Q.kron(aa.Q)) @ amb @ aa.S
     eps = leg_apply(aa, regular_bimodule(ring), 0, 2, ring.mult_mat(), check="skip")
-    cor = Coring(ring, carrier, delta, eps, name=carrier.name)
-    cor.aa_space = aa
-    return cor, aa
+    return Coring(ring, carrier, delta, eps, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -364,26 +376,23 @@ class EntwinedExtension:
 
     def with_T(self, t_basis):
         """The same extension with a different subalgebra T of B."""
-        ring = self.entwining.ring
-        t_alg, t_incl_a = generated_subalgebra(ring, t_basis)
-        cols = []
-        for i in range(t_alg.dim):
-            v = t_incl_a.apply(t_alg.basis_vector(i))
-            coords = _coords_in(self.incl_B, v)
-            if coords is None:
-                raise CoinvariantMismatch("T is not contained in B")
-            cols.append(coords)
-        t_incl_b = AlgebraMorphism(t_alg, self.B,
-                                   Mat.from_cols(ring.field, cols, self.B.dim))
+        t_alg, t_incl_b = _subalgebra_of_b(self.entwining.ring, t_basis, self.incl_B)
         return EntwinedExtension(self.entwining, self.rho, self.lrho,
                                  self.g_assoc, self.B, self.incl_B,
                                  t_alg, t_incl_b, grouplike=self.grouplike)
 
 
-def _coords_in(incl, v):
-    from .exactla import solve_right
-    sol = solve_right(incl.matrix, Mat.from_cols(incl.matrix.field, [v], len(v)))
-    return None if sol is None else sol.col(0)
+def _subalgebra_of_b(ring, t_basis, b_incl):
+    """T generated by ``t_basis`` (k.1 when None) with its inclusion into B,
+    the factorization of T -> A through the injective B -> A."""
+    if t_basis is None:
+        t_alg, t_incl_a = trivial_subalgebra(ring)
+    else:
+        t_alg, t_incl_a = generated_subalgebra(ring, t_basis)
+    t_in_b = solve_right(b_incl.matrix, t_incl_a.matrix)
+    if t_in_b is None:
+        raise CoinvariantMismatch("T is not contained in B")
+    return t_alg, AlgebraMorphism(t_alg, b_incl.source, t_in_b)
 
 
 def make_extension(e, rho, t_basis=None, grouplike=None, strict=True):
@@ -408,9 +417,7 @@ def make_extension(e, rho, t_basis=None, grouplike=None, strict=True):
     if strict and not ok:
         raise NotEntwinedModule("rho(1_A) is not a grouplike of (A(x)C)_psi")
     # left coaction a -> psi^{-1}(a rho(1))  (condition (h) form)
-    cols = [lincomb(e.AC.outer_left[ring], ring.basis_vector(i)).apply(g_assoc)
-            for i in range(ring.dim)]
-    m1 = Mat.from_cols(f, cols, e.AC.dim)
+    m1 = e.left_action_on(g_assoc)
     lrho = e.psi_inv @ m1
     # condition (e): psi^{-1}(g) grouplike in (C (x) A)_{psi^{-1}}
     coassoc = co_associated_coring(e)
@@ -424,9 +431,8 @@ def make_extension(e, rho, t_basis=None, grouplike=None, strict=True):
     # coinvariants, two one-sided kernel formulas
     b_right = rref_solve(rho - m1)["kernel"]
     lrho_one = lrho.apply(ring.unit)
-    cols = [lincomb(e.CA.outer_right[ring], ring.basis_vector(i)).apply(lrho_one)
-            for i in range(ring.dim)]
-    m2 = Mat.from_cols(f, cols, e.CA.dim)
+    m2 = Mat.from_cols(f, [m.apply(lrho_one) for m in e.CA.outer_right[ring]],
+                       e.CA.dim)
     b_left = rref_solve(lrho - m2)["kernel"]
     if b_right != b_left:
         raise CoinvariantMismatch(
@@ -435,18 +441,7 @@ def make_extension(e, rho, t_basis=None, grouplike=None, strict=True):
     b_alg, b_incl = generated_subalgebra(ring, basis)
     if b_alg.dim != b_right.dim:
         raise CoinvariantMismatch("coinvariants are not multiplicatively closed")
-    if t_basis is None:
-        t_alg, t_incl_a = trivial_subalgebra(ring)
-    else:
-        t_alg, t_incl_a = generated_subalgebra(ring, t_basis)
-    cols = []
-    for i in range(t_alg.dim):
-        v = t_incl_a.apply(t_alg.basis_vector(i))
-        coords = _coords_in(b_incl, v)
-        if coords is None:
-            raise CoinvariantMismatch("T is not contained in B")
-        cols.append(coords)
-    t_incl_b = AlgebraMorphism(t_alg, b_alg, Mat.from_cols(f, cols, b_alg.dim))
+    t_alg, t_incl_b = _subalgebra_of_b(ring, t_basis, b_incl)
     return EntwinedExtension(e, rho, lrho, g_assoc, b_alg, b_incl,
                              t_alg, t_incl_b, grouplike=grouplike)
 
@@ -494,10 +489,16 @@ def cantilde(x, t_alg=None):
     a_mod = x.a_mod
     if t not in a_mod.left:
         raise CoinvariantMismatch(f"{t.name} does not act on {e.ring.name}")
+    return _lifted_can(e, x.rho, t)
+
+
+def _lifted_can(e, rho, t):
+    """a (x) a' -> a rho(a') on A (x)_T A, with that space."""
+    a_mod = e.a_mod
     aat = tensor_space([a_mod, a_mod], [t],
                        name=f"{e.ring.name}(x)_{t.name}{e.ring.name}")
     aac = tensor_space([a_mod, a_mod, e.coring.carrier], [t, e.base])
-    s1 = leg_apply(aat, aac, 1, 1, e.AC.S @ x.rho, check="skip")
+    s1 = leg_apply(aat, aac, 1, 1, e.AC.S @ rho, check="skip")
     s2 = leg_apply(aac, e.AC, 0, 2, e.ring.mult_mat(), check="skip")
     return s2 @ s1, aat
 
@@ -514,7 +515,7 @@ def canonical_maps(x):
         can_inv = inverse(can)
         galois = can_inv is not None
     if galois:
-        sw, _ = _sweedler_of_extension(x, aab)
+        sw = _sweedler_on(e.ring, aab, f"Sw({e.ring.name}|{x.B.name})")
         assoc = associated_coring(e)
         rep = Report("can-coring-morphism")
         _fail_cols(rep, "counit", assoc.eps @ can - sw.eps)
@@ -536,41 +537,17 @@ def canonical_maps(x):
     }
 
 
-def _sweedler_of_extension(x, aab):
-    """Sweedler A-coring on the extension's own A (x)_B A space."""
-    ring = x.entwining.ring
-    f = ring.field
-    carrier = module_of_space(aab, f"Sw({ring.name}|{x.B.name})")
-    cc = tensor_space([carrier, carrier], [ring])
-    unit2 = Mat.from_cols(f, [kron_vec(f, ring.unit, ring.unit)],
-                          ring.dim * ring.dim)
-    amb = kron_id(ring.dim, unit2, ring.dim)
-    delta = cc.Q @ (aab.Q.kron(aab.Q)) @ amb @ aab.S
-    eps = leg_apply(aab, regular_bimodule(ring), 0, 2, ring.mult_mat(), check="skip")
-    return Coring(ring, carrier, delta, eps, name=carrier.name), cc
-
-
 def galois_check(e, rho):
     """Galois verdict for a raw coaction (no extension validation): computes
     the coinvariant kernel B, then rank-checks can_A on A (x)_B A."""
     ring = e.ring
-    f = ring.field
-    g_assoc = rho.apply(ring.unit)
-    cols = [lincomb(e.AC.outer_left[ring], ring.basis_vector(i)).apply(g_assoc)
-            for i in range(ring.dim)]
-    m1 = Mat.from_cols(f, cols, e.AC.dim)
-    b_ker = rref_solve(rho - m1)["kernel"]
+    b_ker = rref_solve(rho - e.left_action_on(rho.apply(ring.unit)))["kernel"]
     basis = [b_ker.mat.row_list(i) for i in range(b_ker.dim)]
     b_alg, b_incl = generated_subalgebra(ring, basis)
     a_mod = e.a_mod
     if b_alg not in a_mod.left:
         a_mod.restrict_left(b_alg, b_incl)
         a_mod.restrict_right(b_alg, b_incl)
-    aab = tensor_space([a_mod, a_mod], [b_alg])
-    aac = tensor_space([a_mod, a_mod, e.coring.carrier], [b_alg, e.base])
-    s1 = leg_apply(aab, aac, 1, 1, e.AC.S @ rho, check="skip")
-    s2 = leg_apply(aac, e.AC, 0, 2, ring.mult_mat(), check="skip")
-    can = s2 @ s1
-    from .exactla import rank
+    can, aab = _lifted_can(e, rho, b_alg)
     galois = aab.dim == e.AC.dim and rank(can) == e.AC.dim
     return {"galois": galois, "can": can, "B_dim": b_alg.dim, "space": aab}

@@ -9,8 +9,21 @@ Basis conventions:
   * group coalgebra of Z_2: basis (g0, g1), Delta(gi) = gi (x) gi, eps = 1
 """
 
-from .exactla import GF, QQ, Mat
-from .ncalg import Algebra, Module, generated_subalgebra, scalar_algebra, tensor_space
+from .errors import UnknownFixture
+from .exactla import GF, QQ, Mat, SubspaceBasis, inverse
+from .ncalg import (
+    Algebra, AlgebraMorphism, Module, generated_subalgebra, leg_apply,
+    projective_dual_basis, scalar_algebra, tensor_space,
+)
+from .coring import (
+    Coidempotent, Comodule, Coring, coidempotent_from_comodule, trivial_coring,
+)
+from .entwine import (
+    Entwining, entwining_from_coring, extension_from_grouplike,
+    invert_entwining, sweedler_coring,
+)
+from .connect import solve_strong_connection
+from .workspace import Workspace, _fmt_mat, serialize_workspace
 
 
 def quadratic_algebra(field, a, b, name=None):
@@ -106,7 +119,6 @@ def module_over_scalars(field, base, dim, name):
 
 def group_z2_coring(field, base=None):
     """The group coalgebra of Z_2 over k: basis (g0, g1), Delta(gi)=gi(x)gi."""
-    from .coring import Coring
     if base is None:
         base = scalar_algebra(field)
     carrier = module_over_scalars(field, base, 2, "kZ2")
@@ -122,8 +134,6 @@ def group_z2_coring(field, base=None):
 def z2_graded_entwining(field, square=1):
     """The Z_2-graded quadratic algebra A = k[x]/(x^2 - square) entwined with
     the group coalgebra of Z_2: psi(g_i (x) x^j) = x^j (x) g_{i+j}."""
-    from .entwine import Entwining, invert_entwining
-    from .ncalg import AlgebraMorphism
     a = quadratic_algebra(field, square, 0, name=f"k[x]/(x^2-{square})")
     base = scalar_algebra(field)
     eta = AlgebraMorphism(base, a, Mat.from_cols(field, [a.unit], 2))
@@ -140,9 +150,6 @@ def z2_graded_entwining(field, square=1):
 def z2_fixture(field):
     """The graded fixture: extension, the one-dimensional comodules k.g0 and
     k.g1 with their coidempotents, packaged for tests and the CLI."""
-    from .coring import Comodule, coidempotent_from_comodule
-    from .entwine import extension_from_grouplike
-    from .ncalg import projective_dual_basis
     ent = z2_graded_entwining(field)
     x = extension_from_grouplike(ent, [field.one, field.zero])
     base = ent.base
@@ -164,9 +171,6 @@ def nc_fixture(field):
     """M2 with the Sweedler coring of the upper triangulars: extension (the
     coinvariants come out as all of M2), the column comodule W = A.E11 and
     its coidempotent."""
-    from .coring import Comodule, coidempotent_from_comodule
-    from .entwine import extension_from_grouplike
-    from .ncalg import Module, projective_dual_basis
     m2 = matrix_algebra(field, 2, name="M2")
     sub_pair = upper_triangular_subalgebra(m2)
     ent = sweedler_entwining(field, m2, sub_pair, name="NC")
@@ -179,7 +183,6 @@ def nc_fixture(field):
     w_mod = Module(field, "A.E11", 2)
     wbasis = [[field.one, field.zero, field.zero, field.zero],
               [field.zero, field.zero, field.one, field.zero]]
-    from .exactla import SubspaceBasis
     wspan = SubspaceBasis.from_vectors(field, 4, wbasis)
     lmats = []
     for k in range(4):
@@ -206,9 +209,6 @@ def sweedler_entwining(field, ring, sub_pair, name="Sweedler"):
     """Entwining over R = A obtained from the Sweedler coring A (x)_B A via
     the converse construction; the right action on A (x)_A C ~ C is the
     second-leg multiplication, transported along the collapse isomorphism."""
-    from .entwine import Entwining, entwining_from_coring, invert_entwining, sweedler_coring
-    from .exactla import inverse
-    from .ncalg import AlgebraMorphism, leg_apply
     sub, incl = sub_pair
     cor, _aa = sweedler_coring(ring, sub, incl)
     eta = AlgebraMorphism.identity(ring)
@@ -231,32 +231,10 @@ FIXTURE_NAMES = ("FIX-TRIV", "FIX-Z2", "FIX-SW", "FIX-NC", "FIX-SEP", "FIX-FP")
 
 def fixture_workspace(name):
     """Build the named fixture as a fully populated Workspace."""
-    from .errors import UnknownFixture
-    from .workspace import Workspace
-    from .coring import Coidempotent, trivial_coring
-    from .entwine import Entwining, extension_from_grouplike, invert_entwining
-    from .ncalg import AlgebraMorphism
     if name == "FIX-FP":
         return _z2_workspace(GF(5))
     if name == "FIX-TRIV":
-        field = QQ
-        a = scalar_algebra(field, name="A")
-        ws = Workspace(field)
-        ws.algebras["A"] = a
-        cor = trivial_coring(a, name="C")
-        cor.carrier.name = "C"
-        ws.bimodules["C"] = cor.carrier
-        ws.corings["C"] = cor
-        eta = AlgebraMorphism.identity(a)
-        ent = Entwining(a, a, eta, cor, Mat.identity(field, 1), name="psi")
-        ent = invert_entwining(ent)
-        ws.entwinings["psi"] = ent
-        x = extension_from_grouplike(ent, [field.one])
-        ws.coactions["rho"] = ("A", "C", x.rho)
-        ws.coidempotents["e"] = Coidempotent(cor, [[[field.one]]])
-        ws.subalgebras["T"] = (x.T, x.incl_T_A)
-        ws.subalgebras["T"][0].name = "T"
-        return ws
+        return _trivial_coring_workspace(scalar_algebra(QQ, name="A"), "T")
     if name == "FIX-Z2":
         return _z2_workspace(QQ)
     if name == "FIX-SW":
@@ -303,33 +281,33 @@ def fixture_workspace(name):
         ws.subalgebras["diag"] = (diag, diag_incl)
         return ws
     if name == "FIX-SEP":
-        field = QQ
-        r = product_field_algebra(field, name="A")
-        ws = Workspace(field)
-        ws.algebras["A"] = r
-        from .coring import trivial_coring
-        cor = trivial_coring(r, name="C")
-        cor.carrier.name = "C"
-        ws.bimodules["C"] = cor.carrier
-        ws.corings["C"] = cor
-        eta = AlgebraMorphism.identity(r)
-        ent = Entwining(r, r, eta, cor, Mat.identity(field, 2), name="psi")
-        ent = invert_entwining(ent)
-        ws.entwinings["psi"] = ent
-        x = extension_from_grouplike(ent, list(r.unit))
-        ws.coactions["rho"] = ("A", "C", x.rho)
-        ws.coidempotents["e"] = Coidempotent(cor, [[list(r.unit)]])
-        ws.subalgebras["Tprime"] = (x.T, x.incl_T_A)
-        ws.subalgebras["Tprime"][0].name = "Tprime"
-        return ws
-    from .errors import UnknownFixture
+        return _trivial_coring_workspace(product_field_algebra(QQ, name="A"), "Tprime")
     raise UnknownFixture(name)
 
 
+def _trivial_coring_workspace(a, t_name):
+    """A over itself with the trivial coring C = A, psi = identity and the
+    coaction of the grouplike 1_A; T = k.1 is stored under ``t_name``."""
+    field = a.field
+    ws = Workspace(field)
+    ws.algebras["A"] = a
+    cor = trivial_coring(a, name="C")
+    cor.carrier.name = "C"
+    ws.bimodules["C"] = cor.carrier
+    ws.corings["C"] = cor
+    eta = AlgebraMorphism.identity(a)
+    ent = Entwining(a, a, eta, cor, Mat.identity(field, a.dim), name="psi")
+    ent = invert_entwining(ent)
+    ws.entwinings["psi"] = ent
+    x = extension_from_grouplike(ent, list(a.unit))
+    ws.coactions["rho"] = ("A", "C", x.rho)
+    ws.coidempotents["e"] = Coidempotent(cor, [[list(a.unit)]])
+    ws.subalgebras[t_name] = (x.T, x.incl_T_A)
+    x.T.name = t_name
+    return ws
+
+
 def _z2_workspace(field):
-    from .workspace import Workspace
-    from .coring import Coidempotent
-    from .entwine import extension_from_grouplike
     ent = z2_graded_entwining(field)
     ent.ring.name = "A"
     ent.base.name = "R"
@@ -348,13 +326,10 @@ def _z2_workspace(field):
     ws.coidempotents["e1"] = Coidempotent(ent.coring, [[[zero, one]]])
     ws.subalgebras["T"] = (x.T, x.incl_T_A)
     ws.subalgebras["T"][0].name = "T"
-    from .connect import solve_strong_connection
     sc, _ = solve_strong_connection(x)
-    from .workspace import _fmt_mat
     ws.connections["ell"] = ("rho", "T", _fmt_mat(field, sc.ell))
     return ws
 
 
 def fixture_document(name):
-    from .workspace import serialize_workspace
     return serialize_workspace(fixture_workspace(name))

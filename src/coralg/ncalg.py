@@ -19,11 +19,13 @@ Conventions:
   algebra of ``None`` means "over k" (no balancing relations).
 """
 
+from collections import namedtuple
 from math import prod
 
 from .errors import ActionMismatch, DimensionMismatch
 from .exactla import (
-    Mat, SubspaceBasis, _Echelon, guard_dim, kron_vec, lincomb, quotient_space,
+    Mat, SubspaceBasis, _Echelon, _kernel_from_rref, guard_dim, kron_vec,
+    lincomb, quotient_space,
 )
 
 
@@ -597,9 +599,7 @@ def leg_apply(src, tgt, pos, span, fmat, check="auto"):
     St = space_S(src)
     W = Qt @ amb
     M = W @ St
-    has_relations = isinstance(src, TensorSpace) and not src.trivial
-    do_check = check == "force" or (check == "auto" and has_relations)
-    if do_check:
+    if check == "auto" and isinstance(src, TensorSpace) and not src.trivial:
         Qs = space_Q(src)
         if (M @ Qs) != W:
             raise ActionMismatch(
@@ -611,13 +611,16 @@ def leg_apply(src, tgt, pos, span, fmat, check="auto"):
 # Equivariant map solving
 # ---------------------------------------------------------------------------
 
-class Equation:
-    """sum of signed terms applied to the unknown X equals rhs.
+# one term of an Equation: sign * J @ kron(I_pre, X, I_post) @ U
+Term = namedtuple("Term", "J U sign pre post", defaults=(1, 1, 1))
 
-    Terms:
-      ("LXR", L, R)          L @ X @ R
-      ("QXU_right", J, U, d) J @ (X kron I_d) @ U
-      ("QXU_left", J, U, d)  J @ (I_d kron X) @ U
+
+class Equation:
+    """sum of Terms applied to the unknown X equals rhs.
+
+    Every term is sign * J @ kron(I_pre, X, I_post) @ U: pre = post = 1 is
+    J @ X @ U, post = d is J @ (X kron I_d) @ U and pre = d is
+    J @ (I_d kron X) @ U.
     """
 
     def __init__(self, terms, rhs=None, label=""):
@@ -629,20 +632,9 @@ class Equation:
 def evaluate_equation(field, X, eq):
     """The residual matrix of one Equation at a concrete X (zero = holds)."""
     total = None
-    for term in eq.terms:
-        kind = term[0]
-        if kind == "LXR":
-            _, L, R, sgn = term
-            val = L @ X @ R
-        elif kind == "QXU_right":
-            _, J, U, d, sgn = term
-            val = J @ _kron_id_right(X, d) @ U
-        elif kind == "QXU_left":
-            _, J, U, d, sgn = term
-            val = J @ _kron_id_left(d, X) @ U
-        else:
-            raise ValueError(f"unknown term kind {kind}")
-        if sgn < 0:
+    for t in eq.terms:
+        val = t.J @ kron_id(t.pre, X, t.post) @ t.U
+        if t.sign < 0:
             val = -val
         total = val if total is None else total + val
     if eq.rhs is not None:
@@ -745,59 +737,27 @@ def hom_solve(field, src_dim, tgt_dim, equations):
 
         out_dim = None
         dom_dim = None
-        for term in eq.terms:
-            kind = term[0]
-            if kind == "LXR":
-                _, L, R, sgn = term
-                out_dim, dom_dim = L.nrows, R.ncols
-                for o, lr in enumerate(L.rows):
-                    for n, lv in lr.items():
-                        base_r = o * dom_dim
-                        base_c = n * src_dim
-                        for i, rr in enumerate(R.rows):
-                            for dd, rv in rr.items():
-                                v = field.mul(lv, rv)
-                                if sgn < 0:
-                                    v = field.neg(v)
-                                bump(base_r + dd, base_c + i, v)
-            elif kind == "QXU_right":
-                _, J, U, d, sgn = term
-                out_dim = J.nrows
-                dom_dim = U.ncols
-                urows_by_c = {}
-                for ic in range(U.nrows):
-                    i, c = divmod(ic, d)
-                    if U.rows[ic]:
-                        urows_by_c.setdefault(c, []).append((i, U.rows[ic]))
-                for o, jr in enumerate(J.rows):
-                    for nc, jv in jr.items():
-                        n, c = divmod(nc, d)
-                        for i, urow in urows_by_c.get(c, ()):
-                            for dd, uv in urow.items():
-                                v = field.mul(jv, uv)
-                                if sgn < 0:
-                                    v = field.neg(v)
-                                bump(o * dom_dim + dd, n * src_dim + i, v)
-            elif kind == "QXU_left":
-                _, J, U, d, sgn = term
-                out_dim = J.nrows
-                dom_dim = U.ncols
-                urows_by_c = {}
-                for ci in range(U.nrows):
-                    c, i = divmod(ci, src_dim)
-                    if U.rows[ci]:
-                        urows_by_c.setdefault(c, []).append((i, U.rows[ci]))
-                for o, jr in enumerate(J.rows):
-                    for cn, jv in jr.items():
-                        c, n = divmod(cn, tgt_dim)
-                        for i, urow in urows_by_c.get(c, ()):
-                            for dd, uv in urow.items():
-                                v = field.mul(jv, uv)
-                                if sgn < 0:
-                                    v = field.neg(v)
-                                bump(o * dom_dim + dd, n * src_dim + i, v)
-            else:
-                raise ValueError(f"unknown term kind {kind}")
+        for t in eq.terms:
+            J, U, post = t.J, t.U, t.post
+            out_dim, dom_dim = J.nrows, U.ncols
+            # U's rows are (a, i, c) and J's columns (a, n, c): a < pre,
+            # c < post, i a source and n a target index of X
+            urows_by_ac = {}
+            for r, urow in enumerate(U.rows):
+                if urow:
+                    a, ic = divmod(r, src_dim * post)
+                    i, c = divmod(ic, post)
+                    urows_by_ac.setdefault((a, c), []).append((i, urow))
+            for o, jr in enumerate(J.rows):
+                for anc, jv in jr.items():
+                    a, nc = divmod(anc, tgt_dim * post)
+                    n, c = divmod(nc, post)
+                    for i, urow in urows_by_ac.get((a, c), ()):
+                        for dd, uv in urow.items():
+                            v = field.mul(jv, uv)
+                            if t.sign < 0:
+                                v = field.neg(v)
+                            bump(o * dom_dim + dd, n * src_dim + i, v)
         nrows_eq = out_dim * dom_dim if out_dim is not None else 0
         for r in range(nrows_eq):
             rhs = zero
@@ -817,7 +777,6 @@ def hom_solve(field, src_dim, tgt_dim, equations):
         particular = Mat.zeros(field, tgt_dim, src_dim)
         for j, v in flat.items():
             particular.rows[j // src_dim][j % src_dim] = v
-    from .exactla import _kernel_from_rref
     hom = _kernel_from_rref(field, nunk, ech)
     return AffineSolutionSet(field, tgt_dim, src_dim, particular, hom)
 
@@ -845,7 +804,7 @@ def eqs_linear(alg, src, tgt, side):
     for i in range(alg.dim):
         sm = (_left_mats if side == "left" else _right_mats)(src, alg)[i]
         tm = (_left_mats if side == "left" else _right_mats)(tgt, alg)[i]
-        eqs.append(Equation([("LXR", I_t, sm, 1), ("LXR", tm, I_s, -1)],
+        eqs.append(Equation([Term(I_t, sm), Term(tm, I_s, -1)],
                             label=f"{side}-linear[{alg.name}:{i}]"))
     return eqs
 
@@ -853,7 +812,7 @@ def eqs_linear(alg, src, tgt, side):
 def eq_value(src_vec, tgt_vec, field, tgt_dim):
     """X(src_vec) = tgt_vec."""
     R = Mat.from_cols(field, [src_vec], len(src_vec))
-    return Equation([("LXR", Mat.identity(field, tgt_dim), R, 1)],
+    return Equation([Term(Mat.identity(field, tgt_dim), R)],
                     rhs=Mat.from_cols(field, [tgt_vec], tgt_dim),
                     label="value")
 
@@ -862,8 +821,8 @@ def eq_right_colinear(rho_src, rho_tgt, src, tgt, src_C_space, tgt_C_space, c_di
     """rho_tgt . X = (X tensor C) . rho_src, both sides into tgt_C_space."""
     U = _kron_id_right(space_Q(src), c_dim) @ space_S(src_C_space) @ rho_src
     J = space_Q(tgt_C_space) @ _kron_id_right(space_S(tgt), c_dim)
-    return Equation([("LXR", rho_tgt, Mat.identity(src.field, src.dim), 1),
-                     ("QXU_right", J, U, c_dim, -1)],
+    return Equation([Term(rho_tgt, Mat.identity(src.field, src.dim)),
+                     Term(J, U, -1, post=c_dim)],
                     label="right-colinear")
 
 
@@ -871,8 +830,8 @@ def eq_left_colinear(lrho_src, lrho_tgt, src, tgt, C_src_space, C_tgt_space, c_d
     """lrho_tgt . X = (C tensor X) . lrho_src."""
     U = _kron_id_left(c_dim, space_Q(src)) @ space_S(C_src_space) @ lrho_src
     J = space_Q(C_tgt_space) @ _kron_id_left(c_dim, space_S(tgt))
-    return Equation([("LXR", lrho_tgt, Mat.identity(src.field, src.dim), 1),
-                     ("QXU_left", J, U, c_dim, -1)],
+    return Equation([Term(lrho_tgt, Mat.identity(src.field, src.dim)),
+                     Term(J, U, -1, pre=c_dim)],
                     label="left-colinear")
 
 
@@ -910,13 +869,8 @@ def projective_dual_basis(module, alg, side="left", generators=None):
     g = len(generators)
     dS = alg.dim
     cover_dim = g * dS
-    cols = []
-    for i in range(g):
-        for s in range(dS):
-            if side == "left":
-                cols.append(module.act_left(alg, alg.basis_vector(s), generators[i]))
-            else:
-                cols.append(module.act_right(alg, generators[i], alg.basis_vector(s)))
+    acts = module.left[alg] if side == "left" else module.right[alg]
+    cols = [act.apply(gen) for gen in generators for act in acts]
     pi = Mat.from_cols(field, cols, module.dim)
     free = Module(field, f"{alg.name}^{g}", cover_dim)
     if side == "left":
@@ -924,7 +878,7 @@ def projective_dual_basis(module, alg, side="left", generators=None):
     else:
         free.add_right(alg, [kron_id(g, m, 1) for m in alg.right_mult_mats()])
     eqs = eqs_linear(alg, module, free, side)
-    eqs.append(Equation([("LXR", pi, Mat.identity(field, module.dim), 1)],
+    eqs.append(Equation([Term(pi, Mat.identity(field, module.dim))],
                         rhs=Mat.identity(field, module.dim), label="section"))
     sol = hom_solve(field, module.dim, cover_dim, eqs)
     projective = not sol.is_empty

@@ -27,11 +27,15 @@ from . import exactla
 from .errors import SchemaError, ValidationError
 from .exactla import Field, Mat
 from .ncalg import (
-    Algebra, AlgebraMorphism, Module, generated_subalgebra, validate_algebra,
-    validate_module,
+    Algebra, AlgebraMorphism, Module, generated_subalgebra, tensor_space,
+    validate_algebra, validate_module,
 )
 from .coring import Coidempotent, Coring, validate_coidempotent, validate_coring
-from .entwine import Entwining, invert_entwining, validate_entwining
+from .entwine import (
+    Entwining, invert_entwining, make_extension, validate_entwined_module,
+    validate_entwining,
+)
+from .connect import StrongConnection, verify_strong_connection
 
 
 class Workspace:
@@ -73,17 +77,27 @@ def _parse_matrix(field, data, nrows, ncols, path):
     if len(data) != ncols or any(len(r) != nrows for r in data):
         raise SchemaError(path, f"expected a {ncols}x{nrows} matrix "
                           f"(one row per source basis element)")
-    try:
-        rows = [[field.parse(v) for v in r] for r in data]
-    except Exception as exc:
-        raise SchemaError(path, f"bad scalar: {exc}")
+    rows = [_parse_scalars(field, r, path) for r in data]
     return Mat.from_rows(field, rows, nrows).transpose()
 
 
 def _parse_vector(field, data, n, path):
     if len(data) != n:
         raise SchemaError(path, f"expected a vector of length {n}")
-    return [field.parse(v) for v in data]
+    return _parse_scalars(field, data, path)
+
+
+def _parse_scalars(field, data, path):
+    """Scalars given as integers or ``"a/b"`` strings."""
+    out = []
+    for v in data:
+        if not isinstance(v, (int, str)):
+            raise SchemaError(path, f"bad scalar {v!r}: not an integer or a string")
+        try:
+            out.append(field.parse(v))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SchemaError(path, f"bad scalar {v!r}: {exc}")
+    return out
 
 
 def parse_workspace(doc):
@@ -162,7 +176,6 @@ def parse_workspace(doc):
             raise SchemaError(f"{path}.carrier", f"unknown bimodule {carrier_name}")
         base = ws.algebras[over]
         carrier = ws.bimodules[carrier_name]
-        from .ncalg import tensor_space
         cc = tensor_space([carrier, carrier], [base])
         delta = _parse_matrix(field, _need(c, "delta", path), cc.dim,
                               carrier.dim, f"{path}.delta")
@@ -223,7 +236,6 @@ def parse_workspace(doc):
             raise SchemaError(path, "coaction without a matching entwining")
         mat = _parse_matrix(field, _need(co, "matrix", path), ent.AC.dim,
                             ent.ring.dim, f"{path}.matrix")
-        from .entwine import validate_entwined_module
         rep = validate_entwined_module(ent.a_mod, mat, ent, name=name)
         for ax, loc in rep.failures:
             ws.validation_errors.append(ValidationError(path, ax, loc))
@@ -262,9 +274,6 @@ def parse_workspace(doc):
 
 def _validate_connection(ws, name, path):
     """Stored connections are structures too: verify them at parse time."""
-    from .connect import StrongConnection, verify_strong_connection
-    from .entwine import make_extension
-    from .ncalg import tensor_space
     ext_name, tname, raw = ws.connections[name]
     try:
         ent = next(iter(ws.entwinings.values()))

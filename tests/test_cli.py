@@ -172,6 +172,24 @@ def test_cli_unknown_names_are_input_errors(tmp_path, z2_path):
         assert code == 2
 
 
+@pytest.mark.parametrize("scalar", ["malformed-json", "1/0", "abc", 1.5],
+                         ids=["json", "div0", "abc", "float"])
+def test_cli_malformed_inputs_are_input_errors(tmp_path, capsys, scalar):
+    doc = fixture_document("FIX-Z2")
+    if scalar == "malformed-json":
+        text = json.dumps(doc)[:-40]
+    else:
+        doc["algebras"]["A"]["unit"][0] = scalar
+        text = json.dumps(doc)
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    code = main(["validate", "--workspace", str(p)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "input error" in err
+    assert "Traceback" not in err
+
+
 def test_report_determinism(tmp_path, z2_path):
     _, out1 = run_cli(tmp_path, "chg", "--workspace", z2_path,
                       "--degree", "1", "--coidempotent", "e1")

@@ -6,10 +6,10 @@ from coralg.coring import trivial_coring, validate_coring, verify_grouplike
 from coralg.entwine import (
     Entwining, associated_coring, canonical_maps, cantilde,
     co_associated_coring, entwining_from_coring, extension_from_grouplike,
-    galois_check, invert_entwining, sweedler_coring,
+    galois_check, invert_entwining, make_extension, sweedler_coring,
     validate_entwined_module, validate_entwining,
 )
-from coralg.errors import NotBijective, NotEntwinedModule
+from coralg.errors import CoinvariantMismatch, NotBijective, NotEntwinedModule
 from coralg.exactla import GF, QQ, Mat
 from coralg.fixtures import (
     matrix_algebra, quadratic_algebra, sweedler_entwining,
@@ -163,6 +163,18 @@ def test_extension_trivial_gives_b_equals_a():
     ent = trivial_entwining(QQ, quadratic_algebra(QQ, 1, 0))
     x = extension_from_grouplike(ent, [QQ.one])
     assert x.B.dim == ent.ring.dim
+
+
+def test_t_outside_the_coinvariants_is_rejected():
+    # on FIX-Z2, B = k.1, so T generated by x is not a subalgebra of B
+    ent = z2_graded_entwining(QQ)
+    x = extension_from_grouplike(ent, [qi(1), qi(0)])
+    gen = [qi(0), qi(1)]
+    with pytest.raises(CoinvariantMismatch):
+        make_extension(ent, x.rho, t_basis=[gen])
+    with pytest.raises(CoinvariantMismatch):
+        x.with_T([gen])
+    assert x.with_T([]).T.dim == 1
 
 
 def test_extension_rejects_non_grouplike():

@@ -2,14 +2,17 @@
 
 import pytest
 
+import random
+
 from coralg.errors import ActionMismatch
-from coralg.exactla import QQ, Mat, rank
+from coralg.exactla import GF, QQ, Mat, rank, rref_solve
 from coralg.fixtures import (
     diagonal_subalgebra, matrix_algebra, product_field_algebra, quadratic_algebra,
     upper_triangular_algebra, upper_triangular_subalgebra,
 )
 from coralg.ncalg import (
-    AlgebraMorphism, Module, eq_value, eqs_linear,
+    AlgebraMorphism, Equation, Module, Term, eq_value, eqs_linear,
+    evaluate_equation,
     generated_subalgebra, hom_solve, leg_apply, projective_dual_basis,
     regular_bimodule, scalar_algebra, tensor_over, tensor_space,
     validate_algebra, validate_module, validate_morphism,
@@ -198,6 +201,46 @@ def test_hom_solve_inconsistent():
         eq_value([QQ.one], [qi(2)], QQ, 1),
     ])
     assert sol.is_empty
+
+
+def _random_mat(field, rng, nrows, ncols):
+    return Mat.from_rows(field, [[field.from_int(rng.choice((0, 0, 1, -1, 2, 3)))
+                                  for _ in range(ncols)] for _ in range(nrows)], ncols)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("pre,post", [(1, 1), (1, 2), (2, 1)],
+                         ids=["plain", "post", "pre"])
+def test_hom_solve_term_shapes_against_the_evaluator(field, pre, post):
+    # a consistent system built from a chosen X0 with one term of each shape;
+    # every point of the solution set must satisfy it, and the solution set
+    # must equal the one of the dense system obtained by evaluating the
+    # equation on the unit matrices E_ni
+    rng = random.Random(pre * 10 + post)
+    src, tgt = 2, 3
+    x0 = _random_mat(field, rng, tgt, src)
+    terms = [Term(_random_mat(field, rng, 2, pre * tgt * post),
+                  _random_mat(field, rng, pre * src * post, 2), -1, pre, post),
+             Term(_random_mat(field, rng, 2, tgt), _random_mat(field, rng, src, 2))]
+    eq = Equation(terms, rhs=evaluate_equation(field, x0, Equation(terms)))
+    sol = hom_solve(field, src, tgt, [eq])
+    assert not sol.is_empty and sol.freedom > 0
+    for pt in (sol.particular, sol.point([field.one] * sol.freedom)):
+        assert evaluate_equation(field, pt, eq).nnz() == 0
+    cols, rhs = [], eq.rhs
+    for n in range(tgt):
+        for i in range(src):
+            unit = Mat.zeros(field, tgt, src)
+            unit.rows[n][i] = field.one
+            res = evaluate_equation(field, unit, Equation(terms))
+            cols.append([res.get(o, c) for o in range(res.nrows) for c in range(res.ncols)])
+    dense = Mat.from_cols(field, cols, rhs.nrows * rhs.ncols)
+    b = Mat.from_cols(field, [[rhs.get(o, c) for o in range(rhs.nrows)
+                               for c in range(rhs.ncols)]], dense.nrows)
+    oracle = rref_solve(dense, b)
+    flat = [sol.particular.get(n, i) for n in range(tgt) for i in range(src)]
+    assert flat == oracle["particular"].col(0)
+    assert sol.homogeneous == oracle["kernel"]
 
 
 def test_dual_basis_free_module():
