@@ -23,9 +23,11 @@ from .errors import (
     IotaNotInjective, MembershipFailure, NotACycle, NotIdempotent,
     NoLocalDualSystem,
 )
-from .exactla import Mat, SubspaceBasis, lincomb, rank, rref_solve, solve_right
+from .exactla import (
+    Mat, SubspaceBasis, _axpy, _axpy_dense, lincomb, rank, rref_solve, solve_right,
+)
 from .ncalg import (
-    AlgebraMorphism, Equation, Module, Report, Term, _fail_cols, hom_solve,
+    AlgebraMorphism, Equation, Module, Report, Term, _dense, _fail_cols, hom_solve,
     kron_id, leg_apply, projective_dual_basis, regular_bimodule, tensor_space,
 )
 from .coring import Comodule, cotensor
@@ -67,7 +69,6 @@ def a_side_component(e, sc, l):
     n_idx = e.size
     rep_of = _connection_reps(sc)
     reps = [[rep_of(e.entries[i][j]) for j in range(n_idx)] for i in range(n_idx)]
-    total = d ** (l + 1)
     out = {}
     for tup in itertools.product(range(n_idx), repeat=l + 1):
         # connection value #j is ell(e_{tup[j-1], tup[j mod (l+1)]}), 1-based
@@ -80,33 +81,14 @@ def a_side_component(e, sc, l):
                 for (pref, beta), coeff in partial.items():
                     for (aj, bj), zj in ell_reps[j].items():
                         prod = ring.mult[beta][aj]
-                        c0 = f.mul(coeff, zj)
-                        for k, c in enumerate(prod):
-                            if not c:
-                                continue
-                            key = (pref * d + k, bj)
-                            w = f.add(nxt.get(key, f.zero), f.mul(c0, c))
-                            if w:
-                                nxt[key] = w
-                            elif key in nxt:
-                                del nxt[key]
+                        _axpy(nxt, coeff * zj,
+                              {(pref * d + k, bj): c for k, c in enumerate(prod) if c}, f.p)
                 partial = nxt
             # close the circle: last factor is v_{nu_{l+1}} u_{nu_1}
             for (pref, beta), coeff in partial.items():
                 prod = ring.mult[beta][a1]
-                for k, c in enumerate(prod):
-                    if not c:
-                        continue
-                    flat = pref * d + k
-                    w = f.add(out.get(flat, f.zero), f.mul(coeff, c))
-                    if w:
-                        out[flat] = w
-                    elif flat in out:
-                        del out[flat]
-    dense = [f.zero] * total
-    for flat, v in out.items():
-        dense[flat] = v
-    return dense
+                _axpy(out, coeff, {pref * d + k: c for k, c in enumerate(prod) if c}, f.p)
+    return _dense(f, out, d ** (l + 1))
 
 
 def iota_b_to_a(x, t_pair_b, t_pair_a, l):
@@ -200,11 +182,8 @@ def assemble_cycle(comps, n, tc):
         coef, integer = chg_coefficient(f, l)
         if not coef and integer != 0:
             vanished.append(l)
-        block = [f.mul(coef, v) for v in comps.comps[l]]
         off, dim = tc._offset(2 * n, 2 * n - l)
-        for i, v in enumerate(block):
-            if v:
-                chain[off + i] = v
+        chain[off:off + dim] = _axpy_dense(chain[off:off + dim], coef, comps.comps[l], f.p)
     if vanished:
         warnings.warn(
             f"coefficients vanish in characteristic {f.p} at degrees "
@@ -294,8 +273,7 @@ def local_dual_system(x, sc, e, supplied=None):
             rep = rep_of(e.entries[i][j])
             by_beta = {}
             for (al, be), v in rep.items():
-                col = by_beta.setdefault(be, [f.zero] * d)
-                col[al] = f.add(col[al], v)
+                by_beta.setdefault(be, [f.zero] * d)[al] = v
             first_legs.extend(by_beta.values())
     # X = right-T-span of the first legs
     closure = list(first_legs)
@@ -320,7 +298,7 @@ def local_dual_system(x, sc, e, supplied=None):
             for xp, xip in zip(xs, xis):
                 tv = xip.apply(v)
                 prod = ring.mul_vec(xp, t_incl_a.apply(tv))
-                acc = [f.add(a, b) for a, b in zip(acc, prod)]
+                acc = _axpy_dense(acc, f.one, prod, f.p)
             if acc != v:
                 return False
         return True
@@ -343,9 +321,7 @@ def local_dual_system(x, sc, e, supplied=None):
         for p, xp in enumerate(xs):
             kp = ring.left_mult_by(xp) @ t_incl_a.matrix
             for i in range(d):
-                for jj, v in kp.rows[i].items():
-                    L.rows[i][p * t.dim + jj] = f.add(
-                        L.rows[i].get(p * t.dim + jj, f.zero), v)
+                L.rows[i].update({p * t.dim + jj: v for jj, v in kp.rows[i].items()})
         vmat = Mat.from_cols(f, [xbasis.mat.row_list(r) for r in range(xbasis.dim)], d)
         eqs = [Equation([Term(L, vmat)], rhs=vmat, label="dual-system")]
         for k in range(t.dim):
@@ -451,7 +427,7 @@ def _first_non_idempotent(b, entries, n):
             acc = [f.zero] * b.dim
             for m in range(n):
                 w = b.mul_vec(entries[(a, m)], entries[(m, c)])
-                acc = [f.add(p_, q_) for p_, q_ in zip(acc, w)]
+                acc = _axpy_dense(acc, f.one, w, f.p)
             if acc != entries[(a, c)]:
                 return a, c
     return None
@@ -470,7 +446,7 @@ def gamma_elements(x, sc, e, dual, gamma, ws):
             acc = [f.zero] * mw.dim
             for j in range(e.size):
                 term = mw.embed_pure([ells[p].apply(e.entries[i][j]), ws[j]])
-                acc = [f.add(a_, b_) for a_, b_ in zip(acc, term)]
+                acc = _axpy_dense(acc, f.one, term, f.p)
             out[(i, p)] = acc
     return out
 
@@ -490,7 +466,7 @@ def verify_gamma_identities(x, em, gamma, gammas):
             bvec = em.entries[(a, c)]
             act = lincomb(mw.outer_left[b], bvec)
             term = act.apply(gammas[key2])
-            acc = [f.add(p_, q_) for p_, q_ in zip(acc, term)]
+            acc = _axpy_dense(acc, f.one, term, f.p)
         if acc != gammas[key]:
             rep.fail("gamma-recombination", key)
     return rep
@@ -574,23 +550,12 @@ def ch_components(fmat_entries, n_size, cc_b, L, check_idempotent=True):
                         continue
                     tgt = nxt.setdefault((start, new), {})
                     for pref, coeff in vec.items():
-                        base = pref * d
-                        for k, c in enumerate(leg):
-                            if not c:
-                                continue
-                            key = base + k
-                            w = f.add(tgt.get(key, f.zero), f.mul(coeff, c))
-                            if w:
-                                tgt[key] = w
-                            elif key in tgt:
-                                del tgt[key]
-        total = [f.zero] * (d ** (l + 1))
+                        _axpy(tgt, coeff, {pref * d + k: c for k, c in enumerate(leg) if c}, f.p)
+        total = {}
         for (start, cur), vec in partial.items():
-            if cur != start:
-                continue
-            for pref, coeff in vec.items():
-                total[pref] = f.add(total[pref], coeff)
-        comps.append(sp.Q.apply(total))
+            if cur == start:
+                _axpy(total, f.one, vec, f.p)
+        comps.append(sp.Q.apply(_dense(f, total, d ** (l + 1))))
     return comps
 
 

@@ -11,7 +11,7 @@ cantilde_T(ell(c)) = 1_A (x) c.
 from .errors import (
     ImageNotCoinvariant, MembershipFailure, NotASection, NotGalois,
 )
-from .exactla import Mat, SubspaceBasis, rank, rref_solve, solve_right
+from .exactla import Mat, SubspaceBasis, _axpy_dense, rank, rref_solve, solve_right
 from .ncalg import (
     Equation, Report, Term, _fail_cols, eqs_linear, eq_right_colinear,
     eq_left_colinear, eq_value, hom_solve, leg_apply,
@@ -242,7 +242,7 @@ def section_from_connection(sc):
             t1 = ba.embed_pure([x.B.unit, ring.mul_vec(bi, aj)])
             t2 = ba.embed_pure([x.B.basis_vector(i), aj])
             t3 = ba.outer_left[x.B][i].apply(nabla.apply(aj))
-            rhs = [f.add(f.sub(p, q), r) for p, q, r in zip(t1, t2, t3)]
+            rhs = _axpy_dense(_axpy_dense(t1, f.from_int(-1), t2, f.p), f.one, t3, f.p)
             if lhs != rhs:
                 leibniz.fail("leibniz", (i, j))
     flat_left = projective_dual_basis(a_mod, t, side="left").projective
@@ -269,7 +269,7 @@ def differential_forms(x, t_alg=None):
     for i in range(b.dim):
         u = bb.embed_pure([b.unit, b.basis_vector(i)])
         v = bb.embed_pure([b.basis_vector(i), b.unit])
-        cols.append([f.sub(p, q) for p, q in zip(u, v)])
+        cols.append(_axpy_dense(u, f.from_int(-1), v, f.p))
     d = Mat.from_cols(f, cols, bb.dim)
     for i in range(b.dim):
         assert omega1.contains_vector(d.col(i)), "d(b) must lie in Omega^1"

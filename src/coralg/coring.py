@@ -10,7 +10,7 @@ manipulated through canonical quotient coordinates.
 import math
 
 from .errors import InvalidCoidempotent, NotProjective
-from .exactla import Mat, SubspaceBasis, rref_solve
+from .exactla import Mat, SubspaceBasis, _axpy_dense, rref_solve
 from .ncalg import (
     Algebra, Equation, Module, Report, Term, _fail_cols, _kron_id_left,
     _kron_id_right, eqs_linear, hom_solve, kron_id, leg_apply,
@@ -367,7 +367,7 @@ def validate_coidempotent(e):
             rhs = [f.zero] * c.CC.dim
             for k in range(n):
                 t = c.CC.embed_pure([e.entries[i][k], e.entries[k][j]])
-                rhs = [f.add(a, b) for a, b in zip(rhs, t)]
+                rhs = _axpy_dense(rhs, f.one, t, f.p)
             if lhs != rhs:
                 rep.fail("coidempotency", (i, j))
     p = e.counit_matrix()
@@ -377,7 +377,7 @@ def validate_coidempotent(e):
             acc = [f.zero] * base.dim
             for k in range(n):
                 w = base.mul_vec(p[i][k], p[k][j])
-                acc = [f.add(a, b) for a, b in zip(acc, w)]
+                acc = _axpy_dense(acc, f.one, w, f.p)
             if acc != p[i][j]:
                 rep.fail("counit-idempotency", (i, j))
     return rep
@@ -407,7 +407,7 @@ def coidempotent_from_comodule(w, db):
         acc = [f.zero] * w.space.dim
         for j in range(n):
             t = w.space.embed_pure([entries[i][j], db.ws[j]])
-            acc = [f.add(a, b) for a, b in zip(acc, t)]
+            acc = _axpy_dense(acc, f.one, t, f.p)
         if acc != w.coaction.apply(db.ws[i]):
             raise InvalidCoidempotent(f"property (1) fails at row {i}")
     # property (2): e_ij = sum_k chi_k(w_i) e_kj = sum_k e_ik chi_j(w_k)
@@ -417,11 +417,9 @@ def coidempotent_from_comodule(w, db):
             acc2 = [f.zero] * car.dim
             for k in range(n):
                 r = db.chis[k].apply(db.ws[i])
-                acc1 = [f.add(a, b) for a, b in
-                        zip(acc1, car.act_left(base, r, entries[k][j]))]
+                acc1 = _axpy_dense(acc1, f.one, car.act_left(base, r, entries[k][j]), f.p)
                 r2 = db.chis[j].apply(db.ws[k])
-                acc2 = [f.add(a, b) for a, b in
-                        zip(acc2, car.act_right(base, entries[i][k], r2))]
+                acc2 = _axpy_dense(acc2, f.one, car.act_right(base, entries[i][k], r2), f.p)
             if acc1 != entries[i][j] or acc2 != entries[i][j]:
                 raise InvalidCoidempotent(f"property (2) fails at {(i, j)}")
     rep = validate_coidempotent(e)
@@ -498,8 +496,8 @@ def comodule_from_coidempotent(c, e, side="left", name=None):
                 for i in range(n):
                     ri = wv[i * base.dim:(i + 1) * base.dim]
                     if any(ri):
-                        cleg = [f.add(a, x) for a, x in
-                                zip(cleg, c.carrier.act_left(base, ri, e.entries[i][k]))]
+                        cleg = _axpy_dense(cleg, f.one,
+                                           c.carrier.act_left(base, ri, e.entries[i][k]), f.p)
                 wk = [f.zero] * dim_amb
                 for j in range(n):
                     for t, x in enumerate(p[k][j]):
@@ -512,15 +510,15 @@ def comodule_from_coidempotent(c, e, side="left", name=None):
                 for i in range(n):
                     ri = wv[i * base.dim:(i + 1) * base.dim]
                     if any(ri):
-                        cleg = [f.add(a, x) for a, x in
-                                zip(cleg, c.carrier.act_right(base, e.entries[k][i], ri))]
+                        cleg = _axpy_dense(cleg, f.one,
+                                           c.carrier.act_right(base, e.entries[k][i], ri), f.p)
                 wk = [f.zero] * dim_amb
                 for i in range(n):
                     for t, x in enumerate(p[i][k]):
                         wk[i * base.dim + t] = x
                 wcoords = basis.membership(wk)
                 term = space.embed_pure([wcoords, cleg])
-            acc = [f.add(a, x) for a, x in zip(acc, term)]
+            acc = _axpy_dense(acc, f.one, term, f.p)
         cols.append(acc)
     coaction = Mat.from_cols(f, cols, space.dim)
     w = Comodule(c, carrier, coaction, side, name=carrier.name)

@@ -20,7 +20,8 @@ Conventions for the bicomplex (binding):
 
 from .errors import ActionMismatch, DegreeMismatch, DegreeOutOfRange, NotACycle
 from .exactla import (
-    Mat, SubspaceBasis, guard_dim, quotient_space, rref_solve, solve_right,
+    Mat, SubspaceBasis, _axpy, _axpy_dense, guard_dim, quotient_space, rref_solve,
+    solve_right,
 )
 from .ncalg import Report, regular_bimodule, tensor_space, trivial_subalgebra
 
@@ -76,25 +77,26 @@ class CyclicComplex:
     def _tau_ambient(self, n):
         d = self.b.dim
         total = d ** (n + 1)
-        sign = self.field.one if n % 2 == 0 else self.field.neg(self.field.one)
+        sign = self.field.from_int((-1) ** n)
         rows = [{} for _ in range(total)]
         for j in range(total):
             rows[self._perm_apply(n, j)][j] = sign
         return Mat(self.field, total, total, rows)
 
-    def _contract_ambient(self, n, positions_signs, drop_to):
-        """Sum over (i, sign, mode) of the maps contracting factor pairs.
-
-        mode "adjacent i": multiply factors i, i+1; mode "wrap": multiply
-        (last, first) and place the product first.  Output level drop_to.
-        """
+    def _contract_ambient(self, n, positions):
+        """Sum over the positions i of (-1)^i times the map B^(n+1) -> B^n
+        contracting a factor pair: i < n multiplies factors i, i+1 in place;
+        i = n is the wrap, multiplying (last, first) and placing the product
+        first."""
         f = self.field
         b = self.b
         d = b.dim
         total_in = d ** (n + 1)
-        total_out = d ** (drop_to + 1)
-        rows = [{} for _ in range(total_out)]
-        pow_cache = [d ** k for k in range(n + 2)]
+        rows = [{} for _ in range(d ** n)]
+        pow_cache = [d ** k for k in range(n + 1)]
+        signs = {i: f.from_int((-1) ** i) for i in positions}
+        # e_x e_y as a sparse dict {k: coefficient}
+        mult = [[{k: c for k, c in enumerate(xy) if c} for xy in row] for row in b.mult]
         for j in range(total_in):
             digits = []
             rem = j
@@ -102,30 +104,27 @@ class CyclicComplex:
                 digits.append(rem % d)
                 rem //= d
             digits.reverse()
-            for pos, sgn, mode in positions_signs:
-                if mode == "adj":
-                    prod = b.mult[digits[pos]][digits[pos + 1]]
+            col = {}
+            for pos in positions:
+                if pos < n:
+                    prod = mult[digits[pos]][digits[pos + 1]]
                     rest = digits[:pos] + [None] + digits[pos + 2:]
                     slot = pos
-                else:  # wrap: b_n b_0 first
-                    prod = b.mult[digits[-1]][digits[0]]
+                else:
+                    prod = mult[digits[-1]][digits[0]]
                     rest = [None] + digits[1:-1]
                     slot = 0
+                if not prod:
+                    continue
                 base = 0
                 for t, dig in enumerate(rest):
                     if dig is not None:
-                        base += dig * pow_cache[drop_to - t]
-                for k, c in enumerate(prod):
-                    if not c:
-                        continue
-                    out = base + k * pow_cache[drop_to - slot]
-                    row = rows[out]
-                    w = f.add(row.get(j, f.zero), f.mul(sgn, c))
-                    if w:
-                        row[j] = w
-                    elif j in row:
-                        del row[j]
-        return Mat(self.field, total_out, total_in, rows)
+                        base += dig * pow_cache[n - 1 - t]
+                step = pow_cache[n - 1 - slot]
+                _axpy(col, signs[pos], {base + k * step: c for k, c in prod.items()}, f.p)
+            for out, v in col.items():
+                rows[out][j] = v
+        return Mat(f, d ** n, total_in, rows)
 
     def operators(self, n):
         """tau, tautilde, N at level n; dprime, d: level n -> n-1 (n >= 1).
@@ -150,15 +149,10 @@ class CyclicComplex:
             acc = acc + nmat
         ops["N"] = acc
         if n >= 1:
-            one = f.one
-            neg = f.neg
-            adj = [(i, one if i % 2 == 0 else neg(one), "adj") for i in range(n)]
-            dprime_amb = self._contract_ambient(n, adj, n - 1)
+            dprime_amb = self._contract_ambient(n, range(n))
             sp1 = self.space(n - 1)
             ops["dprime"] = self._descend(dprime_amb, sp, sp1)
-            wrap_sign = one if n % 2 == 0 else neg(one)
-            d_amb = dprime_amb + self._contract_ambient(
-                n, [(None, wrap_sign, "wrap")], n - 1)
+            d_amb = dprime_amb + self._contract_ambient(n, [n])
             ops["d"] = self._descend(d_amb, sp, sp1)
         self._ops[n] = ops
         return ops
@@ -252,7 +246,7 @@ class TotalComplex:
 
     def classes_equal(self, n, x, y):
         f = self.cc.field
-        return self.is_boundary(n, [f.sub(a, b) for a, b in zip(x, y)])
+        return self.is_boundary(n, _axpy_dense(x, f.from_int(-1), y, f.p))
 
 
 def _add_block(big, block, roff, coff):
@@ -289,15 +283,10 @@ class HomologySpace:
         dnext = tc.d[n + 1]
         # columns of d_{n+1} in kernel coordinates
         rels = []
-        cols = dnext.transpose()
-        for i in range(cols.nrows):
-            col = cols.rows[i]
-            dense = [f.zero] * tc.tot_dim[n]
-            for r, v in col.items():
-                dense[r] = v
-            if not any(dense):
+        for col in dnext.transpose().rows:
+            if not col:
                 continue
-            coords = ker.membership(dense)
+            coords = ker.membership(col)
             assert coords is not None, "boundaries must be cycles"
             rels.append(coords)
         self.class_space = quotient_space(f, ker.dim, rels)
@@ -309,8 +298,7 @@ class HomologySpace:
         rep = [f.zero] * self.tc.tot_dim[self.n]
         for i, c in enumerate(self.class_space.represent(cls)):
             if c:
-                row = self.kernel.mat.row_list(i)
-                rep = [f.add(a, f.mul(c, b)) for a, b in zip(rep, row)]
+                rep = _axpy_dense(rep, c, self.kernel.mat.row_list(i), f.p)
         return HomologyClass(self.n, rep, cls)
 
     def class_of(self, chain):

@@ -5,6 +5,13 @@ Conventions, binding for the whole package:
 * Scalars over Q are ``gmpy2.mpq`` values (``fractions.Fraction`` when gmpy2
   is unavailable); scalars over F_p are plain ints in ``[0, p)``.  All three
   are falsy exactly when zero, which the sparse kernels rely on.
+* Scalars combine with native operators; ``Field`` holds no per-scalar
+  arithmetic, only the boundary helpers (``from_int``, ``inv``, ``parse``,
+  ``fmt``).  Constants come from ``from_int``, so a QQ value is never a bare
+  int.  Over F_p every stored value is reduced mod p first.
+* Two private kernels do all vector arithmetic: ``_axpy`` (sparse row
+  dicts, in place) and ``_axpy_dense`` (dense lists).  Both reduce mod p
+  when p is given; ``_axpy`` also drops the zeros it creates.
 * A matrix represents a linear map; column ``j`` is the image of the j-th
   basis vector.  Vectors are dense python lists.
 * Matrices store only nonzero entries, one dict per row.
@@ -45,7 +52,7 @@ def _is_prime(p):
 class Field:
     """A FieldSpec: the rationals, or a prime field F_p with 2 <= p < 2**31.
 
-    Provides the scalar operations used by every kernel in the package.
+    ``p`` is None over Q; it is the modulus every kernel reduces by.
     """
 
     def __init__(self, kind, p=None):
@@ -65,28 +72,12 @@ class Field:
             self.zero = 0
             self.one = 1 % p
 
-    # -- scalar ops ---------------------------------------------------
-    def add(self, a, b):
-        return a + b if self.p is None else (a + b) % self.p
-
-    def sub(self, a, b):
-        return a - b if self.p is None else (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b if self.p is None else (a * b) % self.p
-
-    def neg(self, a):
-        return -a if self.p is None else (-a) % self.p
-
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
         if self.p is None:
             return 1 / a
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def from_int(self, n):
         return _QQ_SCALAR(n) if self.p is None else n % self.p
@@ -100,7 +91,7 @@ class Field:
             return _QQ_SCALAR(s)
         if "/" in s:
             a, b = s.split("/")
-            return self.div(self.from_int(int(a)), self.from_int(int(b)))
+            return self.from_int(int(a)) * self.inv(self.from_int(int(b))) % self.p
         return self.from_int(int(s))
 
     def fmt(self, a):
@@ -127,6 +118,30 @@ def guard_dim(n, what="space"):
     if n > DIMENSION_GUARD:
         raise MemoryGuard(f"{what} would have dimension {n} > {DIMENSION_GUARD}")
     return n
+
+
+def _axpy(dst, c, src, p):
+    """``dst += c * src`` in place on sparse dicts, for a nonzero scalar c;
+    reduced mod p when p is set, and entries that cancel are dropped.
+    This is the one sparse row update of the package.  Returns ``dst``."""
+    for j, v in src.items():
+        w = dst.get(j)
+        w = c * v if w is None else w + c * v
+        if p is not None:
+            w %= p
+        if w:
+            dst[j] = w
+        else:
+            del dst[j]
+    return dst
+
+
+def _axpy_dense(y, c, x, p):
+    """``y + c * x`` for dense vectors, as a new list reduced mod p when p
+    is set."""
+    if p is None:
+        return [a + c * b if b else a for a, b in zip(y, x)]
+    return [(a + c * b) % p if b else a for a, b in zip(y, x)]
 
 
 class Mat:
@@ -213,52 +228,39 @@ class Mat:
     def shape(self):
         return (self.nrows, self.ncols)
 
-    def __add__(self, other):
+    def _plus(self, c, other):
+        """self + c * other, for a nonzero scalar c."""
         self._check_same_shape(other)
-        add = self.field.add
-        rows = []
-        for ra, rb in zip(self.rows, other.rows):
-            r = dict(ra)
-            for j, v in rb.items():
-                w = add(r.get(j, self.field.zero), v)
-                if w:
-                    r[j] = w
-                elif j in r:
-                    del r[j]
-            rows.append(r)
+        p = self.field.p
+        rows = [_axpy(dict(ra), c, rb, p) for ra, rb in zip(self.rows, other.rows)]
         return Mat(self.field, self.nrows, self.ncols, rows)
 
+    def __add__(self, other):
+        return self._plus(self.field.one, other)
+
     def __sub__(self, other):
-        return self + other.scale(self.field.neg(self.field.one))
+        return self._plus(self.field.from_int(-1), other)
 
     def __neg__(self):
-        return self.scale(self.field.neg(self.field.one))
+        return self.scale(self.field.from_int(-1))
 
     def scale(self, c):
         if not c:
             return Mat(self.field, self.nrows, self.ncols)
-        mul = self.field.mul
-        rows = [{j: mul(c, v) for j, v in r.items()} for r in self.rows]
-        if self.field.p is not None:
-            rows = [{j: v for j, v in r.items() if v} for r in rows]
-        return Mat(self.field, self.nrows, self.ncols, rows)
+        p = self.field.p
+        return Mat(self.field, self.nrows, self.ncols,
+                   [_axpy({}, c, r, p) for r in self.rows])
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"{self.shape} @ {other.shape}")
-        add, mul = self.field.add, self.field.mul
-        zero = self.field.zero
+        p = self.field.p
         orows = other.rows
         rows = []
         for ra in self.rows:
             acc = {}
             for k, a in ra.items():
-                for j, b in orows[k].items():
-                    w = add(acc.get(j, zero), mul(a, b))
-                    if w:
-                        acc[j] = w
-                    elif j in acc:
-                        del acc[j]
+                _axpy(acc, a, orows[k], p)
             rows.append(acc)
         return Mat(self.field, self.nrows, other.ncols, rows)
 
@@ -266,7 +268,7 @@ class Mat:
         """Matrix times dense column vector -> dense list."""
         if len(vec) != self.ncols:
             raise DimensionMismatch(f"{self.shape} applied to length {len(vec)}")
-        add, mul = self.field.add, self.field.mul
+        p = self.field.p
         zero = self.field.zero
         out = []
         for r in self.rows:
@@ -274,8 +276,8 @@ class Mat:
             for j, v in r.items():
                 x = vec[j]
                 if x:
-                    s = add(s, mul(v, x))
-            out.append(s)
+                    s += v * x
+            out.append(s if p is None else s % p)
         return out
 
     def transpose(self):
@@ -288,7 +290,7 @@ class Mat:
     def kron(self, other):
         """Kronecker product; index (i1,i2) -> i1*other.nrows + i2, same for columns."""
         guard_dim(self.nrows * other.nrows, "kron")
-        mul = self.field.mul
+        p = self.field.p
         rows = [{} for _ in range(self.nrows * other.nrows)]
         on = other.ncols
         for i1, r1 in enumerate(self.rows):
@@ -302,9 +304,7 @@ class Mat:
                 for j1, v1 in r1.items():
                     bj = j1 * on
                     for j2, v2 in r2.items():
-                        w = mul(v1, v2)
-                        if w:
-                            tgt[bj + j2] = w
+                        tgt[bj + j2] = v1 * v2 if p is None else v1 * v2 % p
         return Mat(self.field, self.nrows * other.nrows, self.ncols * other.ncols, rows)
 
     def hstack(self, other):
@@ -342,27 +342,24 @@ class Mat:
 
 def kron_vec(field, u, v):
     """Kronecker product of dense vectors, leftmost factor slowest."""
-    mul = field.mul
-    zero = field.zero
-    out = [zero] * (len(u) * len(v))
-    n = len(v)
-    for i, a in enumerate(u):
-        if not a:
-            continue
-        base = i * n
-        for j, b in enumerate(v):
-            if b:
-                out[base + j] = mul(a, b)
+    zero = [field.zero] * len(v)
+    out = []
+    for a in u:
+        out += _axpy_dense(zero, a, v, field.p) if a else zero
     return out
 
 
 def lincomb(mats, coeffs):
     """sum of coeffs[i] * mats[i]; ``mats`` is non-empty, all of one shape."""
-    out = Mat.zeros(mats[0].field, mats[0].nrows, mats[0].ncols)
+    first = mats[0]
+    p = first.field.p
+    rows = [{} for _ in range(first.nrows)]
     for i, c in enumerate(coeffs):
         if c:
-            out = out + mats[i].scale(c)
-    return out
+            first._check_same_shape(mats[i])
+            for dst, src in zip(rows, mats[i].rows):
+                _axpy(dst, c, src, p)
+    return Mat(first.field, first.nrows, first.ncols, rows)
 
 
 class _Echelon:
@@ -384,9 +381,7 @@ class _Echelon:
         self.dead_augs = []     # aug parts of rows that reduced to zero
 
     def _reduce(self, row, aug):
-        field = self.field
-        sub, mul = field.sub, field.mul
-        zero = field.zero
+        p = self.field.p
         while True:
             hit = None
             for j in row:
@@ -396,22 +391,10 @@ class _Echelon:
             if hit is None:
                 return row, aug
             ri = self.pivot_rows[hit]
-            c = row[hit]
-            prow = self.rows[ri]
-            for j, v in prow.items():
-                w = sub(row.get(j, zero), mul(c, v))
-                if w:
-                    row[j] = w
-                elif j in row:
-                    del row[j]
+            c = -row[hit]
+            _axpy(row, c, self.rows[ri], p)
             if aug is not None:
-                paug = self.augs[ri]
-                for j, v in paug.items():
-                    w = sub(aug.get(j, zero), mul(c, v))
-                    if w:
-                        aug[j] = w
-                    elif j in aug:
-                        del aug[j]
+                _axpy(aug, c, self.augs[ri], p)
 
     def add(self, row, aug=None):
         """Insert a row (dict, consumed); returns True if the rank grew."""
@@ -425,11 +408,11 @@ class _Echelon:
             return False
         piv = min(row)
         c = self.field.inv(row[piv])
-        mul = self.field.mul
-        row = {j: mul(c, v) for j, v in row.items()}
+        p = self.field.p
+        row = _axpy({}, c, row, p)
         row[piv] = self.field.one
         if aug is not None:
-            aug = {j: mul(c, v) for j, v in aug.items()}
+            aug = _axpy({}, c, aug, p)
         self.rows.append(row)
         self.augs.append(aug if aug is not None else {})
         self.pivot_of_row.append(piv)
@@ -446,30 +429,17 @@ class _Echelon:
         rows = [self.rows[i] for i in order]
         augs = [self.augs[i] for i in order]
         pivots = [self.pivot_of_row[i] for i in order]
-        field = self.field
-        sub, mul = field.sub, field.mul
-        zero = field.zero
+        p = self.field.p
         for i in range(len(rows) - 1, -1, -1):
             row, aug = rows[i], augs[i]
             for k in range(i + 1, len(rows)):
-                pk = pivots[k]
-                c = row.get(pk)
+                c = row.get(pivots[k])
                 if not c:
                     continue
-                for j, v in rows[k].items():
-                    w = sub(row.get(j, zero), mul(c, v))
-                    if w:
-                        row[j] = w
-                    elif j in row:
-                        del row[j]
-                for j, v in augs[k].items():
-                    w = sub(aug.get(j, zero), mul(c, v))
-                    if w:
-                        aug[j] = w
-                    elif j in aug:
-                        del aug[j]
+                _axpy(row, -c, rows[k], p)
+                _axpy(aug, -c, augs[k], p)
         self.rows, self.augs, self.pivot_of_row = rows, augs, pivots
-        self.pivot_rows = {p: i for i, p in enumerate(pivots)}
+        self.pivot_rows = {pc: i for i, pc in enumerate(pivots)}
         return self
 
 
@@ -511,24 +481,22 @@ class SubspaceBasis:
         return self.mat.nrows
 
     def membership(self, v):
-        """Coordinates of v in this basis, or None if v is outside."""
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatch("vector length != ambient dim")
-        field = self.field
-        sub, mul = field.sub, field.mul
-        residue = {j: x for j, x in enumerate(v) if x}
-        coords = [field.zero] * self.dim
+        """Coordinates of v (a dense list or a sparse dict) in this basis,
+        or None if v is outside."""
+        if isinstance(v, dict):
+            residue = {j: x for j, x in v.items() if x}
+        else:
+            if len(v) != self.ambient_dim:
+                raise DimensionMismatch("vector length != ambient dim")
+            residue = {j: x for j, x in enumerate(v) if x}
+        p = self.field.p
+        coords = [self.field.zero] * self.dim
         for i, piv in enumerate(self.pivot_cols):
             c = residue.get(piv)
             if not c:
                 continue
             coords[i] = c
-            for j, w in self.mat.rows[i].items():
-                x = sub(residue.get(j, field.zero), mul(c, w))
-                if x:
-                    residue[j] = x
-                elif j in residue:
-                    del residue[j]
+            _axpy(residue, -c, self.mat.rows[i], p)
         if residue:
             return None
         return coords
@@ -539,8 +507,7 @@ class SubspaceBasis:
     def contains(self, other):
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("ambient dims differ")
-        return all(self.membership(other.mat.row_list(i)) is not None
-                   for i in range(other.dim))
+        return all(self.membership(r) is not None for r in other.mat.rows)
 
     def sum_with(self, other):
         if other.ambient_dim != self.ambient_dim:
@@ -609,19 +576,24 @@ def rref_solve(m, b=None):
     }
 
 
-def _kernel_from_rref(field, ncols, ech):
-    pivset = set(ech.pivot_of_row)
-    neg = field.neg
+def _free_vectors(field, ncols, pivot_cols, rref_rows):
+    """The free columns f of an rref and, for each, e_f minus the pivot
+    entries of column f: a kernel basis, and the rows of the canonical
+    quotient projection by the row space."""
+    pivset = set(pivot_cols)
+    free = [f for f in range(ncols) if f not in pivset]
+    minus_one = field.from_int(-1)
     vecs = []
-    for f in range(ncols):
-        if f in pivset:
-            continue
+    for f in free:
         v = {f: field.one}
-        for i, piv in enumerate(ech.pivot_of_row):
-            c = ech.rows[i].get(f)
-            if c:
-                v[piv] = neg(c)
+        _axpy(v, minus_one, {piv: row[f] for piv, row in zip(pivot_cols, rref_rows)
+                             if f in row}, field.p)
         vecs.append(v)
+    return free, vecs
+
+
+def _kernel_from_rref(field, ncols, ech):
+    _free, vecs = _free_vectors(field, ncols, ech.pivot_of_row, ech.rows)
     return SubspaceBasis.from_vectors(field, ncols, vecs)
 
 
@@ -662,22 +634,14 @@ class QuotientSpace:
         self.field = field
         self.ambient_dim = ambient_dim
         self.relations = relations
-        pivset = set(relations.pivot_cols)
-        free = [j for j in range(ambient_dim) if j not in pivset]
+        free, vecs = _free_vectors(field, ambient_dim, relations.pivot_cols,
+                                   relations.mat.rows)
         self.free_cols = free
         self.dim = len(free)
-        neg = field.neg
-        one = field.one
-        proj = Mat(field, self.dim, ambient_dim)
-        for i, f in enumerate(free):
-            proj.rows[i][f] = one
-            for r, piv in enumerate(relations.pivot_cols):
-                c = relations.mat.rows[r].get(f)
-                if c:
-                    proj.rows[i][piv] = neg(c)
+        proj = Mat(field, self.dim, ambient_dim, vecs)
         sect = Mat(field, ambient_dim, self.dim)
         for i, f in enumerate(free):
-            sect.rows[f][i] = one
+            sect.rows[f][i] = field.one
         self.proj = proj
         self.sect = sect
 

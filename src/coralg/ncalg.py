@@ -24,8 +24,8 @@ from math import prod
 
 from .errors import ActionMismatch, DimensionMismatch
 from .exactla import (
-    Mat, SubspaceBasis, _Echelon, _kernel_from_rref, guard_dim, kron_vec,
-    lincomb, quotient_space,
+    Mat, SubspaceBasis, _axpy, _axpy_dense, _Echelon, _kernel_from_rref, guard_dim,
+    kron_vec, lincomb, quotient_space,
 )
 
 
@@ -84,19 +84,15 @@ class Algebra:
         return v
 
     def mul_vec(self, a, b):
-        f = self.field
-        out = [f.zero] * self.dim
+        p = self.field.p
+        out = [self.field.zero] * self.dim
         for i, ai in enumerate(a):
             if not ai:
                 continue
             row = self.mult[i]
             for j, bj in enumerate(b):
-                if not bj:
-                    continue
-                c = f.mul(ai, bj)
-                for k, m in enumerate(row[j]):
-                    if m:
-                        out[k] = f.add(out[k], f.mul(c, m))
+                if bj:
+                    out = _axpy_dense(out, ai * bj, row[j], p)
         return out
 
     def left_mult_mats(self):
@@ -404,6 +400,7 @@ class TensorSpace:
         S = Mat.identity(field, cur_dim)
         outer_left = {alg: list(mats) for alg, mats in first.left.items()}
         outer_right = {alg: list(mats) for alg, mats in first.right.items()}
+        minus_one = field.from_int(-1)
 
         for t, nxt in zip(junctions, factors[1:]):
             dN = nxt.dim
@@ -424,21 +421,12 @@ class TensorSpace:
                     lt = lmats[ti]
                     if _is_identity(rt) and _is_identity(lt):
                         continue
-                    rt_cols = rt.transpose().rows
                     lt_cols = lt.transpose().rows
-                    for u in range(cur_dim):
-                        ucol = rt_cols[u]
-                        for n in range(dN):
-                            ncol = lt_cols[n]
+                    for u, ucol in enumerate(rt.transpose().rows):
+                        for n, ncol in enumerate(lt_cols):
                             vec = {i * dN + n: x for i, x in ucol.items()}
-                            fld = field
-                            for j, x in ncol.items():
-                                k = u * dN + j
-                                w = fld.sub(vec.get(k, fld.zero), x)
-                                if w:
-                                    vec[k] = w
-                                elif k in vec:
-                                    del vec[k]
+                            _axpy(vec, minus_one, {u * dN + j: x for j, x in ncol.items()},
+                                  field.p)
                             if vec:
                                 rel_vectors.append(vec)
             if rel_vectors:
@@ -721,20 +709,9 @@ def hom_solve(field, src_dim, tgt_dim, equations):
     """Solve the joint linear system for the unknown matrix X."""
     nunk = tgt_dim * src_dim
     ech = _Echelon(field, nunk, aug_cols=1)
-    zero = field.zero
     for eq in equations:
-        rows = {}
-
-        def bump(r, c, v):
-            if not v:
-                return
-            d = rows.setdefault(r, {})
-            w = field.add(d.get(c, zero), v)
-            if w:
-                d[c] = w
-            elif c in d:
-                del d[c]
-
+        # (o, unknown n*src_dim + i) -> {dd: coefficient} for equation row o*dom_dim + dd
+        coeffs = {}
         out_dim = None
         dom_dim = None
         for t in eq.terms:
@@ -752,15 +729,16 @@ def hom_solve(field, src_dim, tgt_dim, equations):
                 for anc, jv in jr.items():
                     a, nc = divmod(anc, tgt_dim * post)
                     n, c = divmod(nc, post)
+                    s = jv if t.sign > 0 else -jv
                     for i, urow in urows_by_ac.get((a, c), ()):
-                        for dd, uv in urow.items():
-                            v = field.mul(jv, uv)
-                            if t.sign < 0:
-                                v = field.neg(v)
-                            bump(o * dom_dim + dd, n * src_dim + i, v)
+                        _axpy(coeffs.setdefault((o, n * src_dim + i), {}), s, urow, field.p)
+        rows = {}
+        for (o, unknown), col in coeffs.items():
+            for dd, v in col.items():
+                rows.setdefault(o * dom_dim + dd, {})[unknown] = v
         nrows_eq = out_dim * dom_dim if out_dim is not None else 0
         for r in range(nrows_eq):
-            rhs = zero
+            rhs = field.zero
             if eq.rhs is not None:
                 o, dd = divmod(r, dom_dim)
                 rhs = eq.rhs.get(o, dd)
@@ -941,7 +919,7 @@ def verify_dual_basis(module, alg, db):
                 y = module.act_left(alg, c, w)
             else:
                 y = module.act_right(alg, w, c)
-            acc = [field.add(a, z) for a, z in zip(acc, y)]
+            acc = _axpy_dense(acc, field.one, y, field.p)
         if acc != x:
             return False
     return True

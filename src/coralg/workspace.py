@@ -25,7 +25,7 @@ one-dimensional.
 
 from . import exactla
 from .errors import SchemaError, ValidationError
-from .exactla import Field, Mat
+from .exactla import Field, Mat, _axpy_dense
 from .ncalg import (
     Algebra, AlgebraMorphism, Module, generated_subalgebra, tensor_space,
     validate_algebra, validate_module,
@@ -303,9 +303,9 @@ def _infer_eta(ws, base, ring, path):
         if sub is base and incl.target is ring:
             return incl
     if base.dim == 1:
-        c = base.unit[0]
-        col = [ring.field.mul(c, v) for v in ring.unit]
-        return AlgebraMorphism(base, ring, Mat.from_cols(ring.field, [col], ring.dim))
+        f = ring.field
+        col = _axpy_dense([f.zero] * ring.dim, base.unit[0], ring.unit, f.p)
+        return AlgebraMorphism(base, ring, Mat.from_cols(f, [col], ring.dim))
     raise SchemaError(path, "cannot infer the unit map R -> A")
 
 

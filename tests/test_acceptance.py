@@ -418,8 +418,7 @@ def test_criterion_08_structural_properties():
     c1 = chg_components(e1, sc, 4)
     cs = chg_components(direct_sum_coidempotents(e0, e1), sc, 4)
     for l in range(5):
-        assert cs.comps[l] == [QQ.add(a, b) for a, b in
-                               zip(c0.comps[l], c1.comps[l])]
+        assert cs.comps[l] == [a + b for a, b in zip(c0.comps[l], c1.comps[l])]
     w, db = fz["comodules"]["e1"]
     redundant = DualBasis("left", [[QQ.one], [QQ.one]],
                           [Mat.from_rows(QQ, [[qi(3)]]),

@@ -58,7 +58,7 @@ def oracle_a_side_component(e, sc, l):
         for nus in itertools.product(*chain):
             coeff = f.one
             for (_, _, z) in nus:
-                coeff = f.mul(coeff, z)
+                coeff = coeff * z
             legs = []
             for j in range(l + 1):
                 beta = nus[j][1]
@@ -67,7 +67,7 @@ def oracle_a_side_component(e, sc, l):
             vec = legs[0]
             for leg in legs[1:]:
                 vec = kron_vec(f, vec, leg)
-            out = [f.add(a, f.mul(coeff, b)) for a, b in zip(out, vec)]
+            out = [a + coeff * b for a, b in zip(out, vec)]
     return out
 
 
@@ -125,17 +125,16 @@ def test_cyclic_symmetry_relations():
         f = QQ
         for l in range(4):
             ops = cc.operators(l)
-            sign = f.one if l % 2 == 0 else f.neg(f.one)
-            assert ops["tau"].apply(chg.comps[l]) == [f.mul(sign, v)
-                                                      for v in chg.comps[l]]
+            sign = f.from_int((-1) ** l)
+            assert ops["tau"].apply(chg.comps[l]) == [sign * v for v in chg.comps[l]]
             if l % 2 == 0:
-                scaled = [f.mul(f.from_int(l + 1), v) for v in chg.comps[l]]
+                scaled = [f.from_int(l + 1) * v for v in chg.comps[l]]
                 assert ops["N"].apply(chg.comps[l]) == scaled
                 if l >= 1:
                     assert ops["d"].apply(chg.comps[l]) == chg.comps[l - 1]
             else:
                 assert ops["tautilde"].apply(chg.comps[l]) == \
-                    [f.mul(f.from_int(2), v) for v in chg.comps[l]]
+                    [f.from_int(2) * v for v in chg.comps[l]]
                 assert ops["dprime"].apply(chg.comps[l]) == chg.comps[l - 1]
 
 
@@ -147,8 +146,7 @@ def test_additivity_under_direct_sum():
     c1 = chg_components(e1, _Z2_SC, 3)
     cs = chg_components(s, _Z2_SC, 3)
     for l in range(4):
-        assert cs.comps[l] == [QQ.add(a, b)
-                               for a, b in zip(c0.comps[l], c1.comps[l])]
+        assert cs.comps[l] == [a + b for a, b in zip(c0.comps[l], c1.comps[l])]
 
 
 def test_dual_basis_independence():

@@ -180,8 +180,7 @@ def test_restrict_connection_separable_base():
                 if bv:
                     for ai, av in enumerate(fla):
                         if av:
-                            col[bi * r.dim + ai] = QQ.add(
-                                col[bi * r.dim + ai], QQ.mul(QQ.mul(v, bv), av))
+                            col[bi * r.dim + ai] += v * bv * av
         cols.append(col)
     xi_full = Mat.from_cols(QQ, cols, x.B.dim * r.dim)
     sck = restrict_connection(sc, xi_full, tp)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from coralg.errors import DimensionMismatch, MemoryGuard
 from coralg.exactla import (
     GF, QQ, Field, Mat, SubspaceBasis, identity_quotient, inverse, kron_vec,
-    quotient_space, rank, rref_solve, solve_right,
+    lincomb, quotient_space, rank, rref_solve, solve_right,
 )
 
 Q1 = QQ.one
@@ -214,3 +214,92 @@ def test_kron_vec_order():
     # leftmost factor slowest: (u kron v)[i*len(v)+j] = u[i]*v[j]
     u, v = qvec([1, 2]), qvec([3, 5])
     assert kron_vec(QQ, u, v) == qvec([3, 5, 6, 10])
+
+
+# -- F_p kernels against a naive mod-p oracle -----------------------------
+
+P7 = 7
+F7 = GF(P7)
+
+
+def naive_rref_mod(rows, p):
+    """Textbook dense Gauss-Jordan mod p, inverses by Fermat."""
+    rows = [[x % p for x in r] for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
+
+
+def naive_kernel_mod(rref, pivots, ncols, p):
+    """e_f minus the pivot entries of column f, for each free column f."""
+    vecs = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [0] * ncols
+        v[f] = 1
+        for row, pc in zip(rref, pivots):
+            v[pc] = -row[f] % p
+        vecs.append(v)
+    return vecs
+
+
+def assert_reduced(m, p):
+    """Every stored entry is an int in [1, p): reduced, no stored zeros."""
+    for r in m.rows:
+        for v in r.values():
+            assert isinstance(v, int) and 0 < v < p
+
+
+@st.composite
+def gf7_case(draw):
+    n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
+
+    def mat(r, c):
+        return draw(st.lists(st.lists(st.integers(0, P7 - 1), min_size=c, max_size=c),
+                             min_size=r, max_size=r))
+
+    return mat(n, k), mat(k, m), mat(n, k), draw(st.integers(0, P7 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(gf7_case())
+def test_gf7_kernels_match_naive_mod_p_oracle(case):
+    a, b, c, s = case
+    p = P7
+    A, B, C = (Mat.from_rows(F7, x) for x in (a, b, c))
+    ab = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+    plus = [[(x + y) % p for x, y in zip(r, t)] for r, t in zip(a, c)]
+    minus = [[(x - y) % p for x, y in zip(r, t)] for r, t in zip(a, c)]
+    scaled = [[s * x % p for x in r] for r in a]
+    # coefficients s and -s on A cancel, leaving 3C
+    comb = [[3 * y % p for y in r] for r in c]
+    for got, want in ((A @ B, ab), (A + C, plus), (A - C, minus),
+                      (-A, [[-x % p for x in r] for r in a]),
+                      (A.scale(s), scaled),
+                      (lincomb([A, C, A], [s, 3, -s % p]), comb)):
+        assert got.to_lists() == want
+        assert_reduced(got, p)
+    res = rref_solve(A)
+    rref, pivots = naive_rref_mod(a, p)
+    assert res["rank"] == len(rref)
+    assert res["pivot_cols"] == pivots
+    assert res["rref"].to_lists() == rref
+    assert_reduced(res["rref"], p)
+    kvecs = naive_kernel_mod(rref, pivots, len(a[0]), p)
+    assert res["kernel"].mat.to_lists() == naive_rref_mod(kvecs, p)[0]
+    assert_reduced(res["kernel"].mat, p)
