@@ -27,8 +27,8 @@ from .exactla import (
     Mat, SubspaceBasis, _axpy, _axpy_dense, lincomb, rank, rref_solve, solve_right,
 )
 from .ncalg import (
-    AlgebraMorphism, Equation, Module, Report, Term, _dense, _fail_cols, hom_solve,
-    kron_id, leg_apply, projective_dual_basis, regular_bimodule, tensor_space,
+    AlgebraMorphism, Equation, Module, Report, Term, _dense, _fail_cols, descend,
+    hom_solve, kron_id, leg_apply, projective_dual_basis, regular_bimodule, tensor_space,
 )
 from .coring import Comodule, cotensor
 from .cyclic import cyclic_complex, homology
@@ -100,10 +100,9 @@ def iota_b_to_a(x, t_pair_b, t_pair_a, l):
     amb = x.incl_B.matrix
     for _ in range(l):
         amb = amb.kron(x.incl_B.matrix)
-    m = sp_a.Q @ amb @ sp_b.S
-    if not sp_b.trivial:
-        if (m @ sp_b.Q) != sp_a.Q @ amb:
-            raise MembershipFailure("iota does not descend")
+    m = descend(sp_a.Q @ amb, sp_b)
+    if m is None:
+        raise MembershipFailure("iota does not descend")
     return m, cc_b, cc_a
 
 
@@ -352,10 +351,6 @@ class IdempotentE:
     @property
     def size(self):
         return len(self.index)
-
-    def as_matrix_over_b(self):
-        return [[self.entries[(a, b)] for b in range(self.size)]
-                for a in range(self.size)]
 
 
 def ell_p_maps(x, sc, dual):

@@ -11,6 +11,7 @@ import json
 import sys
 import time
 
+from . import exactla
 from .errors import CoralgError, SchemaError, UnknownFixture, ValidationError
 from .exactla import Mat, solve_right
 from .ncalg import Equation, Term, eqs_linear, hom_solve, leg_apply, tensor_space
@@ -26,7 +27,7 @@ from .cherngalois import (
     local_dual_system,
 )
 from .fixtures import FIXTURE_NAMES, fixture_document
-from .workspace import parse_workspace, _fmt_mat, _fmt_vec, _parse_matrix
+from .workspace import parse_workspace, workspace_options, _fmt_mat, _fmt_vec, _parse_matrix
 
 
 def _load(path):
@@ -273,6 +274,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     t0 = time.monotonic()
+    guard = exactla.DIMENSION_GUARD
     try:
         if args.command == "fixture":
             if args.name not in FIXTURE_NAMES:
@@ -280,6 +282,8 @@ def main(argv=None):
             _emit(fixture_document(args.name), args.out)
             return 0
         doc = _load(args.workspace)
+        # the workspace's guard holds for this command only
+        exactla.DIMENSION_GUARD = workspace_options(doc)["memory_guard"]
         ws = parse_workspace(doc)
         if args.command != "validate" and ws.validation_errors:
             sys.stderr.write("workspace fails validation; run `validate`\n")
@@ -299,6 +303,7 @@ def main(argv=None):
         sys.stderr.write(f"error: {exc}\n")
         return 1
     finally:
+        exactla.DIMENSION_GUARD = guard
         sys.stderr.write(f"elapsed: {time.monotonic() - t0:.3f}s\n")
 
 

@@ -13,9 +13,9 @@ from .errors import (
 )
 from .exactla import Mat, SubspaceBasis, _axpy_dense, rank, rref_solve, solve_right
 from .ncalg import (
-    Equation, Report, Term, _fail_cols, eqs_linear, eq_right_colinear,
-    eq_left_colinear, eq_value, hom_solve, leg_apply,
-    projective_dual_basis, regular_bimodule, tensor_space,
+    Equation, Report, Term, _fail_cols, descend, eqs_linear, eq_right_colinear,
+    eq_value, hom_solve, leg_apply, projective_dual_basis, regular_bimodule,
+    tensor_space,
 )
 from .entwine import associated_coring, canonical_maps, cantilde
 
@@ -109,8 +109,8 @@ def solve_strong_connection(x, t_alg=None):
     eqs = eqs_linear(base, carrier, aat, "left") + eqs_linear(base, carrier, aat, "right")
     eqs.append(eq_right_colinear(cor.delta, rho_aat, carrier, aat,
                                  cor.CC, aatc, cor.dim))
-    eqs.append(eq_left_colinear(cor.delta, lrho_aat, carrier, aat,
-                                cor.CC, caat, cor.dim))
+    eqs.append(eq_right_colinear(cor.delta, lrho_aat, carrier.op(), aat.op(),
+                                 cor.CC.op(), caat.op(), cor.dim))
     ins = leg_apply(carrier, e.AC, 0, 0, e.ring.unit_col(), check="skip")
     eqs.append(Equation([Term(ct, Mat.identity(base.field, carrier.dim))],
                         rhs=ins, label="splitting"))
@@ -314,8 +314,8 @@ def total_integral(x, side="right"):
         eqs.append(eq_value(x.grouplike, ring.unit, f, ring.dim))
     else:
         eqs = eqs_linear(base, carrier, a_mod, "left")
-        eqs.append(eq_left_colinear(cor.delta, x.lrho, carrier, a_mod,
-                                    cor.CC, e.CA, cor.dim))
+        eqs.append(eq_right_colinear(cor.delta, x.lrho, carrier.op(), a_mod.op(),
+                                     cor.CC.op(), e.CA.op(), cor.dim))
         eqs.append(eq_value(x.grouplike, ring.unit, f, ring.dim))
     sol = hom_solve(f, carrier.dim, ring.dim, eqs)
     result = {"relative_injective": not sol.is_empty, "solutions": sol,
@@ -431,11 +431,9 @@ def tflatness_check(x, t_alg=None):
     circ_b = tensor_space([b_mod], [], circular=t, name=f"{x.B.name}/[,{t.name}]")
     m = x.rho - e.left_action_on(x.rho.apply(ring.unit))
     rep = Report("upsilon")
-    if (circ_d.Q @ m @ circ_a.S) @ circ_a.Q != circ_d.Q @ m:
+    upsilon = descend(circ_d.Q @ m, circ_a)
+    if upsilon is None:
         rep.fail("not-well-defined", None)
-        upsilon = None
-    else:
-        upsilon = circ_d.Q @ m @ circ_a.S
     flags = {
         "A_flat_left_T": projective_dual_basis(a_mod, t, "left").projective,
         "A_flat_right_T": projective_dual_basis(a_mod, t, "right").projective,

@@ -29,9 +29,20 @@ class Coring:
         self.eps = eps
         self.name = name
         self.CC = tensor_space([carrier, carrier], [base], name=f"{name}(x){name}")
+        self._cop = None
 
     def __repr__(self):
         return f"Coring({self.name} over {self.base.name}, dim {self.carrier.dim})"
+
+    def cop(self):
+        """The co-opposite R^op-coring on C^op.  Its C (x) C is the reversal
+        view of this one's, so the same ``delta`` matrix is c_(2) (x) c_(1)."""
+        o = self._cop
+        if o is None or o.delta is not self.delta or o.eps is not self.eps:
+            o = Coring(self.base.op(), self.carrier.op(), self.delta, self.eps,
+                       name=f"{self.name}^cop")
+            o._cop, self._cop = self, o
+        return o
 
     @property
     def dim(self):
@@ -95,7 +106,9 @@ def validate_coring(c):
 
 class Comodule:
     """A right or left C-comodule; ``coaction`` maps carrier coordinates to
-    the canonical coordinates of M (x)_R C (right) or C (x)_R M (left)."""
+    the canonical coordinates of M (x)_R C (right) or C (x)_R M (left).
+    A left C-comodule M is the right C^cop-comodule M^op (``op()``) with
+    the same coaction matrix."""
 
     def __init__(self, coring, carrier, coaction, side, name="M"):
         self.coring = coring
@@ -103,15 +116,23 @@ class Comodule:
         self.coaction = coaction
         self.side = side
         self.name = name
+        self._op = None
         if side == "right":
             self.space = tensor_space([carrier, coring.carrier], [coring.base],
                                       name=f"{name}(x){coring.name}")
         else:
-            self.space = tensor_space([coring.carrier, carrier], [coring.base],
-                                      name=f"{coring.name}(x){name}")
+            self.space = self.op().space.op()
 
     def __repr__(self):
         return f"Comodule({self.name}, {self.side} over {self.coring.name})"
+
+    def op(self):
+        o = self._op
+        if o is None or o.coaction is not self.coaction:
+            o = Comodule(self.coring.cop(), self.carrier.op(), self.coaction,
+                         "left" if self.side == "right" else "right", name=self.name)
+            o._op, self._op = self, o
+        return o
 
     def coaction_full(self):
         return self.space.S @ self.coaction
@@ -122,34 +143,26 @@ def regular_comodule(c, side="right"):
 
 
 def validate_comodule(m):
-    """R-linearity, coassociativity and counitality of the coaction."""
+    """R-linearity, coassociativity and counitality of the coaction; a left
+    comodule is checked as the right comodule ``m.op()``."""
     rep = Report(m.name)
+    side = m.side
+    if side == "left":
+        m = m.op()
     c = m.coring
     base = c.base
     car = m.carrier
     rho = m.coaction
-    if m.side == "right":
-        for i in range(base.dim):
-            lhs = rho @ car.right[base][i]
-            rhs = m.space.outer_right[base][i] @ rho
-            _fail_cols(rep, f"coaction-right-linear[{i}]", lhs - rhs)
-        mcc = tensor_space([car, c.carrier, c.carrier], [base, base])
-        t1 = leg_apply(m.space, mcc, 0, 1, m.coaction_full(), check="skip") @ rho
-        t2 = leg_apply(m.space, mcc, 1, 1, c.delta_full(), check="skip") @ rho
-        _fail_cols(rep, "coassociativity", t1 - t2)
-        cu = car.right_collapse_mat(base) @ kron_id(car.dim, c.eps, 1) @ m.space.S @ rho
-        _fail_cols(rep, "counit", cu - Mat.identity(base.field, car.dim))
-    else:
-        for i in range(base.dim):
-            lhs = rho @ car.left[base][i]
-            rhs = m.space.outer_left[base][i] @ rho
-            _fail_cols(rep, f"coaction-left-linear[{i}]", lhs - rhs)
-        ccm = tensor_space([c.carrier, c.carrier, car], [base, base])
-        t1 = leg_apply(m.space, ccm, 1, 1, m.coaction_full(), check="skip") @ rho
-        t2 = leg_apply(m.space, ccm, 0, 1, c.delta_full(), check="skip") @ rho
-        _fail_cols(rep, "coassociativity", t1 - t2)
-        cu = car.left_collapse_mat(base) @ kron_id(1, c.eps, car.dim) @ m.space.S @ rho
-        _fail_cols(rep, "counit", cu - Mat.identity(base.field, car.dim))
+    for i in range(base.dim):
+        lhs = rho @ car.right[base][i]
+        rhs = m.space.outer_right[base][i] @ rho
+        _fail_cols(rep, f"coaction-{side}-linear[{i}]", lhs - rhs)
+    mcc = tensor_space([car, c.carrier, c.carrier], [base, base])
+    t1 = leg_apply(m.space, mcc, 0, 1, m.coaction_full(), check="skip") @ rho
+    t2 = leg_apply(m.space, mcc, 1, 1, c.delta_full(), check="skip") @ rho
+    _fail_cols(rep, "coassociativity", t1 - t2)
+    cu = car.right_collapse_mat(base) @ kron_id(car.dim, c.eps, 1) @ m.space.S @ rho
+    _fail_cols(rep, "counit", cu - Mat.identity(base.field, car.dim))
     return rep
 
 
@@ -432,39 +445,42 @@ def comodule_from_coidempotent(c, e, side="left", name=None):
     """Reconstruct the comodule W = R^(I) p from a coidempotent matrix.
 
     Left side: W = row space of p with coaction
-    (sum_i r_i p_ij)_j -> sum_{i,k} r_i e_ik (x) (p_kj)_j.
+    (sum_i r_i p_ij)_j -> sum_{i,k} r_i e_ik (x) (p_kj)_j.  The right side
+    is the left construction for the transposed matrix over C^cop, read
+    back through ``Comodule.op()``.
     """
     rep = validate_coidempotent(e)
     if not rep.ok:
         raise InvalidCoidempotent(str(rep.failures[:3]))
+    name = name or f"W({c.name})"
+    if side == "left":
+        return _left_comodule_from_coidempotent(c, e, name, opposite=False)
+    et = Coidempotent(c.cop(), [list(col) for col in zip(*e.entries)])
+    return _left_comodule_from_coidempotent(c.cop(), et, name, opposite=True).op()
+
+
+def _left_comodule_from_coidempotent(c, e, name, opposite):
+    """The left construction; with ``opposite`` the carrier is created as a
+    plain module W and the left comodule is carried by W.op()."""
     base = c.base
     f = base.field
     n = e.size
     p = e.counit_matrix()
     dim_amb = n * base.dim
-    vecs = []
-    if side == "left":
-        # images of the unit rows u_k: row_k(p) laid out block-by-block
-        for k in range(n):
-            v = [f.zero] * dim_amb
-            for j in range(n):
-                for t, x in enumerate(p[k][j]):
-                    v[j * base.dim + t] = x
-            vecs.append(v)
-    else:
-        for k in range(n):
-            v = [f.zero] * dim_amb
-            for i in range(n):
-                for t, x in enumerate(p[i][k]):
-                    v[i * base.dim + t] = x
-            vecs.append(v)
-    basis = SubspaceBasis.from_vectors(f, dim_amb, vecs)
+
+    def row_of_p(k):
+        # row_k(p) laid out block-by-block
+        v = [f.zero] * dim_amb
+        for j in range(n):
+            for t, x in enumerate(p[k][j]):
+                v[j * base.dim + t] = x
+        return v
+
+    basis = SubspaceBasis.from_vectors(f, dim_amb, [row_of_p(k) for k in range(n)])
     wdim = basis.dim
-    carrier = Module(f, name or f"W({c.name})", wdim)
-    blocks = {
-        "left": [base.left_mult_mats(), base.right_mult_mats()],
-        "right": [base.left_mult_mats(), base.right_mult_mats()],
-    }[side]
+    carrier = Module(f, name, wdim)
+    if opposite:
+        carrier = carrier.op()
 
     def induced(mats):
         out = []
@@ -479,49 +495,26 @@ def comodule_from_coidempotent(c, e, side="left", name=None):
             out.append(Mat.from_cols(f, cols, wdim))
         return out
 
-    carrier.add_left(base, induced(blocks[0]))
-    carrier.add_right(base, induced(blocks[1]))
-    if side == "left":
-        space = tensor_space([c.carrier, carrier], [base])
-    else:
-        space = tensor_space([carrier, c.carrier], [base])
+    carrier.add_left(base, induced(base.left_mult_mats()))
+    carrier.add_right(base, induced(base.right_mult_mats()))
+    space = tensor_space([c.carrier, carrier], [base])
+    wrows = [basis.membership(row_of_p(k)) for k in range(n)]
     cols = []
     for b in range(wdim):
         wv = basis.mat.row_list(b)
         acc = [f.zero] * space.dim
         for k in range(n):
-            if side == "left":
-                # c-leg: sum_i w_i . e_ik ; w-leg: row_k(p)
-                cleg = [f.zero] * c.carrier.dim
-                for i in range(n):
-                    ri = wv[i * base.dim:(i + 1) * base.dim]
-                    if any(ri):
-                        cleg = _axpy_dense(cleg, f.one,
-                                           c.carrier.act_left(base, ri, e.entries[i][k]), f.p)
-                wk = [f.zero] * dim_amb
-                for j in range(n):
-                    for t, x in enumerate(p[k][j]):
-                        wk[j * base.dim + t] = x
-                wcoords = basis.membership(wk)
-                term = space.embed_pure([cleg, wcoords])
-            else:
-                # w-leg: col_k(p); c-leg: sum_i e_ki . w_i
-                cleg = [f.zero] * c.carrier.dim
-                for i in range(n):
-                    ri = wv[i * base.dim:(i + 1) * base.dim]
-                    if any(ri):
-                        cleg = _axpy_dense(cleg, f.one,
-                                           c.carrier.act_right(base, e.entries[k][i], ri), f.p)
-                wk = [f.zero] * dim_amb
-                for i in range(n):
-                    for t, x in enumerate(p[i][k]):
-                        wk[i * base.dim + t] = x
-                wcoords = basis.membership(wk)
-                term = space.embed_pure([wcoords, cleg])
-            acc = _axpy_dense(acc, f.one, term, f.p)
+            # c-leg: sum_i w_i . e_ik ; w-leg: row_k(p)
+            cleg = [f.zero] * c.carrier.dim
+            for i in range(n):
+                ri = wv[i * base.dim:(i + 1) * base.dim]
+                if any(ri):
+                    cleg = _axpy_dense(cleg, f.one,
+                                       c.carrier.act_left(base, ri, e.entries[i][k]), f.p)
+            acc = _axpy_dense(acc, f.one, space.embed_pure([cleg, wrows[k]]), f.p)
         cols.append(acc)
     coaction = Mat.from_cols(f, cols, space.dim)
-    w = Comodule(c, carrier, coaction, side, name=carrier.name)
+    w = Comodule(c, carrier, coaction, "left", name=name)
     rep = validate_comodule(w)
     if not rep.ok:
         raise InvalidCoidempotent(f"reconstructed comodule invalid: {rep.failures[:3]}")

@@ -23,7 +23,7 @@ from .exactla import (
     Mat, SubspaceBasis, _axpy, _axpy_dense, guard_dim, quotient_space, rref_solve,
     solve_right,
 )
-from .ncalg import Report, regular_bimodule, tensor_space, trivial_subalgebra
+from .ncalg import Report, descend, regular_bimodule, tensor_space, trivial_subalgebra
 
 
 def cyclic_complex(b, t_pair=None, name=""):
@@ -158,10 +158,9 @@ class CyclicComplex:
         return ops
 
     def _descend(self, amb, src, tgt):
-        m = tgt.Q @ amb @ src.S
-        if not src.trivial:
-            if (m @ src.Q) != tgt.Q @ amb:
-                raise ActionMismatch(f"operator does not descend to {src.name}")
+        m = descend(tgt.Q @ amb, src)
+        if m is None:
+            raise ActionMismatch(f"operator does not descend to {src.name}")
         return m
 
     # -- total complex ---------------------------------------------------
@@ -222,16 +221,6 @@ class TotalComplex:
                 roff, _ = self._offset(n - 1, p - 1)
                 _add_block(out, block, roff, coff)
         return out
-
-    def chain_block(self, n, p, coords):
-        """Place coordinates of C_{p, n-p} into a Tot_n chain vector."""
-        off, dim = self._offset(n, p)
-        if len(coords) != dim:
-            raise DegreeMismatch("component has the wrong block dimension")
-        f = self.cc.field
-        v = [f.zero] * self.tot_dim[n]
-        v[off:off + dim] = coords
-        return v
 
     def is_cycle(self, n, chain):
         if n == 0:

@@ -10,7 +10,10 @@ an R-R bilinear psi: C (x)_R A -> A (x)_R C satisfying
     (A eps) psi       = eps A
 
 The bijective case also carries the mirror (left entwining) axioms for
-psi^{-1}.  An entwined extension packages a coaction rho: A -> A (x)_R C
+psi^{-1}; they are the right-entwining axioms of the opposite structure
+(R^op, A^op, C^cop, psi^{-1}) (``Entwining.op()``), whose C (x) A and
+A (x) C are the reversal views of A (x)_R C and C (x)_R A.  An entwined
+extension packages a coaction rho: A -> A (x)_R C
 making A an entwined module, the induced left coaction, and the coinvariant
 subalgebra computed by both one-sided kernel formulas.
 """
@@ -20,7 +23,7 @@ from .errors import (
 )
 from .exactla import Mat, inverse, kron_vec, lincomb, rank, rref_solve, solve_right
 from .ncalg import (
-    AlgebraMorphism, Module, Report, _fail_cols, _kron_id_left,
+    AlgebraMorphism, Module, Report, _fail_cols, _kron_id_left, descend,
     generated_subalgebra, kron_id, leg_apply, regular_bimodule, tensor_space,
     trivial_subalgebra,
 )
@@ -42,31 +45,41 @@ class Entwining:
     canonical A (x)_R C coordinates."""
 
     def __init__(self, base, ring, eta, coring, psi, psi_inv=None, name=""):
-        self.base = base
-        self.ring = ring
-        self.eta = eta
-        self.coring = coring
-        self.psi = psi
-        self.psi_inv = psi_inv
-        self.name = name or f"({ring.name},{coring.name})_{base.name}"
         a_mod = regular_bimodule(ring)
         if base is not ring:
             a_mod.restrict_left(base, eta)
             a_mod.restrict_right(base, eta)
-        self.a_mod = a_mod
+        self._setup(base, ring, eta, coring, psi, psi_inv,
+                    name or f"({ring.name},{coring.name})_{base.name}", a_mod)
+
+    def _setup(self, base, ring, eta, coring, psi, psi_inv, name, a_mod):
+        self.base, self.ring, self.eta, self.coring = base, ring, eta, coring
+        self.psi, self.psi_inv, self.name, self.a_mod = psi, psi_inv, name, a_mod
         self.CA = tensor_space([coring.carrier, a_mod], [base],
                                name=f"{coring.name}(x){ring.name}")
         self.AC = tensor_space([a_mod, coring.carrier], [base],
                                name=f"{ring.name}(x){coring.name}")
+        self._op = self._assoc = None  # _assoc: (psi, associated_coring)
 
     def __repr__(self):
         return f"Entwining({self.name})"
 
+    def op(self):
+        """(R^op, A^op, eta, C^cop, psi^-1, psi) with ``a_mod.op()``: the
+        left entwining psi^-1 read as a right entwining.  Rebuilt whenever
+        psi or psi_inv is replaced."""
+        o = self._op
+        if o is None or o.psi is not self.psi_inv or o.psi_inv is not self.psi:
+            base, ring = self.base.op(), self.ring.op()
+            o = Entwining.__new__(Entwining)
+            o._setup(base, ring, AlgebraMorphism(base, ring, self.eta.matrix),
+                     self.coring.cop(), self.psi_inv, self.psi, f"{self.name}^op",
+                     self.a_mod.op())
+            o._op, self._op = self, o
+        return o
+
     def psi_full(self):
         return self.AC.S @ self.psi @ self.CA.Q
-
-    def psi_inv_full(self):
-        return self.CA.S @ self.psi_inv @ self.AC.Q
 
     def left_action_on(self, g):
         """The map a -> a g from A to A (x)_R C; for g = rho(1_A) the
@@ -123,46 +136,14 @@ def validate_entwining(e):
 
 
 def validate_left_entwining(e):
-    """Mirror axioms for psi^{-1} of a bijective right entwining structure."""
+    """Mirror axioms for psi^{-1} of a bijective right entwining structure:
+    the right-entwining axioms of ``e.op()``, each relabelled ``left-...``."""
     rep = Report(f"{e.name}^-1")
     if e.psi_inv is None:
         rep.fail("no-inverse", None)
         return rep
-    base, ring, cor = e.base, e.ring, e.coring
-    CA, AC = e.CA, e.AC
-    psi_i = e.psi_inv
-    psi_if = e.psi_inv_full()
-    mu = ring.mult_mat()
-    aac = tensor_space([e.a_mod, e.a_mod, cor.carrier], [base, base])
-    aca = tensor_space([e.a_mod, cor.carrier, e.a_mod], [base, base])
-    caa = tensor_space([cor.carrier, e.a_mod, e.a_mod], [base, base])
-    cca = tensor_space([cor.carrier, cor.carrier, e.a_mod], [base, base])
-    cac = tensor_space([cor.carrier, e.a_mod, cor.carrier], [base, base])
-    # (1) psi' (mu C) = (C mu)(psi' A)(A psi')
-    lhs = psi_i @ leg_apply(aac, AC, 0, 2, mu, check="skip")
-    rhs = leg_apply(caa, CA, 1, 2, mu, check="skip") \
-        @ leg_apply(aca, caa, 0, 2, psi_if, check="skip") \
-        @ leg_apply(aac, aca, 1, 2, psi_if, check="skip")
-    _fail_cols(rep, "left-entwining-multiplicativity", lhs - rhs)
-    # (2) psi' (eta C) = C eta
-    ucol = ring.unit_col()
-    ins_left = leg_apply(cor.carrier, AC, 0, 0, ucol, check="skip")
-    ins_right = leg_apply(cor.carrier, CA, 1, 0, ucol, check="skip")
-    _fail_cols(rep, "left-entwining-unitality", psi_i @ ins_left - ins_right)
-    # (3) (Delta A) psi' = (C psi')(psi' C)(A Delta)
-    d_full = cor.delta_full()
-    lhs = leg_apply(CA, cca, 0, 1, d_full, check="skip") @ psi_i
-    rhs = leg_apply(cac, cca, 1, 2, psi_if, check="skip") \
-        @ leg_apply(tensor_space([e.a_mod, cor.carrier, cor.carrier], [base, base]),
-                    cac, 0, 2, psi_if, check="skip") \
-        @ leg_apply(AC, tensor_space([e.a_mod, cor.carrier, cor.carrier], [base, base]),
-                    1, 1, d_full, check="skip")
-    _fail_cols(rep, "left-entwining-comultiplicativity", lhs - rhs)
-    # (4) (eps A) psi' = A eps
-    amod = e.a_mod
-    epsa = amod.left_collapse_mat(base) @ kron_id(1, cor.eps, ring.dim) @ CA.S
-    aeps = amod.right_collapse_mat(base) @ kron_id(ring.dim, cor.eps, 1) @ AC.S
-    _fail_cols(rep, "left-entwining-counitality", epsa @ psi_i - aeps)
+    for axiom, loc in validate_entwining(e.op()).failures:
+        rep.fail(f"left-{axiom}", loc)
     return rep
 
 
@@ -186,7 +167,10 @@ def invert_entwining(e):
 
 def associated_coring(e):
     """The A-coring (A (x)_R C)_psi: left action obvious, right action
-    (a (x) c) a' = a psi(c (x) a'), coproduct A Delta, counit A eps."""
+    (a (x) c) a' = a psi(c (x) a'), coproduct A Delta, counit A eps.
+    Memoized on e for its current psi."""
+    if e._assoc is not None and e._assoc[0] is e.psi:
+        return e._assoc[1]
     base, ring, cor = e.base, e.ring, e.coring
     AC = e.AC
     carrier = Module(ring.field, f"({ring.name}(x){cor.name})_psi", AC.dim)
@@ -209,35 +193,16 @@ def associated_coring(e):
     reassoc = cc.Q @ (AC.Q.kron(AC.Q)) @ amb @ acc.S
     delta = reassoc @ d1
     eps = e.a_mod.right_collapse_mat(base) @ kron_id(ring.dim, cor.eps, 1) @ AC.S
-    return Coring(ring, carrier, delta, eps, name=carrier.name)
+    assoc = Coring(ring, carrier, delta, eps, name=carrier.name)
+    e._assoc = (e.psi, assoc)
+    return assoc
 
 
 def co_associated_coring(e):
-    """The A-coring (C (x)_R A)_{psi^{-1}} of a bijective structure."""
+    """The A-coring (C (x)_R A)_{psi^{-1}} of a bijective structure: the
+    co-opposite of the associated coring of ``e.op()``."""
     assert e.psi_inv is not None
-    base, ring, cor = e.base, e.ring, e.coring
-    CA = e.CA
-    carrier = Module(ring.field, f"({cor.name}(x){ring.name})_psi-inv", CA.dim)
-    carrier.add_right(ring, CA.outer_right[ring])
-    aca = tensor_space([e.a_mod, cor.carrier, e.a_mod], [base, base])
-    caa = tensor_space([cor.carrier, e.a_mod, e.a_mod], [base, base])
-    s2 = leg_apply(aca, caa, 0, 2, e.psi_inv_full(), check="skip")
-    s3 = leg_apply(caa, CA, 1, 2, ring.mult_mat(), check="skip")
-    lmats = []
-    for j in range(ring.dim):
-        ins = leg_apply(CA, aca, 0, 0,
-                        Mat.from_cols(ring.field, [ring.basis_vector(j)], ring.dim),
-                        check="skip")
-        lmats.append(s3 @ s2 @ ins)
-    carrier.add_left(ring, lmats)
-    cc = tensor_space([carrier, carrier], [ring])
-    cca = tensor_space([cor.carrier, cor.carrier, e.a_mod], [base, base])
-    d1 = leg_apply(CA, cca, 0, 1, cor.delta_full(), check="skip")
-    amb = kron_id(cor.dim, ring.unit_col(), cor.dim * ring.dim)
-    reassoc = cc.Q @ (CA.Q.kron(CA.Q)) @ amb @ cca.S
-    delta = reassoc @ d1
-    eps = e.a_mod.left_collapse_mat(base) @ kron_id(1, cor.eps, ring.dim) @ CA.S
-    return Coring(ring, carrier, delta, eps, name=carrier.name)
+    return associated_coring(e.op()).cop()
 
 
 def entwining_from_coring(stub, right_action_mats):
@@ -262,9 +227,10 @@ def entwining_from_coring(stub, right_action_mats):
         for aj in range(ring.dim):
             cols.append(right_action_mats[aj].apply(zc))
     f_full = Mat.from_cols(f, cols, AC.dim)  # full(C (x) A) -> AC, tuple (c,a)
-    if (f_full @ CA.S) @ CA.Q != f_full:
+    psi = descend(f_full, CA)
+    if psi is None:
         raise CompatibilityFailure("psi does not descend to C (x)_R A")
-    stub.psi = f_full @ CA.S
+    stub.psi = psi
     rep = validate_entwining(stub)
     if not rep.ok:
         stub.psi = None
@@ -312,15 +278,8 @@ def validate_entwined_module(carrier, rho, e, name="M"):
     m = Comodule(cor, carrier, rho, "right", name=name)
     rep.merge(validate_comodule(m), prefix="comodule")
     MC = m.space
-    MA = tensor_space([carrier, e.a_mod], [base])
-    mca = tensor_space([carrier, cor.carrier, e.a_mod], [base, base])
-    mac = tensor_space([carrier, e.a_mod, cor.carrier], [base, base])
+    _entwined_compatibility(rep, "entwined-compatibility", carrier, rho, e)
     act = carrier.right_collapse_mat(ring)
-    lhs = rho @ leg_apply(MA, carrier, 0, 2, act, check="skip")
-    s1 = leg_apply(MA, mca, 0, 1, MC.S @ rho, check="skip")
-    s2 = leg_apply(mca, mac, 1, 2, e.psi_full(), check="skip")
-    s3 = leg_apply(mac, MC, 0, 2, act, check="skip")
-    _fail_cols(rep, "entwined-compatibility", lhs - s3 @ s2 @ s1)
     # identification with comodules of (A (x)_R C)_psi
     assoc = associated_coring(e)
     md = tensor_space([carrier, assoc.carrier], [ring])
@@ -331,6 +290,23 @@ def validate_entwined_module(carrier, rho, e, name="M"):
     back = MC.Q @ kron_id(1, act, cor.dim) @ _kron_id_left(carrier.dim, e.AC.S) @ md.S
     _fail_cols(rep, "assoc-identification", back @ rho_hat - rho)
     return rep
+
+
+def _entwined_compatibility(rep, axiom, carrier, rho, e):
+    """rho(m a) = m_(0) psi(m_(1) (x) a) for a right A-module carrier with
+    coaction rho into M (x)_R C; the left version is this check on
+    (carrier.op(), lrho, e.op())."""
+    base, cor = e.base, e.coring
+    MC = tensor_space([carrier, cor.carrier], [base])
+    MA = tensor_space([carrier, e.a_mod], [base])
+    mca = tensor_space([carrier, cor.carrier, e.a_mod], [base, base])
+    mac = tensor_space([carrier, e.a_mod, cor.carrier], [base, base])
+    act = carrier.right_collapse_mat(e.ring)
+    lhs = rho @ leg_apply(MA, carrier, 0, 2, act, check="skip")
+    s1 = leg_apply(MA, mca, 0, 1, MC.S @ rho, check="skip")
+    s2 = leg_apply(mca, mac, 1, 2, e.psi_full(), check="skip")
+    s3 = leg_apply(mac, MC, 0, 2, act, check="skip")
+    _fail_cols(rep, axiom, lhs - s3 @ s2 @ s1)
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +382,7 @@ def make_extension(e, rho, t_basis=None, grouplike=None, strict=True):
     """
     if e.psi_inv is None:
         raise NotBijective("extensions need a bijective entwining")
-    ring, base, cor = e.ring, e.base, e.coring
-    f = ring.field
+    ring = e.ring
     rep = validate_entwined_module(e.a_mod, rho, e, name=ring.name)
     if strict and not rep.ok:
         raise NotEntwinedModule(str(rep.failures[:3]))
@@ -425,15 +400,13 @@ def make_extension(e, rho, t_basis=None, grouplike=None, strict=True):
     if strict and not ok2:
         raise NotEntwinedModule("psi^{-1}(rho(1_A)) is not a grouplike")
     # condition (h): A is a left entwined module under lrho
-    hrep = _validate_left_entwined(e, lrho)
+    hrep = Report("left-entwined")
+    _entwined_compatibility(hrep, "left-entwined-compatibility", e.a_mod.op(), lrho, e.op())
     if strict and not hrep.ok:
         raise NotEntwinedModule(f"left entwined module fails: {hrep.failures[:3]}")
     # coinvariants, two one-sided kernel formulas
     b_right = rref_solve(rho - m1)["kernel"]
-    lrho_one = lrho.apply(ring.unit)
-    m2 = Mat.from_cols(f, [m.apply(lrho_one) for m in e.CA.outer_right[ring]],
-                       e.CA.dim)
-    b_left = rref_solve(lrho - m2)["kernel"]
+    b_left = rref_solve(lrho - e.op().left_action_on(lrho.apply(ring.unit)))["kernel"]
     if b_right != b_left:
         raise CoinvariantMismatch(
             f"one-sided coinvariants differ: dims {b_right.dim} vs {b_left.dim}")
@@ -444,23 +417,6 @@ def make_extension(e, rho, t_basis=None, grouplike=None, strict=True):
     t_alg, t_incl_b = _subalgebra_of_b(ring, t_basis, b_incl)
     return EntwinedExtension(e, rho, lrho, g_assoc, b_alg, b_incl,
                              t_alg, t_incl_b, grouplike=grouplike)
-
-
-def _validate_left_entwined(e, lrho):
-    """Compatibility of the left coaction with left multiplication."""
-    rep = Report("left-entwined")
-    base, ring, cor = e.base, e.ring, e.coring
-    a_mod = e.a_mod
-    AA = tensor_space([a_mod, a_mod], [base])
-    aca = tensor_space([a_mod, cor.carrier, a_mod], [base, base])
-    caa = tensor_space([cor.carrier, a_mod, a_mod], [base, base])
-    mu = ring.mult_mat()
-    lhs = lrho @ leg_apply(AA, a_mod, 0, 2, mu, check="skip")
-    s1 = leg_apply(AA, aca, 1, 1, e.CA.S @ lrho, check="skip")
-    s2 = leg_apply(aca, caa, 0, 2, e.psi_inv_full(), check="skip")
-    s3 = leg_apply(caa, e.CA, 1, 2, mu, check="skip")
-    _fail_cols(rep, "left-entwined-compatibility", lhs - s3 @ s2 @ s1)
-    return rep
 
 
 def extension_from_grouplike(e, g, t_basis=None, strict=True):

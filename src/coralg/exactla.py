@@ -192,10 +192,6 @@ class Mat:
                     m.rows[i][j] = v
         return m
 
-    @classmethod
-    def col_vector(cls, field, vec):
-        return cls.from_cols(field, [vec], len(vec))
-
     # -- access ---------------------------------------------------------
     def get(self, i, j):
         return self.rows[i].get(j, self.field.zero)
@@ -306,18 +302,6 @@ class Mat:
                     for j2, v2 in r2.items():
                         tgt[bj + j2] = v1 * v2 if p is None else v1 * v2 % p
         return Mat(self.field, self.nrows * other.nrows, self.ncols * other.ncols, rows)
-
-    def hstack(self, other):
-        if self.nrows != other.nrows:
-            raise DimensionMismatch("hstack row mismatch")
-        off = self.ncols
-        rows = []
-        for ra, rb in zip(self.rows, other.rows):
-            r = dict(ra)
-            for j, v in rb.items():
-                r[j + off] = v
-            rows.append(r)
-        return Mat(self.field, self.nrows, self.ncols + other.ncols, rows)
 
     def vstack(self, other):
         if self.ncols != other.ncols:

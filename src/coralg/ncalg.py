@@ -17,9 +17,16 @@ Conventions:
   basis order is lexicographic with the leftmost factor slowest.
 * The ground field is realized as the one-dimensional algebra; a junction
   algebra of ``None`` means "over k" (no balancing relations).
+* Opposites (memoized, ``x.op().op() is x``): ``Algebra.op()`` has
+  ``mult_op[i][j] = mult[j][i]``; ``Module.op()`` swaps the sides, keyed by
+  opposite algebras.  A space whose factors are all opposite modules is the
+  reversal view ``X.op()`` of the space X of the originals in reverse
+  order: X's canonical coordinates, with the pure-tensor indices reversed.
 """
 
 from collections import namedtuple
+from collections.abc import Mapping
+from functools import cached_property
 from math import prod
 
 from .errors import ActionMismatch, DimensionMismatch
@@ -71,12 +78,21 @@ class Algebra:
         self.mult = mult
         self.unit = list(unit)
         self._left_mats = None
-        self._right_mats = None
         self._mult_mat = None
         self._cyclic_complexes = {}  # memo of cyclic.cyclic_complex
+        self._op = None
 
     def __repr__(self):
         return f"Algebra({self.name}, dim {self.dim})"
+
+    def op(self):
+        """The opposite algebra on the same basis: e_i *op e_j = e_j e_i."""
+        if self._op is None:
+            n = self.dim
+            o = Algebra(self.field, f"{self.name}^op", n,
+                        [[self.mult[j][i] for j in range(n)] for i in range(n)], self.unit)
+            o._op, self._op = self, o
+        return self._op
 
     def basis_vector(self, i):
         v = [self.field.zero] * self.dim
@@ -105,13 +121,8 @@ class Algebra:
         return self._left_mats
 
     def right_mult_mats(self):
-        """R[j] = matrix of right multiplication by e_j."""
-        if self._right_mats is None:
-            self._right_mats = [
-                Mat.from_cols(self.field, [self.mult[i][j] for i in range(self.dim)], self.dim)
-                for j in range(self.dim)
-            ]
-        return self._right_mats
+        """R[j] = matrix of right multiplication by e_j (left in A^op)."""
+        return self.op().left_mult_mats()
 
     def mult_mat(self):
         """dim x dim^2 matrix of the multiplication; column i*dim+j = e_i e_j."""
@@ -137,7 +148,6 @@ def scalar_algebra(field, name="k"):
 def validate_algebra(a):
     """Associativity on all basis triples and both unit laws, located."""
     rep = Report(a.name)
-    f = a.field
     for i in range(a.dim):
         for j in range(a.dim):
             eij = a.mult[i][j]
@@ -192,6 +202,26 @@ def validate_morphism(m):
     return rep
 
 
+class _OpActions(Mapping):
+    """Actions of an opposite module or space: alg^op on one side is alg on
+    the other side of the original, read and declared in the original's dict."""
+
+    def __init__(self, actions):
+        self._actions = actions
+
+    def __getitem__(self, alg):
+        return self._actions[alg.op()]
+
+    def __setitem__(self, alg, mats):
+        self._actions[alg.op()] = mats
+
+    def __iter__(self):
+        return (alg.op() for alg in self._actions)
+
+    def __len__(self):
+        return len(self._actions)
+
+
 class Module:
     """A k-module with declared left/right algebra actions.
 
@@ -199,18 +229,43 @@ class Module:
     matrix of the action of the i-th basis element of ``alg``.  Actions for
     new algebras may be added at any time, but a declared action is never
     changed: the tensor-space memo (see ``tensor_space``) relies on that.
+
+    A module is also a one-factor space without relations (``dims``, ``Q``,
+    ``S``, ``trivial``, ``outer_left``/``outer_right`` are its actions).
     """
+
+    is_op = False
+    trivial = True
 
     def __init__(self, field, name, dim):
         self.field = field
         self.name = name
         self.dim = dim
-        self.left = {}
-        self.right = {}
+        self.dims = [dim]
+        self.left = self.outer_left = {}
+        self.right = self.outer_right = {}
         self._tensor_spaces = {}  # memo of tensor_space, for spaces led by self
+        self._op = None
 
     def __repr__(self):
         return f"Module({self.name}, dim {self.dim})"
+
+    def op(self):
+        """The opposite module, sides swapped; an action declared on either
+        one is the opposite action of the other."""
+        if self._op is None:
+            o = Module(self.field, f"{self.name}^op", self.dim)
+            o.left = o.outer_left = _OpActions(self.right)
+            o.right = o.outer_right = _OpActions(self.left)
+            o.is_op = True
+            o._op, self._op = self, o
+        return self._op
+
+    @cached_property
+    def Q(self):
+        return Mat.identity(self.field, self.dim)
+
+    S = property(lambda self: self.Q)
 
     def _declare(self, actions, side, alg, mats):
         """Add an action; re-declaring the same matrices is a no-op."""
@@ -376,7 +431,8 @@ class TensorSpace:
       outer_left  pushed left actions of the first factor {alg: [Mat]}
       outer_right pushed right actions of the last factor (dropped after a
                   circular quotient, where they are no longer well defined)
-      trivial     True when there are no relations (Q = S = identity)
+      trivial     True when there are no relations (Q is invertible, S = Q^-1;
+                  both are the identity except on a reversal view)
     """
 
     def __init__(self, factors, junctions, circular=None, name=""):
@@ -475,9 +531,16 @@ class TensorSpace:
         self.trivial = self.dim == self.full_dim
         self.outer_left = outer_left
         self.outer_right = outer_right
+        self._op = None
 
     def __repr__(self):
         return f"TensorSpace({self.name}, {self.full_dim} -> {self.dim})"
+
+    def op(self):
+        """The reversal view (see ``_ReversalView``); ``op().op() is self``."""
+        if self._op is None:
+            self._op = _ReversalView(self)
+        return self._op
 
     def embed_pure(self, vecs):
         """Coordinates of v1 (x) ... (x) vk."""
@@ -494,12 +557,39 @@ class TensorSpace:
             flat = flat * d + i
         return flat
 
-    def pure_basis(self, idxs):
-        return self.Q.col(self.flat_index(idxs))
 
-    def represent(self, coords):
-        """A full-ambient representative of a quotient element."""
-        return self.S.apply(coords)
+class _ReversalView(TensorSpace):
+    """X.op() for a TensorSpace X: the opposite factors of X in reverse
+    order, in X's canonical coordinates.  Q is X's Q with its columns and S
+    is X's S with its rows re-indexed by the factor reversal; the outer
+    actions are X's, sides swapped, keyed by opposite algebras."""
+
+    def __init__(self, orig):
+        self.field = orig.field
+        self.factors = [m.op() for m in reversed(orig.factors)]
+        self.junctions = [None if t is None else t.op() for t in reversed(orig.junctions)]
+        self.circular = None if orig.circular is None else orig.circular.op()
+        self.dims = orig.dims[::-1]
+        self.full_dim, self.dim, self.trivial = orig.full_dim, orig.dim, orig.trivial
+        self.name = f"{orig.name}^op"
+        to_orig, to_view = _reversal_perm(orig.dims), _reversal_perm(self.dims)
+        q, s = orig.Q, orig.S
+        self.Q = Mat(self.field, q.nrows, q.ncols,
+                     [{to_view[j]: x for j, x in r.items()} for r in q.rows])
+        self.S = Mat(self.field, s.nrows, s.ncols, [dict(s.rows[o]) for o in to_orig])
+        self.outer_left = _OpActions(orig.outer_right)
+        self.outer_right = _OpActions(orig.outer_left)
+        self._op = orig
+
+
+def _reversal_perm(dims):
+    """perm[v] = the pure-tensor index over ``dims`` of the tensor whose
+    index over the reversed dims is v."""
+    perm, stride = [0], 1
+    for d in reversed(dims):
+        perm = [p + i * stride for p in perm for i in range(d)]
+        stride *= d
+    return perm
 
 
 def _is_identity(m):
@@ -527,7 +617,6 @@ def _kron_id_left(d, m):
         return m
     rows = []
     for a in range(d):
-        roff = a * m.nrows
         coff = a * m.ncols
         for r in m.rows:
             rows.append({coff + j: v for j, v in r.items()})
@@ -543,7 +632,13 @@ def tensor_space(factors, junctions, circular=None, name=""):
     """Memoized TensorSpace factory; the memo lives on the first factor.
     The key includes each factor's set of declared acting algebras: adding
     an action to a Module later yields a fresh space with identical
-    coordinates but complete outer-action data."""
+    coordinates but complete outer-action data.  When every factor is an
+    opposite module the space is the reversal view of the space of the
+    originals in reverse order."""
+    if factors and all(m.is_op for m in factors):
+        return tensor_space([m.op() for m in reversed(factors)],
+                            [None if t is None else t.op() for t in reversed(junctions)],
+                            None if circular is None else circular.op(), name).op()
     key = (tuple(factors[1:]), tuple(junctions), circular,
            tuple((frozenset(f.left), frozenset(f.right)) for f in factors))
     memo = factors[0]._tensor_spaces
@@ -558,40 +653,31 @@ def tensor_over(m, n, t, name=""):
     return tensor_space([m, n], [t], name=name)
 
 
-def space_Q(sp):
-    if isinstance(sp, TensorSpace):
-        return sp.Q
-    return Mat.identity(sp.field, sp.dim)
-
-
-def space_S(sp):
-    if isinstance(sp, TensorSpace):
-        return sp.S
-    return Mat.identity(sp.field, sp.dim)
+def descend(W, src):
+    """The map ``W @ src.S`` induced on src's quotient by W, given on src's
+    full ambient; None unless W descends, i.e. equals that map @ ``src.Q``."""
+    M = W @ src.S
+    if src.trivial or M @ src.Q == W:
+        return M
+    return None
 
 
 def leg_apply(src, tgt, pos, span, fmat, check="auto"):
     """Induced map src -> tgt from ``fmat`` acting on the full k-tensor of
     factors [pos, pos+span) of src.  ``span = 0`` inserts a new leg (fmat
     must be a column).  Raises ActionMismatch when the map does not descend
-    to the quotient (checked unless src has no relations or check="skip")."""
-    src_dims = src.dims if isinstance(src, TensorSpace) else [src.dim]
-    pre = prod(src_dims[:pos]) if pos > 0 else 1
-    post = prod(src_dims[pos + span:]) if pos + span < len(src_dims) else 1
-    expect = prod(src_dims[pos:pos + span]) if span > 0 else 1
+    to the quotient (checked unless check="skip")."""
+    dims = src.dims
+    expect = prod(dims[pos:pos + span])
     if fmat.ncols != expect:
         raise DimensionMismatch(
             f"leg map consumes {fmat.ncols}, factors give {expect}")
-    amb = kron_id(pre, fmat, post)
-    Qt = space_Q(tgt)
-    St = space_S(src)
-    W = Qt @ amb
-    M = W @ St
-    if check == "auto" and isinstance(src, TensorSpace) and not src.trivial:
-        Qs = space_Q(src)
-        if (M @ Qs) != W:
-            raise ActionMismatch(
-                f"leg map at position {pos} does not descend to {getattr(src, 'name', src)}")
+    W = tgt.Q @ kron_id(prod(dims[:pos]), fmat, prod(dims[pos + span:]))
+    if check == "skip":
+        return W @ src.S
+    M = descend(W, src)
+    if M is None:
+        raise ActionMismatch(f"leg map at position {pos} does not descend to {src.name}")
     return M
 
 
@@ -761,18 +847,6 @@ def hom_solve(field, src_dim, tgt_dim, equations):
 
 # -- equation constructors -------------------------------------------------
 
-def _left_mats(sp, alg):
-    if isinstance(sp, TensorSpace):
-        return sp.outer_left[alg]
-    return sp.left[alg]
-
-
-def _right_mats(sp, alg):
-    if isinstance(sp, TensorSpace):
-        return sp.outer_right[alg]
-    return sp.right[alg]
-
-
 def eqs_linear(alg, src, tgt, side):
     """Left or right alg-linearity of X: src -> tgt (TensorSpace or Module)."""
     field = src.field
@@ -780,8 +854,8 @@ def eqs_linear(alg, src, tgt, side):
     I_s = Mat.identity(field, src.dim)
     eqs = []
     for i in range(alg.dim):
-        sm = (_left_mats if side == "left" else _right_mats)(src, alg)[i]
-        tm = (_left_mats if side == "left" else _right_mats)(tgt, alg)[i]
+        sm = (src.outer_left if side == "left" else src.outer_right)[alg][i]
+        tm = (tgt.outer_left if side == "left" else tgt.outer_right)[alg][i]
         eqs.append(Equation([Term(I_t, sm), Term(tm, I_s, -1)],
                             label=f"{side}-linear[{alg.name}:{i}]"))
     return eqs
@@ -796,21 +870,13 @@ def eq_value(src_vec, tgt_vec, field, tgt_dim):
 
 
 def eq_right_colinear(rho_src, rho_tgt, src, tgt, src_C_space, tgt_C_space, c_dim):
-    """rho_tgt . X = (X tensor C) . rho_src, both sides into tgt_C_space."""
-    U = _kron_id_right(space_Q(src), c_dim) @ space_S(src_C_space) @ rho_src
-    J = space_Q(tgt_C_space) @ _kron_id_right(space_S(tgt), c_dim)
+    """rho_tgt . X = (X tensor C) . rho_src, both sides into tgt_C_space;
+    on the op() of all four spaces it is left colinearity."""
+    U = _kron_id_right(src.Q, c_dim) @ src_C_space.S @ rho_src
+    J = tgt_C_space.Q @ _kron_id_right(tgt.S, c_dim)
     return Equation([Term(rho_tgt, Mat.identity(src.field, src.dim)),
                      Term(J, U, -1, post=c_dim)],
                     label="right-colinear")
-
-
-def eq_left_colinear(lrho_src, lrho_tgt, src, tgt, C_src_space, C_tgt_space, c_dim):
-    """lrho_tgt . X = (C tensor X) . lrho_src."""
-    U = _kron_id_left(c_dim, space_Q(src)) @ space_S(C_src_space) @ lrho_src
-    J = space_Q(C_tgt_space) @ _kron_id_left(c_dim, space_S(tgt))
-    return Equation([Term(lrho_tgt, Mat.identity(src.field, src.dim)),
-                     Term(J, U, -1, pre=c_dim)],
-                    label="left-colinear")
 
 
 # ---------------------------------------------------------------------------
@@ -840,22 +906,23 @@ def projective_dual_basis(module, alg, side="left", generators=None):
     ``generators`` (default: the full basis, so absence of a solution is a
     certificate of non-projectivity).  Flags: projective; generator (trace
     ideal equals the algebra); faithfully flat = projective and generator.
+    The right-sided data of M over S is the left-sided data of M^op over S^op.
     """
+    if side == "right":
+        db = projective_dual_basis(module.op(), alg.op(), "left", generators)
+        db.side = "right"
+        return db
     field = module.field
     if generators is None:
         generators = [module.basis_vector(i) for i in range(module.dim)]
     g = len(generators)
     dS = alg.dim
     cover_dim = g * dS
-    acts = module.left[alg] if side == "left" else module.right[alg]
-    cols = [act.apply(gen) for gen in generators for act in acts]
+    cols = [act.apply(gen) for gen in generators for act in module.left[alg]]
     pi = Mat.from_cols(field, cols, module.dim)
     free = Module(field, f"{alg.name}^{g}", cover_dim)
-    if side == "left":
-        free.add_left(alg, [kron_id(g, m, 1) for m in alg.left_mult_mats()])
-    else:
-        free.add_right(alg, [kron_id(g, m, 1) for m in alg.right_mult_mats()])
-    eqs = eqs_linear(alg, module, free, side)
+    free.add_left(alg, [kron_id(g, m, 1) for m in alg.left_mult_mats()])
+    eqs = eqs_linear(alg, module, free, "left")
     eqs.append(Equation([Term(pi, Mat.identity(field, module.dim))],
                         rhs=Mat.identity(field, module.dim), label="section"))
     sol = hom_solve(field, module.dim, cover_dim, eqs)
@@ -869,10 +936,10 @@ def projective_dual_basis(module, alg, side="left", generators=None):
             chis.append(chi)
             ws.append(list(generators[i]))
     hom_alg = hom_solve(field, module.dim, dS,
-                        eqs_linear(alg, module, regular_bimodule(alg), side))
+                        eqs_linear(alg, module, regular_bimodule(alg), "left"))
     trace = _trace_ideal(alg, hom_alg, module)
     generator = trace.dim == dS
-    return DualBasis(side, ws, chis, projective, generator)
+    return DualBasis("left", ws, chis, projective, generator)
 
 
 def _trace_ideal(alg, hom_set, module):
@@ -908,18 +975,16 @@ def _trace_ideal(alg, hom_set, module):
 
 
 def verify_dual_basis(module, alg, db):
-    """x = sum chi_i(x) w_i (left) / sum w_i chi_i(x) (right), exactly."""
+    """x = sum chi_i(x) w_i (left) / sum w_i chi_i(x) (right), exactly; the
+    right identity is the left one over M^op."""
     field = module.field
+    if db.side == "right":
+        module, alg = module.op(), alg.op()
     for b in range(module.dim):
         x = module.basis_vector(b)
         acc = [field.zero] * module.dim
         for w, chi in zip(db.ws, db.chis):
-            c = chi.apply(x)
-            if db.side == "left":
-                y = module.act_left(alg, c, w)
-            else:
-                y = module.act_right(alg, w, c)
-            acc = _axpy_dense(acc, field.one, y, field.p)
+            acc = _axpy_dense(acc, field.one, module.act_left(alg, chi.apply(x), w), field.p)
         if acc != x:
             return False
     return True

@@ -23,7 +23,6 @@ as a subalgebra of the ring, and the unit map when the base is
 one-dimensional.
 """
 
-from . import exactla
 from .errors import SchemaError, ValidationError
 from .exactla import Field, Mat, _axpy_dense
 from .ncalg import (
@@ -38,6 +37,9 @@ from .entwine import (
 from .connect import StrongConnection, verify_strong_connection
 
 
+DEFAULT_OPTIONS = {"max_degree": 5, "memory_guard": 2_000_000}
+
+
 class Workspace:
     def __init__(self, field):
         self.field = field
@@ -49,7 +51,7 @@ class Workspace:
         self.coactions = {}       # name -> (module_name, coring_name, Mat)
         self.coidempotents = {}
         self.connections = {}     # name -> (coaction_name, T_name, Mat)
-        self.options = {"max_degree": 5, "memory_guard": 2_000_000}
+        self.options = dict(DEFAULT_OPTIONS)
         self.validation_errors = []
 
     def single_entwining(self):
@@ -100,6 +102,17 @@ def _parse_scalars(field, data, path):
     return out
 
 
+def workspace_options(doc):
+    """The document's ``options`` over the defaults (positive integers)."""
+    given = doc.get("options", {}) if isinstance(doc, dict) else {}
+    if not isinstance(given, dict):
+        raise SchemaError("options", "expected an object")
+    for k, v in given.items():
+        if k in DEFAULT_OPTIONS and (type(v) is not int or v < 1):
+            raise SchemaError(f"options.{k}", f"expected a positive integer, got {v!r}")
+    return {k: given.get(k, v) for k, v in DEFAULT_OPTIONS.items()}
+
+
 def parse_workspace(doc):
     """Validated workspace; raises SchemaError on structural problems and
     records axiom failures (as ValidationError) in validation_errors."""
@@ -111,10 +124,7 @@ def parse_workspace(doc):
         raise SchemaError("field.p" if "prime" in str(exc) or "modulus" in str(exc)
                           else "field.kind", str(exc))
     ws = Workspace(field)
-    opts = doc.get("options", {})
-    ws.options.update({k: opts[k] for k in ("max_degree", "memory_guard")
-                       if k in opts})
-    exactla.DIMENSION_GUARD = ws.options["memory_guard"]
+    ws.options = workspace_options(doc)
 
     for name, a in doc.get("algebras", {}).items():
         dim = _need(a, "dim", f"algebras.{name}")

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from coralg import exactla
 from coralg.cli import main
 from coralg.errors import SchemaError
 from coralg.fixtures import FIXTURE_NAMES, fixture_document
@@ -172,12 +173,14 @@ def test_cli_unknown_names_are_input_errors(tmp_path, z2_path):
         assert code == 2
 
 
-@pytest.mark.parametrize("scalar", ["malformed-json", "1/0", "abc", 1.5],
-                         ids=["json", "div0", "abc", "float"])
+@pytest.mark.parametrize("scalar", ["malformed-json", "not-an-object", "1/0", "abc", 1.5],
+                         ids=["json", "list", "div0", "abc", "float"])
 def test_cli_malformed_inputs_are_input_errors(tmp_path, capsys, scalar):
     doc = fixture_document("FIX-Z2")
     if scalar == "malformed-json":
         text = json.dumps(doc)[:-40]
+    elif scalar == "not-an-object":
+        text = json.dumps([doc])
     else:
         doc["algebras"]["A"]["unit"][0] = scalar
         text = json.dumps(doc)
@@ -196,3 +199,35 @@ def test_report_determinism(tmp_path, z2_path):
     _, out2 = run_cli(tmp_path, "chg", "--workspace", z2_path,
                       "--degree", "1", "--coidempotent", "e1")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("key,value,command", [
+    ("memory_guard", "abc", "validate"),
+    ("memory_guard", 1.5, "validate"),
+    ("memory_guard", True, "validate"),
+    ("memory_guard", 0, "validate"),
+    ("max_degree", "x", "hc"),
+    ("max_degree", 1.5, "hc"),
+], ids=["guard-str", "guard-float", "guard-bool", "guard-zero", "degree-str", "degree-float"])
+def test_cli_options_must_be_positive_integers(tmp_path, capsys, key, value, command):
+    doc = fixture_document("FIX-Z2")
+    doc["options"] = {key: value}
+    p = tmp_path / "opts.json"
+    p.write_text(json.dumps(doc))
+    code = main([command, "--workspace", str(p)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"options.{key}" in err
+    assert "Traceback" not in err
+
+
+def test_cli_memory_guard_is_scoped_to_the_command(tmp_path, capsys):
+    before = exactla.DIMENSION_GUARD
+    doc = fixture_document("FIX-Z2")
+    doc["options"] = {"memory_guard": 3}
+    p = tmp_path / "tiny_guard.json"
+    p.write_text(json.dumps(doc))
+    assert main(["validate", "--workspace", str(p)]) == 1
+    assert "> 3" in capsys.readouterr().err
+    assert exactla.DIMENSION_GUARD == before
+    exactla.quotient_space(exactla.QQ, 10, [])  # no MemoryGuard from the last workspace

@@ -272,3 +272,55 @@ def test_cointegral_separability_and_grouplike_search():
     assert search_grouplikes(c5) == [[1, 0], [0, 1]]
     with pytest.raises(ValueError):
         search_grouplikes(z2)  # rationals: not searchable
+
+
+def _mat(rows):
+    return Mat.from_rows(QQ, [[qi(x) for x in r] for r in rows])
+
+
+@pytest.mark.parametrize("order,coaction", [
+    ("e1+e0", [[0, 0], [1, 0], [0, 1], [0, 0]]),
+    ("e0+e1", [[1, 0], [0, 0], [0, 0], [0, 1]]),
+])
+def test_right_comodule_from_coidempotent_is_pinned(order, coaction):
+    """Recorded with the direct right-side construction: W = R^(I) p with
+    p = diag of the two counits, coaction w_k -> w_k (x) e_kk on W (x) C."""
+    z2 = group_z2_coring(QQ)
+    e0 = Coidempotent(z2, [[[qi(1), qi(0)]]])
+    e1 = Coidempotent(z2, [[[qi(0), qi(1)]]])
+    s = direct_sum_coidempotents(*((e1, e0) if order == "e1+e0" else (e0, e1)))
+    w = comodule_from_coidempotent(z2, s, side="right")
+    assert w.side == "right" and w.coring is z2 and w.carrier.dim == 2
+    assert w.space.factors == [w.carrier, z2.carrier]
+    assert w.coaction == _mat(coaction)
+    assert w.carrier.left[z2.base] == [_mat([[1, 0], [0, 1]])]
+    assert w.carrier.right[z2.base] == [_mat([[1, 0], [0, 1]])]
+    assert validate_comodule(w).ok
+
+
+def test_left_comodule_failures_are_pinned():
+    """A left comodule is validated as its opposite right comodule; labels
+    and locations are those of the direct left-side checks."""
+    c = trivial_coring(matrix_algebra(QQ, 2))
+    d = Mat.identity(QQ, 4)
+    d.rows[3] = {3: qi(3)}
+    bad = Comodule(c, c.carrier, c.delta @ d, "left", name="bad")
+    assert validate_comodule(bad).failures == [
+        ("coaction-left-linear[1]", 3), ("coaction-left-linear[2]", 1),
+        ("coassociativity", 1), ("coassociativity", 3), ("counit", 3)]
+
+
+def test_co_opposite_coring_and_opposite_comodule():
+    c = trivial_coring(matrix_algebra(QQ, 2))
+    cop = c.cop()
+    assert c.cop() is cop and cop.cop() is c
+    assert cop.base is c.base.op() and cop.carrier is c.carrier.op()
+    assert cop.delta is c.delta and cop.eps is c.eps
+    assert cop.CC is c.CC.op()
+    assert validate_coring(cop).ok
+    lm = regular_comodule(c, "left")
+    rm = lm.op()
+    assert lm.op() is rm and rm.op() is lm
+    assert rm.side == "right" and rm.coring is cop and rm.carrier is c.carrier.op()
+    assert rm.space is lm.space.op() and rm.coaction is lm.coaction
+    assert validate_comodule(rm).ok

@@ -7,7 +7,7 @@ from coralg.entwine import (
     Entwining, associated_coring, canonical_maps, cantilde,
     co_associated_coring, entwining_from_coring, extension_from_grouplike,
     galois_check, invert_entwining, make_extension, sweedler_coring,
-    validate_entwined_module, validate_entwining,
+    validate_entwined_module, validate_entwining, validate_left_entwining,
 )
 from coralg.errors import CoinvariantMismatch, NotBijective, NotEntwinedModule
 from coralg.exactla import GF, QQ, Mat
@@ -312,3 +312,105 @@ def test_coinvariant_forall_formulas_agree():
         for i in range(x.B.dim):
             assert forall_kernel.contains_vector(
                 x.incl_B.apply(x.B.basis_vector(i)))
+
+
+def _mirror_fixtures(field):
+    """The three bijective entwinings whose psi^-1 is corrupted below."""
+    m2 = matrix_algebra(field, 2, name="M2")
+    a = quadratic_algebra(field, 1, 0, name="A")
+    return {
+        "Z2": z2_graded_entwining(field),
+        "NC": sweedler_entwining(field, m2, upper_triangular_subalgebra(m2), name="NC"),
+        "SW": sweedler_entwining(field, a, trivial_subalgebra(a)),
+    }
+
+
+def _with_psi_inv(ent, psi_inv):
+    return Entwining(ent.base, ent.ring, ent.eta, ent.coring, ent.psi, psi_inv,
+                     name=ent.name)
+
+
+# Failures of validate_left_entwining, recorded with the direct mirror
+# implementation (one body per axiom, no opposite structures).  Scaling
+# psi^-1 by 2 or 3 breaks every column of every axiom: (axiom, column count).
+SCALED_INVERSE_FAILURES = {
+    "Z2": [("multiplicativity", 8), ("unitality", 2), ("comultiplicativity", 4),
+           ("counitality", 4)],
+    "NC": [("multiplicativity", 4), ("unitality", 4), ("comultiplicativity", 4),
+           ("counitality", 4)],
+    "SW": [("multiplicativity", 4), ("unitality", 4), ("comultiplicativity", 4),
+           ("counitality", 4)],
+}
+# Scaling only the last column of psi^-1 by 3: (axiom, column) pairs.
+COLUMN_INVERSE_FAILURES = {
+    "Z2": [("multiplicativity", 6), ("multiplicativity", 7), ("comultiplicativity", 3),
+           ("counitality", 3)],
+    "NC": [("multiplicativity", 1), ("multiplicativity", 2), ("multiplicativity", 3),
+           ("unitality", 3), ("comultiplicativity", 1), ("comultiplicativity", 2),
+           ("comultiplicativity", 3), ("counitality", 3)],
+    "SW": [("multiplicativity", 0), ("multiplicativity", 3), ("unitality", 1),
+           ("comultiplicativity", 2), ("counitality", 3)],
+}
+
+
+def _last_column_times_3(field, psi_inv):
+    n = psi_inv.ncols
+    d = Mat.identity(field, n)
+    d.rows[n - 1] = {n - 1: field.from_int(3)}
+    return psi_inv @ d
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+def test_left_entwining_failures_are_pinned(field):
+    for name, ent in _mirror_fixtures(field).items():
+        assert validate_left_entwining(ent).ok, name
+        for s in (2, 3):
+            bad = _with_psi_inv(ent, ent.psi_inv.scale(field.from_int(s)))
+            expect = [(f"left-entwining-{ax}", j)
+                      for ax, n in SCALED_INVERSE_FAILURES[name] for j in range(n)]
+            assert validate_left_entwining(bad).failures == expect, (name, s)
+        bad = _with_psi_inv(ent, _last_column_times_3(field, ent.psi_inv))
+        axioms = [f for f in validate_left_entwining(bad).failures
+                  if f[0].startswith("left-entwining-")]
+        expect = [(f"left-entwining-{ax}", j) for ax, j in COLUMN_INVERSE_FAILURES[name]]
+        assert axioms == expect, name
+
+
+def test_left_entwining_checks_bilinearity_of_the_inverse():
+    """Read as the right entwining e.op(), psi^-1 is also checked to be
+    R-bilinear; over R = A a column-scaled psi^-1 is not."""
+    ent = _mirror_fixtures(QQ)["NC"]
+    rep = validate_left_entwining(_with_psi_inv(ent, _last_column_times_3(QQ, ent.psi_inv)))
+    assert any(ax.startswith("left-psi-") for ax, _ in rep.failures)
+    assert validate_left_entwining(_with_psi_inv(ent, None)).failures == [("no-inverse", None)]
+
+
+def test_entwining_op_is_a_memoized_involution():
+    ent = z2_graded_entwining(QQ)
+    op = ent.op()
+    assert ent.op() is op and op.op() is ent
+    assert op.psi is ent.psi_inv and op.psi_inv is ent.psi
+    assert op.ring is ent.ring.op() and op.coring is ent.coring.cop()
+    assert op.a_mod is ent.a_mod.op()
+    assert op.CA is ent.AC.op() and op.AC is ent.CA.op()
+    assert validate_entwining(op).ok
+    # replacing psi_inv (as workspace parsing does) rebuilds the opposite
+    ent.psi_inv = Mat(QQ, 4, 4, [dict(r) for r in ent.psi_inv.rows])
+    assert ent.op() is not op and ent.op().psi is ent.psi_inv
+
+
+def test_associated_coring_is_memoized_per_psi():
+    ent = z2_graded_entwining(QQ)
+    assoc = associated_coring(ent)
+    assert associated_coring(ent) is assoc
+    # a psi assigned in place (as entwining_from_coring does) is never
+    # served the coring of the old psi
+    flipped = Mat(QQ, 4, 4, [dict(r) for r in ent.psi.rows])
+    flipped.rows[0], flipped.rows[1] = flipped.rows[1], flipped.rows[0]
+    ent.psi = flipped
+    other = associated_coring(ent)
+    assert other is not assoc
+    a = ent.ring
+    assert [other.carrier.right[a][i] for i in range(a.dim)] != \
+        [assoc.carrier.right[a][i] for i in range(a.dim)]
+    assert associated_coring(ent) is other

@@ -2,6 +2,7 @@
 
 import pytest
 
+import itertools
 import random
 
 from coralg.errors import ActionMismatch
@@ -365,3 +366,88 @@ def test_declared_action_is_never_replaced():
     with pytest.raises(ActionMismatch):
         m.restrict_right(t, incl2)
     assert tensor_space([m, m], [t]) is sp
+
+
+def _m2_with_ut():
+    """M2 as a bimodule over itself and over its upper triangulars."""
+    m2 = matrix_algebra(QQ, 2)
+    ut, incl = upper_triangular_subalgebra(m2)
+    m = regular_bimodule(m2)
+    m.restrict_left(ut, incl)
+    m.restrict_right(ut, incl)
+    return m2, ut, m
+
+
+def test_opposite_algebra_and_module_are_memoized_involutions():
+    m2, ut, m = _m2_with_ut()
+    op = m2.op()
+    assert m2.op() is op and op.op() is m2
+    assert all(op.mult[i][j] == m2.mult[j][i] for i in range(4) for j in range(4))
+    assert validate_algebra(op).ok
+    assert op.left_mult_mats() == m2.right_mult_mats()
+    mo = m.op()
+    assert m.op() is mo and mo.op() is m and mo.is_op and not m.is_op
+    assert mo.left[op] is m.right[m2] and mo.right[ut.op()] is m.left[ut]
+    assert set(mo.left) == {op, ut.op()}
+    assert validate_module(mo, op, ut.op()).ok
+    # live: an action declared on the opposite is the original's opposite action
+    k, k_incl = generated_subalgebra(m2, [])
+    mats = [m.right_action_of(m2, k_incl.apply(k.basis_vector(0)))]
+    mo.add_left(k.op(), mats)
+    assert m.right[k] is mats and k.op() in mo.left
+
+
+def test_module_answers_the_space_interface():
+    _, ut, m = _m2_with_ut()
+    assert m.dims == [4] and m.trivial
+    assert m.Q == Mat.identity(QQ, 4) and m.S is m.Q
+    assert m.outer_left is m.left and m.outer_right is m.right
+
+
+def _reversed_index(idxs, dims):
+    flat = 0
+    for i, d in zip(reversed(idxs), reversed(dims)):
+        flat = flat * d + i
+    return flat
+
+
+def test_all_opposite_factors_give_the_reversal_view():
+    m2, ut, m = _m2_with_ut()
+    k = scalar_algebra(QQ)
+    v2 = Module(QQ, "k2", 2).add_left(k, [Mat.identity(QQ, 2)]).add_right(k, [Mat.identity(QQ, 2)])
+    spaces = [
+        (tensor_space([m, m, m], [ut, m2]), [m.op()] * 3, [m2.op(), ut.op()]),
+        (tensor_space([v2, m, v2], [None, None]), [v2.op(), m.op(), v2.op()], [None, None]),
+        (tensor_space([m], [], circular=ut), [m.op()], []),
+    ]
+    for sp, factors, junctions in spaces:
+        view = tensor_space(factors, junctions, circular=sp.circular and sp.circular.op())
+        assert view is sp.op() and view.op() is sp
+        assert view.dim == sp.dim and view.dims == sp.dims[::-1]
+        assert view.trivial == sp.trivial
+        for idxs in itertools.product(*[range(d) for d in view.dims]):
+            v, o = view.flat_index(idxs), _reversed_index(idxs, view.dims)
+            assert view.Q.col(v) == sp.Q.col(o)
+            assert view.S.row_list(v) == sp.S.row_list(o)
+        for alg, mats in sp.outer_right.items():
+            assert view.outer_left[alg.op()] is mats
+    aaa = spaces[0][0]
+    assert aaa.op().outer_right[m2.op()] is aaa.outer_left[m2]
+
+
+def test_leg_apply_through_reversal_views_equals_the_plain_map():
+    m2, ut, m = _m2_with_ut()
+    mo, op = m.op(), m2.op()
+    aa = tensor_space([m, m], [ut])
+    aaa = tensor_space([m, m, m], [ut, ut])
+    mu, mu_op = m2.mult_mat(), op.mult_mat()
+    assert leg_apply(aa.op(), mo, 0, 2, mu_op) == leg_apply(aa, m, 0, 2, mu)
+    assert leg_apply(aaa.op(), aa.op(), 0, 2, mu_op) == leg_apply(aaa, aa, 1, 2, mu)
+    assert leg_apply(aaa.op(), aa.op(), 1, 2, mu_op) == leg_apply(aaa, aa, 0, 2, mu)
+    unit = m2.unit_col()
+    assert leg_apply(mo, aa.op(), 0, 0, unit) == leg_apply(m, aa, 1, 0, unit)
+    # the descent check reads the view's own Q and S
+    bad = Mat.from_rows(QQ, [[qi(1) if i == j == 0 else qi(0) for j in range(4)]
+                             for i in range(4)])
+    with pytest.raises(ActionMismatch):
+        leg_apply(aa.op(), aa.op(), 1, 1, bad)
