@@ -32,7 +32,7 @@ from .ncalg import (
 )
 from .coring import Comodule, cotensor
 from .cyclic import cyclic_complex, homology
-from .connect import _mixed_mult, tflatness_check
+from .connect import tflatness_check
 from .entwine import canonical_maps
 
 
@@ -355,15 +355,10 @@ class IdempotentE:
 
 def ell_p_maps(x, sc, dual):
     """ell_p = (xi_p (x)_T A) . ell as matrices C -> A."""
-    e = x.entwining
-    ring = e.ring
     t = sc.t
-    pair_b, pair_a = t_pairs_of(sc)
-    t_incl_a = pair_a[1]
     t_mod = regular_bimodule(t, f"{t.name}-mod")
     ta = tensor_space([t_mod, x.a_mod], [t])
-    coll = leg_apply(ta, x.a_mod, 0, 2, _mixed_mult(ring, t_incl_a, left=True),
-                     check="skip")
+    coll = leg_apply(ta, x.a_mod, 0, 2, x.a_mod.left_collapse_mat(t), check="skip")
     out = []
     for xi in dual["xis"]:
         legxi = leg_apply(sc.space, ta, 0, 1, xi, check="auto")

@@ -35,25 +35,6 @@ class StrongConnection:
         return f"StrongConnection(T={self.t.name}, {self.extension!r})"
 
 
-def _mixed_mult(ring, incl, left=True):
-    """Collapse matrix for (t, a) -> incl(t) a (left=True) or
-    (a, t) -> a incl(t)."""
-    f = ring.field
-    sub = incl.source
-    cols = []
-    if left:
-        for i in range(sub.dim):
-            ti = incl.apply(sub.basis_vector(i))
-            for j in range(ring.dim):
-                cols.append(ring.mul_vec(ti, ring.basis_vector(j)))
-    else:
-        for j in range(ring.dim):
-            aj = ring.basis_vector(j)
-            for i in range(sub.dim):
-                cols.append(ring.mul_vec(aj, incl.apply(sub.basis_vector(i))))
-    return Mat.from_cols(f, cols, ring.dim)
-
-
 def _comodule_structures(x, t):
     """(right coaction, its space) and (left coaction, its space) of
     A (x)_T A, plus the lifted canonical map."""
@@ -159,8 +140,7 @@ def restrict_connection(sc, xi_full, t_prime):
     ta = tensor_space([t_mod, a_mod], [tp_alg])
     xi = ta.Q @ xi_full
     # section of the multiplication T (x)_{T'} A -> A
-    coll = leg_apply(ta, a_mod, 0, 2, _mixed_mult(ring, t_incl_a, left=True),
-                     check="skip")
+    coll = leg_apply(ta, a_mod, 0, 2, a_mod.left_collapse_mat(t), check="skip")
     rep = Report("xi")
     _fail_cols(rep, "section", coll @ xi - Mat.identity(f, ring.dim))
     for i in range(t.dim):
@@ -176,8 +156,7 @@ def restrict_connection(sc, xi_full, t_prime):
     ata = tensor_space([a_mod, t_mod, a_mod], [t, tp_alg])
     s1 = leg_apply(aat, ata, 1, 1, ta.S @ xi, check="skip")
     aatp = tensor_space([a_mod, a_mod], [tp_alg])
-    s2 = leg_apply(ata, aatp, 0, 2, _mixed_mult(ring, t_incl_a, left=False),
-                   check="skip")
+    s2 = leg_apply(ata, aatp, 0, 2, a_mod.right_collapse_mat(t), check="skip")
     ell2 = s2 @ s1 @ sc.ell
     out = StrongConnection(sc.extension, ell2, t_alg=tp_alg)
     rep = verify_strong_connection(out)
@@ -226,8 +205,7 @@ def section_from_connection(sc):
     rho_ba = leg_apply(ba, bac, 1, 1, e.AC.S @ x.rho, check="skip")
     sigC = leg_apply(e.AC, bac, 0, 1, ba.S @ sigma, check="skip")
     _fail_cols(rep, "right-colinear", rho_ba @ sigma - sigC @ x.rho)
-    coll = leg_apply(ba, a_mod, 0, 2, _mixed_mult(ring, x.incl_B, left=True),
-                     check="skip")
+    coll = leg_apply(ba, a_mod, 0, 2, a_mod.left_collapse_mat(x.B), check="skip")
     _fail_cols(rep, "splits-multiplication", coll @ sigma - Mat.identity(f, ring.dim))
     assert rep.ok, f"sigma verification failed: {rep.failures[:3]}"
     ins1 = leg_apply(a_mod, ba, 0, 0,

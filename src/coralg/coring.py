@@ -9,7 +9,7 @@ manipulated through canonical quotient coordinates.
 
 import math
 
-from .errors import InvalidCoidempotent, NotProjective
+from .errors import ActionMismatch, InvalidCoidempotent, NotProjective
 from .exactla import Mat, SubspaceBasis, _axpy_dense, rref_solve
 from .ncalg import (
     Algebra, Equation, Module, Report, Term, _fail_cols, _kron_id_left,
@@ -482,21 +482,24 @@ def _left_comodule_from_coidempotent(c, e, name, opposite):
     if opposite:
         carrier = carrier.op()
 
-    def induced(mats):
+    def induced(mats, side):
+        # side: the side of the action on W (on W.op() the sides swap)
         out = []
         for m in mats:
             big = kron_id(n, m, 1)
             cols = []
             for b in range(wdim):
-                img = big.apply(basis.mat.row_list(b))
-                coords = basis.membership(img)
-                assert coords is not None, "W not closed under the action"
+                coords = basis.membership(big.apply(basis.mat.row_list(b)))
+                if coords is None:
+                    raise ActionMismatch(
+                        f"{name}: W = R^(I) p is not closed under the {side} action")
                 cols.append(coords)
             out.append(Mat.from_cols(f, cols, wdim))
         return out
 
-    carrier.add_left(base, induced(base.left_mult_mats()))
-    carrier.add_right(base, induced(base.right_mult_mats()))
+    sides = ("right", "left") if opposite else ("left", "right")
+    carrier.add_left(base, induced(base.left_mult_mats(), sides[0]))
+    carrier.add_right(base, induced(base.right_mult_mats(), sides[1]))
     space = tensor_space([c.carrier, carrier], [base])
     wrows = [basis.membership(row_of_p(k)) for k in range(n)]
     cols = []

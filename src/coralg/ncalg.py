@@ -14,7 +14,9 @@ Conventions:
   circular relation  m * t ~ t * m.  The quotient is built left-nested, one
   junction at a time, each step in rref-canonical coordinates; the composite
   is the binding coordinate convention for serialized data.  Pure-tensor
-  basis order is lexicographic with the leftmost factor slowest.
+  basis order is lexicographic with the leftmost factor slowest.  The outer
+  actions of the end factors are computed on demand, once per algebra, as
+  ``Q @ kron_id(pre, m, post) @ S``; a circular space has none.
 * The ground field is realized as the one-dimensional algebra; a junction
   algebra of ``None`` means "over k" (no balancing relations).
 * Opposites (memoized, ``x.op().op() is x``): ``Algebra.op()`` has
@@ -28,6 +30,7 @@ from collections import namedtuple
 from collections.abc import Mapping
 from functools import cached_property
 from math import prod
+from types import MappingProxyType
 
 from .errors import ActionMismatch, DimensionMismatch
 from .exactla import (
@@ -217,6 +220,39 @@ class _OpActions(Mapping):
 
     def __iter__(self):
         return (alg.op() for alg in self._actions)
+
+    def __contains__(self, alg):
+        return alg.op() in self._actions
+
+    def __len__(self):
+        return len(self._actions)
+
+
+class _OuterActions(Mapping):
+    """The actions of an end factor's algebras on a tensor space, read live
+    from the factor's ``left`` or ``right``: ``alg``'s i-th matrix is
+    ``Q @ kron_id(pre, m_i, post) @ S``, computed once when first read (the
+    bare kron when the space is trivial, where Q = S = I)."""
+
+    def __init__(self, space, actions, pre, post):
+        self._space, self._actions, self._pre, self._post = space, actions, pre, post
+        self._pushed = {}
+
+    def __getitem__(self, alg):
+        mats = self._pushed.get(alg)
+        if mats is None:
+            sp = self._space
+            mats = [kron_id(self._pre, m, self._post) for m in self._actions[alg]]
+            if not sp.trivial:
+                mats = [sp.Q @ m @ sp.S for m in mats]
+            self._pushed[alg] = mats
+        return mats
+
+    def __contains__(self, alg):
+        return alg in self._actions
+
+    def __iter__(self):
+        return iter(self._actions)
 
     def __len__(self):
         return len(self._actions)
@@ -428,9 +464,11 @@ class TensorSpace:
       dim         quotient dimension
       Q           projection full -> quotient (canonical coordinates)
       S           section quotient -> full (zero on pivot coordinates)
-      outer_left  pushed left actions of the first factor {alg: [Mat]}
-      outer_right pushed right actions of the last factor (dropped after a
-                  circular quotient, where they are no longer well defined)
+      outer_left  left actions of the first factor's algebras {alg: [Mat]}
+      outer_right right actions of the last factor's algebras; both read
+                  the factor's declared actions live (see ``_OuterActions``)
+                  and are empty after a circular quotient, where they are
+                  no longer well defined
       trivial     True when there are no relations (Q is invertible, S = Q^-1;
                   both are the identity except on a reversal view)
     """
@@ -450,31 +488,25 @@ class TensorSpace:
         self.full_dim = guard_dim(prod(self.dims), f"tensor space {name or '?'}")
         self.name = name or "(x)".join(m.name for m in factors)
 
-        first = factors[0]
+        first, last = factors[0], factors[-1]
         cur_dim = first.dim
-        Q = Mat.identity(field, cur_dim)
-        S = Mat.identity(field, cur_dim)
-        outer_left = {alg: list(mats) for alg, mats in first.left.items()}
-        outer_right = {alg: list(mats) for alg, mats in first.right.items()}
+        Q = S = Mat.identity(field, cur_dim)
+        right = first.right  # right actions on the space so far: the next junction's
         minus_one = field.from_int(-1)
 
-        for t, nxt in zip(junctions, factors[1:]):
+        for t, nxt, t_next in zip(junctions, factors[1:], [*junctions[1:], None]):
             dN = nxt.dim
             amb = cur_dim * dN
             guard_dim(amb, f"tensor step of {self.name}")
             rel_vectors = []
             if t is not None:
-                if t not in outer_right:
+                if t not in right:
                     raise ActionMismatch(
                         f"{self.name}: left side lacks a right {t.name}-action")
                 if t not in nxt.left:
                     raise ActionMismatch(
                         f"{self.name}: {nxt.name} lacks a left {t.name}-action")
-                rmats = outer_right[t]
-                lmats = nxt.left[t]
-                for ti in range(t.dim):
-                    rt = rmats[ti]
-                    lt = lmats[ti]
+                for rt, lt in zip(right[t], nxt.left[t]):
                     if _is_identity(rt) and _is_identity(lt):
                         continue
                     lt_cols = lt.transpose().rows
@@ -485,52 +517,33 @@ class TensorSpace:
                                   field.p)
                             if vec:
                                 rel_vectors.append(vec)
+            Q, S = _kron_id_right(Q, dN), _kron_id_right(S, dN)
+            right = {}
+            if t_next is not None and t_next in nxt.right:
+                right[t_next] = [_kron_id_left(cur_dim, R) for R in nxt.right[t_next]]
+            cur_dim = amb
             if rel_vectors:
                 qs = quotient_space(field, amb, rel_vectors)
-                P, S2 = qs.proj, qs.sect
-            else:
-                P = Mat.identity(field, amb)
-                S2 = P
-            QkI = _kron_id_right(Q, dN)
-            SkI = _kron_id_right(S, dN)
-            Q = P @ QkI if not _is_identity(P) else QkI
-            S = SkI @ S2 if not _is_identity(S2) else SkI
-            new_dim = P.nrows
-            outer_left = {
-                alg: [P @ _kron_id_right(L, dN) @ S2 for L in mats]
-                for alg, mats in outer_left.items()
-            }
-            outer_right = {
-                alg: [P @ _kron_id_left(cur_dim, R) @ S2 for R in mats]
-                for alg, mats in nxt.right.items()
-            }
-            cur_dim = new_dim
+                Q, S, cur_dim = qs.proj @ Q, S @ qs.sect, qs.dim
+                right = {alg: [qs.proj @ m @ qs.sect for m in mats]
+                         for alg, mats in right.items()}
 
+        self.dim, self.Q, self.S = cur_dim, Q, S
+        self.trivial = cur_dim == self.full_dim
+        self.outer_left = _OuterActions(self, first.left, 1, prod(self.dims[1:]))
+        self.outer_right = _OuterActions(self, last.right, prod(self.dims[:-1]), 1)
         if circular is not None:
-            if circular not in outer_right or circular not in outer_left:
+            if circular not in self.outer_right or circular not in self.outer_left:
                 raise ActionMismatch(
                     f"{self.name}: circular algebra {circular.name} must act on both ends")
             rel_vectors = []
-            for ti in range(circular.dim):
-                diff = outer_right[circular][ti] - outer_left[circular][ti]
-                diff_cols = diff.transpose().rows
-                for u in range(cur_dim):
-                    if diff_cols[u]:
-                        rel_vectors.append(dict(diff_cols[u]))
+            for rm, lm in zip(self.outer_right[circular], self.outer_left[circular]):
+                rel_vectors.extend(dict(col) for col in (rm - lm).transpose().rows if col)
             if rel_vectors:
                 qs = quotient_space(field, cur_dim, rel_vectors)
-                Q = qs.proj @ Q
-                S = S @ qs.sect
-                cur_dim = qs.dim
-            outer_left = {}
-            outer_right = {}
-
-        self.dim = cur_dim
-        self.Q = Q
-        self.S = S
-        self.trivial = self.dim == self.full_dim
-        self.outer_left = outer_left
-        self.outer_right = outer_right
+                self.dim, self.Q, self.S = qs.dim, qs.proj @ Q, S @ qs.sect
+                self.trivial = self.dim == self.full_dim
+            self.outer_left = self.outer_right = MappingProxyType({})
         self._op = None
 
     def __repr__(self):
@@ -629,18 +642,17 @@ def kron_id(pre, f, post):
 
 
 def tensor_space(factors, junctions, circular=None, name=""):
-    """Memoized TensorSpace factory; the memo lives on the first factor.
-    The key includes each factor's set of declared acting algebras: adding
-    an action to a Module later yields a fresh space with identical
-    coordinates but complete outer-action data.  When every factor is an
-    opposite module the space is the reversal view of the space of the
-    originals in reverse order."""
+    """Memoized TensorSpace factory; the memo lives on the first factor,
+    keyed by the other factors, the junctions and the circular algebra.
+    A declared action never changes and the outer actions are read live,
+    so an action declared after the build shows on the memoized space.
+    When every factor is an opposite module the space is the reversal view
+    of the space of the originals in reverse order."""
     if factors and all(m.is_op for m in factors):
         return tensor_space([m.op() for m in reversed(factors)],
                             [None if t is None else t.op() for t in reversed(junctions)],
                             None if circular is None else circular.op(), name).op()
-    key = (tuple(factors[1:]), tuple(junctions), circular,
-           tuple((frozenset(f.left), frozenset(f.right)) for f in factors))
+    key = (tuple(factors[1:]), tuple(junctions), circular)
     memo = factors[0]._tensor_spaces
     sp = memo.get(key)
     if sp is None:

@@ -138,15 +138,12 @@ def test_connection_reconstruction_from_section():
     sc = connection_from_galois(x)
     sec = section_from_connection(sc)
     sigma, ba = sec["sigma"], sec["space"]
-    e = x.entwining
     a_mod, b_mod = x.a_mod, x.b_mod
     aab = sc.space
     aba = tensor_space([a_mod, b_mod, a_mod], [x.B, sc.t])
     s1 = leg_apply(aab, aba, 1, 1, ba.S @ sigma, check="skip")
     aat = tensor_space([a_mod, a_mod], [sc.t])
-    from coralg.connect import _mixed_mult
-    s2 = leg_apply(aba, aat, 0, 2, _mixed_mult(e.ring, x.incl_B, left=False),
-                   check="skip")
+    s2 = leg_apply(aba, aat, 0, 2, a_mod.right_collapse_mat(x.B), check="skip")
     ell2 = s2 @ s1 @ sc.ell
     solved, _ = solve_strong_connection(x, t_alg=sc.t)
     assert ell2 == solved.ell

@@ -9,10 +9,10 @@ from coralg.coring import (
     separability_idempotent, trivial_coring, validate_coidempotent,
     validate_comodule, validate_coring, verify_grouplike,
 )
-from coralg.errors import InvalidCoidempotent
+from coralg.errors import ActionMismatch, InvalidCoidempotent
 from coralg.exactla import QQ, Mat
 from coralg.fixtures import (
-    group_z2_coring, matrix_algebra, module_over_scalars,
+    group_z2_coring, matrix_algebra, module_over_scalars, nc_fixture,
     product_field_algebra, quadratic_algebra,
 )
 from coralg.ncalg import (
@@ -296,6 +296,15 @@ def test_right_comodule_from_coidempotent_is_pinned(order, coaction):
     assert w.carrier.left[z2.base] == [_mat([[1, 0], [0, 1]])]
     assert w.carrier.right[z2.base] == [_mat([[1, 0], [0, 1]])]
     assert validate_comodule(w).ok
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_comodule_from_coidempotent_names_the_unclosed_action(side):
+    """FIX-NC: W = R^(I) p is not closed under W's induced right M2-action
+    (the left comodule W = A.E11 it comes from is no right M2-module)."""
+    e = nc_fixture(QQ)["coidempotent"]
+    with pytest.raises(ActionMismatch, match="not closed under the right action"):
+        comodule_from_coidempotent(e.coring, e, side=side)
 
 
 def test_left_comodule_failures_are_pinned():

@@ -1,10 +1,16 @@
-"""Every CLI report on the built-in fixtures matches the benchmark's golden
-record (``perfbench/golden.json``): same exit code, no uncaught exception,
-and a byte-identical stdout report.
+"""Every CLI report on the built-in fixtures, and every relative cyclic
+bicomplex of acceptance criterion 2, matches the benchmark's golden record
+(``perfbench/golden.json``).
 
-The commands are the benchmark's ``cli-fixtures`` workload
+CLI reports: same exit code, no uncaught exception and a byte-identical
+stdout report.  The commands are the benchmark's ``cli-fixtures`` workload
 (``perfbench/workloads.py``), built on a temporary directory and run
 in-process through ``coralg.cli.main``.
+
+Bicomplexes: the ``bicomplex-fp`` and ``bicomplex-qq`` fingerprints (HC
+dims, the d.d verdict and a digest of every total differential), computed
+through the same workload code; M2|k over Q, the slow pair, is left to the
+benchmark.
 """
 
 import importlib.util
@@ -13,10 +19,13 @@ from pathlib import Path
 
 import pytest
 
-from coralg import cli, fixtures
+from coralg import cli, cyclic, exactla, fixtures, ncalg
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-GOLDEN = json.loads((PERFBENCH / "golden.json").read_text())["cli-fixtures"]
+GOLDEN_ALL = json.loads((PERFBENCH / "golden.json").read_text())
+GOLDEN = GOLDEN_ALL["cli-fixtures"]
+BICOMPLEX_CASES = [("bicomplex-fp", key) for key in sorted(GOLDEN_ALL["bicomplex-fp"])] + [
+    ("bicomplex-qq", key) for key in sorted(GOLDEN_ALL["bicomplex-qq"]) if key != "M2|k"]
 
 
 def _load_workloads():
@@ -43,3 +52,11 @@ def test_report_matches_golden(workload, key):
     output = workload.run(key)
     assert workload.verdict(key, output, GOLDEN[key])[0], (key, output["code"],
                                                            output["exception"])
+
+
+@pytest.mark.parametrize("workload_name,key", BICOMPLEX_CASES)
+def test_bicomplex_matches_golden(workload_name, key):
+    lib = {"cyclic": cyclic, "exactla": exactla, "fixtures": fixtures, "ncalg": ncalg}
+    bicomplex = _load_workloads().Bicomplex(lib, workload_name.removeprefix("bicomplex-"))
+    output = bicomplex.run(key)
+    assert bicomplex.fingerprint(key, output) == GOLDEN_ALL[workload_name][key]

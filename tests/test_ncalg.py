@@ -8,13 +8,14 @@ import random
 from coralg.errors import ActionMismatch
 from coralg.exactla import GF, QQ, Mat, rank, rref_solve
 from coralg.fixtures import (
-    diagonal_subalgebra, matrix_algebra, product_field_algebra, quadratic_algebra,
-    upper_triangular_algebra, upper_triangular_subalgebra,
+    FIXTURE_NAMES, diagonal_subalgebra, fixture_workspace, matrix_algebra,
+    product_field_algebra, quadratic_algebra, upper_triangular_algebra,
+    upper_triangular_subalgebra,
 )
 from coralg.ncalg import (
     AlgebraMorphism, Equation, Module, Term, eq_value, eqs_linear,
     evaluate_equation,
-    generated_subalgebra, hom_solve, leg_apply, projective_dual_basis,
+    generated_subalgebra, hom_solve, kron_id, leg_apply, projective_dual_basis,
     regular_bimodule, scalar_algebra, tensor_over, tensor_space,
     validate_algebra, validate_module, validate_morphism,
     verify_dual_basis,
@@ -349,8 +350,8 @@ def test_tensor_dim_equals_ambient_minus_relation_rank():
 
 
 def test_declared_action_is_never_replaced():
-    # the tensor-space memo keys on the declared acting algebras, so an
-    # action, once declared, may not change under it
+    # memoized tensor spaces read their factors' declared actions live, so
+    # an action, once declared, may not change under them
     m2 = matrix_algebra(QQ, 2)
     t, incl = diagonal_subalgebra(m2)
     incl2 = AlgebraMorphism(t, m2, Mat.from_cols(
@@ -451,3 +452,92 @@ def test_leg_apply_through_reversal_views_equals_the_plain_map():
                              for i in range(4)])
     with pytest.raises(ActionMismatch):
         leg_apply(aa.op(), aa.op(), 1, 1, bad)
+
+
+def _fixture_spaces(name):
+    """Relative, triple and circular spaces of a built-in fixture's
+    entwining, each with its reversal view."""
+    e = fixture_workspace(name).single_entwining()
+    a, c, r = e.a_mod, e.coring.carrier, e.base
+    spaces = [e.AC, e.CA, e.coring.CC, tensor_space([a, c, a], [r, r]),
+              tensor_space([a, a, c], [r, r]), tensor_space([a], [], circular=r),
+              tensor_space([c, c], [r], circular=r)]
+    return spaces + [sp.op() for sp in spaces]
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_outer_actions_satisfy_the_descent_identity(name):
+    # outer_left[alg][i] @ Q == Q @ (L_i (x) I) and its right mirror: the
+    # induced action on the quotient is unique, so this pins every entry
+    # whatever way the actions are computed; every algebra declared on the
+    # end factor shows, including those declared after the space was built
+    for sp in _fixture_spaces(name):
+        first, last = sp.factors[0], sp.factors[-1]
+        rest, pre = sp.full_dim // first.dim, sp.full_dim // last.dim
+        if sp.circular is not None:
+            assert not sp.outer_left and not sp.outer_right
+            continue
+        assert set(sp.outer_left) == set(first.left)
+        assert set(sp.outer_right) == set(last.right)
+        for alg, mats in sp.outer_left.items():
+            for m, lm in zip(mats, first.left[alg], strict=True):
+                assert m @ sp.Q == sp.Q @ kron_id(1, lm, rest), (sp.name, alg.name)
+        for alg, mats in sp.outer_right.items():
+            for m, rm in zip(mats, last.right[alg], strict=True):
+                assert m @ sp.Q == sp.Q @ kron_id(pre, rm, 1), (sp.name, alg.name)
+
+
+def test_action_declared_after_the_build_shows_on_the_memoized_space():
+    from coralg.ncalg import TensorSpace
+    m2, ut, m = _m2_with_ut()
+    sp = tensor_space([m, m], [ut])
+    assert set(sp.outer_left) == {m2, ut}
+    d, d_incl = diagonal_subalgebra(m2)
+    m.restrict_left(d, d_incl)
+    assert tensor_space([m, m], [ut]) is sp
+    assert d in sp.outer_left and d not in sp.outer_right
+    assert sp.outer_left[d] == TensorSpace([m, m], [ut]).outer_left[d]
+    assert sp.outer_left[d] is sp.outer_left[d]  # computed once
+    assert sp.op().outer_right[d.op()] is sp.outer_left[d]
+
+
+def test_circular_space_exposes_no_outer_actions():
+    m2, ut, m = _m2_with_ut()
+    for t in (ut, m2):
+        sp = tensor_space([m, m], [t], circular=t)
+        assert len(sp.outer_left) == len(sp.outer_right) == 0
+        assert m2 not in sp.outer_left and m2 not in sp.outer_right
+        assert not sp.op().outer_left and not sp.op().outer_right
+
+
+def test_trivial_flags_a_space_without_relations():
+    from coralg.cyclic import cyclic_complex
+    ut = upper_triangular_algebra(QQ)
+    m2 = matrix_algebra(QQ, 2)
+    pairs = [(scalar_algebra(QQ), None), (quadratic_algebra(QQ, 1, 0), None), (ut, None),
+             (m2, None), (m2, diagonal_subalgebra(m2)),
+             (ut, generated_subalgebra(ut, [[qi(1), qi(0), qi(0)], [qi(0), qi(0), qi(1)]]))]
+    seen = set()
+    for b, t_pair in pairs:
+        cc = cyclic_complex(b, t_pair)
+        for n in range(6):
+            sp = cc.space(n)
+            assert sp.trivial == (sp.dim == sp.full_dim), (cc.name, n)
+            seen.add(sp.trivial)
+    assert seen == {True, False}
+
+
+def test_tensor_space_rejects_missing_actions():
+    m2, ut, m = _m2_with_ut()
+    ut.name = "ut"
+    d, _ = diagonal_subalgebra(m2)
+    d.name = "diag"
+    plain = Module(QQ, "k4", 4).add_right(ut, m.right[ut])
+    with pytest.raises(ActionMismatch, match="left side lacks a right diag-action"):
+        tensor_space([m, m], [d])
+    with pytest.raises(ActionMismatch, match="left side lacks a right diag-action"):
+        tensor_space([m, m, m], [ut, d])  # the middle factor's, pushed
+    with pytest.raises(ActionMismatch, match="k4 lacks a left ut-action"):
+        tensor_space([m, plain], [ut])
+    with pytest.raises(ActionMismatch, match="must act on both ends"):
+        tensor_space([plain], [], circular=ut)
