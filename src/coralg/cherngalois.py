@@ -29,6 +29,7 @@ from .exactla import (
 from .ncalg import (
     AlgebraMorphism, Equation, Module, Report, Term, _dense, _fail_cols, descend,
     hom_solve, kron_id, leg_apply, projective_dual_basis, regular_bimodule, tensor_space,
+    to_quotient,
 )
 from .coring import Comodule, cotensor
 from .cyclic import cyclic_complex, homology
@@ -100,7 +101,7 @@ def iota_b_to_a(x, t_pair_b, t_pair_a, l):
     amb = x.incl_B.matrix
     for _ in range(l):
         amb = amb.kron(x.incl_B.matrix)
-    m = descend(sp_a.Q @ amb, sp_b)
+    m = descend(to_quotient(sp_a, amb), sp_b)
     if m is None:
         raise MembershipFailure("iota does not descend")
     return m, cc_b, cc_a

@@ -93,9 +93,7 @@ def _fail_list(failures):
 
 
 def cmd_validate(ws, args):
-    residuals = [{"structure": e.structure, "axiom": e.axiom,
-                  "location": list(e.location) if isinstance(e.location, tuple)
-                  else e.location}
+    residuals = [{"structure": e.structure, **_fail_list([(e.axiom, e.location)])[0]}
                  for e in ws.validation_errors]
     return {"verdicts": {"valid": not residuals}, "residuals": residuals}, \
         0 if not residuals else 1

@@ -15,7 +15,7 @@ from .exactla import Mat, SubspaceBasis, _axpy_dense, rank, rref_solve, solve_ri
 from .ncalg import (
     Equation, Report, Term, _fail_cols, descend, eqs_linear, eq_right_colinear,
     eq_value, hom_solve, leg_apply, projective_dual_basis, regular_bimodule,
-    tensor_space,
+    tensor_space, to_quotient,
 )
 from .entwine import associated_coring, canonical_maps, cantilde
 
@@ -102,11 +102,6 @@ def solve_strong_connection(x, t_alg=None):
     rep = verify_strong_connection(sc)
     assert rep.ok, f"solver output fails verification: {rep.failures[:3]}"
     return sc, sol
-
-
-def connection_point(x, sol, coeffs, t_alg=None):
-    """A StrongConnection from an arbitrary point of the solution set."""
-    return StrongConnection(x, sol.point(coeffs), t_alg=t_alg)
 
 
 def restrict_connection(sc, xi_full, t_prime):
@@ -409,7 +404,7 @@ def tflatness_check(x, t_alg=None):
     circ_b = tensor_space([b_mod], [], circular=t, name=f"{x.B.name}/[,{t.name}]")
     m = x.rho - e.left_action_on(x.rho.apply(ring.unit))
     rep = Report("upsilon")
-    upsilon = descend(circ_d.Q @ m, circ_a)
+    upsilon = descend(to_quotient(circ_d, m), circ_a)
     if upsilon is None:
         rep.fail("not-well-defined", None)
     flags = {

@@ -18,12 +18,16 @@ Conventions for the bicomplex (binding):
   (-1)^n (b_n b_0) (*) b_1 ... (*) b_{n-1}
 """
 
+from functools import cached_property
+
 from .errors import ActionMismatch, DegreeMismatch, DegreeOutOfRange, NotACycle
 from .exactla import (
-    Mat, SubspaceBasis, _axpy, _axpy_dense, guard_dim, quotient_space, rref_solve,
+    Mat, SubspaceBasis, _axpy, _axpy_dense, guard_dim, quotient_space, rank, rref_solve,
     solve_right,
 )
-from .ncalg import Report, descend, regular_bimodule, tensor_space, trivial_subalgebra
+from .ncalg import (
+    Report, descend, regular_bimodule, tensor_space, to_quotient, trivial_subalgebra,
+)
 
 
 def cyclic_complex(b, t_pair=None, name=""):
@@ -139,11 +143,9 @@ class CyclicComplex:
         tau_amb = self._tau_ambient(n)
         ops = {}
         ops["tau"] = self._descend(tau_amb, sp, sp)
-        ident = Mat.identity(f, sp.dim)
+        acc = nmat = ident = Mat.identity(f, sp.dim)
         ops["tautilde"] = ident - ops["tau"]
         # N = sum of tau^i on the quotient (tau descends, so powers agree)
-        acc = Mat.identity(f, sp.dim)
-        nmat = Mat.identity(f, sp.dim)
         for _ in range(n):
             nmat = ops["tau"] @ nmat
             acc = acc + nmat
@@ -158,7 +160,7 @@ class CyclicComplex:
         return ops
 
     def _descend(self, amb, src, tgt):
-        m = descend(tgt.Q @ amb, src)
+        m = descend(to_quotient(tgt, amb), src)
         if m is None:
             raise ActionMismatch(f"operator does not descend to {src.name}")
         return m
@@ -166,21 +168,20 @@ class CyclicComplex:
     # -- total complex ---------------------------------------------------
 
     def total(self, D):
-        key = D
-        if key not in self._d:
-            self._d[key] = TotalComplex(self, D)
-        return self._d[key]
+        if D not in self._d:
+            self._d[D] = TotalComplex(self, D)
+        return self._d[D]
 
 
 class TotalComplex:
     """Truncated total complex: entries C_{p,q}, p+q <= D+1, with total
-    differentials d_n for 1 <= n <= D+1 and the d.d = 0 certificate."""
+    differentials d_n for 1 <= n <= D+1, the d.d = 0 certificate and
+    ``rank(n)``, the rank of d_n, computed once per n when first asked."""
 
     def __init__(self, cc, D):
         self.cc = cc
         self.D = D
-        self.blocks = {}
-        self.tot_dim = {}
+        self.blocks, self.tot_dim = {}, {}
         for n in range(D + 2):
             off = 0
             blocks = []
@@ -192,26 +193,25 @@ class TotalComplex:
             guard_dim(off, f"Tot_{n}")
             self.blocks[n] = blocks
             self.tot_dim[n] = off
-        self.d = {}
-        for n in range(1, D + 2):
-            self.d[n] = self._build_d(n)
+        self.d = {n: self._build_d(n) for n in range(1, D + 2)}
         self.d_squared = Report(f"d.d=0 on {cc.name}")
         for n in range(2, D + 2):
             if not (self.d[n - 1] @ self.d[n]).is_zero():
                 self.d_squared.fail("d-squared", n)
+        self._ranks = {0: 0}
+
+    def rank(self, n):
+        if n not in self._ranks:
+            self._ranks[n] = rank(self.d[n])
+        return self._ranks[n]
 
     def _offset(self, n, p):
-        for (pp, q, off, dim) in self.blocks[n]:
-            if pp == p:
-                return off, dim
-        return None
+        return self.blocks[n][p][2:]
 
     def _build_d(self, n):
-        cc = self.cc
-        f = cc.field
-        out = Mat.zeros(f, self.tot_dim[n - 1], self.tot_dim[n])
+        out = Mat.zeros(self.cc.field, self.tot_dim[n - 1], self.tot_dim[n])
         for (p, q, coff, cdim) in self.blocks[n]:
-            ops = cc.operators(q)
+            ops = self.cc.operators(q)
             if q >= 1:
                 block = ops["d"] if p % 2 == 0 else -ops["dprime"]
                 roff, _ = self._offset(n - 1, p)
@@ -223,9 +223,7 @@ class TotalComplex:
         return out
 
     def is_cycle(self, n, chain):
-        if n == 0:
-            return True
-        return not any(self.d[n].apply(chain))
+        return n == 0 or not any(self.d[n].apply(chain))
 
     def is_boundary(self, n, chain):
         if n + 1 not in self.d:
@@ -256,30 +254,31 @@ class HomologyClass:
 
 
 class HomologySpace:
-    """ker(d_n)/im(d_{n+1}) with canonical class coordinates."""
+    """ker(d_n)/im(d_{n+1}).  ``dim`` is tot_n - rank d_n - rank d_{n+1} (so
+    d.d = 0 must be certified, else NotACycle); the kernel and the canonical
+    class coordinates are built when first needed."""
 
     def __init__(self, tc, n):
         if n > tc.D - 1:
             raise DegreeOutOfRange(f"homology at {n} needs max degree >= {n + 1}")
-        self.tc = tc
-        self.n = n
-        f = tc.cc.field
-        if n == 0:
-            ker = SubspaceBasis.full(f, tc.tot_dim[0])
-        else:
-            ker = rref_solve(tc.d[n])["kernel"]
-        self.kernel = ker
-        dnext = tc.d[n + 1]
-        # columns of d_{n+1} in kernel coordinates
-        rels = []
-        for col in dnext.transpose().rows:
-            if not col:
-                continue
-            coords = ker.membership(col)
-            assert coords is not None, "boundaries must be cycles"
-            rels.append(coords)
-        self.class_space = quotient_space(f, ker.dim, rels)
-        self.dim = self.class_space.dim
+        if not tc.d_squared.ok:
+            raise NotACycle(f"d.d != 0 on {tc.cc.name}: boundaries are not all cycles")
+        self.tc, self.n = tc, n
+        self.dim = tc.tot_dim[n] - tc.rank(n) - tc.rank(n + 1)
+
+    @cached_property
+    def kernel(self):
+        if self.n == 0:
+            return SubspaceBasis.full(self.tc.cc.field, self.tc.tot_dim[0])
+        return rref_solve(self.tc.d[self.n])["kernel"]
+
+    @cached_property
+    def class_space(self):
+        """ker d_n modulo the columns of d_{n+1}, in kernel coordinates."""
+        rels = [self.kernel.membership(c) for c in self.tc.d[self.n + 1].transpose().rows if c]
+        if None in rels:
+            raise NotACycle(f"a boundary is not a cycle in degree {self.n}")
+        return quotient_space(self.tc.cc.field, self.kernel.dim, rels)
 
     def _lift(self, cls):
         """The class with coordinates ``cls`` and its canonical representative."""

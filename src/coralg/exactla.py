@@ -581,10 +581,6 @@ def _kernel_from_rref(field, ncols, ech):
     return SubspaceBasis.from_vectors(field, ncols, vecs)
 
 
-def kernel(m):
-    return rref_solve(m)["kernel"]
-
-
 def rank(m):
     ech = _Echelon(m.field, m.ncols)
     for r in m.rows:

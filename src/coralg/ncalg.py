@@ -665,10 +665,21 @@ def tensor_over(m, n, t, name=""):
     return tensor_space([m, n], [t], name=name)
 
 
+def _plain(sp):
+    """Q = S = I: a module, or a space without relations that is not a
+    reversal view (whose Q and S permute)."""
+    return sp.trivial and not isinstance(sp, _ReversalView)
+
+
+def to_quotient(sp, W):
+    """``sp.Q @ W``, skipped where Q is the identity."""
+    return W if _plain(sp) else sp.Q @ W
+
+
 def descend(W, src):
     """The map ``W @ src.S`` induced on src's quotient by W, given on src's
     full ambient; None unless W descends, i.e. equals that map @ ``src.Q``."""
-    M = W @ src.S
+    M = W if _plain(src) else W @ src.S
     if src.trivial or M @ src.Q == W:
         return M
     return None
@@ -684,9 +695,9 @@ def leg_apply(src, tgt, pos, span, fmat, check="auto"):
     if fmat.ncols != expect:
         raise DimensionMismatch(
             f"leg map consumes {fmat.ncols}, factors give {expect}")
-    W = tgt.Q @ kron_id(prod(dims[:pos]), fmat, prod(dims[pos + span:]))
+    W = to_quotient(tgt, kron_id(prod(dims[:pos]), fmat, prod(dims[pos + span:])))
     if check == "skip":
-        return W @ src.S
+        return W if _plain(src) else W @ src.S
     M = descend(W, src)
     if M is None:
         raise ActionMismatch(f"leg map at position {pos} does not descend to {src.name}")

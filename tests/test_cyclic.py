@@ -2,19 +2,23 @@
 
 import gc
 import weakref
+from collections import Counter
 
 import pytest
 
+from coralg import cli, cyclic
 from coralg.cyclic import (
     CyclicComplex, cyclic_complex, homology, lambda_projection,
 )
-from coralg.errors import DegreeOutOfRange, MemoryGuard
-from coralg.exactla import QQ, Mat, rank
+from coralg.errors import DegreeOutOfRange, MemoryGuard, NotACycle
+from coralg.exactla import GF, QQ, Mat, rank
 from coralg.fixtures import (
-    diagonal_subalgebra, matrix_algebra, quadratic_algebra,
-    upper_triangular_algebra,
+    FIXTURE_NAMES, diagonal_subalgebra, fixture_workspace, matrix_algebra,
+    quadratic_algebra, upper_triangular_algebra,
 )
-from coralg.ncalg import AlgebraMorphism, scalar_algebra, validate_morphism
+from coralg.ncalg import (
+    AlgebraMorphism, generated_subalgebra, scalar_algebra, validate_morphism,
+)
 
 
 def qi(x):
@@ -267,3 +271,75 @@ def test_cyclic_complex_memo_is_freed_with_its_algebra():
     del ut2
     gc.collect()
     assert space() is None
+
+
+# -- HC dims from ranks, against the kernel/class-space path ---------------
+
+def _criterion_2_pairs(f):
+    """Acceptance criterion 2's six (B, T) pairs over the field f."""
+    ut, m2 = upper_triangular_algebra(f), matrix_algebra(f, 2)
+    one, zero = f.one, f.zero
+    return [(scalar_algebra(f), None), (quadratic_algebra(f, 1, 0), None), (ut, None),
+            (m2, None), (m2, diagonal_subalgebra(m2)),
+            (ut, generated_subalgebra(ut, [[one, zero, zero], [zero, zero, one]]))]
+
+
+@pytest.fixture
+def rank_calls(monkeypatch):
+    """Counts the rank computations of each matrix (by id: keep the
+    complexes alive while counting)."""
+    calls = Counter()
+    exact_rank = cyclic.rank
+
+    def counted(m):
+        calls[id(m)] += 1
+        return exact_rank(m)
+    monkeypatch.setattr(cyclic, "rank", counted)
+    return calls
+
+
+def _check_rank_dims(tc, degrees, rank_calls):
+    spaces = [homology(tc, n) for n in degrees]
+    assert [h.dim for h in spaces] == [homology(tc, n).dim for n in degrees]
+    for h in spaces:
+        # dim alone builds neither the kernel nor the class space
+        assert "kernel" not in vars(h) and "class_space" not in vars(h)
+    for h in spaces:
+        assert h.dim == h.class_space.dim, (tc.cc.name, h.n)
+    ranked = {n for n, d in tc.d.items() if rank_calls[id(d)]}
+    assert ranked == set(range(1, max(degrees) + 2))
+    assert all(rank_calls[id(tc.d[n])] == 1 for n in ranked)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+def test_rank_dims_equal_class_space_dims_on_criterion_2(field, rank_calls):
+    complexes = [cyclic_complex(b, t_pair).total(5) for b, t_pair in _criterion_2_pairs(field)]
+    for tc in complexes:
+        _check_rank_dims(tc, range(5), rank_calls)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_rank_dims_equal_class_space_dims_on_fixture_hc(name, rank_calls):
+    # the complex of `hc --degree 4`, dims HC_0..4
+    ws = fixture_workspace(name)
+    x = cli._extension(ws)
+    tc = cyclic_complex(x.B, (x.T, x.incl_T_B)).total(max(ws.options["max_degree"], 5))
+    _check_rank_dims(tc, range(5), rank_calls)
+
+
+def test_homology_of_an_uncertified_complex_is_refused():
+    tc = CyclicComplex(upper_triangular_algebra(QQ)).total(3)
+    tc.d_squared.fail("d-squared", 2)
+    with pytest.raises(NotACycle, match="d.d != 0"):
+        homology(tc, 1)
+
+
+def test_a_boundary_outside_the_kernel_is_a_typed_error():
+    tc = CyclicComplex(upper_triangular_algebra(QQ)).total(3)
+    d1 = tc.d[1]
+    j = next(j for j in range(d1.ncols) if any(j in r for r in d1.rows))
+    bad = Mat.zeros(QQ, tc.tot_dim[1], tc.tot_dim[2])
+    bad.rows[j][0] = QQ.one
+    tc.d[2] = bad  # its first column is not a cycle, behind the certificate's back
+    with pytest.raises(NotACycle, match="boundary is not a cycle"):
+        homology(tc, 1).class_space

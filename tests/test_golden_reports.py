@@ -8,9 +8,8 @@ stdout report.  The commands are the benchmark's ``cli-fixtures`` workload
 in-process through ``coralg.cli.main``.
 
 Bicomplexes: the ``bicomplex-fp`` and ``bicomplex-qq`` fingerprints (HC
-dims, the d.d verdict and a digest of every total differential), computed
-through the same workload code; M2|k over Q, the slow pair, is left to the
-benchmark.
+dims, the d.d verdict and a digest of every total differential) of all six
+pairs, computed through the same workload code.
 """
 
 import importlib.util
@@ -24,8 +23,8 @@ from coralg import cli, cyclic, exactla, fixtures, ncalg
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 GOLDEN_ALL = json.loads((PERFBENCH / "golden.json").read_text())
 GOLDEN = GOLDEN_ALL["cli-fixtures"]
-BICOMPLEX_CASES = [("bicomplex-fp", key) for key in sorted(GOLDEN_ALL["bicomplex-fp"])] + [
-    ("bicomplex-qq", key) for key in sorted(GOLDEN_ALL["bicomplex-qq"]) if key != "M2|k"]
+BICOMPLEX_CASES = [(name, key) for name in ("bicomplex-fp", "bicomplex-qq")
+                   for key in sorted(GOLDEN_ALL[name])]
 
 
 def _load_workloads():

@@ -13,7 +13,7 @@ from coralg.fixtures import (
     upper_triangular_subalgebra,
 )
 from coralg.ncalg import (
-    AlgebraMorphism, Equation, Module, Term, eq_value, eqs_linear,
+    AlgebraMorphism, Equation, Module, Term, descend, eq_value, eqs_linear,
     evaluate_equation,
     generated_subalgebra, hom_solve, kron_id, leg_apply, projective_dual_basis,
     regular_bimodule, scalar_algebra, tensor_over, tensor_space,
@@ -541,3 +541,29 @@ def test_tensor_space_rejects_missing_actions():
         tensor_space([m, plain], [ut])
     with pytest.raises(ActionMismatch, match="must act on both ends"):
         tensor_space([plain], [], circular=ut)
+
+
+def test_identity_skip_equals_the_explicit_product():
+    # descend and leg_apply leave out Q @ and @ S only where they are the
+    # identity: on a module and on a space without relations, but not on
+    # that space's reversal view, whose Q and S permute the factors
+    from coralg.cyclic import cyclic_complex
+    rng = random.Random(9)
+    u, v = Module(QQ, "k2", 2), Module(QQ, "k3", 3)
+    uv = tensor_space([u, v], [None])
+    uvu = tensor_space([u, v, u], [None, None])
+    circ = cyclic_complex(matrix_algebra(QQ, 2)).space(1)
+    spaces = [u, u.op(), uv, uv.op(), uvu, uvu.op(), circ, circ.op()]
+    assert all(sp.trivial for sp in spaces)
+    assert uv.op().Q != Mat.identity(QQ, 6) and uvu.op().S != Mat.identity(QQ, 12)
+    for src in spaces:
+        full = src.Q.ncols
+        first, rest = src.dims[0], full // src.dims[0]
+        fmat = Mat.from_rows(QQ, [[qi(rng.randrange(-3, 4)) for _ in range(first)]
+                                  for _ in range(first)])
+        explicit = src.Q @ kron_id(1, fmat, rest) @ src.S
+        for check in ("auto", "skip"):
+            assert leg_apply(src, src, 0, 1, fmat, check=check) == explicit, src.name
+        W = Mat.from_rows(QQ, [[qi(rng.randrange(-3, 4)) for _ in range(full)]
+                               for _ in range(2)])
+        assert descend(W, src) == W @ src.S, src.name
