@@ -276,24 +276,11 @@ def local_dual_system(x, sc, e, supplied=None):
                 by_beta.setdefault(be, [f.zero] * d)[al] = v
             first_legs.extend(by_beta.values())
     # X = right-T-span of the first legs
-    closure = list(first_legs)
-    xbasis = SubspaceBasis.from_vectors(f, d, closure)
-    while True:
-        grew = False
-        for r in range(xbasis.dim):
-            v = xbasis.mat.row_list(r)
-            for k in range(t.dim):
-                wv = ring.mul_vec(v, t_incl_a.apply(t.basis_vector(k)))
-                if not xbasis.contains_vector(wv):
-                    closure.append(wv)
-                    grew = True
-        if not grew:
-            break
-        xbasis = SubspaceBasis.from_vectors(f, d, closure)
+    t_right = [ring.right_mult_by(t_incl_a.matrix.col(k)) for k in range(t.dim)]
+    xbasis = SubspaceBasis.invariant_span(f, d, first_legs, t_right)
 
     def verify(xs, xis):
-        for r in range(xbasis.dim):
-            v = xbasis.mat.row_list(r)
+        for v in xbasis.mat.to_lists():
             acc = [f.zero] * d
             for xp, xip in zip(xs, xis):
                 tv = xip.apply(v)
@@ -309,11 +296,7 @@ def local_dual_system(x, sc, e, supplied=None):
             raise NoLocalDualSystem("supplied system fails the identity")
         return {"xs": xs, "xis": xis, "X": xbasis}
 
-    for attempt in ("X-generators", "full-basis"):
-        if attempt == "X-generators":
-            xs = [xbasis.mat.row_list(r) for r in range(xbasis.dim)]
-        else:
-            xs = [ring.basis_vector(i) for i in range(d)]
+    for xs in (xbasis.mat.to_lists(), [ring.basis_vector(i) for i in range(d)]):
         P = len(xs)
         if P == 0:
             return {"xs": [], "xis": [], "X": xbasis}
@@ -322,10 +305,9 @@ def local_dual_system(x, sc, e, supplied=None):
             kp = ring.left_mult_by(xp) @ t_incl_a.matrix
             for i in range(d):
                 L.rows[i].update({p * t.dim + jj: v for jj, v in kp.rows[i].items()})
-        vmat = Mat.from_cols(f, [xbasis.mat.row_list(r) for r in range(xbasis.dim)], d)
+        vmat = xbasis.mat.transpose()
         eqs = [Equation([Term(L, vmat)], rhs=vmat, label="dual-system")]
-        for k in range(t.dim):
-            ra = ring.right_mult_by(t_incl_a.apply(t.basis_vector(k)))
+        for k, ra in enumerate(t_right):
             dk = kron_id(P, t.right_mult_mats()[k], 1)
             eqs.append(Equation([
                 Term(Mat.identity(f, P * t.dim), ra),

@@ -10,7 +10,7 @@ manipulated through canonical quotient coordinates.
 import math
 
 from .errors import ActionMismatch, InvalidCoidempotent, NotProjective
-from .exactla import Mat, SubspaceBasis, _axpy_dense, rref_solve
+from .exactla import Mat, SubspaceBasis, _axpy_dense, lincomb, rref_solve
 from .ncalg import (
     Algebra, Equation, Module, Report, Term, _fail_cols, _kron_id_left,
     _kron_id_right, eqs_linear, hom_solve, kron_id, leg_apply,
@@ -202,7 +202,7 @@ def dual_ring(c):
     rreg = regular_bimodule(base)
     sol = hom_solve(f, car.dim, base.dim, eqs_linear(base, car, rreg, "left"))
     basis_flat = sol.homogeneous
-    fs = [sol._unflatten(basis_flat.mat.row_list(i)) for i in range(basis_flat.dim)]
+    fs = [sol._unflatten(r) for r in basis_flat.mat.rows]
     dim = len(fs)
     rc = car.right_collapse_mat(base)
 
@@ -275,14 +275,11 @@ def separability_idempotent(a, base, a_mod):
     def retraction(fmap, m_mod, n_mod):
         """For z = sum e_l (x) f_l over k: f -> sum R_N[f_l] f R_M[e_l]."""
         assert base is None, "functorial retraction needs a separability over k"
-        out = Mat.zeros(f, fmap.nrows, fmap.ncols)
-        for flat, v in enumerate(z):
-            if not v:
-                continue
-            i, j = divmod(flat, a.dim)
-            term = n_mod.right[a][j] @ fmap @ m_mod.right[a][i]
-            out = out + term.scale(v)
-        return out
+        terms = [(divmod(flat, a.dim), v) for flat, v in enumerate(z) if v]
+        if not terms:
+            return Mat.zeros(f, fmap.nrows, fmap.ncols)
+        return lincomb([n_mod.right[a][j] @ fmap @ m_mod.right[a][i] for (i, j), _ in terms],
+                       [v for _, v in terms])
 
     return {"z": z, "space": aa, "retraction": retraction, "solutions": sol}
 

@@ -16,17 +16,24 @@ Conventions for the bicomplex (binding):
 * cyclic operator: tau_n(b_0 (*) ... (*) b_n) = (-1)^n b_n (*) b_0 ... (*)
   b_{n-1}; d'_n contracts adjacent factors with alternating signs; d_n adds
   (-1)^n (b_n b_0) (*) b_1 ... (*) b_{n-1}
+* faces, built on the ambient B^{(x)(n+1)} (dim B = d) from B's
+  multiplication map mu = ``Algebra.mult_mat()``: the face b_i (i < n) is
+  ``kron_id(d**i, mu, d**(n-1-i))``, d'_n = sum_{i<n} (-1)^i b_i, and
+  d_n = d'_n + b_0 . tau_n, because tau_n moves b_n to the front and already
+  carries the sign (-1)^n.  Every operator is checked to descend to the
+  circular quotients.
 """
 
 from functools import cached_property
 
 from .errors import ActionMismatch, DegreeMismatch, DegreeOutOfRange, NotACycle
 from .exactla import (
-    Mat, SubspaceBasis, _axpy, _axpy_dense, guard_dim, quotient_space, rank, rref_solve,
+    Mat, SubspaceBasis, _axpy_dense, guard_dim, lincomb, quotient_space, rank, rref_solve,
     solve_right,
 )
 from .ncalg import (
-    Report, descend, regular_bimodule, tensor_space, to_quotient, trivial_subalgebra,
+    Report, descend, kron_id, regular_bimodule, tensor_space, to_quotient,
+    trivial_subalgebra,
 )
 
 
@@ -71,64 +78,14 @@ class CyclicComplex:
 
     # -- ambient operator constructions --------------------------------
 
-    def _perm_apply(self, n, flat):
-        """Rotate the flat index of a pure tensor: last factor to the front."""
-        d = self.b.dim
-        last = flat % d
-        rest = flat // d
-        return last * d ** n + rest
-
     def _tau_ambient(self, n):
+        """tau on the pure tensors of B^(n+1): the last factor moves to the
+        front, with sign (-1)^n."""
         d = self.b.dim
-        total = d ** (n + 1)
+        dn = d ** n
         sign = self.field.from_int((-1) ** n)
-        rows = [{} for _ in range(total)]
-        for j in range(total):
-            rows[self._perm_apply(n, j)][j] = sign
-        return Mat(self.field, total, total, rows)
-
-    def _contract_ambient(self, n, positions):
-        """Sum over the positions i of (-1)^i times the map B^(n+1) -> B^n
-        contracting a factor pair: i < n multiplies factors i, i+1 in place;
-        i = n is the wrap, multiplying (last, first) and placing the product
-        first."""
-        f = self.field
-        b = self.b
-        d = b.dim
-        total_in = d ** (n + 1)
-        rows = [{} for _ in range(d ** n)]
-        pow_cache = [d ** k for k in range(n + 1)]
-        signs = {i: f.from_int((-1) ** i) for i in positions}
-        # e_x e_y as a sparse dict {k: coefficient}
-        mult = [[{k: c for k, c in enumerate(xy) if c} for xy in row] for row in b.mult]
-        for j in range(total_in):
-            digits = []
-            rem = j
-            for _ in range(n + 1):
-                digits.append(rem % d)
-                rem //= d
-            digits.reverse()
-            col = {}
-            for pos in positions:
-                if pos < n:
-                    prod = mult[digits[pos]][digits[pos + 1]]
-                    rest = digits[:pos] + [None] + digits[pos + 2:]
-                    slot = pos
-                else:
-                    prod = mult[digits[-1]][digits[0]]
-                    rest = [None] + digits[1:-1]
-                    slot = 0
-                if not prod:
-                    continue
-                base = 0
-                for t, dig in enumerate(rest):
-                    if dig is not None:
-                        base += dig * pow_cache[n - 1 - t]
-                step = pow_cache[n - 1 - slot]
-                _axpy(col, signs[pos], {base + k * step: c for k, c in prod.items()}, f.p)
-            for out, v in col.items():
-                rows[out][j] = v
-        return Mat(f, d ** n, total_in, rows)
+        return Mat(self.field, d * dn, d * dn,
+                   [{(r % dn) * d + r // dn: sign} for r in range(d * dn)])
 
     def operators(self, n):
         """tau, tautilde, N at level n; dprime, d: level n -> n-1 (n >= 1).
@@ -151,10 +108,13 @@ class CyclicComplex:
             acc = acc + nmat
         ops["N"] = acc
         if n >= 1:
-            dprime_amb = self._contract_ambient(n, range(n))
+            d, mu = self.b.dim, self.b.mult_mat()
+            dprime_amb = lincomb([kron_id(d ** i, mu, d ** (n - 1 - i)) for i in range(n)],
+                                 [f.from_int((-1) ** i) for i in range(n)])
             sp1 = self.space(n - 1)
             ops["dprime"] = self._descend(dprime_amb, sp, sp1)
-            d_amb = dprime_amb + self._contract_ambient(n, [n])
+            # the last face is b_0 after tau, which carries its sign (-1)^n
+            d_amb = dprime_amb + kron_id(1, mu, d ** (n - 1)) @ tau_amb
             ops["d"] = self._descend(d_amb, sp, sp1)
         self._ops[n] = ops
         return ops
@@ -282,11 +242,7 @@ class HomologySpace:
 
     def _lift(self, cls):
         """The class with coordinates ``cls`` and its canonical representative."""
-        f = self.tc.cc.field
-        rep = [f.zero] * self.tc.tot_dim[self.n]
-        for i, c in enumerate(self.class_space.represent(cls)):
-            if c:
-                rep = _axpy_dense(rep, c, self.kernel.mat.row_list(i), f.p)
+        rep = self.kernel.mat.transpose().apply(self.class_space.represent(cls))
         return HomologyClass(self.n, rep, cls)
 
     def class_of(self, chain):

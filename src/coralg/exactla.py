@@ -381,7 +381,8 @@ class _Echelon:
                 _axpy(aug, c, self.augs[ri], p)
 
     def add(self, row, aug=None):
-        """Insert a row (dict, consumed); returns True if the rank grew."""
+        """Insert a row (a dict, left unchanged); returns True if the rank
+        grew."""
         row = {j: v for j, v in row.items() if v}
         if aug is None and self.aug_cols:
             aug = {}
@@ -427,6 +428,16 @@ class _Echelon:
         return self
 
 
+def _sparse(v, dim):
+    """A vector of length ``dim``, a dense list or a sparse dict, as a new
+    sparse dict without zeros."""
+    if isinstance(v, dict):
+        return {j: x for j, x in v.items() if x}
+    if len(v) != dim:
+        raise DimensionMismatch("vector length != ambient dim")
+    return {j: x for j, x in enumerate(v) if x}
+
+
 class SubspaceBasis:
     """A subspace given by its canonical rref basis (rows of ``mat``)."""
 
@@ -438,15 +449,36 @@ class SubspaceBasis:
 
     @classmethod
     def from_vectors(cls, field, ambient_dim, vectors):
+        """The span of ``vectors`` (dense lists or sparse dicts)."""
         ech = _Echelon(field, ambient_dim)
         for v in vectors:
-            if isinstance(v, dict):
-                row = dict(v)
-            else:
-                if len(v) != ambient_dim:
-                    raise DimensionMismatch("vector length != ambient dim")
-                row = {j: x for j, x in enumerate(v) if x}
-            ech.add(row)
+            ech.add(_sparse(v, ambient_dim))
+        return cls._from_echelon(field, ambient_dim, ech)
+
+    @classmethod
+    def invariant_span(cls, field, ambient_dim, vectors, mats):
+        """The smallest subspace containing ``vectors`` (dense lists or
+        sparse dicts) and invariant under every square Mat in ``mats``.
+
+        A worklist over sparse rows: the images of a vector are pushed only
+        when it raises the rank, so every image of the span is in the span
+        when the list runs dry."""
+        p = field.p
+        images = [m.transpose().rows for m in mats]
+        ech = _Echelon(field, ambient_dim)
+        todo = [_sparse(v, ambient_dim) for v in vectors]
+        while todo:
+            row = todo.pop()
+            if ech.add(row):
+                for cols in images:
+                    img = {}
+                    for j, x in row.items():
+                        _axpy(img, x, cols[j], p)
+                    todo.append(img)
+        return cls._from_echelon(field, ambient_dim, ech)
+
+    @classmethod
+    def _from_echelon(cls, field, ambient_dim, ech):
         ech.close()
         mat = Mat(field, ech.rank, ambient_dim, [dict(r) for r in ech.rows])
         return cls(field, ambient_dim, mat, ech.pivot_of_row)
@@ -467,12 +499,7 @@ class SubspaceBasis:
     def membership(self, v):
         """Coordinates of v (a dense list or a sparse dict) in this basis,
         or None if v is outside."""
-        if isinstance(v, dict):
-            residue = {j: x for j, x in v.items() if x}
-        else:
-            if len(v) != self.ambient_dim:
-                raise DimensionMismatch("vector length != ambient dim")
-            residue = {j: x for j, x in enumerate(v) if x}
+        residue = _sparse(v, self.ambient_dim)
         p = self.field.p
         coords = [self.field.zero] * self.dim
         for i, piv in enumerate(self.pivot_cols):

@@ -402,40 +402,24 @@ def generated_subalgebra(a, generators):
     """Smallest unital subalgebra containing the generators.
 
     Returns (Algebra in rref-canonical basis, inclusion AlgebraMorphism);
-    the basis is the fixed point of span-closure under multiplication.
+    the basis spans all words in the generators: the span of the unit and
+    the generators closed under right multiplication by each generator.
     """
     f = a.field
-    ech = _Echelon(f, a.dim)
-    vectors = [list(a.unit)] + [list(g) for g in generators]
-    for v in vectors:
-        ech.add({j: x for j, x in enumerate(v) if x})
-    while True:
-        basis = [_dense(f, r, a.dim) for r in ech.rows]
-        grew = False
-        for u in basis:
-            for v in basis:
-                w = a.mul_vec(u, v)
-                if ech.add({j: x for j, x in enumerate(w) if x}):
-                    grew = True
-        if not grew:
-            break
-    ech.close()
-    basis = [_dense(f, r, a.dim) for r in ech.rows]
-    sub_basis = SubspaceBasis(f, a.dim,
-                              Mat.from_rows(f, basis, a.dim) if basis else Mat(f, 0, a.dim),
-                              ech.pivot_of_row)
-    dim = len(basis)
+    sub_basis = SubspaceBasis.invariant_span(f, a.dim, [a.unit] + list(generators),
+                                             [a.right_mult_by(g) for g in generators])
+    basis = sub_basis.mat.to_lists()
     mult = []
-    for i in range(dim):
+    for u in basis:
         row = []
-        for j in range(dim):
-            coords = sub_basis.membership(a.mul_vec(basis[i], basis[j]))
+        for v in basis:
+            coords = sub_basis.membership(a.mul_vec(u, v))
             assert coords is not None, "closure invariant violated"
             row.append(coords)
         mult.append(row)
     unit = sub_basis.membership(a.unit)
-    sub = Algebra(f, f"{a.name}-sub", dim, mult, unit)
-    incl = AlgebraMorphism(sub, a, Mat.from_cols(f, basis, a.dim))
+    sub = Algebra(f, f"{a.name}-sub", sub_basis.dim, mult, unit)
+    incl = AlgebraMorphism(sub, a, sub_basis.mat.transpose())
     return sub, incl
 
 
@@ -787,21 +771,20 @@ class AffineSolutionSet:
         return self.homogeneous.dim
 
     def _unflatten(self, flat):
+        """The matrix whose row-major coordinates are the sparse dict ``flat``."""
         m = Mat.zeros(self.field, self.tgt_dim, self.src_dim)
-        for j, v in enumerate(flat):
-            if v:
-                m.rows[j // self.src_dim][j % self.src_dim] = v
+        for j, v in flat.items():
+            m.rows[j // self.src_dim][j % self.src_dim] = v
         return m
 
     def point(self, coeffs=()):
         """particular + sum coeffs[i] * homogeneous[i]."""
         if self.particular is None:
             return None
-        m = self.particular
-        for i, c in enumerate(coeffs):
-            if c:
-                m = m + self._unflatten(self.homogeneous.mat.row_list(i)).scale(c)
-        return m
+        terms = [(self._unflatten(self.homogeneous.mat.rows[i]), c)
+                 for i, c in enumerate(coeffs) if c]
+        return lincomb([self.particular] + [m for m, _ in terms],
+                       [self.field.one] + [c for _, c in terms])
 
     def __repr__(self):
         st = "empty" if self.is_empty else f"dim {self.freedom}"
@@ -960,41 +943,18 @@ def projective_dual_basis(module, alg, side="left", generators=None):
             ws.append(list(generators[i]))
     hom_alg = hom_solve(field, module.dim, dS,
                         eqs_linear(alg, module, regular_bimodule(alg), "left"))
-    trace = _trace_ideal(alg, hom_alg, module)
+    trace = _trace_ideal(alg, hom_alg)
     generator = trace.dim == dS
     return DualBasis("left", ws, chis, projective, generator)
 
 
-def _trace_ideal(alg, hom_set, module):
+def _trace_ideal(alg, hom_set):
     """Two-sided ideal spanned by values of all one-sided-linear maps M -> S."""
-    field = alg.field
-    vals = []
-    if hom_set.particular is not None:
-        pts = [hom_set.particular]
-    else:
-        pts = []
-    for i in range(hom_set.homogeneous.dim):
-        pts.append(hom_set._unflatten(hom_set.homogeneous.mat.row_list(i)))
-    for f in pts:
-        for x in range(module.dim):
-            vals.append(f.col(x))
-    ech = _Echelon(field, alg.dim)
-    for v in vals:
-        ech.add({j: x for j, x in enumerate(v) if x})
-    changed = True
-    while changed:
-        changed = False
-        basis = [_dense(field, r, alg.dim) for r in ech.rows]
-        for v in basis:
-            for s in range(alg.dim):
-                for w in (alg.mul_vec(v, alg.basis_vector(s)),
-                          alg.mul_vec(alg.basis_vector(s), v)):
-                    if ech.add({j: x for j, x in enumerate(w) if x}):
-                        changed = True
-    ech.close()
-    return SubspaceBasis(field, alg.dim,
-                         Mat(field, ech.rank, alg.dim, [dict(r) for r in ech.rows]),
-                         ech.pivot_of_row)
+    pts = [] if hom_set.particular is None else [hom_set.particular]
+    pts += [hom_set._unflatten(r) for r in hom_set.homogeneous.mat.rows]
+    vals = [col for pt in pts for col in pt.transpose().rows]
+    return SubspaceBasis.invariant_span(alg.field, alg.dim, vals,
+                                        alg.left_mult_mats() + alg.right_mult_mats())
 
 
 def verify_dual_basis(module, alg, db):

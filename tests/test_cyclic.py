@@ -1,6 +1,7 @@
 """Circular spaces, cyclic operators, the total complex and its homology."""
 
 import gc
+import itertools
 import weakref
 from collections import Counter
 
@@ -116,6 +117,44 @@ def test_tau_sign_and_boundary_formula():
         sp0.embed_pure([ut.mul_vec(e11, e12)]),
         sp0.embed_pure([ut.mul_vec(e12, e11)]))]
     assert lhs == expect
+
+
+def _face_case(key, f):
+    if key == "kx|k":
+        return quadratic_algebra(f, 1, 0), None
+    if key == "ut2|k":
+        return upper_triangular_algebra(f), None
+    m2 = matrix_algebra(f, 2)
+    return m2, diagonal_subalgebra(m2) if key == "M2|diag" else None
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("key", ["kx|k", "ut2|k", "M2|k", "M2|diag"])
+def test_faces_match_the_textbook_formula_on_pure_tensors(key, field):
+    """On every pure basis tensor b_0 (x) ... (x) b_n, n = 1..3:
+    d' = sum_{i<n} (-1)^i b_0 (x) ... (x) b_i b_{i+1} (x) ... (x) b_n, and d
+    adds (-1)^n (b_n b_0) (x) b_1 (x) ... (x) b_{n-1} (Loday, ch. 2)."""
+    b, t_pair = _face_case(key, field)
+    cc = CyclicComplex(b, t_pair)
+    basis = [b.basis_vector(i) for i in range(b.dim)]
+
+    def plus(u, sign, v):
+        out = [x + sign * y for x, y in zip(u, v)]
+        return out if field.p is None else [x % field.p for x in out]
+
+    for n in (1, 2, 3):
+        ops, sp, sp1 = cc.operators(n), cc.space(n), cc.space(n - 1)
+        for idx in itertools.product(range(b.dim), repeat=n + 1):
+            xs = [basis[i] for i in idx]
+            dprime = [field.zero] * sp1.dim
+            for i in range(n):
+                face = xs[:i] + [b.mul_vec(xs[i], xs[i + 1])] + xs[i + 2:]
+                dprime = plus(dprime, (-1) ** i, sp1.embed_pure(face))
+            wrap = [b.mul_vec(xs[n], xs[0])] + xs[1:n]
+            d = plus(dprime, (-1) ** n, sp1.embed_pure(wrap))
+            x = sp.embed_pure(xs)
+            assert ops["dprime"].apply(x) == dprime, (n, idx)
+            assert ops["d"].apply(x) == d, (n, idx)
 
 
 def test_tau_power_identity_and_row_exactness():

@@ -303,3 +303,39 @@ def test_gf7_kernels_match_naive_mod_p_oracle(case):
     kvecs = naive_kernel_mod(rref, pivots, len(a[0]), p)
     assert res["kernel"].mat.to_lists() == naive_rref_mod(kvecs, p)[0]
     assert_reduced(res["kernel"].mat, p)
+
+
+def naive_invariant_span(field, dim, vectors, mats):
+    """Repeat span := span(span + m.span for every m) until it is stable."""
+    span = SubspaceBasis.from_vectors(field, dim, vectors)
+    while True:
+        rows = span.mat.to_lists()
+        grown = SubspaceBasis.from_vectors(
+            field, dim, rows + [m.apply(r) for m in mats for r in rows])
+        if grown == span:
+            return span
+        span = grown
+
+
+@st.composite
+def gf7_invariant_case(draw):
+    dim = draw(st.integers(1, 5))
+    vec = st.lists(st.integers(0, P7 - 1), min_size=dim, max_size=dim)
+    vectors = draw(st.lists(vec, max_size=3))
+    mats = draw(st.lists(st.lists(vec, min_size=dim, max_size=dim), max_size=3))
+    return dim, vectors, mats
+
+
+@settings(max_examples=80, deadline=None)
+@given(gf7_invariant_case())
+def test_invariant_span_matches_naive_closure(case):
+    dim, vectors, mats = case
+    ms = [Mat.from_rows(F7, m) for m in mats]
+    span = SubspaceBasis.invariant_span(F7, dim, vectors, ms)
+    assert all(span.contains_vector(v) for v in vectors)
+    assert all(span.contains_vector(m.apply(r)) for m in ms for r in span.mat.to_lists())
+    assert span == naive_invariant_span(F7, dim, vectors, ms)
+    assert span.pivot_cols == [min(r) for r in span.mat.rows]
+    assert_reduced(span.mat, P7)
+    sparse = [{j: x for j, x in enumerate(v) if x} for v in vectors]
+    assert SubspaceBasis.invariant_span(F7, dim, sparse, ms) == span
