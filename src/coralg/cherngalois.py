@@ -24,11 +24,12 @@ from .errors import (
     NoLocalDualSystem,
 )
 from .exactla import (
-    Mat, SubspaceBasis, _axpy, _axpy_dense, lincomb, rank, rref_solve, solve_right,
+    Mat, SubspaceBasis, _axpy, _axpy_dense, _dense, kron_id, lincomb, rank, rref_solve,
+    solve_right,
 )
 from .ncalg import (
-    AlgebraMorphism, Equation, Module, Report, Term, _dense, _fail_cols, descend,
-    hom_solve, kron_id, leg_apply, projective_dual_basis, regular_bimodule, tensor_space,
+    AlgebraMorphism, Equation, Module, Report, Term, _fail_cols, descend,
+    hom_solve, leg_apply, projective_dual_basis, regular_bimodule, tensor_space,
     to_quotient,
 )
 from .coring import Comodule, cotensor
@@ -300,11 +301,8 @@ def local_dual_system(x, sc, e, supplied=None):
         P = len(xs)
         if P == 0:
             return {"xs": [], "xis": [], "X": xbasis}
-        L = Mat.zeros(f, d, P * t.dim)
-        for p, xp in enumerate(xs):
-            kp = ring.left_mult_by(xp) @ t_incl_a.matrix
-            for i in range(d):
-                L.rows[i].update({p * t.dim + jj: v for jj, v in kp.rows[i].items()})
+        L = Mat.from_blocks(f, d, P * t.dim, [
+            (0, p * t.dim, ring.left_mult_by(xp) @ t_incl_a.matrix) for p, xp in enumerate(xs)])
         vmat = xbasis.mat.transpose()
         eqs = [Equation([Term(L, vmat)], rhs=vmat, label="dual-system")]
         for k, ra in enumerate(t_right):
@@ -315,9 +313,7 @@ def local_dual_system(x, sc, e, supplied=None):
         sol = hom_solve(f, d, P * t.dim, eqs)
         if not sol.is_empty:
             xi_stack = sol.particular
-            xis = [Mat(f, t.dim, d,
-                       [dict(xi_stack.rows[p * t.dim + s]) for s in range(t.dim)])
-                   for p in range(P)]
+            xis = [xi_stack.row_slice(p * t.dim, (p + 1) * t.dim) for p in range(P)]
             assert verify(xs, xis)
             return {"xs": xs, "xis": xis, "X": xbasis}
     raise NoLocalDualSystem("no finite dual system for X over T")
@@ -452,22 +448,12 @@ def theta_isomorphism(x, em, gamma, gammas):
     f = b.field
     n = em.size
     dim_free = n * b.dim
-    re_mat = Mat.zeros(f, dim_free, dim_free)
-    for a in range(n):
-        for c in range(n):
-            block = b.right_mult_by(em.entries[(a, c)])
-            for i_, r in enumerate(block.rows):
-                for j_, v in r.items():
-                    re_mat.rows[c * b.dim + i_][a * b.dim + j_] = v
-    theta = Mat.zeros(f, gamma.space.dim, dim_free)
-    for a, key in enumerate(em.index):
-        for beta in range(b.dim):
-            col = gamma.space.outer_left[b][beta].apply(gammas[key])
-            for i_, v in enumerate(col):
-                if v:
-                    theta.rows[i_][a * b.dim + beta] = v
-    image = SubspaceBasis.from_vectors(
-        f, dim_free, [re_mat.transpose().rows[i] for i in range(dim_free)])
+    re_mat = Mat.from_blocks(f, dim_free, dim_free, [
+        (c * b.dim, a * b.dim, b.right_mult_by(em.entries[(a, c)]))
+        for a in range(n) for c in range(n)])
+    theta = Mat.from_cols(f, [gamma.space.outer_left[b][beta].apply(gammas[key])
+                              for key in em.index for beta in range(b.dim)], gamma.space.dim)
+    image = SubspaceBasis.from_vectors(f, dim_free, re_mat.sparse_cols())
     ker_re = rref_solve(re_mat)["kernel"]
     ok_welldef = all(not any(theta.apply(ker_re.mat.row_list(i)))
                      for i in range(ker_re.dim))

@@ -10,10 +10,9 @@ manipulated through canonical quotient coordinates.
 import math
 
 from .errors import ActionMismatch, InvalidCoidempotent, NotProjective
-from .exactla import Mat, SubspaceBasis, _axpy_dense, lincomb, rref_solve
+from .exactla import Mat, SubspaceBasis, _axpy_dense, kron_id, lincomb, rref_solve
 from .ncalg import (
-    Algebra, Equation, Module, Report, Term, _fail_cols, _kron_id_left,
-    _kron_id_right, eqs_linear, hom_solve, kron_id, leg_apply,
+    Algebra, Equation, Module, Report, Term, _fail_cols, eqs_linear, hom_solve, leg_apply,
     regular_bimodule, tensor_space, validate_module,
 )
 
@@ -202,7 +201,7 @@ def dual_ring(c):
     rreg = regular_bimodule(base)
     sol = hom_solve(f, car.dim, base.dim, eqs_linear(base, car, rreg, "left"))
     basis_flat = sol.homogeneous
-    fs = [sol._unflatten(r) for r in basis_flat.mat.rows]
+    fs = sol.directions
     dim = len(fs)
     rc = car.right_collapse_mat(base)
 
@@ -321,8 +320,8 @@ def cointegral(c):
     d2 = leg_apply(c.CC, ccc, 1, 1, c.delta_full(), check="skip")
     rc = car.right_collapse_mat(base)
     lc = car.left_collapse_mat(base)
-    u_left = _kron_id_left(car.dim, c.CC.Q) @ ccc.S @ d1
-    u_right = _kron_id_right(c.CC.Q, car.dim) @ ccc.S @ d2
+    u_left = kron_id(car.dim, c.CC.Q, 1) @ ccc.S @ d1
+    u_right = kron_id(1, c.CC.Q, car.dim) @ ccc.S @ d2
     eqs.append(Equation([Term(rc, u_left, pre=car.dim),
                          Term(lc, u_right, -1, post=car.dim)],
                         label="cointegral-coassoc"))

@@ -28,12 +28,11 @@ from functools import cached_property
 
 from .errors import ActionMismatch, DegreeMismatch, DegreeOutOfRange, NotACycle
 from .exactla import (
-    Mat, SubspaceBasis, _axpy_dense, guard_dim, lincomb, quotient_space, rank, rref_solve,
-    solve_right,
+    Mat, SubspaceBasis, _axpy_dense, guard_dim, kron_id, lincomb, quotient_space, rank,
+    rref_solve, solve_right,
 )
 from .ncalg import (
-    Report, descend, kron_id, regular_bimodule, tensor_space, to_quotient,
-    trivial_subalgebra,
+    Report, descend, regular_bimodule, tensor_space, to_quotient, trivial_subalgebra,
 )
 
 
@@ -84,8 +83,8 @@ class CyclicComplex:
         d = self.b.dim
         dn = d ** n
         sign = self.field.from_int((-1) ** n)
-        return Mat(self.field, d * dn, d * dn,
-                   [{(r % dn) * d + r // dn: sign} for r in range(d * dn)])
+        return Mat.from_entries(self.field, d * dn, d * dn,
+                                (((r, (r % dn) * d + r // dn), sign) for r in range(d * dn)))
 
     def operators(self, n):
         """tau, tautilde, N at level n; dprime, d: level n -> n-1 (n >= 1).
@@ -169,18 +168,16 @@ class TotalComplex:
         return self.blocks[n][p][2:]
 
     def _build_d(self, n):
-        out = Mat.zeros(self.cc.field, self.tot_dim[n - 1], self.tot_dim[n])
+        blocks = []
         for (p, q, coff, cdim) in self.blocks[n]:
             ops = self.cc.operators(q)
             if q >= 1:
                 block = ops["d"] if p % 2 == 0 else -ops["dprime"]
-                roff, _ = self._offset(n - 1, p)
-                _add_block(out, block, roff, coff)
+                blocks.append((self._offset(n - 1, p)[0], coff, block))
             if p >= 1:
                 block = ops["tautilde"] if p % 2 == 1 else ops["N"]
-                roff, _ = self._offset(n - 1, p - 1)
-                _add_block(out, block, roff, coff)
-        return out
+                blocks.append((self._offset(n - 1, p - 1)[0], coff, block))
+        return Mat.from_blocks(self.cc.field, self.tot_dim[n - 1], self.tot_dim[n], blocks)
 
     def is_cycle(self, n, chain):
         return n == 0 or not any(self.d[n].apply(chain))
@@ -194,13 +191,6 @@ class TotalComplex:
     def classes_equal(self, n, x, y):
         f = self.cc.field
         return self.is_boundary(n, _axpy_dense(x, f.from_int(-1), y, f.p))
-
-
-def _add_block(big, block, roff, coff):
-    for i, r in enumerate(block.rows):
-        tgt = big.rows[roff + i]
-        for j, v in r.items():
-            tgt[coff + j] = v
 
 
 class HomologyClass:
@@ -235,7 +225,7 @@ class HomologySpace:
     @cached_property
     def class_space(self):
         """ker d_n modulo the columns of d_{n+1}, in kernel coordinates."""
-        rels = [self.kernel.membership(c) for c in self.tc.d[self.n + 1].transpose().rows if c]
+        rels = [self.kernel.membership(c) for c in self.tc.d[self.n + 1].sparse_cols() if c]
         if None in rels:
             raise NotACycle(f"a boundary is not a cycle in degree {self.n}")
         return quotient_space(self.tc.cc.field, self.kernel.dim, rels)
@@ -262,20 +252,6 @@ def homology(tc, n):
     return HomologySpace(tc, n)
 
 
-def circular_space(b, t_pair, n):
-    """B^{(*)T(n+1)} through the shared builder."""
-    return cyclic_complex(b, t_pair).space(n)
-
-
-def cyclic_operators(b, t_pair, n):
-    """{tau, tautilde, N, dprime, d} at circular level n."""
-    return cyclic_complex(b, t_pair).operators(n)
-
-
-def build_total_complex(b, t_pair, D):
-    return cyclic_complex(b, t_pair).total(D)
-
-
 def lambda_projection(tc_k, tc_t, verify_degrees=None):
     """The canonical chain surjections lambda_n: Tot_n(B|k) -> Tot_n(B|T),
     verified to commute with the differentials.
@@ -287,14 +263,9 @@ def lambda_projection(tc_k, tc_t, verify_degrees=None):
     lam = {}
     f = tc_k.cc.field
     for n in range(tc_k.D + 2):
-        big = Mat.zeros(f, tc_t.tot_dim[n], tc_k.tot_dim[n])
-        for (p, q, coff, cdim) in tc_k.blocks[n]:
-            src = tc_k.cc.space(q)
-            tgt = tc_t.cc.space(q)
-            block = tgt.Q @ src.S
-            roff, _ = tc_t._offset(n, p)
-            _add_block(big, block, roff, coff)
-        lam[n] = big
+        lam[n] = Mat.from_blocks(f, tc_t.tot_dim[n], tc_k.tot_dim[n], [
+            (tc_t._offset(n, p)[0], coff, tc_t.cc.space(q).Q @ tc_k.cc.space(q).S)
+            for (p, q, coff, cdim) in tc_k.blocks[n]])
     degrees = verify_degrees if verify_degrees is not None else range(1, tc_k.D + 2)
     for n in degrees:
         if tc_t.d[n] @ lam[n] != lam[n - 1] @ tc_k.d[n]:

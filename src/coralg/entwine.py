@@ -21,10 +21,10 @@ subalgebra computed by both one-sided kernel formulas.
 from .errors import (
     CompatibilityFailure, CoinvariantMismatch, NotBijective, NotEntwinedModule,
 )
-from .exactla import Mat, inverse, kron_vec, lincomb, rank, rref_solve, solve_right
+from .exactla import Mat, inverse, kron_id, kron_vec, lincomb, rank, rref_solve, solve_right
 from .ncalg import (
-    AlgebraMorphism, Module, Report, _fail_cols, _kron_id_left, descend,
-    generated_subalgebra, kron_id, leg_apply, regular_bimodule, tensor_space,
+    AlgebraMorphism, Module, Report, _fail_cols, descend,
+    generated_subalgebra, leg_apply, regular_bimodule, tensor_space,
     trivial_subalgebra,
 )
 from .coring import Comodule, Coring, validate_comodule, verify_grouplike
@@ -284,10 +284,10 @@ def validate_entwined_module(carrier, rho, e, name="M"):
     assoc = associated_coring(e)
     md = tensor_space([carrier, assoc.carrier], [ring])
     ins = kron_id(carrier.dim, ring.unit_col(), cor.dim)
-    rho_hat = md.Q @ _kron_id_left(carrier.dim, e.AC.Q) @ ins @ MC.S @ rho
+    rho_hat = md.Q @ kron_id(carrier.dim, e.AC.Q, 1) @ ins @ MC.S @ rho
     mhat = Comodule(assoc, carrier, rho_hat, "right", name=f"{name}-assoc")
     rep.merge(validate_comodule(mhat), prefix="assoc-comodule")
-    back = MC.Q @ kron_id(1, act, cor.dim) @ _kron_id_left(carrier.dim, e.AC.S) @ md.S
+    back = MC.Q @ kron_id(1, act, cor.dim) @ kron_id(carrier.dim, e.AC.S, 1) @ md.S
     _fail_cols(rep, "assoc-identification", back @ rho_hat - rho)
     return rep
 

@@ -14,7 +14,14 @@ Conventions, binding for the whole package:
   when p is given; ``_axpy`` also drops the zeros it creates.
 * A matrix represents a linear map; column ``j`` is the image of the j-th
   basis vector.  Vectors are dense python lists.
-* Matrices store only nonzero entries, one dict per row.
+* Matrices store only nonzero entries, one dict per row.  That storage
+  (``Mat._rows``) is read and built only in this module.  Elsewhere a Mat
+  is built by ``zeros``, ``identity``, ``from_entries``, ``from_rows``,
+  ``from_cols``, ``from_blocks``, ``kron_id`` or an operation on other
+  matrices, and read by ``get``, ``col``, ``row_list``, ``to_lists``,
+  ``items``, ``sparse_cols``, ``row_slice``, ``reshape``, ``apply``,
+  ``nnz``, ``is_zero`` and ``is_identity``.  No Mat is mutated after
+  construction.
 * Subspaces are always presented by their unique reduced row echelon basis
   (pivot columns ascending), so subspace equality is basis equality and
   canonical coordinates are plain lists of scalars.
@@ -145,15 +152,19 @@ def _axpy_dense(y, c, x, p):
 
 
 class Mat:
-    """Sparse exact matrix; row dicts hold only nonzero entries."""
+    """Sparse exact matrix; row dicts hold only nonzero entries.
 
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    The row storage ``_rows`` is private to this module: other modules build
+    a Mat through the named constructors and read it through the accessors.
+    """
+
+    __slots__ = ("field", "nrows", "ncols", "_rows")
 
     def __init__(self, field, nrows, ncols, rows=None):
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
-        self.rows = rows if rows is not None else [{} for _ in range(nrows)]
+        self._rows = rows if rows is not None else [{} for _ in range(nrows)]
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -164,6 +175,16 @@ class Mat:
     def identity(cls, field, n):
         one = field.one
         return cls(field, n, n, [{i: one} for i in range(n)])
+
+    @classmethod
+    def from_entries(cls, field, nrows, ncols, entries):
+        """The matrix with the entries ``((i, j), v)``, streamed straight into
+        the rows; zeros are skipped and a repeated (i, j) keeps its last v."""
+        rows = [{} for _ in range(nrows)]
+        for (i, j), v in entries:
+            if v:
+                rows[i][j] = v
+        return cls(field, nrows, ncols, rows)
 
     @classmethod
     def from_rows(cls, field, data, ncols=None):
@@ -185,35 +206,70 @@ class Mat:
 
     @classmethod
     def from_cols(cls, field, cols, nrows):
-        m = cls(field, nrows, len(cols))
-        for j, c in enumerate(cols):
-            for i, v in enumerate(c):
-                if v:
-                    m.rows[i][j] = v
-        return m
+        return cls.from_entries(field, nrows, len(cols),
+                                (((i, j), v) for j, c in enumerate(cols)
+                                 for i, v in enumerate(c)))
+
+    @classmethod
+    def from_blocks(cls, field, nrows, ncols, blocks):
+        """Block assembly: each ``(roff, coff, m)`` places m with its (0, 0)
+        entry at (roff, coff); where blocks overlap the later one wins."""
+        rows = [{} for _ in range(nrows)]
+        for roff, coff, m in blocks:
+            for tgt, r in zip(rows[roff:roff + m.nrows], m._rows):
+                tgt.update({coff + j: v for j, v in r.items()})
+        return cls(field, nrows, ncols, rows)
 
     # -- access ---------------------------------------------------------
     def get(self, i, j):
-        return self.rows[i].get(j, self.field.zero)
+        return self._rows[i].get(j, self.field.zero)
 
     def col(self, j):
         """Column j as a dense list."""
         z = self.field.zero
-        return [r.get(j, z) for r in self.rows]
+        return [r.get(j, z) for r in self._rows]
 
     def row_list(self, i):
         z = self.field.zero
-        r = self.rows[i]
+        r = self._rows[i]
         return [r.get(j, z) for j in range(self.ncols)]
 
     def to_lists(self):
         return [self.row_list(i) for i in range(self.nrows)]
 
+    def items(self):
+        """The nonzero entries as ``((i, j), v)``, row by row."""
+        for i, r in enumerate(self._rows):
+            for j, v in r.items():
+                yield (i, j), v
+
+    def sparse_cols(self):
+        """Every column as a new sparse dict (the rows of the transpose)."""
+        return self.transpose()._rows
+
+    def row_slice(self, start, stop):
+        """Rows start..stop-1 as a new matrix."""
+        return Mat(self.field, stop - start, self.ncols,
+                   [dict(r) for r in self._rows[start:stop]])
+
+    def reshape(self, nrows, ncols):
+        """The same entries, read row-major, in an nrows x ncols matrix."""
+        if nrows * ncols != self.nrows * self.ncols:
+            raise DimensionMismatch(f"reshape {self.shape} to {(nrows, ncols)}")
+        n = self.ncols
+        return Mat.from_entries(self.field, nrows, ncols,
+                                ((divmod(i * n + j, ncols), v) for (i, j), v in self.items()))
+
     def nnz(self):
-        return sum(len(r) for r in self.rows)
+        return sum(len(r) for r in self._rows)
 
     def is_zero(self):
-        return all(not r for r in self.rows)
+        return all(not r for r in self._rows)
+
+    def is_identity(self):
+        one = self.field.one
+        return self.nrows == self.ncols and all(
+            len(r) == 1 and r.get(i) == one for i, r in enumerate(self._rows))
 
     # -- algebra ----------------------------------------------------------
     def _check_same_shape(self, other):
@@ -228,7 +284,7 @@ class Mat:
         """self + c * other, for a nonzero scalar c."""
         self._check_same_shape(other)
         p = self.field.p
-        rows = [_axpy(dict(ra), c, rb, p) for ra, rb in zip(self.rows, other.rows)]
+        rows = [_axpy(dict(ra), c, rb, p) for ra, rb in zip(self._rows, other._rows)]
         return Mat(self.field, self.nrows, self.ncols, rows)
 
     def __add__(self, other):
@@ -245,15 +301,15 @@ class Mat:
             return Mat(self.field, self.nrows, self.ncols)
         p = self.field.p
         return Mat(self.field, self.nrows, self.ncols,
-                   [_axpy({}, c, r, p) for r in self.rows])
+                   [_axpy({}, c, r, p) for r in self._rows])
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"{self.shape} @ {other.shape}")
         p = self.field.p
-        orows = other.rows
+        orows = other._rows
         rows = []
-        for ra in self.rows:
+        for ra in self._rows:
             acc = {}
             for k, a in ra.items():
                 _axpy(acc, a, orows[k], p)
@@ -267,7 +323,7 @@ class Mat:
         p = self.field.p
         zero = self.field.zero
         out = []
-        for r in self.rows:
+        for r in self._rows:
             s = zero
             for j, v in r.items():
                 x = vec[j]
@@ -278,7 +334,7 @@ class Mat:
 
     def transpose(self):
         rows = [{} for _ in range(self.ncols)]
-        for i, r in enumerate(self.rows):
+        for i, r in enumerate(self._rows):
             for j, v in r.items():
                 rows[j][i] = v
         return Mat(self.field, self.ncols, self.nrows, rows)
@@ -289,11 +345,11 @@ class Mat:
         p = self.field.p
         rows = [{} for _ in range(self.nrows * other.nrows)]
         on = other.ncols
-        for i1, r1 in enumerate(self.rows):
+        for i1, r1 in enumerate(self._rows):
             if not r1:
                 continue
             base_i = i1 * other.nrows
-            for i2, r2 in enumerate(other.rows):
+            for i2, r2 in enumerate(other._rows):
                 if not r2:
                     continue
                 tgt = rows[base_i + i2]
@@ -307,11 +363,11 @@ class Mat:
         if self.ncols != other.ncols:
             raise DimensionMismatch("vstack col mismatch")
         return Mat(self.field, self.nrows + other.nrows, self.ncols,
-                   [dict(r) for r in self.rows] + [dict(r) for r in other.rows])
+                   [dict(r) for r in self._rows] + [dict(r) for r in other._rows])
 
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.shape == other.shape
-                and self.field == other.field and self.rows == other.rows)
+                and self.field == other.field and self._rows == other._rows)
 
     def __hash__(self):
         return id(self)
@@ -322,6 +378,24 @@ class Mat:
                              for i in range(self.nrows))
             return f"Mat({self.nrows}x{self.ncols}: {body})"
         return f"Mat({self.nrows}x{self.ncols}, nnz={self.nnz()})"
+
+
+def kron_id(pre, f, post):
+    """kron(I_pre, f, I_post) built directly, sparse."""
+    if pre == post == 1:
+        return f
+    nc = f.ncols
+    rows = [{(a * nc + j) * post + c: v for j, v in r.items()}
+            for a in range(pre) for r in f._rows for c in range(post)]
+    return Mat(f.field, pre * f.nrows * post, pre * nc * post, rows)
+
+
+def _dense(field, rowdict, n):
+    """A sparse dict as a dense vector of length n."""
+    v = [field.zero] * n
+    for j, x in rowdict.items():
+        v[j] = x
+    return v
 
 
 def kron_vec(field, u, v):
@@ -341,7 +415,7 @@ def lincomb(mats, coeffs):
     for i, c in enumerate(coeffs):
         if c:
             first._check_same_shape(mats[i])
-            for dst, src in zip(rows, mats[i].rows):
+            for dst, src in zip(rows, mats[i]._rows):
                 _axpy(dst, c, src, p)
     return Mat(first.field, first.nrows, first.ncols, rows)
 
@@ -464,7 +538,7 @@ class SubspaceBasis:
         when it raises the rank, so every image of the span is in the span
         when the list runs dry."""
         p = field.p
-        images = [m.transpose().rows for m in mats]
+        images = [m.sparse_cols() for m in mats]
         ech = _Echelon(field, ambient_dim)
         todo = [_sparse(v, ambient_dim) for v in vectors]
         while todo:
@@ -507,7 +581,7 @@ class SubspaceBasis:
             if not c:
                 continue
             coords[i] = c
-            _axpy(residue, -c, self.mat.rows[i], p)
+            _axpy(residue, -c, self.mat._rows[i], p)
         if residue:
             return None
         return coords
@@ -518,12 +592,12 @@ class SubspaceBasis:
     def contains(self, other):
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("ambient dims differ")
-        return all(self.membership(r) is not None for r in other.mat.rows)
+        return all(self.membership(r) is not None for r in other.mat._rows)
 
     def sum_with(self, other):
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("ambient dims differ")
-        vecs = [dict(r) for r in self.mat.rows] + [dict(r) for r in other.mat.rows]
+        vecs = self.mat._rows + other.mat._rows
         return SubspaceBasis.from_vectors(self.field, self.ambient_dim, vecs)
 
     def intersect(self, other):
@@ -532,12 +606,12 @@ class SubspaceBasis:
             raise DimensionMismatch("ambient dims differ")
         n = self.ambient_dim
         ech = _Echelon(self.field, 2 * n)
-        for r in self.mat.rows:
+        for r in self.mat._rows:
             row = dict(r)
             row.update({j + n: v for j, v in r.items()})
             ech.add(row)
-        for r in other.mat.rows:
-            ech.add(dict(r))
+        for r in other.mat._rows:
+            ech.add(r)
         ech.close()
         vecs = []
         for row in ech.rows:
@@ -565,8 +639,8 @@ def rref_solve(m, b=None):
     aug_cols = b.ncols if b is not None else 0
     ech = _Echelon(m.field, m.ncols, aug_cols)
     for i in range(m.nrows):
-        aug = dict(b.rows[i]) if b is not None else None
-        ech.add(dict(m.rows[i]), aug)
+        aug = dict(b._rows[i]) if b is not None else None
+        ech.add(m._rows[i], aug)
     ech.close()
     rref = Mat(m.field, ech.rank, m.ncols, [dict(r) for r in ech.rows])
     kernel = _kernel_from_rref(m.field, m.ncols, ech)
@@ -574,10 +648,10 @@ def rref_solve(m, b=None):
     if b is not None:
         consistent = all(not aug for aug in ech.dead_augs)
         if consistent:
-            particular = Mat(m.field, m.ncols, b.ncols)
-            for i, piv in enumerate(ech.pivot_of_row):
-                for j, v in ech.augs[i].items():
-                    particular.rows[piv][j] = v
+            particular = Mat.from_entries(
+                m.field, m.ncols, b.ncols,
+                (((piv, j), v) for piv, aug in zip(ech.pivot_of_row, ech.augs)
+                 for j, v in aug.items()))
     return {
         "rref": rref,
         "rank": ech.rank,
@@ -610,8 +684,8 @@ def _kernel_from_rref(field, ncols, ech):
 
 def rank(m):
     ech = _Echelon(m.field, m.ncols)
-    for r in m.rows:
-        ech.add(dict(r))
+    for r in m._rows:
+        ech.add(r)
     return ech.rank
 
 
@@ -642,13 +716,12 @@ class QuotientSpace:
         self.ambient_dim = ambient_dim
         self.relations = relations
         free, vecs = _free_vectors(field, ambient_dim, relations.pivot_cols,
-                                   relations.mat.rows)
+                                   relations.mat._rows)
         self.free_cols = free
         self.dim = len(free)
         proj = Mat(field, self.dim, ambient_dim, vecs)
-        sect = Mat(field, ambient_dim, self.dim)
-        for i, f in enumerate(free):
-            sect.rows[f][i] = field.one
+        sect = Mat.from_entries(field, ambient_dim, self.dim,
+                                (((f, i), field.one) for i, f in enumerate(free)))
         self.proj = proj
         self.sect = sect
 

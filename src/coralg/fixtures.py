@@ -139,11 +139,10 @@ def z2_graded_entwining(field, square=1):
     eta = AlgebraMorphism(base, a, Mat.from_cols(field, [a.unit], 2))
     cor = group_z2_coring(field, base=base)
     ent = Entwining(base, a, eta, cor, None, name="Z2-graded")
-    psi = Mat.zeros(field, ent.AC.dim, ent.CA.dim)
-    for i in range(2):          # g_i
-        for j in range(2):      # x^j
-            psi.rows[j * 2 + (i + j) % 2][i * 2 + j] = field.one
-    ent.psi = psi
+    # column (g_i, x^j) -> row (x^j, g_{i+j})
+    ent.psi = Mat.from_entries(field, ent.AC.dim, ent.CA.dim,
+                               (((j * 2 + (i + j) % 2, i * 2 + j), field.one)
+                                for i in range(2) for j in range(2)))
     return invert_entwining(ent)
 
 

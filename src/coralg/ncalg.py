@@ -34,8 +34,8 @@ from types import MappingProxyType
 
 from .errors import ActionMismatch, DimensionMismatch
 from .exactla import (
-    Mat, SubspaceBasis, _axpy, _axpy_dense, _Echelon, _kernel_from_rref, guard_dim,
-    kron_vec, lincomb, quotient_space,
+    Mat, SubspaceBasis, _axpy, _axpy_dense, guard_dim, kron_id, kron_vec, lincomb,
+    quotient_space, rref_solve,
 )
 
 
@@ -66,8 +66,8 @@ class Report:
 
 def _fail_cols(report, axiom, residual, labels=None):
     """Record one failure per nonzero column of a residual matrix."""
-    for j in range(residual.ncols):
-        if any(r.get(j) for r in residual.rows):
+    for j, col in enumerate(residual.sparse_cols()):
+        if col:
             report.fail(axiom, labels[j] if labels else j)
 
 
@@ -428,13 +428,6 @@ def trivial_subalgebra(a):
     return generated_subalgebra(a, [])
 
 
-def _dense(field, rowdict, n):
-    v = [field.zero] * n
-    for j, x in rowdict.items():
-        v[j] = x
-    return v
-
-
 # ---------------------------------------------------------------------------
 # Balanced tensor spaces
 # ---------------------------------------------------------------------------
@@ -491,20 +484,20 @@ class TensorSpace:
                     raise ActionMismatch(
                         f"{self.name}: {nxt.name} lacks a left {t.name}-action")
                 for rt, lt in zip(right[t], nxt.left[t]):
-                    if _is_identity(rt) and _is_identity(lt):
+                    if rt.is_identity() and lt.is_identity():
                         continue
-                    lt_cols = lt.transpose().rows
-                    for u, ucol in enumerate(rt.transpose().rows):
+                    lt_cols = lt.sparse_cols()
+                    for u, ucol in enumerate(rt.sparse_cols()):
                         for n, ncol in enumerate(lt_cols):
                             vec = {i * dN + n: x for i, x in ucol.items()}
                             _axpy(vec, minus_one, {u * dN + j: x for j, x in ncol.items()},
                                   field.p)
                             if vec:
                                 rel_vectors.append(vec)
-            Q, S = _kron_id_right(Q, dN), _kron_id_right(S, dN)
+            Q, S = kron_id(1, Q, dN), kron_id(1, S, dN)
             right = {}
             if t_next is not None and t_next in nxt.right:
-                right[t_next] = [_kron_id_left(cur_dim, R) for R in nxt.right[t_next]]
+                right[t_next] = [kron_id(cur_dim, R, 1) for R in nxt.right[t_next]]
             cur_dim = amb
             if rel_vectors:
                 qs = quotient_space(field, amb, rel_vectors)
@@ -522,7 +515,7 @@ class TensorSpace:
                     f"{self.name}: circular algebra {circular.name} must act on both ends")
             rel_vectors = []
             for rm, lm in zip(self.outer_right[circular], self.outer_left[circular]):
-                rel_vectors.extend(dict(col) for col in (rm - lm).transpose().rows if col)
+                rel_vectors.extend(col for col in (rm - lm).sparse_cols() if col)
             if rel_vectors:
                 qs = quotient_space(field, cur_dim, rel_vectors)
                 self.dim, self.Q, self.S = qs.dim, qs.proj @ Q, S @ qs.sect
@@ -569,11 +562,12 @@ class _ReversalView(TensorSpace):
         self.dims = orig.dims[::-1]
         self.full_dim, self.dim, self.trivial = orig.full_dim, orig.dim, orig.trivial
         self.name = f"{orig.name}^op"
-        to_orig, to_view = _reversal_perm(orig.dims), _reversal_perm(self.dims)
+        to_view = _reversal_perm(self.dims)
         q, s = orig.Q, orig.S
-        self.Q = Mat(self.field, q.nrows, q.ncols,
-                     [{to_view[j]: x for j, x in r.items()} for r in q.rows])
-        self.S = Mat(self.field, s.nrows, s.ncols, [dict(s.rows[o]) for o in to_orig])
+        self.Q = Mat.from_entries(self.field, q.nrows, q.ncols,
+                                  (((i, to_view[j]), x) for (i, j), x in q.items()))
+        self.S = Mat.from_entries(self.field, s.nrows, s.ncols,
+                                  (((to_view[i], j), x) for (i, j), x in s.items()))
         self.outer_left = _OpActions(orig.outer_right)
         self.outer_right = _OpActions(orig.outer_left)
         self._op = orig
@@ -587,42 +581,6 @@ def _reversal_perm(dims):
         perm = [p + i * stride for p in perm for i in range(d)]
         stride *= d
     return perm
-
-
-def _is_identity(m):
-    if m.nrows != m.ncols:
-        return False
-    one = m.field.one
-    return all(len(r) == 1 and r.get(i) == one for i, r in enumerate(m.rows))
-
-
-def _kron_id_right(m, d):
-    """kron(m, I_d) built directly."""
-    if d == 1:
-        return m
-    rows = [None] * (m.nrows * d)
-    for i, r in enumerate(m.rows):
-        base = i * d
-        for a in range(d):
-            rows[base + a] = {j * d + a: v for j, v in r.items()}
-    return Mat(m.field, m.nrows * d, m.ncols * d, rows)
-
-
-def _kron_id_left(d, m):
-    """kron(I_d, m) built directly."""
-    if d == 1:
-        return m
-    rows = []
-    for a in range(d):
-        coff = a * m.ncols
-        for r in m.rows:
-            rows.append({coff + j: v for j, v in r.items()})
-    return Mat(m.field, m.nrows * d, m.ncols * d, rows)
-
-
-def kron_id(pre, f, post):
-    """kron(I_pre, f, I_post) built directly, sparse."""
-    return _kron_id_left(pre, _kron_id_right(f, post))
 
 
 def tensor_space(factors, junctions, circular=None, name=""):
@@ -770,19 +728,18 @@ class AffineSolutionSet:
     def freedom(self):
         return self.homogeneous.dim
 
-    def _unflatten(self, flat):
-        """The matrix whose row-major coordinates are the sparse dict ``flat``."""
-        m = Mat.zeros(self.field, self.tgt_dim, self.src_dim)
-        for j, v in flat.items():
-            m.rows[j // self.src_dim][j % self.src_dim] = v
-        return m
+    @cached_property
+    def directions(self):
+        """The homogeneous basis, each row-major flat vector as a matrix."""
+        h = self.homogeneous.mat
+        return [h.row_slice(i, i + 1).reshape(self.tgt_dim, self.src_dim)
+                for i in range(h.nrows)]
 
     def point(self, coeffs=()):
         """particular + sum coeffs[i] * homogeneous[i]."""
         if self.particular is None:
             return None
-        terms = [(self._unflatten(self.homogeneous.mat.rows[i]), c)
-                 for i, c in enumerate(coeffs) if c]
+        terms = [(self.directions[i], c) for i, c in enumerate(coeffs) if c]
         return lincomb([self.particular] + [m for m, _ in terms],
                        [self.field.one] + [c for _, c in terms])
 
@@ -798,57 +755,43 @@ def equivariant_hom_space(source, target, constraints):
 
 
 def hom_solve(field, src_dim, tgt_dim, equations):
-    """Solve the joint linear system for the unknown matrix X."""
+    """Solve the joint linear system for the unknown matrix X, whose entry
+    (n, i) is the unknown n * src_dim + i; each equation contributes one
+    row per entry of its residual, row-major."""
     nunk = tgt_dim * src_dim
-    ech = _Echelon(field, nunk, aug_cols=1)
+    entries, rhs, nrows = [], [], 0
     for eq in equations:
+        if not eq.terms:
+            continue
         # (o, unknown n*src_dim + i) -> {dd: coefficient} for equation row o*dom_dim + dd
         coeffs = {}
-        out_dim = None
-        dom_dim = None
         for t in eq.terms:
             J, U, post = t.J, t.U, t.post
-            out_dim, dom_dim = J.nrows, U.ncols
             # U's rows are (a, i, c) and J's columns (a, n, c): a < pre,
             # c < post, i a source and n a target index of X
             urows_by_ac = {}
-            for r, urow in enumerate(U.rows):
-                if urow:
-                    a, ic = divmod(r, src_dim * post)
-                    i, c = divmod(ic, post)
-                    urows_by_ac.setdefault((a, c), []).append((i, urow))
-            for o, jr in enumerate(J.rows):
-                for anc, jv in jr.items():
-                    a, nc = divmod(anc, tgt_dim * post)
-                    n, c = divmod(nc, post)
-                    s = jv if t.sign > 0 else -jv
-                    for i, urow in urows_by_ac.get((a, c), ()):
-                        _axpy(coeffs.setdefault((o, n * src_dim + i), {}), s, urow, field.p)
-        rows = {}
-        for (o, unknown), col in coeffs.items():
-            for dd, v in col.items():
-                rows.setdefault(o * dom_dim + dd, {})[unknown] = v
-        nrows_eq = out_dim * dom_dim if out_dim is not None else 0
-        for r in range(nrows_eq):
-            rhs = field.zero
-            if eq.rhs is not None:
-                o, dd = divmod(r, dom_dim)
-                rhs = eq.rhs.get(o, dd)
-            ech.add(rows.get(r, {}), {0: rhs} if rhs else {})
-    ech.close()
-    inconsistent = any(aug for aug in ech.dead_augs)
-    particular = None
-    if not inconsistent:
-        flat = {}
-        for i, piv in enumerate(ech.pivot_of_row):
-            v = ech.augs[i].get(0)
-            if v:
-                flat[piv] = v
-        particular = Mat.zeros(field, tgt_dim, src_dim)
-        for j, v in flat.items():
-            particular.rows[j // src_dim][j % src_dim] = v
-    hom = _kernel_from_rref(field, nunk, ech)
-    return AffineSolutionSet(field, tgt_dim, src_dim, particular, hom)
+            for (r, dd), v in U.items():
+                a, ic = divmod(r, src_dim * post)
+                i, c = divmod(ic, post)
+                urows_by_ac.setdefault((a, c), {}).setdefault(i, {})[dd] = v
+            for (o, anc), jv in J.items():
+                a, nc = divmod(anc, tgt_dim * post)
+                n, c = divmod(nc, post)
+                s = jv if t.sign > 0 else -jv
+                for i, urow in urows_by_ac.get((a, c), {}).items():
+                    _axpy(coeffs.setdefault((o, n * src_dim + i), {}), s, urow, field.p)
+        dom_dim = U.ncols
+        entries.extend(((nrows + o * dom_dim + dd, unknown), v)
+                       for (o, unknown), col in coeffs.items() for dd, v in col.items())
+        if eq.rhs is not None:
+            rhs.extend(((nrows + o * dom_dim + dd, 0), v) for (o, dd), v in eq.rhs.items())
+        nrows += J.nrows * dom_dim
+    res = rref_solve(Mat.from_entries(field, nrows, nunk, entries),
+                     Mat.from_entries(field, nrows, 1, rhs))
+    particular = res["particular"]
+    if particular is not None:
+        particular = particular.reshape(tgt_dim, src_dim)
+    return AffineSolutionSet(field, tgt_dim, src_dim, particular, res["kernel"])
 
 
 # -- equation constructors -------------------------------------------------
@@ -878,8 +821,8 @@ def eq_value(src_vec, tgt_vec, field, tgt_dim):
 def eq_right_colinear(rho_src, rho_tgt, src, tgt, src_C_space, tgt_C_space, c_dim):
     """rho_tgt . X = (X tensor C) . rho_src, both sides into tgt_C_space;
     on the op() of all four spaces it is left colinearity."""
-    U = _kron_id_right(src.Q, c_dim) @ src_C_space.S @ rho_src
-    J = tgt_C_space.Q @ _kron_id_right(tgt.S, c_dim)
+    U = kron_id(1, src.Q, c_dim) @ src_C_space.S @ rho_src
+    J = tgt_C_space.Q @ kron_id(1, tgt.S, c_dim)
     return Equation([Term(rho_tgt, Mat.identity(src.field, src.dim)),
                      Term(J, U, -1, post=c_dim)],
                     label="right-colinear")
@@ -937,9 +880,7 @@ def projective_dual_basis(module, alg, side="left", generators=None):
     if projective:
         sigma = sol.particular
         for i in range(g):
-            chi = Mat(field, dS, module.dim,
-                      [dict(sigma.rows[i * dS + s]) for s in range(dS)])
-            chis.append(chi)
+            chis.append(sigma.row_slice(i * dS, (i + 1) * dS))
             ws.append(list(generators[i]))
     hom_alg = hom_solve(field, module.dim, dS,
                         eqs_linear(alg, module, regular_bimodule(alg), "left"))
@@ -951,8 +892,8 @@ def projective_dual_basis(module, alg, side="left", generators=None):
 def _trace_ideal(alg, hom_set):
     """Two-sided ideal spanned by values of all one-sided-linear maps M -> S."""
     pts = [] if hom_set.particular is None else [hom_set.particular]
-    pts += [hom_set._unflatten(r) for r in hom_set.homogeneous.mat.rows]
-    vals = [col for pt in pts for col in pt.transpose().rows]
+    pts += hom_set.directions
+    vals = [col for pt in pts for col in pt.sparse_cols()]
     return SubspaceBasis.invariant_span(alg.field, alg.dim, vals,
                                         alg.left_mult_mats() + alg.right_mult_mats())
 

@@ -469,9 +469,7 @@ def test_criterion_10_galois_detection():
             details.append(label)
     # corrupted-coaction FIX-Z2 variant: rho(x) = x (x) g0 is not Galois
     ent = z2()["entwining"]
-    rho_bad = Mat.zeros(QQ, 4, 2)
-    rho_bad.rows[0][0] = QQ.one
-    rho_bad.rows[2][1] = QQ.one
+    rho_bad = Mat.from_entries(QQ, 4, 2, [((0, 0), QQ.one), ((2, 1), QQ.one)])
     res = galois_check(ent, rho_bad)
     assert not res["galois"]
     _announce(10, True, f"can_A bijective on {details}; corrupted variant "

@@ -37,7 +37,8 @@ def test_group_coalgebra_valid_and_corruptible():
     assert validate_coring(c).ok
     # corrupt eps(g1) -> 0: the counit identity must be reported
     c_bad = group_z2_coring(QQ)
-    c_bad.eps.rows[0].pop(1)
+    c_bad.eps = Mat.from_entries(QQ, c_bad.eps.nrows, c_bad.eps.ncols,
+                                 [(ij, v) for ij, v in c_bad.eps.items() if ij != (0, 1)])
     rep = validate_coring(c_bad)
     assert not rep.ok
     assert any("counit" in ax for ax, _ in rep.failures)
@@ -311,8 +312,7 @@ def test_left_comodule_failures_are_pinned():
     """A left comodule is validated as its opposite right comodule; labels
     and locations are those of the direct left-side checks."""
     c = trivial_coring(matrix_algebra(QQ, 2))
-    d = Mat.identity(QQ, 4)
-    d.rows[3] = {3: qi(3)}
+    d = Mat.from_entries(QQ, 4, 4, [((i, i), qi(3) if i == 3 else QQ.one) for i in range(4)])
     bad = Comodule(c, c.carrier, c.delta @ d, "left", name="bad")
     assert validate_comodule(bad).failures == [
         ("coaction-left-linear[1]", 3), ("coaction-left-linear[2]", 1),

@@ -280,14 +280,10 @@ def test_memory_guard_on_circular_space():
 
 
 def test_contract_surface_wrappers():
-    from coralg.cyclic import build_total_complex, circular_space, cyclic_operators
-    a = quadratic_algebra(QQ, 1, 0)
-    sp = circular_space(a, None, 1)
-    assert sp.dim == 4
-    ops = cyclic_operators(a, None, 1)
-    assert set(ops) == {"tau", "tautilde", "N", "dprime", "d"}
-    tc = build_total_complex(a, None, 2)
-    assert tc.d_squared.ok
+    cc = cyclic_complex(quadratic_algebra(QQ, 1, 0))
+    assert cc.space(1).dim == 4
+    assert set(cc.operators(1)) == {"tau", "tautilde", "N", "dprime", "d"}
+    assert cc.total(2).d_squared.ok
 
 
 def test_cyclic_complex_memo_keys_on_the_inclusion():
@@ -376,9 +372,8 @@ def test_homology_of_an_uncertified_complex_is_refused():
 def test_a_boundary_outside_the_kernel_is_a_typed_error():
     tc = CyclicComplex(upper_triangular_algebra(QQ)).total(3)
     d1 = tc.d[1]
-    j = next(j for j in range(d1.ncols) if any(j in r for r in d1.rows))
-    bad = Mat.zeros(QQ, tc.tot_dim[1], tc.tot_dim[2])
-    bad.rows[j][0] = QQ.one
+    j = min(j for (_, j), _ in d1.items())
+    bad = Mat.from_entries(QQ, tc.tot_dim[1], tc.tot_dim[2], [((j, 0), QQ.one)])
     tc.d[2] = bad  # its first column is not a cycle, behind the certificate's back
     with pytest.raises(NotACycle, match="boundary is not a cycle"):
         homology(tc, 1).class_space

@@ -44,12 +44,10 @@ def test_z2_entwining_valid_and_corruption_located():
     ent = z2_graded_entwining(QQ)
     assert validate_entwining(ent).ok
     # corrupt psi(g1 (x) x): residuals must appear
-    bad = Mat(QQ, ent.psi.nrows, ent.psi.ncols,
-              [dict(r) for r in ent.psi.rows])
     col = 1 * 2 + 1  # (g1, x)
-    for r in bad.rows:
-        r.pop(col, None)
-    bad.rows[0][col] = QQ.one  # psi(g1 x) = 1 (x) g0: wrong
+    bad = Mat.from_entries(QQ, ent.psi.nrows, ent.psi.ncols,
+                           [(ij, v) for ij, v in ent.psi.items() if ij[1] != col]
+                           + [((0, col), QQ.one)])  # psi(g1 x) = 1 (x) g0: wrong
     ent_bad = Entwining(ent.base, ent.ring, ent.eta, ent.coring, bad)
     rep = validate_entwining(ent_bad)
     assert not rep.ok
@@ -135,15 +133,12 @@ def test_sweedler_entwining_from_converse():
 def test_entwined_module_validation():
     ent = z2_graded_entwining(QQ)
     # A itself with rho(x^j) = x^j (x) g_j
-    rho = Mat.zeros(QQ, 4, 2)
-    rho.rows[0][0] = QQ.one      # 1 -> 1 (x) g0
-    rho.rows[3][1] = QQ.one      # x -> x (x) g1
+    # 1 -> 1 (x) g0, x -> x (x) g1
+    rho = Mat.from_entries(QQ, 4, 2, [((0, 0), QQ.one), ((3, 1), QQ.one)])
     rep = validate_entwined_module(ent.a_mod, rho, ent, name="A")
     assert rep.ok
     # wrong coaction rho(x) = x (x) g0: compatibility residual
-    rho_bad = Mat.zeros(QQ, 4, 2)
-    rho_bad.rows[0][0] = QQ.one
-    rho_bad.rows[2][1] = QQ.one  # x -> x (x) g0
+    rho_bad = Mat.from_entries(QQ, 4, 2, [((0, 0), QQ.one), ((2, 1), QQ.one)])  # x -> x (x) g0
     rep = validate_entwined_module(ent.a_mod, rho_bad, ent, name="A-bad")
     assert not rep.ok
     assert any("entwined-compatibility" in ax for ax, _ in rep.failures)
@@ -199,9 +194,7 @@ def test_canonical_maps_z2_galois():
 def test_non_galois_variant_detected():
     # corrupted coaction rho(x) = x (x) g0 on FIX-Z2: B = A, can has rank <= 2
     ent = z2_graded_entwining(QQ)
-    rho_bad = Mat.zeros(QQ, 4, 2)
-    rho_bad.rows[0][0] = QQ.one
-    rho_bad.rows[2][1] = QQ.one
+    rho_bad = Mat.from_entries(QQ, 4, 2, [((0, 0), QQ.one), ((2, 1), QQ.one)])
     res = galois_check(ent, rho_bad)
     assert not res["galois"]
     assert res["B_dim"] == 2
@@ -355,8 +348,8 @@ COLUMN_INVERSE_FAILURES = {
 
 def _last_column_times_3(field, psi_inv):
     n = psi_inv.ncols
-    d = Mat.identity(field, n)
-    d.rows[n - 1] = {n - 1: field.from_int(3)}
+    d = Mat.from_entries(field, n, n, [((i, i), field.from_int(3 if i == n - 1 else 1))
+                                       for i in range(n)])
     return psi_inv @ d
 
 
@@ -395,7 +388,7 @@ def test_entwining_op_is_a_memoized_involution():
     assert op.CA is ent.AC.op() and op.AC is ent.CA.op()
     assert validate_entwining(op).ok
     # replacing psi_inv (as workspace parsing does) rebuilds the opposite
-    ent.psi_inv = Mat(QQ, 4, 4, [dict(r) for r in ent.psi_inv.rows])
+    ent.psi_inv = Mat.from_entries(QQ, 4, 4, ent.psi_inv.items())
     assert ent.op() is not op and ent.op().psi is ent.psi_inv
 
 
@@ -405,8 +398,9 @@ def test_associated_coring_is_memoized_per_psi():
     assert associated_coring(ent) is assoc
     # a psi assigned in place (as entwining_from_coring does) is never
     # served the coring of the old psi
-    flipped = Mat(QQ, 4, 4, [dict(r) for r in ent.psi.rows])
-    flipped.rows[0], flipped.rows[1] = flipped.rows[1], flipped.rows[0]
+    swap = {0: 1, 1: 0}
+    flipped = Mat.from_entries(QQ, 4, 4, (((swap.get(i, i), j), v)
+                                          for (i, j), v in ent.psi.items()))
     ent.psi = flipped
     other = associated_coring(ent)
     assert other is not assoc

@@ -1,13 +1,15 @@
 """Oracle and property tests for the exact linear algebra substrate."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from coralg.errors import DimensionMismatch, MemoryGuard
 from coralg.exactla import (
-    GF, QQ, Field, Mat, SubspaceBasis, identity_quotient, inverse, kron_vec,
+    GF, QQ, Field, Mat, SubspaceBasis, identity_quotient, inverse, kron_id, kron_vec,
     lincomb, quotient_space, rank, rref_solve, solve_right,
 )
 
@@ -260,7 +262,7 @@ def naive_kernel_mod(rref, pivots, ncols, p):
 
 def assert_reduced(m, p):
     """Every stored entry is an int in [1, p): reduced, no stored zeros."""
-    for r in m.rows:
+    for r in m._rows:
         for v in r.values():
             assert isinstance(v, int) and 0 < v < p
 
@@ -335,7 +337,83 @@ def test_invariant_span_matches_naive_closure(case):
     assert all(span.contains_vector(v) for v in vectors)
     assert all(span.contains_vector(m.apply(r)) for m in ms for r in span.mat.to_lists())
     assert span == naive_invariant_span(F7, dim, vectors, ms)
-    assert span.pivot_cols == [min(r) for r in span.mat.rows]
+    assert span.pivot_cols == [min(r) for r in span.mat._rows]
     assert_reduced(span.mat, P7)
     sparse = [{j: x for j, x in enumerate(v) if x} for v in vectors]
     assert SubspaceBasis.invariant_span(F7, dim, sparse, ms) == span
+
+
+@st.composite
+def mat_case(draw):
+    """A small matrix over QQ (entries a/b, most of them zero) or GF(7),
+    with a vector to apply it to and identity padding for kron_id."""
+    field = draw(st.sampled_from([QQ, F7]))
+    nrows, ncols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    if field is QQ:
+        scalar = st.builds(lambda a, b: QQ.from_int(a) / QQ.from_int(b),
+                           st.sampled_from([0, 0, 0, 1, -1, 2, -3]), st.integers(1, 3))
+    else:
+        scalar = st.integers(0, P7 - 1)
+    data = draw(st.lists(st.lists(scalar, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    vec = draw(st.lists(scalar, min_size=ncols, max_size=ncols))
+    pre, post = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return field, Mat.from_rows(field, data, ncols), vec, pre, post
+
+
+def is_field_scalar(field, v):
+    """QQ scalars are the QQ type (never int or float); GF(7) scalars are
+    ints in [0, 7)."""
+    if field is QQ:
+        return type(v) is type(QQ.one)
+    return type(v) is int and 0 <= v < P7
+
+
+@settings(max_examples=120, deadline=None)
+@given(mat_case())
+def test_mat_public_surface_round_trips_and_keeps_scalar_types(case):
+    field, m, vec, pre, post = case
+    assert Mat.from_entries(field, m.nrows, m.ncols, m.items()) == m
+    assert m.sparse_cols() == m.transpose()._rows
+    assert m.sparse_cols() == [{i: v for i, v in enumerate(m.col(j)) if v}
+                               for j in range(m.ncols)]
+    assert m.reshape(1, m.nrows * m.ncols).reshape(m.nrows, m.ncols) == m
+    assert m.row_slice(0, m.nrows) == m
+    ident = Mat.identity(field, pre)
+    assert kron_id(pre, m, post) == ident.kron(m).kron(Mat.identity(field, post))
+    assert ident.is_identity() and not ident.scale(field.from_int(2)).is_identity()
+    values = [m.get(i, j) for i in range(m.nrows) for j in range(m.ncols)]
+    values += [v for j in range(m.ncols) for v in m.col(j)]
+    values += [v for i in range(m.nrows) for v in m.row_list(i)]
+    values += [v for row in m.to_lists() for v in row]
+    values += [v for _, v in m.items()]
+    values += m.apply(vec)
+    assert all(is_field_scalar(field, v) for v in values)
+
+
+def test_mat_storage_stays_in_exactla():
+    """Outside exactla (and this file's storage-invariant checks) no code
+    reads or builds a Mat's row storage: no attribute ``rows``/``_rows``, no
+    import of the echelon internals and no raw ``Mat(...)`` call with rows."""
+    root = Path(__file__).resolve().parent.parent
+    files = [p for p in sorted((root / "src" / "coralg").glob("*.py"))
+             if p.name != "exactla.py"]
+    files += [p for p in sorted((root / "tests").glob("*.py"))
+              if p.name != "test_exactla.py"]
+    internals = {"_Echelon", "_kernel_from_rref"}
+    offences = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            where = f"{path.relative_to(root)}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Attribute) and node.attr in {"rows", "_rows"} | internals:
+                offences.append(f"{where} .{node.attr}")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                offences += [f"{where} imports {a.name}" for a in node.names
+                             if a.name.rsplit(".", 1)[-1] in internals]
+            elif isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name == "Mat" and (len(node.args) > 3
+                                      or any(k.arg == "rows" for k in node.keywords)):
+                    offences.append(f"{where} raw Mat(...) with rows")
+    assert offences == []

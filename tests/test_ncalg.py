@@ -6,7 +6,7 @@ import itertools
 import random
 
 from coralg.errors import ActionMismatch
-from coralg.exactla import GF, QQ, Mat, rank, rref_solve
+from coralg.exactla import GF, QQ, Mat, kron_id, rank, rref_solve
 from coralg.fixtures import (
     FIXTURE_NAMES, diagonal_subalgebra, fixture_workspace, matrix_algebra,
     product_field_algebra, quadratic_algebra, upper_triangular_algebra,
@@ -15,7 +15,7 @@ from coralg.fixtures import (
 from coralg.ncalg import (
     AlgebraMorphism, Equation, Module, Term, descend, eq_value, eqs_linear,
     evaluate_equation,
-    generated_subalgebra, hom_solve, kron_id, leg_apply, projective_dual_basis,
+    generated_subalgebra, hom_solve, leg_apply, projective_dual_basis,
     regular_bimodule, scalar_algebra, tensor_over, tensor_space,
     validate_algebra, validate_module, validate_morphism,
     verify_dual_basis,
@@ -232,8 +232,7 @@ def test_hom_solve_term_shapes_against_the_evaluator(field, pre, post):
     cols, rhs = [], eq.rhs
     for n in range(tgt):
         for i in range(src):
-            unit = Mat.zeros(field, tgt, src)
-            unit.rows[n][i] = field.one
+            unit = Mat.from_entries(field, tgt, src, [((n, i), field.one)])
             res = evaluate_equation(field, unit, Equation(terms))
             cols.append([res.get(o, c) for o in range(res.nrows) for c in range(res.ncols)])
     dense = Mat.from_cols(field, cols, rhs.nrows * rhs.ncols)
