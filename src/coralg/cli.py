@@ -13,10 +13,9 @@ import time
 
 from . import exactla
 from .errors import CoralgError, SchemaError, UnknownFixture, ValidationError
-from .exactla import Mat, solve_right
-from .ncalg import Equation, Term, eqs_linear, hom_solve, leg_apply, tensor_space
-from .coring import verify_grouplike
-from .entwine import canonical_maps, make_extension
+from .exactla import Mat
+from .ncalg import Equation, Term, eqs_linear, hom_solve
+from .entwine import canonical_maps
 from .connect import (
     StrongConnection, solve_strong_connection, tflatness_check, total_integral,
     verify_strong_connection,
@@ -27,7 +26,7 @@ from .cherngalois import (
     local_dual_system,
 )
 from .fixtures import FIXTURE_NAMES, fixture_document
-from .workspace import parse_workspace, workspace_options, _fmt_mat, _fmt_vec, _parse_matrix
+from .workspace import parse_workspace, workspace_options, _fmt_mat, _fmt_vec
 
 
 def _load(path):
@@ -45,39 +44,6 @@ def _emit(report, out):
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _extension(ws, t_name=None):
-    ent = ws.single_entwining()
-    _, _, rho = ws.single_coaction()
-    t_basis = None
-    if t_name:
-        if t_name not in ws.subalgebras:
-            raise SchemaError(f"subalgebras.{t_name}", "unknown subalgebra")
-        sub, incl = ws.subalgebras[t_name]
-        t_basis = [incl.apply(sub.basis_vector(i)) for i in range(sub.dim)]
-    g = _detect_grouplike(ent, rho)
-    return make_extension(ent, rho, t_basis=t_basis, grouplike=g)
-
-
-def _detect_grouplike(ent, rho):
-    """Recover g with rho = psi(g (x) -) when the coaction is grouplike
-    induced; None otherwise."""
-    z = ent.psi_inv.apply(rho.apply(ent.ring.unit)) if ent.psi_inv else None
-    if z is None:
-        return None
-    cols = [ent.CA.embed_pure([ent.coring.carrier.basis_vector(i), ent.ring.unit])
-            for i in range(ent.coring.dim)]
-    m = Mat.from_cols(ent.ring.field, cols, ent.CA.dim)
-    g = solve_right(m, Mat.from_cols(ent.ring.field, [z], len(z)))
-    if g is None:
-        return None
-    g = g.col(0)
-    if not verify_grouplike(ent.coring, g)[0]:
-        return None
-    gcol = Mat.from_cols(ent.ring.field, [g], ent.coring.dim)
-    rho2 = ent.psi @ leg_apply(ent.a_mod, ent.CA, 0, 0, gcol, check="skip")
-    return g if rho2 == rho else None
 
 
 def _coidempotent(ws, args):
@@ -100,14 +66,14 @@ def cmd_validate(ws, args):
 
 
 def cmd_coinvariants(ws, args):
-    x = _extension(ws, args.T)
+    x = ws.extension(t_name=args.T)
     basis = [_fmt_vec(ws.field, x.incl_B.apply(x.B.basis_vector(i)))
              for i in range(x.B.dim)]
     return {"verdicts": {}, "payload": {"dim": x.B.dim, "basis": basis}}, 0
 
 
 def cmd_galois(ws, args):
-    x = _extension(ws, args.T)
+    x = ws.extension(t_name=args.T)
     res = canonical_maps(x)
     rep = {"verdicts": {"galois": res["galois"]},
            "payload": {"can": _fmt_mat(ws.field, res["can"])}}
@@ -116,40 +82,40 @@ def cmd_galois(ws, args):
     return rep, 0 if res["galois"] else 1
 
 
-def _connection_from_args(ws, x, args):
+def _connection(ws, args):
+    """The stored connection ``--connection`` over its own T, or a solved
+    connection over ``--T``."""
     name = args.connection
     if name:
         if name not in ws.connections:
             raise SchemaError(f"connections.{name}", "unknown connection")
-        ext, tname, raw = ws.connections[name]
-        t_alg = x.T
-        aat = tensor_space([x.a_mod, x.a_mod], [t_alg])
-        mat = _parse_matrix(ws.field, raw, aat.dim, x.entwining.coring.dim,
-                            f"connections.{name}.matrix")
-        return StrongConnection(x, mat, t_alg=t_alg)
-    sc, _ = solve_strong_connection(x)
+        _, tname, mat = ws.connections[name]
+        if args.T is not None and args.T != tname:
+            raise SchemaError(f"connections.{name}.T",
+                              f"the connection is over {tname or 'k.1'}, not --T {args.T}")
+        return StrongConnection(ws.extension(t_name=tname), mat)
+    sc, _ = solve_strong_connection(ws.extension(t_name=args.T))
     if sc is None:
         raise CoralgError("no strong connection exists")
     return sc
 
 
 def cmd_connection(ws, args):
-    x = _extension(ws, args.T)
     if args.mode == "solve":
-        sc, sol = solve_strong_connection(x)
+        sc, sol = solve_strong_connection(ws.extension(t_name=args.T))
         if sc is None:
             return {"verdicts": {"exists": False}}, 1
         return {"verdicts": {"exists": True},
                 "payload": {"matrix": _fmt_mat(ws.field, sc.ell),
                             "freedom": sol.freedom}}, 0
-    sc = _connection_from_args(ws, x, args)
+    sc = _connection(ws, args)
     rep = verify_strong_connection(sc)
     return {"verdicts": {"strong_connection": rep.ok},
             "residuals": _fail_list(rep.failures)}, 0 if rep.ok else 1
 
 
 def cmd_integral(ws, args):
-    x = _extension(ws, args.T)
+    x = ws.extension(t_name=args.T)
     res = total_integral(x)
     rep = {"verdicts": {"relative_injective": res["relative_injective"],
                         "split_condition": res["split_condition"]}}
@@ -160,14 +126,14 @@ def cmd_integral(ws, args):
 
 
 def cmd_tflat(ws, args):
-    x = _extension(ws, args.T)
+    x = ws.extension(t_name=args.T)
     res = tflatness_check(x)
     return {"verdicts": {"t_flat": res["verdict"], "iso": res["iso"],
                          **res["flags"]}}, 0 if res["verdict"] else 1
 
 
 def cmd_hc(ws, args):
-    x = _extension(ws, args.T)
+    x = ws.extension(t_name=args.T)
     n = args.degree
     D = max(ws.options["max_degree"], n + 1)
     cc = cyclic_complex(x.B, (x.T, x.incl_T_B))
@@ -179,8 +145,7 @@ def cmd_hc(ws, args):
 
 def cmd_chg(ws, args):
     e = _coidempotent(ws, args)
-    x = _extension(ws, args.T)
-    sc = _connection_from_args(ws, x, args)
+    sc = _connection(ws, args)
     n = args.degree
     chg = chg_components(e, sc, 2 * n)
     tc = chg.cc_b.total(max(ws.options["max_degree"], 2 * n + 1))
@@ -196,8 +161,8 @@ def cmd_chg(ws, args):
 def _idempotent_setup(ws, args):
     """The coidempotent e, the strong connection and the idempotent matrix E."""
     e = _coidempotent(ws, args)
-    x = _extension(ws, args.T)
-    sc = _connection_from_args(ws, x, args)
+    sc = _connection(ws, args)
+    x = sc.extension
     dual = local_dual_system(x, sc, e)
     return e, sc, idempotent_e(x, sc, e, dual, _default_phi(x))
 
@@ -284,7 +249,7 @@ def main(argv=None):
         exactla.DIMENSION_GUARD = workspace_options(doc)["memory_guard"]
         ws = parse_workspace(doc)
         if args.command != "validate" and ws.validation_errors:
-            sys.stderr.write("workspace fails validation; run `validate`\n")
+            sys.stderr.write("input error: workspace fails validation; run `validate`\n")
             return 2
         body, code = COMMANDS[args.command](ws, args)
         report = {"command": args.command}

@@ -371,7 +371,7 @@ def _subalgebra_of_b(ring, t_basis, b_incl):
     return t_alg, AlgebraMorphism(t_alg, b_incl.source, t_in_b)
 
 
-def make_extension(e, rho, t_basis=None, grouplike=None, strict=True):
+def make_extension(e, rho, t_basis=None, grouplike=None):
     """Build an entwined extension from a bijective entwining and a coaction.
 
     Verifies: A is a right entwined module; rho(1) is a grouplike of the
@@ -384,12 +384,12 @@ def make_extension(e, rho, t_basis=None, grouplike=None, strict=True):
         raise NotBijective("extensions need a bijective entwining")
     ring = e.ring
     rep = validate_entwined_module(e.a_mod, rho, e, name=ring.name)
-    if strict and not rep.ok:
+    if not rep.ok:
         raise NotEntwinedModule(str(rep.failures[:3]))
     g_assoc = rho.apply(ring.unit)
     assoc = associated_coring(e)
     ok, _ = verify_grouplike(assoc, g_assoc)
-    if strict and not ok:
+    if not ok:
         raise NotEntwinedModule("rho(1_A) is not a grouplike of (A(x)C)_psi")
     # left coaction a -> psi^{-1}(a rho(1))  (condition (h) form)
     m1 = e.left_action_on(g_assoc)
@@ -397,12 +397,12 @@ def make_extension(e, rho, t_basis=None, grouplike=None, strict=True):
     # condition (e): psi^{-1}(g) grouplike in (C (x) A)_{psi^{-1}}
     coassoc = co_associated_coring(e)
     ok2, _ = verify_grouplike(coassoc, e.psi_inv.apply(g_assoc))
-    if strict and not ok2:
+    if not ok2:
         raise NotEntwinedModule("psi^{-1}(rho(1_A)) is not a grouplike")
     # condition (h): A is a left entwined module under lrho
     hrep = Report("left-entwined")
     _entwined_compatibility(hrep, "left-entwined-compatibility", e.a_mod.op(), lrho, e.op())
-    if strict and not hrep.ok:
+    if not hrep.ok:
         raise NotEntwinedModule(f"left entwined module fails: {hrep.failures[:3]}")
     # coinvariants, two one-sided kernel formulas
     b_right = rref_solve(rho - m1)["kernel"]
@@ -419,7 +419,7 @@ def make_extension(e, rho, t_basis=None, grouplike=None, strict=True):
                              t_alg, t_incl_b, grouplike=grouplike)
 
 
-def extension_from_grouplike(e, g, t_basis=None, strict=True):
+def extension_from_grouplike(e, g, t_basis=None):
     """rho(a) = psi(g (x) a) and lrho(a) = psi^{-1}(a (x) g) for a
     grouplike g of C."""
     if e.psi_inv is None:
@@ -430,7 +430,27 @@ def extension_from_grouplike(e, g, t_basis=None, strict=True):
     f = e.ring.field
     gcol = Mat.from_cols(f, [g], e.coring.dim)
     rho = e.psi @ leg_apply(e.a_mod, e.CA, 0, 0, gcol, check="skip")
-    return make_extension(e, rho, t_basis=t_basis, grouplike=g, strict=strict)
+    return make_extension(e, rho, t_basis=t_basis, grouplike=g)
+
+
+def _detect_grouplike(e, rho):
+    """Recover g with rho = psi(g (x) -) when the coaction is grouplike
+    induced; None otherwise."""
+    z = e.psi_inv.apply(rho.apply(e.ring.unit)) if e.psi_inv else None
+    if z is None:
+        return None
+    cols = [e.CA.embed_pure([e.coring.carrier.basis_vector(i), e.ring.unit])
+            for i in range(e.coring.dim)]
+    m = Mat.from_cols(e.ring.field, cols, e.CA.dim)
+    g = solve_right(m, Mat.from_cols(e.ring.field, [z], len(z)))
+    if g is None:
+        return None
+    g = g.col(0)
+    if not verify_grouplike(e.coring, g)[0]:
+        return None
+    gcol = Mat.from_cols(e.ring.field, [g], e.coring.dim)
+    rho2 = e.psi @ leg_apply(e.a_mod, e.CA, 0, 0, gcol, check="skip")
+    return g if rho2 == rho else None
 
 
 # ---------------------------------------------------------------------------

@@ -359,12 +359,6 @@ class Mat:
                         tgt[bj + j2] = v1 * v2 if p is None else v1 * v2 % p
         return Mat(self.field, self.nrows * other.nrows, self.ncols * other.ncols, rows)
 
-    def vstack(self, other):
-        if self.ncols != other.ncols:
-            raise DimensionMismatch("vstack col mismatch")
-        return Mat(self.field, self.nrows + other.nrows, self.ncols,
-                   [dict(r) for r in self._rows] + [dict(r) for r in other._rows])
-
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.shape == other.shape
                 and self.field == other.field and self._rows == other._rows)
@@ -558,10 +552,6 @@ class SubspaceBasis:
         return cls(field, ambient_dim, mat, ech.pivot_of_row)
 
     @classmethod
-    def zero(cls, field, ambient_dim):
-        return cls(field, ambient_dim, Mat(field, 0, ambient_dim), [])
-
-    @classmethod
     def full(cls, field, ambient_dim):
         return cls(field, ambient_dim, Mat.identity(field, ambient_dim),
                    list(range(ambient_dim)))
@@ -740,8 +730,3 @@ def quotient_space(field, ambient_dim, relations):
     guard_dim(ambient_dim, "quotient ambient")
     basis = SubspaceBasis.from_vectors(field, ambient_dim, relations)
     return QuotientSpace(field, ambient_dim, basis)
-
-
-def identity_quotient(field, ambient_dim):
-    guard_dim(ambient_dim, "quotient ambient")
-    return QuotientSpace(field, ambient_dim, SubspaceBasis.zero(field, ambient_dim))

@@ -23,7 +23,7 @@ from .entwine import (
     invert_entwining, sweedler_coring,
 )
 from .connect import solve_strong_connection
-from .workspace import Workspace, _fmt_mat, serialize_workspace
+from .workspace import Workspace, serialize_workspace
 
 
 def quadratic_algebra(field, a, b, name=None):
@@ -230,103 +230,63 @@ FIXTURE_NAMES = ("FIX-TRIV", "FIX-Z2", "FIX-SW", "FIX-NC", "FIX-SEP", "FIX-FP")
 
 def fixture_workspace(name):
     """Build the named fixture as a fully populated Workspace."""
-    if name == "FIX-FP":
-        return _z2_workspace(GF(5))
-    if name == "FIX-TRIV":
-        return _trivial_coring_workspace(scalar_algebra(QQ, name="A"), "T")
-    if name == "FIX-Z2":
-        return _z2_workspace(QQ)
+    if name in ("FIX-TRIV", "FIX-SEP"):
+        a = scalar_algebra(QQ) if name == "FIX-TRIV" else product_field_algebra(QQ)
+        cor = trivial_coring(a)
+        ent = invert_entwining(Entwining(a, a, AlgebraMorphism.identity(a), cor,
+                                         Mat.identity(QQ, a.dim)))
+        x = extension_from_grouplike(ent, list(a.unit))
+        return _extension_workspace(ent, x, "T" if name == "FIX-TRIV" else "Tprime",
+                                    [("e", [[list(a.unit)]])])
+    if name in ("FIX-Z2", "FIX-FP"):
+        field = QQ if name == "FIX-Z2" else GF(5)
+        one, zero = field.one, field.zero
+        ent = z2_graded_entwining(field)
+        x = extension_from_grouplike(ent, [one, zero])
+        sc, _ = solve_strong_connection(x)
+        return _extension_workspace(ent, x, "T", [("e0", [[[one, zero]]]),
+                                                  ("e1", [[[zero, one]]])],
+                                    connections=[("ell", sc.ell)])
     if name == "FIX-SW":
-        field = QQ
-        a = quadratic_algebra(field, 1, 0, name="A")
-        ws = Workspace(field)
-        ws.algebras["A"] = a
-        ent = sweedler_entwining(field, a, generated_subalgebra(a, []), name="psi")
-        cor = ent.coring
-        cor.name = "C"
-        cor.carrier.name = "C"
-        ws.bimodules["C"] = cor.carrier
-        ws.corings["C"] = cor
-        ws.entwinings["psi"] = ent
-        g = cor.aa_space.embed_pure([a.unit, a.unit])
-        x = extension_from_grouplike(ent, g)
-        ws.coactions["rho"] = ("A", "C", x.rho)
-        ws.coidempotents["e"] = Coidempotent(cor, [[g]])
-        ws.subalgebras["T"] = (x.T, x.incl_T_A)
-        ws.subalgebras["T"][0].name = "T"
-        return ws
+        a = quadratic_algebra(QQ, 1, 0)
+        ent = sweedler_entwining(QQ, a, generated_subalgebra(a, []))
+        g = ent.coring.aa_space.embed_pure([a.unit, a.unit])
+        return _extension_workspace(ent, extension_from_grouplike(ent, g), "T",
+                                    [("e", [[g]])])
     if name == "FIX-NC":
-        field = QQ
-        fix = nc_fixture(field)
-        x = fix["extension"]
-        ent = fix["entwining"]
-        m2 = ent.ring
-        m2.name = "A"
-        ws = Workspace(field)
-        ws.algebras["A"] = m2
-        cor = ent.coring
-        cor.name = "C"
-        cor.carrier.name = "C"
-        ws.bimodules["C"] = cor.carrier
-        ws.corings["C"] = cor
-        ws.entwinings["psi"] = ent
-        ws.coactions["rho"] = ("A", "C", x.rho)
-        ws.coidempotents["e"] = fix["coidempotent"]
-        ws.coidempotents["eg"] = Coidempotent(cor, [[fix["grouplike"]]])
-        ws.subalgebras["T"] = (x.T, x.incl_T_A)
-        ws.subalgebras["T"][0].name = "T"
-        diag, diag_incl = diagonal_subalgebra(m2)
-        diag.name = "diag"
-        ws.subalgebras["diag"] = (diag, diag_incl)
-        return ws
-    if name == "FIX-SEP":
-        return _trivial_coring_workspace(product_field_algebra(QQ, name="A"), "Tprime")
+        fix = nc_fixture(QQ)
+        return _extension_workspace(
+            fix["entwining"], fix["extension"], "T",
+            [("e", fix["coidempotent"].entries), ("eg", [[fix["grouplike"]]])],
+            subalgebras=[("diag", diagonal_subalgebra(fix["entwining"].ring))])
     raise UnknownFixture(name)
 
 
-def _trivial_coring_workspace(a, t_name):
-    """A over itself with the trivial coring C = A, psi = identity and the
-    coaction of the grouplike 1_A; T = k.1 is stored under ``t_name``."""
-    field = a.field
-    ws = Workspace(field)
-    ws.algebras["A"] = a
-    cor = trivial_coring(a, name="C")
-    cor.carrier.name = "C"
+def _extension_workspace(ent, x, t_name, coidempotents, subalgebras=(), connections=()):
+    """The workspace of the entwined extension ``x`` of ``ent``: the ring A
+    (and the base R when it is another algebra), the coring C, the
+    entwining psi, the coaction rho and x's T named ``t_name``, then the
+    (name, entries) coidempotents, (name, (sub, incl)) subalgebras and
+    (name, ell) connections over T."""
+    ws = Workspace(ent.ring.field)
+    cor = ent.coring
+    ent.ring.name = "A"
+    ws.algebras["A"] = ent.ring
+    if ent.base is not ent.ring:
+        ent.base.name = "R"
+        ws.algebras["R"] = ent.base
+    cor.name = cor.carrier.name = "C"
     ws.bimodules["C"] = cor.carrier
     ws.corings["C"] = cor
-    eta = AlgebraMorphism.identity(a)
-    ent = Entwining(a, a, eta, cor, Mat.identity(field, a.dim), name="psi")
-    ent = invert_entwining(ent)
-    ws.entwinings["psi"] = ent
-    x = extension_from_grouplike(ent, list(a.unit))
-    ws.coactions["rho"] = ("A", "C", x.rho)
-    ws.coidempotents["e"] = Coidempotent(cor, [[list(a.unit)]])
-    ws.subalgebras[t_name] = (x.T, x.incl_T_A)
-    x.T.name = t_name
-    return ws
-
-
-def _z2_workspace(field):
-    ent = z2_graded_entwining(field)
-    ent.ring.name = "A"
-    ent.base.name = "R"
-    ent.coring.name = "C"
-    ent.coring.carrier.name = "C"
-    x = extension_from_grouplike(ent, [field.one, field.zero])
-    ws = Workspace(field)
-    ws.algebras["A"] = ent.ring
-    ws.algebras["R"] = ent.base
-    ws.bimodules["C"] = ent.coring.carrier
-    ws.corings["C"] = ent.coring
     ws.entwinings["psi"] = ent
     ws.coactions["rho"] = ("A", "C", x.rho)
-    one, zero = field.one, field.zero
-    ws.coidempotents["e0"] = Coidempotent(ent.coring, [[[one, zero]]])
-    ws.coidempotents["e1"] = Coidempotent(ent.coring, [[[zero, one]]])
-    ws.subalgebras["T"] = (x.T, x.incl_T_A)
-    ws.subalgebras["T"][0].name = "T"
-    sc, _ = solve_strong_connection(x)
-    ws.connections["ell"] = ("rho", "T", _fmt_mat(field, sc.ell))
+    for name, entries in coidempotents:
+        ws.coidempotents[name] = Coidempotent(cor, entries)
+    for name, (sub, incl) in [(t_name, (x.T, x.incl_T_A)), *subalgebras]:
+        sub.name = name
+        ws.subalgebras[name] = (sub, incl)
+    for name, ell in connections:
+        ws.connections[name] = ("rho", t_name, ell)
     return ws
 
 

@@ -602,11 +602,6 @@ def tensor_space(factors, junctions, circular=None, name=""):
     return sp
 
 
-def tensor_over(m, n, t, name=""):
-    """The balanced tensor M (x)_T N; pass t=None for the ground field."""
-    return tensor_space([m, n], [t], name=name)
-
-
 def _plain(sp):
     """Q = S = I: a module, or a space without relations that is not a
     reversal view (whose Q and S permute)."""
@@ -681,33 +676,6 @@ def evaluate_equation(field, X, eq):
     return total
 
 
-class EquivariantMap:
-    """A linear map with declared equivariance constraints; the matrix maps
-    source coordinates to target coordinates and ``verify`` re-checks every
-    declared constraint as an exact matrix identity."""
-
-    def __init__(self, source, target, matrix, constraints=(), tags=()):
-        self.source = source
-        self.target = target
-        self.matrix = matrix
-        self.constraints = list(constraints)
-        self.tags = tuple(tags)
-
-    def apply(self, vec):
-        return self.matrix.apply(vec)
-
-    def verify(self):
-        rep = Report(f"map{self.tags}")
-        for eq in self.constraints:
-            res = evaluate_equation(self.matrix.field, self.matrix, eq)
-            _fail_cols(rep, eq.label or "constraint", res)
-        return rep
-
-    def __repr__(self):
-        return f"EquivariantMap({getattr(self.source, 'name', '?')} -> " \
-               f"{getattr(self.target, 'name', '?')}, tags={self.tags})"
-
-
 class AffineSolutionSet:
     """All solutions X = particular + span(homogeneous) of a linear system
     in an unknown (tgt_dim x src_dim)-matrix; particular has free variables
@@ -746,12 +714,6 @@ class AffineSolutionSet:
     def __repr__(self):
         st = "empty" if self.is_empty else f"dim {self.freedom}"
         return f"AffineSolutionSet({self.tgt_dim}x{self.src_dim}, {st})"
-
-
-def equivariant_hom_space(source, target, constraints):
-    """Solve for all maps source -> target satisfying the given Equation
-    constraints; source/target may be Modules or TensorSpaces."""
-    return hom_solve(source.field, source.dim, target.dim, constraints)
 
 
 def hom_solve(field, src_dim, tgt_dim, equations):

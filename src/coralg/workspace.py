@@ -14,13 +14,23 @@ quotient chain.  Schema keys:
     entwinings{name: {coring, ring, psi, psi_inv?}}
     coactions{name: {module, coring, matrix}}
     coidempotents{name: {coring, index_size, entries}}
-    connections{name: {extension, T, matrix}}
+    connections{name: {extension, T?, matrix}}
     options{max_degree, memory_guard}
+
+Every value read from a document is type-checked (integers exclude
+booleans; scalars are integers or ``"a/b"`` strings): a malformed value is
+a SchemaError naming its path.
 
 The unit map eta: R -> A of an entwining is inferred: identity when the
 coring's base is the ring itself, the inclusion when the base was declared
 as a subalgebra of the ring, and the unit map when the base is
 one-dimensional.
+
+This module is the one path from a document to an entwined extension:
+``Workspace.extension`` builds it once per coaction and derives every other
+T from it.  A stored connection is a map C -> A (x)_T A for its own ``T``
+(k.1 when omitted); it is parsed and verified over that T at parse time,
+and the CLI uses it over the same T.
 """
 
 from .errors import SchemaError, ValidationError
@@ -31,8 +41,8 @@ from .ncalg import (
 )
 from .coring import Coidempotent, Coring, validate_coidempotent, validate_coring
 from .entwine import (
-    Entwining, invert_entwining, make_extension, validate_entwined_module,
-    validate_entwining,
+    Entwining, _detect_grouplike, invert_entwining, make_extension,
+    validate_entwined_module, validate_entwining,
 )
 from .connect import StrongConnection, verify_strong_connection
 
@@ -53,6 +63,7 @@ class Workspace:
         self.connections = {}     # name -> (coaction_name, T_name, Mat)
         self.options = dict(DEFAULT_OPTIONS)
         self.validation_errors = []
+        self._extensions = {}     # (coaction_name, T_name) -> EntwinedExtension
 
     def single_entwining(self):
         if len(self.entwinings) != 1:
@@ -64,11 +75,66 @@ class Workspace:
             raise SchemaError("coactions", "computation commands need exactly one")
         return next(iter(self.coactions.values()))
 
+    def entwining_of(self, cor):
+        """The entwining over the coring ``cor`` (None when there is none)."""
+        return next((e for e in self.entwinings.values() if e.coring is cor), None)
 
-def _need(doc, key, path):
+    def extension(self, coaction=None, t_name=None):
+        """The entwined extension of the named coaction (of the only
+        entwining and coaction when None) over the subalgebra ``t_name``
+        (k.1 when None or empty).  Built once per coaction; any other T
+        comes from ``with_T``."""
+        if coaction is None:
+            self.single_entwining()
+            self.single_coaction()
+            coaction, = self.coactions
+        key = (coaction, t_name or "")
+        x = self._extensions.get(key)
+        if x is None:
+            if t_name:
+                if t_name not in self.subalgebras:
+                    raise SchemaError(f"subalgebras.{t_name}", "unknown subalgebra")
+                sub, incl = self.subalgebras[t_name]
+                x = self.extension(coaction).with_T(_basis_in_parent(sub, incl))
+            else:
+                _, cname, rho = self.coactions[coaction]
+                ent = self.entwining_of(self.corings[cname])
+                x = make_extension(ent, rho, grouplike=_detect_grouplike(ent, rho))
+            self._extensions[key] = x
+        return x
+
+
+_JSON_KINDS = {int: "an integer", str: "a string", list: "an array", dict: "an object"}
+
+
+def _typed(value, path, kind):
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise SchemaError(path, f"expected {_JSON_KINDS[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _need(doc, key, path, kind):
     if key not in doc:
         raise SchemaError(f"{path}.{key}", "missing")
-    return doc[key]
+    return _typed(doc[key], f"{path}.{key}", kind)
+
+
+def _section(doc, key):
+    """The (name, entry) pairs of a top-level section: an object of objects."""
+    return [(name, _typed(entry, f"{key}.{name}", dict))
+            for name, entry in _typed(doc.get(key, {}), key, dict).items()]
+
+
+def _ref(table, doc, key, path, what):
+    """The entry of ``table`` named by ``doc[key]``."""
+    name = _need(doc, key, path, str)
+    if name not in table:
+        raise SchemaError(f"{path}.{key}", f"unknown {what} {name}")
+    return table[name]
+
+
+def _record(ws, path, rep):
+    ws.validation_errors.extend(ValidationError(path, ax, loc) for ax, loc in rep.failures)
 
 
 def _parse_matrix(field, data, nrows, ncols, path):
@@ -76,7 +142,8 @@ def _parse_matrix(field, data, nrows, ncols, path):
     image coordinates); internally maps act on columns, so parse transposes.
 
     ``nrows``/``ncols`` are the internal (target x source) dimensions."""
-    if len(data) != ncols or any(len(r) != nrows for r in data):
+    if not isinstance(data, list) or len(data) != ncols or \
+            any(not isinstance(r, list) or len(r) != nrows for r in data):
         raise SchemaError(path, f"expected a {ncols}x{nrows} matrix "
                           f"(one row per source basis element)")
     rows = [_parse_scalars(field, r, path) for r in data]
@@ -84,7 +151,7 @@ def _parse_matrix(field, data, nrows, ncols, path):
 
 
 def _parse_vector(field, data, n, path):
-    if len(data) != n:
+    if not isinstance(data, list) or len(data) != n:
         raise SchemaError(path, f"expected a vector of length {n}")
     return _parse_scalars(field, data, path)
 
@@ -93,7 +160,7 @@ def _parse_scalars(field, data, path):
     """Scalars given as integers or ``"a/b"`` strings."""
     out = []
     for v in data:
-        if not isinstance(v, (int, str)):
+        if isinstance(v, bool) or not isinstance(v, (int, str)):
             raise SchemaError(path, f"bad scalar {v!r}: not an integer or a string")
         try:
             out.append(field.parse(v))
@@ -116,105 +183,79 @@ def workspace_options(doc):
 def parse_workspace(doc):
     """Validated workspace; raises SchemaError on structural problems and
     records axiom failures (as ValidationError) in validation_errors."""
-    fdoc = _need(doc, "field", "")
-    kind = _need(fdoc, "kind", "field")
+    fdoc = _need(_typed(doc, "document", dict), "field", "", dict)
+    kind = _need(fdoc, "kind", "field", str)
     try:
-        field = Field(kind, fdoc.get("p"))
+        field = Field(kind, _need(fdoc, "p", "field", int) if "p" in fdoc else None)
     except ValueError as exc:
         raise SchemaError("field.p" if "prime" in str(exc) or "modulus" in str(exc)
                           else "field.kind", str(exc))
     ws = Workspace(field)
     ws.options = workspace_options(doc)
 
-    for name, a in doc.get("algebras", {}).items():
-        dim = _need(a, "dim", f"algebras.{name}")
-        mult_doc = _need(a, "mult", f"algebras.{name}")
-        if len(mult_doc) != dim or any(len(r) != dim for r in mult_doc):
-            raise SchemaError(f"algebras.{name}.mult", "wrong shape")
-        mult = [[_parse_vector(field, mult_doc[i][j], dim,
-                               f"algebras.{name}.mult[{i}][{j}]")
+    for name, a in _section(doc, "algebras"):
+        path = f"algebras.{name}"
+        dim = _need(a, "dim", path, int)
+        mult_doc = _need(a, "mult", path, list)
+        if len(mult_doc) != dim or any(not isinstance(r, list) or len(r) != dim
+                                       for r in mult_doc):
+            raise SchemaError(f"{path}.mult", "wrong shape")
+        mult = [[_parse_vector(field, mult_doc[i][j], dim, f"{path}.mult[{i}][{j}]")
                  for j in range(dim)] for i in range(dim)]
-        unit = _parse_vector(field, _need(a, "unit", f"algebras.{name}"), dim,
-                             f"algebras.{name}.unit")
+        unit = _parse_vector(field, _need(a, "unit", path, list), dim, f"{path}.unit")
         alg = Algebra(field, name, dim, mult, unit)
-        rep = validate_algebra(alg)
-        for ax, loc in rep.failures:
-            ws.validation_errors.append(ValidationError(f"algebras.{name}", ax, loc))
+        _record(ws, path, validate_algebra(alg))
         ws.algebras[name] = alg
 
-    for name, s in doc.get("subalgebras", {}).items():
-        of = _need(s, "of", f"subalgebras.{name}")
-        if of not in ws.algebras:
-            raise SchemaError(f"subalgebras.{name}.of", f"unknown algebra {of}")
-        parent = ws.algebras[of]
-        basis = [_parse_vector(field, v, parent.dim, f"subalgebras.{name}.basis")
-                 for v in _need(s, "basis", f"subalgebras.{name}")]
+    for name, s in _section(doc, "subalgebras"):
+        path = f"subalgebras.{name}"
+        parent = _ref(ws.algebras, s, "of", path, "algebra")
+        basis = [_parse_vector(field, v, parent.dim, f"{path}.basis")
+                 for v in _need(s, "basis", path, list)]
         sub, incl = generated_subalgebra(parent, basis)
         sub.name = name
         ws.subalgebras[name] = (sub, incl)
 
-    for name, b in doc.get("bimodules", {}).items():
+    for name, b in _section(doc, "bimodules"):
         path = f"bimodules.{name}"
-        left = _need(b, "left", path)
-        right = _need(b, "right", path)
-        dim = _need(b, "dim", path)
-        for key in (left, right):
-            if key not in ws.algebras:
-                raise SchemaError(path, f"unknown algebra {key}")
-        m = Module(field, name, dim)
+        la = _ref(ws.algebras, b, "left", path, "algebra")
+        ra = _ref(ws.algebras, b, "right", path, "algebra")
+        dim = _need(b, "dim", path, int)
         lmats = [_parse_matrix(field, mm, dim, dim, f"{path}.left_action")
-                 for mm in _need(b, "left_action", path)]
+                 for mm in _need(b, "left_action", path, list)]
         rmats = [_parse_matrix(field, mm, dim, dim, f"{path}.right_action")
-                 for mm in _need(b, "right_action", path)]
-        la, ra = ws.algebras[left], ws.algebras[right]
+                 for mm in _need(b, "right_action", path, list)]
         if len(lmats) != la.dim or len(rmats) != ra.dim:
             raise SchemaError(path, "one action matrix per basis element")
+        m = Module(field, name, dim)
         m.add_left(la, lmats)
         m.add_right(ra, rmats)
-        rep = validate_module(m, la, ra)
-        for ax, loc in rep.failures:
-            ws.validation_errors.append(ValidationError(path, ax, loc))
+        _record(ws, path, validate_module(m, la, ra))
         ws.bimodules[name] = m
 
-    for name, c in doc.get("corings", {}).items():
+    for name, c in _section(doc, "corings"):
         path = f"corings.{name}"
-        over = _need(c, "over", path)
-        carrier_name = _need(c, "carrier", path)
-        if over not in ws.algebras:
-            raise SchemaError(f"{path}.over", f"unknown algebra {over}")
-        if carrier_name not in ws.bimodules:
-            raise SchemaError(f"{path}.carrier", f"unknown bimodule {carrier_name}")
-        base = ws.algebras[over]
-        carrier = ws.bimodules[carrier_name]
+        base = _ref(ws.algebras, c, "over", path, "algebra")
+        carrier = _ref(ws.bimodules, c, "carrier", path, "bimodule")
         cc = tensor_space([carrier, carrier], [base])
-        delta = _parse_matrix(field, _need(c, "delta", path), cc.dim,
+        delta = _parse_matrix(field, _need(c, "delta", path, list), cc.dim,
                               carrier.dim, f"{path}.delta")
-        eps = _parse_matrix(field, _need(c, "eps", path), base.dim,
+        eps = _parse_matrix(field, _need(c, "eps", path, list), base.dim,
                             carrier.dim, f"{path}.eps")
         cor = Coring(base, carrier, delta, eps, name=name)
-        rep = validate_coring(cor)
-        for ax, loc in rep.failures:
-            ws.validation_errors.append(ValidationError(path, ax, loc))
+        _record(ws, path, validate_coring(cor))
         ws.corings[name] = cor
 
-    for name, e in doc.get("entwinings", {}).items():
+    for name, e in _section(doc, "entwinings"):
         path = f"entwinings.{name}"
-        cname = _need(e, "coring", path)
-        rname = _need(e, "ring", path)
-        if cname not in ws.corings:
-            raise SchemaError(f"{path}.coring", f"unknown coring {cname}")
-        if rname not in ws.algebras:
-            raise SchemaError(f"{path}.ring", f"unknown algebra {rname}")
-        cor = ws.corings[cname]
-        ring = ws.algebras[rname]
+        cor = _ref(ws.corings, e, "coring", path, "coring")
+        ring = _ref(ws.algebras, e, "ring", path, "algebra")
         eta = _infer_eta(ws, cor.base, ring, path)
         ent = Entwining(cor.base, ring, eta, cor, None, name=name)
-        psi = _parse_matrix(field, _need(e, "psi", path), ent.AC.dim,
-                            ent.CA.dim, f"{path}.psi")
-        ent.psi = psi
+        ent.psi = _parse_matrix(field, _need(e, "psi", path, list), ent.AC.dim,
+                                ent.CA.dim, f"{path}.psi")
         rep = validate_entwining(ent)
-        for ax, loc in rep.failures:
-            ws.validation_errors.append(ValidationError(path, ax, loc))
+        _record(ws, path, rep)
         if "psi_inv" in e:
             ent.psi_inv = _parse_matrix(field, e["psi_inv"], ent.CA.dim,
                                         ent.AC.dim, f"{path}.psi_inv")
@@ -230,80 +271,65 @@ def parse_workspace(doc):
                 pass
         ws.entwinings[name] = ent
 
-    for name, co in doc.get("coactions", {}).items():
+    for name, co in _section(doc, "coactions"):
         path = f"coactions.{name}"
-        mname = _need(co, "module", path)
-        cname = _need(co, "coring", path)
-        if mname not in ws.algebras:
-            raise SchemaError(f"{path}.module", f"unknown algebra {mname}")
-        if cname not in ws.corings:
-            raise SchemaError(f"{path}.coring", f"unknown coring {cname}")
-        cor = ws.corings[cname]
+        _ref(ws.algebras, co, "module", path, "algebra")
+        cor = _ref(ws.corings, co, "coring", path, "coring")
         # the coaction lands in A (x)_R C for the entwining's a_mod; resolve
         # through the entwining that owns this coring
-        ent = next((en for en in ws.entwinings.values() if en.coring is cor), None)
+        ent = ws.entwining_of(cor)
         if ent is None:
             raise SchemaError(path, "coaction without a matching entwining")
-        mat = _parse_matrix(field, _need(co, "matrix", path), ent.AC.dim,
+        mat = _parse_matrix(field, _need(co, "matrix", path, list), ent.AC.dim,
                             ent.ring.dim, f"{path}.matrix")
-        rep = validate_entwined_module(ent.a_mod, mat, ent, name=name)
-        for ax, loc in rep.failures:
-            ws.validation_errors.append(ValidationError(path, ax, loc))
-        ws.coactions[name] = (mname, cname, mat)
+        _record(ws, path, validate_entwined_module(ent.a_mod, mat, ent, name=name))
+        ws.coactions[name] = (co["module"], co["coring"], mat)
 
-    for name, ce in doc.get("coidempotents", {}).items():
+    for name, ce in _section(doc, "coidempotents"):
         path = f"coidempotents.{name}"
-        cname = _need(ce, "coring", path)
-        if cname not in ws.corings:
-            raise SchemaError(f"{path}.coring", f"unknown coring {cname}")
-        cor = ws.corings[cname]
-        size = _need(ce, "index_size", path)
-        entries_doc = _need(ce, "entries", path)
-        if len(entries_doc) != size or any(len(r) != size for r in entries_doc):
+        cor = _ref(ws.corings, ce, "coring", path, "coring")
+        size = _need(ce, "index_size", path, int)
+        entries_doc = _need(ce, "entries", path, list)
+        if len(entries_doc) != size or any(not isinstance(r, list) or len(r) != size
+                                           for r in entries_doc):
             raise SchemaError(f"{path}.entries", "index_size mismatch")
         entries = [[_parse_vector(field, v, cor.carrier.dim, f"{path}.entries")
                     for v in row] for row in entries_doc]
         e = Coidempotent(cor, entries)
-        rep = validate_coidempotent(e)
-        for ax, loc in rep.failures:
-            ws.validation_errors.append(ValidationError(path, ax, loc))
+        _record(ws, path, validate_coidempotent(e))
         ws.coidempotents[name] = e
 
-    for name, cn in doc.get("connections", {}).items():
+    for name, cn in _section(doc, "connections"):
         path = f"connections.{name}"
-        ext = _need(cn, "extension", path)
-        if ext not in ws.coactions:
-            raise SchemaError(f"{path}.extension", f"unknown coaction {ext}")
-        tname = cn.get("T", "")
-        if tname and tname not in ws.subalgebras:
-            raise SchemaError(f"{path}.T", f"unknown subalgebra {tname}")
-        ws.connections[name] = (ext, tname, cn["matrix"])
-        _validate_connection(ws, name, path)
+        _ref(ws.coactions, cn, "extension", path, "coaction")
+        tname = _need(cn, "T", path, str) if "T" in cn else ""
+        if tname:
+            _ref(ws.subalgebras, cn, "T", path, "subalgebra")
+        _validate_connection(ws, name, path, cn["extension"], tname,
+                             _need(cn, "matrix", path, list))
     return ws
 
 
-def _validate_connection(ws, name, path):
-    """Stored connections are structures too: verify them at parse time."""
-    ext_name, tname, raw = ws.connections[name]
+def _validate_connection(ws, name, path, ext_name, tname, raw):
+    """Stored connections are structures too: parse the matrix over the
+    connection's own T, store it and verify it at parse time."""
     try:
-        ent = next(iter(ws.entwinings.values()))
-        _, _, rho = ws.coactions[ext_name]
-        t_basis = None
-        if tname:
-            sub, incl = ws.subalgebras[tname]
-            t_basis = [incl.apply(sub.basis_vector(i)) for i in range(sub.dim)]
-        x = make_extension(ent, rho, t_basis=t_basis, strict=False)
+        x = ws.extension(ext_name, tname)
         aat = tensor_space([x.a_mod, x.a_mod], [x.T])
-        mat = _parse_matrix(ws.field, raw, aat.dim, ent.coring.dim,
+        mat = _parse_matrix(ws.field, raw, aat.dim, x.entwining.coring.dim,
                             f"{path}.matrix")
-        rep = verify_strong_connection(StrongConnection(x, mat))
-        for ax, loc in rep.failures:
-            ws.validation_errors.append(ValidationError(path, ax, loc))
+        ws.connections[name] = (ext_name, tname, mat)
+        _record(ws, path, verify_strong_connection(StrongConnection(x, mat)))
     except SchemaError:
         raise
     except Exception as exc:
         ws.validation_errors.append(
             ValidationError(path, f"extension-construction: {exc}", None))
+
+
+def _basis_in_parent(sub, incl):
+    """The basis of a subalgebra as vectors of the algebra it sits in."""
+    return [incl.apply(sub.basis_vector(i)) for i in range(sub.dim)]
 
 
 def _infer_eta(ws, base, ring, path):
@@ -351,8 +377,7 @@ def serialize_workspace(ws):
         doc["subalgebras"] = {
             name: {
                 "of": incl.target.name,
-                "basis": [_fmt_vec(field, incl.apply(sub.basis_vector(i)))
-                          for i in range(sub.dim)],
+                "basis": [_fmt_vec(field, v) for v in _basis_in_parent(sub, incl)],
             } for name, (sub, incl) in ws.subalgebras.items()}
     if ws.bimodules:
         doc["bimodules"] = {}
@@ -393,7 +418,7 @@ def serialize_workspace(ws):
             for name, e in ws.coidempotents.items()}
     if ws.connections:
         doc["connections"] = {
-            name: {"extension": ext, "T": tname, "matrix": mat}
+            name: {"extension": ext, "T": tname, "matrix": _fmt_mat(field, mat)}
             for name, (ext, tname, mat) in ws.connections.items()}
     doc["options"] = dict(ws.options)
     return doc

@@ -30,7 +30,7 @@ from coralg.connect import (
 )
 from coralg.coring import coidempotent_from_comodule
 from coralg.cyclic import CyclicComplex, cyclic_complex, homology
-from coralg.entwine import galois_check, make_extension
+from coralg.entwine import _detect_grouplike, galois_check, make_extension
 from coralg.errors import MemoryGuard
 from coralg.exactla import QQ, Mat, inverse
 from coralg.fixtures import (
@@ -273,7 +273,6 @@ def _fixture_extensions_with_coidempotents():
         ws = parse_workspace(fixture_document(name))
         ent = ws.single_entwining()
         _, _, rho = ws.single_coaction()
-        from coralg.cli import _detect_grouplike
         x = make_extension(ent, rho, grouplike=_detect_grouplike(ent, rho))
         sc, _ = solve_strong_connection(x)
         return x, sc, list(ws.coidempotents.values())

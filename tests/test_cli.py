@@ -1,19 +1,27 @@
 """Workspace documents, fixtures, commands, exit codes."""
 
+import contextlib
+import functools
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from coralg import exactla
 from coralg.cli import main
-from coralg.errors import SchemaError
-from coralg.fixtures import FIXTURE_NAMES, fixture_document
-from coralg.workspace import parse_workspace, serialize_workspace
+from coralg.connect import solve_strong_connection
+from coralg.entwine import extension_from_grouplike
+from coralg.errors import CoralgError, SchemaError
+from coralg.exactla import QQ
+from coralg.fixtures import (
+    FIXTURE_NAMES, _extension_workspace, diagonal_subalgebra, fixture_document,
+    nc_fixture, z2_graded_entwining,
+)
+from coralg.workspace import _fmt_mat, parse_workspace, serialize_workspace
 
 
 def run_cli(tmp_path, *argv):
-    import io
-    import contextlib
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(list(argv))
@@ -140,23 +148,9 @@ def test_cli_chg_and_compare(tmp_path, z2_path):
 
 def test_cli_non_galois_exit_code(tmp_path):
     # x^2 = 0 variant: integral exists but galois fails with exit 1
-    from coralg.fixtures import z2_graded_entwining
-    from coralg.entwine import extension_from_grouplike
-    from coralg.exactla import QQ
-    from coralg.workspace import Workspace, serialize_workspace
     ent = z2_graded_entwining(QQ, square=0)
-    ent.ring.name = "A"
-    ent.base.name = "R"
-    ent.coring.name = "C"
-    ent.coring.carrier.name = "C"
     x = extension_from_grouplike(ent, [QQ.one, QQ.zero])
-    ws = Workspace(QQ)
-    ws.algebras["A"] = ent.ring
-    ws.algebras["R"] = ent.base
-    ws.bimodules["C"] = ent.coring.carrier
-    ws.corings["C"] = ent.coring
-    ws.entwinings["psi"] = ent
-    ws.coactions["rho"] = ("A", "C", x.rho)
+    ws = _extension_workspace(ent, x, "T", ())
     p = tmp_path / "x20.json"
     p.write_text(json.dumps(serialize_workspace(ws)))
     code, out = run_cli(tmp_path, "galois", "--workspace", str(p))
@@ -231,3 +225,82 @@ def test_cli_memory_guard_is_scoped_to_the_command(tmp_path, capsys):
     assert "> 3" in capsys.readouterr().err
     assert exactla.DIMENSION_GUARD == before
     exactla.quotient_space(exactla.QQ, 10, [])  # no MemoryGuard from the last workspace
+
+
+def test_stored_connection_runs_over_its_own_T(tmp_path, capsys):
+    # FIX-NC with a connection solved over diag, stored with "T": "diag"
+    fix = nc_fixture(QQ)
+    x = fix["extension"]
+    diag, incl = diagonal_subalgebra(x.entwining.ring)
+    sc, _ = solve_strong_connection(x.with_T(
+        [incl.apply(diag.basis_vector(i)) for i in range(diag.dim)]))
+    doc = fixture_document("FIX-NC")
+    doc["connections"] = {"ld": {"extension": "rho", "T": "diag",
+                                 "matrix": _fmt_mat(QQ, sc.ell)}}
+    p = tmp_path / "nc-ld.json"
+    p.write_text(json.dumps(doc))
+    ws = ["--workspace", str(p)]
+    assert main(["validate"] + ws) == 0
+    capsys.readouterr()
+    assert main(["connection", "verify", "--connection", "ld"] + ws) == 0
+    assert json.loads(capsys.readouterr().out)["verdicts"]["strong_connection"]
+    assert main(["idempotent", "--connection", "ld", "--coidempotent", "e"] + ws) == 0
+    capsys.readouterr()
+    assert main(["connection", "verify", "--T", "T", "--connection", "ld"] + ws) == 2
+    assert "connections.ld.T" in capsys.readouterr().err
+
+
+FUZZ_FIXTURES = ("FIX-TRIV", "FIX-Z2", "FIX-SEP", "FIX-SW")
+FUZZ_VALUES = ("x", 7, -1, 0, True, None, [], {}, "1/0")
+
+
+def _paths(node, prefix=()):
+    """Every key and index path into a JSON document, parents first."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+@functools.cache
+def _fuzz_text(name):
+    return json.dumps(fixture_document(name))
+
+
+@settings(deadline=None, derandomize=True, max_examples=250,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_documents_keep_the_exit_contract(tmp_path, data):
+    # one field of a fixture deleted or replaced by a value of the wrong type
+    doc = json.loads(_fuzz_text(data.draw(st.sampled_from(FUZZ_FIXTURES))))
+    *parents, key = data.draw(st.sampled_from(list(_paths(doc))))
+    node = doc
+    for k in parents:
+        node = node[k]
+    mutation = data.draw(st.sampled_from(("delete",) + FUZZ_VALUES))
+    if mutation == "delete":
+        del node[key]
+    else:
+        node[key] = mutation
+    p = tmp_path / "mutated.json"
+    p.write_text(json.dumps(doc))
+    for command in ("validate", "galois"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, "--workspace", str(p)])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert "input error:" in err.getvalue()
+    try:
+        ws = parse_workspace(doc)
+    except CoralgError:
+        return
+    if not ws.validation_errors:
+        once = serialize_workspace(ws)
+        assert serialize_workspace(parse_workspace(once)) == once

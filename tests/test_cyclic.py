@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from coralg import cli, cyclic
+from coralg import cyclic
 from coralg.cyclic import (
     CyclicComplex, cyclic_complex, homology, lambda_projection,
 )
@@ -357,7 +357,7 @@ def test_rank_dims_equal_class_space_dims_on_criterion_2(field, rank_calls):
 def test_rank_dims_equal_class_space_dims_on_fixture_hc(name, rank_calls):
     # the complex of `hc --degree 4`, dims HC_0..4
     ws = fixture_workspace(name)
-    x = cli._extension(ws)
+    x = ws.extension()
     tc = cyclic_complex(x.B, (x.T, x.incl_T_B)).total(max(ws.options["max_degree"], 5))
     _check_rank_dims(tc, range(5), rank_calls)
 

@@ -297,9 +297,8 @@ def test_coinvariant_forall_formulas_agree():
                 cols.append(e.AC.outer_left[ring][b_idx].apply(img))
             rhs = Mat.from_cols(QQ, cols, e.AC.dim)
             big_rows.append(lhs - rhs)
-        stacked = big_rows[0]
-        for m in big_rows[1:]:
-            stacked = stacked.vstack(m)
+        stacked = Mat.from_blocks(QQ, sum(m.nrows for m in big_rows), ring.dim,
+                                  [(i * e.AC.dim, 0, m) for i, m in enumerate(big_rows)])
         forall_kernel = rref_solve(stacked)["kernel"]
         assert forall_kernel.dim == x.B.dim
         for i in range(x.B.dim):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from coralg.errors import DimensionMismatch, MemoryGuard
 from coralg.exactla import (
-    GF, QQ, Field, Mat, SubspaceBasis, identity_quotient, inverse, kron_id, kron_vec,
+    GF, QQ, Field, Mat, SubspaceBasis, inverse, kron_id, kron_vec,
     lincomb, quotient_space, rank, rref_solve, solve_right,
 )
 
@@ -154,7 +154,7 @@ def test_quotient_space_line():
 
 
 def test_quotient_space_trivial_cases():
-    q = identity_quotient(QQ, 4)
+    q = quotient_space(QQ, 4, [])
     assert q.dim == 4
     assert q.proj == Mat.identity(QQ, 4)
     z = quotient_space(QQ, 1, [qvec([1])])
