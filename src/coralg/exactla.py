@@ -4,11 +4,19 @@ Conventions, binding for the whole package:
 
 * Scalars over Q are ``gmpy2.mpq`` values (``fractions.Fraction`` when gmpy2
   is unavailable); scalars over F_p are plain ints in ``[0, p)``.  All three
-  are falsy exactly when zero, which the sparse kernels rely on.
+  are falsy exactly when zero, which the sparse kernels rely on.  Over Q
+  the row storage (``Mat._rows`` and the echelon rows) holds an integral
+  value as a plain int and keeps the QQ type only for a non-integral one:
+  constructors and the scalars entering a kernel are normalized by
+  ``_qq_in``, and every accessor hands out the QQ type (``_qq_out``).  An
+  int times an int stays an int and an int mixed with a rational gives a
+  rational, so the kernels run unchanged on either, and equality and
+  printing cannot tell 1 from QQ 1.  Over F_p nothing is converted.
 * Scalars combine with native operators; ``Field`` holds no per-scalar
   arithmetic, only the boundary helpers (``from_int``, ``inv``, ``parse``,
-  ``fmt``).  Constants come from ``from_int``, so a QQ value is never a bare
-  int.  Over F_p every stored value is reduced mod p first.
+  ``fmt``).  Constants come from ``from_int``, so a QQ value outside the
+  row storage is never a bare int.  Over F_p every stored value is reduced
+  mod p first.
 * Two private kernels do all vector arithmetic: ``_axpy`` (sparse row
   dicts, in place) and ``_axpy_dense`` (dense lists).  Both reduce mod p
   when p is given; ``_axpy`` also drops the zeros it creates.
@@ -83,7 +91,7 @@ class Field:
         if not a:
             raise ZeroDivisionError("inverse of zero")
         if self.p is None:
-            return 1 / a
+            return self.one / a
         return pow(a, self.p - 2, self.p)
 
     def from_int(self, n):
@@ -125,6 +133,34 @@ def guard_dim(n, what="space"):
     if n > DIMENSION_GUARD:
         raise MemoryGuard(f"{what} would have dimension {n} > {DIMENSION_GUARD}")
     return n
+
+
+def _qq_in(v):
+    """A QQ value as the row storage holds it: an int when integral."""
+    return int(v) if v.denominator == 1 else v
+
+
+def _qq_out(v):
+    """A stored QQ value as the QQ scalar type."""
+    return _QQ_SCALAR(v) if type(v) is int else v
+
+
+def _stored(field, c):
+    """A scalar entering a kernel, normalized like the row storage."""
+    return c if field.p is not None else _qq_in(c)
+
+
+def _public(field, values):
+    """A list of stored values as the field's scalars (a new list over Q)."""
+    return values if field.p is not None else [_qq_out(v) for v in values]
+
+
+def _public_rows(field, rows):
+    """Row dicts with the field's scalars: over Q a new dict per row, over
+    F_p the rows themselves."""
+    if field.p is not None:
+        return rows
+    return ({j: _qq_out(v) for j, v in r.items()} for r in rows)
 
 
 def _axpy(dst, c, src, p):
@@ -173,7 +209,7 @@ class Mat:
 
     @classmethod
     def identity(cls, field, n):
-        one = field.one
+        one = _stored(field, field.one)
         return cls(field, n, n, [{i: one} for i in range(n)])
 
     @classmethod
@@ -181,6 +217,8 @@ class Mat:
         """The matrix with the entries ``((i, j), v)``, streamed straight into
         the rows; zeros are skipped and a repeated (i, j) keeps its last v."""
         rows = [{} for _ in range(nrows)]
+        if field.p is None:
+            entries = ((ij, _qq_in(v)) for ij, v in entries)
         for (i, j), v in entries:
             if v:
                 rows[i][j] = v
@@ -196,12 +234,9 @@ class Mat:
             ncols = len(data[0])
         rows = []
         for r in data:
-            if isinstance(r, dict):
-                rows.append({j: v for j, v in r.items() if v})
-            else:
-                if len(r) != ncols:
-                    raise DimensionMismatch("ragged rows")
-                rows.append({j: v for j, v in enumerate(r) if v})
+            if not isinstance(r, dict) and len(r) != ncols:
+                raise DimensionMismatch("ragged rows")
+            rows.append(_sparse(field, r, ncols))
         return cls(field, nrows, ncols, rows)
 
     @classmethod
@@ -222,30 +257,31 @@ class Mat:
 
     # -- access ---------------------------------------------------------
     def get(self, i, j):
-        return self._rows[i].get(j, self.field.zero)
+        v = self._rows[i].get(j, self.field.zero)
+        return v if self.field.p is not None else _qq_out(v)
 
     def col(self, j):
         """Column j as a dense list."""
         z = self.field.zero
-        return [r.get(j, z) for r in self._rows]
+        return _public(self.field, [r.get(j, z) for r in self._rows])
 
     def row_list(self, i):
         z = self.field.zero
         r = self._rows[i]
-        return [r.get(j, z) for j in range(self.ncols)]
+        return _public(self.field, [r.get(j, z) for j in range(self.ncols)])
 
     def to_lists(self):
         return [self.row_list(i) for i in range(self.nrows)]
 
     def items(self):
         """The nonzero entries as ``((i, j), v)``, row by row."""
-        for i, r in enumerate(self._rows):
+        for i, r in enumerate(_public_rows(self.field, self._rows)):
             for j, v in r.items():
                 yield (i, j), v
 
     def sparse_cols(self):
         """Every column as a new sparse dict (the rows of the transpose)."""
-        return self.transpose()._rows
+        return list(_public_rows(self.field, self.transpose()._rows))
 
     def row_slice(self, start, stop):
         """Rows start..stop-1 as a new matrix."""
@@ -284,6 +320,7 @@ class Mat:
         """self + c * other, for a nonzero scalar c."""
         self._check_same_shape(other)
         p = self.field.p
+        c = _stored(self.field, c)
         rows = [_axpy(dict(ra), c, rb, p) for ra, rb in zip(self._rows, other._rows)]
         return Mat(self.field, self.nrows, self.ncols, rows)
 
@@ -300,6 +337,7 @@ class Mat:
         if not c:
             return Mat(self.field, self.nrows, self.ncols)
         p = self.field.p
+        c = _stored(self.field, c)
         return Mat(self.field, self.nrows, self.ncols,
                    [_axpy({}, c, r, p) for r in self._rows])
 
@@ -330,7 +368,7 @@ class Mat:
                 if x:
                     s += v * x
             out.append(s if p is None else s % p)
-        return out
+        return _public(self.field, out)
 
     def transpose(self):
         rows = [{} for _ in range(self.ncols)]
@@ -409,6 +447,7 @@ def lincomb(mats, coeffs):
     for i, c in enumerate(coeffs):
         if c:
             first._check_same_shape(mats[i])
+            c = _stored(first.field, c)
             for dst, src in zip(rows, mats[i]._rows):
                 _axpy(dst, c, src, p)
     return Mat(first.field, first.nrows, first.ncols, rows)
@@ -460,10 +499,10 @@ class _Echelon:
                 self.dead_augs.append(aug)
             return False
         piv = min(row)
-        c = self.field.inv(row[piv])
+        c = _stored(self.field, self.field.inv(row[piv]))
         p = self.field.p
         row = _axpy({}, c, row, p)
-        row[piv] = self.field.one
+        row[piv] = _stored(self.field, self.field.one)
         if aug is not None:
             aug = _axpy({}, c, aug, p)
         self.rows.append(row)
@@ -496,14 +535,18 @@ class _Echelon:
         return self
 
 
-def _sparse(v, dim):
+def _sparse(field, v, dim):
     """A vector of length ``dim``, a dense list or a sparse dict, as a new
-    sparse dict without zeros."""
+    sparse dict without zeros, normalized like the row storage."""
     if isinstance(v, dict):
-        return {j: x for j, x in v.items() if x}
-    if len(v) != dim:
+        entries = v.items()
+    elif len(v) != dim:
         raise DimensionMismatch("vector length != ambient dim")
-    return {j: x for j, x in enumerate(v) if x}
+    else:
+        entries = enumerate(v)
+    if field.p is None:
+        return {j: _qq_in(x) for j, x in entries if x}
+    return {j: x for j, x in entries if x}
 
 
 class SubspaceBasis:
@@ -520,7 +563,7 @@ class SubspaceBasis:
         """The span of ``vectors`` (dense lists or sparse dicts)."""
         ech = _Echelon(field, ambient_dim)
         for v in vectors:
-            ech.add(_sparse(v, ambient_dim))
+            ech.add(_sparse(field, v, ambient_dim))
         return cls._from_echelon(field, ambient_dim, ech)
 
     @classmethod
@@ -532,9 +575,9 @@ class SubspaceBasis:
         when it raises the rank, so every image of the span is in the span
         when the list runs dry."""
         p = field.p
-        images = [m.sparse_cols() for m in mats]
+        images = [m.transpose()._rows for m in mats]
         ech = _Echelon(field, ambient_dim)
-        todo = [_sparse(v, ambient_dim) for v in vectors]
+        todo = [_sparse(field, v, ambient_dim) for v in vectors]
         while todo:
             row = todo.pop()
             if ech.add(row):
@@ -563,7 +606,7 @@ class SubspaceBasis:
     def membership(self, v):
         """Coordinates of v (a dense list or a sparse dict) in this basis,
         or None if v is outside."""
-        residue = _sparse(v, self.ambient_dim)
+        residue = _sparse(self.field, v, self.ambient_dim)
         p = self.field.p
         coords = [self.field.zero] * self.dim
         for i, piv in enumerate(self.pivot_cols):
@@ -574,7 +617,7 @@ class SubspaceBasis:
             _axpy(residue, -c, self.mat._rows[i], p)
         if residue:
             return None
-        return coords
+        return _public(self.field, coords)
 
     def contains_vector(self, v):
         return self.membership(v) is not None
@@ -657,10 +700,10 @@ def _free_vectors(field, ncols, pivot_cols, rref_rows):
     quotient projection by the row space."""
     pivset = set(pivot_cols)
     free = [f for f in range(ncols) if f not in pivset]
-    minus_one = field.from_int(-1)
+    one, minus_one = (_stored(field, field.from_int(n)) for n in (1, -1))
     vecs = []
     for f in free:
-        v = {f: field.one}
+        v = {f: one}
         _axpy(v, minus_one, {piv: row[f] for piv, row in zip(pivot_cols, rref_rows)
                              if f in row}, field.p)
         vecs.append(v)

@@ -33,7 +33,7 @@ T from it.  A stored connection is a map C -> A (x)_T A for its own ``T``
 and the CLI uses it over the same T.
 """
 
-from .errors import SchemaError, ValidationError
+from .errors import ActionMismatch, SchemaError, ValidationError
 from .exactla import Field, Mat, _axpy_dense
 from .ncalg import (
     Algebra, AlgebraMorphism, Module, generated_subalgebra, tensor_space,
@@ -237,7 +237,10 @@ def parse_workspace(doc):
         path = f"corings.{name}"
         base = _ref(ws.algebras, c, "over", path, "algebra")
         carrier = _ref(ws.bimodules, c, "carrier", path, "bimodule")
-        cc = tensor_space([carrier, carrier], [base])
+        try:
+            cc = tensor_space([carrier, carrier], [base])
+        except ActionMismatch as exc:
+            raise SchemaError(path, str(exc))
         delta = _parse_matrix(field, _need(c, "delta", path, list), cc.dim,
                               carrier.dim, f"{path}.delta")
         eps = _parse_matrix(field, _need(c, "eps", path, list), base.dim,

@@ -187,6 +187,18 @@ def test_cli_malformed_inputs_are_input_errors(tmp_path, capsys, scalar):
     assert "Traceback" not in err
 
 
+def test_coring_over_an_algebra_the_carrier_lacks_is_an_input_error(tmp_path, capsys):
+    doc = fixture_document("FIX-Z2")
+    doc["corings"]["C"]["over"] = "A"
+    p = tmp_path / "over_a.json"
+    p.write_text(json.dumps(doc))
+    code = main(["validate", "--workspace", str(p)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "input error:" in err and "corings.C" in err
+    assert "Traceback" not in err
+
+
 def test_report_determinism(tmp_path, z2_path):
     _, out1 = run_cli(tmp_path, "chg", "--workspace", z2_path,
                       "--degree", "1", "--coidempotent", "e1")

@@ -94,6 +94,87 @@ def test_rref_matches_naive_oracle():
         assert res["rref"].to_lists() == oracle_rows
 
 
+def naive_matmul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Q0) for col in zip(*b)] for row in a]
+
+
+def naive_solve(a, b, ncols):
+    """Particular solutions of a x = b, free variables zero, from the dense
+    rref of the augmented matrix [a | b]; None when some column of b is
+    inconsistent."""
+    rows, pivots = naive_rref([ra + rb for ra, rb in zip(a, b)])
+    if any(pc >= ncols for pc in pivots):
+        return None
+    x = [[Q0] * len(b[0]) for _ in range(ncols)]
+    for row, pc in zip(rows, pivots):
+        x[pc] = row[ncols:]
+    return x
+
+
+def naive_kernel(rref, pivots, ncols):
+    """e_f minus the pivot entries of column f, for each free column f."""
+    vecs = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [Q0] * ncols
+            v[f] = Q1
+            for row, pc in zip(rref, pivots):
+                v[pc] = -row[f]
+            vecs.append(v)
+    return vecs
+
+
+@st.composite
+def mixed_qq_case(draw):
+    """Dense QQ matrices with entries a/b, b in {1, 2, 3}, most of them
+    integral: a (n x k), b (k x m), c (n x k), a square s, an n-row rhs, a
+    vector and two coefficients."""
+    scalar = st.builds(lambda a, b: QQ.from_int(a) / QQ.from_int(b),
+                       st.integers(-3, 3), st.sampled_from([1, 1, 1, 1, 2, 3]))
+    n, k, m, sq = (draw(st.integers(1, 4)) for _ in range(4))
+
+    def mat(r, c):
+        return draw(st.lists(st.lists(scalar, min_size=c, max_size=c),
+                             min_size=r, max_size=r))
+
+    return (mat(n, k), mat(k, m), mat(n, k), mat(sq, sq), mat(n, 2),
+            draw(st.lists(scalar, min_size=k, max_size=k)), draw(scalar), draw(scalar))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_qq_case())
+def test_mixed_rows_match_dense_fraction_oracle(case):
+    """Integral QQ entries are stored as ints; every result must still be
+    what dense Fraction arithmetic gives."""
+    a, b, c, s, rhs, vec, x, y = case
+    A, B, C, S, R = (Mat.from_rows(QQ, t) for t in (a, b, c, s, rhs))
+    k = len(b)
+    assert (A @ B).to_lists() == naive_matmul(a, b)
+    assert A.apply(vec) == [sum((u * w for u, w in zip(row, vec)), Q0) for row in a]
+    assert A.kron(B).to_lists() == [[u * w for u in ra for w in rb]
+                                    for ra in a for rb in b]
+    assert lincomb([A, C], [x, y]).to_lists() == [
+        [x * u + y * w for u, w in zip(ra, rc)] for ra, rc in zip(a, c)]
+    res = rref_solve(A, R)
+    oracle_rows, oracle_piv = naive_rref(a)
+    assert rank(A) == res["rank"] == len(oracle_rows)
+    assert res["pivot_cols"] == oracle_piv
+    assert res["rref"].to_lists() == oracle_rows
+    kvecs = naive_kernel(oracle_rows, oracle_piv, k)
+    assert res["kernel"].mat.to_lists() == naive_rref(kvecs)[0]
+    want = naive_solve(a, rhs, k)
+    if want is None:
+        assert res["particular"] is None
+    else:
+        assert res["particular"].to_lists() == want
+    dim = len(s)
+    if len(naive_rref(s)[0]) < dim:
+        assert inverse(S) is None
+    else:
+        ident = [[Q1 if i == j else Q0 for j in range(dim)] for i in range(dim)]
+        assert inverse(S).to_lists() == naive_solve(s, ident, dim)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3),
                 min_size=1, max_size=4))
@@ -389,6 +470,52 @@ def test_mat_public_surface_round_trips_and_keeps_scalar_types(case):
     values += [v for _, v in m.items()]
     values += m.apply(vec)
     assert all(is_field_scalar(field, v) for v in values)
+
+
+def assert_qq_storage(*mats):
+    """No float ever reaches a QQ row dict."""
+    for m in mats:
+        for r in m._rows:
+            assert not any(isinstance(v, float) for v in r.values())
+
+
+def assert_normalized(*mats):
+    """Constructors store an integral QQ value as an int and keep the QQ
+    type only for a non-integral one."""
+    assert_qq_storage(*mats)
+    for m in mats:
+        for r in m._rows:
+            for v in r.values():
+                assert type(v) is int or (type(v) is type(Q1) and v.denominator > 1)
+
+
+@settings(max_examples=120, deadline=None)
+@given(mixed_qq_case(), st.integers(1, 6))
+def test_qq_storage_holds_no_float_and_accessors_give_the_qq_type(case, n):
+    a, b, c, s, rhs, vec, x, y = case
+    A, B, C, S = (Mat.from_rows(QQ, t) for t in (a, b, c, s))
+    nr, nc = A.shape
+    built = [A, B, C, S, Mat.identity(QQ, n), Mat.from_cols(QQ, c, nc),
+             Mat.from_entries(QQ, nr, nc, A.items()),
+             Mat.from_rows(QQ, [{j: v for j, v in enumerate(r) if v} for r in a], nc)]
+    assert_normalized(*built)
+    res = rref_solve(A, Mat.from_rows(QQ, rhs))
+    sub = SubspaceBasis.from_vectors(QQ, nc, a)
+    q = quotient_space(QQ, nc, a)
+    derived = [A + C, A - C, -A, A.scale(x), A @ B, A.kron(B), kron_id(2, A, 2),
+               lincomb([A, C], [x, y]), A.transpose(), A.row_slice(0, nr),
+               A.reshape(1, nr * nc), Mat.from_blocks(QQ, nr + 1, nc + 1, [(1, 1, A)]),
+               res["rref"], res["kernel"].mat, q.proj, q.sect, sub.mat,
+               sub.intersect(res["kernel"]).mat, sub.sum_with(res["kernel"]).mat,
+               SubspaceBasis.invariant_span(QQ, len(s), s[:1], [S]).mat]
+    derived += [m for m in (res["particular"], inverse(S)) if m is not None]
+    assert_qq_storage(*derived)
+    values = [v for m in built + derived for col in m.sparse_cols() for v in col.values()]
+    for v in a:
+        values += sub.membership(v)
+    values += [QQ.inv(QQ.from_int(n)), QQ.inv(QQ.from_int(-n)), QQ.inv(n), QQ.inv(x or Q1)]
+    assert all(type(v) is type(Q1) for v in values)
+    assert QQ.inv(QQ.from_int(2)) == QQ.from_int(1) / QQ.from_int(2)
 
 
 def test_mat_storage_stays_in_exactla():
