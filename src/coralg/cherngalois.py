@@ -32,7 +32,7 @@ from .ncalg import (
     hom_solve, leg_apply, projective_dual_basis, regular_bimodule, tensor_space,
     to_quotient,
 )
-from .coring import Comodule, cotensor
+from .coring import Comodule, _non_idempotent_at, cotensor
 from .cyclic import cyclic_complex, homology
 from .connect import tflatness_check
 from .entwine import canonical_maps
@@ -130,7 +130,7 @@ def t_pairs_of(sc):
     raise NoLocalDualSystem(f"no inclusion data for {t.name}")
 
 
-def chg_components(e, sc, L, tflat=None):
+def chg_components(e, sc, L):
     """Components 0..L of the Chern-Galois cycle, certified and pulled back
     to the B-side circular spaces.
 
@@ -138,8 +138,7 @@ def chg_components(e, sc, L, tflat=None):
     and relies on the membership certificates (per-component).
     """
     x = sc.extension
-    if tflat is None:
-        tflat = tflatness_check(x, sc.t)
+    tflat = tflatness_check(x, sc.t)
     if not tflat["verdict"]:
         warnings.warn("extension is not T-flat; relying on membership "
                       "certificates only", stacklevel=2)
@@ -231,17 +230,9 @@ def associated_module(x, w):
     a_com = Comodule(e.coring, x.a_mod, x.rho, "right", name=e.ring.name)
     ker, mw = cotensor(a_com, w)
     b = x.B
-    mats = []
-    for i in range(b.dim):
-        act = mw.outer_left[b][i]
-        cols = []
-        for r in range(ker.dim):
-            img = act.apply(ker.mat.row_list(r))
-            coords = ker.membership(img)
-            if coords is None:
-                raise MembershipFailure("Gamma is not closed under the B-action")
-            cols.append(coords)
-        mats.append(Mat.from_cols(b.field, cols, ker.dim))
+    mats = [ker.restrict(act) for act in mw.outer_left[b]]
+    if None in mats:
+        raise MembershipFailure("Gamma is not closed under the B-action")
     gamma = AssociatedModule(x, w, ker, mw, mats)
     galois = canonical_maps(x)["galois"]
     if galois and projective_dual_basis(x.a_mod, b, "right").projective:
@@ -253,13 +244,13 @@ def associated_module(x, w):
     return gamma
 
 
-def local_dual_system(x, sc, e, supplied=None):
+def local_dual_system(x, sc, e):
     """A finite local dual system {x_p, xi_p} for the right T-submodule X of
     A generated by the first legs of the connection values ell(e_ij).
 
     Solves x = sum_p x_p xi_p(x) for all x in X with right T-linear
     xi_p: A -> T; tries the generators of X first, then the full basis of A.
-    ``supplied`` = (xs, xis) is accepted and verified instead.
+    The solution is verified against the identity before it is returned.
     """
     ring = x.entwining.ring
     f = ring.field
@@ -290,12 +281,6 @@ def local_dual_system(x, sc, e, supplied=None):
             if acc != v:
                 return False
         return True
-
-    if supplied is not None:
-        xs, xis = supplied
-        if not verify(xs, xis):
-            raise NoLocalDualSystem("supplied system fails the identity")
-        return {"xs": xs, "xis": xis, "X": xbasis}
 
     for xs in (xbasis.mat.to_lists(), [ring.basis_vector(i) for i in range(d)]):
         P = len(xs)
@@ -381,25 +366,10 @@ def idempotent_e(x, sc, e, dual, phi):
             val = ring.mul_vec(ells[p].apply(e.entries[i][j]), xs[q])
             entries[(a, c)] = phi.apply(val)
     em = IdempotentE(entries, index, {"xs": xs, "phi": phi})
-    bad = _first_non_idempotent(b, entries, len(index))
+    bad = next(_non_idempotent_at(b, entries, len(index)), None)
     if bad is not None:
         raise NotIdempotent(f"E^2 differs from E first at {bad}")
     return em
-
-
-def _first_non_idempotent(b, entries, n):
-    """The first (a, c) with (F^2)_ac != F_ac for the n x n matrix F over b
-    given as entries[(a, c)], or None when F is idempotent."""
-    f = b.field
-    for a in range(n):
-        for c in range(n):
-            acc = [f.zero] * b.dim
-            for m in range(n):
-                w = b.mul_vec(entries[(a, m)], entries[(m, c)])
-                acc = _axpy_dense(acc, f.one, w, f.p)
-            if acc != entries[(a, c)]:
-                return a, c
-    return None
 
 
 def gamma_elements(x, sc, e, dual, gamma, ws):
@@ -474,9 +444,10 @@ def theta_isomorphism(x, em, gamma, gammas):
 # Chern cycles of idempotent matrices over B
 # ---------------------------------------------------------------------------
 
-def ch_components(fmat_entries, n_size, cc_b, L, check_idempotent=True):
+def ch_components(fmat_entries, n_size, cc_b, L):
     """ch~_l(F) = sum F_{i_1 i_2} (*) ... (*) F_{i_{l+1} i_1} for a square
-    idempotent matrix over the T-ring B, in B-side circular coordinates.
+    idempotent matrix over the T-ring B, in B-side circular coordinates;
+    F is checked to be idempotent first.
 
     Assembled by a transfer contraction over (start, current) index pairs on
     the full tensor ambient, then projected; the naive expansion over all
@@ -485,10 +456,9 @@ def ch_components(fmat_entries, n_size, cc_b, L, check_idempotent=True):
     b = cc_b.b
     f = b.field
     d = b.dim
-    if check_idempotent:
-        bad = _first_non_idempotent(b, fmat_entries, n_size)
-        if bad is not None:
-            raise NotIdempotent(f"F^2 != F first at {bad}")
+    bad = next(_non_idempotent_at(b, fmat_entries, n_size), None)
+    if bad is not None:
+        raise NotIdempotent(f"F^2 != F first at {bad}")
     comps = []
     for l in range(L + 1):
         sp = cc_b.space(l)

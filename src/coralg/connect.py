@@ -118,10 +118,7 @@ def restrict_connection(sc, xi_full, t_prime):
     f = ring.field
     t = sc.t
     tp_alg, tp_incl = t_prime
-    a_mod = x.a_mod
-    if tp_alg not in a_mod.left:
-        a_mod.restrict_left(tp_alg, tp_incl)
-        a_mod.restrict_right(tp_alg, tp_incl)
+    a_mod = x.a_mod.restrict(tp_alg, tp_incl)
     t_incl_a = _inclusion_into_ring(x, t)
     t_mod = regular_bimodule(t, f"{t.name}-mod")
     # T as a T'-bimodule via the inclusion T' -> A factored through T
@@ -229,9 +226,10 @@ def section_from_connection(sc):
     }
 
 
-def differential_forms(x, t_alg=None):
-    """Omega^1 B = ker(mu_B) in B (x)_T B with d(b) = 1 (x) b - b (x) 1."""
-    t = t_alg if t_alg is not None else x.T
+def differential_forms(x):
+    """Omega^1 B = ker(mu_B) in B (x)_T B with d(b) = 1 (x) b - b (x) 1,
+    over the extension's T."""
+    t = x.T
     b_mod = x.b_mod
     b = x.B
     f = b.field
@@ -394,11 +392,7 @@ def tflatness_check(x, t_alg=None):
     t = t_alg if t_alg is not None else x.T
     a_mod, b_mod = x.a_mod, x.b_mod
     assoc = associated_coring(e)
-    carrier = assoc.carrier
-    if t not in carrier.left:
-        incl = _inclusion_into_ring(x, t)
-        carrier.restrict_left(t, incl)
-        carrier.restrict_right(t, incl)
+    carrier = assoc.carrier.restrict(t, _inclusion_into_ring(x, t))
     circ_a = tensor_space([a_mod], [], circular=t, name=f"{ring.name}/[,{t.name}]")
     circ_d = tensor_space([carrier], [], circular=t)
     circ_b = tensor_space([b_mod], [], circular=t, name=f"{x.B.name}/[,{t.name}]")

@@ -57,16 +57,16 @@ class Coring:
                             name=f"{self.name}^(x)3")
 
 
-def trivial_coring(base, name=None):
+def trivial_coring(base):
     """C = R with Delta the canonical iso R -> R (x)_R R and eps = id."""
-    carrier = regular_bimodule(base, name=name or f"{base.name}-triv")
+    carrier = regular_bimodule(base, name=f"{base.name}-triv")
     cc = tensor_space([carrier, carrier], [base])
     delta = Mat.from_cols(base.field,
                           [cc.embed_pure([base.basis_vector(i), base.unit])
                            for i in range(base.dim)],
                           cc.dim)
     eps = Mat.identity(base.field, base.dim)
-    return Coring(base, carrier, delta, eps, name=name or f"triv({base.name})")
+    return Coring(base, carrier, delta, eps, name=f"triv({base.name})")
 
 
 def validate_coring(c):
@@ -283,15 +283,15 @@ def separability_idempotent(a, base, a_mod):
     return {"z": z, "space": aa, "retraction": retraction, "solutions": sol}
 
 
-def search_grouplikes(c, max_bits=16):
+def search_grouplikes(c):
     """Exhaustive grouplike search, prime fields only; guarded by
-    dim(C) * log2(p) <= max_bits.  Grouplike verification is quadratic, so
-    the core API only verifies; this is a convenience for tiny cases."""
+    dim(C) * log2(p) <= 16.  Grouplike verification is quadratic, so the
+    core API only verifies; this is a convenience for tiny cases."""
     field = c.base.field
     if field.p is None:
         raise ValueError("exhaustive search needs a prime field")
-    if c.carrier.dim * math.log2(field.p) > max_bits:
-        raise ValueError("search space exceeds the configured bound")
+    if c.carrier.dim * math.log2(field.p) > 16:
+        raise ValueError("search space exceeds 2^16 candidates")
     found = []
     dim = c.carrier.dim
     total = field.p ** dim
@@ -379,17 +379,23 @@ def validate_coidempotent(e):
                 rhs = _axpy_dense(rhs, f.one, t, f.p)
             if lhs != rhs:
                 rep.fail("coidempotency", (i, j))
-    p = e.counit_matrix()
-    base = c.base
-    for i in range(n):
-        for j in range(n):
-            acc = [f.zero] * base.dim
-            for k in range(n):
-                w = base.mul_vec(p[i][k], p[k][j])
-                acc = _axpy_dense(acc, f.one, w, f.p)
-            if acc != p[i][j]:
-                rep.fail("counit-idempotency", (i, j))
+    p = {(i, j): v for i, row in enumerate(e.counit_matrix()) for j, v in enumerate(row)}
+    for ac in _non_idempotent_at(c.base, p, n):
+        rep.fail("counit-idempotency", ac)
     return rep
+
+
+def _non_idempotent_at(b, entries, n):
+    """Every (a, c), row by row, with (F^2)_ac != F_ac for the n x n matrix
+    F over the algebra b given as entries[(a, c)]."""
+    f = b.field
+    for a in range(n):
+        for c in range(n):
+            acc = [f.zero] * b.dim
+            for m in range(n):
+                acc = _axpy_dense(acc, f.one, b.mul_vec(entries[(a, m)], entries[(m, c)]), f.p)
+            if acc != entries[(a, c)]:
+                yield a, c
 
 
 def coidempotent_from_comodule(w, db):
@@ -437,7 +443,7 @@ def coidempotent_from_comodule(w, db):
     return e
 
 
-def comodule_from_coidempotent(c, e, side="left", name=None):
+def comodule_from_coidempotent(c, e, side="left"):
     """Reconstruct the comodule W = R^(I) p from a coidempotent matrix.
 
     Left side: W = row space of p with coaction
@@ -448,7 +454,7 @@ def comodule_from_coidempotent(c, e, side="left", name=None):
     rep = validate_coidempotent(e)
     if not rep.ok:
         raise InvalidCoidempotent(str(rep.failures[:3]))
-    name = name or f"W({c.name})"
+    name = f"W({c.name})"
     if side == "left":
         return _left_comodule_from_coidempotent(c, e, name, opposite=False)
     et = Coidempotent(c.cop(), [list(col) for col in zip(*e.entries)])
@@ -480,17 +486,9 @@ def _left_comodule_from_coidempotent(c, e, name, opposite):
 
     def induced(mats, side):
         # side: the side of the action on W (on W.op() the sides swap)
-        out = []
-        for m in mats:
-            big = kron_id(n, m, 1)
-            cols = []
-            for b in range(wdim):
-                coords = basis.membership(big.apply(basis.mat.row_list(b)))
-                if coords is None:
-                    raise ActionMismatch(
-                        f"{name}: W = R^(I) p is not closed under the {side} action")
-                cols.append(coords)
-            out.append(Mat.from_cols(f, cols, wdim))
+        out = [basis.restrict(kron_id(n, m, 1)) for m in mats]
+        if None in out:
+            raise ActionMismatch(f"{name}: W = R^(I) p is not closed under the {side} action")
         return out
 
     sides = ("right", "left") if opposite else ("left", "right")

@@ -36,7 +36,7 @@ from .ncalg import (
 )
 
 
-def cyclic_complex(b, t_pair=None, name=""):
+def cyclic_complex(b, t_pair=None):
     """Memoized CyclicComplex factory (coordinates must be shared between
     the chg pipeline and the total complexes it feeds).  The memo lives on
     ``b`` and is keyed by the (T, inclusion) pair."""
@@ -44,24 +44,21 @@ def cyclic_complex(b, t_pair=None, name=""):
     memo = b._cyclic_complexes
     cc = memo.get(key)
     if cc is None:
-        cc = memo[key] = CyclicComplex(b, t_pair, name)
+        cc = memo[key] = CyclicComplex(b, t_pair)
     return cc
 
 
 class CyclicComplex:
     """Shared builder for the circular spaces and operators of one (B, T)."""
 
-    def __init__(self, b, t_pair=None, name=""):
+    def __init__(self, b, t_pair=None):
         self.b = b
         self.field = b.field
         if t_pair is None:
             t_pair = trivial_subalgebra(b)
         self.t, self.t_incl = t_pair
-        self.b_mod = regular_bimodule(b)
-        if self.t is not b:
-            self.b_mod.restrict_left(self.t, self.t_incl)
-            self.b_mod.restrict_right(self.t, self.t_incl)
-        self.name = name or f"{b.name}|{self.t.name}"
+        self.b_mod = regular_bimodule(b).restrict(self.t, self.t_incl)
+        self.name = f"{b.name}|{self.t.name}"
         self._spaces = {}
         self._ops = {}
         self._d = {}
@@ -252,9 +249,9 @@ def homology(tc, n):
     return HomologySpace(tc, n)
 
 
-def lambda_projection(tc_k, tc_t, verify_degrees=None):
+def lambda_projection(tc_k, tc_t):
     """The canonical chain surjections lambda_n: Tot_n(B|k) -> Tot_n(B|T),
-    verified to commute with the differentials.
+    verified to commute with the differentials in every degree.
 
     Returns the per-degree block matrices; raises DegreeMismatch when the
     complexes do not share B or the truncation degree."""
@@ -266,8 +263,7 @@ def lambda_projection(tc_k, tc_t, verify_degrees=None):
         lam[n] = Mat.from_blocks(f, tc_t.tot_dim[n], tc_k.tot_dim[n], [
             (tc_t._offset(n, p)[0], coff, tc_t.cc.space(q).Q @ tc_k.cc.space(q).S)
             for (p, q, coff, cdim) in tc_k.blocks[n]])
-    degrees = verify_degrees if verify_degrees is not None else range(1, tc_k.D + 2)
-    for n in degrees:
+    for n in range(1, tc_k.D + 2):
         if tc_t.d[n] @ lam[n] != lam[n - 1] @ tc_k.d[n]:
             raise DegreeMismatch(f"lambda is not a chain map at degree {n}")
     return lam

@@ -45,10 +45,7 @@ class Entwining:
     canonical A (x)_R C coordinates."""
 
     def __init__(self, base, ring, eta, coring, psi, psi_inv=None, name=""):
-        a_mod = regular_bimodule(ring)
-        if base is not ring:
-            a_mod.restrict_left(base, eta)
-            a_mod.restrict_right(base, eta)
+        a_mod = regular_bimodule(ring).restrict(base, eta)
         self._setup(base, ring, eta, coring, psi, psi_inv,
                     name or f"({ring.name},{coring.name})_{base.name}", a_mod)
 
@@ -241,9 +238,7 @@ def entwining_from_coring(stub, right_action_mats):
 def sweedler_coring(ring, sub, sub_incl):
     """The canonical Sweedler A-coring A (x)_B A of a subalgebra B of A:
     Delta(a (x) a') = (a (x) 1) (x)_A (1 (x) a'), eps = multiplication."""
-    a_mod = regular_bimodule(ring)
-    a_mod.restrict_left(sub, sub_incl)
-    a_mod.restrict_right(sub, sub_incl)
+    a_mod = regular_bimodule(ring).restrict(sub, sub_incl)
     aa = tensor_space([a_mod, a_mod], [sub], name=f"{ring.name}(x)_{sub.name}{ring.name}")
     cor = _sweedler_on(ring, aa, f"Sw({ring.name}|{sub.name})")
     cor.aa_space = aa
@@ -267,14 +262,12 @@ def _sweedler_on(ring, aa, name):
 # ---------------------------------------------------------------------------
 
 def validate_entwined_module(carrier, rho, e, name="M"):
-    """carrier: right A-module (and right R-module via eta); rho: canonical
-    coordinates coaction into M (x)_R C.  Checks the entwined-module
-    compatibility and the identification with comodules of the associated
-    A-coring."""
+    """carrier: a right A-module that already carries R's right action
+    through eta (as ``e.a_mod`` does); rho: canonical coordinates coaction
+    into M (x)_R C.  Checks the entwined-module compatibility and the
+    identification with comodules of the associated A-coring."""
     rep = Report(name)
-    base, ring, cor = e.base, e.ring, e.coring
-    if base not in carrier.right:
-        carrier.restrict_right(base, e.eta)
+    ring, cor = e.ring, e.coring
     m = Comodule(cor, carrier, rho, "right", name=name)
     rep.merge(validate_comodule(m), prefix="comodule")
     MC = m.space
@@ -330,17 +323,8 @@ class EntwinedExtension:
         self.incl_T_B = t_incl_b
         self.incl_T_A = t_incl_b.then(b_incl)
         self.grouplike = grouplike
-        a_mod = entwining.a_mod
-        if b_alg not in a_mod.left:
-            a_mod.restrict_left(b_alg, b_incl)
-            a_mod.restrict_right(b_alg, b_incl)
-        if t_alg not in a_mod.left:
-            a_mod.restrict_left(t_alg, self.incl_T_A)
-            a_mod.restrict_right(t_alg, self.incl_T_A)
-        b_mod = regular_bimodule(b_alg)
-        b_mod.restrict_left(t_alg, t_incl_b)
-        b_mod.restrict_right(t_alg, t_incl_b)
-        self.b_mod = b_mod
+        entwining.a_mod.restrict(b_alg, b_incl).restrict(t_alg, self.incl_T_A)
+        self.b_mod = regular_bimodule(b_alg).restrict(t_alg, t_incl_b)
 
     @property
     def a_mod(self):
@@ -419,7 +403,7 @@ def make_extension(e, rho, t_basis=None, grouplike=None):
                              t_alg, t_incl_b, grouplike=grouplike)
 
 
-def extension_from_grouplike(e, g, t_basis=None):
+def extension_from_grouplike(e, g):
     """rho(a) = psi(g (x) a) and lrho(a) = psi^{-1}(a (x) g) for a
     grouplike g of C."""
     if e.psi_inv is None:
@@ -430,7 +414,7 @@ def extension_from_grouplike(e, g, t_basis=None):
     f = e.ring.field
     gcol = Mat.from_cols(f, [g], e.coring.dim)
     rho = e.psi @ leg_apply(e.a_mod, e.CA, 0, 0, gcol, check="skip")
-    return make_extension(e, rho, t_basis=t_basis, grouplike=g)
+    return make_extension(e, rho, grouplike=g)
 
 
 def _detect_grouplike(e, rho):
@@ -520,10 +504,7 @@ def galois_check(e, rho):
     b_ker = rref_solve(rho - e.left_action_on(rho.apply(ring.unit)))["kernel"]
     basis = [b_ker.mat.row_list(i) for i in range(b_ker.dim)]
     b_alg, b_incl = generated_subalgebra(ring, basis)
-    a_mod = e.a_mod
-    if b_alg not in a_mod.left:
-        a_mod.restrict_left(b_alg, b_incl)
-        a_mod.restrict_right(b_alg, b_incl)
+    e.a_mod.restrict(b_alg, b_incl)
     can, aab = _lifted_can(e, rho, b_alg)
     galois = aab.dim == e.AC.dim and rank(can) == e.AC.dim
     return {"galois": galois, "can": can, "B_dim": b_alg.dim, "space": aab}

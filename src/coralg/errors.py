@@ -13,10 +13,6 @@ class ActionMismatch(CoralgError):
     """A tensor junction or action lookup refers to an action a module lacks."""
 
 
-class Inconsistent(CoralgError):
-    """A linear system has no solution."""
-
-
 class NotProjective(CoralgError):
     pass
 
@@ -83,10 +79,6 @@ class NotIdempotent(CoralgError):
 
 class MemoryGuard(CoralgError):
     """A requested space would exceed the configured dimension guard."""
-
-
-class UnknownCommand(CoralgError):
-    pass
 
 
 class UnknownFixture(CoralgError):

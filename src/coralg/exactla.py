@@ -619,6 +619,14 @@ class SubspaceBasis:
             return None
         return _public(self.field, coords)
 
+    def restrict(self, m):
+        """The matrix of the square Mat ``m`` on this subspace, in its
+        canonical coordinates, or None when m does not preserve it."""
+        cols = [self.membership(img) for img in (self.mat @ m.transpose())._rows]
+        if None in cols:
+            return None
+        return Mat.from_cols(self.field, cols, self.dim)
+
     def contains_vector(self, v):
         return self.membership(v) is not None
 

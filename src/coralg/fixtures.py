@@ -61,7 +61,7 @@ def matrix_algebra(field, n=2, name=None):
     return Algebra(field, name or f"M{n}", dim, mult, unit)
 
 
-def upper_triangular_algebra(field, name="ut2"):
+def upper_triangular_algebra(field):
     """Upper triangular 2x2 matrices, basis (E11, E12, E22)."""
     zero, one = field.zero, field.one
     z3 = [zero] * 3
@@ -77,17 +77,17 @@ def upper_triangular_algebra(field, name="ut2"):
         [z3, z3, v(1)],
         [z3, z3, v(2)],
     ]
-    return Algebra(field, name, 3, mult, [one, zero, one])
+    return Algebra(field, "ut2", 3, mult, [one, zero, one])
 
 
-def product_field_algebra(field, name="kxk"):
+def product_field_algebra(field):
     """k x k with orthogonal idempotent basis (e1, e2)."""
     zero, one = field.zero, field.one
     mult = [
         [[one, zero], [zero, zero]],
         [[zero, zero], [zero, one]],
     ]
-    return Algebra(field, name, 2, mult, [one, one])
+    return Algebra(field, "kxk", 2, mult, [one, one])
 
 
 def diagonal_subalgebra(m2):
@@ -183,14 +183,7 @@ def nc_fixture(field):
     wbasis = [[field.one, field.zero, field.zero, field.zero],
               [field.zero, field.zero, field.one, field.zero]]
     wspan = SubspaceBasis.from_vectors(field, 4, wbasis)
-    lmats = []
-    for k in range(4):
-        cols = []
-        for bvec in wbasis:
-            img = m2.mul_vec(m2.basis_vector(k), bvec)
-            cols.append(wspan.membership(img))
-        lmats.append(Mat.from_cols(field, cols, 2))
-    w_mod.add_left(m2, lmats)
+    w_mod.add_left(m2, [wspan.restrict(m) for m in m2.left_mult_mats()])
     cw = tensor_space([cor.carrier, w_mod], [m2])
     cols = []
     for bvec in wbasis:

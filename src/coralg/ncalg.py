@@ -64,11 +64,11 @@ class Report:
         return f"Report({self.subject}: {len(self.failures)} failures: {self.failures[:4]}...)"
 
 
-def _fail_cols(report, axiom, residual, labels=None):
+def _fail_cols(report, axiom, residual):
     """Record one failure per nonzero column of a residual matrix."""
     for j, col in enumerate(residual.sparse_cols()):
         if col:
-            report.fail(axiom, labels[j] if labels else j)
+            report.fail(axiom, j)
 
 
 class Algebra:
@@ -319,17 +319,12 @@ class Module:
     def add_right(self, alg, mats):
         return self._declare(self.right, "right", alg, mats)
 
-    def restrict_left(self, sub, morphism):
-        """Declare the action of ``sub`` through an existing action of
-        ``morphism.target``."""
-        return self.add_left(sub, [
-            self.left_action_of(morphism.target, morphism.apply(sub.basis_vector(i)))
-            for i in range(sub.dim)])
-
-    def restrict_right(self, sub, morphism):
-        return self.add_right(sub, [
-            self.right_action_of(morphism.target, morphism.apply(sub.basis_vector(i)))
-            for i in range(sub.dim)])
+    def restrict(self, sub, morphism):
+        """Declare both actions of ``sub`` through the existing actions of
+        ``morphism.target``; repeating the call is a no-op."""
+        imgs = [morphism.apply(sub.basis_vector(i)) for i in range(sub.dim)]
+        self.add_left(sub, [self.left_action_of(morphism.target, v) for v in imgs])
+        return self.add_right(sub, [self.right_action_of(morphism.target, v) for v in imgs])
 
     def left_action_of(self, alg, vec):
         return lincomb(self.left[alg], vec)
@@ -810,22 +805,21 @@ class DualBasis:
         return len(self.ws)
 
 
-def projective_dual_basis(module, alg, side="left", generators=None):
+def projective_dual_basis(module, alg, side="left"):
     """Dual-basis data for a finitely generated one-sided module.
 
-    Solves for a one-sided-linear section of the free cover built on
-    ``generators`` (default: the full basis, so absence of a solution is a
-    certificate of non-projectivity).  Flags: projective; generator (trace
-    ideal equals the algebra); faithfully flat = projective and generator.
-    The right-sided data of M over S is the left-sided data of M^op over S^op.
+    Solves for a one-sided-linear section of the free cover built on the
+    full basis of the module, so absence of a solution is a certificate of
+    non-projectivity.  Flags: projective; generator (trace ideal equals the
+    algebra); faithfully flat = projective and generator.  The right-sided
+    data of M over S is the left-sided data of M^op over S^op.
     """
     if side == "right":
-        db = projective_dual_basis(module.op(), alg.op(), "left", generators)
+        db = projective_dual_basis(module.op(), alg.op(), "left")
         db.side = "right"
         return db
     field = module.field
-    if generators is None:
-        generators = [module.basis_vector(i) for i in range(module.dim)]
+    generators = [module.basis_vector(i) for i in range(module.dim)]
     g = len(generators)
     dS = alg.dim
     cover_dim = g * dS

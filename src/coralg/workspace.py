@@ -12,7 +12,7 @@ quotient chain.  Schema keys:
     bimodules{name: {left, right, dim, left_action, right_action}}
     corings{name: {over, carrier, delta, eps}}
     entwinings{name: {coring, ring, psi, psi_inv?}}
-    coactions{name: {module, coring, matrix}}
+    coactions{name: {module, coring, matrix}}   (module: the entwining's ring)
     coidempotents{name: {coring, index_size, entries}}
     connections{name: {extension, T?, matrix}}
     options{max_degree, memory_guard}
@@ -276,13 +276,16 @@ def parse_workspace(doc):
 
     for name, co in _section(doc, "coactions"):
         path = f"coactions.{name}"
-        _ref(ws.algebras, co, "module", path, "algebra")
+        module = _ref(ws.algebras, co, "module", path, "algebra")
         cor = _ref(ws.corings, co, "coring", path, "coring")
         # the coaction lands in A (x)_R C for the entwining's a_mod; resolve
         # through the entwining that owns this coring
         ent = ws.entwining_of(cor)
         if ent is None:
             raise SchemaError(path, "coaction without a matching entwining")
+        if module is not ent.ring:
+            raise SchemaError(f"{path}.module", f"expected the entwining's ring "
+                              f"{ent.ring.name}, got {co['module']}")
         mat = _parse_matrix(field, _need(co, "matrix", path, list), ent.AC.dim,
                             ent.ring.dim, f"{path}.matrix")
         _record(ws, path, validate_entwined_module(ent.a_mod, mat, ent, name=name))

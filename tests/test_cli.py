@@ -199,6 +199,19 @@ def test_coring_over_an_algebra_the_carrier_lacks_is_an_input_error(tmp_path, ca
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("fixture", ["FIX-Z2", "FIX-FP"])
+def test_coaction_on_another_algebra_is_an_input_error(tmp_path, capsys, fixture):
+    doc = fixture_document(fixture)
+    doc["coactions"]["rho"]["module"] = "R"
+    p = tmp_path / "module_r.json"
+    p.write_text(json.dumps(doc))
+    code = main(["validate", "--workspace", str(p)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "input error:" in err and "coactions.rho.module" in err
+    assert "Traceback" not in err
+
+
 def test_report_determinism(tmp_path, z2_path):
     _, out1 = run_cli(tmp_path, "chg", "--workspace", z2_path,
                       "--degree", "1", "--coidempotent", "e1")

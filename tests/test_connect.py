@@ -295,8 +295,7 @@ def test_differential_forms():
 def _restricted(a, sub, incl):
     from coralg.ncalg import regular_bimodule
     m = regular_bimodule(a)
-    m.restrict_left(sub, incl)
-    m.restrict_right(sub, incl)
+    m.restrict(sub, incl)
     return m
 
 

@@ -319,6 +319,18 @@ def test_left_comodule_failures_are_pinned():
         ("coassociativity", 1), ("coassociativity", 3), ("counit", 3)]
 
 
+def test_counit_idempotency_failures_are_pinned():
+    """Every (i, j) where the counit matrix F has (F^2)_ij != F_ij, row by
+    row: here F = [[1, 1, 0], [0, 1, 0], [1, 0, 1]]."""
+    z2 = group_z2_coring(QQ)
+    g0, g1, z = [qi(1), qi(0)], [qi(0), qi(1)], [qi(0), qi(0)]
+    e = Coidempotent(z2, [[g0, g1, z], [z, g1, z], [g1, z, g0]])
+    assert validate_coidempotent(e).failures == [
+        ("coidempotency", (0, 1)), ("coidempotency", (2, 0)), ("coidempotency", (2, 1)),
+        ("counit-idempotency", (0, 1)), ("counit-idempotency", (2, 0)),
+        ("counit-idempotency", (2, 1))]
+
+
 def test_co_opposite_coring_and_opposite_comodule():
     c = trivial_coring(matrix_algebra(QQ, 2))
     cop = c.cop()

@@ -235,8 +235,7 @@ def _sweedler_unit_class(a, cor):
     from coralg.ncalg import regular_bimodule, tensor_space, trivial_subalgebra
     sub, incl = trivial_subalgebra(a)
     amod = regular_bimodule(a)
-    amod.restrict_left(sub, incl)
-    amod.restrict_right(sub, incl)
+    amod.restrict(sub, incl)
     aa = tensor_space([amod, amod], [sub])
     return aa.embed_pure([a.unit, a.unit])
 
@@ -261,8 +260,7 @@ def _nc_grouplike(m2, ent):
     from coralg.fixtures import upper_triangular_subalgebra
     sub, incl = upper_triangular_subalgebra(m2)
     amod = regular_bimodule(m2)
-    amod.restrict_left(sub, incl)
-    amod.restrict_right(sub, incl)
+    amod.restrict(sub, incl)
     aa = tensor_space([amod, amod], [sub])
     return aa.embed_pure([m2.unit, m2.unit])
 

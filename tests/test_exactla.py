@@ -425,6 +425,40 @@ def test_invariant_span_matches_naive_closure(case):
 
 
 @st.composite
+def restrict_case(draw):
+    """A field (QQ or GF(7)), an ambient dimension, generating vectors and
+    square matrices; entries a/b over QQ, most of them integral."""
+    field = draw(st.sampled_from([QQ, F7]))
+    if field is QQ:
+        scalar = st.builds(lambda a, b: QQ.from_int(a) / QQ.from_int(b),
+                           st.integers(-2, 2), st.sampled_from([1, 1, 2]))
+    else:
+        scalar = st.integers(0, P7 - 1)
+    dim = draw(st.integers(1, 5))
+    vec = st.lists(scalar, min_size=dim, max_size=dim)
+    vectors = draw(st.lists(vec, max_size=3))
+    mats = draw(st.lists(st.lists(vec, min_size=dim, max_size=dim), min_size=1, max_size=3))
+    return field, dim, vectors, [Mat.from_rows(field, m, dim) for m in mats]
+
+
+@settings(max_examples=80, deadline=None)
+@given(restrict_case())
+def test_subspace_restrict_matches_per_row_membership(case):
+    field, dim, vectors, mats = case
+    span = SubspaceBasis.invariant_span(field, dim, vectors, mats)
+    rows = span.mat.to_lists()
+    for m in mats + [Mat.identity(field, dim)]:
+        assert span.restrict(m) == Mat.from_cols(
+            field, [span.membership(m.apply(r)) for r in rows], span.dim)
+    # a map sending the first basis vector to e_j, j not a pivot: outside
+    free = [j for j in range(dim) if j not in span.pivot_cols]
+    if rows and free:
+        leave = Mat.from_entries(field, dim, dim, [((free[0], span.pivot_cols[0]), field.one)])
+        assert span.membership(leave.apply(rows[0])) is None
+        assert span.restrict(leave) is None
+
+
+@st.composite
 def mat_case(draw):
     """A small matrix over QQ (entries a/b, most of them zero) or GF(7),
     with a vector to apply it to and identity padding for kron_id."""

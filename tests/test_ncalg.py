@@ -116,8 +116,7 @@ def test_tensor_over_upper_triangulars_dim():
     m2 = matrix_algebra(QQ, 2)
     ut, incl = upper_triangular_subalgebra(m2)
     amod = regular_bimodule(m2)
-    amod.restrict_left(ut, incl)
-    amod.restrict_right(ut, incl)
+    amod.restrict(ut, incl)
     t = tensor_space([amod, amod], [ut])
     assert t.dim == 4
     assert t.full_dim == 16
@@ -131,8 +130,7 @@ def test_iterated_tensor_dim_matches_full_relation_rank():
     m2 = matrix_algebra(QQ, 2)
     ut, incl = upper_triangular_subalgebra(m2)
     amod = regular_bimodule(m2)
-    amod.restrict_left(ut, incl)
-    amod.restrict_right(ut, incl)
+    amod.restrict(ut, incl)
     t3 = tensor_space([amod, amod, amod], [ut, ut])
     assert t3.full_dim == 64
     rels = []
@@ -329,8 +327,7 @@ def test_tensor_dim_equals_ambient_minus_relation_rank():
     m2 = matrix_algebra(QQ, 2)
     ut, incl = upper_triangular_subalgebra(m2)
     amod = regular_bimodule(m2)
-    amod.restrict_left(ut, incl)
-    amod.restrict_right(ut, incl)
+    amod.restrict(ut, incl)
     t = tensor_space([amod, amod], [ut])
     rels = []
     for bi in range(ut.dim):
@@ -355,15 +352,42 @@ def test_declared_action_is_never_replaced():
         QQ, [[qi(1), qi(1), qi(0), qi(0)], [qi(0), qi(-1), qi(0), qi(1)]], 4))
     assert validate_morphism(incl2).ok
     m = regular_bimodule(m2)
-    m.restrict_left(t, incl).restrict_right(t, incl)
+    m.restrict(t, incl)
     sp = tensor_space([m, m], [t])
-    m.restrict_left(t, incl)  # the same matrices again: a no-op
+    m.restrict(t, incl)  # the same matrices again: a no-op
     assert tensor_space([m, m], [t]) is sp
     with pytest.raises(ActionMismatch):
-        m.restrict_left(t, incl2)
+        m.restrict(t, incl2)
     with pytest.raises(ActionMismatch):
-        m.restrict_right(t, incl2)
+        m.add_right(t, [m.right_action_of(m2, incl2.apply(t.basis_vector(i)))
+                        for i in range(t.dim)])
     assert tensor_space([m, m], [t]) is sp
+
+
+def test_restrict_declares_both_actions_once():
+    m2 = matrix_algebra(QQ, 2)
+    t, incl = diagonal_subalgebra(m2)
+    incl2 = AlgebraMorphism(t, m2, Mat.from_cols(
+        QQ, [[qi(1), qi(1), qi(0), qi(0)], [qi(0), qi(-1), qi(0), qi(1)]], 4))
+    imgs = [incl.apply(t.basis_vector(i)) for i in range(t.dim)]
+    imgs2 = [incl2.apply(t.basis_vector(i)) for i in range(t.dim)]
+    m = regular_bimodule(m2)
+    assert m.restrict(t, incl) is m
+    left, right = m.left[t], m.right[t]
+    assert left == [m2.left_mult_by(v) for v in imgs]
+    assert right == [m2.right_mult_by(v) for v in imgs]
+    assert m.restrict(t, incl) is m  # the same matrices again: a no-op
+    assert m.left[t] is left and m.right[t] is right
+    with pytest.raises(ActionMismatch, match="on the left"):
+        m.restrict(t, incl2)
+    assert m.left[t] is left and m.right[t] is right
+    # a mismatch on either side alone is caught
+    for add, side in ((Module.add_left, "left"), (Module.add_right, "right")):
+        m = regular_bimodule(m2)
+        mult = m2.left_mult_by if side == "left" else m2.right_mult_by
+        add(m, t, [mult(v) for v in imgs2])
+        with pytest.raises(ActionMismatch, match=f"on the {side}"):
+            m.restrict(t, incl)
 
 
 def _m2_with_ut():
@@ -371,8 +395,7 @@ def _m2_with_ut():
     m2 = matrix_algebra(QQ, 2)
     ut, incl = upper_triangular_subalgebra(m2)
     m = regular_bimodule(m2)
-    m.restrict_left(ut, incl)
-    m.restrict_right(ut, incl)
+    m.restrict(ut, incl)
     return m2, ut, m
 
 
@@ -490,7 +513,8 @@ def test_action_declared_after_the_build_shows_on_the_memoized_space():
     sp = tensor_space([m, m], [ut])
     assert set(sp.outer_left) == {m2, ut}
     d, d_incl = diagonal_subalgebra(m2)
-    m.restrict_left(d, d_incl)
+    m.add_left(d, [m.left_action_of(m2, d_incl.apply(d.basis_vector(i)))
+                   for i in range(d.dim)])
     assert tensor_space([m, m], [ut]) is sp
     assert d in sp.outer_left and d not in sp.outer_right
     assert sp.outer_left[d] == TensorSpace([m, m], [ut]).outer_left[d]

@@ -1,0 +1,91 @@
+"""Every defaulted parameter of a coralg function is set by some caller.
+
+An option that no call in the package, the tests or the benchmark sets is
+one behaviour the code carries and nothing exercises; it should be a
+constant instead.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _parse(*dirs):
+    return {p.relative_to(ROOT): ast.parse(p.read_text())
+            for d in dirs for p in sorted((ROOT / d).rglob("*.py"))}
+
+
+def _defs(tree):
+    """(name callers use, FunctionDef, [(param, positional index or None)])
+    for every function with a defaulted parameter; ``__init__`` is called
+    by its class name, and a method's self/cls takes no call argument."""
+    out = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                pos = a.posonlyargs + a.args
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in child.decorator_list)
+                if cls is not None and not static:
+                    pos = pos[1:]
+                params = [(p.arg, i) for i, p in enumerate(pos)][len(pos) - len(a.defaults):]
+                params += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                           if d is not None]
+                if params:
+                    name = cls.name if cls is not None and child.name == "__init__" else child.name
+                    out.append((name, child, params))
+                visit(child, None)
+            else:
+                visit(child, cls)
+
+    visit(tree, None)
+    return out
+
+
+def _calls(tree):
+    """(callee name, Call, enclosing function nodes) for every call."""
+    out = []
+
+    def visit(node, stack):
+        for child in ast.iter_child_nodes(node):
+            inner = stack
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = stack + (child,)
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else \
+                    f.attr if isinstance(f, ast.Attribute) else None
+                if name is not None:
+                    out.append((name, child, inner))
+            visit(child, inner)
+
+    visit(tree, ())
+    return out
+
+
+def _sets(call, param, index):
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    if index is None:
+        return False
+    return len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_option_is_set_by_some_caller():
+    trees = _parse("src", "tests", "perfbench")
+    calls = [c for tree in trees.values() for c in _calls(tree)]
+    unset = []
+    for path, tree in trees.items():
+        if path.parent != Path("src/coralg"):
+            continue
+        for name, fdef, params in _defs(tree):
+            mine = [call for callee, call, stack in calls
+                    if callee == name and fdef not in stack]
+            unset += [f"{path.stem}.{name}({param})" for param, index in params
+                      if not any(_sets(call, param, index) for call in mine)]
+    assert not unset, f"options no caller sets: {unset}"
