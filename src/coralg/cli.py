@@ -1,9 +1,13 @@
 """Command line interface: workspace commands and machine-readable reports.
 
+Each command takes ``--workspace``, ``--out`` and only the ``FLAGS`` its
+handler reads (``COMMANDS``); ``connection solve`` does not read
+``--connection``.  Any other flag is a usage error.
+
 Exit codes: 0 = all verdicts pass, 1 = a mathematical verdict is negative,
-2 = input error (schema violation, failed structure validator, unknown
-command/fixture).  Reports are deterministic for identical inputs; timing
-goes to stderr only.
+2 = input error (usage error, schema violation, failed structure validator,
+unknown command/fixture; stderr starts with ``input error:``).  Reports are
+deterministic for identical inputs; timing goes to stderr only.
 """
 
 import argparse
@@ -102,6 +106,8 @@ def _connection(ws, args):
 
 def cmd_connection(ws, args):
     if args.mode == "solve":
+        if args.connection is not None:
+            raise SchemaError("--connection", "read by `connection verify` only")
         sc, sol = solve_strong_connection(ws.extension(t_name=args.T))
         if sc is None:
             return {"verdicts": {"exists": False}}, 1
@@ -198,47 +204,63 @@ def cmd_compare(ws, args):
             "residuals": _fail_list(rep.failures)}, 0 if rep.ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is an input error (exit 2)
+        raise SchemaError(self.prog, message)
+
+
+def _degree(text):
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+FLAGS = {"T": {}, "connection": {}, "coidempotent": {"required": True},
+         "degree": {"type": _degree, "default": 0}}
+
+# command -> (handler, the FLAGS it reads besides --workspace and --out)
 COMMANDS = {
-    "validate": cmd_validate,
-    "coinvariants": cmd_coinvariants,
-    "galois": cmd_galois,
-    "connection": cmd_connection,
-    "integral": cmd_integral,
-    "tflat": cmd_tflat,
-    "hc": cmd_hc,
-    "chg": cmd_chg,
-    "idempotent": cmd_idempotent,
-    "compare": cmd_compare,
+    "validate": (cmd_validate, ()),
+    "coinvariants": (cmd_coinvariants, ("T",)),
+    "galois": (cmd_galois, ("T",)),
+    "connection": (cmd_connection, ("T", "connection")),
+    "integral": (cmd_integral, ("T",)),
+    "tflat": (cmd_tflat, ("T",)),
+    "hc": (cmd_hc, ("T", "degree")),
+    "chg": (cmd_chg, ("coidempotent", "connection", "T", "degree")),
+    "idempotent": (cmd_idempotent, ("coidempotent", "connection", "T")),
+    "compare": (cmd_compare, ("coidempotent", "connection", "T")),
 }
 
 
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="coralg",
         description="exact computations with corings, entwining structures, "
                     "strong connections and Chern-Galois characters")
     sub = p.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, flags) in COMMANDS.items():
         sp = sub.add_parser(name)
         if name == "connection":
             sp.add_argument("mode", choices=["solve", "verify"])
         sp.add_argument("--workspace", required=True)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--degree", type=int, default=0)
-        sp.add_argument("--coidempotent", default=None)
-        sp.add_argument("--connection", default=None)
-        sp.add_argument("--T", default=None)
+        for flag in flags:
+            sp.add_argument(f"--{flag}", **FLAGS[flag])
     fx = sub.add_parser("fixture")
     fx.add_argument("name")
     fx.add_argument("--out", default=None)
     return p
 
 
+PARSER = build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     t0 = time.monotonic()
     guard = exactla.DIMENSION_GUARD
     try:
+        args = PARSER.parse_args(argv)
         if args.command == "fixture":
             if args.name not in FIXTURE_NAMES:
                 raise UnknownFixture(args.name)
@@ -251,15 +273,12 @@ def main(argv=None):
         if args.command != "validate" and ws.validation_errors:
             sys.stderr.write("input error: workspace fails validation; run `validate`\n")
             return 2
-        body, code = COMMANDS[args.command](ws, args)
+        body, code = COMMANDS[args.command][0](ws, args)
         report = {"command": args.command}
         report.update(body)
         _emit(report, args.out)
         return code
-    except (SchemaError, ValidationError, UnknownFixture) as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return 2
-    except FileNotFoundError as exc:
+    except (SchemaError, ValidationError, UnknownFixture, FileNotFoundError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
     except CoralgError as exc:

@@ -630,36 +630,6 @@ class SubspaceBasis:
     def contains_vector(self, v):
         return self.membership(v) is not None
 
-    def contains(self, other):
-        if other.ambient_dim != self.ambient_dim:
-            raise DimensionMismatch("ambient dims differ")
-        return all(self.membership(r) is not None for r in other.mat._rows)
-
-    def sum_with(self, other):
-        if other.ambient_dim != self.ambient_dim:
-            raise DimensionMismatch("ambient dims differ")
-        vecs = self.mat._rows + other.mat._rows
-        return SubspaceBasis.from_vectors(self.field, self.ambient_dim, vecs)
-
-    def intersect(self, other):
-        """Zassenhaus: rref of [[A A],[B 0]]; zero-left rows span A cap B."""
-        if other.ambient_dim != self.ambient_dim:
-            raise DimensionMismatch("ambient dims differ")
-        n = self.ambient_dim
-        ech = _Echelon(self.field, 2 * n)
-        for r in self.mat._rows:
-            row = dict(r)
-            row.update({j + n: v for j, v in r.items()})
-            ech.add(row)
-        for r in other.mat._rows:
-            ech.add(r)
-        ech.close()
-        vecs = []
-        for row in ech.rows:
-            if min(row) >= n:
-                vecs.append({j - n: v for j, v in row.items()})
-        return SubspaceBasis.from_vectors(self.field, n, vecs)
-
     def __eq__(self, other):
         return (isinstance(other, SubspaceBasis)
                 and self.ambient_dim == other.ambient_dim and self.mat == other.mat)

@@ -33,7 +33,7 @@ T from it.  A stored connection is a map C -> A (x)_T A for its own ``T``
 and the CLI uses it over the same T.
 """
 
-from .errors import ActionMismatch, SchemaError, ValidationError
+from .errors import ActionMismatch, CoinvariantMismatch, SchemaError, ValidationError
 from .exactla import Field, Mat, _axpy_dense
 from .ncalg import (
     Algebra, AlgebraMorphism, Module, generated_subalgebra, tensor_space,
@@ -95,7 +95,13 @@ class Workspace:
                 if t_name not in self.subalgebras:
                     raise SchemaError(f"subalgebras.{t_name}", "unknown subalgebra")
                 sub, incl = self.subalgebras[t_name]
-                x = self.extension(coaction).with_T(_basis_in_parent(sub, incl))
+                base, path = self.extension(coaction), f"subalgebras.{t_name}"
+                if incl.target is not base.entwining.ring:
+                    raise SchemaError(path, f"not a subalgebra of {base.entwining.ring.name}")
+                try:
+                    x = base.with_T(_basis_in_parent(sub, incl))
+                except CoinvariantMismatch as exc:
+                    raise SchemaError(path, str(exc))
             else:
                 _, cname, rho = self.coactions[coaction]
                 ent = self.entwining_of(self.corings[cname])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from coralg import exactla
-from coralg.cli import main
+from coralg.cli import COMMANDS, FLAGS, main
 from coralg.connect import solve_strong_connection
 from coralg.entwine import extension_from_grouplike
 from coralg.errors import CoralgError, SchemaError
@@ -165,6 +165,45 @@ def test_cli_unknown_names_are_input_errors(tmp_path, z2_path):
         code, _ = run_cli(tmp_path, command, "--workspace", z2_path,
                           "--coidempotent", "nope")
         assert code == 2
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["validate", "--T", "nope", "--degree", "7"], "--T"),
+    (["galois", "--coidempotent", "zzz", "--degree", "9"], "--coidempotent"),
+    (["connection", "solve", "--connection", "ell"], "--connection"),
+    (["hc", "--degree", "-3"], "--degree"),
+    (["hc", "--degree", "x"], "--degree"),
+    (["chg", "--degree", "-1", "--coidempotent", "e1"], "--degree"),
+    (["chg", "--degree", "1"], "--coidempotent"),
+    (["idempotent"], "--coidempotent"),
+    (["compare"], "--coidempotent"),
+], ids=["validate-unread", "galois-unread", "solve-connection", "degree-negative",
+        "degree-text", "chg-degree-negative", "chg-no-coidempotent",
+        "idempotent-no-coidempotent", "compare-no-coidempotent"])
+def test_unread_bad_or_missing_flags_are_usage_errors(capsys, z2_path, argv, flag):
+    at = 2 if argv[0] == "connection" else 1
+    code = main(argv[:at] + ["--workspace", z2_path] + argv[at:])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("input error:") and flag in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("t_name", ["S", "X"])
+@pytest.mark.parametrize("command", ["coinvariants", "galois", "integral", "tflat", "hc"])
+def test_T_outside_the_coinvariants_is_an_input_error(tmp_path, capsys, command, t_name):
+    doc = fixture_document("FIX-Z2")
+    # S: a subalgebra of R, not of A; X: spanned by x, a subalgebra of A not inside B = k.1
+    doc["subalgebras"]["S"] = {"of": "R", "basis": [["1"]]}
+    doc["subalgebras"]["X"] = {"of": "A", "basis": [["0", "1"]]}
+    p = tmp_path / "z2_sx.json"
+    p.write_text(json.dumps(doc))
+    code = main([command, "--workspace", str(p), "--T", t_name])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("input error:") and f"subalgebras.{t_name}" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("scalar", ["malformed-json", "not-an-object", "1/0", "abc", 1.5],
@@ -329,3 +368,60 @@ def test_mutated_documents_keep_the_exit_contract(tmp_path, data):
     if not ws.validation_errors:
         once = serialize_workspace(ws)
         assert serialize_workspace(parse_workspace(once)) == once
+
+
+ARGV_COMMANDS = [c for c in COMMANDS if c != "connection"] + \
+    ["connection solve", "connection verify"]
+REFERENCE_SECTIONS = {"T": "subalgebras", "coidempotent": "coidempotents",
+                      "connection": "connections"}
+
+
+def _flags_read(command):
+    name, *mode = command.split()
+    return [f for f in COMMANDS[name][1] if not (mode == ["solve"] and f == "connection")]
+
+
+@pytest.fixture(scope="module")
+def fixture_paths(tmp_path_factory):
+    d = tmp_path_factory.mktemp("argv")
+    for name in FIXTURE_NAMES:
+        (d / f"{name}.json").write_text(_fuzz_text(name))
+    return {name: str(d / f"{name}.json") for name in FIXTURE_NAMES}
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(data=st.data())
+def test_argv_keeps_the_exit_contract(fixture_paths, data):
+    # each reference flag names an entry of another section of the document,
+    # --degree lies in [-3, 3], and at most one flag the command does not read
+    fixture = data.draw(st.sampled_from(FIXTURE_NAMES))
+    command = data.draw(st.sampled_from(
+        [c for c in ARGV_COMMANDS if fixture != "FIX-NC" or c not in ("chg", "hc")]))
+    doc = json.loads(_fuzz_text(fixture))
+    names = [(section, name) for section, entries in doc.items()
+             if section not in ("field", "options") for name in entries]
+    argv = command.split() + ["--workspace", fixture_paths[fixture]]
+
+    def value(flag):
+        if flag == "degree":
+            return str(data.draw(st.integers(-3, 3)))
+        return data.draw(st.sampled_from(
+            [n for s, n in names if s != REFERENCE_SECTIONS[flag]]))
+
+    read = _flags_read(command)
+    for flag in read:
+        if flag == "coidempotent" or data.draw(st.booleans()):
+            argv += [f"--{flag}", value(flag)]
+    others = [f for f in FLAGS if f not in read]
+    unread = data.draw(st.sampled_from(others)) if others and data.draw(st.booleans()) else None
+    if unread is not None:
+        argv += [f"--{unread}", value(unread)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("input error:"), argv
+    if unread is not None:
+        assert code == 2, argv

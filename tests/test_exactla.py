@@ -260,21 +260,6 @@ def test_subspace_membership_and_sum():
     e2 = qvec([0, 1])
     a = SubspaceBasis.from_vectors(QQ, 2, [e1, e2])
     assert a.membership(e1) == qvec([1, 0])
-    s = SubspaceBasis.from_vectors(QQ, 2, [e1]).sum_with(
-        SubspaceBasis.from_vectors(QQ, 2, [e2]))
-    assert s.dim == 2
-
-
-def test_subspace_intersection_by_joint_solve():
-    # span{e1+e2} cap span{e1} = 0 in Q^2
-    a = SubspaceBasis.from_vectors(QQ, 2, [qvec([1, 1])])
-    b = SubspaceBasis.from_vectors(QQ, 2, [qvec([1, 0])])
-    assert a.intersect(b).dim == 0
-    c = SubspaceBasis.from_vectors(QQ, 3, [qvec([1, 0, 0]), qvec([0, 1, 0])])
-    d = SubspaceBasis.from_vectors(QQ, 3, [qvec([0, 1, 0]), qvec([0, 0, 1])])
-    i = c.intersect(d)
-    assert i.dim == 1 and i.mat.row_list(0) == qvec([0, 1, 0])
-    assert c.contains(i) and d.contains(i)
 
 
 def test_dimension_mismatch_raised():
@@ -282,10 +267,6 @@ def test_dimension_mismatch_raised():
         qmat([[1, 2]]) @ qmat([[1, 2]])
     with pytest.raises(DimensionMismatch):
         rref_solve(qmat([[1]]), Mat.zeros(QQ, 2, 1))
-    a = SubspaceBasis.from_vectors(QQ, 2, [qvec([1, 0])])
-    b = SubspaceBasis.from_vectors(QQ, 3, [qvec([1, 0, 0])])
-    with pytest.raises(DimensionMismatch):
-        a.sum_with(b)
 
 
 def test_memory_guard():
@@ -540,7 +521,6 @@ def test_qq_storage_holds_no_float_and_accessors_give_the_qq_type(case, n):
                lincomb([A, C], [x, y]), A.transpose(), A.row_slice(0, nr),
                A.reshape(1, nr * nc), Mat.from_blocks(QQ, nr + 1, nc + 1, [(1, 1, A)]),
                res["rref"], res["kernel"].mat, q.proj, q.sect, sub.mat,
-               sub.intersect(res["kernel"]).mat, sub.sum_with(res["kernel"]).mat,
                SubspaceBasis.invariant_span(QQ, len(s), s[:1], [S]).mat]
     derived += [m for m in (res["particular"], inverse(S)) if m is not None]
     assert_qq_storage(*derived)

@@ -1,12 +1,19 @@
-"""Every defaulted parameter of a coralg function is set by some caller.
+"""Every defaulted parameter of a coralg function is set by some caller,
+and every CLI flag is read by its command.
 
 An option that no call in the package, the tests or the benchmark sets is
 one behaviour the code carries and nothing exercises; it should be a
-constant instead.
+constant instead.  A flag a command accepts but never reads is silently
+ignored input; it should be a usage error instead.
 """
 
+import argparse
 import ast
+import json
 from pathlib import Path
+
+from coralg import cli
+from coralg.fixtures import fixture_document
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -89,3 +96,49 @@ def test_every_option_is_set_by_some_caller():
             unset += [f"{path.stem}.{name}({param})" for param, index in params
                       if not any(_sets(call, param, index) for call in mine)]
     assert not unset, f"options no caller sets: {unset}"
+
+
+def _args_reads(funcs, name, seen):
+    """The ``args.<name>`` reads in the cli function ``name`` and in every
+    cli function it passes ``args`` to."""
+    seen.add(name)
+    out = set()
+    for node in ast.walk(funcs[name]):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "args":
+            out.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in funcs and node.func.id not in seen \
+                and any(isinstance(a, ast.Name) and a.id == "args" for a in node.args):
+            out |= _args_reads(funcs, node.func.id, seen)
+    return out
+
+
+def test_every_cli_flag_is_read_by_its_command():
+    tree = ast.parse((ROOT / "src" / "coralg" / "cli.py").read_text())
+    funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    sub, = (a for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    unread = []
+    for command in cli.COMMANDS:
+        declared = {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
+        # main reads --workspace and _emit writes --out for every command
+        read = _args_reads(funcs, f"cmd_{command}", set()) | {"workspace", "out"}
+        unread += [f"{command} --{dest}" for dest in sorted(declared - read)]
+    assert not unread, f"flags their command does not read: {unread}"
+
+
+def test_main_builds_no_parser(monkeypatch, tmp_path):
+    path = tmp_path / "triv.json"
+    path.write_text(json.dumps(fixture_document("FIX-TRIV")))
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert cli.main(["validate", "--workspace", str(path)]) == 0
+    assert cli.main(["fixture", "FIX-TRIV", "--out", str(tmp_path / "out.json")]) == 0
+    assert built == []
