@@ -20,10 +20,15 @@ Conventions for the bicomplex (binding):
   multiplication map mu = ``Algebra.mult_mat()``: the face b_i (i < n) is
   ``kron_id(d**i, mu, d**(n-1-i))``, d'_n = sum_{i<n} (-1)^i b_i, and
   d_n = d'_n + b_0 . tau_n, because tau_n moves b_n to the front and already
-  carries the sign (-1)^n.  Every operator is checked to descend to the
-  circular quotients.
+  carries the sign (-1)^n.
+* operators are built when first read: the total complex truncated at D
+  reads N only up to level D - 1 and tau, tautilde, d' only up to level D,
+  so it builds neither N at levels D and D + 1 nor the descended tau,
+  tautilde and d' at level D + 1.  Every operator that is built is checked
+  to descend to the circular quotients.
 """
 
+from collections.abc import Mapping
 from functools import cached_property
 
 from .errors import ActionMismatch, DegreeMismatch, DegreeOutOfRange, NotACycle
@@ -34,6 +39,8 @@ from .exactla import (
 from .ncalg import (
     Report, descend, regular_bimodule, tensor_space, to_quotient, trivial_subalgebra,
 )
+
+_OPERATORS = ("tau", "tautilde", "N", "dprime", "d")
 
 
 def cyclic_complex(b, t_pair=None):
@@ -72,54 +79,17 @@ class CyclicComplex:
                 name=f"{self.b.name}^(*){n + 1}")
         return self._spaces[n]
 
-    # -- ambient operator constructions --------------------------------
-
-    def _tau_ambient(self, n):
-        """tau on the pure tensors of B^(n+1): the last factor moves to the
-        front, with sign (-1)^n."""
-        d = self.b.dim
-        dn = d ** n
-        sign = self.field.from_int((-1) ** n)
-        return Mat.from_entries(self.field, d * dn, d * dn,
-                                (((r, (r % dn) * d + r // dn), sign) for r in range(d * dn)))
-
     def operators(self, n):
         """tau, tautilde, N at level n; dprime, d: level n -> n-1 (n >= 1).
 
-        All matrices act on canonical circular coordinates; the descent to
-        the quotient is verified (relation vectors map to relation vectors).
+        All matrices act on canonical circular coordinates.  Each one is
+        built when first read, and a built operator is verified to descend
+        to the quotient (relation vectors map to relation vectors).
         """
-        if n in self._ops:
-            return self._ops[n]
-        f = self.field
-        sp = self.space(n)
-        tau_amb = self._tau_ambient(n)
-        ops = {}
-        ops["tau"] = self._descend(tau_amb, sp, sp)
-        acc = nmat = ident = Mat.identity(f, sp.dim)
-        ops["tautilde"] = ident - ops["tau"]
-        # N = sum of tau^i on the quotient (tau descends, so powers agree)
-        for _ in range(n):
-            nmat = ops["tau"] @ nmat
-            acc = acc + nmat
-        ops["N"] = acc
-        if n >= 1:
-            d, mu = self.b.dim, self.b.mult_mat()
-            dprime_amb = lincomb([kron_id(d ** i, mu, d ** (n - 1 - i)) for i in range(n)],
-                                 [f.from_int((-1) ** i) for i in range(n)])
-            sp1 = self.space(n - 1)
-            ops["dprime"] = self._descend(dprime_amb, sp, sp1)
-            # the last face is b_0 after tau, which carries its sign (-1)^n
-            d_amb = dprime_amb + kron_id(1, mu, d ** (n - 1)) @ tau_amb
-            ops["d"] = self._descend(d_amb, sp, sp1)
-        self._ops[n] = ops
+        ops = self._ops.get(n)
+        if ops is None:
+            ops = self._ops[n] = _Level(self, n)
         return ops
-
-    def _descend(self, amb, src, tgt):
-        m = descend(to_quotient(tgt, amb), src)
-        if m is None:
-            raise ActionMismatch(f"operator does not descend to {src.name}")
-        return m
 
     # -- total complex ---------------------------------------------------
 
@@ -127,6 +97,78 @@ class CyclicComplex:
         if D not in self._d:
             self._d[D] = TotalComplex(self, D)
         return self._d[D]
+
+
+class _Level(Mapping):
+    """The cyclic operators of one level, read as ``operators(n)[key]``:
+    each is built, and checked to descend, when first read.  tautilde and N
+    are formed from the descended tau; d shares the ambient tau and d'."""
+
+    def __init__(self, cc, n):
+        self.b, self.field, self.n = cc.b, cc.field, n
+        self.sp = cc.space(n)
+        self.sp1 = cc.space(n - 1) if n >= 1 else None
+        self._keys = _OPERATORS if n >= 1 else _OPERATORS[:3]
+
+    def __getitem__(self, key):
+        if key not in self._keys:
+            raise KeyError(key)
+        return getattr(self, key)
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self):
+        return len(self._keys)
+
+    def _descend(self, amb, tgt):
+        m = descend(to_quotient(tgt, amb), self.sp)
+        if m is None:
+            raise ActionMismatch(f"operator does not descend to {self.sp.name}")
+        return m
+
+    @cached_property
+    def _tau_ambient(self):
+        """tau on the pure tensors of B^(n+1): the last factor moves to the
+        front, with sign (-1)^n."""
+        d, n = self.b.dim, self.n
+        dn = d ** n
+        sign = self.field.from_int((-1) ** n)
+        return Mat.from_entries(self.field, d * dn, d * dn,
+                                (((r, (r % dn) * d + r // dn), sign) for r in range(d * dn)))
+
+    @cached_property
+    def _dprime_ambient(self):
+        d, n, mu = self.b.dim, self.n, self.b.mult_mat()
+        return lincomb([kron_id(d ** i, mu, d ** (n - 1 - i)) for i in range(n)],
+                       [self.field.from_int((-1) ** i) for i in range(n)])
+
+    @cached_property
+    def tau(self):
+        return self._descend(self._tau_ambient, self.sp)
+
+    @cached_property
+    def tautilde(self):
+        return Mat.identity(self.field, self.sp.dim) - self.tau
+
+    @cached_property
+    def N(self):
+        # the sum of tau^i on the quotient (tau descends, so powers agree)
+        acc = nmat = Mat.identity(self.field, self.sp.dim)
+        for _ in range(self.n):
+            nmat = self.tau @ nmat
+            acc = acc + nmat
+        return acc
+
+    @cached_property
+    def dprime(self):
+        return self._descend(self._dprime_ambient, self.sp1)
+
+    @cached_property
+    def d(self):
+        # the last face is b_0 after tau, which carries its sign (-1)^n
+        wrap = kron_id(1, self.b.mult_mat(), self.b.dim ** (self.n - 1)) @ self._tau_ambient
+        return self._descend(self._dprime_ambient + wrap, self.sp1)
 
 
 class TotalComplex:

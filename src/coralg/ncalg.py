@@ -16,7 +16,9 @@ Conventions:
   is the binding coordinate convention for serialized data.  Pure-tensor
   basis order is lexicographic with the leftmost factor slowest.  The outer
   actions of the end factors are computed on demand, once per algebra, as
-  ``Q @ kron_id(pre, m, post) @ S``; a circular space has none.
+  ``Q @ kron_id(pre, m, post) @ S``; a circular space has none.  The
+  circular relation's end actions are carried through the junction
+  quotients instead, and its pairs of identities are skipped.
 * The ground field is realized as the one-dimensional algebra; a junction
   algebra of ``None`` means "over k" (no balancing relations).
 * Opposites (memoized, ``x.op().op() is x``): ``Algebra.op()`` has
@@ -443,6 +445,13 @@ class TensorSpace:
                   no longer well defined
       trivial     True when there are no relations (Q is invertible, S = Q^-1;
                   both are the identity except on a reversal view)
+
+    Each junction step pushes only the actions the later steps read, as
+    ``proj @ m @ sect`` of that step's quotient: the right action of the
+    next junction's algebra and, for a circular space, the closing pairs
+    (the circular algebra's right action on the last factor and left action
+    on the first) that are not both the identity.  A pair of identities
+    adds no relation, so over T = k the circular quotient costs nothing.
     """
 
     def __init__(self, factors, junctions, circular=None, name=""):
@@ -461,12 +470,27 @@ class TensorSpace:
         self.name = name or "(x)".join(m.name for m in factors)
 
         first, last = factors[0], factors[-1]
+        # the circular relation's pairs (right action on the last factor, left
+        # action on the first) that are not both identities, at factor level
+        closing_right, left = {}, []
+        if circular is not None:
+            if circular not in last.right or circular not in first.left:
+                raise ActionMismatch(
+                    f"{self.name}: circular algebra {circular.name} must act on both ends")
+            pairs = [(rm, lm) for rm, lm in zip(last.right[circular], first.left[circular])
+                     if not (rm.is_identity() and lm.is_identity())]
+            closing_right[circular] = [rm for rm, _ in pairs]
+            left = [lm for _, lm in pairs]
         cur_dim = first.dim
         Q = S = Mat.identity(field, cur_dim)
-        right = first.right  # right actions on the space so far: the next junction's
+        # right actions on the space so far, of the algebra the next step balances:
+        # the next junction, and after the last factor the circular algebra
+        right = first.right if junctions else closing_right
         minus_one = field.from_int(-1)
 
-        for t, nxt, t_next in zip(junctions, factors[1:], [*junctions[1:], None]):
+        nexts = [(t, m.right) for t, m in zip(junctions[1:], factors[1:])]
+        nexts.append((circular, closing_right))
+        for t, nxt, (t_next, nxt_right) in zip(junctions, factors[1:], nexts):
             dN = nxt.dim
             amb = cur_dim * dN
             guard_dim(amb, f"tensor step of {self.name}")
@@ -491,25 +515,25 @@ class TensorSpace:
                                 rel_vectors.append(vec)
             Q, S = kron_id(1, Q, dN), kron_id(1, S, dN)
             right = {}
-            if t_next is not None and t_next in nxt.right:
-                right[t_next] = [kron_id(cur_dim, R, 1) for R in nxt.right[t_next]]
+            if t_next is not None and t_next in nxt_right:
+                right[t_next] = [kron_id(cur_dim, R, 1) for R in nxt_right[t_next]]
+            left = [kron_id(1, L, dN) for L in left]
             cur_dim = amb
             if rel_vectors:
                 qs = quotient_space(field, amb, rel_vectors)
                 Q, S, cur_dim = qs.proj @ Q, S @ qs.sect, qs.dim
                 right = {alg: [qs.proj @ m @ qs.sect for m in mats]
                          for alg, mats in right.items()}
+                left = [qs.proj @ m @ qs.sect for m in left]
 
         self.dim, self.Q, self.S = cur_dim, Q, S
         self.trivial = cur_dim == self.full_dim
-        self.outer_left = _OuterActions(self, first.left, 1, prod(self.dims[1:]))
-        self.outer_right = _OuterActions(self, last.right, prod(self.dims[:-1]), 1)
-        if circular is not None:
-            if circular not in self.outer_right or circular not in self.outer_left:
-                raise ActionMismatch(
-                    f"{self.name}: circular algebra {circular.name} must act on both ends")
+        if circular is None:
+            self.outer_left = _OuterActions(self, first.left, 1, prod(self.dims[1:]))
+            self.outer_right = _OuterActions(self, last.right, prod(self.dims[:-1]), 1)
+        else:
             rel_vectors = []
-            for rm, lm in zip(self.outer_right[circular], self.outer_left[circular]):
+            for rm, lm in zip(right[circular], left):
                 rel_vectors.extend(col for col in (rm - lm).sparse_cols() if col)
             if rel_vectors:
                 qs = quotient_space(field, cur_dim, rel_vectors)

@@ -8,17 +8,20 @@ from collections import Counter
 import pytest
 
 from coralg import cyclic
+from coralg.connect import tflatness_check
 from coralg.cyclic import (
     CyclicComplex, cyclic_complex, homology, lambda_projection,
 )
+from coralg.entwine import associated_coring
 from coralg.errors import DegreeOutOfRange, MemoryGuard, NotACycle
-from coralg.exactla import GF, QQ, Mat, rank
+from coralg.exactla import GF, QQ, Mat, kron_id, quotient_space, rank
 from coralg.fixtures import (
     FIXTURE_NAMES, diagonal_subalgebra, fixture_workspace, matrix_algebra,
     quadratic_algebra, upper_triangular_algebra,
 )
 from coralg.ncalg import (
-    AlgebraMorphism, generated_subalgebra, scalar_algebra, validate_morphism,
+    AlgebraMorphism, TensorSpace, generated_subalgebra, scalar_algebra, tensor_space,
+    validate_morphism,
 )
 
 
@@ -122,8 +125,11 @@ def test_tau_sign_and_boundary_formula():
 def _face_case(key, f):
     if key == "kx|k":
         return quadratic_algebra(f, 1, 0), None
-    if key == "ut2|k":
-        return upper_triangular_algebra(f), None
+    if key.startswith("ut2|"):
+        ut = upper_triangular_algebra(f)
+        if key == "ut2|k":
+            return ut, None
+        return ut, generated_subalgebra(ut, [[f.one, f.zero, f.zero], [f.zero, f.zero, f.one]])
     m2 = matrix_algebra(f, 2)
     return m2, diagonal_subalgebra(m2) if key == "M2|diag" else None
 
@@ -155,6 +161,49 @@ def test_faces_match_the_textbook_formula_on_pure_tensors(key, field):
             x = sp.embed_pure(xs)
             assert ops["dprime"].apply(x) == dprime, (n, idx)
             assert ops["d"].apply(x) == d, (n, idx)
+
+
+# -- circular relations: carried end actions against the ambient push -------
+
+def _ambient_circular(sp):
+    """(dim, Q, S) of the circular space ``sp`` rebuilt from its balanced
+    space without the circular relation: each end action of the circular
+    algebra is pushed from the full ambient as ``Q @ kron_id(pre, m, post) @ S``
+    and the quotient is taken by the columns of their differences."""
+    first, last, t = sp.factors[0], sp.factors[-1], sp.circular
+    plain = TensorSpace(sp.factors, sp.junctions)
+    rels = []
+    for rm, lm in zip(last.right[t], first.left[t], strict=True):
+        right = plain.Q @ kron_id(plain.full_dim // last.dim, rm, 1) @ plain.S
+        left = plain.Q @ kron_id(1, lm, plain.full_dim // first.dim) @ plain.S
+        rels.extend(col for col in (right - left).sparse_cols() if col)
+    if not rels:
+        return plain.dim, plain.Q, plain.S
+    qs = quotient_space(sp.field, plain.dim, rels)
+    return qs.dim, qs.proj @ plain.Q, plain.S @ qs.sect
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("key", ["kx|k", "ut2|k", "M2|k", "M2|diag", "ut2|diag"])
+def test_circular_spaces_equal_the_ambient_construction(key, field):
+    cc = CyclicComplex(*_face_case(key, field))
+    for n in range(4):
+        sp = cc.space(n)
+        dim, q, s = _ambient_circular(sp)
+        assert (sp.dim, sp.Q, sp.S) == (dim, q, s), (key, n)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_one_factor_circular_spaces_equal_the_ambient_construction(name):
+    # the circular spaces A/[A,T], C/[C,T] and B/[B,T] of tflatness_check (on
+    # the fixtures they have no relations; level 0 of M2|diag above has some)
+    x = fixture_workspace(name).extension()
+    tflatness_check(x)
+    carrier = associated_coring(x.entwining).carrier
+    for mod in (x.a_mod, carrier, x.b_mod):
+        sp = tensor_space([mod], [], circular=x.T)
+        dim, q, s = _ambient_circular(sp)
+        assert (sp.dim, sp.Q, sp.S) == (dim, q, s), (name, mod.name)
 
 
 def test_tau_power_identity_and_row_exactness():
@@ -377,3 +426,118 @@ def test_a_boundary_outside_the_kernel_is_a_typed_error():
     tc.d[2] = bad  # its first column is not a cycle, behind the certificate's back
     with pytest.raises(NotACycle, match="boundary is not a cycle"):
         homology(tc, 1).class_space
+
+
+# -- operators built on first read ----------------------------------------
+
+def _eager_operators(cc, n):
+    """The operators of level n built at once from their definitions: tau
+    permutes the pure tensors with sign (-1)^n, N = sum of tau^i by matmul,
+    d' and d from the faces; each descended as Q_tgt @ W @ S_src."""
+    f, d, mu = cc.field, cc.b.dim, cc.b.mult_mat()
+    sp = cc.space(n)
+    full = d ** (n + 1)
+    tau_amb = Mat.from_entries(f, full, full, [
+        ((r, (r % d ** n) * d + r // d ** n), f.from_int((-1) ** n)) for r in range(full)])
+    tau = sp.Q @ tau_amb @ sp.S
+    ident = Mat.identity(f, sp.dim)
+    power, N = ident, ident
+    for _ in range(n):
+        power = tau @ power
+        N = N + power
+    ops = {"tau": tau, "tautilde": ident - tau, "N": N}
+    if n >= 1:
+        sp1 = cc.space(n - 1)
+        faces = [kron_id(d ** i, mu, d ** (n - 1 - i)) for i in range(n)]
+        dprime_amb = faces[0]
+        for i, face in enumerate(faces[1:], 1):
+            dprime_amb = dprime_amb + face if i % 2 == 0 else dprime_amb - face
+        d_amb = dprime_amb + kron_id(1, mu, d ** (n - 1)) @ tau_amb
+        ops["dprime"] = sp1.Q @ dprime_amb @ sp.S
+        ops["d"] = sp1.Q @ d_amb @ sp.S
+    return ops
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("key", ["kx|k", "ut2|k", "M2|k", "M2|diag"])
+def test_lazy_operators_equal_the_eager_construction(key, field):
+    cc = CyclicComplex(*_face_case(key, field))
+    for n in range(4):
+        ops = cc.operators(n)
+        assert cc.operators(n) is ops
+        keys = ["tau", "tautilde", "N"] + (["dprime", "d"] if n >= 1 else [])
+        assert list(ops) == keys and len(ops) == len(keys)
+        assert "d" in ops if n >= 1 else "d" not in ops
+        eager = _eager_operators(cc, n)
+        for name in keys:
+            assert ops[name] is ops[name]
+            assert ops[name] == eager[name], (key, n, name)
+
+
+def test_total_complex_builds_only_the_operators_it_reads():
+    # Tot_n reads N(q) only for q <= D - 1 and tau~, d' (so tau) for q <= D;
+    # level D + 1 gives d alone, whose d.d certificate is still checked
+    cc = CyclicComplex(matrix_algebra(QQ, 2))
+    tc = cc.total(5)
+    assert tc.d_squared.ok and set(tc.d) == set(range(1, 7))
+
+    def built(n):
+        return {key for key in cc.operators(n) if key in vars(cc.operators(n))}
+    assert all(built(q) == {"tau", "tautilde", "N", "dprime", "d"} for q in range(1, 5))
+    assert built(5) == {"tau", "tautilde", "dprime", "d"}
+    assert built(6) == {"d"}
+
+
+# -- Connes' complex: an independent oracle for the HC dims ----------------
+
+def connes_dims(cc, D):
+    """dim HC_n for n < D from Connes' complex C^lambda_n = C_n / (1 - tau)C_n
+    with b induced by the Hochschild boundary d (Connes, Publ. IHES 62, 1985;
+    Loday, Cyclic Homology, 2.1).  It shares the circular spaces and the
+    operators tau and d with the engine (the faces are covered by
+    ``test_faces_match_the_textbook_formula_on_pure_tensors``) and is
+    independent in the homological algebra: no bicomplex, N or tautilde.
+    Asserts that d descends to C^lambda and that b.b = 0."""
+    f = cc.field
+    quots, b = [], {}
+    for n in range(D + 1):
+        one_minus_tau = Mat.identity(f, cc.space(n).dim) - cc.operators(n)["tau"]
+        quots.append(quotient_space(f, cc.space(n).dim, one_minus_tau.sparse_cols()))
+        if n >= 1:
+            d = cc.operators(n)["d"]
+            # d maps (1 - tau)C_n into (1 - tau)C_{n-1}
+            assert (quots[n - 1].proj @ d @ one_minus_tau).is_zero(), (cc.name, n)
+            b[n] = quots[n - 1].proj @ d @ quots[n].sect
+    for n in range(2, D + 1):
+        assert (b[n - 1] @ b[n]).is_zero(), (cc.name, n)
+    ranks = {0: 0, **{n: rank(m) for n, m in b.items()}}
+    return [quots[n].dim - ranks[n] - ranks[n + 1] for n in range(D)]
+
+
+def _skip_small_characteristic(field, D):
+    # C^lambda computes HC only where n + 1 is invertible on every level
+    # n <= D it uses (the rows of the bicomplex are then exact); over F_p
+    # that needs p > D + 1
+    if field.p is not None and field.p <= D + 1:
+        pytest.skip(f"Connes' complex needs p > D + 1 = {D + 1} (p = {field.p})")
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+def test_connes_complex_dims_equal_hc_on_criterion_2(field):
+    D = 5
+    _skip_small_characteristic(field, D)
+    for b, t_pair in _criterion_2_pairs(field):
+        cc = cyclic_complex(b, t_pair)
+        tc = cc.total(D)
+        assert connes_dims(cc, D) == [homology(tc, n).dim for n in range(D)], cc.name
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_connes_complex_dims_equal_hc_on_fixture_hc(name):
+    # the complex of `hc --degree 4`, as in test_rank_dims_equal_class_space_dims_on_fixture_hc
+    ws = fixture_workspace(name)
+    x = ws.extension()
+    D = max(ws.options["max_degree"], 5)
+    _skip_small_characteristic(x.B.field, D)
+    cc = cyclic_complex(x.B, (x.T, x.incl_T_B))
+    assert connes_dims(cc, D) == [homology(cc.total(D), n).dim for n in range(D)]
