@@ -18,9 +18,14 @@ Conventions for the bicomplex (binding):
   (-1)^n (b_n b_0) (*) b_1 ... (*) b_{n-1}
 * faces, built on the ambient B^{(x)(n+1)} (dim B = d) from B's
   multiplication map mu = ``Algebra.mult_mat()``: the face b_i (i < n) is
-  ``kron_id(d**i, mu, d**(n-1-i))``, d'_n = sum_{i<n} (-1)^i b_i, and
-  d_n = d'_n + b_0 . tau_n, because tau_n moves b_n to the front and already
-  carries the sign (-1)^n.
+  ``kron_id(d**i, mu, d**(n-1-i))`` and d'_n = sum_{i<n} (-1)^i b_i, built
+  from the level below as d'_n = b_0 - 1 (x) d'_{n-1} (d'_1 = b_0), so each
+  level costs two ``kron_id`` and one subtraction.  d_n = d'_n + b_0 . tau_n,
+  because tau_n moves b_n to the front and already carries the sign (-1)^n;
+  tau_n permutes pure tensors, so b_0 . tau_n is b_0 with its columns
+  relabelled (x, y, rest) -> (y, rest, x) (``Mat.cols_permuted``), signed,
+  and no ambient tau is multiplied.  The ambient tau itself is the signed
+  identity with the same relabelling.
 * operators are built when first read: the total complex truncated at D
   reads N only up to level D - 1 and tau, tautilde, d' only up to level D,
   so it builds neither N at levels D and D + 1 nor the descended tau,
@@ -33,8 +38,8 @@ from functools import cached_property
 
 from .errors import ActionMismatch, DegreeMismatch, DegreeOutOfRange, NotACycle
 from .exactla import (
-    Mat, SubspaceBasis, _axpy_dense, guard_dim, kron_id, lincomb, quotient_space, rank,
-    rref_solve, solve_right,
+    Mat, SubspaceBasis, _axpy_dense, guard_dim, kron_id, quotient_space, rank, rref_solve,
+    solve_right,
 )
 from .ncalg import (
     Report, descend, regular_bimodule, tensor_space, to_quotient, trivial_subalgebra,
@@ -102,10 +107,11 @@ class CyclicComplex:
 class _Level(Mapping):
     """The cyclic operators of one level, read as ``operators(n)[key]``:
     each is built, and checked to descend, when first read.  tautilde and N
-    are formed from the descended tau; d shares the ambient tau and d'."""
+    are formed from the descended tau; d extends the ambient d', which stays
+    cached for the level above."""
 
     def __init__(self, cc, n):
-        self.b, self.field, self.n = cc.b, cc.field, n
+        self.cc, self.b, self.field, self.n = cc, cc.b, cc.field, n
         self.sp = cc.space(n)
         self.sp1 = cc.space(n - 1) if n >= 1 else None
         self._keys = _OPERATORS if n >= 1 else _OPERATORS[:3]
@@ -127,25 +133,29 @@ class _Level(Mapping):
             raise ActionMismatch(f"operator does not descend to {self.sp.name}")
         return m
 
-    @cached_property
-    def _tau_ambient(self):
-        """tau on the pure tensors of B^(n+1): the last factor moves to the
-        front, with sign (-1)^n."""
-        d, n = self.b.dim, self.n
-        dn = d ** n
-        sign = self.field.from_int((-1) ** n)
-        return Mat.from_entries(self.field, d * dn, d * dn,
-                                (((r, (r % dn) * d + r // dn), sign) for r in range(d * dn)))
+    def _rotated(self, m):
+        """m with its columns relabelled (b_0, b_1, ..., b_n) ->
+        (b_1, ..., b_n, b_0) on the pure tensors of B^(n+1)."""
+        d, dn = self.b.dim, self.b.dim ** self.n
+        return m.cols_permuted([(j % dn) * d + j // dn for j in range(d * dn)], d * dn)
+
+    def _b0(self):
+        """The face b_0 = mu (x) 1 on B^(n+1)."""
+        return kron_id(1, self.b.mult_mat(), self.b.dim ** (self.n - 1))
 
     @cached_property
     def _dprime_ambient(self):
-        d, n, mu = self.b.dim, self.n, self.b.mult_mat()
-        return lincomb([kron_id(d ** i, mu, d ** (n - 1 - i)) for i in range(n)],
-                       [self.field.from_int((-1) ** i) for i in range(n)])
+        """d' on B^(n+1), as b_0 - 1 (x) d'_{n-1}; level n + 1 reads it."""
+        if self.n == 1:
+            return self._b0()
+        below = self.cc.operators(self.n - 1)._dprime_ambient
+        return self._b0() - kron_id(self.b.dim, below, 1)
 
     @cached_property
     def tau(self):
-        return self._descend(self._tau_ambient, self.sp)
+        # the last factor moves to the front, with sign (-1)^n
+        rot = self._rotated(Mat.identity(self.field, self.b.dim ** (self.n + 1)))
+        return self._descend(rot if self.n % 2 == 0 else -rot, self.sp)
 
     @cached_property
     def tautilde(self):
@@ -166,9 +176,11 @@ class _Level(Mapping):
 
     @cached_property
     def d(self):
-        # the last face is b_0 after tau, which carries its sign (-1)^n
-        wrap = kron_id(1, self.b.mult_mat(), self.b.dim ** (self.n - 1)) @ self._tau_ambient
-        return self._descend(self._dprime_ambient + wrap, self.sp1)
+        # the last face (-1)^n (b_n b_0) (x) b_1 ... (x) b_{n-1} is b_0 after
+        # tau, whose matrix is that of b_0 with its columns rotated
+        wrap = self._rotated(self._b0())
+        amb = self._dprime_ambient
+        return self._descend(amb + wrap if self.n % 2 == 0 else amb - wrap, self.sp1)
 
 
 class TotalComplex:

@@ -25,11 +25,11 @@ Conventions, binding for the whole package:
 * Matrices store only nonzero entries, one dict per row.  That storage
   (``Mat._rows``) is read and built only in this module.  Elsewhere a Mat
   is built by ``zeros``, ``identity``, ``from_entries``, ``from_rows``,
-  ``from_cols``, ``from_blocks``, ``kron_id`` or an operation on other
-  matrices, and read by ``get``, ``col``, ``row_list``, ``to_lists``,
-  ``items``, ``sparse_cols``, ``row_slice``, ``reshape``, ``apply``,
-  ``nnz``, ``is_zero`` and ``is_identity``.  No Mat is mutated after
-  construction.
+  ``from_cols``, ``from_blocks``, ``kron_id``, ``cols_permuted`` or an
+  operation on other matrices, and read by ``get``, ``col``, ``row_list``,
+  ``to_lists``, ``items``, ``sparse_cols``, ``row_slice``, ``reshape``,
+  ``apply``, ``nnz``, ``is_zero`` and ``is_identity``.  No Mat is mutated
+  after construction.
 * Subspaces are always presented by their unique reduced row echelon basis
   (pivot columns ascending), so subspace equality is basis equality and
   canonical coordinates are plain lists of scalars.
@@ -377,6 +377,13 @@ class Mat:
                 rows[j][i] = v
         return Mat(self.field, self.ncols, self.nrows, rows)
 
+    def cols_permuted(self, perm, ncols):
+        """The nrows x ncols matrix whose column ``perm[j]`` is column j of
+        self; ``perm`` is a list mapping range(self.ncols) injectively into
+        range(ncols).  Only column labels change, so no entry is combined."""
+        return Mat(self.field, self.nrows, ncols,
+                   [{perm[j]: v for j, v in r.items()} for r in self._rows])
+
     def kron(self, other):
         """Kronecker product; index (i1,i2) -> i1*other.nrows + i2, same for columns."""
         guard_dim(self.nrows * other.nrows, "kron")
@@ -413,9 +420,12 @@ class Mat:
 
 
 def kron_id(pre, f, post):
-    """kron(I_pre, f, I_post) built directly, sparse."""
+    """kron(I_pre, f, I_post) built directly, sparse; an identity f gives
+    ``Mat.identity`` of the product size, with no row of f copied."""
     if pre == post == 1:
         return f
+    if f.is_identity():
+        return Mat.identity(f.field, pre * f.nrows * post)
     nc = f.ncols
     rows = [{(a * nc + j) * post + c: v for j, v in r.items()}
             for a in range(pre) for r in f._rows for c in range(post)]
@@ -521,17 +531,21 @@ class _Echelon:
         rows = [self.rows[i] for i in order]
         augs = [self.augs[i] for i in order]
         pivots = [self.pivot_of_row[i] for i in order]
+        pivot_rows = {pc: i for i, pc in enumerate(pivots)}
         p = self.field.p
+        # the rows below row i are already reduced, so each holds no pivot
+        # column but its own: eliminating one of row i's pivot entries leaves
+        # its others as they are, and row i needs only the pivot columns it
+        # holds, taken in ascending order
         for i in range(len(rows) - 1, -1, -1):
             row, aug = rows[i], augs[i]
-            for k in range(i + 1, len(rows)):
-                c = row.get(pivots[k])
-                if not c:
-                    continue
+            for j in sorted(j for j in row if j > pivots[i] and j in pivot_rows):
+                k = pivot_rows[j]
+                c = row[j]
                 _axpy(row, -c, rows[k], p)
                 _axpy(aug, -c, augs[k], p)
         self.rows, self.augs, self.pivot_of_row = rows, augs, pivots
-        self.pivot_rows = {pc: i for i, pc in enumerate(pivots)}
+        self.pivot_rows = pivot_rows
         return self
 
 

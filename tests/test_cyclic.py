@@ -461,8 +461,9 @@ def _eager_operators(cc, n):
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
 @pytest.mark.parametrize("key", ["kx|k", "ut2|k", "M2|k", "M2|diag"])
 def test_lazy_operators_equal_the_eager_construction(key, field):
+    # on M2 up to level 5, where the recursion for d' has run four times
     cc = CyclicComplex(*_face_case(key, field))
-    for n in range(4):
+    for n in range(6 if key.startswith("M2") else 4):
         ops = cc.operators(n)
         assert cc.operators(n) is ops
         keys = ["tau", "tautilde", "N"] + (["dprime", "d"] if n >= 1 else [])
@@ -476,16 +477,44 @@ def test_lazy_operators_equal_the_eager_construction(key, field):
 
 def test_total_complex_builds_only_the_operators_it_reads():
     # Tot_n reads N(q) only for q <= D - 1 and tau~, d' (so tau) for q <= D;
-    # level D + 1 gives d alone, whose d.d certificate is still checked
+    # level D + 1 gives d alone, whose d.d certificate is still checked.  The
+    # only ambient matrix a level keeps is its d', which the level above reads:
+    # no level caches an ambient tau, and level D + 1 builds no tau at all
     cc = CyclicComplex(matrix_algebra(QQ, 2))
     tc = cc.total(5)
     assert tc.d_squared.ok and set(tc.d) == set(range(1, 7))
 
     def built(n):
-        return {key for key in cc.operators(n) if key in vars(cc.operators(n))}
-    assert all(built(q) == {"tau", "tautilde", "N", "dprime", "d"} for q in range(1, 5))
-    assert built(5) == {"tau", "tautilde", "dprime", "d"}
-    assert built(6) == {"d"}
+        return {key for key, value in vars(cc.operators(n)).items() if isinstance(value, Mat)}
+    assert built(0) == {"tau", "tautilde", "N"}
+    assert all(built(q) == {"tau", "tautilde", "N", "dprime", "d", "_dprime_ambient"}
+               for q in range(1, 5))
+    assert built(5) == {"tau", "tautilde", "dprime", "d", "_dprime_ambient"}
+    assert built(6) == {"d", "_dprime_ambient"}
+
+
+# -- the extra degeneracy: a contracting homotopy for d' over T = k --------
+
+@pytest.mark.parametrize("n", range(6))
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("key", ["k", "kx", "ut2", "M2"])
+def test_extra_degeneracy_contracts_the_ambient_dprime(key, field, n):
+    """s_n = 1 (x) - : B^(x)n -> B^(x)(n+1) gives d'_{n+1} s_{n+1} + s_n d'_n = id
+    on B^(x)(n+1), with d'_0 = 0: the bar complex is contractible (Loday,
+    Cyclic Homology, 1.1).  This checks the engine's ambient d', built level
+    by level as b_0 - 1 (x) d'_{n-1}, against the unit of B alone."""
+    b = {"k": scalar_algebra, "kx": lambda f: quadratic_algebra(f, 1, 0),
+         "ut2": upper_triangular_algebra, "M2": lambda f: matrix_algebra(f, 2)}[key](field)
+    cc = CyclicComplex(b)
+    d = b.dim
+
+    def s(m):
+        return kron_id(1, b.unit_col(), d ** m)
+
+    homotopy = cc.operators(n + 1)._dprime_ambient @ s(n + 1)
+    if n >= 1:
+        homotopy = homotopy + s(n) @ cc.operators(n)._dprime_ambient
+    assert homotopy == Mat.identity(field, d ** (n + 1))
 
 
 # -- Connes' complex: an independent oracle for the HC dims ----------------

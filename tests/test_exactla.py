@@ -1,6 +1,7 @@
 """Oracle and property tests for the exact linear algebra substrate."""
 
 import ast
+import itertools
 import random
 from pathlib import Path
 
@@ -92,6 +93,27 @@ def test_rref_matches_naive_oracle():
         assert res["rank"] == len(oracle_rows)
         assert res["pivot_cols"] == oracle_piv
         assert res["rref"].to_lists() == oracle_rows
+
+
+def test_back_elimination_clears_several_later_pivots_from_one_row():
+    # rows go in by ascending pivot, so the echelon keeps each one as given:
+    # row 0 holds the pivots of rows 1, 2 and 3, row 1 those of rows 2 and 3
+    # (column 2 is free, so the later pivots are not a plain triangle)
+    a = [[1, 2, 4, 3, -1, 5, 1],
+         [0, 1, 1, -2, 3, 1, 2],
+         [0, 0, 0, 2, 1, -3, 1],
+         [0, 0, 0, 0, 3, 1, -1]]
+    rhs = [[1, 0], [2, 1], [0, 3], [-1, 1]]
+    rows = [[QQ.from_int(x) for x in r] for r in a]
+    b = [[QQ.from_int(x) for x in r] for r in rhs]
+    res = rref_solve(Mat.from_rows(QQ, rows), Mat.from_rows(QQ, b))
+    oracle_rows, oracle_piv = naive_rref(rows)
+    assert res["pivot_cols"] == oracle_piv == [0, 1, 3, 4]
+    assert res["rref"].to_lists() == oracle_rows
+    assert res["particular"].to_lists() == naive_solve(rows, b, len(a[0]))
+    gf = rref_solve(Mat.from_rows(F7, [[x % P7 for x in r] for r in a]))
+    rref, pivots = naive_rref_mod(a, P7)
+    assert (gf["pivot_cols"], gf["rref"].to_lists()) == (pivots, rref)
 
 
 def naive_matmul(a, b):
@@ -485,6 +507,49 @@ def test_mat_public_surface_round_trips_and_keeps_scalar_types(case):
     values += [v for _, v in m.items()]
     values += m.apply(vec)
     assert all(is_field_scalar(field, v) for v in values)
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["QQ", "GF7"])
+def test_kron_id_of_an_identity_is_the_identity(field):
+    for n, pre, post in itertools.product((0, 1, 3), (1, 2, 4), (1, 3)):
+        ident = Mat.identity(field, n)
+        got = kron_id(pre, ident, post)
+        generic = Mat.identity(field, pre).kron(ident).kron(Mat.identity(field, post))
+        assert got == generic and got.is_identity()
+        if field is QQ:
+            assert all(type(v) is int for r in got._rows for v in r.values())
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["QQ", "GF7"])
+def test_kron_id_of_a_non_identity_takes_the_generic_path(field):
+    one, two = field.one, field.from_int(2)
+    swap = Mat.from_rows(field, [[field.zero, one], [one, field.zero]])
+    cycle = Mat.identity(field, 3).cols_permuted([1, 2, 0], 3)
+    diag = Mat.from_rows(field, [[one, field.zero], [field.zero, two]])
+    padded = Mat.from_rows(field, [[one, field.zero, field.zero], [field.zero, one, field.zero]])
+    for m in (swap, cycle, diag, padded):
+        assert not m.is_identity()
+        for pre, post in ((1, 2), (2, 1), (3, 2)):
+            got = kron_id(pre, m, post)
+            assert got == Mat.identity(field, pre).kron(m).kron(Mat.identity(field, post))
+            assert not got.is_identity()
+
+
+@settings(max_examples=120, deadline=None)
+@given(mat_case(), st.data())
+def test_cols_permuted_round_trips_with_the_inverse_permutation(case, data):
+    field, m, _vec, extra, _post = case
+    perm = data.draw(st.permutations(range(m.ncols)))
+    inv = [0] * m.ncols
+    for j, pj in enumerate(perm):
+        inv[pj] = j
+    moved = m.cols_permuted(perm, m.ncols)
+    assert all(moved.col(perm[j]) == m.col(j) for j in range(m.ncols))
+    assert moved.cols_permuted(inv, m.ncols) == m
+    # into a wider matrix: the columns no label reaches are zero
+    wide = m.cols_permuted([extra * j for j in range(m.ncols)], extra * m.ncols)
+    assert wide == Mat.from_entries(field, m.nrows, extra * m.ncols,
+                                    (((i, extra * j), v) for (i, j), v in m.items()))
 
 
 def assert_qq_storage(*mats):
