@@ -28,7 +28,7 @@ from .exactla import (
     solve_right,
 )
 from .ncalg import (
-    AlgebraMorphism, Equation, Module, Report, Term, _fail_cols, descend,
+    Equation, Module, Report, Term, _fail_cols, descend,
     hom_solve, leg_apply, projective_dual_basis, regular_bimodule, tensor_space,
     to_quotient,
 )
@@ -93,10 +93,11 @@ def a_side_component(e, sc, l):
     return _dense(f, out, d ** (l + 1))
 
 
-def iota_b_to_a(x, t_pair_b, t_pair_a, l):
-    """The map B^{(*)T(l+1)} -> A^{(*)T(l+1)} induced by the inclusion."""
-    cc_b = cyclic_complex(x.B, t_pair_b)
-    cc_a = cyclic_complex(x.entwining.ring, t_pair_a)
+def iota_b_to_a(x, l):
+    """The map B^{(*)T(l+1)} -> A^{(*)T(l+1)} induced by the inclusion,
+    T the extension's T."""
+    cc_b = cyclic_complex(x.B, (x.T, x.incl_T_B))
+    cc_a = cyclic_complex(x.entwining.ring, (x.T, x.incl_T_A))
     sp_b = cc_b.space(l)
     sp_a = cc_a.space(l)
     amb = x.incl_B.matrix
@@ -119,17 +120,6 @@ class ChgComponents:
         return len(self.comps)
 
 
-def t_pairs_of(sc):
-    """((T, incl into B), (T, incl into A)) for the connection's T."""
-    x = sc.extension
-    t = sc.t
-    if t is x.T:
-        return (t, x.incl_T_B), (t, x.incl_T_A)
-    if t is x.B:
-        return (t, AlgebraMorphism.identity(t)), (t, x.incl_B)
-    raise NoLocalDualSystem(f"no inclusion data for {t.name}")
-
-
 def chg_components(e, sc, L):
     """Components 0..L of the Chern-Galois cycle, certified and pulled back
     to the B-side circular spaces.
@@ -138,15 +128,14 @@ def chg_components(e, sc, L):
     and relies on the membership certificates (per-component).
     """
     x = sc.extension
-    tflat = tflatness_check(x, sc.t)
+    tflat = tflatness_check(x)
     if not tflat["verdict"]:
         warnings.warn("extension is not T-flat; relying on membership "
                       "certificates only", stacklevel=2)
-    pair_b, pair_a = t_pairs_of(sc)
     comps = []
     cc_b = None
     for l in range(L + 1):
-        iota, cc_b, cc_a = iota_b_to_a(x, pair_b, pair_a, l)
+        iota, cc_b, cc_a = iota_b_to_a(x, l)
         if rank(iota) != cc_b.space(l).dim:
             raise IotaNotInjective(
                 f"B-side inclusion is not injective at level {l}")
@@ -244,7 +233,7 @@ def associated_module(x, w):
     return gamma
 
 
-def local_dual_system(x, sc, e):
+def local_dual_system(sc, e):
     """A finite local dual system {x_p, xi_p} for the right T-submodule X of
     A generated by the first legs of the connection values ell(e_ij).
 
@@ -252,11 +241,10 @@ def local_dual_system(x, sc, e):
     xi_p: A -> T; tries the generators of X first, then the full basis of A.
     The solution is verified against the identity before it is returned.
     """
+    x = sc.extension
     ring = x.entwining.ring
     f = ring.field
-    t = sc.t
-    pair_b, pair_a = t_pairs_of(sc)
-    t_incl_a = pair_a[1]
+    t, t_incl_a = x.T, x.incl_T_A
     rep_of = _connection_reps(sc)
     first_legs = []
     d = ring.dim
@@ -317,9 +305,10 @@ class IdempotentE:
         return len(self.index)
 
 
-def ell_p_maps(x, sc, dual):
+def ell_p_maps(sc, dual):
     """ell_p = (xi_p (x)_T A) . ell as matrices C -> A."""
-    t = sc.t
+    x = sc.extension
+    t = x.T
     t_mod = regular_bimodule(t, f"{t.name}-mod")
     ta = tensor_space([t_mod, x.a_mod], [t])
     coll = leg_apply(ta, x.a_mod, 0, 2, x.a_mod.left_collapse_mat(t), check="skip")
@@ -330,8 +319,9 @@ def ell_p_maps(x, sc, dual):
     return out
 
 
-def verify_b_t_retraction(x, sc, phi):
+def verify_b_t_retraction(sc, phi):
     """phi: A -> B must be a left B-linear right T-linear retraction."""
+    x = sc.extension
     rep = Report("phi")
     b, ring = x.B, x.entwining.ring
     f = ring.field
@@ -339,25 +329,25 @@ def verify_b_t_retraction(x, sc, phi):
     for i in range(b.dim):
         _fail_cols(rep, f"left-B-linear[{i}]",
                    phi @ x.a_mod.left[b][i] - b.left_mult_mats()[i] @ phi)
-    t = sc.t
-    pair_b, pair_a = t_pairs_of(sc)
+    t = x.T
     for k in range(t.dim):
-        tb = pair_b[1].apply(t.basis_vector(k))
-        ta = pair_a[1].apply(t.basis_vector(k))
+        tb = x.incl_T_B.apply(t.basis_vector(k))
+        ta = x.incl_T_A.apply(t.basis_vector(k))
         _fail_cols(rep, f"right-T-linear[{k}]",
                    phi @ ring.right_mult_by(ta) - b.right_mult_by(tb) @ phi)
     return rep
 
 
-def idempotent_e(x, sc, e, dual, phi):
+def idempotent_e(sc, e, dual, phi):
     """E_{(i,p),(j,q)} = phi(ell_p(e_ij) x_q); verified idempotent, with the
     gamma system and both parts of the gamma identity certified."""
+    x = sc.extension
     ring = x.entwining.ring
     b = x.B
-    rep = verify_b_t_retraction(x, sc, phi)
+    rep = verify_b_t_retraction(sc, phi)
     if not rep.ok:
         raise NotIdempotent(f"phi is not a B-T retraction: {rep.failures[:3]}")
-    ells = ell_p_maps(x, sc, dual)
+    ells = ell_p_maps(sc, dual)
     xs = dual["xs"]
     index = [(i, p) for i in range(e.size) for p in range(len(xs))]
     entries = {}
@@ -372,12 +362,11 @@ def idempotent_e(x, sc, e, dual, phi):
     return em
 
 
-def gamma_elements(x, sc, e, dual, gamma, ws):
+def gamma_elements(sc, e, dual, gamma, ws):
     """gamma_ip vectors in A (x)_R W coordinates; ``ws`` are the comodule
     vectors matching the coidempotent's index set."""
-    ring = x.entwining.ring
-    f = ring.field
-    ells = ell_p_maps(x, sc, dual)
+    f = sc.extension.entwining.ring.field
+    ells = ell_p_maps(sc, dual)
     mw = gamma.space
     out = {}
     for i in range(e.size):

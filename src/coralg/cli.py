@@ -168,9 +168,8 @@ def _idempotent_setup(ws, args):
     """The coidempotent e, the strong connection and the idempotent matrix E."""
     e = _coidempotent(ws, args)
     sc = _connection(ws, args)
-    x = sc.extension
-    dual = local_dual_system(x, sc, e)
-    return e, sc, idempotent_e(x, sc, e, dual, _default_phi(x))
+    dual = local_dual_system(sc, e)
+    return e, sc, idempotent_e(sc, e, dual, _default_phi(sc.extension))
 
 
 def cmd_idempotent(ws, args):

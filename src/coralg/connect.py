@@ -6,6 +6,10 @@ A strong T-connection is a map ell: C -> A (x)_T A that is a morphism of
 right C-comodules (target coaction A (x)_T rho) and of left C-comodules
 (target coaction lrho (x)_T A) and splits the lifted canonical map:
 cantilde_T(ell(c)) = 1_A (x) c.
+
+T is always the extension's T: a connection over another subalgebra is a
+connection of ``x.with_T(...)``, as the translation map (T = B) and a
+restricted connection (T') are.
 """
 
 from .errors import (
@@ -21,26 +25,24 @@ from .entwine import associated_coring, canonical_maps, cantilde
 
 
 class StrongConnection:
-    """ell in canonical coordinates C -> A (x)_T A for a subalgebra T that
-    acts on A (defaults to the extension's chosen T)."""
+    """ell in canonical coordinates C -> A (x)_T A, T the extension's T."""
 
-    def __init__(self, extension, ell, t_alg=None):
+    def __init__(self, extension, ell):
         self.extension = extension
-        self.t = t_alg if t_alg is not None else extension.T
         self.ell = ell
         a_mod = extension.a_mod
-        self.space = tensor_space([a_mod, a_mod], [self.t])
+        self.space = tensor_space([a_mod, a_mod], [extension.T])
 
     def __repr__(self):
-        return f"StrongConnection(T={self.t.name}, {self.extension!r})"
+        return f"StrongConnection({self.extension!r})"
 
 
-def _comodule_structures(x, t):
+def _comodule_structures(x):
     """(right coaction, its space) and (left coaction, its space) of
     A (x)_T A, plus the lifted canonical map."""
     e = x.entwining
-    a_mod, cor, base = x.a_mod, e.coring, e.base
-    ct, aat = cantilde(x, t)
+    a_mod, cor, base, t = x.a_mod, e.coring, e.base, x.T
+    ct, aat = cantilde(e, x.rho, t)
     aatc = tensor_space([a_mod, a_mod, cor.carrier], [t, base])
     caat = tensor_space([cor.carrier, a_mod, a_mod], [base, t])
     rho_aat = leg_apply(aat, aatc, 1, 1, e.AC.S @ x.rho, check="skip")
@@ -51,12 +53,12 @@ def _comodule_structures(x, t):
 def verify_strong_connection(sc):
     """Three residual blocks: right colinearity (with R-linearity), left
     colinearity, and the splitting identity."""
-    rep = Report(f"ell_{sc.t.name}")
     x = sc.extension
+    rep = Report(f"ell_{x.T.name}")
     e = x.entwining
     cor, base = e.coring, e.base
     aat = sc.space
-    (rho_aat, aatc), (lrho_aat, caat), ct = _comodule_structures(x, sc.t)
+    (rho_aat, aatc), (lrho_aat, caat), ct = _comodule_structures(x)
     for i in range(base.dim):
         _fail_cols(rep, f"right-linear[{i}]",
                    sc.ell @ cor.carrier.right[base][i]
@@ -74,18 +76,18 @@ def verify_strong_connection(sc):
     return rep
 
 
-def solve_strong_connection(x, t_alg=None):
-    """Pose all defining conditions as one linear system.
+def solve_strong_connection(x):
+    """Pose all defining conditions on a strong x.T-connection as one linear
+    system.
 
     Returns (StrongConnection or None, AffineSolutionSet); an empty set is a
     definite non-existence certificate over the field.
     """
     e = x.entwining
     cor, base = e.coring, e.base
-    t = t_alg if t_alg is not None else x.T
     a_mod = x.a_mod
-    aat = tensor_space([a_mod, a_mod], [t])
-    (rho_aat, aatc), (lrho_aat, caat), ct = _comodule_structures(x, t)
+    aat = tensor_space([a_mod, a_mod], [x.T])
+    (rho_aat, aatc), (lrho_aat, caat), ct = _comodule_structures(x)
     carrier = cor.carrier
     eqs = eqs_linear(base, carrier, aat, "left") + eqs_linear(base, carrier, aat, "right")
     eqs.append(eq_right_colinear(cor.delta, rho_aat, carrier, aat,
@@ -98,31 +100,31 @@ def solve_strong_connection(x, t_alg=None):
     sol = hom_solve(base.field, carrier.dim, aat.dim, eqs)
     if sol.is_empty:
         return None, sol
-    sc = StrongConnection(x, sol.particular, t_alg=t)
+    sc = StrongConnection(x, sol.particular)
     rep = verify_strong_connection(sc)
     assert rep.ok, f"solver output fails verification: {rep.failures[:3]}"
     return sc, sol
 
 
-def restrict_connection(sc, xi_full, t_prime):
+def restrict_connection(sc, xi_full, t_basis):
     """ell_{T'} = (A (x)_T xi) . ell_T for a left T-linear right C-colinear
-    section xi: A -> T (x)_{T'} A of the multiplication map.
+    section xi: A -> T (x)_{T'} A of the multiplication map; a connection of
+    ``x.with_T(t_basis)``.
 
-    ``t_prime`` is (algebra, inclusion into A); ``xi_full`` gives xi in the
-    full T (x) A coordinates (index (t, a) -> t * dim A + a), from which the
-    canonical-coordinates map is obtained by projection.
+    ``t_basis`` generates T' inside A (k.1 when empty); ``xi_full`` gives xi
+    in the full T (x) A coordinates (index (t, a) -> t * dim A + a), from
+    which the canonical-coordinates map is obtained by projection.
     """
     x = sc.extension
+    xp = x.with_T(t_basis)
     e = x.entwining
     ring, base, cor = e.ring, e.base, e.coring
     f = ring.field
-    t = sc.t
-    tp_alg, tp_incl = t_prime
-    a_mod = x.a_mod.restrict(tp_alg, tp_incl)
-    t_incl_a = _inclusion_into_ring(x, t)
+    t, tp_alg = x.T, xp.T
+    a_mod = x.a_mod
     t_mod = regular_bimodule(t, f"{t.name}-mod")
-    # T as a T'-bimodule via the inclusion T' -> A factored through T
-    tp_in_t = solve_right(t_incl_a.matrix, tp_incl.matrix)
+    # T as a T'-bimodule via the inclusion T' -> B factored through T
+    tp_in_t = solve_right(x.incl_T_B.matrix, xp.incl_T_B.matrix)
     if tp_in_t is None:
         raise NotASection("T' is not contained in T")
     t_mod.add_right(tp_alg, [t.right_mult_by(tp_in_t.col(i))
@@ -150,20 +152,12 @@ def restrict_connection(sc, xi_full, t_prime):
     aatp = tensor_space([a_mod, a_mod], [tp_alg])
     s2 = leg_apply(ata, aatp, 0, 2, a_mod.right_collapse_mat(t), check="skip")
     ell2 = s2 @ s1 @ sc.ell
-    out = StrongConnection(sc.extension, ell2, t_alg=tp_alg)
+    out = StrongConnection(xp, ell2)
     rep = verify_strong_connection(out)
     if not rep.ok:
         raise NotASection(f"restricted map is not a strong connection: "
                           f"{rep.failures[:3]}")
     return out
-
-
-def _inclusion_into_ring(x, t):
-    if t is x.T:
-        return x.incl_T_A
-    if t is x.B:
-        return x.incl_B
-    raise NotASection(f"no inclusion recorded for {t.name}")
 
 
 def section_from_connection(sc):
@@ -175,14 +169,12 @@ def section_from_connection(sc):
     ring, base, cor = e.ring, e.base, e.coring
     f = ring.field
     a_mod, b_mod = x.a_mod, x.b_mod
-    t = sc.t
+    t = x.T
     aat = sc.space
     aaa = tensor_space([a_mod, a_mod, a_mod], [base, t])
     s1 = leg_apply(e.AC, aaa, 1, 1, aat.S @ sc.ell, check="skip")
     s2 = leg_apply(aaa, aat, 0, 2, ring.mult_mat(), check="skip")
     sigma_up = s2 @ s1 @ x.rho
-    if t not in b_mod.left:
-        raise ImageNotCoinvariant(f"{t.name} does not act on {x.B.name}")
     ba = tensor_space([b_mod, a_mod], [t], name=f"{x.B.name}(x)_{t.name}{ring.name}")
     j_incl = leg_apply(ba, aat, 0, 1, x.incl_B.matrix, check="skip")
     sigma = solve_right(j_incl, sigma_up)
@@ -250,14 +242,16 @@ def differential_forms(x):
 
 def connection_from_galois(x):
     """The translation map varpi(c) = can^{-1}(1 (x) c), a strong
-    B-connection of a Galois extension."""
+    B-connection of a Galois extension: a connection of ``x.with_T`` of
+    B's basis, whose A (x)_T A is A (x)_B A in the same coordinates."""
     res = canonical_maps(x)
     if not res["galois"]:
         raise NotGalois("canonical map is not bijective")
     e = x.entwining
     ins = leg_apply(e.coring.carrier, e.AC, 0, 0, e.ring.unit_col(), check="skip")
     varpi = res["can_inv"] @ ins
-    sc = StrongConnection(x, varpi, t_alg=x.B)
+    sc = StrongConnection(
+        x.with_T([x.incl_B.apply(x.B.basis_vector(i)) for i in range(x.B.dim)]), varpi)
     rep = verify_strong_connection(sc)
     assert rep.ok, f"translation map fails verification: {rep.failures[:3]}"
     if x.grouplike is not None:
@@ -324,13 +318,14 @@ def total_integral(x, side="right"):
     return result
 
 
-def normalization_and_splitting(x, sc, f_retr):
+def normalization_and_splitting(sc, f_retr):
     """Certificates sigma_T(1) in B (x)_T B and ell(e) in B (x)_T B, and the
     left B-linear splitting phi = mu_B (B (x)_T f) sigma_T."""
+    x = sc.extension
     e = x.entwining
     ring = e.ring
     fld = ring.field
-    t = sc.t
+    t = x.T
     sec = section_from_connection(sc)
     sigma, ba = sec["sigma"], sec["space"]
     b, b_mod = x.B, x.b_mod
@@ -358,13 +353,10 @@ def normalization_and_splitting(x, sc, f_retr):
     rep = Report("f")
     _fail_cols(rep, "retraction-of-inclusion",
                f_retr @ x.incl_B.matrix - Mat.identity(fld, b.dim))
-    t_incl_a = _inclusion_into_ring(x, t)
-    t_in_b = solve_right(x.incl_B.matrix, t_incl_a.matrix)
-    assert t_in_b is not None, "T must sit inside B"
     for i in range(t.dim):
         _fail_cols(rep, f"left-T-linear[{i}]",
-                   f_retr @ ring.left_mult_by(t_incl_a.matrix.col(i))
-                   - b.left_mult_by(t_in_b.col(i)) @ f_retr)
+                   f_retr @ ring.left_mult_by(x.incl_T_A.matrix.col(i))
+                   - b.left_mult_by(x.incl_T_B.matrix.col(i)) @ f_retr)
     if not rep.ok:
         raise MembershipFailure(f"f is not a T-linear retraction: {rep.failures[:3]}")
     s1 = leg_apply(ba, bb, 1, 1, f_retr, check="skip")
@@ -383,16 +375,16 @@ def normalization_and_splitting(x, sc, f_retr):
     return out
 
 
-def tflatness_check(x, t_alg=None):
-    """T-flatness: B, A flat (= projective at this scale) as one-sided
-    T-modules and B/[B,T] -> ker(upsilon_T) bijective."""
+def tflatness_check(x):
+    """T-flatness over x.T: B, A flat (= projective at this scale) as
+    one-sided T-modules and B/[B,T] -> ker(upsilon_T) bijective."""
     e = x.entwining
     ring, base = e.ring, e.base
     f = ring.field
-    t = t_alg if t_alg is not None else x.T
+    t = x.T
     a_mod, b_mod = x.a_mod, x.b_mod
     assoc = associated_coring(e)
-    carrier = assoc.carrier.restrict(t, _inclusion_into_ring(x, t))
+    carrier = assoc.carrier.restrict(t, x.incl_T_A)
     circ_a = tensor_space([a_mod], [], circular=t, name=f"{ring.name}/[,{t.name}]")
     circ_d = tensor_space([carrier], [], circular=t)
     circ_b = tensor_space([b_mod], [], circular=t, name=f"{x.B.name}/[,{t.name}]")
@@ -433,7 +425,7 @@ def middle_leg_check(sc):
     x = sc.extension
     e = x.entwining
     ring, base, cor = e.ring, e.base, e.coring
-    t = sc.t
+    t = x.T
     a_mod, b_mod = x.a_mod, x.b_mod
     aat = sc.space
     ell_full = aat.S @ sc.ell

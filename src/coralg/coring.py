@@ -431,10 +431,10 @@ def coidempotent_from_comodule(w, db):
             acc1 = [f.zero] * car.dim
             acc2 = [f.zero] * car.dim
             for k in range(n):
-                r = db.chis[k].apply(db.ws[i])
-                acc1 = _axpy_dense(acc1, f.one, car.act_left(base, r, entries[k][j]), f.p)
-                r2 = db.chis[j].apply(db.ws[k])
-                acc2 = _axpy_dense(acc2, f.one, car.act_right(base, entries[i][k], r2), f.p)
+                left = car.left_action_of(base, db.chis[k].apply(db.ws[i]))
+                acc1 = _axpy_dense(acc1, f.one, left.apply(entries[k][j]), f.p)
+                right = car.right_action_of(base, db.chis[j].apply(db.ws[k]))
+                acc2 = _axpy_dense(acc2, f.one, right.apply(entries[i][k]), f.p)
             if acc1 != entries[i][j] or acc2 != entries[i][j]:
                 raise InvalidCoidempotent(f"property (2) fails at {(i, j)}")
     rep = validate_coidempotent(e)
@@ -506,8 +506,8 @@ def _left_comodule_from_coidempotent(c, e, name, opposite):
             for i in range(n):
                 ri = wv[i * base.dim:(i + 1) * base.dim]
                 if any(ri):
-                    cleg = _axpy_dense(cleg, f.one,
-                                       c.carrier.act_left(base, ri, e.entries[i][k]), f.p)
+                    cleg = _axpy_dense(cleg, f.one, c.carrier.left_action_of(
+                        base, ri).apply(e.entries[i][k]), f.p)
             acc = _axpy_dense(acc, f.one, space.embed_pure([cleg, wrows[k]]), f.p)
         cols.append(acc)
     coaction = Mat.from_cols(f, cols, space.dim)

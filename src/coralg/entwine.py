@@ -25,7 +25,6 @@ from .exactla import Mat, inverse, kron_id, kron_vec, lincomb, rank, rref_solve,
 from .ncalg import (
     AlgebraMorphism, Module, Report, _fail_cols, descend,
     generated_subalgebra, leg_apply, regular_bimodule, tensor_space,
-    trivial_subalgebra,
 )
 from .coring import Comodule, Coring, validate_comodule, verify_grouplike
 
@@ -309,22 +308,25 @@ def _entwined_compatibility(rep, axiom, carrier, rho, e):
 class EntwinedExtension:
     """A bijective entwining with a coaction making A an entwined module,
     the induced left coaction, the grouplike of the associated coring, the
-    coinvariant algebra B and a chosen subalgebra T of B."""
+    coinvariant algebra B and a chosen subalgebra T of B: k.1 from
+    ``make_extension``, another one from ``with_T``.  A strong connection
+    of the extension is over this T."""
 
     def __init__(self, entwining, rho, lrho, g_assoc, b_alg, b_incl,
-                 t_alg, t_incl_b, grouplike=None):
+                 t, t_incl_b, grouplike=None):
         self.entwining = entwining
         self.rho = rho
         self.lrho = lrho
         self.g_assoc = g_assoc
         self.B = b_alg
         self.incl_B = b_incl
-        self.T = t_alg
+        self.T = t
         self.incl_T_B = t_incl_b
         self.incl_T_A = t_incl_b.then(b_incl)
         self.grouplike = grouplike
-        entwining.a_mod.restrict(b_alg, b_incl).restrict(t_alg, self.incl_T_A)
-        self.b_mod = regular_bimodule(b_alg).restrict(t_alg, t_incl_b)
+        entwining.a_mod.restrict(b_alg, b_incl).restrict(t, self.incl_T_A)
+        self.b_mod = regular_bimodule(b_alg).restrict(t, t_incl_b)
+        self._with_T = {}  # memo of with_T, keyed by the T basis
 
     @property
     def a_mod(self):
@@ -335,34 +337,38 @@ class EntwinedExtension:
                 f"T={self.T.name})")
 
     def with_T(self, t_basis):
-        """The same extension with a different subalgebra T of B."""
-        t_alg, t_incl_b = _subalgebra_of_b(self.entwining.ring, t_basis, self.incl_B)
-        return EntwinedExtension(self.entwining, self.rho, self.lrho,
-                                 self.g_assoc, self.B, self.incl_B,
-                                 t_alg, t_incl_b, grouplike=self.grouplike)
+        """The same extension with T generated by ``t_basis`` (vectors of A,
+        k.1 when empty), which must lie in B: the one way to choose T.
+        Memoized per basis, so a repeated call declares no new action on A
+        and reuses the tensor spaces memoized over that T."""
+        key = tuple(map(tuple, t_basis))
+        x = self._with_T.get(key)
+        if x is None:
+            t, t_incl_b = _subalgebra_of_b(self.entwining.ring, t_basis, self.incl_B)
+            x = self._with_T[key] = EntwinedExtension(
+                self.entwining, self.rho, self.lrho, self.g_assoc, self.B,
+                self.incl_B, t, t_incl_b, grouplike=self.grouplike)
+        return x
 
 
 def _subalgebra_of_b(ring, t_basis, b_incl):
-    """T generated by ``t_basis`` (k.1 when None) with its inclusion into B,
-    the factorization of T -> A through the injective B -> A."""
-    if t_basis is None:
-        t_alg, t_incl_a = trivial_subalgebra(ring)
-    else:
-        t_alg, t_incl_a = generated_subalgebra(ring, t_basis)
+    """T generated by ``t_basis`` (k.1 when empty) with its inclusion into
+    B, the factorization of T -> A through the injective B -> A."""
+    t, t_incl_a = generated_subalgebra(ring, t_basis)
     t_in_b = solve_right(b_incl.matrix, t_incl_a.matrix)
     if t_in_b is None:
         raise CoinvariantMismatch("T is not contained in B")
-    return t_alg, AlgebraMorphism(t_alg, b_incl.source, t_in_b)
+    return t, AlgebraMorphism(t, b_incl.source, t_in_b)
 
 
-def make_extension(e, rho, t_basis=None, grouplike=None):
+def make_extension(e, rho, grouplike=None):
     """Build an entwined extension from a bijective entwining and a coaction.
 
     Verifies: A is a right entwined module; rho(1) is a grouplike of the
     associated coring (condition (c)); its psi-inverse is a grouplike of the
     co-associated coring (condition (e)); A is a left entwined module under
     the induced left coaction (condition (h)); and the two one-sided
-    coinvariant computations agree.
+    coinvariant computations agree.  T is k.1; ``with_T`` chooses another.
     """
     if e.psi_inv is None:
         raise NotBijective("extensions need a bijective entwining")
@@ -398,9 +404,9 @@ def make_extension(e, rho, t_basis=None, grouplike=None):
     b_alg, b_incl = generated_subalgebra(ring, basis)
     if b_alg.dim != b_right.dim:
         raise CoinvariantMismatch("coinvariants are not multiplicatively closed")
-    t_alg, t_incl_b = _subalgebra_of_b(ring, t_basis, b_incl)
+    t, t_incl_b = _subalgebra_of_b(ring, [], b_incl)
     return EntwinedExtension(e, rho, lrho, g_assoc, b_alg, b_incl,
-                             t_alg, t_incl_b, grouplike=grouplike)
+                             t, t_incl_b, grouplike=grouplike)
 
 
 def extension_from_grouplike(e, g):
@@ -441,19 +447,10 @@ def _detect_grouplike(e, rho):
 # Canonical maps
 # ---------------------------------------------------------------------------
 
-def cantilde(x, t_alg=None):
-    """The lifted canonical map A (x)_T A -> A (x)_R C, a (x) a' -> a rho(a');
-    returns (matrix, the A (x)_T A TensorSpace)."""
-    e = x.entwining
-    t = t_alg if t_alg is not None else x.T
-    a_mod = x.a_mod
-    if t not in a_mod.left:
-        raise CoinvariantMismatch(f"{t.name} does not act on {e.ring.name}")
-    return _lifted_can(e, x.rho, t)
-
-
-def _lifted_can(e, rho, t):
-    """a (x) a' -> a rho(a') on A (x)_T A, with that space."""
+def cantilde(e, rho, t):
+    """The lifted canonical map A (x)_T A -> A (x)_R C, a (x) a' -> a rho(a'),
+    for a subalgebra T acting on A; returns (matrix, the A (x)_T A
+    TensorSpace)."""
     a_mod = e.a_mod
     aat = tensor_space([a_mod, a_mod], [t],
                        name=f"{e.ring.name}(x)_{t.name}{e.ring.name}")
@@ -467,7 +464,7 @@ def canonical_maps(x):
     """can_A: A (x)_B A -> A (x)_R C with the Galois verdict; when bijective
     the inverse is returned and certified to be an A-coring morphism."""
     e = x.entwining
-    can, aab = cantilde(x, x.B)
+    can, aab = cantilde(e, x.rho, x.B)
     galois = aab.dim == e.AC.dim
     can_inv = None
     coring_morphism = None
@@ -505,6 +502,6 @@ def galois_check(e, rho):
     basis = [b_ker.mat.row_list(i) for i in range(b_ker.dim)]
     b_alg, b_incl = generated_subalgebra(ring, basis)
     e.a_mod.restrict(b_alg, b_incl)
-    can, aab = _lifted_can(e, rho, b_alg)
+    can, aab = cantilde(e, rho, b_alg)
     galois = aab.dim == e.AC.dim and rank(can) == e.AC.dim
     return {"galois": galois, "can": can, "B_dim": b_alg.dim, "space": aab}

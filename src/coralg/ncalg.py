@@ -334,12 +334,6 @@ class Module:
     def right_action_of(self, alg, vec):
         return lincomb(self.right[alg], vec)
 
-    def act_left(self, alg, avec, v):
-        return self.left_action_of(alg, avec).apply(v)
-
-    def act_right(self, alg, v, avec):
-        return self.right_action_of(alg, avec).apply(v)
-
     def left_collapse_mat(self, alg):
         """[S, M] -> M collapse: column (s*dim + m) = e_s acting on e_m."""
         mats = self.left[alg]
@@ -366,31 +360,31 @@ def regular_bimodule(a, name=None):
     return m
 
 
-def validate_module(m, left_alg=None, right_alg=None):
+def validate_module(m, lalg=None, ralg=None):
     """Unital (anti-)representation and commutation checks for a bimodule."""
     rep = Report(m.name)
     f = m.field
-    if left_alg is not None:
-        mats = m.left[left_alg]
-        if m.left_action_of(left_alg, left_alg.unit) != Mat.identity(f, m.dim):
+    if lalg is not None:
+        mats = m.left[lalg]
+        if m.left_action_of(lalg, lalg.unit) != Mat.identity(f, m.dim):
             rep.fail("left-unital", None)
-        for i in range(left_alg.dim):
-            for j in range(left_alg.dim):
-                if mats[i] @ mats[j] != m.left_action_of(left_alg, left_alg.mult[i][j]):
+        for i in range(lalg.dim):
+            for j in range(lalg.dim):
+                if mats[i] @ mats[j] != m.left_action_of(lalg, lalg.mult[i][j]):
                     rep.fail("left-representation", (i, j))
-    if right_alg is not None:
-        mats = m.right[right_alg]
-        if m.right_action_of(right_alg, right_alg.unit) != Mat.identity(f, m.dim):
+    if ralg is not None:
+        mats = m.right[ralg]
+        if m.right_action_of(ralg, ralg.unit) != Mat.identity(f, m.dim):
             rep.fail("right-unital", None)
-        for i in range(right_alg.dim):
-            for j in range(right_alg.dim):
-                if mats[j] @ mats[i] != m.right_action_of(right_alg, right_alg.mult[i][j]):
+        for i in range(ralg.dim):
+            for j in range(ralg.dim):
+                if mats[j] @ mats[i] != m.right_action_of(ralg, ralg.mult[i][j]):
                     rep.fail("right-antirepresentation", (i, j))
-    if left_alg is not None and right_alg is not None:
-        for i in range(left_alg.dim):
-            for j in range(right_alg.dim):
-                if m.left[left_alg][i] @ m.right[right_alg][j] != \
-                        m.right[right_alg][j] @ m.left[left_alg][i]:
+    if lalg is not None and ralg is not None:
+        for i in range(lalg.dim):
+            for j in range(ralg.dim):
+                if m.left[lalg][i] @ m.right[ralg][j] != \
+                        m.right[ralg][j] @ m.left[lalg][i]:
                     rep.fail("bimodule-commute", (i, j))
     return rep
 
@@ -444,7 +438,7 @@ class TensorSpace:
                   and are empty after a circular quotient, where they are
                   no longer well defined
       trivial     True when there are no relations (Q is invertible, S = Q^-1;
-                  both are the identity except on a reversal view)
+                  except on a reversal view both are one identity Mat)
 
     Each junction step pushes only the actions the later steps read, as
     ``proj @ m @ sect`` of that step's quotient: the right action of the
@@ -513,7 +507,10 @@ class TensorSpace:
                                   field.p)
                             if vec:
                                 rel_vectors.append(vec)
-            Q, S = kron_id(1, Q, dN), kron_id(1, S, dN)
+            if Q is S:  # no relation yet: one identity serves as both
+                Q = S = kron_id(1, Q, dN)
+            else:
+                Q, S = kron_id(1, Q, dN), kron_id(1, S, dN)
             right = {}
             if t_next is not None and t_next in nxt_right:
                 right[t_next] = [kron_id(cur_dim, R, 1) for R in nxt_right[t_next]]
@@ -888,7 +885,8 @@ def verify_dual_basis(module, alg, db):
         x = module.basis_vector(b)
         acc = [field.zero] * module.dim
         for w, chi in zip(db.ws, db.chis):
-            acc = _axpy_dense(acc, field.one, module.act_left(alg, chi.apply(x), w), field.p)
+            acc = _axpy_dense(acc, field.one,
+                              module.left_action_of(alg, chi.apply(x)).apply(w), field.p)
         if acc != x:
             return False
     return True

@@ -305,9 +305,9 @@ def _z2_idempotent():
     sc, _ = z2_sc()
     x = fz["extension"]
     e1 = fz["coidempotents"]["e1"]
-    dual = local_dual_system(x, sc, e1)
+    dual = local_dual_system(sc, e1)
     phi = Mat.from_rows(QQ, [[qi(1), qi(0)]])
-    return x, sc, e1, dual, phi, idempotent_e(x, sc, e1, dual, phi)
+    return x, sc, e1, dual, phi, idempotent_e(sc, e1, dual, phi)
 
 
 def _nc_idempotent():
@@ -315,9 +315,9 @@ def _nc_idempotent():
     sc, _ = nc_sc()
     x = fn["extension"]
     e = fn["coidempotent"]
-    dual = local_dual_system(x, sc, e)
+    dual = local_dual_system(sc, e)
     phi = inverse(x.incl_B.matrix)
-    return x, sc, e, dual, phi, idempotent_e(x, sc, e, dual, phi)
+    return x, sc, e, dual, phi, idempotent_e(sc, e, dual, phi)
 
 
 def test_criterion_05_chain_equality():
@@ -336,14 +336,14 @@ def test_criterion_06_idempotency_and_theta():
     fz = z2()
     x, sc, e1, dual, phi, em = cached("idem-FIX-Z2", _z2_idempotent)
     gamma = associated_module(x, fz["comodules"]["e1"][0])
-    gammas = gamma_elements(x, sc, e1, dual, gamma, fz["comodules"]["e1"][1].ws)
+    gammas = gamma_elements(sc, e1, dual, gamma, fz["comodules"]["e1"][1].ws)
     assert verify_gamma_identities(x, em, gamma, gammas).ok
     th1 = theta_isomorphism(x, em, gamma, gammas)
     fn = nc()
     xn, scn, en, dualn, phin, emn = cached("idem-FIX-NC", _nc_idempotent)
     w, db = fn["comodule"]
     gamma_n = associated_module(xn, w)
-    gammas_n = gamma_elements(xn, scn, en, dualn, gamma_n, db.ws)
+    gammas_n = gamma_elements(scn, en, dualn, gamma_n, db.ws)
     assert verify_gamma_identities(xn, emn, gamma_n, gammas_n).ok
     th2 = theta_isomorphism(xn, emn, gamma_n, gammas_n)
     ok = all(t["dim_BE"] == t["dim_Gamma"] and t["bijective"] and

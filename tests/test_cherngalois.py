@@ -230,7 +230,7 @@ def test_associated_module_z2():
 def test_local_dual_system_z2():
     e1 = _Z2["coidempotents"]["e1"]
     x = _Z2["extension"]
-    dual = local_dual_system(x, _Z2_SC, e1)
+    dual = local_dual_system(_Z2_SC, e1)
     assert len(dual["xs"]) >= 1
     assert dual["X"].dim == 1  # X = span{x}
 
@@ -238,12 +238,12 @@ def test_local_dual_system_z2():
 def test_idempotent_e_and_theta_z2():
     e1 = _Z2["coidempotents"]["e1"]
     x = _Z2["extension"]
-    dual = local_dual_system(x, _Z2_SC, e1)
+    dual = local_dual_system(_Z2_SC, e1)
     phi = Mat.from_rows(QQ, [[qi(1), qi(0)]])
-    em = idempotent_e(x, _Z2_SC, e1, dual, phi)
+    em = idempotent_e(_Z2_SC, e1, dual, phi)
     gamma = associated_module(x, _Z2["comodules"]["e1"][0])
     ws = _Z2["comodules"]["e1"][1].ws
-    gammas = gamma_elements(x, _Z2_SC, e1, dual, gamma, ws)
+    gammas = gamma_elements(_Z2_SC, e1, dual, gamma, ws)
     rep = verify_gamma_identities(x, em, gamma, gammas)
     assert rep.ok
     theta = theta_isomorphism(x, em, gamma, gammas)
@@ -254,15 +254,15 @@ def test_idempotent_e_and_theta_z2():
 def test_idempotent_e_and_theta_nc():
     e = _NC["coidempotent"]
     x = _NC["extension"]
-    dual = local_dual_system(x, _NC_SC, e)
+    dual = local_dual_system(_NC_SC, e)
     phi = x.incl_B.matrix  # B = A = M2: identity retraction
     from coralg.exactla import inverse
     phi = inverse(phi)
-    em = idempotent_e(x, _NC_SC, e, dual, phi)
+    em = idempotent_e(_NC_SC, e, dual, phi)
     w, db = _NC["comodule"]
     gamma = associated_module(x, w)
     assert gamma.dim == 2
-    gammas = gamma_elements(x, _NC_SC, e, dual, gamma, db.ws)
+    gammas = gamma_elements(_NC_SC, e, dual, gamma, db.ws)
     rep = verify_gamma_identities(x, em, gamma, gammas)
     assert rep.ok
     theta = theta_isomorphism(x, em, gamma, gammas)
@@ -273,9 +273,9 @@ def test_idempotent_e_and_theta_nc():
 def test_chain_equality_z2():
     e1 = _Z2["coidempotents"]["e1"]
     x = _Z2["extension"]
-    dual = local_dual_system(x, _Z2_SC, e1)
+    dual = local_dual_system(_Z2_SC, e1)
     phi = Mat.from_rows(QQ, [[qi(1), qi(0)]])
-    em = idempotent_e(x, _Z2_SC, e1, dual, phi)
+    em = idempotent_e(_Z2_SC, e1, dual, phi)
     chg = chg_components(e1, _Z2_SC, 4)
     assert compare_chg_ch(chg, em, 4).ok
 
@@ -283,10 +283,10 @@ def test_chain_equality_z2():
 def test_chain_equality_nc():
     e = _NC["coidempotent"]
     x = _NC["extension"]
-    dual = local_dual_system(x, _NC_SC, e)
+    dual = local_dual_system(_NC_SC, e)
     from coralg.exactla import inverse
     phi = inverse(x.incl_B.matrix)
-    em = idempotent_e(x, _NC_SC, e, dual, phi)
+    em = idempotent_e(_NC_SC, e, dual, phi)
     chg = chg_components(e, _NC_SC, 4)
     assert compare_chg_ch(chg, em, 4).ok
 

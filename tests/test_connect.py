@@ -17,7 +17,7 @@ from coralg.fixtures import (
     matrix_algebra, product_field_algebra, quadratic_algebra,
     sweedler_entwining, upper_triangular_subalgebra, z2_graded_entwining,
 )
-from coralg.ncalg import AlgebraMorphism, leg_apply, tensor_space, trivial_subalgebra
+from coralg.ncalg import AlgebraMorphism, leg_apply, tensor_space
 
 
 def qi(x):
@@ -91,7 +91,8 @@ def test_trivial_extension_unique_connection():
     a = quadratic_algebra(QQ, 1, 0)
     ent_base = trivial_coring_entwining(a)
     x = extension_from_grouplike(ent_base, [QQ.one])
-    sc, sol = solve_strong_connection(x, t_alg=x.B)
+    sc, sol = solve_strong_connection(
+        x.with_T([x.incl_B.apply(x.B.basis_vector(i)) for i in range(x.B.dim)]))
     assert sc is not None
     assert verify_strong_connection(sc).ok
 
@@ -111,6 +112,18 @@ def test_connection_from_galois_z2():
     # B = k here, so varpi agrees with the solved k-connection
     solved, _ = solve_strong_connection(x)
     assert sc.ell == solved.ell
+
+
+def test_repeated_translation_maps_share_their_T():
+    # with_T is memoized per basis: a second translation map declares no
+    # new action on A and builds no new tensor space
+    x = z2_extension()
+    first = connection_from_galois(x)
+    acting, spaces = len(x.a_mod.left), len(x.a_mod._tensor_spaces)
+    second = connection_from_galois(x)
+    assert second.extension is first.extension
+    assert second.space is first.space
+    assert (len(x.a_mod.left), len(x.a_mod._tensor_spaces)) == (acting, spaces)
 
 
 def test_connection_from_galois_rejects_non_galois():
@@ -140,28 +153,24 @@ def test_connection_reconstruction_from_section():
     sc = connection_from_galois(x)
     sec = section_from_connection(sc)
     sigma, ba = sec["sigma"], sec["space"]
-    a_mod, b_mod = x.a_mod, x.b_mod
+    a_mod, b_mod = sc.extension.a_mod, sc.extension.b_mod
     aab = sc.space
-    aba = tensor_space([a_mod, b_mod, a_mod], [x.B, sc.t])
+    aba = tensor_space([a_mod, b_mod, a_mod], [x.B, sc.extension.T])
     s1 = leg_apply(aab, aba, 1, 1, ba.S @ sigma, check="skip")
-    aat = tensor_space([a_mod, a_mod], [sc.t])
+    aat = tensor_space([a_mod, a_mod], [sc.extension.T])
     s2 = leg_apply(aba, aat, 0, 2, a_mod.right_collapse_mat(x.B), check="skip")
     ell2 = s2 @ s1 @ sc.ell
-    solved, _ = solve_strong_connection(x, t_alg=sc.t)
+    solved, _ = solve_strong_connection(sc.extension)
     assert ell2 == solved.ell
 
 
-def test_restrict_connection_separable_base():
-    # FIX-SEP: restrict the canonical B-connection along the separability
-    # idempotent of R = QQ x QQ to a strong k-connection
-    x = sep_extension()
-    sc = connection_from_galois(x)     # T = B = R
+def _sep_section(x):
+    """xi(a) = sum e_l (x) f_l a for the separability idempotent of
+    R = QQ x QQ, in full B (x) A coordinates (T = B = R)."""
     r = x.entwining.ring
     from coralg.coring import separability_idempotent
     res = separability_idempotent(r, None, x.a_mod)
     z = res["z"]
-    # xi(a) = sum e_l (x) f_l a in full T (x) A coordinates (T = B = R)
-    tp = trivial_subalgebra(r)
     cols = []
     for j in range(r.dim):
         col = [QQ.zero] * (x.B.dim * r.dim)
@@ -181,14 +190,44 @@ def test_restrict_connection_separable_base():
                         if av:
                             col[bi * r.dim + ai] += v * bv * av
         cols.append(col)
-    xi_full = Mat.from_cols(QQ, cols, x.B.dim * r.dim)
-    sck = restrict_connection(sc, xi_full, tp)
+    return Mat.from_cols(QQ, cols, x.B.dim * r.dim)
+
+
+def test_restrict_connection_separable_base():
+    # FIX-SEP: restrict the canonical B-connection along the separability
+    # idempotent of R = QQ x QQ to a strong k-connection
+    x = sep_extension()
+    sc = connection_from_galois(x)     # T = B = R
+    sck = restrict_connection(sc, _sep_section(x), [])
     assert verify_strong_connection(sck).ok
     # ell_k(c) = sum c e_l (x) f_l: for c = e1: e1 (x) e1
     e1 = [qi(1), qi(0)]
     expected = sck.space.embed_pure([e1, e1])
     carrier_e1 = _sep_carrier_vec(x, e1)
     assert sck.ell.apply(carrier_e1) == expected
+
+
+def test_restricted_connection_feeds_the_chern_galois_pipeline():
+    # FIX-SEP: the translation map restricted to k.1 gives the same
+    # Chern-Galois components and HC_2 classes as the solved k-connection
+    # (the class does not depend on the strong connection)
+    from coralg.cherngalois import assemble_and_class, chg_components
+    from coralg.coring import Coidempotent
+    x = sep_extension()
+    sck = restrict_connection(connection_from_galois(x), _sep_section(x), [])
+    solved, _ = solve_strong_connection(x)
+
+    def hc2_class(chg):
+        return assemble_and_class(chg, 1, chg.cc_b.total(3))["class"].class_coords
+
+    classes = []
+    for g in ([qi(1), qi(0)], [qi(0), qi(1)]):
+        e = Coidempotent(x.entwining.coring, [[g]])
+        got, want = chg_components(e, sck, 2), chg_components(e, solved, 2)
+        assert got.comps == want.comps
+        assert hc2_class(got) == hc2_class(want)
+        classes.append(hc2_class(got))
+    assert classes == [[qi(-2), qi(0)], [qi(0), qi(-2)]]
 
 
 def _sep_carrier_vec(x, v):
@@ -200,10 +239,9 @@ def test_restrict_connection_broken_section():
     x = sep_extension()
     sc = connection_from_galois(x)
     r = x.entwining.ring
-    tp = trivial_subalgebra(r)
     bad = Mat.zeros(QQ, x.B.dim * r.dim, r.dim)
     with pytest.raises(NotASection):
-        restrict_connection(sc, bad, tp)
+        restrict_connection(sc, bad, [])
 
 
 def test_total_integral_z2():
@@ -233,7 +271,7 @@ def test_normalization_and_splitting_z2():
     sc, _ = solve_strong_connection(x)
     # f: A -> B, coefficient of 1 (a left T = k linear retraction)
     f = Mat.from_rows(QQ, [[qi(1), qi(0)]])
-    out = normalization_and_splitting(x, sc, f)
+    out = normalization_and_splitting(sc, f)
     ba = section_from_connection(sc)["space"]
     assert out["sigma_one"] == ba.embed_pure([[qi(1)], [qi(1), qi(0)]])
     assert out["ell_grouplike"] == sc.space.embed_pure([[qi(1), qi(0)], [qi(1), qi(0)]])
@@ -251,7 +289,7 @@ def test_normalization_membership_failure_detected():
     v = sc.space.embed_pure([[qi(0), qi(1)], [qi(0), qi(1)]])
     bad = _with_column(sc.ell, 0, v)
     with pytest.raises((MembershipFailure, ImageNotCoinvariant)):
-        normalization_and_splitting(x, StrongConnection(x, bad), f)
+        normalization_and_splitting(StrongConnection(x, bad), f)
 
 
 def test_tflatness_z2():

@@ -493,6 +493,16 @@ def test_total_complex_builds_only_the_operators_it_reads():
     assert built(6) == {"d", "_dprime_ambient"}
 
 
+def test_circular_spaces_over_k_keep_one_identity_as_q_and_s():
+    # over T = k no relation cuts a circular space of M2, so its projection
+    # and section are the identity, stored once
+    cc = CyclicComplex(matrix_algebra(QQ, 2))
+    cc.total(5)
+    for n in range(7):
+        sp = cc.space(n)
+        assert sp.trivial and sp.Q is sp.S and sp.Q.is_identity(), n
+
+
 # -- the extra degeneracy: a contracting homotopy for d' over T = k --------
 
 @pytest.mark.parametrize("n", range(6))

@@ -6,7 +6,7 @@ from coralg.coring import trivial_coring, validate_coring, verify_grouplike
 from coralg.entwine import (
     Entwining, associated_coring, canonical_maps, cantilde,
     co_associated_coring, entwining_from_coring, extension_from_grouplike,
-    galois_check, invert_entwining, make_extension, sweedler_coring,
+    galois_check, invert_entwining, sweedler_coring,
     validate_entwined_module, validate_entwining, validate_left_entwining,
 )
 from coralg.errors import CoinvariantMismatch, NotBijective, NotEntwinedModule
@@ -166,8 +166,6 @@ def test_t_outside_the_coinvariants_is_rejected():
     x = extension_from_grouplike(ent, [qi(1), qi(0)])
     gen = [qi(0), qi(1)]
     with pytest.raises(CoinvariantMismatch):
-        make_extension(ent, x.rho, t_basis=[gen])
-    with pytest.raises(CoinvariantMismatch):
         x.with_T([gen])
     assert x.with_T([]).T.dim == 1
 
@@ -187,7 +185,7 @@ def test_canonical_maps_z2_galois():
     # can: A (x)_QQ A -> A (x) C is a bijective 4x4
     assert res["can"].nrows == 4 and res["can"].ncols == 4
     # cantilde at T = k agrees with can here since B = k
-    ct, sp = cantilde(x)
+    ct, sp = cantilde(x.entwining, x.rho, x.T)
     assert ct == res["can"]
 
 

@@ -1,10 +1,12 @@
 """Every defaulted parameter of a coralg function is set by some caller,
-and every CLI flag is read by its command.
+every CLI flag is read by its command, and T is chosen in one place.
 
 An option that no call in the package, the tests or the benchmark sets is
 one behaviour the code carries and nothing exercises; it should be a
 constant instead.  A flag a command accepts but never reads is silently
-ignored input; it should be a usage error instead.
+ignored input; it should be a usage error instead.  A strong connection's
+T is its extension's T, so no function takes a separate T or both an
+extension and a connection that already holds it.
 """
 
 import argparse
@@ -96,6 +98,25 @@ def test_every_option_is_set_by_some_caller():
             unset += [f"{path.stem}.{name}({param})" for param, index in params
                       if not any(_sets(call, param, index) for call in mine)]
     assert not unset, f"options no caller sets: {unset}"
+
+
+def test_t_is_chosen_by_the_extension_only():
+    doubled = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}.{child.name}")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+                if {"x", "sc"} <= params or "t_alg" in params:
+                    doubled.append(f"{prefix}.{child.name}")
+                visit(child, f"{prefix}.{child.name}")
+
+    for path, tree in _parse("src/coralg").items():
+        visit(tree, path.stem)
+    assert not doubled, f"functions that take T apart from the extension: {doubled}"
 
 
 def _args_reads(funcs, name, seen):
