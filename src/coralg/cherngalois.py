@@ -20,7 +20,7 @@ import warnings
 from math import factorial
 
 from .errors import (
-    IotaNotInjective, MembershipFailure, NotACycle, NotIdempotent,
+    CoralgError, IotaNotInjective, MembershipFailure, NotACycle, NotIdempotent,
     NoLocalDualSystem,
 )
 from .exactla import (
@@ -28,13 +28,13 @@ from .exactla import (
     solve_right,
 )
 from .ncalg import (
-    Equation, Module, Report, Term, _fail_cols, descend,
+    Equation, Module, Report, Term, check_equations, descend, eqs_linear,
     hom_solve, leg_apply, projective_dual_basis, regular_bimodule, tensor_space,
     to_quotient,
 )
 from .coring import Comodule, _non_idempotent_at, cotensor
 from .cyclic import cyclic_complex, homology
-from .connect import tflatness_check
+from .connect import retraction_of_B, tflatness_check
 from .entwine import canonical_maps
 
 
@@ -239,7 +239,7 @@ def local_dual_system(sc, e):
 
     Solves x = sum_p x_p xi_p(x) for all x in X with right T-linear
     xi_p: A -> T; tries the generators of X first, then the full basis of A.
-    The solution is verified against the identity before it is returned.
+    The solution is checked against both equations before it is returned.
     """
     x = sc.extension
     ring = x.entwining.ring
@@ -259,17 +259,6 @@ def local_dual_system(sc, e):
     t_right = [ring.right_mult_by(t_incl_a.matrix.col(k)) for k in range(t.dim)]
     xbasis = SubspaceBasis.invariant_span(f, d, first_legs, t_right)
 
-    def verify(xs, xis):
-        for v in xbasis.mat.to_lists():
-            acc = [f.zero] * d
-            for xp, xip in zip(xs, xis):
-                tv = xip.apply(v)
-                prod = ring.mul_vec(xp, t_incl_a.apply(tv))
-                acc = _axpy_dense(acc, f.one, prod, f.p)
-            if acc != v:
-                return False
-        return True
-
     for xs in (xbasis.mat.to_lists(), [ring.basis_vector(i) for i in range(d)]):
         P = len(xs)
         if P == 0:
@@ -282,12 +271,14 @@ def local_dual_system(sc, e):
             dk = kron_id(P, t.right_mult_mats()[k], 1)
             eqs.append(Equation([
                 Term(Mat.identity(f, P * t.dim), ra),
-                Term(dk, Mat.identity(f, d), -1)], label="right-T-linear"))
+                Term(dk, Mat.identity(f, d), -1)], label=f"right-T-linear[{k}]"))
         sol = hom_solve(f, d, P * t.dim, eqs)
         if not sol.is_empty:
             xi_stack = sol.particular
+            rep = Report("dual-system")
+            check_equations(rep, xi_stack, eqs)
+            assert rep.ok, f"dual system fails verification: {rep.failures[:3]}"
             xis = [xi_stack.row_slice(p * t.dim, (p + 1) * t.dim) for p in range(P)]
-            assert verify(xs, xis)
             return {"xs": xs, "xis": xis, "X": xbasis}
     raise NoLocalDualSystem("no finite dual system for X over T")
 
@@ -319,23 +310,19 @@ def ell_p_maps(sc, dual):
     return out
 
 
-def verify_b_t_retraction(sc, phi):
-    """phi: A -> B must be a left B-linear right T-linear retraction."""
-    x = sc.extension
-    rep = Report("phi")
-    b, ring = x.B, x.entwining.ring
-    f = ring.field
-    _fail_cols(rep, "retraction", phi @ x.incl_B.matrix - Mat.identity(f, b.dim))
-    for i in range(b.dim):
-        _fail_cols(rep, f"left-B-linear[{i}]",
-                   phi @ x.a_mod.left[b][i] - b.left_mult_mats()[i] @ phi)
-    t = x.T
-    for k in range(t.dim):
-        tb = x.incl_T_B.apply(t.basis_vector(k))
-        ta = x.incl_T_A.apply(t.basis_vector(k))
-        _fail_cols(rep, f"right-T-linear[{k}]",
-                   phi @ ring.right_mult_by(ta) - b.right_mult_by(tb) @ phi)
-    return rep
+def b_t_retraction_equations(x):
+    """phi: A -> B is a left B-linear right T-linear retraction of the
+    inclusion B -> A."""
+    return (eqs_linear(x.B, x.a_mod, x.b_mod, "left")
+            + eqs_linear(x.T, x.a_mod, x.b_mod, "right") + [retraction_of_B(x)])
+
+
+def solve_b_t_retraction(x):
+    """A B-T bilinear retraction of B in A found by the solver."""
+    sol = hom_solve(x.B.field, x.entwining.ring.dim, x.B.dim, b_t_retraction_equations(x))
+    if sol.is_empty:
+        raise CoralgError("no B-T bilinear retraction of the inclusion exists")
+    return sol.particular
 
 
 def idempotent_e(sc, e, dual, phi):
@@ -344,7 +331,8 @@ def idempotent_e(sc, e, dual, phi):
     x = sc.extension
     ring = x.entwining.ring
     b = x.B
-    rep = verify_b_t_retraction(sc, phi)
+    rep = Report("phi")
+    check_equations(rep, phi, b_t_retraction_equations(x))
     if not rep.ok:
         raise NotIdempotent(f"phi is not a B-T retraction: {rep.failures[:3]}")
     ells = ell_p_maps(sc, dual)
@@ -379,10 +367,10 @@ def gamma_elements(sc, e, dual, gamma, ws):
     return out
 
 
-def verify_gamma_identities(x, em, gamma, gammas):
+def verify_gamma_identities(em, gamma, gammas):
     """gamma_ip in Gamma and E-weighted recombination; returns a Report."""
     rep = Report("gamma")
-    b = x.B
+    b = gamma.extension.B
     f = b.field
     mw = gamma.space
     for key, vec in gammas.items():
@@ -400,10 +388,10 @@ def verify_gamma_identities(x, em, gamma, gammas):
     return rep
 
 
-def theta_isomorphism(x, em, gamma, gammas):
+def theta_isomorphism(em, gamma, gammas):
     """dim(B^(I x P) E) = dim Gamma and Theta: vE -> sum v_ip gamma_ip is a
     well-defined bijection onto Gamma."""
-    b = x.B
+    b = gamma.extension.B
     f = b.field
     n = em.size
     dim_free = n * b.dim

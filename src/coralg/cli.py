@@ -17,8 +17,6 @@ import time
 
 from . import exactla
 from .errors import CoralgError, SchemaError, UnknownFixture, ValidationError
-from .exactla import Mat
-from .ncalg import Equation, Term, eqs_linear, hom_solve
 from .entwine import canonical_maps
 from .connect import (
     StrongConnection, solve_strong_connection, tflatness_check, total_integral,
@@ -27,7 +25,7 @@ from .connect import (
 from .cyclic import cyclic_complex, homology
 from .cherngalois import (
     assemble_and_class, chg_components, compare_chg_ch, idempotent_e,
-    local_dual_system,
+    local_dual_system, solve_b_t_retraction,
 )
 from .fixtures import FIXTURE_NAMES, fixture_document
 from .workspace import parse_workspace, workspace_options, _fmt_mat, _fmt_vec
@@ -169,7 +167,7 @@ def _idempotent_setup(ws, args):
     e = _coidempotent(ws, args)
     sc = _connection(ws, args)
     dual = local_dual_system(sc, e)
-    return e, sc, idempotent_e(sc, e, dual, _default_phi(sc.extension))
+    return e, sc, idempotent_e(sc, e, dual, solve_b_t_retraction(sc.extension))
 
 
 def cmd_idempotent(ws, args):
@@ -178,20 +176,6 @@ def cmd_idempotent(ws, args):
                for a in range(em.size) for c in range(em.size)}
     return {"verdicts": {"idempotent": True},
             "payload": {"size": em.size, "entries": entries}}, 0
-
-
-def _default_phi(x):
-    """A B-T bilinear retraction of B in A found by the solver."""
-    f = x.B.field
-    ring = x.entwining.ring
-    eqs = eqs_linear(x.B, x.a_mod, x.b_mod, "left")
-    eqs += eqs_linear(x.T, x.a_mod, x.b_mod, "right")
-    eqs.append(Equation([Term(Mat.identity(f, x.B.dim), x.incl_B.matrix)],
-                        rhs=Mat.identity(f, x.B.dim)))
-    sol = hom_solve(f, ring.dim, x.B.dim, eqs)
-    if sol.is_empty:
-        raise CoralgError("no B-T bilinear retraction of the inclusion exists")
-    return sol.particular
 
 
 def cmd_compare(ws, args):

@@ -17,9 +17,9 @@ from .errors import (
 )
 from .exactla import Mat, SubspaceBasis, _axpy_dense, rank, rref_solve, solve_right
 from .ncalg import (
-    Equation, Report, Term, _fail_cols, descend, eqs_linear, eq_right_colinear,
-    eq_value, hom_solve, leg_apply, projective_dual_basis, regular_bimodule,
-    tensor_space, to_quotient,
+    Equation, Report, Term, _fail_cols, check_equations, descend, eqs_linear,
+    eq_right_colinear, eq_value, hom_solve, leg_apply, projective_dual_basis,
+    regular_bimodule, tensor_space, to_quotient,
 )
 from .entwine import associated_coring, canonical_maps, cantilde
 
@@ -37,42 +37,34 @@ class StrongConnection:
         return f"StrongConnection({self.extension!r})"
 
 
-def _comodule_structures(x):
-    """(right coaction, its space) and (left coaction, its space) of
-    A (x)_T A, plus the lifted canonical map."""
+def connection_equations(x):
+    """(A (x)_T A, the defining conditions on a strong x.T-connection
+    ell: C -> A (x)_T A as Equations): R-linearity on each side, index by
+    index, right and left colinearity, and the splitting."""
     e = x.entwining
-    a_mod, cor, base, t = x.a_mod, e.coring, e.base, x.T
+    cor, base, carrier = e.coring, e.base, e.coring.carrier
+    a_mod, t = x.a_mod, x.T
     ct, aat = cantilde(e, x.rho, t)
-    aatc = tensor_space([a_mod, a_mod, cor.carrier], [t, base])
-    caat = tensor_space([cor.carrier, a_mod, a_mod], [base, t])
+    aatc = tensor_space([a_mod, a_mod, carrier], [t, base])
+    caat = tensor_space([carrier, a_mod, a_mod], [base, t])
     rho_aat = leg_apply(aat, aatc, 1, 1, e.AC.S @ x.rho, check="skip")
     lrho_aat = leg_apply(aat, caat, 0, 1, e.CA.S @ x.lrho, check="skip")
-    return (rho_aat, aatc), (lrho_aat, caat), ct
+    eqs = [eq for pair in zip(eqs_linear(base, carrier, aat, "right"),
+                              eqs_linear(base, carrier, aat, "left")) for eq in pair]
+    eqs.append(eq_right_colinear(cor.delta, rho_aat, carrier, aat,
+                                 cor.CC, aatc, cor.dim, "right-colinearity"))
+    eqs.append(eq_right_colinear(cor.delta, lrho_aat, carrier.op(), aat.op(),
+                                 cor.CC.op(), caat.op(), cor.dim, "left-colinearity"))
+    ins = leg_apply(carrier, e.AC, 0, 0, e.ring.unit_col(), check="skip")
+    eqs.append(Equation([Term(ct, Mat.identity(base.field, carrier.dim))],
+                        rhs=ins, label="splitting"))
+    return aat, eqs
 
 
 def verify_strong_connection(sc):
-    """Three residual blocks: right colinearity (with R-linearity), left
-    colinearity, and the splitting identity."""
-    x = sc.extension
-    rep = Report(f"ell_{x.T.name}")
-    e = x.entwining
-    cor, base = e.coring, e.base
-    aat = sc.space
-    (rho_aat, aatc), (lrho_aat, caat), ct = _comodule_structures(x)
-    for i in range(base.dim):
-        _fail_cols(rep, f"right-linear[{i}]",
-                   sc.ell @ cor.carrier.right[base][i]
-                   - aat.outer_right[base][i] @ sc.ell)
-        _fail_cols(rep, f"left-linear[{i}]",
-                   sc.ell @ cor.carrier.left[base][i]
-                   - aat.outer_left[base][i] @ sc.ell)
-    ell_full = aat.S @ sc.ell
-    rc = leg_apply(cor.CC, aatc, 0, 1, ell_full, check="skip")
-    _fail_cols(rep, "right-colinearity", rho_aat @ sc.ell - rc @ cor.delta)
-    lc = leg_apply(cor.CC, caat, 1, 1, ell_full, check="skip")
-    _fail_cols(rep, "left-colinearity", lrho_aat @ sc.ell - lc @ cor.delta)
-    ins = leg_apply(cor.carrier, e.AC, 0, 0, e.ring.unit_col(), check="skip")
-    _fail_cols(rep, "splitting", ct @ sc.ell - ins)
+    """The residuals of ``connection_equations`` at sc.ell."""
+    rep = Report(f"ell_{sc.extension.T.name}")
+    check_equations(rep, sc.ell, connection_equations(sc.extension)[1])
     return rep
 
 
@@ -83,27 +75,20 @@ def solve_strong_connection(x):
     Returns (StrongConnection or None, AffineSolutionSet); an empty set is a
     definite non-existence certificate over the field.
     """
-    e = x.entwining
-    cor, base = e.coring, e.base
-    a_mod = x.a_mod
-    aat = tensor_space([a_mod, a_mod], [x.T])
-    (rho_aat, aatc), (lrho_aat, caat), ct = _comodule_structures(x)
-    carrier = cor.carrier
-    eqs = eqs_linear(base, carrier, aat, "left") + eqs_linear(base, carrier, aat, "right")
-    eqs.append(eq_right_colinear(cor.delta, rho_aat, carrier, aat,
-                                 cor.CC, aatc, cor.dim))
-    eqs.append(eq_right_colinear(cor.delta, lrho_aat, carrier.op(), aat.op(),
-                                 cor.CC.op(), caat.op(), cor.dim))
-    ins = leg_apply(carrier, e.AC, 0, 0, e.ring.unit_col(), check="skip")
-    eqs.append(Equation([Term(ct, Mat.identity(base.field, carrier.dim))],
-                        rhs=ins, label="splitting"))
-    sol = hom_solve(base.field, carrier.dim, aat.dim, eqs)
+    aat, eqs = connection_equations(x)
+    sol = hom_solve(x.B.field, x.entwining.coring.dim, aat.dim, eqs)
     if sol.is_empty:
         return None, sol
-    sc = StrongConnection(x, sol.particular)
-    rep = verify_strong_connection(sc)
+    rep = Report(f"ell_{x.T.name}")
+    check_equations(rep, sol.particular, eqs)
     assert rep.ok, f"solver output fails verification: {rep.failures[:3]}"
-    return sc, sol
+    return StrongConnection(x, sol.particular), sol
+
+
+def retraction_of_B(x):
+    """X . incl_B = id_B for X: A -> B."""
+    ident = Mat.identity(x.B.field, x.B.dim)
+    return Equation([Term(ident, x.incl_B.matrix)], rhs=ident, label="retraction")
 
 
 def restrict_connection(sc, xi_full, t_basis):
@@ -135,15 +120,14 @@ def restrict_connection(sc, xi_full, t_basis):
     xi = ta.Q @ xi_full
     # section of the multiplication T (x)_{T'} A -> A
     coll = leg_apply(ta, a_mod, 0, 2, a_mod.left_collapse_mat(t), check="skip")
-    rep = Report("xi")
-    _fail_cols(rep, "section", coll @ xi - Mat.identity(f, ring.dim))
-    for i in range(t.dim):
-        _fail_cols(rep, f"left-T-linear[{i}]",
-                   xi @ a_mod.left[t][i] - ta.outer_left[t][i] @ xi)
+    ident = Mat.identity(f, ring.dim)
     tac = tensor_space([t_mod, a_mod, cor.carrier], [tp_alg, base])
     rho_ta = leg_apply(ta, tac, 1, 1, e.AC.S @ x.rho, check="skip")
-    xiC = leg_apply(e.AC, tac, 0, 1, ta.S @ xi, check="skip")
-    _fail_cols(rep, "right-colinear", rho_ta @ xi - xiC @ x.rho)
+    rep = Report("xi")
+    check_equations(rep, xi, [
+        Equation([Term(coll, ident)], rhs=ident, label="section"),
+        *eqs_linear(t, a_mod, ta, "left"),
+        eq_right_colinear(x.rho, rho_ta, a_mod, ta, e.AC, tac, cor.dim, "right-colinearity")])
     if not rep.ok:
         raise NotASection(str(rep.failures[:3]))
     aat = sc.space
@@ -181,16 +165,15 @@ def section_from_connection(sc):
     if sigma is None:
         raise ImageNotCoinvariant("sigma_T does not land in B (x)_T A")
     injective = rank(j_incl) == ba.dim
-    rep = Report("sigma")
-    for i in range(x.B.dim):
-        _fail_cols(rep, f"left-B-linear[{i}]",
-                   sigma @ a_mod.left[x.B][i] - ba.outer_left[x.B][i] @ sigma)
     bac = tensor_space([b_mod, a_mod, cor.carrier], [t, base])
     rho_ba = leg_apply(ba, bac, 1, 1, e.AC.S @ x.rho, check="skip")
-    sigC = leg_apply(e.AC, bac, 0, 1, ba.S @ sigma, check="skip")
-    _fail_cols(rep, "right-colinear", rho_ba @ sigma - sigC @ x.rho)
     coll = leg_apply(ba, a_mod, 0, 2, a_mod.left_collapse_mat(x.B), check="skip")
-    _fail_cols(rep, "splits-multiplication", coll @ sigma - Mat.identity(f, ring.dim))
+    ident = Mat.identity(f, ring.dim)
+    rep = Report("sigma")
+    check_equations(rep, sigma, [
+        *eqs_linear(x.B, a_mod, ba, "left"),
+        eq_right_colinear(x.rho, rho_ba, a_mod, ba, e.AC, bac, cor.dim, "right-colinearity"),
+        Equation([Term(coll, ident)], rhs=ident, label="splits-multiplication")])
     assert rep.ok, f"sigma verification failed: {rep.failures[:3]}"
     ins1 = leg_apply(a_mod, ba, 0, 0,
                      Mat.from_cols(f, [x.B.unit], x.B.dim), check="skip")
@@ -275,23 +258,19 @@ def total_integral(x, side="right"):
     if side == "right":
         eqs = eqs_linear(base, carrier, a_mod, "right")
         eqs.append(eq_right_colinear(cor.delta, x.rho, carrier, a_mod,
-                                     cor.CC, e.AC, cor.dim))
+                                     cor.CC, e.AC, cor.dim, "right-colinearity"))
         eqs.append(eq_value(x.grouplike, ring.unit, f, ring.dim))
     else:
         eqs = eqs_linear(base, carrier, a_mod, "left")
         eqs.append(eq_right_colinear(cor.delta, x.lrho, carrier.op(), a_mod.op(),
-                                     cor.CC.op(), e.CA.op(), cor.dim))
+                                     cor.CC.op(), e.CA.op(), cor.dim, "left-colinearity"))
         eqs.append(eq_value(x.grouplike, ring.unit, f, ring.dim))
     sol = hom_solve(f, carrier.dim, ring.dim, eqs)
     result = {"relative_injective": not sol.is_empty, "solutions": sol,
               "j": None, "h": None}
     galois = canonical_maps(x)["galois"]
     hs = hom_solve(f, ring.dim, x.B.dim,
-                   eqs_linear(x.B, a_mod, x.b_mod,
-                              "right" if side == "right" else "left")
-                   + [eq_value(x.incl_B.apply(x.B.basis_vector(i)),
-                               x.B.basis_vector(i), f, x.B.dim)
-                      for i in range(x.B.dim)])
+                   eqs_linear(x.B, a_mod, x.b_mod, side) + [retraction_of_B(x)])
     result["split_condition"] = galois and not hs.is_empty
     if sol.is_empty:
         return result
@@ -351,25 +330,15 @@ def normalization_and_splitting(sc, f_retr):
         out["ell_grouplike"] = elle
     # phi = mu_B . (B (x)_T f) . sigma
     rep = Report("f")
-    _fail_cols(rep, "retraction-of-inclusion",
-               f_retr @ x.incl_B.matrix - Mat.identity(fld, b.dim))
-    for i in range(t.dim):
-        _fail_cols(rep, f"left-T-linear[{i}]",
-                   f_retr @ ring.left_mult_by(x.incl_T_A.matrix.col(i))
-                   - b.left_mult_by(x.incl_T_B.matrix.col(i)) @ f_retr)
+    check_equations(rep, f_retr, [retraction_of_B(x), *eqs_linear(t, x.a_mod, b_mod, "left")])
     if not rep.ok:
         raise MembershipFailure(f"f is not a T-linear retraction: {rep.failures[:3]}")
     s1 = leg_apply(ba, bb, 1, 1, f_retr, check="skip")
     mu_b = leg_apply(bb, b_mod, 0, 2, b.mult_mat(), check="skip")
     phi = mu_b @ s1 @ sigma
     prep = Report("phi")
-    for i in range(b.dim):
-        _fail_cols(prep, f"left-B-linear[{i}]",
-                   phi @ x.a_mod.left[b][i] - b.left_mult_mats()[i] @ phi)
-    _fail_cols(prep, "unital", Mat.from_cols(fld, [phi.apply(ring.unit)], b.dim)
-               - Mat.from_cols(fld, [b.unit], b.dim))
-    _fail_cols(prep, "restricts-to-identity",
-               phi @ x.incl_B.matrix - Mat.identity(fld, b.dim))
+    check_equations(prep, phi, [*eqs_linear(b, x.a_mod, b_mod, "left"),
+                                eq_value(ring.unit, b.unit, fld, b.dim), retraction_of_B(x)])
     assert prep.ok, f"phi verification failed: {prep.failures[:3]}"
     out["phi"] = phi
     return out

@@ -262,10 +262,11 @@ def separability_idempotent(a, base, a_mod):
     one_col = Mat.identity(f, 1)
     for i in range(a.dim):
         eqs.append(Equation([Term(aa.outer_left[a][i], one_col),
-                             Term(aa.outer_right[a][i], one_col, -1)]))
+                             Term(aa.outer_right[a][i], one_col, -1)],
+                            label=f"central[{i}]"))
     mu_bar = leg_apply(aa, a_mod, 0, 2, a.mult_mat(), check="skip")
     eqs.append(Equation([Term(mu_bar, one_col)],
-                        rhs=Mat.from_cols(f, [a.unit], a.dim)))
+                        rhs=Mat.from_cols(f, [a.unit], a.dim), label="multiplies-to-1"))
     sol = hom_solve(f, 1, aa.dim, eqs)
     if sol.is_empty:
         return None

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .exactla import Mat, inverse, kron_id, kron_vec, lincomb, rank, rref_solve, solve_right
 from .ncalg import (
-    AlgebraMorphism, Module, Report, _fail_cols, descend,
+    AlgebraMorphism, Module, Report, _fail_cols, check_equations, descend, eqs_linear,
     generated_subalgebra, leg_apply, regular_bimodule, tensor_space,
 )
 from .coring import Comodule, Coring, validate_comodule, verify_grouplike
@@ -480,10 +480,7 @@ def canonical_maps(x):
         cc_as = assoc.CC
         can2 = cc_as.Q @ can.kron(can) @ cc_sw.S
         _fail_cols(rep, "coproduct", assoc.delta @ can - can2 @ sw.delta)
-        for i in range(e.ring.dim):
-            _fail_cols(rep, f"left-A-linear[{i}]",
-                       can @ aab.outer_left[e.ring][i]
-                       - assoc.carrier.left[e.ring][i] @ can)
+        check_equations(rep, can, eqs_linear(e.ring, aab, assoc.carrier, "left"))
         coring_morphism = rep
     return {
         "can": can,

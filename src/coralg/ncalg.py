@@ -670,7 +670,8 @@ class Equation:
 
     Every term is sign * J @ kron(I_pre, X, I_post) @ U: pre = post = 1 is
     J @ X @ U, post = d is J @ (X kron I_d) @ U and pre = d is
-    J @ (I_d kron X) @ U.
+    J @ (I_d kron X) @ U.  ``label`` names the condition: it is the axiom
+    ``check_equations`` reports a failure under.
     """
 
     def __init__(self, terms, rhs=None, label=""):
@@ -679,17 +680,26 @@ class Equation:
         self.label = label
 
 
-def evaluate_equation(field, X, eq):
+def evaluate_equation(X, eq):
     """The residual matrix of one Equation at a concrete X (zero = holds)."""
     total = None
     for t in eq.terms:
-        val = t.J @ kron_id(t.pre, X, t.post) @ t.U
+        val = kron_id(t.pre, X, t.post)
+        val = val if t.J.is_identity() else t.J @ val
+        val = val if t.U.is_identity() else val @ t.U
         if t.sign < 0:
             val = -val
         total = val if total is None else total + val
     if eq.rhs is not None:
         total = total - eq.rhs
     return total
+
+
+def check_equations(report, X, eqs):
+    """Record, under each equation's label, the nonzero residual columns of
+    X: a verifier evaluates the Equations its solver poses."""
+    for eq in eqs:
+        _fail_cols(report, eq.label, evaluate_equation(X, eq))
 
 
 class AffineSolutionSet:
@@ -784,7 +794,7 @@ def eqs_linear(alg, src, tgt, side):
         sm = (src.outer_left if side == "left" else src.outer_right)[alg][i]
         tm = (tgt.outer_left if side == "left" else tgt.outer_right)[alg][i]
         eqs.append(Equation([Term(I_t, sm), Term(tm, I_s, -1)],
-                            label=f"{side}-linear[{alg.name}:{i}]"))
+                            label=f"{side}-linear[{i}]"))
     return eqs
 
 
@@ -796,14 +806,13 @@ def eq_value(src_vec, tgt_vec, field, tgt_dim):
                     label="value")
 
 
-def eq_right_colinear(rho_src, rho_tgt, src, tgt, src_C_space, tgt_C_space, c_dim):
+def eq_right_colinear(rho_src, rho_tgt, src, tgt, src_C_space, tgt_C_space, c_dim, label):
     """rho_tgt . X = (X tensor C) . rho_src, both sides into tgt_C_space;
     on the op() of all four spaces it is left colinearity."""
     U = kron_id(1, src.Q, c_dim) @ src_C_space.S @ rho_src
     J = tgt_C_space.Q @ kron_id(1, tgt.S, c_dim)
     return Equation([Term(rho_tgt, Mat.identity(src.field, src.dim)),
-                     Term(J, U, -1, post=c_dim)],
-                    label="right-colinear")
+                     Term(J, U, -1, post=c_dim)], label=label)
 
 
 # ---------------------------------------------------------------------------

@@ -337,15 +337,15 @@ def test_criterion_06_idempotency_and_theta():
     x, sc, e1, dual, phi, em = cached("idem-FIX-Z2", _z2_idempotent)
     gamma = associated_module(x, fz["comodules"]["e1"][0])
     gammas = gamma_elements(sc, e1, dual, gamma, fz["comodules"]["e1"][1].ws)
-    assert verify_gamma_identities(x, em, gamma, gammas).ok
-    th1 = theta_isomorphism(x, em, gamma, gammas)
+    assert verify_gamma_identities(em, gamma, gammas).ok
+    th1 = theta_isomorphism(em, gamma, gammas)
     fn = nc()
     xn, scn, en, dualn, phin, emn = cached("idem-FIX-NC", _nc_idempotent)
     w, db = fn["comodule"]
     gamma_n = associated_module(xn, w)
     gammas_n = gamma_elements(scn, en, dualn, gamma_n, db.ws)
-    assert verify_gamma_identities(xn, emn, gamma_n, gammas_n).ok
-    th2 = theta_isomorphism(xn, emn, gamma_n, gammas_n)
+    assert verify_gamma_identities(emn, gamma_n, gammas_n).ok
+    th2 = theta_isomorphism(emn, gamma_n, gammas_n)
     ok = all(t["dim_BE"] == t["dim_Gamma"] and t["bijective"] and
              t["well_defined"] for t in (th1, th2))
     _announce(6, ok, f"E^2 = E; dim(B^(IxP)E) = dim Gamma and Theta bijective "

@@ -9,21 +9,22 @@ import pytest
 from coralg.cherngalois import (
     a_side_component, assemble_and_class, assemble_cycle, associated_module,
     ch_components, chg_coefficient, chg_components, compare_chg_ch,
-    gamma_elements, idempotent_e, local_dual_system, theta_isomorphism,
-    verify_gamma_identities,
+    gamma_elements, idempotent_e, local_dual_system, solve_b_t_retraction,
+    theta_isomorphism, verify_gamma_identities,
 )
 from coralg.connect import solve_strong_connection
 from coralg.coring import (
     coidempotent_from_comodule, direct_sum_coidempotents,
 )
+from coralg.entwine import Entwining, extension_from_grouplike, invert_entwining
 from coralg.cyclic import cyclic_complex
 from coralg.errors import NotIdempotent
 from coralg.exactla import GF, QQ, Mat, kron_vec
 from coralg.fixtures import (
-    matrix_algebra, nc_fixture, product_field_algebra, upper_triangular_algebra,
-    z2_fixture,
+    group_z2_coring, matrix_algebra, nc_fixture, product_field_algebra,
+    upper_triangular_algebra, z2_fixture,
 )
-from coralg.ncalg import DualBasis
+from coralg.ncalg import AlgebraMorphism, DualBasis, scalar_algebra
 
 
 def qi(x):
@@ -244,9 +245,9 @@ def test_idempotent_e_and_theta_z2():
     gamma = associated_module(x, _Z2["comodules"]["e1"][0])
     ws = _Z2["comodules"]["e1"][1].ws
     gammas = gamma_elements(_Z2_SC, e1, dual, gamma, ws)
-    rep = verify_gamma_identities(x, em, gamma, gammas)
+    rep = verify_gamma_identities(em, gamma, gammas)
     assert rep.ok
-    theta = theta_isomorphism(x, em, gamma, gammas)
+    theta = theta_isomorphism(em, gamma, gammas)
     assert theta["dim_BE"] == theta["dim_Gamma"] == 1
     assert theta["well_defined"] and theta["bijective"]
 
@@ -263,11 +264,52 @@ def test_idempotent_e_and_theta_nc():
     gamma = associated_module(x, w)
     assert gamma.dim == 2
     gammas = gamma_elements(_NC_SC, e, dual, gamma, db.ws)
-    rep = verify_gamma_identities(x, em, gamma, gammas)
+    rep = verify_gamma_identities(em, gamma, gammas)
     assert rep.ok
-    theta = theta_isomorphism(x, em, gamma, gammas)
+    theta = theta_isomorphism(em, gamma, gammas)
     assert theta["dim_BE"] == theta["dim_Gamma"] == 2
     assert theta["well_defined"] and theta["bijective"]
+
+
+def _m2_graded_extension():
+    """M2 graded by Z_2 with degrees (0, 1) over the group coalgebra of Z_2
+    and the grouplike g0: B is the diagonal, T = k."""
+    m2 = matrix_algebra(QQ)
+    base = scalar_algebra(QQ)
+    eta = AlgebraMorphism(base, m2, Mat.from_cols(QQ, [m2.unit], m2.dim))
+    ent = Entwining(base, m2, eta, group_z2_coring(QQ, base=base), None, name="M2/Z2")
+    deg = [0, 1, 1, 0]  # E11, E12, E21, E22
+    # column (g_i, E_a) -> row (E_a, g_{i + deg E_a})
+    ent.psi = Mat.from_entries(QQ, ent.AC.dim, ent.CA.dim,
+                               (((a * 2 + (i + deg[a]) % 2, i * 4 + a), QQ.one)
+                                for i in range(2) for a in range(4)))
+    return extension_from_grouplike(invert_entwining(ent), [QQ.one, QQ.zero])
+
+
+def test_idempotent_e_rejects_a_phi_that_is_no_retraction():
+    e1 = _Z2["coidempotents"]["e1"]
+    dual = local_dual_system(_Z2_SC, e1)
+    with pytest.raises(NotIdempotent, match=r"\('retraction', 0\)"):
+        idempotent_e(_Z2_SC, e1, dual, Mat.from_rows(QQ, [[qi(2), qi(0)]]))
+
+
+def test_idempotent_e_rejects_a_retraction_that_is_not_left_b_linear():
+    x = _m2_graded_extension()
+    assert (x.B.dim, x.T.dim) == (2, 1)
+    sc, _ = solve_strong_connection(x)
+    e0 = _Z2["coidempotents"]["e0"]  # the coidempotent of k.g0 over kZ2
+    dual = local_dual_system(sc, e0)
+    phi = solve_b_t_retraction(x)
+    assert idempotent_e(sc, e0, dual, phi).size >= 1
+    # phi(E12) := phi(E22) = E22 keeps the retraction, but
+    # phi(E22 E12) = phi(0) = 0 differs from E22 phi(E12) = E22
+    bad = Mat.from_entries(QQ, phi.nrows, phi.ncols,
+                           [(ij, v) for ij, v in phi.items() if ij[1] != 1]
+                           + [((i, 1), v) for i, v in enumerate(phi.col(3)) if v])
+    with pytest.raises(NotIdempotent) as exc:
+        idempotent_e(sc, e0, dual, bad)
+    assert "left-linear[" in str(exc.value)
+    assert "'retraction'" not in str(exc.value)
 
 
 def test_chain_equality_z2():

@@ -1,6 +1,10 @@
 """Strong connections: solving, verification, sections, translation maps,
 total integrals, normalization, T-flatness, middle legs."""
 
+import json
+import random
+from pathlib import Path
+
 import pytest
 
 from coralg.connect import (
@@ -14,10 +18,11 @@ from coralg.entwine import Entwining, extension_from_grouplike, invert_entwining
 from coralg.errors import MembershipFailure, NotASection, NotGalois
 from coralg.exactla import GF, QQ, Mat
 from coralg.fixtures import (
-    matrix_algebra, product_field_algebra, quadratic_algebra,
+    FIXTURE_NAMES, fixture_document, matrix_algebra, product_field_algebra, quadratic_algebra,
     sweedler_entwining, upper_triangular_subalgebra, z2_graded_entwining,
 )
 from coralg.ncalg import AlgebraMorphism, leg_apply, tensor_space
+from coralg.workspace import parse_workspace
 
 
 def qi(x):
@@ -292,6 +297,50 @@ def test_normalization_membership_failure_detected():
         normalization_and_splitting(StrongConnection(x, bad), f)
 
 
+def test_normalization_rejects_an_f_that_is_no_retraction():
+    # a valid connection passes the sigma stage, so the f check trips
+    x = z2_extension()
+    sc, _ = solve_strong_connection(x)
+    f = Mat.from_rows(QQ, [[qi(2), qi(0)]])
+    with pytest.raises(MembershipFailure, match="retraction"):
+        normalization_and_splitting(sc, f)
+
+
+RESIDUALS = json.loads((Path(__file__).parent / "data"
+                        / "strong_connection_residuals.json").read_text())
+
+
+def _residuals_of_corrupted_connections(name):
+    """verify_strong_connection's failures, as JSON lists, on the solved
+    connection of every fixture extension (and each declared --T) with one
+    entry bumped by one in six seeded trials, then on the zero map."""
+    ws = parse_workspace(fixture_document(name))
+    out = {}
+    for t_name in [None, *ws.subalgebras]:
+        x = ws.extension(t_name=t_name)
+        sc, _ = solve_strong_connection(x)
+        f, ell = x.B.field, sc.ell
+        maps = []
+        for seed in range(6):
+            rng = random.Random(seed)
+            ij = (rng.randrange(ell.nrows), rng.randrange(ell.ncols))
+            maps.append(ell + Mat.from_entries(f, ell.nrows, ell.ncols, [(ij, f.one)]))
+        maps.append(Mat.zeros(f, ell.nrows, ell.ncols))
+        key = name if t_name is None else f"{name} --T {t_name}"
+        out[key] = [[list(fail) for fail in
+                     verify_strong_connection(StrongConnection(x, m)).failures]
+                    for m in maps]
+    return out
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_corrupted_connection_residuals_are_pinned(name):
+    """The located failures, in order, are those of the hand-written
+    residuals the verifier had before it evaluated the solver's Equations."""
+    got = _residuals_of_corrupted_connections(name)
+    assert got == {k: v for k, v in RESIDUALS.items() if k.split(" --T ")[0] == name}
+
+
 def test_tflatness_z2():
     x = z2_extension()
     res = tflatness_check(x)
@@ -350,7 +399,6 @@ def test_solution_space_points_all_verify():
     sc, sol = solve_strong_connection(x)
     assert sc is not None
     assert sol.freedom >= 1
-    import random
     rng = random.Random(11)
     for _ in range(5):
         coeffs = [QQ.from_int(rng.randint(-3, 3)) for _ in range(sol.freedom)]

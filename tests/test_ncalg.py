@@ -222,16 +222,16 @@ def test_hom_solve_term_shapes_against_the_evaluator(field, pre, post):
     terms = [Term(_random_mat(field, rng, 2, pre * tgt * post),
                   _random_mat(field, rng, pre * src * post, 2), -1, pre, post),
              Term(_random_mat(field, rng, 2, tgt), _random_mat(field, rng, src, 2))]
-    eq = Equation(terms, rhs=evaluate_equation(field, x0, Equation(terms)))
+    eq = Equation(terms, rhs=evaluate_equation(x0, Equation(terms)))
     sol = hom_solve(field, src, tgt, [eq])
     assert not sol.is_empty and sol.freedom > 0
     for pt in (sol.particular, sol.point([field.one] * sol.freedom)):
-        assert evaluate_equation(field, pt, eq).nnz() == 0
+        assert evaluate_equation(pt, eq).nnz() == 0
     cols, rhs = [], eq.rhs
     for n in range(tgt):
         for i in range(src):
             unit = Mat.from_entries(field, tgt, src, [((n, i), field.one)])
-            res = evaluate_equation(field, unit, Equation(terms))
+            res = evaluate_equation(unit, Equation(terms))
             cols.append([res.get(o, c) for o in range(res.nrows) for c in range(res.ncols)])
     dense = Mat.from_cols(field, cols, rhs.nrows * rhs.ncols)
     b = Mat.from_cols(field, [[rhs.get(o, c) for o in range(rhs.nrows)
@@ -314,7 +314,7 @@ def test_equivariant_map_verify():
     eqs = eqs_linear(a, m, m, "left")
 
     def equivariant(X):
-        return all(evaluate_equation(QQ, X, eq).is_zero() for eq in eqs)
+        return all(evaluate_equation(X, eq).is_zero() for eq in eqs)
 
     assert equivariant(m.right_action_of(a, [qi(2), qi(3)]))
     assert not equivariant(Mat.from_rows(QQ, [[qi(1), qi(1)], [qi(0), qi(0)]]))

@@ -1,12 +1,15 @@
 """Every defaulted parameter of a coralg function is set by some caller,
-every CLI flag is read by its command, and T is chosen in one place.
+every CLI flag is read by its command, T is chosen in one place, and every
+Equation is labelled.
 
 An option that no call in the package, the tests or the benchmark sets is
 one behaviour the code carries and nothing exercises; it should be a
 constant instead.  A flag a command accepts but never reads is silently
 ignored input; it should be a usage error instead.  A strong connection's
 T is its extension's T, so no function takes a separate T or both an
-extension and a connection that already holds it.
+extension and a connection or associated module that already holds it.  A
+verifier reports the failures of an Equation under its label, so an
+unlabelled Equation would be a nameless axiom.
 """
 
 import argparse
@@ -110,13 +113,24 @@ def test_t_is_chosen_by_the_extension_only():
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 a = child.args
                 params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
-                if {"x", "sc"} <= params or "t_alg" in params:
+                if {"x", "sc"} <= params or {"x", "gamma"} <= params or "t_alg" in params:
                     doubled.append(f"{prefix}.{child.name}")
                 visit(child, f"{prefix}.{child.name}")
 
     for path, tree in _parse("src/coralg").items():
         visit(tree, path.stem)
     assert not doubled, f"functions that take T apart from the extension: {doubled}"
+
+
+def test_every_equation_is_labelled():
+    unlabelled = []
+    for path, tree in _parse("src/coralg").items():
+        for name, call, _ in _calls(tree):
+            label = next((k.value for k in call.keywords if k.arg == "label"), None)
+            if name == "Equation" and (label is None or isinstance(label, ast.Constant)
+                                       and not label.value):
+                unlabelled.append(f"{path.stem}:{call.lineno}")
+    assert not unlabelled, f"Equations without a label: {unlabelled}"
 
 
 def _args_reads(funcs, name, seen):
