@@ -2,24 +2,29 @@
 
 Conventions, binding for the whole package:
 
-* Scalars over Q are ``gmpy2.mpq`` values (``fractions.Fraction`` when gmpy2
-  is unavailable); scalars over F_p are plain ints in ``[0, p)``.  All three
-  are falsy exactly when zero, which the sparse kernels rely on.  Over Q
-  the row storage (``Mat._rows`` and the echelon rows) holds an integral
-  value as a plain int and keeps the QQ type only for a non-integral one:
-  constructors and the scalars entering a kernel are normalized by
-  ``_qq_in``, and every accessor hands out the QQ type (``_qq_out``).  An
-  int times an int stays an int and an int mixed with a rational gives a
-  rational, so the kernels run unchanged on either, and equality and
-  printing cannot tell 1 from QQ 1.  Over F_p nothing is converted.
+* Scalars over Q are ``fractions.Fraction`` values; scalars over F_p are
+  plain ints in ``[0, p)``.  Both are falsy exactly when zero, which the
+  sparse kernels rely on.
+* The row storage (``Mat._rows`` and the echelon rows) keeps each value in
+  the canonical form that makes its arithmetic cheapest: over Q an integral
+  value is a plain int and only a non-integral one keeps the Fraction type;
+  over F_p a value is its balanced residue, the unique int in
+  ``[-((p - 1) // 2), p // 2]`` (``{0, 1}`` for p = 2), so the structure
+  constants' -1 stays the small int -1 instead of p - 1.  Each field picks
+  its converter pair once, at construction: ``_to_stored`` normalizes the
+  constructors' entries and the scalars entering a kernel, and ``_to_public``
+  turns a stored value (or, over F_p, any int) back into the field's
+  scalar for every accessor.  The stored form is unique, so equality, the
+  zero test and every rref are the same as on the public scalars.
 * Scalars combine with native operators; ``Field`` holds no per-scalar
   arithmetic, only the boundary helpers (``from_int``, ``inv``, ``parse``,
   ``fmt``).  Constants come from ``from_int``, so a QQ value outside the
-  row storage is never a bare int.  Over F_p every stored value is reduced
-  mod p first.
+  row storage is never a bare int.
 * Two private kernels do all vector arithmetic: ``_axpy`` (sparse row
-  dicts, in place) and ``_axpy_dense`` (dense lists).  Both reduce mod p
-  when p is given; ``_axpy`` also drops the zeros it creates.
+  dicts, in place) and ``_axpy_dense`` (dense lists of public scalars).
+  When p is given, ``_axpy`` reduces a value to its balanced residue only
+  when it leaves the balanced range, and ``_axpy_dense`` reduces into
+  ``[0, p)``; ``_axpy`` also drops the zeros it creates.
 * A matrix represents a linear map; column ``j`` is the image of the j-th
   basis vector.  Vectors are dense python lists.
 * Matrices store only nonzero entries, one dict per row.  That storage
@@ -42,12 +47,9 @@ Conventions, binding for the whole package:
 Everything here is immutable after construction and all operations are pure.
 """
 
-from .errors import DimensionMismatch, MemoryGuard
+from fractions import Fraction as _QQ_SCALAR
 
-try:
-    from gmpy2 import mpq as _QQ_SCALAR
-except ImportError:  # pragma: no cover - gmpy2 is a soft dependency
-    from fractions import Fraction as _QQ_SCALAR
+from .errors import DimensionMismatch, MemoryGuard
 
 #: Hard guard on any ambient dimension this module is asked to materialize.
 DIMENSION_GUARD = 2_000_000
@@ -64,10 +66,38 @@ def _is_prime(p):
     return True
 
 
+def _qq_in(v):
+    """A QQ value as the row storage holds it: an int when integral."""
+    return int(v) if v.denominator == 1 else v
+
+
+def _qq_out(v):
+    """A stored QQ value as the QQ scalar type."""
+    return _QQ_SCALAR(v) if type(v) is int else v
+
+
+#: p -> (lo, hi), the bounds -((p - 1) // 2) and p // 2 of the balanced
+#: residues mod p, for every p a Field was built for: the kernels are handed
+#: only p, and computing the bounds on each call costs more than this lookup.
+_BALANCED = {}
+
+
+def _fp_in(p):
+    """The converter of an int to its balanced residue mod p, the one in
+    [lo, hi]; registers the bounds for the kernels."""
+    lo, hi = _BALANCED.setdefault(p, ((p >> 1) + 1 - p, p >> 1))
+
+    def stored(v):
+        return v if lo <= v <= hi else (v - lo) % p + lo
+    return stored
+
+
 class Field:
     """A FieldSpec: the rationals, or a prime field F_p with 2 <= p < 2**31.
 
     ``p`` is None over Q; it is the modulus every kernel reduces by.
+    ``_to_stored`` and ``_to_public`` convert one scalar into and out of
+    the row storage (see the module docstring).
     """
 
     def __init__(self, kind, p=None):
@@ -83,16 +113,18 @@ class Field:
         if kind == "rationals":
             self.zero = _QQ_SCALAR(0)
             self.one = _QQ_SCALAR(1)
+            self._to_stored, self._to_public = _qq_in, _qq_out
         else:
             self.zero = 0
             self.one = 1 % p
+            self._to_stored, self._to_public = _fp_in(p), p.__rmod__
 
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero")
         if self.p is None:
             return self.one / a
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def from_int(self, n):
         return _QQ_SCALAR(n) if self.p is None else n % self.p
@@ -135,43 +167,33 @@ def guard_dim(n, what="space"):
     return n
 
 
-def _qq_in(v):
-    """A QQ value as the row storage holds it: an int when integral."""
-    return int(v) if v.denominator == 1 else v
-
-
-def _qq_out(v):
-    """A stored QQ value as the QQ scalar type."""
-    return _QQ_SCALAR(v) if type(v) is int else v
-
-
-def _stored(field, c):
-    """A scalar entering a kernel, normalized like the row storage."""
-    return c if field.p is not None else _qq_in(c)
-
-
 def _public(field, values):
-    """A list of stored values as the field's scalars (a new list over Q)."""
-    return values if field.p is not None else [_qq_out(v) for v in values]
-
-
-def _public_rows(field, rows):
-    """Row dicts with the field's scalars: over Q a new dict per row, over
-    F_p the rows themselves."""
-    if field.p is not None:
-        return rows
-    return ({j: _qq_out(v) for j, v in r.items()} for r in rows)
+    """A list of stored values (over F_p, of any ints) as a new list of the
+    field's scalars."""
+    return list(map(field._to_public, values))
 
 
 def _axpy(dst, c, src, p):
     """``dst += c * src`` in place on sparse dicts, for a nonzero scalar c;
-    reduced mod p when p is set, and entries that cancel are dropped.
-    This is the one sparse row update of the package.  Returns ``dst``."""
+    when p is set, a value leaving the balanced range is reduced to its
+    balanced residue, and entries that cancel are dropped.  This is the one
+    sparse row update of the package, one loop per field kind.  Returns
+    ``dst``."""
+    if p is None:
+        for j, v in src.items():
+            w = dst.get(j)
+            w = c * v if w is None else w + c * v
+            if w:
+                dst[j] = w
+            else:
+                del dst[j]
+        return dst
+    lo, hi = _BALANCED[p]
     for j, v in src.items():
         w = dst.get(j)
         w = c * v if w is None else w + c * v
-        if p is not None:
-            w %= p
+        if not lo <= w <= hi:
+            w = (w - lo) % p + lo
         if w:
             dst[j] = w
         else:
@@ -209,7 +231,7 @@ class Mat:
 
     @classmethod
     def identity(cls, field, n):
-        one = _stored(field, field.one)
+        one = field._to_stored(field.one)
         return cls(field, n, n, [{i: one} for i in range(n)])
 
     @classmethod
@@ -217,11 +239,10 @@ class Mat:
         """The matrix with the entries ``((i, j), v)``, streamed straight into
         the rows; zeros are skipped and a repeated (i, j) keeps its last v."""
         rows = [{} for _ in range(nrows)]
-        if field.p is None:
-            entries = ((ij, _qq_in(v)) for ij, v in entries)
+        stored = field._to_stored
         for (i, j), v in entries:
             if v:
-                rows[i][j] = v
+                rows[i][j] = stored(v)
         return cls(field, nrows, ncols, rows)
 
     @classmethod
@@ -257,8 +278,7 @@ class Mat:
 
     # -- access ---------------------------------------------------------
     def get(self, i, j):
-        v = self._rows[i].get(j, self.field.zero)
-        return v if self.field.p is not None else _qq_out(v)
+        return self.field._to_public(self._rows[i].get(j, self.field.zero))
 
     def col(self, j):
         """Column j as a dense list."""
@@ -275,13 +295,15 @@ class Mat:
 
     def items(self):
         """The nonzero entries as ``((i, j), v)``, row by row."""
-        for i, r in enumerate(_public_rows(self.field, self._rows)):
+        out = self.field._to_public
+        for i, r in enumerate(self._rows):
             for j, v in r.items():
-                yield (i, j), v
+                yield (i, j), out(v)
 
     def sparse_cols(self):
         """Every column as a new sparse dict (the rows of the transpose)."""
-        return list(_public_rows(self.field, self.transpose()._rows))
+        out = self.field._to_public
+        return [dict(zip(c, map(out, c.values()))) for c in self.transpose()._rows]
 
     def row_slice(self, start, stop):
         """Rows start..stop-1 as a new matrix."""
@@ -320,7 +342,7 @@ class Mat:
         """self + c * other, for a nonzero scalar c."""
         self._check_same_shape(other)
         p = self.field.p
-        c = _stored(self.field, c)
+        c = self.field._to_stored(c)
         rows = [_axpy(dict(ra), c, rb, p) for ra, rb in zip(self._rows, other._rows)]
         return Mat(self.field, self.nrows, self.ncols, rows)
 
@@ -337,7 +359,7 @@ class Mat:
         if not c:
             return Mat(self.field, self.nrows, self.ncols)
         p = self.field.p
-        c = _stored(self.field, c)
+        c = self.field._to_stored(c)
         return Mat(self.field, self.nrows, self.ncols,
                    [_axpy({}, c, r, p) for r in self._rows])
 
@@ -358,7 +380,6 @@ class Mat:
         """Matrix times dense column vector -> dense list."""
         if len(vec) != self.ncols:
             raise DimensionMismatch(f"{self.shape} applied to length {len(vec)}")
-        p = self.field.p
         zero = self.field.zero
         out = []
         for r in self._rows:
@@ -367,7 +388,7 @@ class Mat:
                 x = vec[j]
                 if x:
                     s += v * x
-            out.append(s if p is None else s % p)
+            out.append(s)
         return _public(self.field, out)
 
     def transpose(self):
@@ -388,6 +409,7 @@ class Mat:
         """Kronecker product; index (i1,i2) -> i1*other.nrows + i2, same for columns."""
         guard_dim(self.nrows * other.nrows, "kron")
         p = self.field.p
+        lo, hi = _BALANCED.get(p, (None, None))
         rows = [{} for _ in range(self.nrows * other.nrows)]
         on = other.ncols
         for i1, r1 in enumerate(self._rows):
@@ -401,7 +423,10 @@ class Mat:
                 for j1, v1 in r1.items():
                     bj = j1 * on
                     for j2, v2 in r2.items():
-                        tgt[bj + j2] = v1 * v2 if p is None else v1 * v2 % p
+                        w = v1 * v2
+                        if p is not None and not lo <= w <= hi:
+                            w = (w - lo) % p + lo
+                        tgt[bj + j2] = w
         return Mat(self.field, self.nrows * other.nrows, self.ncols * other.ncols, rows)
 
     def __eq__(self, other):
@@ -433,10 +458,12 @@ def kron_id(pre, f, post):
 
 
 def _dense(field, rowdict, n):
-    """A sparse dict as a dense vector of length n."""
+    """A sparse dict (of stored values, or over F_p of any ints) as a dense
+    vector of the field's scalars, of length n."""
     v = [field.zero] * n
+    out = field._to_public
     for j, x in rowdict.items():
-        v[j] = x
+        v[j] = out(x)
     return v
 
 
@@ -457,7 +484,7 @@ def lincomb(mats, coeffs):
     for i, c in enumerate(coeffs):
         if c:
             first._check_same_shape(mats[i])
-            c = _stored(first.field, c)
+            c = first.field._to_stored(c)
             for dst, src in zip(rows, mats[i]._rows):
                 _axpy(dst, c, src, p)
     return Mat(first.field, first.nrows, first.ncols, rows)
@@ -509,10 +536,10 @@ class _Echelon:
                 self.dead_augs.append(aug)
             return False
         piv = min(row)
-        c = _stored(self.field, self.field.inv(row[piv]))
+        c = self.field._to_stored(self.field.inv(row[piv]))
         p = self.field.p
         row = _axpy({}, c, row, p)
-        row[piv] = _stored(self.field, self.field.one)
+        row[piv] = self.field._to_stored(self.field.one)
         if aug is not None:
             aug = _axpy({}, c, aug, p)
         self.rows.append(row)
@@ -558,9 +585,8 @@ def _sparse(field, v, dim):
         raise DimensionMismatch("vector length != ambient dim")
     else:
         entries = enumerate(v)
-    if field.p is None:
-        return {j: _qq_in(x) for j, x in entries if x}
-    return {j: x for j, x in entries if x}
+    stored = field._to_stored
+    return {j: stored(x) for j, x in entries if x}
 
 
 class SubspaceBasis:
@@ -692,12 +718,18 @@ def _free_vectors(field, ncols, pivot_cols, rref_rows):
     quotient projection by the row space."""
     pivset = set(pivot_cols)
     free = [f for f in range(ncols) if f not in pivset]
-    one, minus_one = (_stored(field, field.from_int(n)) for n in (1, -1))
+    # column f's pivot entries, keyed in pivot order: rows are read in
+    # pivot order, so each column's dict is filled in that order
+    cols = {}
+    for piv, row in zip(pivot_cols, rref_rows):
+        for f, x in row.items():
+            if f not in pivset:
+                cols.setdefault(f, {})[piv] = x
+    one, minus_one = (field._to_stored(field.from_int(n)) for n in (1, -1))
     vecs = []
     for f in free:
         v = {f: one}
-        _axpy(v, minus_one, {piv: row[f] for piv, row in zip(pivot_cols, rref_rows)
-                             if f in row}, field.p)
+        _axpy(v, minus_one, cols.get(f, {}), field.p)
         vecs.append(v)
     return free, vecs
 

@@ -12,14 +12,14 @@ from coralg.cherngalois import (
     gamma_elements, idempotent_e, local_dual_system, solve_b_t_retraction,
     theta_isomorphism, verify_gamma_identities,
 )
-from coralg.connect import solve_strong_connection
+from coralg.connect import StrongConnection, solve_strong_connection
 from coralg.coring import (
     coidempotent_from_comodule, direct_sum_coidempotents,
 )
 from coralg.entwine import Entwining, extension_from_grouplike, invert_entwining
 from coralg.cyclic import cyclic_complex
 from coralg.errors import NotIdempotent
-from coralg.exactla import GF, QQ, Mat, kron_vec
+from coralg.exactla import GF, QQ, Mat, kron_vec, quotient_space
 from coralg.fixtures import (
     group_z2_coring, matrix_algebra, nc_fixture, product_field_algebra,
     upper_triangular_algebra, z2_fixture,
@@ -398,3 +398,49 @@ def test_characteristic_warning_over_f2():
         chain = assemble_cycle(chg, 2, tc)
     assert any("characteristic" in str(w.message) for w in rec)
     assert tc.is_cycle(4, chain)
+
+
+def mat_accessor_values(m):
+    """Every scalar the Mat accessors hand out for m."""
+    f = m.field
+    values = [m.get(i, j) for i in range(m.nrows) for j in range(m.ncols)]
+    values += [v for j in range(m.ncols) for v in m.col(j)]
+    values += [v for row in m.to_lists() for v in row]
+    values += [v for _, v in m.items()]
+    values += [v for col in m.sparse_cols() for v in col.values()]
+    values += m.apply([f.from_int(-1)] * m.ncols)
+    return values
+
+
+@pytest.mark.parametrize("build,p", [(z2_fixture, 5), (nc_fixture, 5),
+                                     (nc_fixture, 2**31 - 19)],
+                         ids=["FIX-FP", "NC-GF5", "NC-GF(2^31-19)"])
+def test_public_functions_hand_out_residues_in_0_p(build, p):
+    """Over F_p the row storage holds balanced residues, but every scalar a
+    public function returns is an int in [0, p)."""
+    field = GF(p)
+    fix = build(field)
+    e = fix["coidempotents"]["e1"] if "coidempotents" in fix else fix["coidempotent"]
+    _sc, sol = solve_strong_connection(fix["extension"])
+    # a connection off the particular point, so that -1 = p - 1 occurs
+    sc = StrongConnection(fix["extension"], sol.point([field.from_int(-1)] * sol.freedom))
+    values = []
+    for l in range(3):
+        values += a_side_component(e, sc, l)
+    values += [v for comp in chg_components(e, sc, 2).comps for v in comp]
+    b = matrix_algebra(field)
+    values += [v for comp in ch_components({(0, 0): b.basis_vector(0)}, 1,
+                                           cyclic_complex(b, None), 2) for v in comp]
+    # hom_solve's particular solution and directions (FIX-FP's solution is
+    # unique), and the subspace and quotient they span, read at the
+    # negatives of its basis rows
+    assert build is z2_fixture or sol.directions
+    for m in [sol.particular] + sol.directions:
+        values += mat_accessor_values(m)
+    h = sol.homogeneous
+    q = quotient_space(field, h.ambient_dim, h.mat.to_lists())
+    for row in h.mat.to_lists():
+        neg = [-x % p for x in row]
+        values += h.membership(neg) + q.project(neg)
+        values += q.represent(q.project(sol.particular.reshape(1, h.ambient_dim).row_list(0)))
+    assert values and all(type(v) is int and 0 <= v < p for v in values)

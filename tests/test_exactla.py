@@ -345,29 +345,46 @@ def naive_kernel_mod(rref, pivots, ncols, p):
 
 
 def assert_reduced(m, p):
-    """Every stored entry is an int in [1, p): reduced, no stored zeros."""
+    """Every stored entry is a nonzero int in the balanced range
+    [-((p - 1) // 2), p // 2] (a unique residue, no stored zeros), and the
+    public view is the storage reduced mod p."""
     for r in m._rows:
         for v in r.values():
-            assert isinstance(v, int) and 0 < v < p
+            assert type(v) is int and v and -((p - 1) // 2) <= v <= p // 2
+    assert list(m.items()) == [((i, j), v % p) for i, r in enumerate(m._rows)
+                               for j, v in r.items()]
+
+
+#: Primes the F_p kernels are checked over: the smallest ones, where the
+#: balanced range is {0, 1} or {-1, 0, 1}, and the benchmark's 2^31 - 19.
+PRIMES = (2, 3, 7, 2**31 - 19)
+
+
+def fp_scalar(p):
+    """A public F_p scalar, weighted towards the edges of the balanced
+    range: +-floor(p/2), p - 1 and (p + 1)/2, as residues in [0, p)."""
+    edges = sorted({0, 1, p // 2, -(p // 2) % p, p - 1, (p + 1) // 2 % p})
+    return st.one_of(st.sampled_from(edges), st.integers(0, p - 1))
 
 
 @st.composite
-def gf7_case(draw):
+def gfp_case(draw):
+    p = draw(st.sampled_from(PRIMES))
     n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
 
     def mat(r, c):
-        return draw(st.lists(st.lists(st.integers(0, P7 - 1), min_size=c, max_size=c),
+        return draw(st.lists(st.lists(fp_scalar(p), min_size=c, max_size=c),
                              min_size=r, max_size=r))
 
-    return mat(n, k), mat(k, m), mat(n, k), draw(st.integers(0, P7 - 1))
+    return p, mat(n, k), mat(k, m), mat(n, k), draw(fp_scalar(p))
 
 
-@settings(max_examples=80, deadline=None)
-@given(gf7_case())
-def test_gf7_kernels_match_naive_mod_p_oracle(case):
-    a, b, c, s = case
-    p = P7
-    A, B, C = (Mat.from_rows(F7, x) for x in (a, b, c))
+@settings(max_examples=160, deadline=None)
+@given(gfp_case())
+def test_gfp_kernels_match_naive_mod_p_oracle(case):
+    p, a, b, c, s = case
+    field = GF(p)
+    A, B, C = (Mat.from_rows(field, x) for x in (a, b, c))
     ab = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
     plus = [[(x + y) % p for x, y in zip(r, t)] for r, t in zip(a, c)]
     minus = [[(x - y) % p for x, y in zip(r, t)] for r, t in zip(a, c)]
@@ -377,7 +394,9 @@ def test_gf7_kernels_match_naive_mod_p_oracle(case):
     for got, want in ((A @ B, ab), (A + C, plus), (A - C, minus),
                       (-A, [[-x % p for x in r] for r in a]),
                       (A.scale(s), scaled),
-                      (lincomb([A, C, A], [s, 3, -s % p]), comb)):
+                      (A.kron(B), [[x * y % p for x in ra for y in rb]
+                                   for ra in a for rb in b]),
+                      (lincomb([A, C, A], [s, 3 % p, -s % p]), comb)):
         assert got.to_lists() == want
         assert_reduced(got, p)
     res = rref_solve(A)
@@ -463,15 +482,16 @@ def test_subspace_restrict_matches_per_row_membership(case):
 
 @st.composite
 def mat_case(draw):
-    """A small matrix over QQ (entries a/b, most of them zero) or GF(7),
-    with a vector to apply it to and identity padding for kron_id."""
-    field = draw(st.sampled_from([QQ, F7]))
+    """A small matrix over QQ (entries a/b, most of them zero) or a GF(p) of
+    ``PRIMES``, with a vector to apply it to and identity padding for
+    kron_id."""
+    field = draw(st.sampled_from([QQ] + [GF(p) for p in PRIMES]))
     nrows, ncols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
     if field is QQ:
         scalar = st.builds(lambda a, b: QQ.from_int(a) / QQ.from_int(b),
                            st.sampled_from([0, 0, 0, 1, -1, 2, -3]), st.integers(1, 3))
     else:
-        scalar = st.integers(0, P7 - 1)
+        scalar = fp_scalar(field.p)
     data = draw(st.lists(st.lists(scalar, min_size=ncols, max_size=ncols),
                          min_size=nrows, max_size=nrows))
     vec = draw(st.lists(scalar, min_size=ncols, max_size=ncols))
@@ -480,19 +500,25 @@ def mat_case(draw):
 
 
 def is_field_scalar(field, v):
-    """QQ scalars are the QQ type (never int or float); GF(7) scalars are
-    ints in [0, 7)."""
+    """QQ scalars are the QQ type (never int or float); GF(p) scalars are
+    ints in [0, p)."""
     if field is QQ:
         return type(v) is type(QQ.one)
-    return type(v) is int and 0 <= v < P7
+    return type(v) is int and 0 <= v < field.p
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(mat_case())
 def test_mat_public_surface_round_trips_and_keeps_scalar_types(case):
     field, m, vec, pre, post = case
     assert Mat.from_entries(field, m.nrows, m.ncols, m.items()) == m
-    assert m.sparse_cols() == m.transpose()._rows
+    stored_cols = m.transpose()._rows
+    if field is QQ:
+        assert m.sparse_cols() == stored_cols
+    else:
+        assert_reduced(m, field.p)
+        assert m.sparse_cols() == [{i: v % field.p for i, v in c.items()}
+                                   for c in stored_cols]
     assert m.sparse_cols() == [{i: v for i, v in enumerate(m.col(j)) if v}
                                for j in range(m.ncols)]
     assert m.reshape(1, m.nrows * m.ncols).reshape(m.nrows, m.ncols) == m
@@ -623,3 +649,27 @@ def test_mat_storage_stays_in_exactla():
                                       or any(k.arg == "rows" for k in node.keywords)):
                     offences.append(f"{where} raw Mat(...) with rows")
     assert offences == []
+
+
+def test_inverse_by_negative_exponent_agrees_with_fermat():
+    """F_p inverses are pow(a, -1, p): equal to Fermat's pow(a, p - 2, p) on
+    every nonzero residue of small primes and on edge and random residues of
+    2^31 - 19, for the public residue and its negative (balanced)
+    representative alike; the inverse of zero is an error."""
+    rng = random.Random(21)
+    for p in (2, 3, 5, 7, 2**31 - 19):
+        field = GF(p)
+        if p < 10:
+            args = list(range(1, p))
+        else:
+            args = [1, 2, (p - 1) // 2, (p + 1) // 2]
+            args += [rng.randrange(1, p) for _ in range(1000)]
+        for a in args:
+            want = pow(a, p - 2, p)
+            for x in (a, a - p, -a, p - a):
+                inv = field.inv(x)
+                assert type(inv) is int and 0 <= inv < p
+                assert inv == pow(x % p, p - 2, p)
+            assert field.inv(a) == want
+        with pytest.raises(ZeroDivisionError):
+            field.inv(0)
