@@ -400,7 +400,7 @@ def theta_isomorphism(em, gamma, gammas):
         for a in range(n) for c in range(n)])
     theta = Mat.from_cols(f, [gamma.space.outer_left[b][beta].apply(gammas[key])
                               for key in em.index for beta in range(b.dim)], gamma.space.dim)
-    image = SubspaceBasis.from_vectors(f, dim_free, re_mat.sparse_cols())
+    image = SubspaceBasis.from_columns(f, dim_free, [re_mat])
     ker_re = rref_solve(re_mat)["kernel"]
     ok_welldef = all(not any(theta.apply(ker_re.mat.row_list(i)))
                      for i in range(ker_re.dim))

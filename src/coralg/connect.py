@@ -377,8 +377,7 @@ def tflatness_check(x):
     # upsilon vanishes on classes of B
     _fail_cols(rep, "upsilon-on-B", upsilon @ iota_hat)
     ker = rref_solve(upsilon)["kernel"]
-    image = SubspaceBasis.from_vectors(f, circ_a.dim,
-                                       [iota_hat.col(i) for i in range(circ_b.dim)])
+    image = SubspaceBasis.from_columns(f, circ_a.dim, [iota_hat])
     injective = rank(iota_hat) == circ_b.dim
     iso = injective and image == ker
     result["kernel"] = ker
@@ -407,8 +406,7 @@ def middle_leg_check(sc):
     middle = s3 @ s2 @ s1 @ cor.delta
     aba = tensor_space([a_mod, b_mod, a_mod], [t, t])
     j = leg_apply(aba, aaa, 1, 1, x.incl_B.matrix, check="skip")
-    image = SubspaceBasis.from_vectors(
-        ring.field, aaa.dim, [j.col(i) for i in range(aba.dim)])
+    image = SubspaceBasis.from_columns(ring.field, aaa.dim, [j])
     rep = Report("middle-leg")
     for ci in range(cor.dim):
         if image.membership(middle.col(ci)) is None:

@@ -56,6 +56,8 @@ class Entwining:
         self.AC = tensor_space([a_mod, coring.carrier], [base],
                                name=f"{ring.name}(x){coring.name}")
         self._op = self._assoc = None  # _assoc: (psi, associated_coring)
+        # validate_entwined_module's failures by (carrier, rho): (psi, psi_inv, failures)
+        self._entwined_checks = {}
 
     def __repr__(self):
         return f"Entwining({self.name})"
@@ -264,7 +266,19 @@ def validate_entwined_module(carrier, rho, e, name="M"):
     """carrier: a right A-module that already carries R's right action
     through eta (as ``e.a_mod`` does); rho: canonical coordinates coaction
     into M (x)_R C.  Checks the entwined-module compatibility and the
-    identification with comodules of the associated A-coring."""
+    identification with comodules of the associated A-coring.  The
+    failures are memoized on e by the carrier and rho objects, for e's
+    current psi and psi_inv; the Report is named ``name`` on each call."""
+    rep = Report(name)
+    memo = e._entwined_checks.get((carrier, rho))
+    if memo is None or memo[0] is not e.psi or memo[1] is not e.psi_inv:
+        memo = (e.psi, e.psi_inv, _entwined_module_failures(carrier, rho, e, name))
+        e._entwined_checks[(carrier, rho)] = memo
+    rep.failures = list(memo[2])
+    return rep
+
+
+def _entwined_module_failures(carrier, rho, e, name):
     rep = Report(name)
     ring, cor = e.ring, e.coring
     m = Comodule(cor, carrier, rho, "right", name=name)
@@ -281,7 +295,7 @@ def validate_entwined_module(carrier, rho, e, name="M"):
     rep.merge(validate_comodule(mhat), prefix="assoc-comodule")
     back = MC.Q @ kron_id(1, act, cor.dim) @ kron_id(carrier.dim, e.AC.S, 1) @ md.S
     _fail_cols(rep, "assoc-identification", back @ rho_hat - rho)
-    return rep
+    return rep.failures
 
 
 def _entwined_compatibility(rep, axiom, carrier, rho, e):

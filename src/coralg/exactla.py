@@ -12,9 +12,10 @@ Conventions, binding for the whole package:
   ``[-((p - 1) // 2), p // 2]`` (``{0, 1}`` for p = 2), so the structure
   constants' -1 stays the small int -1 instead of p - 1.  Each field picks
   its converter pair once, at construction: ``_to_stored`` normalizes the
-  constructors' entries and the scalars entering a kernel, and ``_to_public``
-  turns a stored value (or, over F_p, any int) back into the field's
-  scalar for every accessor.  The stored form is unique, so equality, the
+  constructors' entries and the scalars entering a kernel (over F_p,
+  ``from_entries`` and ``_sparse`` inline it, reading the balanced bounds
+  once per call), and ``_to_public`` turns a stored value (or, over F_p,
+  any int) back into the field's scalar for every accessor.  The stored form is unique, so equality, the
   zero test and every rref are the same as on the public scalars.
 * Scalars combine with native operators; ``Field`` holds no per-scalar
   arithmetic, only the boundary helpers (``from_int``, ``inv``, ``parse``,
@@ -37,10 +38,15 @@ Conventions, binding for the whole package:
   after construction.
 * Subspaces are always presented by their unique reduced row echelon basis
   (pivot columns ascending), so subspace equality is basis equality and
-  canonical coordinates are plain lists of scalars.
+  canonical coordinates are plain lists of scalars.  The span of the
+  columns of some Mats is ``SubspaceBasis.from_columns``, which reduces
+  the stored columns with no public-scalar round trip; ``closure_words``
+  grows the smallest subspace invariant under some Mats from one vector
+  and reports how each basis vector arose.
 * Quotients use the non-pivot ("free") coordinates of the rref of the
   relation span; the section picks the representative with zero pivot
-  coordinates.
+  coordinates.  ``QuotientSpace(field, n, SubspaceBasis.from_columns(...))``
+  is the quotient by a column span.
 * Scalars serialize as strings: ``"a/b"`` for reduced rationals with b > 1,
   ``"n"`` for integers (reduced mod p over a prime field).
 
@@ -239,10 +245,18 @@ class Mat:
         """The matrix with the entries ``((i, j), v)``, streamed straight into
         the rows; zeros are skipped and a repeated (i, j) keeps its last v."""
         rows = [{} for _ in range(nrows)]
-        stored = field._to_stored
-        for (i, j), v in entries:
-            if v:
-                rows[i][j] = stored(v)
+        p = field.p
+        if p is None:
+            for (i, j), v in entries:
+                if v:
+                    rows[i][j] = _qq_in(v)
+        else:
+            lo, hi = _BALANCED[p]
+            for (i, j), v in entries:
+                if v and not lo <= v <= hi:
+                    v = (v - lo) % p + lo
+                if v:
+                    rows[i][j] = v
         return cls(field, nrows, ncols, rows)
 
     @classmethod
@@ -356,10 +370,10 @@ class Mat:
         return self.scale(self.field.from_int(-1))
 
     def scale(self, c):
+        c = self.field._to_stored(c)
         if not c:
             return Mat(self.field, self.nrows, self.ncols)
         p = self.field.p
-        c = self.field._to_stored(c)
         return Mat(self.field, self.nrows, self.ncols,
                    [_axpy({}, c, r, p) for r in self._rows])
 
@@ -481,10 +495,11 @@ def lincomb(mats, coeffs):
     first = mats[0]
     p = first.field.p
     rows = [{} for _ in range(first.nrows)]
+    stored = first.field._to_stored
     for i, c in enumerate(coeffs):
+        c = c and stored(c)  # a nonzero c may still be 0 mod p
         if c:
             first._check_same_shape(mats[i])
-            c = first.field._to_stored(c)
             for dst, src in zip(rows, mats[i]._rows):
                 _axpy(dst, c, src, p)
     return Mat(first.field, first.nrows, first.ncols, rows)
@@ -536,12 +551,13 @@ class _Echelon:
                 self.dead_augs.append(aug)
             return False
         piv = min(row)
-        c = self.field._to_stored(self.field.inv(row[piv]))
-        p = self.field.p
-        row = _axpy({}, c, row, p)
-        row[piv] = self.field._to_stored(self.field.one)
-        if aug is not None:
-            aug = _axpy({}, c, aug, p)
+        if row[piv] != 1:  # normalize the pivot to 1
+            c = self.field._to_stored(self.field.inv(row[piv]))
+            p = self.field.p
+            row = _axpy({}, c, row, p)
+            row[piv] = 1
+            if aug is not None:
+                aug = _axpy({}, c, aug, p)
         self.rows.append(row)
         self.augs.append(aug if aug is not None else {})
         self.pivot_of_row.append(piv)
@@ -585,8 +601,17 @@ def _sparse(field, v, dim):
         raise DimensionMismatch("vector length != ambient dim")
     else:
         entries = enumerate(v)
-    stored = field._to_stored
-    return {j: stored(x) for j, x in entries if x}
+    p = field.p
+    if p is None:
+        return {j: _qq_in(x) for j, x in entries if x}
+    lo, hi = _BALANCED[p]
+    out = {}
+    for j, x in entries:
+        if x and not lo <= x <= hi:
+            x = (x - lo) % p + lo
+        if x:
+            out[j] = x
+    return out
 
 
 class SubspaceBasis:
@@ -604,6 +629,20 @@ class SubspaceBasis:
         ech = _Echelon(field, ambient_dim)
         for v in vectors:
             ech.add(_sparse(field, v, ambient_dim))
+        return cls._from_echelon(field, ambient_dim, ech)
+
+    @classmethod
+    def from_columns(cls, field, ambient_dim, mats):
+        """The span of the columns of every Mat in ``mats`` (each with
+        ``ambient_dim`` rows), reduced in row storage: no column is read
+        out as public scalars."""
+        ech = _Echelon(field, ambient_dim)
+        for m in mats:
+            if m.nrows != ambient_dim:
+                raise DimensionMismatch(f"columns of length {m.nrows} in k^{ambient_dim}")
+            for col in m.transpose()._rows:
+                if col:
+                    ech.add(col)
         return cls._from_echelon(field, ambient_dim, ech)
 
     @classmethod
@@ -676,6 +715,32 @@ class SubspaceBasis:
 
     def __repr__(self):
         return f"SubspaceBasis(dim {self.dim} in k^{self.ambient_dim})"
+
+
+def closure_words(field, ambient_dim, start, mats):
+    """A basis of the smallest subspace containing the vector ``start``
+    and invariant under the square Mats ``mats``, as words: a list of
+    ``(vector, parent, i)``, first ``(start, None, None)`` when start is
+    nonzero, then, breadth first, each ``mats[i]`` applied to the vector of
+    entry ``parent`` that lies outside the span of the entries before it.
+    The images are formed and reduced in row storage, as in
+    ``SubspaceBasis.invariant_span``."""
+    p = field.p
+    images = [m.transpose()._rows for m in mats]
+    ech = _Echelon(field, ambient_dim)
+    rows = [_sparse(field, start, ambient_dim)]
+    if not ech.add(rows[0]):
+        return []
+    words = [(list(start), None, None)]
+    for v, row in enumerate(rows):
+        for i, cols in enumerate(images):
+            img = {}
+            for j, x in row.items():
+                _axpy(img, x, cols[j], p)
+            if ech.add(img):
+                rows.append(img)
+                words.append((_dense(field, img, ambient_dim), v, i))
+    return words
 
 
 def rref_solve(m, b=None):

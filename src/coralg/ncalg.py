@@ -18,7 +18,8 @@ Conventions:
   actions of the end factors are computed on demand, once per algebra, as
   ``Q @ kron_id(pre, m, post) @ S``; a circular space has none.  The
   circular relation's end actions are carried through the junction
-  quotients instead, and its pairs of identities are skipped.
+  quotients instead, and its pairs of identities are skipped.  A junction
+  balances over a certified generating set of its algebra (``TensorSpace``).
 * The ground field is realized as the one-dimensional algebra; a junction
   algebra of ``None`` means "over k" (no balancing relations).
 * Opposites (memoized, ``x.op().op() is x``): ``Algebra.op()`` has
@@ -36,8 +37,8 @@ from types import MappingProxyType
 
 from .errors import ActionMismatch, DimensionMismatch
 from .exactla import (
-    Mat, SubspaceBasis, _axpy, _axpy_dense, guard_dim, kron_id, kron_vec, lincomb,
-    quotient_space, rref_solve,
+    Mat, QuotientSpace, SubspaceBasis, _axpy, _axpy_dense, closure_words, guard_dim,
+    kron_id, kron_vec, lincomb, rref_solve,
 )
 
 
@@ -138,6 +139,38 @@ class Algebra:
 
     def unit_col(self):
         return Mat.from_cols(self.field, [self.unit], self.dim)
+
+    @cached_property
+    def balancing_words(self):
+        """``(gens, words)``: a small set of basis indices that generates the
+        algebra, and its closure words, or None when no set does.
+
+        ``words`` lists ``(u, v, g)`` in the order found: first the unit
+        ``(unit, None, None)``, then each product u = (word v) * e_g that is
+        outside the span of the words before it, until they span k^dim.
+        ``gens`` is found greedily over basis indices: add an index when it
+        enlarges the closure, then drop one when the rest still generates.
+        The words are fixed vectors, so the word certificate they carry
+        (``_word_actions``) stays sound whatever the structure constants."""
+        right = self.right_mult_mats()
+
+        def closure(gens):
+            words = closure_words(self.field, self.dim, self.unit, [right[g] for g in gens])
+            return [(u, v, g if v is None else gens[g]) for u, v, g in words]
+
+        gens, words = [], closure([])
+        for i in range(self.dim):
+            if len(words) == self.dim:
+                break
+            grown = closure(gens + [i])
+            if len(grown) > len(words):
+                gens, words = gens + [i], grown
+        for g in list(gens):
+            rest = [h for h in gens if h != g]
+            fewer = closure(rest)
+            if len(fewer) == self.dim:
+                gens, words = rest, fewer
+        return (gens, words) if len(words) == self.dim else None
 
     def left_mult_by(self, vec):
         return lincomb(self.left_mult_mats(), vec)
@@ -283,6 +316,7 @@ class Module:
         self.left = self.outer_left = {}
         self.right = self.outer_right = {}
         self._tensor_spaces = {}  # memo of tensor_space, for spaces led by self
+        self._certificates = {}  # memo of words_hold and commutes
         self._op = None
 
     def __repr__(self):
@@ -327,6 +361,34 @@ class Module:
         imgs = [morphism.apply(sub.basis_vector(i)) for i in range(sub.dim)]
         self.add_left(sub, [self.left_action_of(morphism.target, v) for v in imgs])
         return self.add_right(sub, [self.right_action_of(morphism.target, v) for v in imgs])
+
+    def words_hold(self, side, alg):
+        """The word certificate (``_word_actions``) of the declared ``side``
+        action of alg; False, and not memoized, while alg has no such
+        action.  Memoized: a declared action never changes."""
+        key = (side, alg)
+        ok = self._certificates.get(key)
+        if ok is None:
+            mats = (self.left if side == "left" else self.right).get(alg)
+            if mats is None:
+                return False
+            ok = self._certificates[key] = _word_actions(alg, mats, side) is not None
+        return ok
+
+    def commutes(self, lalg, ralg):
+        """Every declared left lalg-matrix commutes with the declared right
+        action of each generator of ralg (``Algebra.balancing_words``);
+        False while either action is missing.  Memoized like ``words_hold``."""
+        key = (lalg, ralg)
+        ok = self._certificates.get(key)
+        if ok is None:
+            lmats, rmats = self.left.get(lalg), self.right.get(ralg)
+            if lmats is None or rmats is None:
+                return False
+            bw = ralg.balancing_words
+            ok = self._certificates[key] = bw is not None and all(
+                m @ rmats[g] == rmats[g] @ m for m in lmats for g in bw[0])
+        return ok
 
     def left_action_of(self, alg, vec):
         return lincomb(self.left[alg], vec)
@@ -423,6 +485,67 @@ def trivial_subalgebra(a):
 # Balanced tensor spaces
 # ---------------------------------------------------------------------------
 
+def _word_actions(alg, mats, side):
+    """The matrices of alg's closure words (``Algebra.balancing_words``)
+    under the action ``mats`` (one Mat per basis element, a word acting as
+    the lincomb of its coordinates), or None when the word certificate
+    fails: the unit word must act as the identity, and each word
+    u = v * e_g as v then g, i.e. L(u) = L(v) L(g) on the left and
+    R(u) = R(g) R(v) on the right."""
+    bw = alg.balancing_words
+    if bw is None:
+        return None
+    acts = []
+    for u, v, g in bw[1]:
+        if v is None:
+            a = lincomb(mats, u)
+            if not a.is_identity():
+                return None
+        elif v == 0 and u == alg.basis_vector(g):
+            a = mats[g]  # 1 * e_g acts as e_g, the unit acting as the identity
+        else:
+            a = lincomb(mats, u)
+            if a != (acts[v] @ mats[g] if side == "left" else mats[g] @ acts[v]):
+                return None
+        acts.append(a)
+    return acts
+
+
+def _balancing_set(alg, certified):
+    """alg's generating set where the word certificate holds, else every
+    basis index."""
+    return alg.balancing_words[0] if certified else range(alg.dim)
+
+
+def _relation_sets(factors, junctions):
+    """Per junction, the basis indices of its algebra whose relations the
+    build imposes (None for a junction over k).
+
+    With R_a(m, n) = m a (x) n - m (x) a n, the word certificate of both
+    actions gives R_{vg}(m, n) = R_g(m v, n) + R_v(m, g n) and R_1 = 0, so
+    by induction every closure word's relations, hence every basis
+    element's, lie in the span of the generators' relations: the
+    generating set spans the same relations as the whole basis.  The left
+    action is the declared one of the factor right of the junction.  The
+    right action is the declared one of the factor left of it, pushed
+    through the quotient of the junction before: where that factor's left
+    action of the junction before commutes with the generators' right
+    action, the quotient's relations are invariant under kron(I, R(g)), so
+    the pushed action keeps the word identities of the declared one, and
+    P S = I keeps the unit.  Each check is on a declared action, memoized
+    on its module."""
+    sets = []
+    for k, t in enumerate(junctions):
+        if t is None:
+            sets.append(None)
+            continue
+        prev = junctions[k - 1] if k else None
+        certified = (factors[k + 1].words_hold("left", t) and factors[k].words_hold("right", t)
+                     and (prev is None or factors[k].commutes(prev, t)))
+        sets.append(_balancing_set(t, certified))
+    return sets
+
+
 class TensorSpace:
     """Left-nested balanced tensor product with canonical quotient data.
 
@@ -440,12 +563,22 @@ class TensorSpace:
       trivial     True when there are no relations (Q is invertible, S = Q^-1;
                   except on a reversal view both are one identity Mat)
 
+    A junction over T imposes the relations m t (x) n - m (x) t n, the
+    nonzero columns of ``kron_id(1, R_t, dN) - kron_id(cur, L_t, 1)``, and
+    the circular relation those of ``R_t - L_t``; each step reduces them in
+    row storage (``SubspaceBasis.from_columns``).  t runs over T's
+    generating set (``Algebra.balancing_words``) where the word certificate
+    holds (``_relation_sets`` for the junctions; for the circular algebra,
+    the declared actions' certificates and, for words of length two or
+    more, a check on the pushed pairs), else over the whole basis, so Q and
+    S are those of the all-basis build.  A pair of identities adds no
+    relation, so over T = k the circular quotient costs nothing.
+
     Each junction step pushes only the actions the later steps read, as
     ``proj @ m @ sect`` of that step's quotient: the right action of the
-    next junction's algebra and, for a circular space, the closing pairs
-    (the circular algebra's right action on the last factor and left action
-    on the first) that are not both the identity.  A pair of identities
-    adds no relation, so over T = k the circular quotient costs nothing.
+    next junction's algebra, for the indices that junction uses, and, for
+    a circular space, the closing actions (the circular algebra's right
+    action on the last factor and left action on the first).
     """
 
     def __init__(self, factors, junctions, circular=None, name=""):
@@ -464,63 +597,60 @@ class TensorSpace:
         self.name = name or "(x)".join(m.name for m in factors)
 
         first, last = factors[0], factors[-1]
-        # the circular relation's pairs (right action on the last factor, left
-        # action on the first) that are not both identities, at factor level
-        closing_right, left = {}, []
+        # per junction, the basis indices whose relations are imposed, and
+        # for the circular algebra those whose pair (right action on the last
+        # factor, left action on the first) is not two identities
+        sets = _relation_sets(factors, junctions)
+        left = []
         if circular is not None:
             if circular not in last.right or circular not in first.left:
                 raise ActionMismatch(
                     f"{self.name}: circular algebra {circular.name} must act on both ends")
-            pairs = [(rm, lm) for rm, lm in zip(last.right[circular], first.left[circular])
-                     if not (rm.is_identity() and lm.is_identity())]
-            closing_right[circular] = [rm for rm, _ in pairs]
-            left = [lm for _, lm in pairs]
+            rmats, lmats = last.right[circular], first.left[circular]
+            sets.append([x for x in range(circular.dim)
+                         if not (rmats[x].is_identity() and lmats[x].is_identity())])
+            left = [lmats[x] for x in sets[-1]]
         cur_dim = first.dim
         Q = S = Mat.identity(field, cur_dim)
-        # right actions on the space so far, of the algebra the next step balances:
-        # the next junction, and after the last factor the circular algebra
-        right = first.right if junctions else closing_right
-        minus_one = field.from_int(-1)
+        # the right action on the space so far of the algebra the next step
+        # balances (the next junction, after the last factor the circular
+        # algebra), one Mat per index of its set
+        algs = list(junctions) + [circular]
+        right = [first.right[algs[0]][x] for x in sets[0]] \
+            if algs[0] is not None and algs[0] in first.right else []
 
-        nexts = [(t, m.right) for t, m in zip(junctions[1:], factors[1:])]
-        nexts.append((circular, closing_right))
-        for t, nxt, (t_next, nxt_right) in zip(junctions, factors[1:], nexts):
+        for k, (t, nxt) in enumerate(zip(junctions, factors[1:])):
             dN = nxt.dim
             amb = cur_dim * dN
             guard_dim(amb, f"tensor step of {self.name}")
-            rel_vectors = []
+            rels = []
             if t is not None:
-                if t not in right:
+                if t not in factors[k].right:
                     raise ActionMismatch(
                         f"{self.name}: left side lacks a right {t.name}-action")
                 if t not in nxt.left:
                     raise ActionMismatch(
                         f"{self.name}: {nxt.name} lacks a left {t.name}-action")
-                for rt, lt in zip(right[t], nxt.left[t]):
-                    if rt.is_identity() and lt.is_identity():
-                        continue
-                    lt_cols = lt.sparse_cols()
-                    for u, ucol in enumerate(rt.sparse_cols()):
-                        for n, ncol in enumerate(lt_cols):
-                            vec = {i * dN + n: x for i, x in ucol.items()}
-                            _axpy(vec, minus_one, {u * dN + j: x for j, x in ncol.items()},
-                                  field.p)
-                            if vec:
-                                rel_vectors.append(vec)
+                lmats = nxt.left[t]
+                # the relations m g (x) n - m (x) g n are the columns of
+                # kron(R_g, I) - kron(I, L_g); a pair of identities adds none
+                for x, rt in zip(sets[k], right):
+                    lt = lmats[x]
+                    if not (rt.is_identity() and lt.is_identity()):
+                        rels.append(kron_id(1, rt, dN) - kron_id(cur_dim, lt, 1))
             if Q is S:  # no relation yet: one identity serves as both
                 Q = S = kron_id(1, Q, dN)
             else:
                 Q, S = kron_id(1, Q, dN), kron_id(1, S, dN)
-            right = {}
-            if t_next is not None and t_next in nxt_right:
-                right[t_next] = [kron_id(cur_dim, R, 1) for R in nxt_right[t_next]]
+            t_next = algs[k + 1]
+            right = [kron_id(cur_dim, nxt.right[t_next][x], 1) for x in sets[k + 1]] \
+                if t_next is not None and t_next in nxt.right else []
             left = [kron_id(1, L, dN) for L in left]
             cur_dim = amb
-            if rel_vectors:
-                qs = quotient_space(field, amb, rel_vectors)
+            if rels:
+                qs = QuotientSpace(field, amb, SubspaceBasis.from_columns(field, amb, rels))
                 Q, S, cur_dim = qs.proj @ Q, S @ qs.sect, qs.dim
-                right = {alg: [qs.proj @ m @ qs.sect for m in mats]
-                         for alg, mats in right.items()}
+                right = [qs.proj @ m @ qs.sect for m in right]
                 left = [qs.proj @ m @ qs.sect for m in left]
 
         self.dim, self.Q, self.S = cur_dim, Q, S
@@ -529,11 +659,27 @@ class TensorSpace:
             self.outer_left = _OuterActions(self, first.left, 1, prod(self.dims[1:]))
             self.outer_right = _OuterActions(self, last.right, prod(self.dims[:-1]), 1)
         else:
-            rel_vectors = []
-            for rm, lm in zip(right[circular], left):
-                rel_vectors.extend(col for col in (rm - lm).sparse_cols() if col)
-            if rel_vectors:
-                qs = quotient_space(field, cur_dim, rel_vectors)
+            # R_{vg}(x) = R_g(x v) + R_v(g x) for R_a(x) = x a - a x, given the
+            # word identities and R(v) L(g) = L(g) R(v).  Pushing is linear
+            # and keeps the unit, so the declared actions' certificates cover
+            # the unit and the words 1 * e_g; longer words are checked on the
+            # pushed pairs (a skipped pair of identities stays one)
+            certified = last.words_hold("right", circular) and first.words_hold("left", circular)
+            if certified and any(v for _, v, _ in circular.balancing_words[1]):
+                ident = Mat.identity(field, cur_dim)
+                rall, lall = [ident] * circular.dim, [ident] * circular.dim
+                for x, rm, lm in zip(sets[-1], right, left):
+                    rall[x], lall[x] = rm, lm
+                racts = _word_actions(circular, rall, "right")
+                lacts = racts and _word_actions(circular, lall, "left")
+                certified = lacts is not None and all(
+                    racts[v] @ lall[g] == lall[g] @ racts[v]
+                    for _, v, g in circular.balancing_words[1] if v)
+            keep = set(_balancing_set(circular, certified))
+            rels = [rm - lm for x, rm, lm in zip(sets[-1], right, left) if x in keep]
+            if rels:
+                qs = QuotientSpace(field, cur_dim,
+                                   SubspaceBasis.from_columns(field, cur_dim, rels))
                 self.dim, self.Q, self.S = qs.dim, qs.proj @ Q, S @ qs.sect
                 self.trivial = self.dim == self.full_dim
             self.outer_left = self.outer_right = MappingProxyType({})

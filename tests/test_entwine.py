@@ -144,6 +144,40 @@ def test_entwined_module_validation():
     assert any("entwined-compatibility" in ax for ax, _ in rep.failures)
 
 
+def test_entwined_module_check_runs_once_per_extension(monkeypatch):
+    """Parsing a workspace and building its extension evaluate the
+    entwined-module check once; the memo on the entwining holds only while
+    psi is the same object, and each caller's Report keeps its own name."""
+    from coralg import entwine
+    from coralg.fixtures import fixture_document
+    from coralg.workspace import parse_workspace
+    doc = fixture_document("FIX-Z2")
+    runs = []
+    evaluate = entwine._entwined_module_failures
+
+    def counting(*args):
+        runs.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(entwine, "_entwined_module_failures", counting)
+    ws = parse_workspace(doc)
+    x = ws.extension()
+    assert len(runs) == 1
+    ent = x.entwining
+    (_, _, rho), = ws.coactions.values()
+    rep = validate_entwined_module(ent.a_mod, rho, ent, name="again")
+    assert rep.ok and rep.subject == "again" and len(runs) == 1
+    ent.psi = Mat.from_entries(QQ, ent.AC.dim, ent.CA.dim, ent.psi.items())
+    assert validate_entwined_module(ent.a_mod, rho, ent, name="again").ok
+    assert len(runs) == 2
+    bad = ent.psi.scale(qi(2))
+    ent.psi = bad
+    rep = validate_entwined_module(ent.a_mod, rho, ent, name="scaled")
+    assert len(runs) == 3 and not rep.ok and rep.subject == "scaled"
+    assert validate_entwined_module(ent.a_mod, rho, ent).failures == rep.failures
+    assert len(runs) == 3
+
+
 def test_extension_from_grouplike_z2():
     ent = z2_graded_entwining(QQ)
     x = extension_from_grouplike(ent, [qi(1), qi(0)])

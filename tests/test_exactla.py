@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from coralg.errors import DimensionMismatch, MemoryGuard
 from coralg.exactla import (
-    GF, QQ, Field, Mat, SubspaceBasis, inverse, kron_id, kron_vec,
+    GF, QQ, Field, Mat, SubspaceBasis, closure_words, inverse, kron_id, kron_vec,
     lincomb, quotient_space, rank, rref_solve, solve_right,
 )
 
@@ -673,3 +673,57 @@ def test_inverse_by_negative_exponent_agrees_with_fermat():
             assert field.inv(a) == want
         with pytest.raises(ZeroDivisionError):
             field.inv(0)
+
+
+@pytest.mark.parametrize("p", [3, 7])
+def test_a_nonzero_scalar_that_is_zero_mod_p_gives_the_zero_matrix(p):
+    """c != 0 with c = 0 mod p: ``scale`` and ``lincomb`` test c after its
+    reduction, so they return the zero matrix (they used to raise a bare
+    KeyError from the row update) and a term with such a c adds nothing."""
+    field = GF(p)
+    m = Mat.from_rows(field, [[1, 2], [0, p - 1]])
+    other = Mat.from_rows(field, [[0, 1], [1, 1]])
+    zero = Mat.zeros(field, 2, 2)
+    for c in (p, 2 * p, -p):
+        assert m.scale(c) == zero
+        assert lincomb([m], [c]) == zero
+        assert lincomb([m, other], [c, 1]) == other
+    assert m.scale(p + 1) == m and lincomb([m, other], [p + 1, -p]) == m
+    assert Mat.from_rows(field, [[1, 2]]).scale(3 * p) == Mat.zeros(field, 1, 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(restrict_case())
+def test_from_columns_spans_the_public_columns(case):
+    """The column span built in row storage equals the span of the columns
+    read out as public scalars, for one Mat and for several."""
+    field, dim, _vectors, mats = case
+    cols = [c for m in mats for c in m.sparse_cols()]
+    assert SubspaceBasis.from_columns(field, dim, mats) == \
+        SubspaceBasis.from_vectors(field, dim, cols)
+    assert SubspaceBasis.from_columns(field, dim, mats[:1]) == \
+        SubspaceBasis.from_vectors(field, dim, mats[0].sparse_cols())
+    with pytest.raises(DimensionMismatch):
+        SubspaceBasis.from_columns(field, dim + 1, mats)
+
+
+@settings(max_examples=80, deadline=None)
+@given(restrict_case())
+def test_closure_words_are_a_basis_of_the_invariant_span(case):
+    """Each word is its parent's vector under its Mat, the words are
+    independent, and they span the smallest invariant subspace containing
+    the start vector."""
+    field, dim, vectors, mats = case
+    start = vectors[0] if vectors else [field.one] * dim
+    words = closure_words(field, dim, start, mats)
+    span = SubspaceBasis.invariant_span(field, dim, [start], mats)
+    assert len(words) == span.dim
+    if words:
+        assert rank(Mat.from_rows(field, [w for w, _, _ in words], dim)) == span.dim
+    for k, (w, parent, i) in enumerate(words):
+        assert type(w) is list and all(type(x) is type(field.one) for x in w)
+        if parent is None:
+            assert k == 0 and w == start
+        else:
+            assert parent < k and w == mats[i].apply(words[parent][0])
+        assert span.contains_vector(w)

@@ -1,19 +1,21 @@
 """Algebras, bimodules, balanced tensors and the equivariant solver."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import itertools
 import random
 
 from coralg.errors import ActionMismatch
-from coralg.exactla import GF, QQ, Mat, kron_id, rank, rref_solve
+from coralg import ncalg
+from coralg.exactla import GF, QQ, Mat, inverse, kron_id, rank, rref_solve
 from coralg.fixtures import (
     FIXTURE_NAMES, diagonal_subalgebra, fixture_workspace, matrix_algebra,
     product_field_algebra, quadratic_algebra, upper_triangular_algebra,
     upper_triangular_subalgebra,
 )
 from coralg.ncalg import (
-    AlgebraMorphism, Equation, Module, Term, descend, eq_value, eqs_linear,
+    AlgebraMorphism, Equation, Module, TensorSpace, Term, descend, eq_value, eqs_linear,
     evaluate_equation,
     generated_subalgebra, hom_solve, leg_apply, projective_dual_basis,
     regular_bimodule, scalar_algebra, tensor_space,
@@ -588,3 +590,126 @@ def test_identity_skip_equals_the_explicit_product():
         W = Mat.from_rows(QQ, [[qi(rng.randrange(-3, 4)) for _ in range(full)]
                                for _ in range(2)])
         assert descend(W, src) == W @ src.S, src.name
+
+
+# -- balancing relations from a generating set ---------------------------
+
+def _junction_algebra(field, kind):
+    """(T, the regular bimodule of the algebra T sits in, restricted to T)."""
+    if kind == "diag":
+        m2 = matrix_algebra(field, 2)
+        t, incl = diagonal_subalgebra(m2)
+        return t, regular_bimodule(m2).restrict(t, incl)
+    t = {"kxk": product_field_algebra, "ut2": upper_triangular_algebra,
+         "M2": lambda f: matrix_algebra(f, 2)}[kind](field)
+    return t, regular_bimodule(t)
+
+
+def _lower(field, d, entries):
+    """I plus ``entries`` (cycled) below the diagonal: an invertible d x d Mat."""
+    def entry(i, j):
+        if i == j:
+            return field.one
+        return field.from_int(entries[(i * d + j) % len(entries)]) if j < i else field.zero
+    return Mat.from_rows(field, [[entry(i, j) for j in range(d)] for i in range(d)])
+
+
+def _twisted(t, host, twist, name, bend):
+    """host's T-actions conjugated: ``twist = (entries, right_entries)``
+    conjugates the left action by ``_lower(entries)`` and the right one by
+    ``_lower(right_entries or entries)``, so different entries give actions
+    that need not commute.  ``bend = (side, index, entries)`` adds a matrix
+    to one action matrix, which generally breaks the module axioms."""
+    f, d = t.field, host.dim
+    sides = {}
+    for side, entries in (("left", twist[0]), ("right", twist[1] or twist[0])):
+        p = _lower(f, d, entries)
+        p_inv = inverse(p)
+        sides[side] = [p @ m @ p_inv for m in getattr(host, side)[t]]
+    if bend is not None:
+        side, i, extra = bend
+        sides[side][i] = sides[side][i] + Mat.from_rows(
+            f, [[f.from_int(extra[(r * d + c) % len(extra)]) for c in range(d)]
+                for r in range(d)])
+    return Module(f, name, d).add_left(t, sides["left"]).add_right(t, sides["right"])
+
+
+def _all_basis_build(factors, junctions, circular):
+    """The same space built from the relations of every basis element."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ncalg, "_balancing_set", lambda alg, certified: range(alg.dim))
+        return TensorSpace(factors, junctions, circular)
+
+
+def _same_space(a, b):
+    return (a.dim, a.Q, a.S) == (b.dim, b.Q, b.S)
+
+
+small_ints = st.lists(st.integers(-2, 2), min_size=1, max_size=6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(field=st.sampled_from([QQ, GF(7)]),
+       kind=st.sampled_from(["kxk", "ut2", "M2", "diag"]),
+       twists=st.lists(st.tuples(small_ints, st.none() | small_ints), min_size=1, max_size=3),
+       circular=st.booleans(),
+       bend=st.none() | st.tuples(st.integers(0, 2), st.sampled_from(["left", "right"]),
+                                  st.integers(0, 3), small_ints))
+def test_generating_set_build_equals_the_all_basis_build(field, kind, twists, circular,
+                                                           bend):
+    """Two- and three-factor spaces over k x k, ut2, M2 and diag in M2, over
+    QQ and GF(7), with and without the circular relation (and one-factor
+    circular ones), of twisted regular bimodules: in some cases a factor's
+    two actions do not commute, or one action is bent off the module
+    axioms.  The build (from the generating set where the certificates
+    hold) is the all-basis build, in dim, Q and S."""
+    if len(twists) == 1:
+        circular = True
+    t, host = _junction_algebra(field, kind)
+    factors = []
+    for n, twist in enumerate(twists):
+        b = None
+        if bend is not None and bend[0] == n:
+            b = (bend[1], bend[2] % t.dim, bend[3])
+        factors.append(_twisted(t, host, twist, f"M{n}", b))
+    junctions = [t] * (len(factors) - 1)
+    circ = t if circular else None
+    built = TensorSpace(factors, junctions, circ)
+    assert _same_space(built, _all_basis_build(factors, junctions, circ))
+
+
+def test_the_word_certificate_refuses_a_right_action_bent_on_a_product():
+    """An M2-bimodule whose right action keeps the unit and the generators
+    E12, E21 but moves E11 = E12 E21 (and E22 by the opposite amount): the
+    certificate refuses it, and the space is the all-basis one, which the
+    generators' relations alone would not give."""
+    m2 = matrix_algebra(QQ, 2)
+    assert m2.balancing_words[0] == [1, 2]
+    reg = regular_bimodule(m2)
+    nudge = Mat.from_entries(QQ, 4, 4, [((2, 3), QQ.one)])
+    right = list(reg.right[m2])
+    right[0], right[3] = right[0] + nudge, right[3] - nudge
+    bent = Module(QQ, "bent", 4).add_left(m2, reg.left[m2]).add_right(m2, right)
+    assert bent.words_hold("left", m2) and not bent.words_hold("right", m2)
+    for factors, junctions, circ in (([bent, reg], [m2], None),
+                                     ([reg, bent, reg], [m2, m2], None),
+                                     ([reg, bent], [m2], m2)):
+        built = TensorSpace(factors, junctions, circ)
+        assert _same_space(built, _all_basis_build(factors, junctions, circ))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ncalg, "_balancing_set", lambda alg, certified: alg.balancing_words[0])
+            gens_only = TensorSpace(factors, junctions, circ)
+        assert not _same_space(built, gens_only)
+
+
+def test_a_missing_action_leaves_no_certificate_behind():
+    """A build that fails for want of an action memoizes no certificate, so
+    the action declared afterwards is certified on its own merits."""
+    m2 = matrix_algebra(QQ, 2)
+    reg = regular_bimodule(m2)
+    late = Module(QQ, "late", 4).add_right(m2, reg.right[m2])
+    with pytest.raises(ActionMismatch, match="late lacks a left M2-action"):
+        TensorSpace([reg, late], [m2])
+    assert not late.words_hold("left", m2) and not late.commutes(m2, m2)
+    late.add_left(m2, reg.left[m2])
+    assert late.words_hold("left", m2) and late.commutes(m2, m2)

@@ -9,7 +9,9 @@ ignored input; it should be a usage error instead.  A strong connection's
 T is its extension's T, so no function takes a separate T or both an
 extension and a connection or associated module that already holds it.  A
 verifier reports the failures of an Equation under its label, so an
-unlabelled Equation would be a nameless axiom.
+unlabelled Equation would be a nameless axiom.  A column span is taken by
+``SubspaceBasis.from_columns`` in row storage, so no module reads columns
+out as public scalars only to hand them back to ``exactla``.
 """
 
 import argparse
@@ -177,3 +179,70 @@ def test_main_builds_no_parser(monkeypatch, tmp_path):
     assert cli.main(["validate", "--workspace", str(path)]) == 0
     assert cli.main(["fixture", "FIX-TRIV", "--out", str(tmp_path / "out.json")]) == 0
     assert built == []
+
+
+_COLUMN_READS = ("sparse_cols", "col")
+_SPAN_ENTRIES = ("from_vectors", "quotient_space")
+
+
+def _column_span_sites(tree):
+    """The calls of ``from_vectors`` or ``quotient_space`` that are handed
+    ``sparse_cols()`` or ``.col()`` output: directly, as the elements of a
+    list, tuple or comprehension, or through a name of the enclosing
+    function bound, appended or extended with such output."""
+    def is_read(node):
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+            and node.func.attr in _COLUMN_READS
+
+    def columns(node, names):
+        if is_read(node):
+            return True
+        if isinstance(node, ast.Name):
+            return node.id in names
+        if isinstance(node, (ast.List, ast.Tuple)):
+            return any(columns(e, names) for e in node.elts)
+        if isinstance(node, (ast.ListComp, ast.GeneratorExp)):
+            # the element is a column when it is one, or is a loop variable
+            # drawn straight from columns
+            inner = set(names)
+            for gen in node.generators:
+                if isinstance(gen.target, ast.Name) and columns(gen.iter, inner):
+                    inner.add(gen.target.id)
+            return columns(node.elt, inner)
+        return False
+
+    sites = []
+    scopes = [tree] + [n for n in ast.walk(tree)
+                       if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for scope in scopes:
+        names, grew = set(), True
+        while grew:  # bindings may feed one another in any order
+            grew = False
+            for node in ast.walk(scope):
+                bound = []
+                if isinstance(node, ast.Assign):
+                    bound = [(t, node.value) for t in node.targets]
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                        and node.func.attr in ("append", "extend") and node.args:
+                    value = node.args[0]
+                    if node.func.attr == "append":
+                        value = ast.List(elts=[value])
+                    bound = [(node.func.value, value)]
+                for target, value in bound:
+                    if isinstance(target, ast.Name) and target.id not in names \
+                            and columns(value, names):
+                        names.add(target.id)
+                        grew = True
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Attribute) and node.func.attr in _SPAN_ENTRIES
+                    or isinstance(node.func, ast.Name) and node.func.id in _SPAN_ENTRIES) \
+                    and any(columns(a, names) for a in node.args):
+                sites.append(node.lineno)
+    return sorted(set(sites))
+
+
+def test_column_spans_are_taken_in_row_storage():
+    sites = [f"{path.stem}.py:{line}" for path, tree in _parse("src/coralg").items()
+             for line in _column_span_sites(tree)]
+    assert not sites, f"column spans read out as public scalars: {sites}"
