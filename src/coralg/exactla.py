@@ -12,11 +12,11 @@ Conventions, binding for the whole package:
   ``[-((p - 1) // 2), p // 2]`` (``{0, 1}`` for p = 2), so the structure
   constants' -1 stays the small int -1 instead of p - 1.  Each field picks
   its converter pair once, at construction: ``_to_stored`` normalizes the
-  constructors' entries and the scalars entering a kernel (over F_p,
-  ``from_entries`` and ``_sparse`` inline it, reading the balanced bounds
-  once per call), and ``_to_public`` turns a stored value (or, over F_p,
-  any int) back into the field's scalar for every accessor.  The stored form is unique, so equality, the
-  zero test and every rref are the same as on the public scalars.
+  constructors' entries and the scalars entering a kernel, and
+  ``_to_public`` turns a stored value (or, over F_p, any int) back into
+  the field's scalar for every accessor.  The stored form is unique, so
+  equality, the zero test and every rref are the same as on the public
+  scalars.
 * Scalars combine with native operators; ``Field`` holds no per-scalar
   arithmetic, only the boundary helpers (``from_int``, ``inv``, ``parse``,
   ``fmt``).  Constants come from ``from_int``, so a QQ value outside the
@@ -40,9 +40,11 @@ Conventions, binding for the whole package:
   (pivot columns ascending), so subspace equality is basis equality and
   canonical coordinates are plain lists of scalars.  The span of the
   columns of some Mats is ``SubspaceBasis.from_columns``, which reduces
-  the stored columns with no public-scalar round trip; ``closure_words``
-  grows the smallest subspace invariant under some Mats from one vector
-  and reports how each basis vector arose.
+  the stored columns with no public-scalar round trip.  The smallest
+  subspace that contains some vectors and is invariant under some Mats is
+  grown by one breadth-first worklist, ``_closure``: as a subspace by
+  ``SubspaceBasis.invariant_span``, and from one vector, with how each
+  basis vector arose, by ``closure_words``.
 * Quotients use the non-pivot ("free") coordinates of the rref of the
   relation span; the section picks the representative with zero pivot
   coordinates.  ``QuotientSpace(field, n, SubspaceBasis.from_columns(...))``
@@ -245,18 +247,10 @@ class Mat:
         """The matrix with the entries ``((i, j), v)``, streamed straight into
         the rows; zeros are skipped and a repeated (i, j) keeps its last v."""
         rows = [{} for _ in range(nrows)]
-        p = field.p
-        if p is None:
-            for (i, j), v in entries:
-                if v:
-                    rows[i][j] = _qq_in(v)
-        else:
-            lo, hi = _BALANCED[p]
-            for (i, j), v in entries:
-                if v and not lo <= v <= hi:
-                    v = (v - lo) % p + lo
-                if v:
-                    rows[i][j] = v
+        stored = field._to_stored
+        for (i, j), v in entries:
+            if v and (v := stored(v)):  # over F_p, a nonzero v may be 0 mod p
+                rows[i][j] = v
         return cls(field, nrows, ncols, rows)
 
     @classmethod
@@ -601,17 +595,8 @@ def _sparse(field, v, dim):
         raise DimensionMismatch("vector length != ambient dim")
     else:
         entries = enumerate(v)
-    p = field.p
-    if p is None:
-        return {j: _qq_in(x) for j, x in entries if x}
-    lo, hi = _BALANCED[p]
-    out = {}
-    for j, x in entries:
-        if x and not lo <= x <= hi:
-            x = (x - lo) % p + lo
-        if x:
-            out[j] = x
-    return out
+    stored = field._to_stored
+    return {j: y for j, x in entries if x and (y := stored(x))}
 
 
 class SubspaceBasis:
@@ -648,23 +633,9 @@ class SubspaceBasis:
     @classmethod
     def invariant_span(cls, field, ambient_dim, vectors, mats):
         """The smallest subspace containing ``vectors`` (dense lists or
-        sparse dicts) and invariant under every square Mat in ``mats``.
-
-        A worklist over sparse rows: the images of a vector are pushed only
-        when it raises the rank, so every image of the span is in the span
-        when the list runs dry."""
-        p = field.p
-        images = [m.transpose()._rows for m in mats]
-        ech = _Echelon(field, ambient_dim)
-        todo = [_sparse(field, v, ambient_dim) for v in vectors]
-        while todo:
-            row = todo.pop()
-            if ech.add(row):
-                for cols in images:
-                    img = {}
-                    for j, x in row.items():
-                        _axpy(img, x, cols[j], p)
-                    todo.append(img)
+        sparse dicts) and invariant under every square Mat in ``mats``
+        (``_closure``)."""
+        ech, _ = _closure(field, ambient_dim, vectors, mats)
         return cls._from_echelon(field, ambient_dim, ech)
 
     @classmethod
@@ -717,30 +688,41 @@ class SubspaceBasis:
         return f"SubspaceBasis(dim {self.dim} in k^{self.ambient_dim})"
 
 
-def closure_words(field, ambient_dim, start, mats):
-    """A basis of the smallest subspace containing the vector ``start``
-    and invariant under the square Mats ``mats``, as words: a list of
-    ``(vector, parent, i)``, first ``(start, None, None)`` when start is
-    nonzero, then, breadth first, each ``mats[i]`` applied to the vector of
-    entry ``parent`` that lies outside the span of the entries before it.
-    The images are formed and reduced in row storage, as in
-    ``SubspaceBasis.invariant_span``."""
+def _closure(field, ambient_dim, vectors, mats):
+    """The smallest subspace containing ``vectors`` (dense lists or sparse
+    dicts) and invariant under the square Mats ``mats``, grown breadth
+    first in row storage: ``(echelon, words)``, where ``words`` lists
+    ``(row, parent, i)`` for a basis of it, first ``(v, None, None)`` for
+    each start vector outside the span of those before it, then each
+    ``mats[i]`` applied to the row of entry ``parent`` that lies outside
+    the span of the entries before it.  The images of a row are formed
+    only when it raises the rank, so every image of the span is in the
+    span when the list is exhausted."""
     p = field.p
     images = [m.transpose()._rows for m in mats]
     ech = _Echelon(field, ambient_dim)
-    rows = [_sparse(field, start, ambient_dim)]
-    if not ech.add(rows[0]):
-        return []
-    words = [(list(start), None, None)]
-    for v, row in enumerate(rows):
+    words = []
+    for vec in vectors:
+        row = _sparse(field, vec, ambient_dim)
+        if ech.add(row):
+            words.append((row, None, None))
+    for v, (row, _, _) in enumerate(words):  # grows as it is read
         for i, cols in enumerate(images):
             img = {}
             for j, x in row.items():
                 _axpy(img, x, cols[j], p)
             if ech.add(img):
-                rows.append(img)
-                words.append((_dense(field, img, ambient_dim), v, i))
-    return words
+                words.append((img, v, i))
+    return ech, words
+
+
+def closure_words(field, ambient_dim, start, mats):
+    """A basis of the smallest subspace containing the vector ``start``
+    and invariant under the square Mats ``mats``, as words: the
+    ``(vector, parent, i)`` of ``_closure`` from ``start`` alone, each
+    vector a dense list of public scalars; empty when start is zero."""
+    return [(_dense(field, row, ambient_dim), v, i)
+            for row, v, i in _closure(field, ambient_dim, [start], mats)[1]]
 
 
 def rref_solve(m, b=None):

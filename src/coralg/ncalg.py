@@ -18,8 +18,10 @@ Conventions:
   actions of the end factors are computed on demand, once per algebra, as
   ``Q @ kron_id(pre, m, post) @ S``; a circular space has none.  The
   circular relation's end actions are carried through the junction
-  quotients instead, and its pairs of identities are skipped.  A junction
-  balances over a certified generating set of its algebra (``TensorSpace``).
+  quotients instead.  ``_relation_sets`` alone decides which relations a
+  junction or the circular relation imposes: those of a certified
+  generating set of its algebra, else of its whole basis, less the pairs
+  of identities.
 * The ground field is realized as the one-dimensional algebra; a junction
   algebra of ``None`` means "over k" (no balancing relations).
 * Opposites (memoized, ``x.op().op() is x``): ``Algebra.op()`` has
@@ -425,23 +427,19 @@ def regular_bimodule(a, name=None):
 def validate_module(m, lalg=None, ralg=None):
     """Unital (anti-)representation and commutation checks for a bimodule."""
     rep = Report(m.name)
-    f = m.field
-    if lalg is not None:
-        mats = m.left[lalg]
-        if m.left_action_of(lalg, lalg.unit) != Mat.identity(f, m.dim):
-            rep.fail("left-unital", None)
-        for i in range(lalg.dim):
-            for j in range(lalg.dim):
-                if mats[i] @ mats[j] != m.left_action_of(lalg, lalg.mult[i][j]):
-                    rep.fail("left-representation", (i, j))
-    if ralg is not None:
-        mats = m.right[ralg]
-        if m.right_action_of(ralg, ralg.unit) != Mat.identity(f, m.dim):
-            rep.fail("right-unital", None)
-        for i in range(ralg.dim):
-            for j in range(ralg.dim):
-                if mats[j] @ mats[i] != m.right_action_of(ralg, ralg.mult[i][j]):
-                    rep.fail("right-antirepresentation", (i, j))
+    # e_i e_j acts as e_i then e_j on the left, as e_j then e_i on the right
+    for side, alg, rep_label in (("left", lalg, "representation"),
+                                 ("right", ralg, "antirepresentation")):
+        if alg is None:
+            continue
+        mats = (m.left if side == "left" else m.right)[alg]
+        if lincomb(mats, alg.unit) != Mat.identity(m.field, m.dim):
+            rep.fail(f"{side}-unital", None)
+        for i in range(alg.dim):
+            for j in range(alg.dim):
+                prod_ij = mats[i] @ mats[j] if side == "left" else mats[j] @ mats[i]
+                if prod_ij != lincomb(mats, alg.mult[i][j]):
+                    rep.fail(f"{side}-{rep_label}", (i, j))
     if lalg is not None and ralg is not None:
         for i in range(lalg.dim):
             for j in range(ralg.dim):
@@ -517,33 +515,56 @@ def _balancing_set(alg, certified):
     return alg.balancing_words[0] if certified else range(alg.dim)
 
 
-def _relation_sets(factors, junctions):
-    """Per junction, the basis indices of its algebra whose relations the
-    build imposes (None for a junction over k).
+def _relation_sets(factors, junctions, circular):
+    """The basis indices whose relations the build imposes: one list per
+    junction, then one for the circular algebra (empty over k and without
+    a circular relation).  Each set is the algebra's generating set where
+    the certificates below hold, else its whole basis, less the indices
+    whose pair of declared actions is two identities, which add no
+    relation.  Every check is on a declared action, memoized on its
+    module; the actions must be declared.
 
     With R_a(m, n) = m a (x) n - m (x) a n, the word certificate of both
     actions gives R_{vg}(m, n) = R_g(m v, n) + R_v(m, g n) and R_1 = 0, so
     by induction every closure word's relations, hence every basis
-    element's, lie in the span of the generators' relations: the
-    generating set spans the same relations as the whole basis.  The left
-    action is the declared one of the factor right of the junction.  The
-    right action is the declared one of the factor left of it, pushed
-    through the quotient of the junction before: where that factor's left
-    action of the junction before commutes with the generators' right
-    action, the quotient's relations are invariant under kron(I, R(g)), so
-    the pushed action keeps the word identities of the declared one, and
-    P S = I keeps the unit.  Each check is on a declared action, memoized
-    on its module."""
+    element's, lie in the span of the generators' relations.  At a
+    junction the left action is the declared one of the factor right of
+    it.  The right action is the declared one of the factor left of it,
+    pushed through the quotient of the junction before: where that
+    factor's left action of the junction before commutes with the
+    generators' right action, the quotient's relations are invariant under
+    kron(I, R(g)), so the pushed action keeps the word identities of the
+    declared one, and P S = I keeps the unit.
+
+    The circular relation x a - a x pairs the right action on the last
+    factor with the left action on the first, both pushed through every
+    junction quotient, where no commutation is known.  Its generating set
+    is used only where both declared actions pass the word certificate and
+    every closure word is 1 or a generator (no word has two letters or
+    more).  Pushing is linear and keeps the unit (P S = I), so the pushed
+    actions still take 1 to the identity and each word 1 * e_g to the
+    action of e_g: R_1 = 0, each word's relation is a generator's, and the
+    words span the algebra, so every basis element's relation is a
+    combination of the generators' relations."""
+    def chosen(alg, certified, rmats, lmats):
+        return [x for x in _balancing_set(alg, certified)
+                if not (rmats[x].is_identity() and lmats[x].is_identity())]
+
     sets = []
     for k, t in enumerate(junctions):
         if t is None:
-            sets.append(None)
+            sets.append([])
             continue
         prev = junctions[k - 1] if k else None
         certified = (factors[k + 1].words_hold("left", t) and factors[k].words_hold("right", t)
                      and (prev is None or factors[k].commutes(prev, t)))
-        sets.append(_balancing_set(t, certified))
-    return sets
+        sets.append(chosen(t, certified, factors[k].right[t], factors[k + 1].left[t]))
+    if circular is None:
+        return sets + [[]]
+    first, last = factors[0], factors[-1]
+    certified = (last.words_hold("right", circular) and first.words_hold("left", circular)
+                 and not any(v for _, v, _ in circular.balancing_words[1]))
+    return sets + [chosen(circular, certified, last.right[circular], first.left[circular])]
 
 
 class TensorSpace:
@@ -566,19 +587,20 @@ class TensorSpace:
     A junction over T imposes the relations m t (x) n - m (x) t n, the
     nonzero columns of ``kron_id(1, R_t, dN) - kron_id(cur, L_t, 1)``, and
     the circular relation those of ``R_t - L_t``; each step reduces them in
-    row storage (``SubspaceBasis.from_columns``).  t runs over T's
-    generating set (``Algebra.balancing_words``) where the word certificate
-    holds (``_relation_sets`` for the junctions; for the circular algebra,
-    the declared actions' certificates and, for words of length two or
-    more, a check on the pushed pairs), else over the whole basis, so Q and
-    S are those of the all-basis build.  A pair of identities adds no
-    relation, so over T = k the circular quotient costs nothing.
+    row storage (``SubspaceBasis.from_columns``).  t runs over the indices
+    ``_relation_sets`` chooses: T's generating set
+    (``Algebra.balancing_words``) where the certificates of the declared
+    actions show that it spans the relations of the whole basis, else the
+    whole basis, so Q and S are those of the all-basis build.  A pair of
+    identities adds no relation and is skipped, so over T = k the circular
+    quotient costs nothing.
 
     Each junction step pushes only the actions the later steps read, as
     ``proj @ m @ sect`` of that step's quotient: the right action of the
     next junction's algebra, for the indices that junction uses, and, for
     a circular space, the closing actions (the circular algebra's right
-    action on the last factor and left action on the first).
+    action on the last factor and left action on the first) for the
+    indices of the circular set.
     """
 
     def __init__(self, factors, junctions, circular=None, name=""):
@@ -597,54 +619,38 @@ class TensorSpace:
         self.name = name or "(x)".join(m.name for m in factors)
 
         first, last = factors[0], factors[-1]
-        # per junction, the basis indices whose relations are imposed, and
-        # for the circular algebra those whose pair (right action on the last
-        # factor, left action on the first) is not two identities
-        sets = _relation_sets(factors, junctions)
-        left = []
-        if circular is not None:
-            if circular not in last.right or circular not in first.left:
-                raise ActionMismatch(
-                    f"{self.name}: circular algebra {circular.name} must act on both ends")
-            rmats, lmats = last.right[circular], first.left[circular]
-            sets.append([x for x in range(circular.dim)
-                         if not (rmats[x].is_identity() and lmats[x].is_identity())])
-            left = [lmats[x] for x in sets[-1]]
-        cur_dim = first.dim
-        Q = S = Mat.identity(field, cur_dim)
+        if circular is not None and (circular not in last.right or circular not in first.left):
+            raise ActionMismatch(
+                f"{self.name}: circular algebra {circular.name} must act on both ends")
+        for t, m, nxt in zip(junctions, factors, factors[1:]):
+            if t is not None and t not in m.right:
+                raise ActionMismatch(f"{self.name}: left side lacks a right {t.name}-action")
+            if t is not None and t not in nxt.left:
+                raise ActionMismatch(f"{self.name}: {nxt.name} lacks a left {t.name}-action")
+        sets = _relation_sets(factors, junctions, circular)
+        algs = list(junctions) + [circular]
         # the right action on the space so far of the algebra the next step
         # balances (the next junction, after the last factor the circular
-        # algebra), one Mat per index of its set
-        algs = list(junctions) + [circular]
-        right = [first.right[algs[0]][x] for x in sets[0]] \
-            if algs[0] is not None and algs[0] in first.right else []
+        # algebra), and the circular algebra's left action, one Mat per
+        # index of its set
+        right = [first.right[algs[0]][x] for x in sets[0]]
+        left = [first.left[circular][x] for x in sets[-1]]
+        cur_dim = first.dim
+        Q = S = Mat.identity(field, cur_dim)
 
         for k, (t, nxt) in enumerate(zip(junctions, factors[1:])):
             dN = nxt.dim
             amb = cur_dim * dN
             guard_dim(amb, f"tensor step of {self.name}")
-            rels = []
-            if t is not None:
-                if t not in factors[k].right:
-                    raise ActionMismatch(
-                        f"{self.name}: left side lacks a right {t.name}-action")
-                if t not in nxt.left:
-                    raise ActionMismatch(
-                        f"{self.name}: {nxt.name} lacks a left {t.name}-action")
-                lmats = nxt.left[t]
-                # the relations m g (x) n - m (x) g n are the columns of
-                # kron(R_g, I) - kron(I, L_g); a pair of identities adds none
-                for x, rt in zip(sets[k], right):
-                    lt = lmats[x]
-                    if not (rt.is_identity() and lt.is_identity()):
-                        rels.append(kron_id(1, rt, dN) - kron_id(cur_dim, lt, 1))
+            # the relations m g (x) n - m (x) g n are the columns of
+            # kron(R_g, I) - kron(I, L_g)
+            rels = [kron_id(1, rt, dN) - kron_id(cur_dim, nxt.left[t][x], 1)
+                    for x, rt in zip(sets[k], right)]
             if Q is S:  # no relation yet: one identity serves as both
                 Q = S = kron_id(1, Q, dN)
             else:
                 Q, S = kron_id(1, Q, dN), kron_id(1, S, dN)
-            t_next = algs[k + 1]
-            right = [kron_id(cur_dim, nxt.right[t_next][x], 1) for x in sets[k + 1]] \
-                if t_next is not None and t_next in nxt.right else []
+            right = [kron_id(cur_dim, nxt.right[algs[k + 1]][x], 1) for x in sets[k + 1]]
             left = [kron_id(1, L, dN) for L in left]
             cur_dim = amb
             if rels:
@@ -653,35 +659,16 @@ class TensorSpace:
                 right = [qs.proj @ m @ qs.sect for m in right]
                 left = [qs.proj @ m @ qs.sect for m in left]
 
+        rels = [rm - lm for rm, lm in zip(right, left)]  # the circular relation
+        if rels:
+            qs = QuotientSpace(field, cur_dim, SubspaceBasis.from_columns(field, cur_dim, rels))
+            Q, S, cur_dim = qs.proj @ Q, S @ qs.sect, qs.dim
         self.dim, self.Q, self.S = cur_dim, Q, S
         self.trivial = cur_dim == self.full_dim
         if circular is None:
             self.outer_left = _OuterActions(self, first.left, 1, prod(self.dims[1:]))
             self.outer_right = _OuterActions(self, last.right, prod(self.dims[:-1]), 1)
         else:
-            # R_{vg}(x) = R_g(x v) + R_v(g x) for R_a(x) = x a - a x, given the
-            # word identities and R(v) L(g) = L(g) R(v).  Pushing is linear
-            # and keeps the unit, so the declared actions' certificates cover
-            # the unit and the words 1 * e_g; longer words are checked on the
-            # pushed pairs (a skipped pair of identities stays one)
-            certified = last.words_hold("right", circular) and first.words_hold("left", circular)
-            if certified and any(v for _, v, _ in circular.balancing_words[1]):
-                ident = Mat.identity(field, cur_dim)
-                rall, lall = [ident] * circular.dim, [ident] * circular.dim
-                for x, rm, lm in zip(sets[-1], right, left):
-                    rall[x], lall[x] = rm, lm
-                racts = _word_actions(circular, rall, "right")
-                lacts = racts and _word_actions(circular, lall, "left")
-                certified = lacts is not None and all(
-                    racts[v] @ lall[g] == lall[g] @ racts[v]
-                    for _, v, g in circular.balancing_words[1] if v)
-            keep = set(_balancing_set(circular, certified))
-            rels = [rm - lm for x, rm, lm in zip(sets[-1], right, left) if x in keep]
-            if rels:
-                qs = QuotientSpace(field, cur_dim,
-                                   SubspaceBasis.from_columns(field, cur_dim, rels))
-                self.dim, self.Q, self.S = qs.dim, qs.proj @ Q, S @ qs.sect
-                self.trivial = self.dim == self.full_dim
             self.outer_left = self.outer_right = MappingProxyType({})
         self._op = None
 

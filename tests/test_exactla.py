@@ -679,7 +679,8 @@ def test_inverse_by_negative_exponent_agrees_with_fermat():
 def test_a_nonzero_scalar_that_is_zero_mod_p_gives_the_zero_matrix(p):
     """c != 0 with c = 0 mod p: ``scale`` and ``lincomb`` test c after its
     reduction, so they return the zero matrix (they used to raise a bare
-    KeyError from the row update) and a term with such a c adds nothing."""
+    KeyError from the row update) and a term with such a c adds nothing;
+    ``from_rows`` and ``from_vectors`` store no such entry."""
     field = GF(p)
     m = Mat.from_rows(field, [[1, 2], [0, p - 1]])
     other = Mat.from_rows(field, [[0, 1], [1, 1]])
@@ -690,6 +691,9 @@ def test_a_nonzero_scalar_that_is_zero_mod_p_gives_the_zero_matrix(p):
         assert lincomb([m, other], [c, 1]) == other
     assert m.scale(p + 1) == m and lincomb([m, other], [p + 1, -p]) == m
     assert Mat.from_rows(field, [[1, 2]]).scale(3 * p) == Mat.zeros(field, 1, 2)
+    # the constructors drop such an entry too
+    assert Mat.from_rows(field, [[p, 1], [-p, 2 * p]]).nnz() == 1
+    assert SubspaceBasis.from_vectors(field, 2, [[p, 0], {1: -p}]).dim == 0
 
 
 @settings(max_examples=80, deadline=None)

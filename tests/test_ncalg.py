@@ -702,6 +702,41 @@ def test_the_word_certificate_refuses_a_right_action_bent_on_a_product():
         assert not _same_space(built, gens_only)
 
 
+def test_the_circular_relation_needs_the_unit_certificate():
+    """A one-factor circular space over k x k on its regular bimodule, with
+    the left action of e2 bent by N = E_01: the unit then acts as I + N on
+    the left, so the circular relation is imposed for the whole basis and
+    the space has dim 1, the all-basis one.  The generator e1 alone, whose
+    relation is zero, would leave dim 2."""
+    kk = product_field_algebra(QQ)
+    reg = regular_bimodule(kk)
+    left = list(reg.left[kk])
+    left[1] = left[1] + Mat.from_entries(QQ, 2, 2, [((0, 1), QQ.one)])
+    bent = Module(QQ, "bent", 2).add_left(kk, left).add_right(kk, reg.right[kk])
+    assert kk.balancing_words[0] == [0] and not bent.words_hold("left", kk)
+    built = TensorSpace([bent], [], kk)
+    assert built.dim == 1 and _same_space(built, _all_basis_build([bent], [], kk))
+
+
+def test_the_workload_spaces_impose_the_expected_relation_sets():
+    """The relations of B^{(*)T 3} over B = M2, built as the bicomplex
+    builds it: over T = M2 each junction imposes those of the generators
+    E12, E21, and the circular relation, whose closure word E11 = E12 E21
+    has two letters, those of every index whose pair is not two
+    identities; over diag each imposes one index, over k none.  A fallback
+    to the whole basis fails here instead of showing only as a slowdown."""
+    m2 = matrix_algebra(QQ, 2)
+    cases = [(m2, regular_bimodule(m2), [1, 2], [0, 1, 2, 3])]
+    for (t, incl), want in ((diagonal_subalgebra(m2), [0]),
+                            (ncalg.trivial_subalgebra(m2), [])):
+        cases.append((t, regular_bimodule(m2).restrict(t, incl), want, want))
+    for t, b_mod, junction, circular in cases:
+        sets = ncalg._relation_sets([b_mod] * 3, [t, t], t)
+        assert sets == [junction, junction, circular], t.name
+        assert ncalg._relation_sets([b_mod] * 2, [t], None) == [junction, []]
+        assert ncalg._relation_sets([b_mod] * 2, [None], None) == [[], []]
+
+
 def test_a_missing_action_leaves_no_certificate_behind():
     """A build that fails for want of an action memoizes no certificate, so
     the action declared afterwards is certified on its own merits."""

@@ -11,7 +11,9 @@ extension and a connection or associated module that already holds it.  A
 verifier reports the failures of an Equation under its label, so an
 unlabelled Equation would be a nameless axiom.  A column span is taken by
 ``SubspaceBasis.from_columns`` in row storage, so no module reads columns
-out as public scalars only to hand them back to ``exactla``.
+out as public scalars only to hand them back to ``exactla``.  Which
+relations a ``TensorSpace`` imposes is chosen by ``ncalg._relation_sets``
+alone, so the build itself consults no certificate.
 """
 
 import argparse
@@ -246,3 +248,16 @@ def test_column_spans_are_taken_in_row_storage():
     sites = [f"{path.stem}.py:{line}" for path, tree in _parse("src/coralg").items()
              for line in _column_span_sites(tree)]
     assert not sites, f"column spans read out as public scalars: {sites}"
+
+
+_CERTIFICATES = {"words_hold", "commutes", "_word_actions", "balancing_words"}
+
+
+def test_tensor_space_leaves_the_relation_choice_to_relation_sets():
+    tree = ast.parse((ROOT / "src" / "coralg" / "ncalg.py").read_text())
+    cls, = (n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "TensorSpace")
+    init, = (n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "__init__")
+    names = {n.attr if isinstance(n, ast.Attribute) else n.id
+             for n in ast.walk(init) if isinstance(n, (ast.Attribute, ast.Name))}
+    assert "_relation_sets" in names
+    assert not names & _CERTIFICATES, f"TensorSpace.__init__ reads {names & _CERTIFICATES}"
