@@ -278,7 +278,7 @@ def local_dual_system(sc, e):
             rep = Report("dual-system")
             check_equations(rep, xi_stack, eqs)
             assert rep.ok, f"dual system fails verification: {rep.failures[:3]}"
-            xis = [xi_stack.row_slice(p * t.dim, (p + 1) * t.dim) for p in range(P)]
+            xis = [xi_stack.rows_at(range(p * t.dim, (p + 1) * t.dim)) for p in range(P)]
             return {"xs": xs, "xis": xis, "X": xbasis}
     raise NoLocalDualSystem("no finite dual system for X over T")
 

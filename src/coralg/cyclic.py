@@ -16,16 +16,23 @@ Conventions for the bicomplex (binding):
 * cyclic operator: tau_n(b_0 (*) ... (*) b_n) = (-1)^n b_n (*) b_0 ... (*)
   b_{n-1}; d'_n contracts adjacent factors with alternating signs; d_n adds
   (-1)^n (b_n b_0) (*) b_1 ... (*) b_{n-1}
-* faces, built on the ambient B^{(x)(n+1)} (dim B = d) from B's
-  multiplication map mu = ``Algebra.mult_mat()``: the face b_i (i < n) is
-  ``kron_id(d**i, mu, d**(n-1-i))`` and d'_n = sum_{i<n} (-1)^i b_i, built
-  from the level below as d'_n = b_0 - 1 (x) d'_{n-1} (d'_1 = b_0), so each
-  level costs two ``kron_id`` and one subtraction.  d_n = d'_n + b_0 . tau_n,
-  because tau_n moves b_n to the front and already carries the sign (-1)^n;
-  tau_n permutes pure tensors, so b_0 . tau_n is b_0 with its columns
-  relabelled (x, y, rest) -> (y, rest, x) (``Mat.cols_permuted``), signed,
-  and no ambient tau is multiplied.  The ambient tau itself is the signed
-  identity with the same relabelling.
+* faces, from B's multiplication map mu = ``Algebra.mult_mat()`` (dim
+  B = d): the face b_i (i < n) is ``kron_id(d**i, mu, d**(n-1-i))`` on
+  B^{(x)(n+1)} and d'_n = sum_{i<n} (-1)^i b_i.  d_n = d'_n + b_0 . tau_n,
+  because tau_n moves b_n to the front and already carries the sign
+  (-1)^n; tau_n permutes pure tensors, so b_0 . tau_n is b_0 with its
+  columns relabelled (x, y, rest) -> (y, rest, x) (``Mat.cols_permuted``),
+  signed, and no ambient tau is multiplied.  Every operator is formed in
+  the coordinates of its target space and then descended:
+  - only a plain target (T = k, where Q = S = I) has operators built on
+    the ambient: d'_n comes from the level below as
+    d'_n = b_0 - 1 (x) d'_{n-1} (d'_1 = b_0), two ``kron_id`` and one
+    subtraction per level;
+  - over any other target each face is read through the target's Q as
+    ``mul_kron_id(Q, d**i, mu, d**(n-1-i))`` (``kron_to_quotient``), so
+    no ambient face is built and the cost scales with the quotient;
+  - tau_n is the signed Q of level n with its columns relabelled the same
+    way (the identity, on a plain level).
 * operators are built when first read: the total complex truncated at D
   reads N only up to level D - 1 and tau, tautilde, d' only up to level D,
   so it builds neither N at levels D and D + 1 nor the descended tau,
@@ -35,14 +42,16 @@ Conventions for the bicomplex (binding):
 
 from collections.abc import Mapping
 from functools import cached_property
+from itertools import chain
 
 from .errors import ActionMismatch, DegreeMismatch, DegreeOutOfRange, NotACycle
 from .exactla import (
-    Mat, SubspaceBasis, _axpy_dense, guard_dim, kron_id, quotient_space, rank, rref_solve,
+    Mat, QuotientSpace, SubspaceBasis, _axpy_dense, guard_dim, kron_id, rank, rref_solve,
     solve_right,
 )
 from .ncalg import (
-    Report, descend, regular_bimodule, tensor_space, to_quotient, trivial_subalgebra,
+    Report, _plain, descend, kron_to_quotient, regular_bimodule, tensor_space,
+    trivial_subalgebra,
 )
 
 _OPERATORS = ("tau", "tautilde", "N", "dprime", "d")
@@ -107,8 +116,9 @@ class CyclicComplex:
 class _Level(Mapping):
     """The cyclic operators of one level, read as ``operators(n)[key]``:
     each is built, and checked to descend, when first read.  tautilde and N
-    are formed from the descended tau; d extends the ambient d', which stays
-    cached for the level above."""
+    are formed from the descended tau.  d' and d are read in the
+    coordinates of level n - 1 (``_dprime_read``); on a plain level n - 1
+    d' is the ambient one, which stays cached for the level above."""
 
     def __init__(self, cc, n):
         self.cc, self.b, self.field, self.n = cc, cc.b, cc.field, n
@@ -127,35 +137,50 @@ class _Level(Mapping):
     def __len__(self):
         return len(self._keys)
 
-    def _descend(self, amb, tgt):
-        m = descend(to_quotient(tgt, amb), self.sp)
+    def _descend(self, W):
+        m = descend(W, self.sp)
         if m is None:
             raise ActionMismatch(f"operator does not descend to {self.sp.name}")
         return m
 
     def _rotated(self, m):
         """m with its columns relabelled (b_0, b_1, ..., b_n) ->
-        (b_1, ..., b_n, b_0) on the pure tensors of B^(n+1)."""
-        d, dn = self.b.dim, self.b.dim ** self.n
-        return m.cols_permuted([(j % dn) * d + j // dn for j in range(d * dn)], d * dn)
+        (b_1, ..., b_n, b_0) on the pure tensors of B^(n+1): the column
+        b_0 d^n + r goes to r d + b_0."""
+        d, size = self.b.dim, self.b.dim ** (self.n + 1)
+        return m.cols_permuted(list(chain.from_iterable(range(b0, size, d) for b0 in range(d))),
+                               size)
 
-    def _b0(self):
-        """The face b_0 = mu (x) 1 on B^(n+1)."""
-        return kron_id(1, self.b.mult_mat(), self.b.dim ** (self.n - 1))
+    def _face(self, i):
+        """The face b_i = 1 (x) mu (x) 1 on B^(n+1), in the coordinates of
+        level n - 1."""
+        d = self.b.dim
+        return kron_to_quotient(self.sp1, d ** i, self.b.mult_mat(), d ** (self.n - 1 - i))
+
+    def _dprime_read(self):
+        """d' in the coordinates of level n - 1: the ambient d' where that
+        level is plain, else the sum of the faces read through its Q."""
+        if _plain(self.sp1):
+            return self._dprime_ambient
+        W = self._face(0)
+        for i in range(1, self.n):
+            W = W + self._face(i) if i % 2 == 0 else W - self._face(i)
+        return W
 
     @cached_property
     def _dprime_ambient(self):
         """d' on B^(n+1), as b_0 - 1 (x) d'_{n-1}; level n + 1 reads it."""
+        b0 = kron_id(1, self.b.mult_mat(), self.b.dim ** (self.n - 1))
         if self.n == 1:
-            return self._b0()
-        below = self.cc.operators(self.n - 1)._dprime_ambient
-        return self._b0() - kron_id(self.b.dim, below, 1)
+            return b0
+        return b0 - kron_id(self.b.dim, self.cc.operators(self.n - 1)._dprime_ambient, 1)
 
     @cached_property
     def tau(self):
-        # the last factor moves to the front, with sign (-1)^n
-        rot = self._rotated(Mat.identity(self.field, self.b.dim ** (self.n + 1)))
-        return self._descend(rot if self.n % 2 == 0 else -rot, self.sp)
+        # the last factor moves to the front, with sign (-1)^n: Q with its
+        # columns rotated
+        rot = self._rotated(self.sp.Q)
+        return self._descend(rot if self.n % 2 == 0 else -rot)
 
     @cached_property
     def tautilde(self):
@@ -172,15 +197,15 @@ class _Level(Mapping):
 
     @cached_property
     def dprime(self):
-        return self._descend(self._dprime_ambient, self.sp1)
+        return self._descend(self._dprime_read())
 
     @cached_property
     def d(self):
         # the last face (-1)^n (b_n b_0) (x) b_1 ... (x) b_{n-1} is b_0 after
         # tau, whose matrix is that of b_0 with its columns rotated
-        wrap = self._rotated(self._b0())
-        amb = self._dprime_ambient
-        return self._descend(amb + wrap if self.n % 2 == 0 else amb - wrap, self.sp1)
+        wrap = self._rotated(self._face(0))
+        W = self._dprime_read()
+        return self._descend(W + wrap if self.n % 2 == 0 else W - wrap)
 
 
 class TotalComplex:
@@ -275,11 +300,15 @@ class HomologySpace:
 
     @cached_property
     def class_space(self):
-        """ker d_n modulo the columns of d_{n+1}, in kernel coordinates."""
-        rels = [self.kernel.membership(c) for c in self.tc.d[self.n + 1].sparse_cols() if c]
-        if None in rels:
-            raise NotACycle(f"a boundary is not a cycle in degree {self.n}")
-        return quotient_space(self.tc.cc.field, self.kernel.dim, rels)
+        """ker d_n modulo the columns of d_{n+1}, in kernel coordinates.
+        Once d_n d_{n+1} = 0 is checked, every boundary is a cycle, so its
+        coordinates in the rref kernel basis are its entries at the
+        kernel's pivot columns: the rows of d_{n+1} there."""
+        f, d, n, ker = self.tc.cc.field, self.tc.d, self.n, self.kernel
+        if n and not (d[n] @ d[n + 1]).is_zero():
+            raise NotACycle(f"a boundary is not a cycle in degree {n}")
+        coords = d[n + 1].rows_at(ker.pivot_cols)
+        return QuotientSpace(f, ker.dim, SubspaceBasis.from_columns(f, ker.dim, [coords]))
 
     def _lift(self, cls):
         """The class with coordinates ``cls`` and its canonical representative."""

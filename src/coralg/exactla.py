@@ -31,11 +31,13 @@ Conventions, binding for the whole package:
 * Matrices store only nonzero entries, one dict per row.  That storage
   (``Mat._rows``) is read and built only in this module.  Elsewhere a Mat
   is built by ``zeros``, ``identity``, ``from_entries``, ``from_rows``,
-  ``from_cols``, ``from_blocks``, ``kron_id``, ``cols_permuted`` or an
-  operation on other matrices, and read by ``get``, ``col``, ``row_list``,
-  ``to_lists``, ``items``, ``sparse_cols``, ``row_slice``, ``reshape``,
-  ``apply``, ``nnz``, ``is_zero`` and ``is_identity``.  No Mat is mutated
-  after construction.
+  ``from_cols``, ``from_blocks``, ``kron_id``, ``mul_kron_id`` (a product
+  ``a @ kron_id(pre, f, post)`` with no row of kron_id built),
+  ``cols_permuted`` or an operation on other matrices, and read by
+  ``get``, ``col``, ``row_list``, ``to_lists``, ``items``,
+  ``sparse_cols``, ``rows_at``, ``reshape``, ``apply``, ``nnz``,
+  ``is_zero`` and ``is_identity``.  No Mat is mutated after
+  construction.
 * Subspaces are always presented by their unique reduced row echelon basis
   (pivot columns ascending), so subspace equality is basis equality and
   canonical coordinates are plain lists of scalars.  The span of the
@@ -313,10 +315,10 @@ class Mat:
         out = self.field._to_public
         return [dict(zip(c, map(out, c.values()))) for c in self.transpose()._rows]
 
-    def row_slice(self, start, stop):
-        """Rows start..stop-1 as a new matrix."""
-        return Mat(self.field, stop - start, self.ncols,
-                   [dict(r) for r in self._rows[start:stop]])
+    def rows_at(self, rows):
+        """The rows with the indices ``rows``, in that order, as a new matrix."""
+        own = self._rows
+        return Mat(self.field, len(rows), self.ncols, [dict(own[i]) for i in rows])
 
     def reshape(self, nrows, ncols):
         """The same entries, read row-major, in an nrows x ncols matrix."""
@@ -463,6 +465,27 @@ def kron_id(pre, f, post):
     rows = [{(a * nc + j) * post + c: v for j, v in r.items()}
             for a in range(pre) for r in f._rows for c in range(post)]
     return Mat(f.field, pre * f.nrows * post, pre * nc * post, rows)
+
+
+def mul_kron_id(a, pre, f, post):
+    """``a @ kron_id(pre, f, post)``, with no row of kron_id built: the entry
+    of a row of ``a`` at (x * f.nrows + y) * post + z adds that multiple of
+    row y of f, its column j relabelled (x * f.ncols + j) * post + z."""
+    nr, nc = f.nrows, f.ncols
+    if a.ncols != pre * nr * post:
+        raise DimensionMismatch(f"{a.shape} @ kron_id({pre}, {f.shape}, {post})")
+    p = a.field.p
+    frows = f._rows
+    rows = []
+    for ra in a._rows:
+        acc = {}
+        for k, v in ra.items():
+            xy, z = divmod(k, post)
+            x, y = divmod(xy, nr)
+            base = x * nc * post + z
+            _axpy(acc, v, {base + j * post: w for j, w in frows[y].items()}, p)
+        rows.append(acc)
+    return Mat(a.field, a.nrows, pre * nc * post, rows)
 
 
 def _dense(field, rowdict, n):

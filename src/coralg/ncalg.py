@@ -40,7 +40,7 @@ from types import MappingProxyType
 from .errors import ActionMismatch, DimensionMismatch
 from .exactla import (
     Mat, QuotientSpace, SubspaceBasis, _axpy, _axpy_dense, closure_words, guard_dim,
-    kron_id, kron_vec, lincomb, rref_solve,
+    kron_id, kron_vec, lincomb, mul_kron_id, rref_solve,
 )
 
 
@@ -575,7 +575,8 @@ class TensorSpace:
       full_dim    product of dims (ambient k-tensor dimension)
       dim         quotient dimension
       Q           projection full -> quotient (canonical coordinates)
-      S           section quotient -> full (zero on pivot coordinates)
+      S           section quotient -> full (zero on pivot coordinates;
+                  every column a single 1)
       outer_left  left actions of the first factor's algebras {alg: [Mat]}
       outer_right right actions of the last factor's algebras; both read
                   the factor's declared actions live (see ``_OuterActions``)
@@ -601,6 +602,13 @@ class TensorSpace:
     a circular space, the closing actions (the circular algebra's right
     action on the last factor and left action on the first) for the
     indices of the circular set.
+
+    The build carries S transposed, one row per quotient coordinate
+    rather than one per ambient index.  A step's section selects the free
+    columns, so the new S is kron(S, I) at those columns, and its
+    transpose is the rows of kron(S^T, I) there, taken as they are
+    (``rows_at``); S is transposed once, at the end.  Starting from the
+    identity, every column of S is a single 1.
     """
 
     def __init__(self, factors, junctions, circular=None, name=""):
@@ -636,34 +644,33 @@ class TensorSpace:
         right = [first.right[algs[0]][x] for x in sets[0]]
         left = [first.left[circular][x] for x in sets[-1]]
         cur_dim = first.dim
-        Q = S = Mat.identity(field, cur_dim)
+        Q = St = Mat.identity(field, cur_dim)  # St is S transposed
 
         for k, (t, nxt) in enumerate(zip(junctions, factors[1:])):
             dN = nxt.dim
             amb = cur_dim * dN
-            guard_dim(amb, f"tensor step of {self.name}")
             # the relations m g (x) n - m (x) g n are the columns of
             # kron(R_g, I) - kron(I, L_g)
             rels = [kron_id(1, rt, dN) - kron_id(cur_dim, nxt.left[t][x], 1)
                     for x, rt in zip(sets[k], right)]
-            if Q is S:  # no relation yet: one identity serves as both
-                Q = S = kron_id(1, Q, dN)
+            if Q is St:  # no relation yet: one identity serves as both
+                Q = St = kron_id(1, Q, dN)
             else:
-                Q, S = kron_id(1, Q, dN), kron_id(1, S, dN)
+                Q, St = kron_id(1, Q, dN), kron_id(1, St, dN)
             right = [kron_id(cur_dim, nxt.right[algs[k + 1]][x], 1) for x in sets[k + 1]]
             left = [kron_id(1, L, dN) for L in left]
             cur_dim = amb
             if rels:
                 qs = QuotientSpace(field, amb, SubspaceBasis.from_columns(field, amb, rels))
-                Q, S, cur_dim = qs.proj @ Q, S @ qs.sect, qs.dim
+                Q, St, cur_dim = qs.proj @ Q, St.rows_at(qs.free_cols), qs.dim
                 right = [qs.proj @ m @ qs.sect for m in right]
                 left = [qs.proj @ m @ qs.sect for m in left]
 
         rels = [rm - lm for rm, lm in zip(right, left)]  # the circular relation
         if rels:
             qs = QuotientSpace(field, cur_dim, SubspaceBasis.from_columns(field, cur_dim, rels))
-            Q, S, cur_dim = qs.proj @ Q, S @ qs.sect, qs.dim
-        self.dim, self.Q, self.S = cur_dim, Q, S
+            Q, St, cur_dim = qs.proj @ Q, St.rows_at(qs.free_cols), qs.dim
+        self.dim, self.Q, self.S = cur_dim, Q, Q if St is Q else St.transpose()
         self.trivial = cur_dim == self.full_dim
         if circular is None:
             self.outer_left = _OuterActions(self, first.left, 1, prod(self.dims[1:]))
@@ -762,6 +769,13 @@ def to_quotient(sp, W):
     return W if _plain(sp) else sp.Q @ W
 
 
+def kron_to_quotient(sp, pre, f, post):
+    """``to_quotient(sp, kron_id(pre, f, post))``: kron_id is built only
+    where Q is the identity, and is otherwise read through Q
+    (``mul_kron_id``)."""
+    return kron_id(pre, f, post) if _plain(sp) else mul_kron_id(sp.Q, pre, f, post)
+
+
 def descend(W, src):
     """The map ``W @ src.S`` induced on src's quotient by W, given on src's
     full ambient; None unless W descends, i.e. equals that map @ ``src.Q``."""
@@ -781,7 +795,7 @@ def leg_apply(src, tgt, pos, span, fmat, check="auto"):
     if fmat.ncols != expect:
         raise DimensionMismatch(
             f"leg map consumes {fmat.ncols}, factors give {expect}")
-    W = to_quotient(tgt, kron_id(prod(dims[:pos]), fmat, prod(dims[pos + span:])))
+    W = kron_to_quotient(tgt, prod(dims[:pos]), fmat, prod(dims[pos + span:]))
     if check == "skip":
         return W if _plain(src) else W @ src.S
     M = descend(W, src)
@@ -859,7 +873,7 @@ class AffineSolutionSet:
     def directions(self):
         """The homogeneous basis, each row-major flat vector as a matrix."""
         h = self.homogeneous.mat
-        return [h.row_slice(i, i + 1).reshape(self.tgt_dim, self.src_dim)
+        return [h.rows_at([i]).reshape(self.tgt_dim, self.src_dim)
                 for i in range(h.nrows)]
 
     def point(self, coeffs=()):
@@ -999,7 +1013,7 @@ def projective_dual_basis(module, alg, side="left"):
     if projective:
         sigma = sol.particular
         for i in range(g):
-            chis.append(sigma.row_slice(i * dS, (i + 1) * dS))
+            chis.append(sigma.rows_at(range(i * dS, (i + 1) * dS)))
             ws.append(list(generators[i]))
     hom_alg = hom_solve(field, module.dim, dS,
                         eqs_linear(alg, module, regular_bimodule(alg), "left"))

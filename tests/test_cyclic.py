@@ -459,11 +459,12 @@ def _eager_operators(cc, n):
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
-@pytest.mark.parametrize("key", ["kx|k", "ut2|k", "M2|k", "M2|diag"])
+@pytest.mark.parametrize("key", ["kx|k", "ut2|k", "M2|k", "M2|diag", "ut2|diag"])
 def test_lazy_operators_equal_the_eager_construction(key, field):
-    # on M2 up to level 5, where the recursion for d' has run four times
+    # on M2 up to level 5, where the recursion for d' has run four times,
+    # and over diag up to level 5, where d' sums five faces read through Q
     cc = CyclicComplex(*_face_case(key, field))
-    for n in range(6 if key.startswith("M2") else 4):
+    for n in range(4 if key in ("kx|k", "ut2|k") else 6):
         ops = cc.operators(n)
         assert cc.operators(n) is ops
         keys = ["tau", "tautilde", "N"] + (["dprime", "d"] if n >= 1 else [])
@@ -491,6 +492,28 @@ def test_total_complex_builds_only_the_operators_it_reads():
                for q in range(1, 5))
     assert built(5) == {"tau", "tautilde", "dprime", "d", "_dprime_ambient"}
     assert built(6) == {"d", "_dprime_ambient"}
+
+
+def test_levels_over_diag_build_no_ambient_matrix(monkeypatch):
+    # every circular space of M2 over diag is a proper quotient, so d', d
+    # and tau are read through the target's Q: no ambient face is built
+    # (cyclic's kron_id builds only the ambient d'), and every Mat a level
+    # caches maps between the quotients
+    def ambient(*args):
+        raise AssertionError("an ambient face was built")
+    monkeypatch.setattr(cyclic, "kron_id", ambient)
+    m2 = matrix_algebra(QQ, 2)
+    cc = CyclicComplex(m2, diagonal_subalgebra(m2))
+    assert cc.total(5).d_squared.ok
+    for n in range(7):
+        level = cc.operators(n)
+        assert level.sp.dim < level.sp.full_dim
+        shapes = {(level.sp.dim, level.sp.dim)}
+        if n >= 1:
+            shapes.add((level.sp1.dim, level.sp.dim))
+        cached = {key: m.shape for key, m in vars(level).items() if isinstance(m, Mat)}
+        assert cached and set(cached.values()) <= shapes, (n, cached)
+        assert "_dprime_ambient" not in cached
 
 
 def test_circular_spaces_over_k_keep_one_identity_as_q_and_s():

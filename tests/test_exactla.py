@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from coralg.errors import DimensionMismatch, MemoryGuard
 from coralg.exactla import (
     GF, QQ, Field, Mat, SubspaceBasis, closure_words, inverse, kron_id, kron_vec,
-    lincomb, quotient_space, rank, rref_solve, solve_right,
+    lincomb, mul_kron_id, quotient_space, rank, rref_solve, solve_right,
 )
 
 Q1 = QQ.one
@@ -522,7 +522,7 @@ def test_mat_public_surface_round_trips_and_keeps_scalar_types(case):
     assert m.sparse_cols() == [{i: v for i, v in enumerate(m.col(j)) if v}
                                for j in range(m.ncols)]
     assert m.reshape(1, m.nrows * m.ncols).reshape(m.nrows, m.ncols) == m
-    assert m.row_slice(0, m.nrows) == m
+    assert m.rows_at(range(m.nrows)) == m
     ident = Mat.identity(field, pre)
     assert kron_id(pre, m, post) == ident.kron(m).kron(Mat.identity(field, post))
     assert ident.is_identity() and not ident.scale(field.from_int(2)).is_identity()
@@ -533,6 +533,26 @@ def test_mat_public_surface_round_trips_and_keeps_scalar_types(case):
     values += [v for _, v in m.items()]
     values += m.apply(vec)
     assert all(is_field_scalar(field, v) for v in values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mat_case(), st.integers(0, 3), st.randoms(use_true_random=False))
+def test_mul_kron_id_is_the_product_with_kron_id(case, nrows, rng):
+    """a @ kron_id(pre, f, post) without kron_id, against the product with
+    the built kron_id; rows_at picks rows in any order, with repeats."""
+    field, f, _, pre, post = case
+    width = pre * f.nrows * post
+    a = Mat.from_rows(field, [{j: field.from_int(rng.choice([0, 0, 1, -1, 2]))
+                               for j in range(width)} for _ in range(nrows)], width)
+    got = mul_kron_id(a, pre, f, post)
+    assert got == a @ kron_id(pre, f, post)
+    assert got.shape == (nrows, pre * f.ncols * post)
+    if field is not QQ:
+        assert_reduced(got, field.p)
+    picks = [rng.randrange(nrows) for _ in range(nrows + 1)] if nrows else []
+    assert got.rows_at(picks).to_lists() == [got.row_list(i) for i in picks]
+    with pytest.raises(DimensionMismatch):
+        mul_kron_id(Mat.zeros(field, 1, width + 1), pre, f, post)
 
 
 @pytest.mark.parametrize("field", [QQ, F7], ids=["QQ", "GF7"])
@@ -609,7 +629,8 @@ def test_qq_storage_holds_no_float_and_accessors_give_the_qq_type(case, n):
     sub = SubspaceBasis.from_vectors(QQ, nc, a)
     q = quotient_space(QQ, nc, a)
     derived = [A + C, A - C, -A, A.scale(x), A @ B, A.kron(B), kron_id(2, A, 2),
-               lincomb([A, C], [x, y]), A.transpose(), A.row_slice(0, nr),
+               mul_kron_id(Mat.identity(QQ, 2 * nr), 2, A, 1),
+               lincomb([A, C], [x, y]), A.transpose(), A.rows_at(range(nr)),
                A.reshape(1, nr * nc), Mat.from_blocks(QQ, nr + 1, nc + 1, [(1, 1, A)]),
                res["rref"], res["kernel"].mat, q.proj, q.sect, sub.mat,
                SubspaceBasis.invariant_span(QQ, len(s), s[:1], [S]).mat]

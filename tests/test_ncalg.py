@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 import itertools
 import random
 
-from coralg.errors import ActionMismatch
+from coralg.errors import ActionMismatch, MemoryGuard
 from coralg import ncalg
-from coralg.exactla import GF, QQ, Mat, inverse, kron_id, rank, rref_solve
+from coralg.exactla import GF, QQ, Mat, QuotientSpace, inverse, kron_id, rank, rref_solve
 from coralg.fixtures import (
     FIXTURE_NAMES, diagonal_subalgebra, fixture_workspace, matrix_algebra,
     product_field_algebra, quadratic_algebra, upper_triangular_algebra,
@@ -676,6 +676,65 @@ def test_generating_set_build_equals_the_all_basis_build(field, kind, twists, ci
     circ = t if circular else None
     built = TensorSpace(factors, junctions, circ)
     assert _same_space(built, _all_basis_build(factors, junctions, circ))
+
+
+def _lifted_section(factors, junctions, circular):
+    """The section of the space one step shorter, lifted to the ambient of
+    the last step: S_prev of the space without the circular relation when
+    there is one, else kron(S_prev, I) of the space without the last
+    factor."""
+    if circular is not None:
+        return TensorSpace(factors, junctions).S
+    prev = TensorSpace(factors[:-1], junctions[:-1])
+    return prev.S.kron(Mat.identity(prev.field, factors[-1].dim))
+
+
+def _is_column_selection(sp):
+    one = sp.field.one
+    cols = sp.S.sparse_cols()
+    return len(cols) == sp.dim and all(list(c.values()) == [one] for c in cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from([QQ, GF(7)]),
+       kind=st.sampled_from(["kxk", "ut2", "M2", "diag"]),
+       twists=st.lists(st.tuples(small_ints, st.none() | small_ints), min_size=1, max_size=3),
+       circular=st.booleans())
+def test_the_section_is_the_left_nested_column_selection(field, kind, twists, circular):
+    """The section, carried by its rows while the space is built, is the
+    left-nested one: S = kron(S_prev, I) sect for the last junction and
+    S = S_prev sect for the circular relation, with S_prev the section of
+    the space one step shorter and sect the canonical section of that
+    step's quotient, whose projection is Q kron(S_prev, I) (resp.
+    Q S_prev) and whose relations are that projection's kernel.  On the
+    space and on its reversal view every column of S is a single 1 and
+    Q S = I."""
+    if len(twists) == 1:
+        circular = True
+    t, host = _junction_algebra(field, kind)
+    factors = [_twisted(t, host, twist, f"M{n}", None) for n, twist in enumerate(twists)]
+    junctions = [t] * (len(factors) - 1)
+    circ = t if circular else None
+    sp = TensorSpace(factors, junctions, circ)
+    lift = _lifted_section(factors, junctions, circ)
+    proj = sp.Q @ lift
+    step = QuotientSpace(field, lift.ncols, rref_solve(proj)["kernel"])
+    assert step.proj == proj
+    assert sp.S == lift @ step.sect
+    for space in (sp, sp.op()):
+        assert _is_column_selection(space)
+        assert space.Q @ space.S == Mat.identity(field, space.dim)
+
+
+def test_an_oversized_space_raises_the_memory_guard():
+    """full_dim is guarded before any junction step, and no step's ambient
+    exceeds it, so one guard refuses an oversized space."""
+    m2 = matrix_algebra(QQ, 2)
+    reg = regular_bimodule(m2)
+    with pytest.raises(MemoryGuard, match="tensor space"):
+        TensorSpace([Module(QQ, "big", 1500)] * 2, [None])
+    with pytest.raises(MemoryGuard, match="tensor space"):
+        TensorSpace([reg] * 11, [m2] * 10, circular=m2)
 
 
 def test_the_word_certificate_refuses_a_right_action_bent_on_a_product():
