@@ -20,8 +20,8 @@ import warnings
 from math import factorial
 
 from .errors import (
-    CoralgError, IotaNotInjective, MembershipFailure, NotACycle, NotIdempotent,
-    NoLocalDualSystem,
+    ActionMismatch, CoralgError, IotaNotInjective, MembershipFailure, NotACycle,
+    NotIdempotent, NoLocalDualSystem,
 )
 from .exactla import (
     Mat, SubspaceBasis, _axpy, _axpy_dense, _dense, kron_id, lincomb, rank, rref_solve,
@@ -29,8 +29,8 @@ from .exactla import (
 )
 from .ncalg import (
     Equation, Module, Report, Term, check_equations, descend, eqs_linear,
-    hom_solve, leg_apply, projective_dual_basis, regular_bimodule, tensor_space,
-    to_quotient,
+    hom_solve, kron_to_quotient, leg_apply, projective_dual_basis, regular_bimodule,
+    tensor_space,
 )
 from .coring import Comodule, _non_idempotent_at, cotensor
 from .cyclic import cyclic_complex, homology
@@ -103,7 +103,7 @@ def iota_b_to_a(x, l):
     amb = x.incl_B.matrix
     for _ in range(l):
         amb = amb.kron(x.incl_B.matrix)
-    m = descend(to_quotient(sp_a, amb), sp_b)
+    m = descend(kron_to_quotient(sp_a, 1, amb, 1), sp_b)
     if m is None:
         raise MembershipFailure("iota does not descend")
     return m, cc_b, cc_a
@@ -297,15 +297,19 @@ class IdempotentE:
 
 
 def ell_p_maps(sc, dual):
-    """ell_p = (xi_p (x)_T A) . ell as matrices C -> A."""
+    """ell_p = (xi_p (x)_T A) . ell as matrices C -> A.  Each xi_p (x)_T A
+    is certified to descend to A (x)_T A (``descend``): ActionMismatch
+    where xi_p is not right T-linear."""
     x = sc.extension
     t = x.T
     t_mod = regular_bimodule(t, f"{t.name}-mod")
     ta = tensor_space([t_mod, x.a_mod], [t])
-    coll = leg_apply(ta, x.a_mod, 0, 2, x.a_mod.left_collapse_mat(t), check="skip")
+    coll = leg_apply(ta, x.a_mod, 0, 2, x.a_mod.left_collapse_mat(t))
     out = []
-    for xi in dual["xis"]:
-        legxi = leg_apply(sc.space, ta, 0, 1, xi, check="auto")
+    for p, xi in enumerate(dual["xis"]):
+        legxi = descend(kron_to_quotient(ta, 1, xi, x.a_mod.dim), sc.space)
+        if legxi is None:
+            raise ActionMismatch(f"xi_{p} (x)_T A does not descend to {sc.space.name}")
         out.append(coll @ legxi @ sc.ell)
     return out
 

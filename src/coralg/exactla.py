@@ -860,10 +860,3 @@ class QuotientSpace:
 
     def __repr__(self):
         return f"QuotientSpace({self.ambient_dim} -> {self.dim})"
-
-
-def quotient_space(field, ambient_dim, relations):
-    """Relations may be dense lists or sparse dicts."""
-    guard_dim(ambient_dim, "quotient ambient")
-    basis = SubspaceBasis.from_vectors(field, ambient_dim, relations)
-    return QuotientSpace(field, ambient_dim, basis)

@@ -205,8 +205,7 @@ def sweedler_entwining(field, ring, sub_pair, name="Sweedler"):
     cor, _aa = sweedler_coring(ring, sub, incl)
     eta = AlgebraMorphism.identity(ring)
     stub = Entwining(ring, ring, eta, cor, None, name=name)
-    phi = leg_apply(stub.AC, cor.carrier, 0, 2,
-                    cor.carrier.left_collapse_mat(ring), check="skip")
+    phi = leg_apply(stub.AC, cor.carrier, 0, 2, cor.carrier.left_collapse_mat(ring))
     phi_inv = inverse(phi)
     assert phi_inv is not None, "A (x)_A C -> C collapse must be invertible"
     rmats = [phi_inv @ cor.carrier.right[ring][j] @ phi for j in range(ring.dim)]

@@ -16,7 +16,7 @@ Conventions:
   is the binding coordinate convention for serialized data.  Pure-tensor
   basis order is lexicographic with the leftmost factor slowest.  The outer
   actions of the end factors are computed on demand, once per algebra, as
-  ``Q @ kron_id(pre, m, post) @ S``; a circular space has none.  The
+  the maps ``leg_apply`` induces on the space; a circular space has none.  The
   circular relation's end actions are carried through the junction
   quotients instead.  ``_relation_sets`` alone decides which relations a
   junction or the circular relation imposes: those of a certified
@@ -267,22 +267,20 @@ class _OpActions(Mapping):
 
 class _OuterActions(Mapping):
     """The actions of an end factor's algebras on a tensor space, read live
-    from the factor's ``left`` or ``right``: ``alg``'s i-th matrix is
-    ``Q @ kron_id(pre, m_i, post) @ S``, computed once when first read (the
-    bare kron when the space is trivial, where Q = S = I)."""
+    from the factor's ``left`` or ``right``: ``alg``'s i-th matrix is the
+    map ``leg_apply(space, space, pos, 1, m_i)`` induces, pos the factor's
+    position, computed once when first read."""
 
-    def __init__(self, space, actions, pre, post):
-        self._space, self._actions, self._pre, self._post = space, actions, pre, post
+    def __init__(self, space, actions, pos):
+        self._space, self._actions, self._pos = space, actions, pos
         self._pushed = {}
 
     def __getitem__(self, alg):
         mats = self._pushed.get(alg)
         if mats is None:
-            sp = self._space
-            mats = [kron_id(self._pre, m, self._post) for m in self._actions[alg]]
-            if not sp.trivial:
-                mats = [sp.Q @ m @ sp.S for m in mats]
-            self._pushed[alg] = mats
+            sp, pos = self._space, self._pos
+            mats = self._pushed[alg] = [leg_apply(sp, sp, pos, 1, m)
+                                        for m in self._actions[alg]]
         return mats
 
     def __contains__(self, alg):
@@ -673,8 +671,8 @@ class TensorSpace:
         self.dim, self.Q, self.S = cur_dim, Q, Q if St is Q else St.transpose()
         self.trivial = cur_dim == self.full_dim
         if circular is None:
-            self.outer_left = _OuterActions(self, first.left, 1, prod(self.dims[1:]))
-            self.outer_right = _OuterActions(self, last.right, prod(self.dims[:-1]), 1)
+            self.outer_left = _OuterActions(self, first.left, 0)
+            self.outer_right = _OuterActions(self, last.right, len(factors) - 1)
         else:
             self.outer_left = self.outer_right = MappingProxyType({})
         self._op = None
@@ -764,15 +762,9 @@ def _plain(sp):
     return sp.trivial and not isinstance(sp, _ReversalView)
 
 
-def to_quotient(sp, W):
-    """``sp.Q @ W``, skipped where Q is the identity."""
-    return W if _plain(sp) else sp.Q @ W
-
-
 def kron_to_quotient(sp, pre, f, post):
-    """``to_quotient(sp, kron_id(pre, f, post))``: kron_id is built only
-    where Q is the identity, and is otherwise read through Q
-    (``mul_kron_id``)."""
+    """``sp.Q @ kron_id(pre, f, post)``: kron_id is built only where Q is
+    the identity, and is otherwise read through Q (``mul_kron_id``)."""
     return kron_id(pre, f, post) if _plain(sp) else mul_kron_id(sp.Q, pre, f, post)
 
 
@@ -785,23 +777,19 @@ def descend(W, src):
     return None
 
 
-def leg_apply(src, tgt, pos, span, fmat, check="auto"):
+def leg_apply(src, tgt, pos, span, fmat):
     """Induced map src -> tgt from ``fmat`` acting on the full k-tensor of
-    factors [pos, pos+span) of src.  ``span = 0`` inserts a new leg (fmat
-    must be a column).  Raises ActionMismatch when the map does not descend
-    to the quotient (checked unless check="skip")."""
+    factors [pos, pos+span) of src: ``kron_to_quotient(tgt, ...)`` read
+    through ``src.S``.  ``span = 0`` inserts a new leg (fmat must be a
+    column).  The caller knows that the map descends to src's quotient;
+    where it does not, ``descend`` is the check."""
     dims = src.dims
     expect = prod(dims[pos:pos + span])
     if fmat.ncols != expect:
         raise DimensionMismatch(
             f"leg map consumes {fmat.ncols}, factors give {expect}")
     W = kron_to_quotient(tgt, prod(dims[:pos]), fmat, prod(dims[pos + span:]))
-    if check == "skip":
-        return W if _plain(src) else W @ src.S
-    M = descend(W, src)
-    if M is None:
-        raise ActionMismatch(f"leg map at position {pos} does not descend to {src.name}")
-    return M
+    return W if _plain(src) else W @ src.S
 
 
 # ---------------------------------------------------------------------------
@@ -957,7 +945,7 @@ def eq_right_colinear(rho_src, rho_tgt, src, tgt, src_C_space, tgt_C_space, c_di
     """rho_tgt . X = (X tensor C) . rho_src, both sides into tgt_C_space;
     on the op() of all four spaces it is left colinearity."""
     U = kron_id(1, src.Q, c_dim) @ src_C_space.S @ rho_src
-    J = tgt_C_space.Q @ kron_id(1, tgt.S, c_dim)
+    J = kron_to_quotient(tgt_C_space, 1, tgt.S, c_dim)
     return Equation([Term(rho_tgt, Mat.identity(src.field, src.dim)),
                      Term(J, U, -1, post=c_dim)], label=label)
 

@@ -9,7 +9,7 @@ import pytest
 from coralg.cherngalois import (
     a_side_component, assemble_and_class, assemble_cycle, associated_module,
     ch_components, chg_coefficient, chg_components, compare_chg_ch,
-    gamma_elements, idempotent_e, local_dual_system, solve_b_t_retraction,
+    ell_p_maps, gamma_elements, idempotent_e, local_dual_system, solve_b_t_retraction,
     theta_isomorphism, verify_gamma_identities,
 )
 from coralg.connect import StrongConnection, solve_strong_connection
@@ -18,10 +18,10 @@ from coralg.coring import (
 )
 from coralg.entwine import Entwining, extension_from_grouplike, invert_entwining
 from coralg.cyclic import cyclic_complex
-from coralg.errors import NotIdempotent
-from coralg.exactla import GF, QQ, Mat, kron_vec, quotient_space
+from coralg.errors import ActionMismatch, NotIdempotent
+from coralg.exactla import GF, QQ, Mat, QuotientSpace, SubspaceBasis, kron_vec
 from coralg.fixtures import (
-    group_z2_coring, matrix_algebra, nc_fixture, product_field_algebra,
+    diagonal_subalgebra, group_z2_coring, matrix_algebra, nc_fixture, product_field_algebra,
     upper_triangular_algebra, z2_fixture,
 )
 from coralg.ncalg import AlgebraMorphism, DualBasis, scalar_algebra
@@ -312,6 +312,24 @@ def test_idempotent_e_rejects_a_retraction_that_is_not_left_b_linear():
     assert "'retraction'" not in str(exc.value)
 
 
+def test_ell_p_maps_refuses_a_xi_that_is_not_right_t_linear():
+    """xi (x)_T A is certified to descend to A (x)_T A.  Over T = diag in
+    M2, FIX-NC's dual system passes; its first xi with one entry bumped is
+    not right T-linear and is refused."""
+    x = _NC["extension"]
+    diag, incl = diagonal_subalgebra(x.entwining.ring)
+    x = x.with_T([incl.apply(diag.basis_vector(i)) for i in range(diag.dim)])
+    sc, _ = solve_strong_connection(x)
+    assert sc.space.dim < sc.space.full_dim
+    dual = local_dual_system(sc, _NC["coidempotent"])
+    assert len(ell_p_maps(sc, dual)) == len(dual["xis"])
+    xi = dual["xis"][0]
+    for ij in [(0, 1), (1, 0)]:
+        bad = xi + Mat.from_entries(QQ, xi.nrows, xi.ncols, [(ij, QQ.one)])
+        with pytest.raises(ActionMismatch, match="does not descend"):
+            ell_p_maps(sc, {"xis": [bad]})
+
+
 def test_chain_equality_z2():
     e1 = _Z2["coidempotents"]["e1"]
     x = _Z2["extension"]
@@ -438,7 +456,8 @@ def test_public_functions_hand_out_residues_in_0_p(build, p):
     for m in [sol.particular] + sol.directions:
         values += mat_accessor_values(m)
     h = sol.homogeneous
-    q = quotient_space(field, h.ambient_dim, h.mat.to_lists())
+    n = h.ambient_dim
+    q = QuotientSpace(field, n, SubspaceBasis.from_vectors(field, n, h.mat.to_lists()))
     for row in h.mat.to_lists():
         neg = [-x % p for x in row]
         values += h.membership(neg) + q.project(neg)

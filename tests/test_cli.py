@@ -288,7 +288,7 @@ def test_cli_memory_guard_is_scoped_to_the_command(tmp_path, capsys):
     assert main(["validate", "--workspace", str(p)]) == 1
     assert "> 3" in capsys.readouterr().err
     assert exactla.DIMENSION_GUARD == before
-    exactla.quotient_space(exactla.QQ, 10, [])  # no MemoryGuard from the last workspace
+    exactla.guard_dim(10)  # no MemoryGuard from the last workspace
 
 
 def test_stored_connection_runs_over_its_own_T(tmp_path, capsys):

@@ -1,9 +1,13 @@
 """Corings, comodules, dual rings, (co)separability, coidempotents, cotensor."""
 
+import json
+import random
+from pathlib import Path
+
 import pytest
 
 from coralg.coring import (
-    Comodule, Coidempotent, coidempotent_from_comodule, cointegral,
+    Comodule, Coidempotent, Coring, coidempotent_from_comodule, cointegral,
     comodule_from_coidempotent, coinvariants, cotensor,
     direct_sum_coidempotents, dual_ring, regular_comodule,
     separability_idempotent, trivial_coring, validate_coidempotent,
@@ -12,12 +16,13 @@ from coralg.coring import (
 from coralg.errors import ActionMismatch, InvalidCoidempotent
 from coralg.exactla import QQ, Mat
 from coralg.fixtures import (
-    group_z2_coring, matrix_algebra, module_over_scalars, nc_fixture,
-    product_field_algebra, quadratic_algebra,
+    FIXTURE_NAMES, fixture_document, group_z2_coring, matrix_algebra, module_over_scalars,
+    nc_fixture, product_field_algebra, quadratic_algebra,
 )
 from coralg.ncalg import (
     projective_dual_basis, regular_bimodule, scalar_algebra,
 )
+from coralg.workspace import parse_workspace
 
 
 def qi(x):
@@ -345,3 +350,36 @@ def test_co_opposite_coring_and_opposite_comodule():
     assert rm.side == "right" and rm.coring is cop and rm.carrier is c.carrier.op()
     assert rm.space is lm.space.op() and rm.coaction is lm.coaction
     assert validate_comodule(rm).ok
+
+
+RESIDUALS = json.loads((Path(__file__).parent / "data" / "coring_residuals.json").read_text())
+
+
+def _residuals_of_corrupted_corings(name):
+    """validate_coring's failures, as JSON lists, on every coring of a
+    fixture with one entry of delta, then of eps, bumped by one in six
+    seeded trials each."""
+    ws = parse_workspace(fixture_document(name))
+    out = {}
+    for cname, c in ws.corings.items():
+        f = c.base.field
+        runs = []
+        for which in ("delta", "eps"):
+            m = getattr(c, which)
+            for seed in range(6):
+                rng = random.Random(seed)
+                ij = (rng.randrange(m.nrows), rng.randrange(m.ncols))
+                bad = {which: m + Mat.from_entries(f, m.nrows, m.ncols, [(ij, f.one)])}
+                cor = Coring(c.base, c.carrier, bad.get("delta", c.delta),
+                             bad.get("eps", c.eps), name=c.name)
+                runs.append(validate_coring(cor).failures)
+        out[f"{name} {cname}"] = runs
+    return json.loads(json.dumps(out))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_corrupted_coring_residuals_are_pinned(name):
+    """The located failures, in order, are those of the validator that
+    wrote each left-hand check apart from its right-hand mirror."""
+    got = _residuals_of_corrupted_corings(name)
+    assert got == {k: v for k, v in RESIDUALS.items() if k.split(" ")[0] == name}

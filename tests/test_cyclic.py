@@ -14,7 +14,7 @@ from coralg.cyclic import (
 )
 from coralg.entwine import associated_coring
 from coralg.errors import DegreeOutOfRange, MemoryGuard, NotACycle
-from coralg.exactla import GF, QQ, Mat, kron_id, quotient_space, rank
+from coralg.exactla import GF, QQ, Mat, QuotientSpace, SubspaceBasis, kron_id, rank
 from coralg.fixtures import (
     FIXTURE_NAMES, diagonal_subalgebra, fixture_workspace, matrix_algebra,
     quadratic_algebra, upper_triangular_algebra,
@@ -179,7 +179,8 @@ def _ambient_circular(sp):
         rels.extend(col for col in (right - left).sparse_cols() if col)
     if not rels:
         return plain.dim, plain.Q, plain.S
-    qs = quotient_space(sp.field, plain.dim, rels)
+    f, n = sp.field, plain.dim
+    qs = QuotientSpace(f, n, SubspaceBasis.from_vectors(f, n, rels))
     return qs.dim, qs.proj @ plain.Q, plain.S @ qs.sect
 
 
@@ -564,7 +565,9 @@ def connes_dims(cc, D):
     quots, b = [], {}
     for n in range(D + 1):
         one_minus_tau = Mat.identity(f, cc.space(n).dim) - cc.operators(n)["tau"]
-        quots.append(quotient_space(f, cc.space(n).dim, one_minus_tau.sparse_cols()))
+        dim = cc.space(n).dim
+        quots.append(QuotientSpace(
+            f, dim, SubspaceBasis.from_vectors(f, dim, one_minus_tau.sparse_cols())))
         if n >= 1:
             d = cc.operators(n)["d"]
             # d maps (1 - tau)C_n into (1 - tau)C_{n-1}

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from coralg.errors import DimensionMismatch, MemoryGuard
 from coralg.exactla import (
-    GF, QQ, Field, Mat, SubspaceBasis, closure_words, inverse, kron_id, kron_vec,
-    lincomb, mul_kron_id, quotient_space, rank, rref_solve, solve_right,
+    GF, QQ, Field, Mat, QuotientSpace, SubspaceBasis, closure_words, guard_dim, inverse,
+    kron_id, kron_vec, lincomb, mul_kron_id, rank, rref_solve, solve_right,
 )
 
 Q1 = QQ.one
@@ -247,9 +247,13 @@ def test_scalar_serialization():
     assert f7.fmt(f7.parse("1/2")) == "4"
 
 
+def _quotient(field, n, rels):
+    return QuotientSpace(field, n, SubspaceBasis.from_vectors(field, n, rels))
+
+
 def test_quotient_space_line():
     # dim 2, relations {(1,-1)}: projection (x,y) -> x+y in canonical coords
-    q = quotient_space(QQ, 2, [qvec([1, -1])])
+    q = _quotient(QQ, 2, [qvec([1, -1])])
     assert q.dim == 1
     assert q.project(qvec([3, 4])) == [QQ.from_int(7)]
     assert q.proj @ q.sect == Mat.identity(QQ, 1)
@@ -257,10 +261,10 @@ def test_quotient_space_line():
 
 
 def test_quotient_space_trivial_cases():
-    q = quotient_space(QQ, 4, [])
+    q = _quotient(QQ, 4, [])
     assert q.dim == 4
     assert q.proj == Mat.identity(QQ, 4)
-    z = quotient_space(QQ, 1, [qvec([1])])
+    z = _quotient(QQ, 1, [qvec([1])])
     assert z.dim == 0
 
 
@@ -268,7 +272,7 @@ def test_quotient_space_trivial_cases():
 @given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
                 min_size=1, max_size=3))
 def test_quotient_space_properties(rels):
-    q = quotient_space(QQ, 4, [[QQ.from_int(x) for x in r] for r in rels])
+    q = _quotient(QQ, 4, [[QQ.from_int(x) for x in r] for r in rels])
     assert q.proj @ q.sect == Mat.identity(QQ, q.dim)
     assert rank(q.proj) == q.dim
     for r in rels:
@@ -293,7 +297,7 @@ def test_dimension_mismatch_raised():
 
 def test_memory_guard():
     with pytest.raises(MemoryGuard):
-        quotient_space(QQ, 3_000_000, [])
+        guard_dim(3_000_000)
 
 
 def test_kron_vec_order():
@@ -627,7 +631,7 @@ def test_qq_storage_holds_no_float_and_accessors_give_the_qq_type(case, n):
     assert_normalized(*built)
     res = rref_solve(A, Mat.from_rows(QQ, rhs))
     sub = SubspaceBasis.from_vectors(QQ, nc, a)
-    q = quotient_space(QQ, nc, a)
+    q = _quotient(QQ, nc, a)
     derived = [A + C, A - C, -A, A.scale(x), A @ B, A.kron(B), kron_id(2, A, 2),
                mul_kron_id(Mat.identity(QQ, 2 * nr), 2, A, 1),
                lincomb([A, C], [x, y]), A.transpose(), A.rows_at(range(nr)),

@@ -17,7 +17,7 @@ from coralg.fixtures import (
 from coralg.ncalg import (
     AlgebraMorphism, Equation, Module, TensorSpace, Term, descend, eq_value, eqs_linear,
     evaluate_equation,
-    generated_subalgebra, hom_solve, leg_apply, projective_dual_basis,
+    generated_subalgebra, hom_solve, kron_to_quotient, leg_apply, projective_dual_basis,
     regular_bimodule, scalar_algebra, tensor_space,
     validate_algebra, validate_module, validate_morphism,
     verify_dual_basis,
@@ -177,13 +177,14 @@ def test_leg_apply_multiplication_collapse():
 
 
 def test_leg_apply_well_definedness_check():
-    # a map that is not balanced must be rejected on a quotient
+    # a map that is not balanced does not descend to a quotient
     a = quadratic_algebra(QQ, 1, 0)
     m = regular_bimodule(a)
     t = tensor_space([m, m], [a])
     bad = Mat.from_rows(QQ, [[qi(1), qi(0)], [qi(0), qi(0)]])  # kills x, keeps 1
-    with pytest.raises(ActionMismatch):
-        leg_apply(t, t, 0, 1, bad)
+    assert descend(kron_to_quotient(t, 1, bad, 2), t) is None
+    ident = Mat.identity(QQ, 2)
+    assert descend(kron_to_quotient(t, 1, ident, 2), t) == leg_apply(t, t, 0, 1, ident)
 
 
 def test_hom_solve_identity_type():
@@ -472,8 +473,7 @@ def test_leg_apply_through_reversal_views_equals_the_plain_map():
     # the descent check reads the view's own Q and S
     bad = Mat.from_rows(QQ, [[qi(1) if i == j == 0 else qi(0) for j in range(4)]
                              for i in range(4)])
-    with pytest.raises(ActionMismatch):
-        leg_apply(aa.op(), aa.op(), 1, 1, bad)
+    assert descend(kron_to_quotient(aa.op(), 4, bad, 1), aa.op()) is None
 
 
 def _fixture_spaces(name):
@@ -585,8 +585,7 @@ def test_identity_skip_equals_the_explicit_product():
         fmat = Mat.from_rows(QQ, [[qi(rng.randrange(-3, 4)) for _ in range(first)]
                                   for _ in range(first)])
         explicit = src.Q @ kron_id(1, fmat, rest) @ src.S
-        for check in ("auto", "skip"):
-            assert leg_apply(src, src, 0, 1, fmat, check=check) == explicit, src.name
+        assert leg_apply(src, src, 0, 1, fmat) == explicit, src.name
         W = Mat.from_rows(QQ, [[qi(rng.randrange(-3, 4)) for _ in range(full)]
                                for _ in range(2)])
         assert descend(W, src) == W @ src.S, src.name

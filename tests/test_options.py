@@ -13,7 +13,9 @@ unlabelled Equation would be a nameless axiom.  A column span is taken by
 ``SubspaceBasis.from_columns`` in row storage, so no module reads columns
 out as public scalars only to hand them back to ``exactla``.  Which
 relations a ``TensorSpace`` imposes is chosen by ``ncalg._relation_sets``
-alone, so the build itself consults no certificate.
+alone, so the build itself consults no certificate.  An induced map has one
+constructor, ``leg_apply``, with no option, one certificate, ``descend``,
+and one way to read a ``kron_id`` through a quotient, ``kron_to_quotient``.
 """
 
 import argparse
@@ -184,14 +186,14 @@ def test_main_builds_no_parser(monkeypatch, tmp_path):
 
 
 _COLUMN_READS = ("sparse_cols", "col")
-_SPAN_ENTRIES = ("from_vectors", "quotient_space")
+_SPAN_ENTRIES = ("from_vectors",)
 
 
 def _column_span_sites(tree):
-    """The calls of ``from_vectors`` or ``quotient_space`` that are handed
-    ``sparse_cols()`` or ``.col()`` output: directly, as the elements of a
-    list, tuple or comprehension, or through a name of the enclosing
-    function bound, appended or extended with such output."""
+    """The calls of ``from_vectors`` that are handed ``sparse_cols()`` or
+    ``.col()`` output: directly, as the elements of a list, tuple or
+    comprehension, or through a name of the enclosing function bound,
+    appended or extended with such output."""
     def is_read(node):
         return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
             and node.func.attr in _COLUMN_READS
@@ -261,3 +263,41 @@ def test_tensor_space_leaves_the_relation_choice_to_relation_sets():
              for n in ast.walk(init) if isinstance(n, (ast.Attribute, ast.Name))}
     assert "_relation_sets" in names
     assert not names & _CERTIFICATES, f"TensorSpace.__init__ reads {names & _CERTIFICATES}"
+
+
+def _name_of(node):
+    """The name a node binds or reads: a name, an attribute, a definition
+    or an imported alias; None for any other node."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return node.name
+    if isinstance(node, ast.alias):
+        return node.asname or node.name
+    return None
+
+
+def _induced_map_bypasses(tree):
+    """The lines that go round the one constructor and the one certificate
+    of induced maps: a ``check=`` handed to ``leg_apply``, the name
+    ``to_quotient``, and a product ``X.Q @ kron_id(...)``."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _name_of(node.func) == "leg_apply" \
+                and any(k.arg == "check" for k in node.keywords):
+            out.append((node.lineno, "leg_apply(check=)"))
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult) \
+                and isinstance(node.left, ast.Attribute) and node.left.attr == "Q" \
+                and isinstance(node.right, ast.Call) and _name_of(node.right.func) == "kron_id":
+            out.append((node.lineno, "Q @ kron_id"))
+        elif _name_of(node) == "to_quotient":
+            out.append((getattr(node, "lineno", None), "to_quotient"))
+    return out
+
+
+def test_induced_maps_have_one_constructor_and_one_certificate():
+    sites = [f"{path.stem}.py:{line} {what}" for path, tree in _parse("src/coralg").items()
+             for line, what in sorted(set(_induced_map_bypasses(tree)), key=str)]
+    assert not sites, f"induced maps built or checked around leg_apply and descend: {sites}"
