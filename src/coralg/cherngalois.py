@@ -24,7 +24,7 @@ from .errors import (
     NotIdempotent, NoLocalDualSystem,
 )
 from .exactla import (
-    Mat, SubspaceBasis, _axpy, _axpy_dense, _dense, kron_id, lincomb, rank, rref_solve,
+    Mat, SubspaceBasis, _axpy, _axpy_dense, _dense, kernel, kron_id, lincomb, rank,
     solve_right,
 )
 from .ncalg import (
@@ -405,7 +405,7 @@ def theta_isomorphism(em, gamma, gammas):
     theta = Mat.from_cols(f, [gamma.space.outer_left[b][beta].apply(gammas[key])
                               for key in em.index for beta in range(b.dim)], gamma.space.dim)
     image = SubspaceBasis.from_columns(f, dim_free, [re_mat])
-    ker_re = rref_solve(re_mat)["kernel"]
+    ker_re = kernel(re_mat)
     ok_welldef = all(not any(theta.apply(ker_re.mat.row_list(i)))
                      for i in range(ker_re.dim))
     theta_on_image = [theta.apply(image.mat.row_list(i)) for i in range(image.dim)]

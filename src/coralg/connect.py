@@ -15,7 +15,7 @@ restricted connection (T') are.
 from .errors import (
     ImageNotCoinvariant, MembershipFailure, NotASection, NotGalois,
 )
-from .exactla import Mat, SubspaceBasis, _axpy_dense, rank, rref_solve, solve_right
+from .exactla import Mat, SubspaceBasis, _axpy_dense, kernel, rank, solve_right
 from .ncalg import (
     Equation, Report, Term, _fail_cols, check_equations, descend, eqs_linear,
     eq_right_colinear, eq_value, hom_solve, kron_to_quotient, leg_apply,
@@ -209,7 +209,7 @@ def differential_forms(x):
     f = b.field
     bb = tensor_space([b_mod, b_mod], [t])
     mu = leg_apply(bb, b_mod, 0, 2, b.mult_mat())
-    omega1 = rref_solve(mu)["kernel"]
+    omega1 = kernel(mu)
     cols = []
     for i in range(b.dim):
         u = bb.embed_pure([b.unit, b.basis_vector(i)])
@@ -375,7 +375,7 @@ def tflatness_check(x):
     iota_hat = circ_a.Q @ x.incl_B.matrix @ circ_b.S
     # upsilon vanishes on classes of B
     _fail_cols(rep, "upsilon-on-B", upsilon @ iota_hat)
-    ker = rref_solve(upsilon)["kernel"]
+    ker = kernel(upsilon)
     image = SubspaceBasis.from_columns(f, circ_a.dim, [iota_hat])
     injective = rank(iota_hat) == circ_b.dim
     iso = injective and image == ker

@@ -10,7 +10,7 @@ manipulated through canonical quotient coordinates.
 import math
 
 from .errors import ActionMismatch, InvalidCoidempotent, NotProjective
-from .exactla import Mat, SubspaceBasis, _axpy_dense, kron_id, lincomb, rref_solve
+from .exactla import Mat, SubspaceBasis, _axpy_dense, kernel, kron_id, lincomb
 from .ncalg import (
     Algebra, Equation, Module, Report, Term, _fail_cols, eqs_linear, hom_solve, leg_apply,
     regular_bimodule, tensor_space, validate_module,
@@ -178,7 +178,7 @@ def coinvariants(m, e):
         legs = [b, e] if m.side == "right" else [e, b]
         cols.append(m.space.embed_pure(legs))
     em = Mat.from_cols(car.field, cols, m.space.dim)
-    return rref_solve(m.coaction - em)["kernel"]
+    return kernel(m.coaction - em)
 
 
 # ---------------------------------------------------------------------------
@@ -549,5 +549,5 @@ def cotensor(m, w):
     mcw = tensor_space([m.carrier, c.carrier, w.carrier], [base, base])
     t1 = leg_apply(mw, mcw, 0, 1, m.coaction_full())
     t2 = leg_apply(mw, mcw, 1, 1, w.coaction_full())
-    ker = rref_solve(t1 - t2)["kernel"]
+    ker = kernel(t1 - t2)
     return ker, mw

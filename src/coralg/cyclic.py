@@ -46,7 +46,7 @@ from itertools import chain
 
 from .errors import ActionMismatch, DegreeMismatch, DegreeOutOfRange, NotACycle
 from .exactla import (
-    Mat, QuotientSpace, SubspaceBasis, _axpy_dense, guard_dim, kron_id, rank, rref_solve,
+    Mat, QuotientSpace, SubspaceBasis, _axpy_dense, guard_dim, kernel, kron_id, rank,
     solve_right,
 )
 from .ncalg import (
@@ -296,7 +296,7 @@ class HomologySpace:
     def kernel(self):
         if self.n == 0:
             return SubspaceBasis.full(self.tc.cc.field, self.tc.tot_dim[0])
-        return rref_solve(self.tc.d[self.n])["kernel"]
+        return kernel(self.tc.d[self.n])
 
     @cached_property
     def class_space(self):

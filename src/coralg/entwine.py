@@ -21,7 +21,7 @@ subalgebra computed by both one-sided kernel formulas.
 from .errors import (
     CompatibilityFailure, CoinvariantMismatch, NotBijective, NotEntwinedModule,
 )
-from .exactla import Mat, inverse, kron_id, kron_vec, lincomb, rank, rref_solve, solve_right
+from .exactla import Mat, inverse, kernel, kron_id, kron_vec, lincomb, rank, solve_right
 from .ncalg import (
     AlgebraMorphism, Module, Report, _fail_cols, check_equations, descend, eqs_linear,
     generated_subalgebra, kron_to_quotient, leg_apply, regular_bimodule, tensor_space,
@@ -408,8 +408,8 @@ def make_extension(e, rho, grouplike=None):
     if not hrep.ok:
         raise NotEntwinedModule(f"left entwined module fails: {hrep.failures[:3]}")
     # coinvariants, two one-sided kernel formulas
-    b_right = rref_solve(rho - m1)["kernel"]
-    b_left = rref_solve(lrho - e.op().left_action_on(lrho.apply(ring.unit)))["kernel"]
+    b_right = kernel(rho - m1)
+    b_left = kernel(lrho - e.op().left_action_on(lrho.apply(ring.unit)))
     if b_right != b_left:
         raise CoinvariantMismatch(
             f"one-sided coinvariants differ: dims {b_right.dim} vs {b_left.dim}")
@@ -508,7 +508,7 @@ def galois_check(e, rho):
     """Galois verdict for a raw coaction (no extension validation): computes
     the coinvariant kernel B, then rank-checks can_A on A (x)_B A."""
     ring = e.ring
-    b_ker = rref_solve(rho - e.left_action_on(rho.apply(ring.unit)))["kernel"]
+    b_ker = kernel(rho - e.left_action_on(rho.apply(ring.unit)))
     basis = [b_ker.mat.row_list(i) for i in range(b_ker.dim)]
     b_alg, b_incl = generated_subalgebra(ring, basis)
     e.a_mod.restrict(b_alg, b_incl)

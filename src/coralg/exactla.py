@@ -526,19 +526,16 @@ class _Echelon:
     """Incremental row echelon form; ``close()`` yields the canonical rref.
 
     Rows are dicts; every inserted row is first reduced against the current
-    pivots.  Optionally tracks an augmented part (same reduction applied),
-    used for particular solutions and inverses.
+    pivots.  A row may carry an augmented part, to which the same reduction
+    is applied (``solve_right``).
     """
 
-    def __init__(self, field, ncols, aug_cols=0):
+    def __init__(self, field):
         self.field = field
-        self.ncols = ncols
-        self.aug_cols = aug_cols
         self.rows = []          # echelon rows, pivot normalized to 1
         self.augs = []
         self.pivot_of_row = []  # pivot column per row
         self.pivot_rows = {}    # pivot column -> row index
-        self.dead_augs = []     # aug parts of rows that reduced to zero
 
     def _reduce(self, row, aug):
         p = self.field.p
@@ -557,15 +554,13 @@ class _Echelon:
                 _axpy(aug, c, self.augs[ri], p)
 
     def add(self, row, aug=None):
-        """Insert a row (a dict, left unchanged); returns True if the rank
-        grew."""
+        """Insert a row (a dict, left unchanged) with its augmented part aug
+        (a dict or None); returns True if the rank grew.  When it did not,
+        aug is left reduced in place: the combination of augmented parts
+        that goes with the zero row."""
         row = {j: v for j, v in row.items() if v}
-        if aug is None and self.aug_cols:
-            aug = {}
         self._reduce(row, aug)
         if not row:
-            if self.aug_cols:
-                self.dead_augs.append(aug)
             return False
         piv = min(row)
         if row[piv] != 1:  # normalize the pivot to 1
@@ -634,7 +629,7 @@ class SubspaceBasis:
     @classmethod
     def from_vectors(cls, field, ambient_dim, vectors):
         """The span of ``vectors`` (dense lists or sparse dicts)."""
-        ech = _Echelon(field, ambient_dim)
+        ech = _Echelon(field)
         for v in vectors:
             ech.add(_sparse(field, v, ambient_dim))
         return cls._from_echelon(field, ambient_dim, ech)
@@ -644,7 +639,7 @@ class SubspaceBasis:
         """The span of the columns of every Mat in ``mats`` (each with
         ``ambient_dim`` rows), reduced in row storage: no column is read
         out as public scalars."""
-        ech = _Echelon(field, ambient_dim)
+        ech = _Echelon(field)
         for m in mats:
             if m.nrows != ambient_dim:
                 raise DimensionMismatch(f"columns of length {m.nrows} in k^{ambient_dim}")
@@ -723,7 +718,7 @@ def _closure(field, ambient_dim, vectors, mats):
     span when the list is exhausted."""
     p = field.p
     images = [m.transpose()._rows for m in mats]
-    ech = _Echelon(field, ambient_dim)
+    ech = _Echelon(field)
     words = []
     for vec in vectors:
         row = _sparse(field, vec, ambient_dim)
@@ -748,40 +743,6 @@ def closure_words(field, ambient_dim, start, mats):
             for row, v, i in _closure(field, ambient_dim, [start], mats)[1]]
 
 
-def rref_solve(m, b=None):
-    """Unique rref of m, rank, pivots, kernel basis, and (if b is given)
-    one particular solution per column of b, with free variables set to 0.
-
-    ``particular`` is None when some column is inconsistent, else a Mat whose
-    columns solve m @ x = b columnwise.
-    """
-    if b is not None and b.nrows != m.nrows:
-        raise DimensionMismatch("rhs row count differs from matrix")
-    aug_cols = b.ncols if b is not None else 0
-    ech = _Echelon(m.field, m.ncols, aug_cols)
-    for i in range(m.nrows):
-        aug = dict(b._rows[i]) if b is not None else None
-        ech.add(m._rows[i], aug)
-    ech.close()
-    rref = Mat(m.field, ech.rank, m.ncols, [dict(r) for r in ech.rows])
-    kernel = _kernel_from_rref(m.field, m.ncols, ech)
-    particular = None
-    if b is not None:
-        consistent = all(not aug for aug in ech.dead_augs)
-        if consistent:
-            particular = Mat.from_entries(
-                m.field, m.ncols, b.ncols,
-                (((piv, j), v) for piv, aug in zip(ech.pivot_of_row, ech.augs)
-                 for j, v in aug.items()))
-    return {
-        "rref": rref,
-        "rank": ech.rank,
-        "pivot_cols": list(ech.pivot_of_row),
-        "kernel": kernel,
-        "particular": particular,
-    }
-
-
 def _free_vectors(field, ncols, pivot_cols, rref_rows):
     """The free columns f of an rref and, for each, e_f minus the pivot
     entries of column f: a kernel basis, and the rows of the canonical
@@ -804,31 +765,59 @@ def _free_vectors(field, ncols, pivot_cols, rref_rows):
     return free, vecs
 
 
-def _kernel_from_rref(field, ncols, ech):
-    _free, vecs = _free_vectors(field, ncols, ech.pivot_of_row, ech.rows)
-    return SubspaceBasis.from_vectors(field, ncols, vecs)
+def _reversed_echelon(m):
+    """The rows of m inserted into one elimination with column j relabelled
+    ``m.ncols - 1 - j``: its rank is m's, and its rref holds ker m (see
+    ``kernel``)."""
+    last = m.ncols - 1
+    ech = _Echelon(m.field)
+    for r in m._rows:
+        ech.add({last - j: v for j, v in r.items()})
+    return ech
+
+
+def kernel(m):
+    """The canonical rref basis of ker m, from one elimination.  With the
+    columns reversed, each free vector of the rref is 1 at its free column
+    f and nonzero only at pivot columns below f; relabelled back, f is its
+    leading column and every other entry lies at no other vector's leading
+    column, so the free vectors, in reverse order, are already the rref."""
+    n, last = m.ncols, m.ncols - 1
+    ech = _reversed_echelon(m).close()
+    free, vecs = _free_vectors(m.field, n, ech.pivot_of_row, ech.rows)
+    stored = m.field._to_stored  # the elimination may leave an integral Fraction
+    rows = [{last - j: stored(v) for j, v in vec.items()} for vec in reversed(vecs)]
+    return SubspaceBasis(m.field, n, Mat(m.field, len(rows), n, rows),
+                         [last - f for f in reversed(free)])
 
 
 def rank(m):
-    ech = _Echelon(m.field, m.ncols)
-    for r in m._rows:
-        ech.add(r)
-    return ech.rank
+    """The rank of m, by the elimination of ``kernel`` left unclosed."""
+    return _reversed_echelon(m).rank
 
 
 def solve_right(m, b):
-    """X with m @ X = b (free variables zero), or None if inconsistent."""
-    return rref_solve(m, b)["particular"]
+    """X with m @ X = b, free variables zero, or None if some column of b is
+    inconsistent: one elimination of m augmented by b."""
+    if b.nrows != m.nrows:
+        raise DimensionMismatch("rhs row count differs from matrix")
+    ech = _Echelon(m.field)
+    for r, aug in zip(m._rows, b._rows):
+        aug = dict(aug)
+        if not ech.add(r, aug) and aug:  # 0 = aug: inconsistent
+            return None
+    ech.close()
+    return Mat.from_entries(m.field, m.ncols, b.ncols,
+                            (((piv, j), v) for piv, aug in zip(ech.pivot_of_row, ech.augs)
+                             for j, v in aug.items()))
 
 
 def inverse(m):
-    """Two-sided inverse of a square matrix, or None."""
+    """Two-sided inverse of a square matrix, or None: m X = I is
+    inconsistent exactly when m is singular."""
     if m.nrows != m.ncols:
         return None
-    res = rref_solve(m, Mat.identity(m.field, m.nrows))
-    if res["rank"] != m.nrows:
-        return None
-    return res["particular"]
+    return solve_right(m, Mat.identity(m.field, m.nrows))
 
 
 class QuotientSpace:

@@ -40,7 +40,7 @@ from types import MappingProxyType
 from .errors import ActionMismatch, DimensionMismatch
 from .exactla import (
     Mat, QuotientSpace, SubspaceBasis, _axpy, _axpy_dense, closure_words, guard_dim,
-    kron_id, kron_vec, lincomb, mul_kron_id, rref_solve,
+    kernel, kron_id, kron_vec, lincomb, mul_kron_id, solve_right,
 )
 
 
@@ -840,14 +840,21 @@ def check_equations(report, X, eqs):
 class AffineSolutionSet:
     """All solutions X = particular + span(homogeneous) of a linear system
     in an unknown (tgt_dim x src_dim)-matrix; particular has free variables
-    set to zero (deterministic)."""
+    set to zero (deterministic).  ``homogeneous`` is ``kernel`` of the
+    system matrix, built when first read; the matrix is dropped then."""
 
-    def __init__(self, field, tgt_dim, src_dim, particular, homogeneous):
+    def __init__(self, field, tgt_dim, src_dim, particular, system):
         self.field = field
         self.tgt_dim = tgt_dim
         self.src_dim = src_dim
         self.particular = particular
-        self.homogeneous = homogeneous
+        self._system = system
+
+    @cached_property
+    def homogeneous(self):
+        h = kernel(self._system)
+        del self._system
+        return h
 
     @property
     def is_empty(self):
@@ -909,12 +916,11 @@ def hom_solve(field, src_dim, tgt_dim, equations):
         if eq.rhs is not None:
             rhs.extend(((nrows + o * dom_dim + dd, 0), v) for (o, dd), v in eq.rhs.items())
         nrows += J.nrows * dom_dim
-    res = rref_solve(Mat.from_entries(field, nrows, nunk, entries),
-                     Mat.from_entries(field, nrows, 1, rhs))
-    particular = res["particular"]
+    system = Mat.from_entries(field, nrows, nunk, entries)
+    particular = solve_right(system, Mat.from_entries(field, nrows, 1, rhs))
     if particular is not None:
         particular = particular.reshape(tgt_dim, src_dim)
-    return AffineSolutionSet(field, tgt_dim, src_dim, particular, res["kernel"])
+    return AffineSolutionSet(field, tgt_dim, src_dim, particular, system)
 
 
 # -- equation constructors -------------------------------------------------

@@ -16,10 +16,10 @@ from coralg.connect import (
 from coralg.coring import trivial_coring
 from coralg.entwine import Entwining, extension_from_grouplike, invert_entwining
 from coralg.errors import MembershipFailure, NotASection, NotGalois
-from coralg.exactla import GF, QQ, Mat
+from coralg.exactla import GF, QQ, Mat, kernel
 from coralg.fixtures import (
-    FIXTURE_NAMES, fixture_document, matrix_algebra, product_field_algebra, quadratic_algebra,
-    sweedler_entwining, upper_triangular_subalgebra, z2_graded_entwining,
+    FIXTURE_NAMES, fixture_document, fixture_workspace, matrix_algebra, product_field_algebra,
+    quadratic_algebra, sweedler_entwining, upper_triangular_subalgebra, z2_graded_entwining,
 )
 from coralg.ncalg import AlgebraMorphism, leg_apply, tensor_space
 from coralg.workspace import parse_workspace
@@ -428,3 +428,17 @@ def test_cuntz_quillen_bijection_is_matrix_identity():
     ins1 = leg_apply(x.a_mod, ba, 0, 0, Mat.from_cols(QQ, [x.B.unit], x.B.dim))
     assert ins1 - sec["nabla"] == sec["sigma"]
     assert ins1 - sec["sigma"] == sec["nabla"]
+
+
+@pytest.mark.parametrize("name, freedom", [("FIX-NC", 3), ("FIX-Z2", 0)])
+def test_solution_set_kernel_is_built_on_first_read(name, freedom):
+    """The strong-connection solution set keeps its system matrix until
+    ``homogeneous`` is first read; it is then ``kernel`` of that matrix and
+    the matrix is dropped.  The freedom is unchanged."""
+    x = fixture_workspace(name).extension(t_name="T")
+    _, sol = solve_strong_connection(x)
+    system = sol._system
+    assert sol.homogeneous == kernel(system)
+    assert not hasattr(sol, "_system")
+    assert sol.freedom == freedom == len(sol.directions)
+    assert sol.homogeneous is sol.homogeneous

@@ -14,9 +14,9 @@ from coralg.cyclic import (
 )
 from coralg.entwine import associated_coring
 from coralg.errors import DegreeOutOfRange, MemoryGuard, NotACycle
-from coralg.exactla import GF, QQ, Mat, QuotientSpace, SubspaceBasis, kron_id, rank
+from coralg.exactla import GF, QQ, Mat, QuotientSpace, SubspaceBasis, kernel, kron_id, rank
 from coralg.fixtures import (
-    FIXTURE_NAMES, diagonal_subalgebra, fixture_workspace, matrix_algebra,
+    FIXTURE_NAMES, diagonal_subalgebra, fixture_workspace, matrix_algebra, nc_fixture,
     quadratic_algebra, upper_triangular_algebra,
 )
 from coralg.ncalg import (
@@ -585,6 +585,66 @@ def _skip_small_characteristic(field, D):
     # that needs p > D + 1
     if field.p is not None and field.p <= D + 1:
         pytest.skip(f"Connes' complex needs p > D + 1 = {D + 1} (p = {field.p})")
+
+
+def natural_order_kernel(m):
+    """ker m by the natural-order route: the free vectors of the rref of
+    m's rows (e_f minus the pivot entries of column f, for each free column
+    f) and the rref of their span; with the rank of m."""
+    f = m.field
+    rref = SubspaceBasis.from_vectors(f, m.ncols, m.transpose().sparse_cols())
+    pivots = rref.pivot_cols
+    rows = rref.mat.transpose().sparse_cols()
+    vecs = []
+    for c in sorted(set(range(m.ncols)) - set(pivots)):
+        v = {c: f.one}
+        v.update((pc, -row[c]) for pc, row in zip(pivots, rows) if c in row)
+        vecs.append(v)
+    return SubspaceBasis.from_vectors(f, m.ncols, vecs), rref.dim
+
+
+def assert_rref_kernel(m, k):
+    """K is a kernel of m (m K^T = 0) in reduced row echelon form: each
+    row's first entry is a 1 at its pivot column, pivots ascend and no other
+    row has an entry there."""
+    assert (m @ k.mat.transpose()).is_zero()
+    pivots = set(k.pivot_cols)
+    assert k.pivot_cols == sorted(pivots)
+    for pc, row in zip(k.pivot_cols, k.mat.transpose().sparse_cols()):
+        assert min(row) == pc and row[pc] == k.field.one
+        assert pivots.intersection(row) == {pc}
+
+
+def test_kernels_of_the_criterion_2_differentials():
+    """Over Q at D = 5, ``kernel`` (one column-reversed elimination) is the
+    natural-order kernel on d_1..d_4 of the six (B, T) pairs, and ``rank``
+    its rank; the kernel of d_5 is certified instead: m K^T = 0, K is in
+    rref and dim K = tot_5 - rank d_5."""
+    for b, t_pair in _criterion_2_pairs(QQ):
+        tc = cyclic_complex(b, t_pair).total(5)
+        name = tc.cc.name
+        for n in range(1, 5):
+            k = kernel(tc.d[n])
+            want, rk = natural_order_kernel(tc.d[n])
+            assert (k, k.pivot_cols, tc.rank(n)) == (want, want.pivot_cols, rk), (name, n)
+        k = kernel(tc.d[5])
+        assert_rref_kernel(tc.d[5], k)
+        assert k.dim == tc.tot_dim[5] - tc.rank(5), name
+
+
+def test_degree_5_homology_of_fix_nc_b_vanishes():
+    """FIX-NC's B is all of M2, and HC is Morita invariant, so over Q
+    HC_5(M2|k) = HC_5(k) = 0.  At D = 6 the kernel of d_5 (1364 x 5460)
+    is certified and its class space is 0."""
+    b = nc_fixture(QQ)["extension"].B
+    assert b.dim == 4
+    tc = cyclic_complex(b).total(6)
+    h = homology(tc, 5)
+    assert h.dim == 0
+    assert tc.d[5].shape == (1364, 5460)
+    assert_rref_kernel(tc.d[5], h.kernel)
+    assert h.kernel.dim == tc.tot_dim[5] - tc.rank(5)
+    assert h.class_space.dim == 0
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])

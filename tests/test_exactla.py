@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from coralg.errors import DimensionMismatch, MemoryGuard
 from coralg.exactla import (
     GF, QQ, Field, Mat, QuotientSpace, SubspaceBasis, closure_words, guard_dim, inverse,
-    kron_id, kron_vec, lincomb, mul_kron_id, rank, rref_solve, solve_right,
+    kernel, kron_id, kron_vec, lincomb, mul_kron_id, rank, solve_right,
 )
 
 Q1 = QQ.one
@@ -54,33 +54,36 @@ def naive_rref(rows):
     return [row for row in rows if any(row)], pivots
 
 
+def row_space(m):
+    """The canonical rref of m's row space, the natural-order elimination
+    of ``SubspaceBasis.from_vectors``."""
+    return SubspaceBasis.from_vectors(m.field, m.ncols, m.to_lists())
+
+
 def test_rref_identity_with_rhs():
     m = Mat.identity(QQ, 3)
     b = Mat.from_cols(QQ, [qvec([1, 0, 0])], 3)
-    res = rref_solve(m, b)
-    assert res["rank"] == 3
-    assert res["kernel"].dim == 0
-    assert res["particular"].col(0) == qvec([1, 0, 0])
+    assert rank(m) == 3
+    assert kernel(m).dim == 0
+    assert solve_right(m, b).col(0) == qvec([1, 0, 0])
 
 
 def test_rref_zero_matrix():
     m = Mat.zeros(QQ, 2, 2)
     b = Mat.zeros(QQ, 2, 1)
-    res = rref_solve(m, b)
-    assert res["rank"] == 0
-    assert res["kernel"].dim == 2
-    assert res["particular"].col(0) == qvec([0, 0])
+    assert rank(m) == 0
+    assert kernel(m).dim == 2
+    assert solve_right(m, b).col(0) == qvec([0, 0])
 
 
 def test_rref_inconsistent_system():
     # hand elimination: [[1,2],[2,4]] reduces to [[1,2],[0,0]], b -> (1, 1): inconsistent
     m = qmat([[1, 2], [2, 4]])
     b = Mat.from_cols(QQ, [qvec([1, 3])], 2)
-    res = rref_solve(m, b)
-    assert res["rank"] == 1
-    assert res["pivot_cols"] == [0]
-    assert res["particular"] is None
-    assert res["rref"].row_list(0) == qvec([1, 2])
+    assert rank(m) == 1
+    assert row_space(m).pivot_cols == [0]
+    assert solve_right(m, b) is None
+    assert row_space(m).mat.row_list(0) == qvec([1, 2])
 
 
 def test_rref_matches_naive_oracle():
@@ -88,11 +91,11 @@ def test_rref_matches_naive_oracle():
     for _ in range(25):
         nr, nc = rng.randint(1, 5), rng.randint(1, 5)
         rows = [[QQ.from_int(rng.randint(-3, 3)) for _ in range(nc)] for _ in range(nr)]
-        res = rref_solve(Mat.from_rows(QQ, rows))
+        m = Mat.from_rows(QQ, rows)
         oracle_rows, oracle_piv = naive_rref(rows)
-        assert res["rank"] == len(oracle_rows)
-        assert res["pivot_cols"] == oracle_piv
-        assert res["rref"].to_lists() == oracle_rows
+        assert rank(m) == len(oracle_rows)
+        assert row_space(m).pivot_cols == oracle_piv
+        assert row_space(m).mat.to_lists() == oracle_rows
 
 
 def test_back_elimination_clears_several_later_pivots_from_one_row():
@@ -106,14 +109,14 @@ def test_back_elimination_clears_several_later_pivots_from_one_row():
     rhs = [[1, 0], [2, 1], [0, 3], [-1, 1]]
     rows = [[QQ.from_int(x) for x in r] for r in a]
     b = [[QQ.from_int(x) for x in r] for r in rhs]
-    res = rref_solve(Mat.from_rows(QQ, rows), Mat.from_rows(QQ, b))
+    m = Mat.from_rows(QQ, rows)
     oracle_rows, oracle_piv = naive_rref(rows)
-    assert res["pivot_cols"] == oracle_piv == [0, 1, 3, 4]
-    assert res["rref"].to_lists() == oracle_rows
-    assert res["particular"].to_lists() == naive_solve(rows, b, len(a[0]))
-    gf = rref_solve(Mat.from_rows(F7, [[x % P7 for x in r] for r in a]))
+    assert row_space(m).pivot_cols == oracle_piv == [0, 1, 3, 4]
+    assert row_space(m).mat.to_lists() == oracle_rows
+    assert solve_right(m, Mat.from_rows(QQ, b)).to_lists() == naive_solve(rows, b, len(a[0]))
+    gf = row_space(Mat.from_rows(F7, [[x % P7 for x in r] for r in a]))
     rref, pivots = naive_rref_mod(a, P7)
-    assert (gf["pivot_cols"], gf["rref"].to_lists()) == (pivots, rref)
+    assert (gf.pivot_cols, gf.mat.to_lists()) == (pivots, rref)
 
 
 def naive_matmul(a, b):
@@ -177,18 +180,17 @@ def test_mixed_rows_match_dense_fraction_oracle(case):
                                     for ra in a for rb in b]
     assert lincomb([A, C], [x, y]).to_lists() == [
         [x * u + y * w for u, w in zip(ra, rc)] for ra, rc in zip(a, c)]
-    res = rref_solve(A, R)
     oracle_rows, oracle_piv = naive_rref(a)
-    assert rank(A) == res["rank"] == len(oracle_rows)
-    assert res["pivot_cols"] == oracle_piv
-    assert res["rref"].to_lists() == oracle_rows
+    assert rank(A) == len(oracle_rows)
+    assert row_space(A).pivot_cols == oracle_piv
+    assert row_space(A).mat.to_lists() == oracle_rows
     kvecs = naive_kernel(oracle_rows, oracle_piv, k)
-    assert res["kernel"].mat.to_lists() == naive_rref(kvecs)[0]
+    assert kernel(A).mat.to_lists() == naive_rref(kvecs)[0]
     want = naive_solve(a, rhs, k)
     if want is None:
-        assert res["particular"] is None
+        assert solve_right(A, R) is None
     else:
-        assert res["particular"].to_lists() == want
+        assert solve_right(A, R).to_lists() == want
     dim = len(s)
     if len(naive_rref(s)[0]) < dim:
         assert inverse(S) is None
@@ -202,18 +204,17 @@ def test_mixed_rows_match_dense_fraction_oracle(case):
                 min_size=1, max_size=4))
 def test_kernel_and_particular_properties(data):
     m = Mat.from_rows(QQ, [[QQ.from_int(x) for x in r] for r in data])
-    res = rref_solve(m)
-    k = res["kernel"]
+    k = kernel(m)
     for i in range(k.dim):
         assert all(not x for x in m.apply(k.mat.row_list(i)))
     # rref idempotence and canonicity under row scrambling
-    again = rref_solve(res["rref"])
-    assert again["rref"] == res["rref"]
+    rref = row_space(m).mat
+    assert row_space(rref).mat == rref
     perm = list(range(m.nrows))
     random.Random(0).shuffle(perm)
     scr = Mat.from_rows(QQ, [m.row_list(i) for i in perm])
     two = Mat.identity(QQ, m.nrows).scale(QQ.from_int(2))
-    assert rref_solve(two @ scr)["rref"] == res["rref"]
+    assert row_space(two @ scr).mat == rref
 
 
 def test_solve_right_and_inverse():
@@ -224,6 +225,12 @@ def test_solve_right_and_inverse():
     x = solve_right(m, Mat.from_cols(QQ, [qvec([1, 0])], 2))
     assert m.apply(x.col(0)) == qvec([1, 0])
     assert inverse(qmat([[1, 2], [2, 4]])) is None
+    # m X = I is inconsistent for a singular square m; a non-square m has
+    # no two-sided inverse, even with a one-sided one
+    assert inverse(Mat.zeros(QQ, 2, 2)) is None
+    assert inverse(Mat.from_rows(F7, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])) is None
+    assert inverse(qmat([[1, 0, 0], [0, 1, 0]])) is None
+    assert inverse(qmat([[1, 0], [0, 1], [1, 1]])) is None
 
 
 def test_gf_arithmetic_and_solve():
@@ -278,7 +285,7 @@ def test_quotient_space_properties(rels):
     for r in rels:
         assert q.project([QQ.from_int(x) for x in r]) == [Q0] * q.dim
     # kernel of projection is exactly the relation span
-    assert rref_solve(q.proj)["kernel"] == q.relations
+    assert kernel(q.proj) == q.relations
 
 
 def test_subspace_membership_and_sum():
@@ -292,7 +299,7 @@ def test_dimension_mismatch_raised():
     with pytest.raises(DimensionMismatch):
         qmat([[1, 2]]) @ qmat([[1, 2]])
     with pytest.raises(DimensionMismatch):
-        rref_solve(qmat([[1]]), Mat.zeros(QQ, 2, 1))
+        solve_right(qmat([[1]]), Mat.zeros(QQ, 2, 1))
 
 
 def test_memory_guard():
@@ -403,15 +410,74 @@ def test_gfp_kernels_match_naive_mod_p_oracle(case):
                       (lincomb([A, C, A], [s, 3 % p, -s % p]), comb)):
         assert got.to_lists() == want
         assert_reduced(got, p)
-    res = rref_solve(A)
     rref, pivots = naive_rref_mod(a, p)
-    assert res["rank"] == len(rref)
-    assert res["pivot_cols"] == pivots
-    assert res["rref"].to_lists() == rref
-    assert_reduced(res["rref"], p)
+    assert rank(A) == len(rref)
+    assert row_space(A).pivot_cols == pivots
+    assert row_space(A).mat.to_lists() == rref
+    assert_reduced(row_space(A).mat, p)
     kvecs = naive_kernel_mod(rref, pivots, len(a[0]), p)
-    assert res["kernel"].mat.to_lists() == naive_rref_mod(kvecs, p)[0]
-    assert_reduced(res["kernel"].mat, p)
+    assert kernel(A).mat.to_lists() == naive_rref_mod(kvecs, p)[0]
+    assert_reduced(kernel(A).mat, p)
+
+
+@st.composite
+def kernel_case(draw):
+    """A matrix over QQ or GF(7) as dense rows with its column count: sparse
+    (most entries zero), all-zero, or of full rank min(nrows, ncols), which
+    is an echelon block with random pivot columns, padded by random rows
+    when nrows > ncols and then shuffled; either dimension may be 0."""
+    field = draw(st.sampled_from([QQ, F7]))
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["sparse", "zero", "full"]))
+    if field is QQ:
+        def scalar(nums):
+            return st.builds(lambda a, b: QQ.from_int(a) / QQ.from_int(b),
+                             st.sampled_from(nums), st.integers(1, 3))
+        entry, nonzero = scalar([0, 0, 0, 1, -1, 2, -3]), scalar([1, -1, 2, -3])
+    else:
+        entry, nonzero = st.sampled_from([0, 0, 0, 1, 2, 3, 6]), st.integers(1, P7 - 1)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    if kind == "zero":
+        rows = [[field.zero] * ncols for _ in range(nrows)]
+    elif kind == "full":
+        r = min(nrows, ncols)
+        pivots = sorted(draw(st.permutations(range(ncols)))[:r])
+        for row, piv in zip(rows, pivots):
+            row[:piv] = [field.zero] * piv
+            row[piv] = draw(nonzero)
+        rows = draw(st.permutations(rows))
+    return field, kind, rows, ncols
+
+
+@settings(max_examples=250, deadline=None)
+@given(kernel_case())
+def test_kernel_and_rank_match_the_natural_order_reference(case):
+    """``kernel`` (one column-reversed elimination) is the rref of the free
+    vectors of the natural-order rref, by the dense oracle; ``rank`` is the
+    oracle's rank; ``m @ K^T = 0``."""
+    field, kind, rows, ncols = case
+    m = Mat.from_rows(field, rows, ncols)
+    if field is QQ:
+        rref, pivots = naive_rref(rows)
+        want = naive_rref(naive_kernel(rref, pivots, ncols))[0]
+    else:
+        rref, pivots = naive_rref_mod(rows, P7)
+        want = naive_rref_mod(naive_kernel_mod(rref, pivots, ncols, P7), P7)[0]
+    k = kernel(m)
+    assert k.mat.shape == (len(want), ncols)
+    assert k.mat.to_lists() == want
+    assert k.pivot_cols == [next(j for j, x in enumerate(r) if x) for r in want]
+    assert (m @ k.mat.transpose()).is_zero()
+    assert rank(m) == len(rref) == ncols - k.dim
+    if kind == "zero":
+        assert rank(m) == 0 and k == SubspaceBasis.full(field, ncols)
+    elif kind == "full":
+        assert rank(m) == min(m.shape)
+    if field is QQ:
+        assert_normalized(k.mat)
+    else:
+        assert_reduced(k.mat, P7)
 
 
 def naive_invariant_span(field, dim, vectors, mats):
@@ -629,16 +695,15 @@ def test_qq_storage_holds_no_float_and_accessors_give_the_qq_type(case, n):
              Mat.from_entries(QQ, nr, nc, A.items()),
              Mat.from_rows(QQ, [{j: v for j, v in enumerate(r) if v} for r in a], nc)]
     assert_normalized(*built)
-    res = rref_solve(A, Mat.from_rows(QQ, rhs))
     sub = SubspaceBasis.from_vectors(QQ, nc, a)
     q = _quotient(QQ, nc, a)
     derived = [A + C, A - C, -A, A.scale(x), A @ B, A.kron(B), kron_id(2, A, 2),
                mul_kron_id(Mat.identity(QQ, 2 * nr), 2, A, 1),
                lincomb([A, C], [x, y]), A.transpose(), A.rows_at(range(nr)),
                A.reshape(1, nr * nc), Mat.from_blocks(QQ, nr + 1, nc + 1, [(1, 1, A)]),
-               res["rref"], res["kernel"].mat, q.proj, q.sect, sub.mat,
+               kernel(A).mat, q.proj, q.sect, sub.mat,
                SubspaceBasis.invariant_span(QQ, len(s), s[:1], [S]).mat]
-    derived += [m for m in (res["particular"], inverse(S)) if m is not None]
+    derived += [m for m in (solve_right(A, Mat.from_rows(QQ, rhs)), inverse(S)) if m is not None]
     assert_qq_storage(*derived)
     values = [v for m in built + derived for col in m.sparse_cols() for v in col.values()]
     for v in a:
@@ -651,19 +716,22 @@ def test_qq_storage_holds_no_float_and_accessors_give_the_qq_type(case, n):
 def test_mat_storage_stays_in_exactla():
     """Outside exactla (and this file's storage-invariant checks) no code
     reads or builds a Mat's row storage: no attribute ``rows``/``_rows``, no
-    import of the echelon internals and no raw ``Mat(...)`` call with rows."""
+    import or name of the echelon internals and no raw ``Mat(...)`` call
+    with rows."""
     root = Path(__file__).resolve().parent.parent
     files = [p for p in sorted((root / "src" / "coralg").glob("*.py"))
              if p.name != "exactla.py"]
     files += [p for p in sorted((root / "tests").glob("*.py"))
               if p.name != "test_exactla.py"]
-    internals = {"_Echelon", "_kernel_from_rref"}
+    internals = {"_Echelon", "_reversed_echelon"}
     offences = []
     for path in files:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             where = f"{path.relative_to(root)}:{getattr(node, 'lineno', '?')}"
             if isinstance(node, ast.Attribute) and node.attr in {"rows", "_rows"} | internals:
                 offences.append(f"{where} .{node.attr}")
+            elif isinstance(node, ast.Name) and node.id in internals:
+                offences.append(f"{where} names {node.id}")
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 offences += [f"{where} imports {a.name}" for a in node.names
                              if a.name.rsplit(".", 1)[-1] in internals]
