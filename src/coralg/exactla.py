@@ -6,17 +6,18 @@ Conventions, binding for the whole package:
   plain ints in ``[0, p)``.  Both are falsy exactly when zero, which the
   sparse kernels rely on.
 * The row storage (``Mat._rows`` and the echelon rows) keeps each value in
-  the canonical form that makes its arithmetic cheapest: over Q an integral
-  value is a plain int and only a non-integral one keeps the Fraction type;
-  over F_p a value is its balanced residue, the unique int in
-  ``[-((p - 1) // 2), p // 2]`` (``{0, 1}`` for p = 2), so the structure
-  constants' -1 stays the small int -1 instead of p - 1.  Each field picks
-  its converter pair once, at construction: ``_to_stored`` normalizes the
-  constructors' entries and the scalars entering a kernel, and
-  ``_to_public`` turns a stored value (or, over F_p, any int) back into
-  the field's scalar for every accessor.  The stored form is unique, so
-  equality, the zero test and every rref are the same as on the public
-  scalars.
+  the form that makes its arithmetic cheapest.  Over F_p a value is its
+  balanced residue, the unique int in ``[-((p - 1) // 2), p // 2]``
+  (``{0, 1}`` for p = 2), so the structure constants' -1 stays the small
+  int -1 instead of p - 1.  Over Q the constructors and ``kernel`` store
+  an integral value as a plain int, a non-integral one as a Fraction;
+  arithmetic results may hold an integral Fraction, equal to that int but
+  on the slower path.  Each field picks its converter pair once:
+  ``_to_stored`` normalizes the constructors' entries and the scalars
+  entering a kernel, and ``_to_public`` turns a stored value (or, over
+  F_p, any int) back into the field's scalar for every accessor.  Every
+  stored form equals its value, so equality, the zero test and every rref
+  are the same as on the public scalars.
 * Scalars combine with native operators; ``Field`` holds no per-scalar
   arithmetic, only the boundary helpers (``from_int``, ``inv``, ``parse``,
   ``fmt``).  Constants come from ``from_int``, so a QQ value outside the
@@ -554,11 +555,11 @@ class _Echelon:
                 _axpy(aug, c, self.augs[ri], p)
 
     def add(self, row, aug=None):
-        """Insert a row (a dict, left unchanged) with its augmented part aug
+        """Insert a row (a dict without zeros, which the echelon now owns:
+        a caller that keeps it passes a copy) with its augmented part aug
         (a dict or None); returns True if the rank grew.  When it did not,
         aug is left reduced in place: the combination of augmented parts
         that goes with the zero row."""
-        row = {j: v for j, v in row.items() if v}
         self._reduce(row, aug)
         if not row:
             return False
@@ -722,14 +723,14 @@ def _closure(field, ambient_dim, vectors, mats):
     words = []
     for vec in vectors:
         row = _sparse(field, vec, ambient_dim)
-        if ech.add(row):
+        if ech.add(dict(row)):
             words.append((row, None, None))
     for v, (row, _, _) in enumerate(words):  # grows as it is read
         for i, cols in enumerate(images):
             img = {}
             for j, x in row.items():
                 _axpy(img, x, cols[j], p)
-            if ech.add(img):
+            if ech.add(dict(img)):
                 words.append((img, v, i))
     return ech, words
 
@@ -804,7 +805,7 @@ def solve_right(m, b):
     ech = _Echelon(m.field)
     for r, aug in zip(m._rows, b._rows):
         aug = dict(aug)
-        if not ech.add(r, aug) and aug:  # 0 = aug: inconsistent
+        if not ech.add(dict(r), aug) and aug:  # 0 = aug: inconsistent
             return None
     ech.close()
     return Mat.from_entries(m.field, m.ncols, b.ncols,

@@ -11,17 +11,17 @@ Conventions:
   declared left action commutes with every declared right action.
 * ``TensorSpace([M1,...,Mk], [T1,...,T_{k-1}], circular=T)`` is the balanced
   tensor product M1 (x)_{T1} ... (x)_{T_{k-1}} Mk, optionally factored by the
-  circular relation  m * t ~ t * m.  The quotient is built left-nested, one
-  junction at a time, each step in rref-canonical coordinates; the composite
-  is the binding coordinate convention for serialized data.  Pure-tensor
-  basis order is lexicographic with the leftmost factor slowest.  The outer
-  actions of the end factors are computed on demand, once per algebra, as
-  the maps ``leg_apply`` induces on the space; a circular space has none.  The
-  circular relation's end actions are carried through the junction
-  quotients instead.  ``_relation_sets`` alone decides which relations a
-  junction or the circular relation imposes: those of a certified
-  generating set of its algebra, else of its whole basis, less the pairs
-  of identities.
+  circular relation  m * t ~ t * m.  Each space is one quotient step, in
+  rref-canonical coordinates, on its memoized prefix (M1..M_{k-1}, or for
+  a circular space the balanced M1..Mk); the composite of these
+  left-nested steps is the binding coordinate convention for serialized
+  data.  Pure-tensor basis order is lexicographic with the leftmost factor
+  slowest.  The end factors' outer actions are pushed through the last
+  step on demand, once per algebra; a circular space has none, and its
+  relation reads those of its balanced prefix.  ``_relation_sets`` alone
+  decides which relations a junction or the circular relation imposes:
+  those of a certified generating set of its algebra, else of its whole
+  basis, less the pairs of identities.
 * The ground field is realized as the one-dimensional algebra; a junction
   algebra of ``None`` means "over k" (no balancing relations).
 * Opposites (memoized, ``x.op().op() is x``): ``Algebra.op()`` has
@@ -266,21 +266,27 @@ class _OpActions(Mapping):
 
 
 class _OuterActions(Mapping):
-    """The actions of an end factor's algebras on a tensor space, read live
-    from the factor's ``left`` or ``right``: ``alg``'s i-th matrix is the
-    map ``leg_apply(space, space, pos, 1, m_i)`` induces, pos the factor's
-    position, computed once when first read."""
+    """An end factor's actions on a tensor space, pushed through its last
+    step when first read: ``alg``'s i-th matrix is
+    ``proj @ kron_id(pre, m_i, post) @ sect`` (the bare kron_id where the
+    step imposed no relation), m_i read live from the prefix's left action
+    (pre = 1) or the last factor's declared right action (post = 1).  With
+    Q = proj (Q' (x) I) and S = (S' (x) I) sect, the mixed-product rule and
+    Q' S' = I make this Q (m (x) I) S or Q (I (x) m) S, the map ``leg_apply``
+    induces, whether or not m descends."""
 
-    def __init__(self, space, actions, pos):
-        self._space, self._actions, self._pos = space, actions, pos
+    def __init__(self, step, actions, pre, post):
+        self._step, self._actions, self._pre, self._post = step, actions, pre, post
         self._pushed = {}
 
     def __getitem__(self, alg):
         mats = self._pushed.get(alg)
         if mats is None:
-            sp, pos = self._space, self._pos
-            mats = self._pushed[alg] = [leg_apply(sp, sp, pos, 1, m)
-                                        for m in self._actions[alg]]
+            mats = [kron_id(self._pre, m, self._post) for m in self._actions[alg]]
+            if self._step is not None:
+                proj, sect = self._step
+                mats = [proj @ m @ sect for m in mats]
+            self._pushed[alg] = mats
         return mats
 
     def __contains__(self, alg):
@@ -514,7 +520,7 @@ def _balancing_set(alg, certified):
 
 
 def _relation_sets(factors, junctions, circular):
-    """The basis indices whose relations the build imposes: one list per
+    """The basis indices whose relations a space's steps impose: one list per
     junction, then one for the circular algebra (empty over k and without
     a circular relation).  Each set is the algebra's generating set where
     the certificates below hold, else its whole basis, less the indices
@@ -527,15 +533,15 @@ def _relation_sets(factors, junctions, circular):
     by induction every closure word's relations, hence every basis
     element's, lie in the span of the generators' relations.  At a
     junction the left action is the declared one of the factor right of
-    it.  The right action is the declared one of the factor left of it,
-    pushed through the quotient of the junction before: where that
-    factor's left action of the junction before commutes with the
-    generators' right action, the quotient's relations are invariant under
-    kron(I, R(g)), so the pushed action keeps the word identities of the
-    declared one, and P S = I keeps the unit.
+    it.  The right action is the ``outer_right`` of the space up to that
+    factor: its declared one, pushed through the quotient of the junction
+    before.  Where that factor's left action of the junction before
+    commutes with the generators' right action, the quotient's relations
+    are invariant under kron(I, R(g)), so the pushed action keeps the
+    word identities of the declared one, and P S = I keeps the unit.
 
-    The circular relation x a - a x pairs the right action on the last
-    factor with the left action on the first, both pushed through every
+    The circular relation x a - a x is read on the balanced space's end
+    actions (``outer_right`` and ``outer_left``), pushed through every
     junction quotient, where no commutation is known.  Its generating set
     is used only where both declared actions pass the word certificate and
     every closure word is 1 or a generator (no word has two letters or
@@ -565,6 +571,18 @@ def _relation_sets(factors, junctions, circular):
     return sets + [chosen(circular, certified, last.right[circular], first.left[circular])]
 
 
+def _require_actions(name, factors, junctions, circular):
+    """ActionMismatch unless every action the space's relations read is declared."""
+    first, last = factors[0], factors[-1]
+    if circular is not None and not (circular in last.right and circular in first.left):
+        raise ActionMismatch(f"{name}: circular algebra {circular.name} must act on both ends")
+    for t, m, nxt in zip(junctions, factors, factors[1:]):
+        if t is not None and t not in m.right:
+            raise ActionMismatch(f"{name}: left side lacks a right {t.name}-action")
+        if t is not None and t not in nxt.left:
+            raise ActionMismatch(f"{name}: {nxt.name} lacks a left {t.name}-action")
+
+
 class TensorSpace:
     """Left-nested balanced tensor product with canonical quotient data.
 
@@ -575,47 +593,42 @@ class TensorSpace:
       Q           projection full -> quotient (canonical coordinates)
       S           section quotient -> full (zero on pivot coordinates;
                   every column a single 1)
+      prefix      the space this one is one step on (see below)
       outer_left  left actions of the first factor's algebras {alg: [Mat]}
       outer_right right actions of the last factor's algebras; both read
-                  the factor's declared actions live (see ``_OuterActions``)
-                  and are empty after a circular quotient, where they are
-                  no longer well defined
+                  their actions live and push them through the last step
+                  (see ``_OuterActions``), and are empty after a circular
+                  quotient, where they are no longer well defined
       trivial     True when there are no relations (Q is invertible, S = Q^-1;
                   except on a reversal view both are one identity Mat)
 
-    A junction over T imposes the relations m t (x) n - m (x) t n, the
-    nonzero columns of ``kron_id(1, R_t, dN) - kron_id(cur, L_t, 1)``, and
-    the circular relation those of ``R_t - L_t``; each step reduces them in
-    row storage (``SubspaceBasis.from_columns``).  t runs over the indices
+    A space is one quotient step on its prefix.  With k >= 2 factors the
+    prefix is the memoized space of the first k - 1 factors (the first
+    module when k = 2), and the step tensors it with the last factor over
+    the last junction T, imposing m t (x) n - m (x) t n: the nonzero
+    columns of ``kron_id(1, R_t, dN) - kron_id(dim prefix, L_t, 1)``, R_t
+    the prefix's ``outer_right``.  A circular space's step imposes R_t - L_t
+    on its prefix, the balanced space of the same factors, read on that
+    space's ``outer_right`` and ``outer_left``; a one-factor space is its
+    module.  Relations are reduced in row storage
+    (``SubspaceBasis.from_columns``), and t runs over the indices
     ``_relation_sets`` chooses: T's generating set
     (``Algebra.balancing_words``) where the certificates of the declared
     actions show that it spans the relations of the whole basis, else the
-    whole basis, so Q and S are those of the all-basis build.  A pair of
-    identities adds no relation and is skipped, so over T = k the circular
-    quotient costs nothing.
-
-    Each junction step pushes only the actions the later steps read, as
-    ``proj @ m @ sect`` of that step's quotient: the right action of the
-    next junction's algebra, for the indices that junction uses, and, for
-    a circular space, the closing actions (the circular algebra's right
-    action on the last factor and left action on the first) for the
-    indices of the circular set.
-
-    The build carries S transposed, one row per quotient coordinate
-    rather than one per ambient index.  A step's section selects the free
-    columns, so the new S is kron(S, I) at those columns, and its
-    transpose is the rows of kron(S^T, I) there, taken as they are
-    (``rows_at``); S is transposed once, at the end.  Starting from the
-    identity, every column of S is a single 1.
+    whole basis, so Q and S are those of the all-basis build; a pair of
+    identities is skipped, so over T = k the circular quotient costs
+    nothing.  Spaces with the same first factors share prefixes.  The
+    step's section selects the free columns, so S, kron(S', I) at those
+    columns, is the rows of kron(S'^T, I) there (``rows_at``), transposed;
+    every column of S is a single 1.
     """
 
     def __init__(self, factors, junctions, circular=None, name=""):
         if len(junctions) != len(factors) - 1:
             raise DimensionMismatch("need one junction per adjacent factor pair")
         field = factors[0].field
-        for m in factors:
-            if m.field != field:
-                raise ActionMismatch("mixed fields in tensor space")
+        if any(m.field != field for m in factors):
+            raise ActionMismatch("mixed fields in tensor space")
         self.field = field
         self.factors = factors
         self.junctions = junctions
@@ -623,56 +636,36 @@ class TensorSpace:
         self.dims = [m.dim for m in factors]
         self.full_dim = guard_dim(prod(self.dims), f"tensor space {name or '?'}")
         self.name = name or "(x)".join(m.name for m in factors)
-
-        first, last = factors[0], factors[-1]
-        if circular is not None and (circular not in last.right or circular not in first.left):
-            raise ActionMismatch(
-                f"{self.name}: circular algebra {circular.name} must act on both ends")
-        for t, m, nxt in zip(junctions, factors, factors[1:]):
-            if t is not None and t not in m.right:
-                raise ActionMismatch(f"{self.name}: left side lacks a right {t.name}-action")
-            if t is not None and t not in nxt.left:
-                raise ActionMismatch(f"{self.name}: {nxt.name} lacks a left {t.name}-action")
+        _require_actions(self.name, factors, junctions, circular)
         sets = _relation_sets(factors, junctions, circular)
-        algs = list(junctions) + [circular]
-        # the right action on the space so far of the algebra the next step
-        # balances (the next junction, after the last factor the circular
-        # algebra), and the circular algebra's left action, one Mat per
-        # index of its set
-        right = [first.right[algs[0]][x] for x in sets[0]]
-        left = [first.left[circular][x] for x in sets[-1]]
-        cur_dim = first.dim
-        Q = St = Mat.identity(field, cur_dim)  # St is S transposed
-
-        for k, (t, nxt) in enumerate(zip(junctions, factors[1:])):
-            dN = nxt.dim
-            amb = cur_dim * dN
-            # the relations m g (x) n - m (x) g n are the columns of
-            # kron(R_g, I) - kron(I, L_g)
-            rels = [kron_id(1, rt, dN) - kron_id(cur_dim, nxt.left[t][x], 1)
-                    for x, rt in zip(sets[k], right)]
-            if Q is St:  # no relation yet: one identity serves as both
-                Q = St = kron_id(1, Q, dN)
-            else:
-                Q, St = kron_id(1, Q, dN), kron_id(1, St, dN)
-            right = [kron_id(cur_dim, nxt.right[algs[k + 1]][x], 1) for x in sets[k + 1]]
-            left = [kron_id(1, L, dN) for L in left]
-            cur_dim = amb
-            if rels:
-                qs = QuotientSpace(field, amb, SubspaceBasis.from_columns(field, amb, rels))
-                Q, St, cur_dim = qs.proj @ Q, St.rows_at(qs.free_cols), qs.dim
-                right = [qs.proj @ m @ qs.sect for m in right]
-                left = [qs.proj @ m @ qs.sect for m in left]
-
-        rels = [rm - lm for rm, lm in zip(right, left)]  # the circular relation
+        last = factors[-1]
+        if circular is None and len(factors) > 1:  # a junction step
+            prefix = (factors[0] if len(factors) == 2
+                      else _memoized(factors[:-1], junctions[:-1], None, ""))
+            t, pre, post = junctions[-1], prefix.dim, last.dim
+            rels = [kron_id(1, prefix.outer_right[t][x], post) - kron_id(pre, last.left[t][x], 1)
+                    for x in sets[-2]]
+        else:  # the circular step, or a one-factor space
+            prefix = factors[0] if len(factors) == 1 else _memoized(factors, junctions, None, "")
+            pre = post = 1
+            rels = [prefix.outer_right[circular][x] - prefix.outer_left[circular][x]
+                    for x in sets[-1]]
+        amb = prefix.dim * post
+        Q = kron_id(1, prefix.Q, post)
         if rels:
-            qs = QuotientSpace(field, cur_dim, SubspaceBasis.from_columns(field, cur_dim, rels))
-            Q, St, cur_dim = qs.proj @ Q, St.rows_at(qs.free_cols), qs.dim
-        self.dim, self.Q, self.S = cur_dim, Q, Q if St is Q else St.transpose()
-        self.trivial = cur_dim == self.full_dim
+            qs = QuotientSpace(field, amb, SubspaceBasis.from_columns(field, amb, rels))
+            step = qs.proj, qs.sect
+            self.Q = qs.proj @ Q
+            self.S = kron_id(1, prefix.S.transpose(), post).rows_at(qs.free_cols).transpose()
+        else:  # no relation: a plain prefix keeps one identity as both Q and S
+            step = None
+            self.Q, self.S = Q, Q if prefix.S is prefix.Q else kron_id(1, prefix.S, post)
+        self.prefix = prefix
+        self.dim = self.Q.nrows
+        self.trivial = self.dim == self.full_dim
         if circular is None:
-            self.outer_left = _OuterActions(self, first.left, 0)
-            self.outer_right = _OuterActions(self, last.right, len(factors) - 1)
+            self.outer_left = _OuterActions(step, prefix.outer_left, 1, post)
+            self.outer_right = _OuterActions(step, last.right, pre, 1)
         else:
             self.outer_left = self.outer_right = MappingProxyType({})
         self._op = None
@@ -748,6 +741,12 @@ def tensor_space(factors, junctions, circular=None, name=""):
         return tensor_space([m.op() for m in reversed(factors)],
                             [None if t is None else t.op() for t in reversed(junctions)],
                             None if circular is None else circular.op(), name).op()
+    return _memoized(factors, junctions, circular, name)
+
+
+def _memoized(factors, junctions, circular, name):
+    """``tensor_space``'s memo with no reversal view: a prefix read here
+    has its own left-nested coordinates, even with all factors opposite."""
     key = (tuple(factors[1:]), tuple(junctions), circular)
     memo = factors[0]._tensor_spaces
     sp = memo.get(key)

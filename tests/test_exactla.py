@@ -1,6 +1,7 @@
 """Oracle and property tests for the exact linear algebra substrate."""
 
 import ast
+import copy
 import itertools
 import random
 from pathlib import Path
@@ -802,6 +803,24 @@ def test_from_columns_spans_the_public_columns(case):
         SubspaceBasis.from_vectors(field, dim, mats[0].sparse_cols())
     with pytest.raises(DimensionMismatch):
         SubspaceBasis.from_columns(field, dim + 1, mats)
+
+
+@settings(max_examples=80, deadline=None)
+@given(restrict_case())
+def test_eliminations_leave_their_inputs_unchanged(case):
+    """The echelon reduces the rows it is given in place, so each entry
+    point hands it rows of its own: kernel, rank, solve_right, from_columns
+    and invariant_span leave their Mats (and sparse vectors) as they were."""
+    field, dim, vectors, mats = case
+    sparse = [{j: x for j, x in enumerate(v) if x} for v in vectors]
+    before = copy.deepcopy([m._rows for m in mats]), copy.deepcopy(sparse)
+    for m in mats:
+        kernel(m)
+        rank(m)
+        solve_right(m, mats[-1])
+    SubspaceBasis.from_columns(field, dim, mats)
+    SubspaceBasis.invariant_span(field, dim, sparse, mats)
+    assert ([m._rows for m in mats], sparse) == before
 
 
 @settings(max_examples=80, deadline=None)

@@ -634,11 +634,44 @@ def _twisted(t, host, twist, name, bend):
     return Module(f, name, d).add_left(t, sides["left"]).add_right(t, sides["right"])
 
 
+def _bent_factors(t, host, twists, bend):
+    """One ``_twisted`` host per twist, named M0, M1, ...; with
+    ``bend = (n, side, index, entries)`` factor n is bent."""
+    factors = []
+    for n, twist in enumerate(twists):
+        b = None
+        if bend is not None and bend[0] == n:
+            b = (bend[1], bend[2] % t.dim, bend[3])
+        factors.append(_twisted(t, host, twist, f"M{n}", b))
+    return factors
+
+
+def _copies(factors):
+    """Fresh modules with the declared actions of ``factors``, one per
+    distinct module: a space built on them reads no prefix memoized on
+    the originals."""
+    fresh = {}
+    for m in factors:
+        if m not in fresh:
+            c = fresh[m] = Module(m.field, m.name, m.dim)
+            for alg, mats in m.left.items():
+                c.add_left(alg, mats)
+            for alg, mats in m.right.items():
+                c.add_right(alg, mats)
+    return [fresh[m] for m in factors]
+
+
+def _build_with(balancing_set, factors, junctions, circular):
+    """The space built, prefixes included, with ``balancing_set`` in place
+    of ``ncalg._balancing_set``, on copies of the factors."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ncalg, "_balancing_set", balancing_set)
+        return TensorSpace(_copies(factors), junctions, circular)
+
+
 def _all_basis_build(factors, junctions, circular):
     """The same space built from the relations of every basis element."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ncalg, "_balancing_set", lambda alg, certified: range(alg.dim))
-        return TensorSpace(factors, junctions, circular)
+    return _build_with(lambda alg, certified: range(alg.dim), factors, junctions, circular)
 
 
 def _same_space(a, b):
@@ -666,12 +699,7 @@ def test_generating_set_build_equals_the_all_basis_build(field, kind, twists, ci
     if len(twists) == 1:
         circular = True
     t, host = _junction_algebra(field, kind)
-    factors = []
-    for n, twist in enumerate(twists):
-        b = None
-        if bend is not None and bend[0] == n:
-            b = (bend[1], bend[2] % t.dim, bend[3])
-        factors.append(_twisted(t, host, twist, f"M{n}", b))
+    factors = _bent_factors(t, host, twists, bend)
     junctions = [t] * (len(factors) - 1)
     circ = t if circular else None
     built = TensorSpace(factors, junctions, circ)
@@ -726,15 +754,69 @@ def test_the_section_is_the_left_nested_column_selection(field, kind, twists, ci
         assert space.Q @ space.S == Mat.identity(field, space.dim)
 
 
-def test_an_oversized_space_raises_the_memory_guard():
-    """full_dim is guarded before any junction step, and no step's ambient
-    exceeds it, so one guard refuses an oversized space."""
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from([QQ, GF(7)]),
+       kind=st.sampled_from(["kxk", "ut2", "M2", "diag"]),
+       twists=st.lists(st.tuples(small_ints, st.none() | small_ints), min_size=1, max_size=4),
+       circular=st.booleans(),
+       bend=st.none() | st.tuples(st.integers(0, 3), st.sampled_from(["left", "right"]),
+                                  st.integers(0, 3), small_ints))
+def test_a_space_is_one_step_on_its_memoized_prefix(field, kind, twists, circular, bend):
+    """One to four twisted, sometimes bent, modules over k x k, ut2, M2 and
+    diag in M2, over QQ and GF(7), with and without the circular relation.
+    Down the chain of prefixes, each space's prefix is the memoized
+    ``tensor_space`` of its first k - 1 factors (the first module when
+    k = 2; for a circular space, the balanced space of all k factors), and
+    each outer action, pushed through the space's last step, is the map
+    ``leg_apply(sp, sp, pos, 1, m)`` induces, where m descends or not."""
+    t, host = _junction_algebra(field, kind)
+    factors = _bent_factors(t, host, twists, bend)
+    junctions = [t] * (len(factors) - 1)
+    sp = tensor_space(factors, junctions, t if circular else None)
+    if circular:
+        whole = factors[0] if len(factors) == 1 else tensor_space(factors, junctions)
+        assert sp.prefix is whole
+        assert not sp.outer_left and not sp.outer_right
+        sp = whole
+    while isinstance(sp, TensorSpace):
+        k = len(sp.factors)
+        for m, pushed in zip(sp.factors[0].left[t], sp.outer_left[t], strict=True):
+            assert pushed == leg_apply(sp, sp, 0, 1, m), (sp.name, "left")
+        for m, pushed in zip(sp.factors[-1].right[t], sp.outer_right[t], strict=True):
+            assert pushed == leg_apply(sp, sp, k - 1, 1, m), (sp.name, "right")
+        if k >= 3:
+            assert sp.prefix is tensor_space(sp.factors[:-1], sp.junctions[:-1])
+        else:
+            assert sp.prefix is sp.factors[0]
+        sp = sp.prefix
+
+
+def test_a_prefix_of_opposite_factors_is_built_directly():
+    """``tensor_space`` gives [A^op, A^op] as the reversal view of A (x) A,
+    whose coordinates differ over M2; as the prefix of [A^op, A^op, N] the
+    direct build is read instead, so the space keeps the coordinates of
+    its own left-nested chain."""
     m2 = matrix_algebra(QQ, 2)
     reg = regular_bimodule(m2)
+    n = Module(QQ, "n", 4).add_left(m2.op(), reg.right[m2])
+    factors, junctions = [reg.op(), reg.op(), n], [m2.op(), m2.op()]
+    direct = TensorSpace(factors[:-1], junctions[:-1])
+    assert tensor_space(factors[:-1], junctions[:-1]).Q != direct.Q
+    assert _same_space(tensor_space(factors, junctions).prefix, direct)
+
+
+def test_an_oversized_space_raises_the_memory_guard():
+    """full_dim is guarded before the prefix is built, and no prefix's
+    ambient exceeds it, so one guard refuses an oversized space and leaves
+    no prefix behind."""
+    m2 = matrix_algebra(QQ, 2)
+    reg = regular_bimodule(m2)
+    big = Module(QQ, "big", 1500)
     with pytest.raises(MemoryGuard, match="tensor space"):
-        TensorSpace([Module(QQ, "big", 1500)] * 2, [None])
+        TensorSpace([big] * 2, [None])
     with pytest.raises(MemoryGuard, match="tensor space"):
         TensorSpace([reg] * 11, [m2] * 10, circular=m2)
+    assert not big._tensor_spaces and not reg._tensor_spaces
 
 
 def test_the_word_certificate_refuses_a_right_action_bent_on_a_product():
@@ -755,9 +837,8 @@ def test_the_word_certificate_refuses_a_right_action_bent_on_a_product():
                                      ([reg, bent], [m2], m2)):
         built = TensorSpace(factors, junctions, circ)
         assert _same_space(built, _all_basis_build(factors, junctions, circ))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ncalg, "_balancing_set", lambda alg, certified: alg.balancing_words[0])
-            gens_only = TensorSpace(factors, junctions, circ)
+        gens_only = _build_with(lambda alg, certified: alg.balancing_words[0],
+                                factors, junctions, circ)
         assert not _same_space(built, gens_only)
 
 

@@ -13,7 +13,9 @@ unlabelled Equation would be a nameless axiom.  A column span is taken by
 ``SubspaceBasis.from_columns`` in row storage, so no module reads columns
 out as public scalars only to hand them back to ``exactla``.  Which
 relations a ``TensorSpace`` imposes is chosen by ``ncalg._relation_sets``
-alone, so the build itself consults no certificate.  An induced map has one
+alone, so the build itself consults no certificate; the build is one step on
+the memoized prefix, with no loop, and an end action is pushed onto a space
+one way, through its last step, not through ``leg_apply``.  An induced map has one
 constructor, ``leg_apply``, with no option, one certificate, ``descend``,
 and one way to read a ``kron_id`` through a quotient, ``kron_to_quotient``.
 """
@@ -263,6 +265,17 @@ def test_tensor_space_leaves_the_relation_choice_to_relation_sets():
              for n in ast.walk(init) if isinstance(n, (ast.Attribute, ast.Name))}
     assert "_relation_sets" in names
     assert not names & _CERTIFICATES, f"TensorSpace.__init__ reads {names & _CERTIFICATES}"
+
+
+def test_a_tensor_space_is_one_step_and_pushes_actions_one_way():
+    tree = ast.parse((ROOT / "src" / "coralg" / "ncalg.py").read_text())
+    classes = {n.name: n for n in tree.body if isinstance(n, ast.ClassDef)}
+    init, = (n for n in classes["TensorSpace"].body
+             if isinstance(n, ast.FunctionDef) and n.name == "__init__")
+    loops = [n.lineno for n in ast.walk(init) if isinstance(n, (ast.For, ast.While))]
+    assert not loops, f"TensorSpace.__init__ loops at lines {loops}"
+    names = {_name_of(n) for n in ast.walk(classes["_OuterActions"])}
+    assert "leg_apply" not in names, "_OuterActions pushes actions through leg_apply"
 
 
 def _name_of(node):
