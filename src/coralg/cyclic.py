@@ -118,7 +118,8 @@ class _Level(Mapping):
     each is built, and checked to descend, when first read.  tautilde and N
     are formed from the descended tau.  d' and d are read in the
     coordinates of level n - 1 (``_dprime_read``); on a plain level n - 1
-    d' is the ambient one, which stays cached for the level above."""
+    d' is the ambient one, which stays cached for the level above.  A
+    reader of both builds them from one face sum (``vertical``)."""
 
     def __init__(self, cc, n):
         self.cc, self.b, self.field, self.n = cc, cc.b, cc.field, n
@@ -201,11 +202,19 @@ class _Level(Mapping):
 
     @cached_property
     def d(self):
+        return self._d_from(self._dprime_read())
+
+    def _d_from(self, W):
         # the last face (-1)^n (b_n b_0) (x) b_1 ... (x) b_{n-1} is b_0 after
         # tau, whose matrix is that of b_0 with its columns rotated
         wrap = self._rotated(self._face(0))
-        W = self._dprime_read()
         return self._descend(W + wrap if self.n % 2 == 0 else W - wrap)
+
+    def vertical(self):
+        """Build d' and d from one ``_dprime_read``, where neither is built."""
+        if "d" not in vars(self) and "dprime" not in vars(self):
+            W = self._dprime_read()
+            self.dprime, self.d = self._descend(W), self._d_from(W)
 
 
 class TotalComplex:
@@ -228,6 +237,8 @@ class TotalComplex:
             guard_dim(off, f"Tot_{n}")
             self.blocks[n] = blocks
             self.tot_dim[n] = off
+        for q in range(1, D + 1):  # levels whose d and d' are both read
+            cc.operators(q).vertical()
         self.d = {n: self._build_d(n) for n in range(1, D + 2)}
         self.d_squared = Report(f"d.d=0 on {cc.name}")
         for n in range(2, D + 2):

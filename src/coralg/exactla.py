@@ -43,11 +43,12 @@ Conventions, binding for the whole package:
   (pivot columns ascending), so subspace equality is basis equality and
   canonical coordinates are plain lists of scalars.  The span of the
   columns of some Mats is ``SubspaceBasis.from_columns``, which reduces
-  the stored columns with no public-scalar round trip.  The smallest
-  subspace that contains some vectors and is invariant under some Mats is
-  grown by one breadth-first worklist, ``_closure``: as a subspace by
-  ``SubspaceBasis.invariant_span``, and from one vector, with how each
-  basis vector arose, by ``closure_words``.
+  the stored columns with no public-scalar round trip, and the span of
+  the balancing relations ``kron_id(1, r, post) - kron_id(pre, l, 1)`` is
+  ``SubspaceBasis.from_balancing``, which forms each column from one
+  column of r and one of l.  The smallest subspace that contains some
+  vectors and is invariant under some Mats is
+  ``SubspaceBasis.invariant_span``, grown by one breadth-first worklist.
 * Quotients use the non-pivot ("free") coordinates of the rref of the
   relation span; the section picks the representative with zero pivot
   coordinates.  ``QuotientSpace(field, n, SubspaceBasis.from_columns(...))``
@@ -650,11 +651,55 @@ class SubspaceBasis:
         return cls._from_echelon(field, ambient_dim, ech)
 
     @classmethod
+    def from_balancing(cls, field, ambient_dim, pre, post, pairs):
+        """The span of the columns of ``kron_id(1, r, post) - kron_id(pre, l, 1)``
+        for every pair ``(r, l)`` of Mats, with neither kron_id nor the
+        difference built: column a * post + c of the first term is column a
+        of r with row i moved to i * post + c, and column b * l.ncols + m of
+        the second is column m of l moved down by b * l.nrows."""
+        p = field.p
+        minus_one = field._to_stored(field.from_int(-1))
+        ech = _Echelon(field)
+        for r, l in pairs:
+            shape = (r.nrows * post, r.ncols * post)
+            if shape != (pre * l.nrows, pre * l.ncols) or shape[0] != ambient_dim:
+                raise DimensionMismatch(f"pair {r.shape}, {l.shape} in k^{ambient_dim}")
+            rcols, lcols = r.transpose()._rows, l.transpose()._rows
+            for j in range(shape[1]):
+                a, c = divmod(j, post)
+                b, m = divmod(j, l.ncols)
+                rcol, lcol = rcols[a], lcols[m]
+                if not (rcol or lcol):
+                    continue
+                col = {i * post + c: v for i, v in rcol.items()}
+                if lcol:
+                    _axpy(col, minus_one, {b * l.nrows + i: v for i, v in lcol.items()}, p)
+                if col:
+                    ech.add(col)
+        return cls._from_echelon(field, ambient_dim, ech)
+
+    @classmethod
     def invariant_span(cls, field, ambient_dim, vectors, mats):
         """The smallest subspace containing ``vectors`` (dense lists or
-        sparse dicts) and invariant under every square Mat in ``mats``
-        (``_closure``)."""
-        ech, _ = _closure(field, ambient_dim, vectors, mats)
+        sparse dicts) and invariant under every square Mat in ``mats``,
+        grown breadth first in row storage: the images of a row are formed
+        only when it raises the rank, so every image of the span is in the
+        span when the worklist is exhausted."""
+        p = field.p
+        images = [m.transpose()._rows for m in mats]
+        ech = _Echelon(field)
+        todo = []
+        for vec in vectors:
+            row = _sparse(field, vec, ambient_dim)
+            if ech.add(dict(row)):
+                todo.append(row)
+        for row in todo:  # grows as it is read
+            for cols in images:
+                img = {}
+                for j, x in row.items():
+                    _axpy(img, x, cols[j], p)
+                if ech.add(dict(img)):
+                    todo.append(img)
         return cls._from_echelon(field, ambient_dim, ech)
 
     @classmethod
@@ -705,43 +750,6 @@ class SubspaceBasis:
 
     def __repr__(self):
         return f"SubspaceBasis(dim {self.dim} in k^{self.ambient_dim})"
-
-
-def _closure(field, ambient_dim, vectors, mats):
-    """The smallest subspace containing ``vectors`` (dense lists or sparse
-    dicts) and invariant under the square Mats ``mats``, grown breadth
-    first in row storage: ``(echelon, words)``, where ``words`` lists
-    ``(row, parent, i)`` for a basis of it, first ``(v, None, None)`` for
-    each start vector outside the span of those before it, then each
-    ``mats[i]`` applied to the row of entry ``parent`` that lies outside
-    the span of the entries before it.  The images of a row are formed
-    only when it raises the rank, so every image of the span is in the
-    span when the list is exhausted."""
-    p = field.p
-    images = [m.transpose()._rows for m in mats]
-    ech = _Echelon(field)
-    words = []
-    for vec in vectors:
-        row = _sparse(field, vec, ambient_dim)
-        if ech.add(dict(row)):
-            words.append((row, None, None))
-    for v, (row, _, _) in enumerate(words):  # grows as it is read
-        for i, cols in enumerate(images):
-            img = {}
-            for j, x in row.items():
-                _axpy(img, x, cols[j], p)
-            if ech.add(dict(img)):
-                words.append((img, v, i))
-    return ech, words
-
-
-def closure_words(field, ambient_dim, start, mats):
-    """A basis of the smallest subspace containing the vector ``start``
-    and invariant under the square Mats ``mats``, as words: the
-    ``(vector, parent, i)`` of ``_closure`` from ``start`` alone, each
-    vector a dense list of public scalars; empty when start is zero."""
-    return [(_dense(field, row, ambient_dim), v, i)
-            for row, v, i in _closure(field, ambient_dim, [start], mats)[1]]
 
 
 def _free_vectors(field, ncols, pivot_cols, rref_rows):

@@ -18,10 +18,10 @@ Conventions:
   data.  Pure-tensor basis order is lexicographic with the leftmost factor
   slowest.  The end factors' outer actions are pushed through the last
   step on demand, once per algebra; a circular space has none, and its
-  relation reads those of its balanced prefix.  ``_relation_sets`` alone
-  decides which relations a junction or the circular relation imposes:
-  those of a certified generating set of its algebra, else of its whole
-  basis, less the pairs of identities.
+  relation reads those of its balanced prefix.  A step imposes the
+  relation of every basis element of its algebra but those whose two
+  declared actions are identities (``_relation_set``), so over k it
+  imposes none.
 * The ground field is realized as the one-dimensional algebra; a junction
   algebra of ``None`` means "over k" (no balancing relations).
 * Opposites (memoized, ``x.op().op() is x``): ``Algebra.op()`` has
@@ -39,8 +39,8 @@ from types import MappingProxyType
 
 from .errors import ActionMismatch, DimensionMismatch
 from .exactla import (
-    Mat, QuotientSpace, SubspaceBasis, _axpy, _axpy_dense, closure_words, guard_dim,
-    kernel, kron_id, kron_vec, lincomb, mul_kron_id, solve_right,
+    Mat, QuotientSpace, SubspaceBasis, _axpy, _axpy_dense, guard_dim, kernel, kron_id,
+    kron_vec, lincomb, mul_kron_id, solve_right,
 )
 
 
@@ -141,38 +141,6 @@ class Algebra:
 
     def unit_col(self):
         return Mat.from_cols(self.field, [self.unit], self.dim)
-
-    @cached_property
-    def balancing_words(self):
-        """``(gens, words)``: a small set of basis indices that generates the
-        algebra, and its closure words, or None when no set does.
-
-        ``words`` lists ``(u, v, g)`` in the order found: first the unit
-        ``(unit, None, None)``, then each product u = (word v) * e_g that is
-        outside the span of the words before it, until they span k^dim.
-        ``gens`` is found greedily over basis indices: add an index when it
-        enlarges the closure, then drop one when the rest still generates.
-        The words are fixed vectors, so the word certificate they carry
-        (``_word_actions``) stays sound whatever the structure constants."""
-        right = self.right_mult_mats()
-
-        def closure(gens):
-            words = closure_words(self.field, self.dim, self.unit, [right[g] for g in gens])
-            return [(u, v, g if v is None else gens[g]) for u, v, g in words]
-
-        gens, words = [], closure([])
-        for i in range(self.dim):
-            if len(words) == self.dim:
-                break
-            grown = closure(gens + [i])
-            if len(grown) > len(words):
-                gens, words = gens + [i], grown
-        for g in list(gens):
-            rest = [h for h in gens if h != g]
-            fewer = closure(rest)
-            if len(fewer) == self.dim:
-                gens, words = rest, fewer
-        return (gens, words) if len(words) == self.dim else None
 
     def left_mult_by(self, vec):
         return lincomb(self.left_mult_mats(), vec)
@@ -308,7 +276,8 @@ class Module:
     changed: the tensor-space memo (see ``tensor_space``) relies on that.
 
     A module is also a one-factor space without relations (``dims``, ``Q``,
-    ``S``, ``trivial``, ``outer_left``/``outer_right`` are its actions).
+    ``S``, ``free``, ``trivial``, ``outer_left``/``outer_right`` are its
+    actions).
     """
 
     is_op = False
@@ -319,10 +288,10 @@ class Module:
         self.name = name
         self.dim = dim
         self.dims = [dim]
+        self.free = range(dim)
         self.left = self.outer_left = {}
         self.right = self.outer_right = {}
         self._tensor_spaces = {}  # memo of tensor_space, for spaces led by self
-        self._certificates = {}  # memo of words_hold and commutes
         self._op = None
 
     def __repr__(self):
@@ -367,34 +336,6 @@ class Module:
         imgs = [morphism.apply(sub.basis_vector(i)) for i in range(sub.dim)]
         self.add_left(sub, [self.left_action_of(morphism.target, v) for v in imgs])
         return self.add_right(sub, [self.right_action_of(morphism.target, v) for v in imgs])
-
-    def words_hold(self, side, alg):
-        """The word certificate (``_word_actions``) of the declared ``side``
-        action of alg; False, and not memoized, while alg has no such
-        action.  Memoized: a declared action never changes."""
-        key = (side, alg)
-        ok = self._certificates.get(key)
-        if ok is None:
-            mats = (self.left if side == "left" else self.right).get(alg)
-            if mats is None:
-                return False
-            ok = self._certificates[key] = _word_actions(alg, mats, side) is not None
-        return ok
-
-    def commutes(self, lalg, ralg):
-        """Every declared left lalg-matrix commutes with the declared right
-        action of each generator of ralg (``Algebra.balancing_words``);
-        False while either action is missing.  Memoized like ``words_hold``."""
-        key = (lalg, ralg)
-        ok = self._certificates.get(key)
-        if ok is None:
-            lmats, rmats = self.left.get(lalg), self.right.get(ralg)
-            if lmats is None or rmats is None:
-                return False
-            bw = ralg.balancing_words
-            ok = self._certificates[key] = bw is not None and all(
-                m @ rmats[g] == rmats[g] @ m for m in lmats for g in bw[0])
-        return ok
 
     def left_action_of(self, alg, vec):
         return lincomb(self.left[alg], vec)
@@ -487,88 +428,15 @@ def trivial_subalgebra(a):
 # Balanced tensor spaces
 # ---------------------------------------------------------------------------
 
-def _word_actions(alg, mats, side):
-    """The matrices of alg's closure words (``Algebra.balancing_words``)
-    under the action ``mats`` (one Mat per basis element, a word acting as
-    the lincomb of its coordinates), or None when the word certificate
-    fails: the unit word must act as the identity, and each word
-    u = v * e_g as v then g, i.e. L(u) = L(v) L(g) on the left and
-    R(u) = R(g) R(v) on the right."""
-    bw = alg.balancing_words
-    if bw is None:
-        return None
-    acts = []
-    for u, v, g in bw[1]:
-        if v is None:
-            a = lincomb(mats, u)
-            if not a.is_identity():
-                return None
-        elif v == 0 and u == alg.basis_vector(g):
-            a = mats[g]  # 1 * e_g acts as e_g, the unit acting as the identity
-        else:
-            a = lincomb(mats, u)
-            if a != (acts[v] @ mats[g] if side == "left" else mats[g] @ acts[v]):
-                return None
-        acts.append(a)
-    return acts
-
-
-def _balancing_set(alg, certified):
-    """alg's generating set where the word certificate holds, else every
-    basis index."""
-    return alg.balancing_words[0] if certified else range(alg.dim)
-
-
-def _relation_sets(factors, junctions, circular):
-    """The basis indices whose relations a space's steps impose: one list per
-    junction, then one for the circular algebra (empty over k and without
-    a circular relation).  Each set is the algebra's generating set where
-    the certificates below hold, else its whole basis, less the indices
-    whose pair of declared actions is two identities, which add no
-    relation.  Every check is on a declared action, memoized on its
-    module; the actions must be declared.
-
-    With R_a(m, n) = m a (x) n - m (x) a n, the word certificate of both
-    actions gives R_{vg}(m, n) = R_g(m v, n) + R_v(m, g n) and R_1 = 0, so
-    by induction every closure word's relations, hence every basis
-    element's, lie in the span of the generators' relations.  At a
-    junction the left action is the declared one of the factor right of
-    it.  The right action is the ``outer_right`` of the space up to that
-    factor: its declared one, pushed through the quotient of the junction
-    before.  Where that factor's left action of the junction before
-    commutes with the generators' right action, the quotient's relations
-    are invariant under kron(I, R(g)), so the pushed action keeps the
-    word identities of the declared one, and P S = I keeps the unit.
-
-    The circular relation x a - a x is read on the balanced space's end
-    actions (``outer_right`` and ``outer_left``), pushed through every
-    junction quotient, where no commutation is known.  Its generating set
-    is used only where both declared actions pass the word certificate and
-    every closure word is 1 or a generator (no word has two letters or
-    more).  Pushing is linear and keeps the unit (P S = I), so the pushed
-    actions still take 1 to the identity and each word 1 * e_g to the
-    action of e_g: R_1 = 0, each word's relation is a generator's, and the
-    words span the algebra, so every basis element's relation is a
-    combination of the generators' relations."""
-    def chosen(alg, certified, rmats, lmats):
-        return [x for x in _balancing_set(alg, certified)
-                if not (rmats[x].is_identity() and lmats[x].is_identity())]
-
-    sets = []
-    for k, t in enumerate(junctions):
-        if t is None:
-            sets.append([])
-            continue
-        prev = junctions[k - 1] if k else None
-        certified = (factors[k + 1].words_hold("left", t) and factors[k].words_hold("right", t)
-                     and (prev is None or factors[k].commutes(prev, t)))
-        sets.append(chosen(t, certified, factors[k].right[t], factors[k + 1].left[t]))
-    if circular is None:
-        return sets + [[]]
-    first, last = factors[0], factors[-1]
-    certified = (last.words_hold("right", circular) and first.words_hold("left", circular)
-                 and not any(v for _, v, _ in circular.balancing_words[1]))
-    return sets + [chosen(circular, certified, last.right[circular], first.left[circular])]
+def _relation_set(alg, right, left):
+    """The basis indices of alg whose relation a step imposes: none over k
+    (alg None), else all but those x whose declared actions
+    ``right[alg][x]`` and ``left[alg][x]`` are both identities, whose
+    relation is zero (pushed through a quotient, an identity stays one)."""
+    if alg is None:
+        return []
+    r, l = right[alg], left[alg]
+    return [x for x in range(alg.dim) if not (r[x].is_identity() and l[x].is_identity())]
 
 
 def _require_actions(name, factors, junctions, circular):
@@ -591,8 +459,10 @@ class TensorSpace:
       full_dim    product of dims (ambient k-tensor dimension)
       dim         quotient dimension
       Q           projection full -> quotient (canonical coordinates)
-      S           section quotient -> full (zero on pivot coordinates;
-                  every column a single 1)
+      free        the ambient index of each quotient coordinate
+      S           section quotient -> full, built from ``free`` when first
+                  read: column i is the basis vector at free[i], so S is
+                  zero on pivot coordinates (a plain space's S is its Q)
       prefix      the space this one is one step on (see below)
       outer_left  left actions of the first factor's algebras {alg: [Mat]}
       outer_right right actions of the last factor's algebras; both read
@@ -605,22 +475,18 @@ class TensorSpace:
     A space is one quotient step on its prefix.  With k >= 2 factors the
     prefix is the memoized space of the first k - 1 factors (the first
     module when k = 2), and the step tensors it with the last factor over
-    the last junction T, imposing m t (x) n - m (x) t n: the nonzero
-    columns of ``kron_id(1, R_t, dN) - kron_id(dim prefix, L_t, 1)``, R_t
-    the prefix's ``outer_right``.  A circular space's step imposes R_t - L_t
+    the last junction T, imposing m t (x) n - m (x) t n: the columns of
+    ``kron_id(1, R_t, dN) - kron_id(dim prefix, L_t, 1)``, R_t the
+    prefix's ``outer_right``.  A circular space's step imposes R_t - L_t
     on its prefix, the balanced space of the same factors, read on that
     space's ``outer_right`` and ``outer_left``; a one-factor space is its
-    module.  Relations are reduced in row storage
-    (``SubspaceBasis.from_columns``), and t runs over the indices
-    ``_relation_sets`` chooses: T's generating set
-    (``Algebra.balancing_words``) where the certificates of the declared
-    actions show that it spans the relations of the whole basis, else the
-    whole basis, so Q and S are those of the all-basis build; a pair of
-    identities is skipped, so over T = k the circular quotient costs
-    nothing.  Spaces with the same first factors share prefixes.  The
-    step's section selects the free columns, so S, kron(S', I) at those
-    columns, is the rows of kron(S'^T, I) there (``rows_at``), transposed;
-    every column of S is a single 1.
+    module.  t runs over ``_relation_set``, the whole basis of T less the
+    pairs of identities, so over T = k a step costs nothing, and the
+    relations are formed and reduced in row storage
+    (``SubspaceBasis.from_balancing``).  Spaces with the same first factors
+    share prefixes.  The step's section selects its free columns a of
+    prefix (x) k^dN, so the space's free indices are
+    ``prefix.free[a // dN] * dN + a % dN`` (dN = 1 on a circular step).
     """
 
     def __init__(self, factors, junctions, circular=None, name=""):
@@ -637,29 +503,29 @@ class TensorSpace:
         self.full_dim = guard_dim(prod(self.dims), f"tensor space {name or '?'}")
         self.name = name or "(x)".join(m.name for m in factors)
         _require_actions(self.name, factors, junctions, circular)
-        sets = _relation_sets(factors, junctions, circular)
         last = factors[-1]
         if circular is None and len(factors) > 1:  # a junction step
             prefix = (factors[0] if len(factors) == 2
                       else _memoized(factors[:-1], junctions[:-1], None, ""))
             t, pre, post = junctions[-1], prefix.dim, last.dim
-            rels = [kron_id(1, prefix.outer_right[t][x], post) - kron_id(pre, last.left[t][x], 1)
-                    for x in sets[-2]]
+            right, left, declared = prefix.outer_right, last.left, (factors[-2].right, last.left)
         else:  # the circular step, or a one-factor space
             prefix = factors[0] if len(factors) == 1 else _memoized(factors, junctions, None, "")
-            pre = post = 1
-            rels = [prefix.outer_right[circular][x] - prefix.outer_left[circular][x]
-                    for x in sets[-1]]
+            t, pre, post = circular, 1, 1
+            right, left = prefix.outer_right, prefix.outer_left
+            declared = last.right, factors[0].left
+        xs = _relation_set(t, *declared)
         amb = prefix.dim * post
         Q = kron_id(1, prefix.Q, post)
-        if rels:
-            qs = QuotientSpace(field, amb, SubspaceBasis.from_columns(field, amb, rels))
-            step = qs.proj, qs.sect
-            self.Q = qs.proj @ Q
-            self.S = kron_id(1, prefix.S.transpose(), post).rows_at(qs.free_cols).transpose()
+        if xs:
+            rels = SubspaceBasis.from_balancing(field, amb, pre, post,
+                                                [(right[t][x], left[t][x]) for x in xs])
+            qs = QuotientSpace(field, amb, rels)
+            step, cols, self.Q = (qs.proj, qs.sect), qs.free_cols, qs.proj @ Q
         else:  # no relation: a plain prefix keeps one identity as both Q and S
-            step = None
-            self.Q, self.S = Q, Q if prefix.S is prefix.Q else kron_id(1, prefix.S, post)
+            step, cols, self.Q = None, range(amb), Q
+        self.free = cols if _plain(prefix) else [
+            prefix.free[a // post] * post + a % post for a in cols]
         self.prefix = prefix
         self.dim = self.Q.nrows
         self.trivial = self.dim == self.full_dim
@@ -669,6 +535,14 @@ class TensorSpace:
         else:
             self.outer_left = self.outer_right = MappingProxyType({})
         self._op = None
+
+    @cached_property
+    def S(self):
+        if _plain(self):
+            return self.Q
+        one = self.field.one
+        return Mat.from_entries(self.field, self.full_dim, self.dim,
+                                (((f, i), one) for i, f in enumerate(self.free)))
 
     def __repr__(self):
         return f"TensorSpace({self.name}, {self.full_dim} -> {self.dim})"
@@ -697,9 +571,9 @@ class TensorSpace:
 
 class _ReversalView(TensorSpace):
     """X.op() for a TensorSpace X: the opposite factors of X in reverse
-    order, in X's canonical coordinates.  Q is X's Q with its columns and S
-    is X's S with its rows re-indexed by the factor reversal; the outer
-    actions are X's, sides swapped, keyed by opposite algebras."""
+    order, in X's canonical coordinates.  Q is X's Q with its columns, and
+    ``free`` (so S's rows) is X's, re-indexed by the factor reversal; the
+    outer actions are X's, sides swapped, keyed by opposite algebras."""
 
     def __init__(self, orig):
         self.field = orig.field
@@ -710,11 +584,9 @@ class _ReversalView(TensorSpace):
         self.full_dim, self.dim, self.trivial = orig.full_dim, orig.dim, orig.trivial
         self.name = f"{orig.name}^op"
         to_view = _reversal_perm(self.dims)
-        q, s = orig.Q, orig.S
-        self.Q = Mat.from_entries(self.field, q.nrows, q.ncols,
-                                  (((i, to_view[j]), x) for (i, j), x in q.items()))
-        self.S = Mat.from_entries(self.field, s.nrows, s.ncols,
-                                  (((to_view[i], j), x) for (i, j), x in s.items()))
+        self.Q = Mat.from_entries(self.field, orig.dim, orig.full_dim,
+                                  (((i, to_view[j]), x) for (i, j), x in orig.Q.items()))
+        self.free = [to_view[f] for f in orig.free]
         self.outer_left = _OpActions(orig.outer_right)
         self.outer_right = _OpActions(orig.outer_left)
         self._op = orig

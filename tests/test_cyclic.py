@@ -495,6 +495,27 @@ def test_total_complex_builds_only_the_operators_it_reads():
     assert built(6) == {"d", "_dprime_ambient"}
 
 
+def test_the_face_sum_is_formed_once_per_level(monkeypatch):
+    # over diag d' and d read the faces through Q of the level below; the
+    # total complex builds both from one sum at levels 1..D and d alone at
+    # D + 1, and its differentials are those of separate reads
+    calls = Counter()
+    face_sum = cyclic._Level._dprime_read
+
+    def counted(level):
+        calls[level.n] += 1
+        return face_sum(level)
+    monkeypatch.setattr(cyclic._Level, "_dprime_read", counted)
+    m2 = matrix_algebra(QQ, 2)
+    t = diagonal_subalgebra(m2)
+    tc = CyclicComplex(m2, t).total(5)
+    assert calls == Counter(range(1, 7))
+    cc = CyclicComplex(m2, t)
+    for n in range(1, 7):
+        ops = cc.operators(n)
+        assert (ops["dprime"], ops["d"]) == (tc.cc.operators(n).dprime, tc.cc.operators(n).d)
+
+
 def test_levels_over_diag_build_no_ambient_matrix(monkeypatch):
     # every circular space of M2 over diag is a proper quotient, so d', d
     # and tau are read through the target's Q: no ambient face is built

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from coralg.errors import DimensionMismatch, MemoryGuard
 from coralg.exactla import (
-    GF, QQ, Field, Mat, QuotientSpace, SubspaceBasis, closure_words, guard_dim, inverse,
+    GF, QQ, Field, Mat, QuotientSpace, SubspaceBasis, guard_dim, inverse,
     kernel, kron_id, kron_vec, lincomb, mul_kron_id, rank, solve_right,
 )
 
@@ -823,23 +823,58 @@ def test_eliminations_leave_their_inputs_unchanged(case):
     assert ([m._rows for m in mats], sparse) == before
 
 
-@settings(max_examples=80, deadline=None)
-@given(restrict_case())
-def test_closure_words_are_a_basis_of_the_invariant_span(case):
-    """Each word is its parent's vector under its Mat, the words are
-    independent, and they span the smallest invariant subspace containing
-    the start vector."""
-    field, dim, vectors, mats = case
-    start = vectors[0] if vectors else [field.one] * dim
-    words = closure_words(field, dim, start, mats)
-    span = SubspaceBasis.invariant_span(field, dim, [start], mats)
-    assert len(words) == span.dim
-    if words:
-        assert rank(Mat.from_rows(field, [w for w, _, _ in words], dim)) == span.dim
-    for k, (w, parent, i) in enumerate(words):
-        assert type(w) is list and all(type(x) is type(field.one) for x in w)
-        if parent is None:
-            assert k == 0 and w == start
-        else:
-            assert parent < k and w == mats[i].apply(words[parent][0])
-        assert span.contains_vector(w)
+@st.composite
+def balancing_case(draw):
+    """A field (QQ, GF(7) or GF(2)), pre and post in {1, 2, 3} and up to
+    three pairs (r, l), r of (pre x) x (pre y) and l of (post x) x (post y),
+    so kron_id(1, r, post) and kron_id(pre, l, 1) have one shape: with
+    x = y = 1 a junction's pair, with pre = post = 1 a circular one.  Some
+    pairs are zero, some are two identities and some mix an identity with
+    a drawn Mat; over QQ entries are a/b, most of them integral."""
+    field = draw(st.sampled_from([QQ, F7, GF(2)]))
+    if field is QQ:
+        scalar = st.builds(lambda a, b: QQ.from_int(a) / QQ.from_int(b),
+                           st.integers(-2, 2), st.sampled_from([1, 1, 2]))
+    else:
+        scalar = st.integers(0, field.p - 1)
+    pre, post = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    x, y = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+
+    def mat(nrows, ncols, kind):
+        if kind == "zero":
+            return Mat.zeros(field, nrows, ncols)
+        if kind == "identity" and nrows == ncols:
+            return Mat.identity(field, nrows)
+        return Mat.from_rows(field, draw(st.lists(
+            st.lists(scalar, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows)),
+            ncols)
+
+    kinds = st.sampled_from(["zero", "identity", "drawn"])
+    pairs = []
+    for _ in range(draw(st.integers(0, 3))):
+        rkind = draw(kinds)
+        lkind = rkind if rkind != "drawn" and draw(st.booleans()) else draw(kinds)
+        pairs.append((mat(pre * x, pre * y, rkind), mat(post * x, post * y, lkind)))
+    return field, pre, post, pre * x * post, pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(balancing_case())
+def test_from_balancing_spans_the_explicit_kron_id_differences(case):
+    """The balancing span, formed column by column in row storage, is the
+    span of the columns of the explicit kron_id differences, and leaves its
+    Mats as they were; a pair of the wrong shape is refused."""
+    field, pre, post, amb, pairs = case
+    before = copy.deepcopy([(r._rows, l._rows) for r, l in pairs])
+    got = SubspaceBasis.from_balancing(field, amb, pre, post, pairs)
+    assert [(r._rows, l._rows) for r, l in pairs] == before
+    explicit = [kron_id(1, r, post) - kron_id(pre, l, 1) for r, l in pairs]
+    assert got == SubspaceBasis.from_columns(field, amb, explicit)
+    assert got.pivot_cols == [min(r) for r in got.mat._rows]
+    if pairs:
+        with pytest.raises(DimensionMismatch):
+            SubspaceBasis.from_balancing(field, amb + 1, pre, post, pairs)
+        r, l = pairs[0]
+        wide = Mat.zeros(field, l.nrows, l.ncols + 1)
+        with pytest.raises(DimensionMismatch):
+            SubspaceBasis.from_balancing(field, amb, pre, post, [(r, wide)])

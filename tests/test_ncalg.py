@@ -9,7 +9,7 @@ import random
 from coralg.errors import ActionMismatch, MemoryGuard
 from coralg import ncalg
 from coralg.exactla import (
-    GF, QQ, Mat, QuotientSpace, inverse, kernel, kron_id, rank, solve_right,
+    GF, QQ, Mat, QuotientSpace, SubspaceBasis, inverse, kernel, kron_id, rank, solve_right,
 )
 from coralg.fixtures import (
     FIXTURE_NAMES, diagonal_subalgebra, fixture_workspace, matrix_algebra,
@@ -130,7 +130,6 @@ def test_iterated_tensor_dim_matches_full_relation_rank():
     # oracle: rank of the full balancing-relation span on the 64-dim ambient,
     # assembled directly from structure constants (independent of the
     # left-nested quotient chain)
-    from coralg.exactla import SubspaceBasis
     m2 = matrix_algebra(QQ, 2)
     ut, incl = upper_triangular_subalgebra(m2)
     amod = regular_bimodule(m2)
@@ -327,7 +326,7 @@ def test_equivariant_map_verify():
 def test_tensor_dim_equals_ambient_minus_relation_rank():
     # dim(M (x)_T N) = dim(M (x)_k N) - rank of the balancing relation span,
     # with the span assembled independently of the quotient chain
-    from coralg.exactla import SubspaceBasis, kron_vec
+    from coralg.exactla import kron_vec
     m2 = matrix_algebra(QQ, 2)
     ut, incl = upper_triangular_subalgebra(m2)
     amod = regular_bimodule(m2)
@@ -646,32 +645,30 @@ def _bent_factors(t, host, twists, bend):
     return factors
 
 
-def _copies(factors):
-    """Fresh modules with the declared actions of ``factors``, one per
-    distinct module: a space built on them reads no prefix memoized on
-    the originals."""
-    fresh = {}
-    for m in factors:
-        if m not in fresh:
-            c = fresh[m] = Module(m.field, m.name, m.dim)
-            for alg, mats in m.left.items():
-                c.add_left(alg, mats)
-            for alg, mats in m.right.items():
-                c.add_right(alg, mats)
-    return [fresh[m] for m in factors]
-
-
-def _build_with(balancing_set, factors, junctions, circular):
-    """The space built, prefixes included, with ``balancing_set`` in place
-    of ``ncalg._balancing_set``, on copies of the factors."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ncalg, "_balancing_set", balancing_set)
-        return TensorSpace(_copies(factors), junctions, circular)
-
-
-def _all_basis_build(factors, junctions, circular):
-    """The same space built from the relations of every basis element."""
-    return _build_with(lambda alg, certified: range(alg.dim), factors, junctions, circular)
+def _explicit_build(factors, junctions, circular):
+    """(dim, Q, S) of the space built step by step from explicit relation
+    Mats: at each junction the quotient by the columns of
+    ``kron_id(1, R, dN) - kron_id(dim prefix, L, 1)`` for every basis
+    element, identity pairs included, reduced by ``from_columns``, and the
+    outer actions pushed as ``proj @ kron_id(...) @ sect``; the circular
+    relation R - L is read on the pushed end actions."""
+    field, first = factors[0].field, factors[0]
+    Q = S = Mat.identity(field, first.dim)
+    left, right = dict(first.left), dict(first.right)
+    for t, nxt in zip(junctions, factors[1:]):
+        pre, post = Q.nrows, nxt.dim
+        rels = [kron_id(1, right[t][x], post) - kron_id(pre, nxt.left[t][x], 1)
+                for x in range(t.dim if t is not None else 0)]
+        qs = QuotientSpace(field, pre * post, SubspaceBasis.from_columns(field, pre * post, rels))
+        Q, S = qs.proj @ kron_id(1, Q, post), kron_id(1, S, post) @ qs.sect
+        left = {a: [qs.proj @ kron_id(1, m, post) @ qs.sect for m in ms] for a, ms in left.items()}
+        right = {a: [qs.proj @ kron_id(pre, m, 1) @ qs.sect for m in ms]
+                 for a, ms in nxt.right.items()}
+    if circular is not None:
+        rels = [right[circular][x] - left[circular][x] for x in range(circular.dim)]
+        qs = QuotientSpace(field, Q.nrows, SubspaceBasis.from_columns(field, Q.nrows, rels))
+        Q, S = qs.proj @ Q, S @ qs.sect
+    return Q.nrows, Q, S
 
 
 def _same_space(a, b):
@@ -688,14 +685,13 @@ small_ints = st.lists(st.integers(-2, 2), min_size=1, max_size=6)
        circular=st.booleans(),
        bend=st.none() | st.tuples(st.integers(0, 2), st.sampled_from(["left", "right"]),
                                   st.integers(0, 3), small_ints))
-def test_generating_set_build_equals_the_all_basis_build(field, kind, twists, circular,
-                                                           bend):
+def test_the_build_equals_the_explicit_kron_id_build(field, kind, twists, circular, bend):
     """Two- and three-factor spaces over k x k, ut2, M2 and diag in M2, over
     QQ and GF(7), with and without the circular relation (and one-factor
     circular ones), of twisted regular bimodules: in some cases a factor's
     two actions do not commute, or one action is bent off the module
-    axioms.  The build (from the generating set where the certificates
-    hold) is the all-basis build, in dim, Q and S."""
+    axioms.  The build, with its relation columns formed in row storage and
+    its identity pairs left out, is the explicit build, in dim, Q and S."""
     if len(twists) == 1:
         circular = True
     t, host = _junction_algebra(field, kind)
@@ -703,7 +699,50 @@ def test_generating_set_build_equals_the_all_basis_build(field, kind, twists, ci
     junctions = [t] * (len(factors) - 1)
     circ = t if circular else None
     built = TensorSpace(factors, junctions, circ)
-    assert _same_space(built, _all_basis_build(factors, junctions, circ))
+    assert (built.dim, built.Q, built.S) == _explicit_build(factors, junctions, circ)
+
+
+def _bent_on_a_product():
+    """M2's regular bimodule with its right action bent on E11 = E12 E21 (and
+    E22 by the opposite amount), so that it keeps the unit, E12 and E21."""
+    m2 = matrix_algebra(QQ, 2)
+    reg = regular_bimodule(m2)
+    nudge = Mat.from_entries(QQ, 4, 4, [((2, 3), QQ.one)])
+    right = list(reg.right[m2])
+    right[0], right[3] = right[0] + nudge, right[3] - nudge
+    bent = Module(QQ, "bent", 4).add_left(m2, reg.left[m2]).add_right(m2, right)
+    return [([bent, reg], [m2], None, 2), ([reg, bent, reg], [m2, m2], None, 0),
+            ([reg, bent], [m2], m2, 0)]
+
+
+def _bent_unit():
+    """Units that do not act as the identity on one side: k x k's regular
+    bimodule with the left action of e2 bent by N = E_01, so the unit acts
+    as I + N (one factor, circular), and k acting on k^2 as I on the left
+    and I + N on the right (a junction over k, and circular)."""
+    kk, k = product_field_algebra(QQ), scalar_algebra(QQ)
+    nudge = Mat.from_entries(QQ, 2, 2, [((0, 1), QQ.one)])
+    reg = regular_bimodule(kk)
+    left = list(reg.left[kk])
+    left[1] = left[1] + nudge
+    bent = Module(QQ, "bent", 2).add_left(kk, left).add_right(kk, reg.right[kk])
+    one = Mat.identity(QQ, 2)
+    skew = Module(QQ, "skew", 2).add_left(k, [one]).add_right(k, [one + nudge])
+    return [([bent], [], kk, 1), ([skew, skew], [k], None, 2), ([skew], [], k, 1)]
+
+
+@pytest.mark.parametrize("case", range(6), ids=[
+    "M2-right-on-a-product", "M2-right-on-a-product-middle", "M2-right-on-a-product-circular",
+    "kxk-left-unit-circular", "k-right-unit", "k-right-unit-circular"])
+def test_bent_actions_build_as_the_explicit_steps(case):
+    """Actions bent where the relations of a generating set, or of the basis
+    elements that act as the identity on one side, would miss a relation
+    (a right action bent on a product of generators; a unit that does not
+    act as the identity) still give the explicit build, of the stated dim."""
+    factors, junctions, circ, dim = (_bent_on_a_product() + _bent_unit())[case]
+    built = TensorSpace(factors, junctions, circ)
+    assert (built.dim, built.Q, built.S) == _explicit_build(factors, junctions, circ)
+    assert built.dim == dim
 
 
 def _lifted_section(factors, junctions, circular):
@@ -805,10 +844,11 @@ def test_a_prefix_of_opposite_factors_is_built_directly():
     assert _same_space(tensor_space(factors, junctions).prefix, direct)
 
 
-def test_an_oversized_space_raises_the_memory_guard():
+def test_an_oversized_space_raises_the_memory_guard(monkeypatch):
     """full_dim is guarded before the prefix is built, and no prefix's
-    ambient exceeds it, so one guard refuses an oversized space and leaves
-    no prefix behind."""
+    ambient exceeds it, so one guard refuses an oversized space, leaves
+    no prefix behind and forms no relation column."""
+    calls = _from_balancing_calls(monkeypatch)
     m2 = matrix_algebra(QQ, 2)
     reg = regular_bimodule(m2)
     big = Module(QQ, "big", 1500)
@@ -816,75 +856,33 @@ def test_an_oversized_space_raises_the_memory_guard():
         TensorSpace([big] * 2, [None])
     with pytest.raises(MemoryGuard, match="tensor space"):
         TensorSpace([reg] * 11, [m2] * 10, circular=m2)
-    assert not big._tensor_spaces and not reg._tensor_spaces
+    assert not big._tensor_spaces and not reg._tensor_spaces and not calls
 
 
-def test_the_word_certificate_refuses_a_right_action_bent_on_a_product():
-    """An M2-bimodule whose right action keeps the unit and the generators
-    E12, E21 but moves E11 = E12 E21 (and E22 by the opposite amount): the
-    certificate refuses it, and the space is the all-basis one, which the
-    generators' relations alone would not give."""
-    m2 = matrix_algebra(QQ, 2)
-    assert m2.balancing_words[0] == [1, 2]
-    reg = regular_bimodule(m2)
-    nudge = Mat.from_entries(QQ, 4, 4, [((2, 3), QQ.one)])
-    right = list(reg.right[m2])
-    right[0], right[3] = right[0] + nudge, right[3] - nudge
-    bent = Module(QQ, "bent", 4).add_left(m2, reg.left[m2]).add_right(m2, right)
-    assert bent.words_hold("left", m2) and not bent.words_hold("right", m2)
-    for factors, junctions, circ in (([bent, reg], [m2], None),
-                                     ([reg, bent, reg], [m2, m2], None),
-                                     ([reg, bent], [m2], m2)):
-        built = TensorSpace(factors, junctions, circ)
-        assert _same_space(built, _all_basis_build(factors, junctions, circ))
-        gens_only = _build_with(lambda alg, certified: alg.balancing_words[0],
-                                factors, junctions, circ)
-        assert not _same_space(built, gens_only)
+def _from_balancing_calls(monkeypatch):
+    """The number of pairs of each ``SubspaceBasis.from_balancing`` call, in
+    the order the steps make them."""
+    calls, real = [], SubspaceBasis.from_balancing
+
+    def spy(field, ambient_dim, pre, post, pairs):
+        calls.append(len(pairs))
+        return real(field, ambient_dim, pre, post, pairs)
+    monkeypatch.setattr(SubspaceBasis, "from_balancing", spy)
+    return calls
 
 
-def test_the_circular_relation_needs_the_unit_certificate():
-    """A one-factor circular space over k x k on its regular bimodule, with
-    the left action of e2 bent by N = E_01: the unit then acts as I + N on
-    the left, so the circular relation is imposed for the whole basis and
-    the space has dim 1, the all-basis one.  The generator e1 alone, whose
-    relation is zero, would leave dim 2."""
-    kk = product_field_algebra(QQ)
-    reg = regular_bimodule(kk)
-    left = list(reg.left[kk])
-    left[1] = left[1] + Mat.from_entries(QQ, 2, 2, [((0, 1), QQ.one)])
-    bent = Module(QQ, "bent", 2).add_left(kk, left).add_right(kk, reg.right[kk])
-    assert kk.balancing_words[0] == [0] and not bent.words_hold("left", kk)
-    built = TensorSpace([bent], [], kk)
-    assert built.dim == 1 and _same_space(built, _all_basis_build([bent], [], kk))
-
-
-def test_the_workload_spaces_impose_the_expected_relation_sets():
+def test_the_workload_spaces_impose_the_expected_relation_sets(monkeypatch):
     """The relations of B^{(*)T 3} over B = M2, built as the bicomplex
-    builds it: over T = M2 each junction imposes those of the generators
-    E12, E21, and the circular relation, whose closure word E11 = E12 E21
-    has two letters, those of every index whose pair is not two
-    identities; over diag each imposes one index, over k none.  A fallback
-    to the whole basis fails here instead of showing only as a slowdown."""
+    builds it: over T = M2 the two junction steps and the circular step
+    each impose the relations of all 4 basis elements, over diag of both,
+    and over k none, its one pair being two identities.  A step that
+    imposes fewer fails here."""
     m2 = matrix_algebra(QQ, 2)
-    cases = [(m2, regular_bimodule(m2), [1, 2], [0, 1, 2, 3])]
-    for (t, incl), want in ((diagonal_subalgebra(m2), [0]),
-                            (ncalg.trivial_subalgebra(m2), [])):
-        cases.append((t, regular_bimodule(m2).restrict(t, incl), want, want))
-    for t, b_mod, junction, circular in cases:
-        sets = ncalg._relation_sets([b_mod] * 3, [t, t], t)
-        assert sets == [junction, junction, circular], t.name
-        assert ncalg._relation_sets([b_mod] * 2, [t], None) == [junction, []]
-        assert ncalg._relation_sets([b_mod] * 2, [None], None) == [[], []]
-
-
-def test_a_missing_action_leaves_no_certificate_behind():
-    """A build that fails for want of an action memoizes no certificate, so
-    the action declared afterwards is certified on its own merits."""
-    m2 = matrix_algebra(QQ, 2)
-    reg = regular_bimodule(m2)
-    late = Module(QQ, "late", 4).add_right(m2, reg.right[m2])
-    with pytest.raises(ActionMismatch, match="late lacks a left M2-action"):
-        TensorSpace([reg, late], [m2])
-    assert not late.words_hold("left", m2) and not late.commutes(m2, m2)
-    late.add_left(m2, reg.left[m2])
-    assert late.words_hold("left", m2) and late.commutes(m2, m2)
+    calls = _from_balancing_calls(monkeypatch)
+    for (t, incl), want in (((m2, None), 4), (diagonal_subalgebra(m2), 2),
+                            (ncalg.trivial_subalgebra(m2), 0)):
+        b = regular_bimodule(m2) if incl is None else regular_bimodule(m2).restrict(t, incl)
+        calls.clear()
+        assert ncalg._relation_set(t, b.right, b.left) == list(range(want))
+        tensor_space([b] * 3, [t, t], t)
+        assert calls == ([want] * 3 if want else []), t.name

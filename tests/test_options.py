@@ -11,10 +11,12 @@ extension and a connection or associated module that already holds it.  A
 verifier reports the failures of an Equation under its label, so an
 unlabelled Equation would be a nameless axiom.  A column span is taken by
 ``SubspaceBasis.from_columns`` in row storage, so no module reads columns
-out as public scalars only to hand them back to ``exactla``.  Which
-relations a ``TensorSpace`` imposes is chosen by ``ncalg._relation_sets``
-alone, so the build itself consults no certificate; the build is one step on
-the memoized prefix, with no loop, and an end action is pushed onto a space
+out as public scalars only to hand them back to ``exactla``.  A
+``TensorSpace`` step imposes the relations of its algebra's whole basis,
+formed in row storage by ``SubspaceBasis.from_balancing``: no generating
+set or certificate of one is left, and the step builds no relation Mat to
+subtract or hand to ``from_columns``; the build is one step on the
+memoized prefix, with no loop, and an end action is pushed onto a space
 one way, through its last step, not through ``leg_apply``.  An induced map has one
 constructor, ``leg_apply``, with no option, one certificate, ``descend``,
 and one way to read a ``kron_id`` through a quotient, ``kron_to_quotient``.
@@ -254,17 +256,25 @@ def test_column_spans_are_taken_in_row_storage():
     assert not sites, f"column spans read out as public scalars: {sites}"
 
 
-_CERTIFICATES = {"words_hold", "commutes", "_word_actions", "balancing_words"}
+_GENERATING_SET_PATH = {"balancing_words", "words_hold", "commutes", "_certificates",
+                        "_word_actions", "_balancing_set", "closure_words"}
 
 
-def test_tensor_space_leaves_the_relation_choice_to_relation_sets():
+def test_tensor_space_steps_have_one_relation_path():
+    left = sorted(f"{path.stem}.py:{node.lineno} {_name_of(node)}"
+                  for path, tree in _parse("src/coralg").items() for node in ast.walk(tree)
+                  if _name_of(node) in _GENERATING_SET_PATH)
+    assert not left, f"the generating-set path is back: {left}"
     tree = ast.parse((ROOT / "src" / "coralg" / "ncalg.py").read_text())
     cls, = (n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "TensorSpace")
     init, = (n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "__init__")
-    names = {n.attr if isinstance(n, ast.Attribute) else n.id
-             for n in ast.walk(init) if isinstance(n, (ast.Attribute, ast.Name))}
-    assert "_relation_sets" in names
-    assert not names & _CERTIFICATES, f"TensorSpace.__init__ reads {names & _CERTIFICATES}"
+    # a Mat is never a constant, so a subtraction without one may be of Mats
+    subs = [n.lineno for n in ast.walk(init)
+            if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Sub)
+            and not isinstance(n.left, ast.Constant) and not isinstance(n.right, ast.Constant)]
+    spans = [n.lineno for n in ast.walk(init) if _name_of(n) == "from_columns"]
+    assert not subs, f"TensorSpace.__init__ subtracts at lines {subs}"
+    assert not spans, f"TensorSpace.__init__ calls from_columns at lines {spans}"
 
 
 def test_a_tensor_space_is_one_step_and_pushes_actions_one_way():
