@@ -147,8 +147,7 @@ def chg_components(e, sc, L):
                 f"chg component {l} does not lie in the B-side circular space")
         if l == 0 and tflat.get("upsilon") is not None:
             # certify the zeroth component in ker(upsilon_T)
-            amb0 = tflat["circular_A"].Q @ x.incl_B.matrix @ tflat["circular_B"].S
-            v = amb0.apply(y.col(0))
+            v = tflat["iota_hat"].apply(y.col(0))
             if any(tflat["upsilon"].apply(v)):
                 raise MembershipFailure("chg_0 is not in ker(upsilon_T)")
         comps.append(y.col(0))

@@ -6,7 +6,8 @@ handler reads (``COMMANDS``); ``connection solve`` does not read
 
 Exit codes: 0 = all verdicts pass, 1 = a mathematical verdict is negative,
 2 = input error (usage error, schema violation, failed structure validator,
-unknown command/fixture; stderr starts with ``input error:``).  Reports are
+unknown command/fixture, a workspace that is not UTF-8 text, a path that
+cannot be read or written; stderr starts with ``input error:``).  Reports are
 deterministic for identical inputs; timing goes to stderr only.
 """
 
@@ -35,7 +36,7 @@ def _load(path):
     with open(path) as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaError(path, f"malformed JSON: {exc}")
 
 
@@ -261,7 +262,7 @@ def main(argv=None):
         report.update(body)
         _emit(report, args.out)
         return code
-    except (SchemaError, ValidationError, UnknownFixture, FileNotFoundError) as exc:
+    except (SchemaError, ValidationError, UnknownFixture, OSError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
     except CoralgError as exc:

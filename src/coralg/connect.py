@@ -117,7 +117,7 @@ def restrict_connection(sc, xi_full, t_basis):
     t_mod.add_left(tp_alg, [t.left_mult_by(tp_in_t.col(i))
                             for i in range(tp_alg.dim)])
     ta = tensor_space([t_mod, a_mod], [tp_alg])
-    xi = ta.Q @ xi_full
+    xi = kron_to_quotient(ta, 1, xi_full, 1)
     # section of the multiplication T (x)_{T'} A -> A
     coll = leg_apply(ta, a_mod, 0, 2, a_mod.left_collapse_mat(t))
     ident = Mat.identity(f, ring.dim)
@@ -345,9 +345,10 @@ def normalization_and_splitting(sc, f_retr):
 
 def tflatness_check(x):
     """T-flatness over x.T: B, A flat (= projective at this scale) as
-    one-sided T-modules and B/[B,T] -> ker(upsilon_T) bijective."""
+    one-sided T-modules and B/[B,T] -> ker(upsilon_T) bijective (the
+    result's ``iota_hat``, where upsilon is defined)."""
     e = x.entwining
-    ring, base = e.ring, e.base
+    ring = e.ring
     f = ring.field
     t = x.T
     a_mod, b_mod = x.a_mod, x.b_mod
@@ -367,12 +368,11 @@ def tflatness_check(x):
         "B_flat_left_T": projective_dual_basis(b_mod, t, "left").projective,
         "B_flat_right_T": projective_dual_basis(b_mod, t, "right").projective,
     }
-    result = {"upsilon": upsilon, "flags": flags, "report": rep,
-              "circular_A": circ_a, "circular_B": circ_b, "circular_D": circ_d}
+    result = {"upsilon": upsilon, "flags": flags, "report": rep}
     if upsilon is None:
         result["verdict"] = False
         return result
-    iota_hat = circ_a.Q @ x.incl_B.matrix @ circ_b.S
+    iota_hat = result["iota_hat"] = leg_apply(circ_b, circ_a, 0, 1, x.incl_B.matrix)
     # upsilon vanishes on classes of B
     _fail_cols(rep, "upsilon-on-B", upsilon @ iota_hat)
     ker = kernel(upsilon)

@@ -12,8 +12,8 @@ import math
 from .errors import ActionMismatch, InvalidCoidempotent, NotProjective
 from .exactla import Mat, SubspaceBasis, _axpy_dense, kernel, kron_id, lincomb
 from .ncalg import (
-    Algebra, Equation, Module, Report, Term, _fail_cols, eqs_linear, hom_solve, leg_apply,
-    regular_bimodule, tensor_space, validate_module,
+    Algebra, Equation, Module, Report, Term, _fail_cols, contract, eqs_linear, hom_solve,
+    leg_apply, regular_bimodule, tensor_space, validate_module,
 )
 
 
@@ -93,9 +93,7 @@ def validate_coring(c):
     _fail_cols(rep, "coassociativity", d1 - d2)
     ident = Mat.identity(c.base.field, c.dim)
     for side, cor, _ in sides:
-        car = cor.carrier
-        counit = car.right_collapse_mat(cor.base) @ kron_id(car.dim, c.eps, 1) @ cor.CC.S
-        _fail_cols(rep, f"counit-{side}", counit @ c.delta - ident)
+        _fail_cols(rep, f"counit-{side}", contract(cor.CC, c.eps) @ c.delta - ident)
     return rep
 
 
@@ -156,7 +154,7 @@ def validate_comodule(m):
     t1 = leg_apply(m.space, mcc, 0, 1, m.coaction_full()) @ rho
     t2 = leg_apply(m.space, mcc, 1, 1, c.delta_full()) @ rho
     _fail_cols(rep, "coassociativity", t1 - t2)
-    cu = car.right_collapse_mat(base) @ kron_id(car.dim, c.eps, 1) @ m.space.S @ rho
+    cu = contract(m.space, c.eps) @ rho
     _fail_cols(rep, "counit", cu - Mat.identity(base.field, car.dim))
     return rep
 
@@ -199,16 +197,10 @@ def dual_ring(c):
     basis_flat = sol.homogeneous
     fs = sol.directions
     dim = len(fs)
-    rc = car.right_collapse_mat(base)
-
-    def contract(fa):
-        # c -> c_(1) f(c_(2)) as a matrix C -> C
-        return rc @ kron_id(car.dim, fa, 1) @ c.CC.S @ c.delta
-
     mult = []
     for fa in fs:
         row = []
-        ga = contract(fa)
+        ga = contract(c.CC, fa) @ c.delta  # c -> c_(1) f(c_(2))
         for fb in fs:
             prod = fb @ ga
             flat = [prod.get(i, j) for i in range(base.dim) for j in range(car.dim)]
@@ -230,12 +222,7 @@ def dual_ring(c):
     def module_of_comodule(m):
         """Install m . f = m_(0) f(m_(1)) as a right *C-action."""
         assert m.side == "right"
-        mats = []
-        mc_s = m.space.S
-        rcol = m.carrier.right_collapse_mat(base)
-        for fa in fs:
-            mats.append(rcol @ kron_id(m.carrier.dim, fa, 1) @ mc_s @ m.coaction)
-        m.carrier.add_right(star, mats)
+        m.carrier.add_right(star, [contract(m.space, fa) @ m.coaction for fa in fs])
         return m.carrier
 
     return star, {"maps": fs, "eta": eta, "module_of_comodule": module_of_comodule}
@@ -317,8 +304,8 @@ def cointegral(c):
     d2 = leg_apply(c.CC, ccc, 1, 1, c.delta_full())
     rc = car.right_collapse_mat(base)
     lc = car.left_collapse_mat(base)
-    u_left = kron_id(car.dim, c.CC.Q, 1) @ ccc.S @ d1
-    u_right = kron_id(1, c.CC.Q, car.dim) @ ccc.S @ d2
+    u_left = kron_id(car.dim, c.CC.Q, 1) @ (ccc.S @ d1)
+    u_right = kron_id(1, c.CC.Q, car.dim) @ (ccc.S @ d2)
     eqs.append(Equation([Term(rc, u_left, pre=car.dim),
                          Term(lc, u_right, -1, post=car.dim)],
                         label="cointegral-coassoc"))
@@ -335,8 +322,7 @@ def cointegral(c):
         ncc = tensor_space([n.carrier, c.carrier, c.carrier], [base, base])
         f1 = leg_apply(m.space, nc, 0, 1, fmap)
         f2 = leg_apply(nc, ncc, 0, 1, n.coaction_full())
-        dfull = delta @ c.CC.Q
-        f3 = n.carrier.right_collapse_mat(base) @ kron_id(n.carrier.dim, dfull, 1) @ ncc.S
+        f3 = contract(ncc, delta @ c.CC.Q)
         return f3 @ f2 @ f1 @ m.coaction
 
     return {"delta": delta, "retraction": retraction, "solutions": sol}
@@ -407,8 +393,7 @@ def coidempotent_from_comodule(w, db):
     base, car = c.base, c.carrier
     f = base.field
     n = len(db.ws)
-    rc = car.right_collapse_mat(base)
-    ks = [rc @ kron_id(car.dim, chi, 1) @ w.space.S for chi in db.chis]
+    ks = [contract(w.space, chi) for chi in db.chis]
     entries = []
     for i in range(n):
         li = w.coaction.apply(db.ws[i])

@@ -50,7 +50,7 @@ from .exactla import (
     solve_right,
 )
 from .ncalg import (
-    Report, _plain, descend, kron_to_quotient, regular_bimodule, tensor_space,
+    Report, _plain, descend, kron_to_quotient, leg_apply, regular_bimodule, tensor_space,
     trivial_subalgebra,
 )
 
@@ -353,9 +353,11 @@ def lambda_projection(tc_k, tc_t):
         raise DegreeMismatch("lambda needs the same algebra and truncation")
     lam = {}
     f = tc_k.cc.field
+    ident = Mat.identity(f, tc_k.cc.b.dim)  # the identity on the first leg
     for n in range(tc_k.D + 2):
         lam[n] = Mat.from_blocks(f, tc_t.tot_dim[n], tc_k.tot_dim[n], [
-            (tc_t._offset(n, p)[0], coff, tc_t.cc.space(q).Q @ tc_k.cc.space(q).S)
+            (tc_t._offset(n, p)[0], coff,
+             leg_apply(tc_k.cc.space(q), tc_t.cc.space(q), 0, 1, ident))
             for (p, q, coff, cdim) in tc_k.blocks[n]])
     for n in range(1, tc_k.D + 2):
         if tc_t.d[n] @ lam[n] != lam[n - 1] @ tc_k.d[n]:

@@ -23,8 +23,8 @@ from .errors import (
 )
 from .exactla import Mat, inverse, kernel, kron_id, kron_vec, lincomb, rank, solve_right
 from .ncalg import (
-    AlgebraMorphism, Module, Report, _fail_cols, check_equations, descend, eqs_linear,
-    generated_subalgebra, kron_to_quotient, leg_apply, regular_bimodule, tensor_space,
+    AlgebraMorphism, Module, Report, _fail_cols, check_equations, contract, descend,
+    eqs_linear, generated_subalgebra, leg_apply, regular_bimodule, tensor_space,
 )
 from .coring import Comodule, Coring, validate_comodule, verify_grouplike
 
@@ -126,10 +126,8 @@ def validate_entwining(e):
         @ leg_apply(CA, cca, 0, 1, d_full)
     _fail_cols(rep, "entwining-comultiplicativity", lhs - rhs)
     # (4) (A eps) psi = eps A
-    amod = e.a_mod
-    aeps = amod.right_collapse_mat(base) @ kron_id(ring.dim, cor.eps, 1) @ AC.S
-    epsa = amod.left_collapse_mat(base) @ kron_id(1, cor.eps, ring.dim) @ CA.S
-    _fail_cols(rep, "entwining-counitality", aeps @ e.psi - epsa)
+    _fail_cols(rep, "entwining-counitality",
+               contract(AC, cor.eps) @ e.psi - contract(CA.op(), cor.eps))
     return rep
 
 
@@ -187,10 +185,8 @@ def associated_coring(e):
     acc = tensor_space([e.a_mod, cor.carrier, cor.carrier], [base, base])
     d1 = leg_apply(AC, acc, 1, 1, cor.delta_full())
     amb = kron_id(ring.dim * cor.dim, ring.unit_col(), cor.dim)
-    reassoc = cc.Q @ (AC.Q.kron(AC.Q)) @ amb @ acc.S
-    delta = reassoc @ d1
-    eps = e.a_mod.right_collapse_mat(base) @ kron_id(ring.dim, cor.eps, 1) @ AC.S
-    assoc = Coring(ring, carrier, delta, eps, name=carrier.name)
+    reassoc = leg_apply(acc, cc, 0, 3, AC.Q.kron(AC.Q) @ amb)
+    assoc = Coring(ring, carrier, reassoc @ d1, contract(AC, cor.eps), name=carrier.name)
     e._assoc = (e.psi, assoc)
     return assoc
 
@@ -251,8 +247,7 @@ def _sweedler_on(ring, aa, name):
     carrier = module_of_space(aa, name)
     cc = tensor_space([carrier, carrier], [ring])
     unit2 = Mat.from_cols(f, [kron_vec(f, ring.unit, ring.unit)], ring.dim * ring.dim)
-    amb = kron_id(ring.dim, unit2, ring.dim)
-    delta = cc.Q @ (aa.Q.kron(aa.Q)) @ amb @ aa.S
+    delta = leg_apply(aa, cc, 0, 2, aa.Q.kron(aa.Q) @ kron_id(ring.dim, unit2, ring.dim))
     eps = leg_apply(aa, regular_bimodule(ring), 0, 2, ring.mult_mat())
     return Coring(ring, carrier, delta, eps, name=name)
 
@@ -288,11 +283,11 @@ def _entwined_module_failures(carrier, rho, e, name):
     # identification with comodules of (A (x)_R C)_psi
     assoc = associated_coring(e)
     md = tensor_space([carrier, assoc.carrier], [ring])
-    ins = kron_id(carrier.dim, ring.unit_col(), cor.dim)
-    rho_hat = kron_to_quotient(md, carrier.dim, e.AC.Q, 1) @ ins @ MC.S @ rho
+    ins = leg_apply(cor.carrier, e.AC, 0, 0, ring.unit_col())
+    rho_hat = leg_apply(MC, md, 1, 1, ins) @ rho
     mhat = Comodule(assoc, carrier, rho_hat, "right", name=f"{name}-assoc")
     rep.merge(validate_comodule(mhat), prefix="assoc-comodule")
-    back = kron_to_quotient(MC, 1, act, cor.dim) @ kron_id(carrier.dim, e.AC.S, 1) @ md.S
+    back = leg_apply(md, MC, 0, 2, kron_id(1, act, cor.dim) @ kron_id(carrier.dim, e.AC.S, 1))
     _fail_cols(rep, "assoc-identification", back @ rho_hat - rho)
     return rep.failures
 
@@ -489,9 +484,7 @@ def canonical_maps(x):
         assoc = associated_coring(e)
         rep = Report("can-coring-morphism")
         _fail_cols(rep, "counit", assoc.eps @ can - sw.eps)
-        cc_sw = sw.CC
-        cc_as = assoc.CC
-        can2 = cc_as.Q @ can.kron(can) @ cc_sw.S
+        can2 = leg_apply(sw.CC, assoc.CC, 0, 2, can.kron(can))
         _fail_cols(rep, "coproduct", assoc.delta @ can - can2 @ sw.delta)
         check_equations(rep, can, eqs_linear(e.ring, aab, assoc.carrier, "left"))
         coring_morphism = rep

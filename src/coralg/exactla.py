@@ -36,7 +36,7 @@ Conventions, binding for the whole package:
   ``a @ kron_id(pre, f, post)`` with no row of kron_id built),
   ``cols_permuted`` or an operation on other matrices, and read by
   ``get``, ``col``, ``row_list``, ``to_lists``, ``items``,
-  ``sparse_cols``, ``rows_at``, ``reshape``, ``apply``, ``nnz``,
+  ``sparse_cols``, ``rows_at``, ``cols_at``, ``reshape``, ``apply``, ``nnz``,
   ``is_zero`` and ``is_identity``.  No Mat is mutated after
   construction.
 * Subspaces are always presented by their unique reduced row echelon basis
@@ -60,6 +60,7 @@ Everything here is immutable after construction and all operations are pure.
 """
 
 from fractions import Fraction as _QQ_SCALAR
+from functools import cached_property
 
 from .errors import DimensionMismatch, MemoryGuard
 
@@ -321,6 +322,14 @@ class Mat:
         """The rows with the indices ``rows``, in that order, as a new matrix."""
         own = self._rows
         return Mat(self.field, len(rows), self.ncols, [dict(own[i]) for i in rows])
+
+    def cols_at(self, cols):
+        """The columns with the distinct indices ``cols``, in that order, as
+        a new matrix: ``self @ S`` for the S whose column i is the basis
+        vector at ``cols[i]``, with no row of S built."""
+        at = {j: i for i, j in enumerate(cols)}
+        return Mat(self.field, self.nrows, len(at),
+                   [{at[j]: v for j, v in r.items() if j in at} for r in self._rows])
 
     def reshape(self, nrows, ncols):
         """The same entries, read row-major, in an nrows x ncols matrix."""
@@ -844,11 +853,12 @@ class QuotientSpace:
                                    relations.mat._rows)
         self.free_cols = free
         self.dim = len(free)
-        proj = Mat(field, self.dim, ambient_dim, vecs)
-        sect = Mat.from_entries(field, ambient_dim, self.dim,
-                                (((f, i), field.one) for i, f in enumerate(free)))
-        self.proj = proj
-        self.sect = sect
+        self.proj = Mat(field, self.dim, ambient_dim, vecs)
+
+    @cached_property
+    def sect(self):
+        return Mat.from_entries(self.field, self.ambient_dim, self.dim,
+                                (((f, i), self.field.one) for i, f in enumerate(self.free_cols)))
 
     def project(self, v):
         return self.proj.apply(v)

@@ -235,13 +235,13 @@ class _OpActions(Mapping):
 
 class _OuterActions(Mapping):
     """An end factor's actions on a tensor space, pushed through its last
-    step when first read: ``alg``'s i-th matrix is
-    ``proj @ kron_id(pre, m_i, post) @ sect`` (the bare kron_id where the
-    step imposed no relation), m_i read live from the prefix's left action
-    (pre = 1) or the last factor's declared right action (post = 1).  With
-    Q = proj (Q' (x) I) and S = (S' (x) I) sect, the mixed-product rule and
-    Q' S' = I make this Q (m (x) I) S or Q (I (x) m) S, the map ``leg_apply``
-    induces, whether or not m descends."""
+    step (its proj and free columns) when first read: ``alg``'s i-th matrix
+    is ``proj @ kron_id(pre, m_i, post)`` read at the free columns
+    (``@ sect``; the bare kron_id where no relation was imposed), m_i read live
+    from the prefix's left action (pre = 1) or the last factor's declared
+    right action (post = 1).  With Q = proj (Q' (x) I), S = (S' (x) I) sect
+    and Q' S' = I this is Q (m (x) I) S or Q (I (x) m) S, the map
+    ``leg_apply`` induces, whether or not m descends."""
 
     def __init__(self, step, actions, pre, post):
         self._step, self._actions, self._pre, self._post = step, actions, pre, post
@@ -252,8 +252,8 @@ class _OuterActions(Mapping):
         if mats is None:
             mats = [kron_id(self._pre, m, self._post) for m in self._actions[alg]]
             if self._step is not None:
-                proj, sect = self._step
-                mats = [proj @ m @ sect for m in mats]
+                proj, cols = self._step
+                mats = [(proj @ m).cols_at(cols) for m in mats]
             self._pushed[alg] = mats
         return mats
 
@@ -462,7 +462,9 @@ class TensorSpace:
       free        the ambient index of each quotient coordinate
       S           section quotient -> full, built from ``free`` when first
                   read: column i is the basis vector at free[i], so S is
-                  zero on pivot coordinates (a plain space's S is its Q)
+                  zero on pivot coordinates (a plain space's S is its Q);
+                  it lifts a map's target, while a restriction reads the
+                  map's columns at ``free`` (``descend``, ``leg_apply``)
       prefix      the space this one is one step on (see below)
       outer_left  left actions of the first factor's algebras {alg: [Mat]}
       outer_right right actions of the last factor's algebras; both read
@@ -521,7 +523,7 @@ class TensorSpace:
             rels = SubspaceBasis.from_balancing(field, amb, pre, post,
                                                 [(right[t][x], left[t][x]) for x in xs])
             qs = QuotientSpace(field, amb, rels)
-            step, cols, self.Q = (qs.proj, qs.sect), qs.free_cols, qs.proj @ Q
+            step, cols, self.Q = (qs.proj, qs.free_cols), qs.free_cols, qs.proj @ Q
         else:  # no relation: a plain prefix keeps one identity as both Q and S
             step, cols, self.Q = None, range(amb), Q
         self.free = cols if _plain(prefix) else [
@@ -640,9 +642,9 @@ def kron_to_quotient(sp, pre, f, post):
 
 
 def descend(W, src):
-    """The map ``W @ src.S`` induced on src's quotient by W, given on src's
-    full ambient; None unless W descends, i.e. equals that map @ ``src.Q``."""
-    M = W if _plain(src) else W @ src.S
+    """The map ``W @ src.S`` (W's columns at ``src.free``) induced on src's
+    quotient by W, given on src's full ambient; None unless it @ src.Q is W."""
+    M = W if _plain(src) else W.cols_at(src.free)
     if src.trivial or M @ src.Q == W:
         return M
     return None
@@ -650,17 +652,25 @@ def descend(W, src):
 
 def leg_apply(src, tgt, pos, span, fmat):
     """Induced map src -> tgt from ``fmat`` acting on the full k-tensor of
-    factors [pos, pos+span) of src: ``kron_to_quotient(tgt, ...)`` read
-    through ``src.S``.  ``span = 0`` inserts a new leg (fmat must be a
-    column).  The caller knows that the map descends to src's quotient;
-    where it does not, ``descend`` is the check."""
+    factors [pos, pos+span) of src: ``kron_to_quotient(tgt, ...)`` read at
+    ``src.free`` (``@ src.S``).  ``span = 0`` inserts a new leg (fmat must
+    be a column).  The caller knows that the map descends to src's
+    quotient; where it does not, ``descend`` is the check."""
     dims = src.dims
     expect = prod(dims[pos:pos + span])
     if fmat.ncols != expect:
         raise DimensionMismatch(
             f"leg map consumes {fmat.ncols}, factors give {expect}")
     W = kron_to_quotient(tgt, prod(dims[:pos]), fmat, prod(dims[pos + span:]))
-    return W if _plain(src) else W @ src.S
+    return W if _plain(src) else W.cols_at(src.free)
+
+
+def contract(sp, f):
+    """The contraction sp -> M, m (x) x -> m . f(x), of sp's first factor M
+    by f, a map from the other factors to R, sp's first junction.  The
+    left-hand x (x) m -> f(x) . m (M last) is ``contract(sp.op(), f)``."""
+    m, alg = sp.factors[0], sp.junctions[0]
+    return leg_apply(sp, m, 0, len(sp.dims), m.right_collapse_mat(alg) @ kron_id(m.dim, f, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -821,7 +831,7 @@ def eq_value(src_vec, tgt_vec, field, tgt_dim):
 def eq_right_colinear(rho_src, rho_tgt, src, tgt, src_C_space, tgt_C_space, c_dim, label):
     """rho_tgt . X = (X tensor C) . rho_src, both sides into tgt_C_space;
     on the op() of all four spaces it is left colinearity."""
-    U = kron_id(1, src.Q, c_dim) @ src_C_space.S @ rho_src
+    U = kron_id(1, src.Q, c_dim) @ (src_C_space.S @ rho_src)
     J = kron_to_quotient(tgt_C_space, 1, tgt.S, c_dim)
     return Equation([Term(rho_tgt, Mat.identity(src.field, src.dim)),
                      Term(J, U, -1, post=c_dim)], label=label)

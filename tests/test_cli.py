@@ -226,6 +226,25 @@ def test_cli_malformed_inputs_are_input_errors(tmp_path, capsys, scalar):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("case", ["workspace-is-a-directory", "not-utf-8", "out-is-a-directory"])
+def test_unreadable_or_unwritable_paths_are_input_errors(tmp_path, capsys, z2_path, case):
+    argv = ["validate", "--workspace", z2_path]
+    if case == "workspace-is-a-directory":
+        argv[2] = str(tmp_path)
+    elif case == "not-utf-8":
+        p = tmp_path / "not-utf-8.json"
+        p.write_bytes(b"\xff" + json.dumps(fixture_document("FIX-Z2")).encode())
+        argv[2] = str(p)
+    else:
+        argv += ["--out", str(tmp_path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("input error:")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_coring_over_an_algebra_the_carrier_lacks_is_an_input_error(tmp_path, capsys):
     doc = fixture_document("FIX-Z2")
     doc["corings"]["C"]["over"] = "A"

@@ -687,3 +687,17 @@ def test_connes_complex_dims_equal_hc_on_fixture_hc(name):
     _skip_small_characteristic(x.B.field, D)
     cc = cyclic_complex(x.B, (x.T, x.incl_T_B))
     assert connes_dims(cc, D) == [homology(cc.total(D), n).dim for n in range(D)]
+
+
+def test_no_circular_space_of_the_m2_diag_bicomplex_builds_its_section():
+    """The total complex of M2|diag to D = 5 and HC_0..4 restrict every
+    operator to the circular spaces by reading its columns at their free
+    indices, so none of the seven circular spaces builds its section S."""
+    m2 = matrix_algebra(QQ, 2)
+    cc = cyclic_complex(m2, diagonal_subalgebra(m2))
+    tc = cc.total(5)
+    for n in range(5):
+        homology(tc, n).dim
+    circular = [sp for sp in cc.b_mod._tensor_spaces.values() if sp.circular is not None]
+    assert len(circular) == 7
+    assert [sp.name for sp in circular if "S" in vars(sp)] == []

@@ -5,7 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 import itertools
 import random
+from math import prod
 
+from coralg.coring import Comodule, comodule_from_coidempotent
+from coralg.entwine import associated_coring
 from coralg.errors import ActionMismatch, MemoryGuard
 from coralg import ncalg
 from coralg.exactla import (
@@ -17,8 +20,8 @@ from coralg.fixtures import (
     upper_triangular_subalgebra,
 )
 from coralg.ncalg import (
-    AlgebraMorphism, Equation, Module, TensorSpace, Term, descend, eq_value, eqs_linear,
-    evaluate_equation,
+    AlgebraMorphism, Equation, Module, TensorSpace, Term, contract, descend, eq_value,
+    eqs_linear, evaluate_equation,
     generated_subalgebra, hom_solve, kron_to_quotient, leg_apply, projective_dual_basis,
     regular_bimodule, scalar_algebra, tensor_space,
     validate_algebra, validate_module, validate_morphism,
@@ -886,3 +889,84 @@ def test_the_workload_spaces_impose_the_expected_relation_sets(monkeypatch):
         assert ncalg._relation_set(t, b.right, b.left) == list(range(want))
         tensor_space([b] * 3, [t, t], t)
         assert calls == ([want] * 3 if want else []), t.name
+
+
+def _zero_quotient(field):
+    """M (x)_{k x k} N with e1 acting as 1 on M's right and as 0 on N's
+    left: m (x) n = m e1 (x) n = m (x) e1 n = 0, so the quotient is zero."""
+    kk = product_field_algebra(field)
+    one, zero = Mat.identity(field, 1), Mat.zeros(field, 1, 1)
+    m = Module(field, "M", 1).add_right(kk, [one, zero])
+    return TensorSpace([m, Module(field, "N", 1).add_left(kk, [zero, one])], [kk])
+
+
+@settings(max_examples=80, deadline=None)
+@given(field=st.sampled_from([QQ, GF(7)]),
+       kind=st.sampled_from(["kxk", "ut2", "M2", "diag"]),
+       shape=st.sampled_from(["module", "over-k", "step", "circular", "zero"]),
+       twists=st.lists(st.tuples(small_ints, st.none() | small_ints), min_size=1, max_size=3),
+       view=st.booleans(), nrows=st.integers(0, 3), entries=small_ints)
+def test_reading_the_free_columns_is_the_product_with_the_section(
+        field, kind, shape, twists, view, nrows, entries):
+    """``m.cols_at(sp.free)`` is ``m @ sp.S`` on a module, a space over k
+    (no relations), a balanced space, a circular space and a space whose
+    quotient is zero, each also as its opposite (the reversal view of a
+    space), over QQ and GF(7)."""
+    t, host = _junction_algebra(field, kind)
+    factors = [_twisted(t, host, twist, f"M{n}", None) for n, twist in enumerate(twists)]
+    if shape == "module":
+        sp = factors[0]
+    elif shape == "zero":
+        sp = _zero_quotient(field)
+        assert sp.dim == 0
+    else:
+        junction = None if shape == "over-k" else t
+        sp = TensorSpace(factors, [junction] * (len(factors) - 1),
+                         t if shape == "circular" else None)
+    if view:
+        sp = sp.op()
+    ncols = prod(sp.dims)
+    m = Mat.from_entries(field, nrows, ncols, (
+        ((i, j), field.from_int(entries[(i * ncols + j) % len(entries)]))
+        for i in range(nrows) for j in range(ncols)))
+    assert m.cols_at(sp.free) == m @ sp.S
+
+
+def _counit_cases(name):
+    """(space, M, R, f) for every space a counit-type map of a built-in
+    fixture contracts, m (x) x -> m . f(x) on the first factor M over R:
+    C (x)_R C of its coring and of the associated coring, the entwining's
+    A (x)_R C and the extension's right comodule A, all by the counit; and
+    (space, M, R, f) for the left-hand x (x) m -> f(x) . m on the last
+    factor M: both C (x)_R C, the entwining's C (x)_R A, the extension's
+    left comodule A and the left comodule C (x)_R W of each coidempotent
+    whose W = R^(I) p is one."""
+    ws = fixture_workspace(name)
+    x = ws.extension()
+    e = x.entwining
+    c, r, a = e.coring, e.base, e.a_mod
+    assoc = associated_coring(e)
+    corings = [(c.CC, c.carrier, r, c.eps), (assoc.CC, assoc.carrier, e.ring, assoc.eps)]
+    right, left = list(corings), list(corings)
+    right += [(e.AC, a, r, c.eps), (Comodule(c, a, x.rho, "right").space, a, r, c.eps)]
+    left += [(e.CA, a, r, c.eps), (Comodule(c, a, x.lrho, "left").space, a, r, c.eps)]
+    for coid in ws.coidempotents.values():
+        try:
+            w = comodule_from_coidempotent(coid.coring, coid, "left")
+        except ActionMismatch:  # R^(I) p is not closed under R's actions
+            continue
+        left.append((w.space, w.carrier, coid.coring.base, coid.coring.eps))
+    return right, left
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_contract_is_the_explicit_collapse_product(name):
+    """``contract`` equals the hand-written collapse @ kron_id @ S, on the
+    right and, through the opposites, on the left."""
+    right, left = _counit_cases(name)
+    for sp, m, r, f in right:
+        explicit = m.right_collapse_mat(r) @ kron_id(m.dim, f, 1) @ sp.S
+        assert contract(sp, f) == explicit, sp.name
+    for sp, m, r, f in left:
+        explicit = m.left_collapse_mat(r) @ kron_id(1, f, m.dim) @ sp.S
+        assert contract(sp.op(), f) == explicit, sp.name

@@ -20,6 +20,11 @@ memoized prefix, with no loop, and an end action is pushed onto a space
 one way, through its last step, not through ``leg_apply``.  An induced map has one
 constructor, ``leg_apply``, with no option, one certificate, ``descend``,
 and one way to read a ``kron_id`` through a quotient, ``kron_to_quotient``.
+A map is restricted to a quotient by reading its columns at the free
+indices, so no product has a section (``S``, ``sect``) as its right
+operand; outside ``ncalg`` no product has a projection (``Q``, ``proj``)
+as its left operand, so there a section only lifts a map's target and a
+projection only pulls a map back or projects a vector.
 """
 
 import argparse
@@ -302,19 +307,30 @@ def _name_of(node):
     return None
 
 
-def _induced_map_bypasses(tree):
+def _induced_map_bypasses(tree, in_ncalg):
     """The lines that go round the one constructor and the one certificate
     of induced maps: a ``check=`` handed to ``leg_apply``, the name
-    ``to_quotient``, and a product ``X.Q @ kron_id(...)``."""
+    ``to_quotient``, a product ``X.Q @ kron_id(...)``, a product
+    ``m @ X.S`` or ``m @ X.sect`` (a map restricted to a quotient through a
+    section Mat instead of at its free columns) and, outside ``ncalg``, a
+    product ``X.Q @ m`` or ``X.proj @ m`` (a map projected onto a quotient
+    by hand instead of by ``leg_apply`` or ``kron_to_quotient``).  A lift
+    ``X.S @ m``, a pullback ``m @ X.Q`` and ``X.Q.apply(v)`` stay."""
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and _name_of(node.func) == "leg_apply" \
                 and any(k.arg == "check" for k in node.keywords):
             out.append((node.lineno, "leg_apply(check=)"))
-        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult) \
-                and isinstance(node.left, ast.Attribute) and node.left.attr == "Q" \
-                and isinstance(node.right, ast.Call) and _name_of(node.right.func) == "kron_id":
-            out.append((node.lineno, "Q @ kron_id"))
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            left, right = (n.attr if isinstance(n, ast.Attribute) else None
+                           for n in (node.left, node.right))
+            if left == "Q" and isinstance(node.right, ast.Call) \
+                    and _name_of(node.right.func) == "kron_id":
+                out.append((node.lineno, "Q @ kron_id"))
+            if right in ("S", "sect"):
+                out.append((node.lineno, f"@ {right}"))
+            if left in ("Q", "proj") and not in_ncalg:
+                out.append((node.lineno, f"{left} @"))
         elif _name_of(node) == "to_quotient":
             out.append((getattr(node, "lineno", None), "to_quotient"))
     return out
@@ -322,5 +338,6 @@ def _induced_map_bypasses(tree):
 
 def test_induced_maps_have_one_constructor_and_one_certificate():
     sites = [f"{path.stem}.py:{line} {what}" for path, tree in _parse("src/coralg").items()
-             for line, what in sorted(set(_induced_map_bypasses(tree)), key=str)]
+             for line, what in sorted(set(_induced_map_bypasses(tree, path.stem == "ncalg")),
+                                      key=str)]
     assert not sites, f"induced maps built or checked around leg_apply and descend: {sites}"
