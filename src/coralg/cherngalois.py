@@ -24,7 +24,7 @@ from .errors import (
     NotIdempotent, NoLocalDualSystem,
 )
 from .exactla import (
-    Mat, SubspaceBasis, _axpy, _axpy_dense, _dense, kernel, kron_id, lincomb, rank,
+    Mat, SubspaceBasis, _axpy, _dense, _public, kernel, kron_contract, kron_id, rank,
     solve_right,
 )
 from .ncalg import (
@@ -32,7 +32,7 @@ from .ncalg import (
     hom_solve, kron_to_quotient, leg_apply, projective_dual_basis, regular_bimodule,
     tensor_space,
 )
-from .coring import Comodule, _non_idempotent_at, cotensor
+from .coring import Comodule, cotensor
 from .cyclic import cyclic_complex, homology
 from .connect import retraction_of_B, tflatness_check
 from .entwine import canonical_maps
@@ -171,7 +171,8 @@ def assemble_cycle(comps, n, tc):
         if not coef and integer != 0:
             vanished.append(l)
         off, dim = tc._offset(2 * n, 2 * n - l)
-        chain[off:off + dim] = _axpy_dense(chain[off:off + dim], coef, comps.comps[l], f.p)
+        chain[off:off + dim] = _public(f, [a + coef * v for a, v in
+                                           zip(chain[off:off + dim], comps.comps[l])])
     if vanished:
         warnings.warn(
             f"coefficients vanish in characteristic {f.p} at degrees "
@@ -283,12 +284,16 @@ def local_dual_system(sc, e):
 
 
 class IdempotentE:
-    """The idempotent matrix E over B indexed by I x P, with provenance."""
+    """The idempotent matrix E over B indexed by I x P, with provenance.
+    ``mat`` holds E as one Mat whose column a * size + c is E_ac, a and c
+    positions in ``index``; ``entries[(a, c)]`` is that column."""
 
-    def __init__(self, entries, index, provenance):
-        self.entries = entries    # dict[(ip, jq)] -> B-coordinate vector
+    def __init__(self, mat, index, provenance):
+        self.mat = mat
         self.index = index        # list of (i, p) pairs
         self.provenance = provenance
+        n = len(index)
+        self.entries = {divmod(col, n): mat.col(col) for col in range(n * n)}
 
     @property
     def size(self):
@@ -341,53 +346,41 @@ def idempotent_e(sc, e, dual, phi):
     ells = ell_p_maps(sc, dual)
     xs = dual["xs"]
     index = [(i, p) for i in range(e.size) for p in range(len(xs))]
-    entries = {}
-    for a, (i, p) in enumerate(index):
-        for c, (j, q) in enumerate(index):
-            val = ring.mul_vec(ells[p].apply(e.entries[i][j]), xs[q])
-            entries[(a, c)] = phi.apply(val)
-    em = IdempotentE(entries, index, {"xs": xs, "phi": phi})
-    bad = next(_non_idempotent_at(b, entries, len(index)), None)
-    if bad is not None:
-        raise NotIdempotent(f"E^2 differs from E first at {bad}")
+    vals = [phi.apply(ring.mul_vec(ells[p].apply(e.entries[i][j]), xs[q]))
+            for i, p in index for j, q in index]
+    em = IdempotentE(Mat.from_cols(b.field, vals, b.dim), index, {"xs": xs, "phi": phi})
+    n = em.size
+    bad = (b.mult_mat() @ kron_contract(em.mat, em.mat, n) - em.mat).nonzero_cols()
+    if bad:
+        raise NotIdempotent(f"E^2 differs from E first at {divmod(bad[0], n)}")
     return em
 
 
 def gamma_elements(sc, e, dual, gamma, ws):
-    """gamma_ip vectors in A (x)_R W coordinates; ``ws`` are the comodule
-    vectors matching the coidempotent's index set."""
-    f = sc.extension.entwining.ring.field
-    ells = ell_p_maps(sc, dual)
+    """gamma_ip = sum_j ell_p(e_ij) (x) w_j in A (x)_R W coordinates, for
+    every i at once (``embed_contracted``); ``ws`` are the comodule vectors
+    matching the coidempotent's index set."""
     mw = gamma.space
-    out = {}
-    for i in range(e.size):
-        for p in range(len(dual["xs"])):
-            acc = [f.zero] * mw.dim
-            for j in range(e.size):
-                term = mw.embed_pure([ells[p].apply(e.entries[i][j]), ws[j]])
-                acc = _axpy_dense(acc, f.one, term, f.p)
-            out[(i, p)] = acc
-    return out
+    em = e.mat
+    wcols = Mat.from_cols(mw.field, ws, mw.dims[1])
+    per_p = [mw.embed_contracted(ell @ em, wcols, e.size) for ell in ell_p_maps(sc, dual)]
+    return {(i, p): per_p[p].col(i) for i in range(e.size) for p in range(len(per_p))}
 
 
 def verify_gamma_identities(em, gamma, gammas):
-    """gamma_ip in Gamma and E-weighted recombination; returns a Report."""
+    """gamma_ip in Gamma, and the E-weighted recombination gamma_a =
+    sum_c E_ac . gamma_c as one residual; returns a Report."""
     rep = Report("gamma")
     b = gamma.extension.B
-    f = b.field
     mw = gamma.space
     for key, vec in gammas.items():
         if gamma.basis.membership(vec) is None:
             rep.fail("gamma-outside-Gamma", key)
-    for a, key in enumerate(em.index):
-        acc = [f.zero] * mw.dim
-        for c, key2 in enumerate(em.index):
-            bvec = em.entries[(a, c)]
-            act = lincomb(mw.outer_left[b], bvec)
-            term = act.apply(gammas[key2])
-            acc = _axpy_dense(acc, f.one, term, f.p)
-        if acc != gammas[key]:
-            rep.fail("gamma-recombination", key)
+    g = Mat.from_cols(b.field, [gammas[key] for key in em.index], mw.dim)
+    act = Mat.from_blocks(b.field, mw.dim, b.dim * mw.dim,
+                          [(0, s * mw.dim, m) for s, m in enumerate(mw.outer_left[b])])
+    for col in (act @ kron_contract(em.mat, g, em.size) - g).nonzero_cols():
+        rep.fail("gamma-recombination", em.index[col])
     return rep
 
 
@@ -398,9 +391,7 @@ def theta_isomorphism(em, gamma, gammas):
     f = b.field
     n = em.size
     dim_free = n * b.dim
-    re_mat = Mat.from_blocks(f, dim_free, dim_free, [
-        (c * b.dim, a * b.dim, b.right_mult_by(em.entries[(a, c)]))
-        for a in range(n) for c in range(n)])
+    re_mat = b.right_mult_by_matrix(em.mat, n)
     theta = Mat.from_cols(f, [gamma.space.outer_left[b][beta].apply(gammas[key])
                               for key in em.index for beta in range(b.dim)], gamma.space.dim)
     image = SubspaceBasis.from_columns(f, dim_free, [re_mat])
@@ -436,9 +427,10 @@ def ch_components(fmat_entries, n_size, cc_b, L):
     b = cc_b.b
     f = b.field
     d = b.dim
-    bad = next(_non_idempotent_at(b, fmat_entries, n_size), None)
-    if bad is not None:
-        raise NotIdempotent(f"F^2 != F first at {bad}")
+    fm = Mat.from_cols(f, [fmat_entries[divmod(col, n_size)] for col in range(n_size ** 2)], d)
+    bad = (b.mult_mat() @ kron_contract(fm, fm, n_size) - fm).nonzero_cols()
+    if bad:
+        raise NotIdempotent(f"F^2 != F first at {divmod(bad[0], n_size)}")
     comps = []
     for l in range(L + 1):
         sp = cc_b.space(l)

@@ -10,7 +10,7 @@ manipulated through canonical quotient coordinates.
 import math
 
 from .errors import ActionMismatch, InvalidCoidempotent, NotProjective
-from .exactla import Mat, SubspaceBasis, _axpy_dense, kernel, kron_id, lincomb
+from .exactla import Mat, SubspaceBasis, kernel, kron_contract, kron_id, lincomb
 from .ncalg import (
     Algebra, Equation, Module, Report, Term, _fail_cols, contract, eqs_linear, hom_solve,
     leg_apply, regular_bimodule, tensor_space, validate_module,
@@ -333,59 +333,44 @@ def cointegral(c):
 # ---------------------------------------------------------------------------
 
 class Coidempotent:
-    """A finite matrix (e_ij) in C with Delta(e_ij) = sum_k e_ik (x) e_kj."""
+    """A finite matrix (e_ij) in C with Delta(e_ij) = sum_k e_ik (x) e_kj;
+    ``mat`` holds the entries as one Mat whose column i * size + j is e_ij."""
 
     def __init__(self, coring, entries):
         self.coring = coring
         self.entries = entries
         self.size = len(entries)
 
-    def counit_matrix(self):
-        return [[self.coring.eps.apply(e) for e in row] for row in self.entries]
+    @property
+    def mat(self):
+        return Mat.from_cols(self.coring.base.field, [v for row in self.entries for v in row],
+                             self.coring.dim)
 
     def __repr__(self):
         return f"Coidempotent({self.size}x{self.size} in {self.coring.name})"
 
 
 def validate_coidempotent(e):
-    """Coidempotency of the matrix and idempotency of its counit matrix."""
+    """Coidempotency of the matrix E and idempotency of its counit matrix
+    P = eps(E): the residuals Delta E - E (x) E and mu (P (x) P) - P, the
+    products taken entry-wise (``kron_contract``), located at (i, j)."""
     rep = Report(f"coidempotent({e.coring.name})")
-    c = e.coring
-    f = c.base.field
-    n = e.size
-    for i in range(n):
-        for j in range(n):
-            lhs = c.delta.apply(e.entries[i][j])
-            rhs = [f.zero] * c.CC.dim
-            for k in range(n):
-                t = c.CC.embed_pure([e.entries[i][k], e.entries[k][j]])
-                rhs = _axpy_dense(rhs, f.one, t, f.p)
-            if lhs != rhs:
-                rep.fail("coidempotency", (i, j))
-    p = {(i, j): v for i, row in enumerate(e.counit_matrix()) for j, v in enumerate(row)}
-    for ac in _non_idempotent_at(c.base, p, n):
-        rep.fail("counit-idempotency", ac)
+    c, n, em = e.coring, e.size, e.mat
+    for col in (c.delta @ em - c.CC.embed_contracted(em, em, n)).nonzero_cols():
+        rep.fail("coidempotency", divmod(col, n))
+    p = c.eps @ em
+    for col in (c.base.mult_mat() @ kron_contract(p, p, n) - p).nonzero_cols():
+        rep.fail("counit-idempotency", divmod(col, n))
     return rep
-
-
-def _non_idempotent_at(b, entries, n):
-    """Every (a, c), row by row, with (F^2)_ac != F_ac for the n x n matrix
-    F over the algebra b given as entries[(a, c)]."""
-    f = b.field
-    for a in range(n):
-        for c in range(n):
-            acc = [f.zero] * b.dim
-            for m in range(n):
-                acc = _axpy_dense(acc, f.one, b.mul_vec(entries[(a, m)], entries[(m, c)]), f.p)
-            if acc != entries[(a, c)]:
-                yield a, c
 
 
 def coidempotent_from_comodule(w, db):
     """e_ij = (C (x) chi_j)[coaction(w_i)] for a finite dual basis of a left
     comodule that is f.g. projective as a left R-module.
 
-    All three defining properties are verified before returning.
+    All three defining properties are verified before returning: (1)
+    coaction(w_i) = sum_j e_ij (x) w_j and (2) e_ij = sum_k X_ik e_kj =
+    sum_k e_ik X_kj with X_ik = chi_k(w_i), as Mat identities.
     """
     if not db.projective:
         raise NotProjective(f"{w.name} has no dual basis")
@@ -393,32 +378,19 @@ def coidempotent_from_comodule(w, db):
     base, car = c.base, c.carrier
     f = base.field
     n = len(db.ws)
-    ks = [contract(w.space, chi) for chi in db.chis]
-    entries = []
-    for i in range(n):
-        li = w.coaction.apply(db.ws[i])
-        entries.append([k.apply(li) for k in ks])
-    e = Coidempotent(c, entries)
-    # property (1): coaction(w_i) = sum_j e_ij (x) w_j
-    for i in range(n):
-        acc = [f.zero] * w.space.dim
-        for j in range(n):
-            t = w.space.embed_pure([entries[i][j], db.ws[j]])
-            acc = _axpy_dense(acc, f.one, t, f.p)
-        if acc != w.coaction.apply(db.ws[i]):
-            raise InvalidCoidempotent(f"property (1) fails at row {i}")
-    # property (2): e_ij = sum_k chi_k(w_i) e_kj = sum_k e_ik chi_j(w_k)
-    for i in range(n):
-        for j in range(n):
-            acc1 = [f.zero] * car.dim
-            acc2 = [f.zero] * car.dim
-            for k in range(n):
-                left = car.left_action_of(base, db.chis[k].apply(db.ws[i]))
-                acc1 = _axpy_dense(acc1, f.one, left.apply(entries[k][j]), f.p)
-                right = car.right_action_of(base, db.chis[j].apply(db.ws[k]))
-                acc2 = _axpy_dense(acc2, f.one, right.apply(entries[i][k]), f.p)
-            if acc1 != entries[i][j] or acc2 != entries[i][j]:
-                raise InvalidCoidempotent(f"property (2) fails at {(i, j)}")
+    wcols = Mat.from_cols(f, db.ws, w.carrier.dim)
+    rho = w.coaction @ wcols
+    kr = [contract(w.space, chi) @ rho for chi in db.chis]
+    e = Coidempotent(c, [[k.col(i) for k in kr] for i in range(n)])
+    em = e.mat
+    bad = (rho - w.space.embed_contracted(em, wcols, n)).nonzero_cols()
+    if bad:
+        raise InvalidCoidempotent(f"property (1) fails at row {bad[0]}")
+    x = Mat.from_cols(f, [chi.apply(wi) for wi in db.ws for chi in db.chis], base.dim)
+    bad = sorted({*(car.left_collapse_mat(base) @ kron_contract(x, em, n) - em).nonzero_cols(),
+                  *(car.right_collapse_mat(base) @ kron_contract(em, x, n) - em).nonzero_cols()})
+    if bad:
+        raise InvalidCoidempotent(f"property (2) fails at {divmod(bad[0], n)}")
     rep = validate_coidempotent(e)
     if not rep.ok:
         raise InvalidCoidempotent(str(rep.failures[:3]))
@@ -428,10 +400,13 @@ def coidempotent_from_comodule(w, db):
 def comodule_from_coidempotent(c, e, side="left"):
     """Reconstruct the comodule W = R^(I) p from a coidempotent matrix.
 
-    Left side: W = row space of p with coaction
+    Left side: W = R^(I) p, the left R-span of the rows of p, with coaction
     (sum_i r_i p_ij)_j -> sum_{i,k} r_i e_ik (x) (p_kj)_j.  The right side
     is the left construction for the transposed matrix over C^cop, read
-    back through ``Comodule.op()``.
+    back through ``Comodule.op()``, with W still the k-span of the rows of
+    the transposed p: over R != k the right W should be p R^(I), which
+    builds FIX-SW's and FIX-SEP's e and FIX-NC's eg but finds FIX-NC's e
+    unclosed under the left action instead of the right one.
     """
     rep = validate_coidempotent(e)
     if not rep.ok:
@@ -445,22 +420,17 @@ def comodule_from_coidempotent(c, e, side="left"):
 
 def _left_comodule_from_coidempotent(c, e, name, opposite):
     """The left construction; with ``opposite`` the carrier is created as a
-    plain module W and the left comodule is carried by W.op()."""
+    plain module W and the left comodule is carried by W.op().  W is the
+    column span of v -> v p on R^n (block layout), p = eps(E) the counit
+    matrix, and with ``opposite`` the k-span of the rows row_k(p), the
+    images of the unit at block k; w = w p (its blocks w_i) goes to
+    sum_{i,k} w_i e_ik (x) row_k(p)."""
     base = c.base
     f = base.field
-    n = e.size
-    p = e.counit_matrix()
-    dim_amb = n * base.dim
-
-    def row_of_p(k):
-        # row_k(p) laid out block-by-block
-        v = [f.zero] * dim_amb
-        for j in range(n):
-            for t, x in enumerate(p[k][j]):
-                v[j * base.dim + t] = x
-        return v
-
-    basis = SubspaceBasis.from_vectors(f, dim_amb, [row_of_p(k) for k in range(n)])
+    n, em = e.size, e.mat
+    rp = base.right_mult_by_matrix(c.eps @ em, n)
+    rows_p = rp @ kron_id(n, base.unit_col(), 1)
+    basis = SubspaceBasis.from_columns(f, n * base.dim, [rows_p if opposite else rp])
     wdim = basis.dim
     carrier = Module(f, name, wdim)
     if opposite:
@@ -477,22 +447,11 @@ def _left_comodule_from_coidempotent(c, e, name, opposite):
     carrier.add_left(base, induced(base.left_mult_mats(), sides[0]))
     carrier.add_right(base, induced(base.right_mult_mats(), sides[1]))
     space = tensor_space([c.carrier, carrier], [base])
-    wrows = [basis.membership(row_of_p(k)) for k in range(n)]
-    cols = []
-    for b in range(wdim):
-        wv = basis.mat.row_list(b)
-        acc = [f.zero] * space.dim
-        for k in range(n):
-            # c-leg: sum_i w_i . e_ik ; w-leg: row_k(p)
-            cleg = [f.zero] * c.carrier.dim
-            for i in range(n):
-                ri = wv[i * base.dim:(i + 1) * base.dim]
-                if any(ri):
-                    cleg = _axpy_dense(cleg, f.one, c.carrier.left_action_of(
-                        base, ri).apply(e.entries[i][k]), f.p)
-            acc = _axpy_dense(acc, f.one, space.embed_pure([cleg, wrows[k]]), f.p)
-        cols.append(acc)
-    coaction = Mat.from_cols(f, cols, space.dim)
+    wrows = Mat.from_cols(f, [basis.membership(v) for v in rows_p.sparse_cols()], wdim)
+    # the blocks of the basis vectors of W: column b * n + i is w_bi
+    blocks = basis.mat.reshape(wdim * n, base.dim).transpose()
+    clegs = c.carrier.left_collapse_mat(base) @ kron_contract(blocks, em, n)
+    coaction = space.embed_contracted(clegs, wrows, n)
     w = Comodule(c, carrier, coaction, "left", name=name)
     rep = validate_comodule(w)
     if not rep.ok:

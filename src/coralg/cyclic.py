@@ -46,7 +46,7 @@ from itertools import chain
 
 from .errors import ActionMismatch, DegreeMismatch, DegreeOutOfRange, NotACycle
 from .exactla import (
-    Mat, QuotientSpace, SubspaceBasis, _axpy_dense, guard_dim, kernel, kron_id, rank,
+    Mat, QuotientSpace, SubspaceBasis, guard_dim, kernel, kron_id, rank,
     solve_right,
 )
 from .ncalg import (
@@ -276,8 +276,7 @@ class TotalComplex:
         return solve_right(self.d[n + 1], rhs) is not None
 
     def classes_equal(self, n, x, y):
-        f = self.cc.field
-        return self.is_boundary(n, _axpy_dense(x, f.from_int(-1), y, f.p))
+        return self.is_boundary(n, [a - b for a, b in zip(x, y)])
 
 
 class HomologyClass:

@@ -22,22 +22,27 @@ Conventions, binding for the whole package:
   arithmetic, only the boundary helpers (``from_int``, ``inv``, ``parse``,
   ``fmt``).  Constants come from ``from_int``, so a QQ value outside the
   row storage is never a bare int.
-* Two private kernels do all vector arithmetic: ``_axpy`` (sparse row
-  dicts, in place) and ``_axpy_dense`` (dense lists of public scalars).
-  When p is given, ``_axpy`` reduces a value to its balanced residue only
-  when it leaves the balanced range, and ``_axpy_dense`` reduces into
-  ``[0, p)``; ``_axpy`` also drops the zeros it creates.
+* One private kernel does all vector arithmetic: ``_axpy`` updates a
+  sparse row dict in place, reduces a value to its balanced residue only
+  when p is given and the value leaves the balanced range, and drops the
+  zeros it creates.  Dense vectors are lists of public scalars: they are
+  reduced where they leave a Mat (every accessor converts its values with
+  ``_to_public``), and list arithmetic on them is passed through
+  ``_public`` when its result is read as a vector rather than handed to a
+  Mat.
 * A matrix represents a linear map; column ``j`` is the image of the j-th
-  basis vector.  Vectors are dense python lists.
+  basis vector.  Vectors are dense python lists.  An n x m matrix whose
+  entries lie in k^d is one d x (n * m) Mat whose column i * m + j is the
+  (i, j) entry; ``kron_contract`` multiplies two of them.
 * Matrices store only nonzero entries, one dict per row.  That storage
   (``Mat._rows``) is read and built only in this module.  Elsewhere a Mat
   is built by ``zeros``, ``identity``, ``from_entries``, ``from_rows``,
   ``from_cols``, ``from_blocks``, ``kron_id``, ``mul_kron_id`` (a product
   ``a @ kron_id(pre, f, post)`` with no row of kron_id built),
-  ``cols_permuted`` or an operation on other matrices, and read by
-  ``get``, ``col``, ``row_list``, ``to_lists``, ``items``,
-  ``sparse_cols``, ``rows_at``, ``cols_at``, ``reshape``, ``apply``, ``nnz``,
-  ``is_zero`` and ``is_identity``.  No Mat is mutated after
+  ``kron_contract``, ``cols_permuted`` or an operation on other matrices,
+  and read by ``get``, ``col``, ``row_list``, ``to_lists``, ``items``,
+  ``sparse_cols``, ``nonzero_cols``, ``rows_at``, ``cols_at``,
+  ``reshape``, ``apply``, ``nnz``, ``is_zero`` and ``is_identity``.  No Mat is mutated after
   construction.
 * Subspaces are always presented by their unique reduced row echelon basis
   (pivot columns ascending), so subspace equality is basis equality and
@@ -214,14 +219,6 @@ def _axpy(dst, c, src, p):
     return dst
 
 
-def _axpy_dense(y, c, x, p):
-    """``y + c * x`` for dense vectors, as a new list reduced mod p when p
-    is set."""
-    if p is None:
-        return [a + c * b if b else a for a, b in zip(y, x)]
-    return [(a + c * b) % p if b else a for a, b in zip(y, x)]
-
-
 class Mat:
     """Sparse exact matrix; row dicts hold only nonzero entries.
 
@@ -317,6 +314,10 @@ class Mat:
         """Every column as a new sparse dict (the rows of the transpose)."""
         out = self.field._to_public
         return [dict(zip(c, map(out, c.values()))) for c in self.transpose()._rows]
+
+    def nonzero_cols(self):
+        """The indices of the nonzero columns, ascending."""
+        return sorted({j for r in self._rows for j in r})
 
     def rows_at(self, rows):
         """The rows with the indices ``rows``, in that order, as a new matrix."""
@@ -511,11 +512,40 @@ def _dense(field, rowdict, n):
 
 def kron_vec(field, u, v):
     """Kronecker product of dense vectors, leftmost factor slowest."""
-    zero = [field.zero] * len(v)
-    out = []
-    for a in u:
-        out += _axpy_dense(zero, a, v, field.p) if a else zero
-    return out
+    return _public(field, [a * b for a in u for b in v])
+
+
+def kron_contract(f, g, inner):
+    """The product of an n x inner matrix F and an inner x m matrix G whose
+    entries lie in k^a and k^b, each given as one Mat whose column
+    i * ncols + j is its (i, j) entry: the (a * b) x (n * m) Mat whose
+    column i * m + j is sum_k F_ik (x) G_kj (``kron`` index order).  It is
+    ``f.kron(g) @ K`` for the 0/1 matrix K that keeps the column pairs
+    (i, k), (k', j) with k = k' and sums over k, built with neither."""
+    n, m = (f.ncols // inner, g.ncols // inner) if inner else (0, 0)
+    if (n * inner, m * inner) != (f.ncols, g.ncols):
+        raise DimensionMismatch(f"{f.shape} and {g.shape} over {inner} inner indices")
+    guard_dim(f.nrows * g.nrows, "kron_contract")
+    p = f.field.p
+    # each row of g as {k: {j: value}}, the entries of its inner row k
+    g_by_k = []
+    for r in g._rows:
+        by_k = {}
+        for kj, v in r.items():
+            k, j = divmod(kj, m)
+            by_k.setdefault(k, {})[j] = v
+        g_by_k.append(by_k)
+    rows = []
+    for r1 in f._rows:
+        for by_k in g_by_k:
+            acc = {}
+            for ik, v in r1.items():
+                i, k = divmod(ik, inner)
+                blk = by_k.get(k)
+                if blk:
+                    _axpy(acc, v, {i * m + j: w for j, w in blk.items()}, p)
+            rows.append(acc)
+    return Mat(f.field, f.nrows * g.nrows, n * m, rows)
 
 
 def lincomb(mats, coeffs):

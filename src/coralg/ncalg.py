@@ -39,7 +39,7 @@ from types import MappingProxyType
 
 from .errors import ActionMismatch, DimensionMismatch
 from .exactla import (
-    Mat, QuotientSpace, SubspaceBasis, _axpy, _axpy_dense, guard_dim, kernel, kron_id,
+    Mat, QuotientSpace, SubspaceBasis, _axpy, guard_dim, kernel, kron_contract, kron_id,
     kron_vec, lincomb, mul_kron_id, solve_right,
 )
 
@@ -71,9 +71,8 @@ class Report:
 
 def _fail_cols(report, axiom, residual):
     """Record one failure per nonzero column of a residual matrix."""
-    for j, col in enumerate(residual.sparse_cols()):
-        if col:
-            report.fail(axiom, j)
+    for j in residual.nonzero_cols():
+        report.fail(axiom, j)
 
 
 class Algebra:
@@ -108,16 +107,7 @@ class Algebra:
         return v
 
     def mul_vec(self, a, b):
-        p = self.field.p
-        out = [self.field.zero] * self.dim
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            row = self.mult[i]
-            for j, bj in enumerate(b):
-                if bj:
-                    out = _axpy_dense(out, ai * bj, row[j], p)
-        return out
+        return self.mult_mat().apply(kron_vec(self.field, a, b))
 
     def left_mult_mats(self):
         """L[i] = matrix of left multiplication by e_i."""
@@ -148,27 +138,37 @@ class Algebra:
     def right_mult_by(self, vec):
         return lincomb(self.right_mult_mats(), vec)
 
+    def right_mult_by_matrix(self, fmat, n):
+        """The matrix of v -> v F on the row vectors v of alg^n, laid out
+        block by block (index a * dim + t), for the n x n matrix F over alg
+        given as one Mat whose column a * n + c is F_ac: block (c, a) is
+        right multiplication by F_ac."""
+        d = self.dim
+        return Mat.from_blocks(self.field, n * d, n * d, [
+            (c * d, a * d, self.right_mult_by(fmat.col(a * n + c)))
+            for a in range(n) for c in range(n)])
+
 
 def scalar_algebra(field, name="k"):
     return Algebra(field, name, 1, [[[field.one]]], [field.one])
 
 
 def validate_algebra(a):
-    """Associativity on all basis triples and both unit laws, located."""
+    """Associativity on all basis triples and both unit laws, located, as
+    residuals of the multiplication read from ``mult`` itself (not the
+    memoized ``mult_mat``), so an edited algebra is checked as it stands."""
     rep = Report(a.name)
-    for i in range(a.dim):
-        for j in range(a.dim):
-            eij = a.mult[i][j]
-            for k in range(a.dim):
-                left = a.mul_vec(eij, a.basis_vector(k))
-                right = a.mul_vec(a.basis_vector(i), a.mult[j][k])
-                if left != right:
-                    rep.fail("associativity", (i, j, k))
-    for i in range(a.dim):
-        e = a.basis_vector(i)
-        if a.mul_vec(a.unit, e) != e:
+    d = a.dim
+    mu = Mat.from_cols(a.field, [v for row in a.mult for v in row], d)
+    for col in (mu @ kron_id(1, mu, d) - mu @ kron_id(d, mu, 1)).nonzero_cols():
+        rep.fail("associativity", (col // (d * d), col // d % d, col % d))
+    ident, u = Mat.identity(a.field, d), a.unit_col()
+    left = set((mu @ u.kron(ident) - ident).nonzero_cols())
+    right = set((mu @ ident.kron(u) - ident).nonzero_cols())
+    for i in range(d):
+        if i in left:
             rep.fail("left-unit", i)
-        if a.mul_vec(e, a.unit) != e:
+        if i in right:
             rep.fail("right-unit", i)
     return rep
 
@@ -197,14 +197,11 @@ class AlgebraMorphism:
 
 
 def validate_morphism(m):
+    """m(e_i e_j) = m(e_i) m(e_j) on all basis pairs, located, and m(1) = 1."""
     rep = Report(f"{m.source.name}->{m.target.name}")
-    src, tgt = m.source, m.target
-    for i in range(src.dim):
-        for j in range(src.dim):
-            lhs = m.apply(src.mult[i][j])
-            rhs = tgt.mul_vec(m.apply(src.basis_vector(i)), m.apply(src.basis_vector(j)))
-            if lhs != rhs:
-                rep.fail("multiplicative", (i, j))
+    src, tgt, f = m.source, m.target, m.matrix
+    for col in (f @ src.mult_mat() - tgt.mult_mat() @ f.kron(f)).nonzero_cols():
+        rep.fail("multiplicative", divmod(col, src.dim))
     if m.apply(src.unit) != tgt.unit:
         rep.fail("unit", None)
     return rep
@@ -564,6 +561,13 @@ class TensorSpace:
             full = kron_vec(self.field, full, v)
         return self.Q.apply(full)
 
+    def embed_contracted(self, f, g, inner):
+        """Coordinates of the columns of ``kron_contract(f, g, inner)`` on
+        a two-factor space: column i * m + j is sum_k F_ik (x) G_kj, the
+        ``embed_pure`` of a sum of pure tensors, for every (i, j) at once."""
+        prods = kron_contract(f, g, inner)
+        return prods if _plain(self) else self.Q @ prods
+
     def flat_index(self, idxs):
         flat = 0
         for i, d in zip(idxs, self.dims):
@@ -907,17 +911,13 @@ def _trace_ideal(alg, hom_set):
 
 
 def verify_dual_basis(module, alg, db):
-    """x = sum chi_i(x) w_i (left) / sum w_i chi_i(x) (right), exactly; the
-    right identity is the left one over M^op."""
+    """x = sum chi_i(x) w_i (left) / sum w_i chi_i(x) (right), exactly:
+    sum_i of the left collapse of chi_i (x) w_i is the identity; the right
+    identity is the left one over M^op."""
     field = module.field
     if db.side == "right":
         module, alg = module.op(), alg.op()
-    for b in range(module.dim):
-        x = module.basis_vector(b)
-        acc = [field.zero] * module.dim
-        for w, chi in zip(db.ws, db.chis):
-            acc = _axpy_dense(acc, field.one,
-                              module.left_action_of(alg, chi.apply(x)).apply(w), field.p)
-        if acc != x:
-            return False
-    return True
+    d = module.dim
+    total = sum((chi.kron(Mat.from_cols(field, [w], d)) for w, chi in zip(db.ws, db.chis)),
+                Mat.zeros(field, alg.dim * d, d))
+    return (module.left_collapse_mat(alg) @ total).is_identity()

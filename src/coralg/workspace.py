@@ -34,7 +34,7 @@ and the CLI uses it over the same T.
 """
 
 from .errors import ActionMismatch, CoinvariantMismatch, SchemaError, ValidationError
-from .exactla import Field, Mat, _axpy_dense
+from .exactla import Field, Mat
 from .ncalg import (
     Algebra, AlgebraMorphism, Module, generated_subalgebra, tensor_space,
     validate_algebra, validate_module,
@@ -351,9 +351,7 @@ def _infer_eta(ws, base, ring, path):
         if sub is base and incl.target is ring:
             return incl
     if base.dim == 1:
-        f = ring.field
-        col = _axpy_dense([f.zero] * ring.dim, base.unit[0], ring.unit, f.p)
-        return AlgebraMorphism(base, ring, Mat.from_cols(f, [col], ring.dim))
+        return AlgebraMorphism(base, ring, ring.unit_col().scale(base.unit[0]))
     raise SchemaError(path, "cannot infer the unit map R -> A")
 
 

@@ -1,5 +1,6 @@
 """Corings, comodules, dual rings, (co)separability, coidempotents, cotensor."""
 
+import itertools
 import json
 import random
 from pathlib import Path
@@ -13,14 +14,14 @@ from coralg.coring import (
     separability_idempotent, trivial_coring, validate_coidempotent,
     validate_comodule, validate_coring, verify_grouplike,
 )
-from coralg.errors import ActionMismatch, InvalidCoidempotent
-from coralg.exactla import QQ, Mat
+from coralg.errors import ActionMismatch, CoralgError, InvalidCoidempotent
+from coralg.exactla import GF, QQ, Mat
 from coralg.fixtures import (
-    FIXTURE_NAMES, fixture_document, group_z2_coring, matrix_algebra, module_over_scalars,
-    nc_fixture, product_field_algebra, quadratic_algebra,
+    FIXTURE_NAMES, fixture_document, fixture_workspace, group_z2_coring, matrix_algebra,
+    module_over_scalars, nc_fixture, product_field_algebra, quadratic_algebra, z2_fixture,
 )
 from coralg.ncalg import (
-    projective_dual_basis, regular_bimodule, scalar_algebra,
+    DualBasis, projective_dual_basis, regular_bimodule, scalar_algebra,
 )
 from coralg.workspace import parse_workspace
 
@@ -304,6 +305,17 @@ def test_right_comodule_from_coidempotent_is_pinned(order, coaction):
     assert validate_comodule(w).ok
 
 
+@pytest.mark.parametrize("name,cname,dim", [("FIX-SW", "e", 2), ("FIX-SEP", "e", 2),
+                                             ("FIX-NC", "eg", 4)])
+def test_left_comodule_from_coidempotent_over_a_nontrivial_base(name, cname, dim):
+    """Over R != k the left W is R^(I) p, the column span of v -> v p, not
+    the k-span of the rows of p: these three build valid left comodules."""
+    e = fixture_workspace(name).coidempotents[cname]
+    w = comodule_from_coidempotent(e.coring, e, side="left")
+    assert w.side == "left" and w.carrier.dim == dim
+    assert validate_comodule(w).ok
+
+
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_comodule_from_coidempotent_names_the_unclosed_action(side):
     """FIX-NC: W = R^(I) p is not closed under W's induced right M2-action
@@ -383,3 +395,88 @@ def test_corrupted_coring_residuals_are_pinned(name):
     wrote each left-hand check apart from its right-hand mirror."""
     got = _residuals_of_corrupted_corings(name)
     assert got == {k: v for k, v in RESIDUALS.items() if k.split(" ")[0] == name}
+
+
+COIDEMPOTENT_RESIDUALS = {
+    k: v for k, v in json.loads(
+        (Path(__file__).parent / "data" / "algebra_residuals.json").read_text()).items()
+    if k.split(" ")[0] in ("coidempotent", "dual-basis")}
+
+
+#: the amounts a corrupted coordinate is moved by
+_SHIFTS = (1, -1, 2)
+
+
+def _shifted(field, v, d):
+    return (v + field.from_int(d)) % field.p if field.p else v + field.from_int(d)
+
+
+def _corrupted_coidempotent_residuals(name):
+    """validate_coidempotent's failures, as JSON lists, on every
+    coidempotent of a fixture with one coordinate of one entry moved by
+    each of ``_SHIFTS`` (every coordinate in turn)."""
+    out = {}
+    for cname, e in fixture_workspace(name).coidempotents.items():
+        f = e.coring.base.field
+        runs = []
+        for i, j in itertools.product(range(e.size), repeat=2):
+            for t, d in itertools.product(range(len(e.entries[i][j])), _SHIFTS):
+                entries = [[list(v) for v in row] for row in e.entries]
+                entries[i][j][t] = _shifted(f, entries[i][j][t], d)
+                runs.append(validate_coidempotent(Coidempotent(e.coring, entries)).failures)
+        out[f"coidempotent {name} {cname}"] = runs
+    return json.loads(json.dumps(out))
+
+
+def _outcome(w, db):
+    try:
+        coidempotent_from_comodule(w, db)
+    except CoralgError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "ok"
+
+
+def _corrupted_dual_basis_messages(field):
+    """coidempotent_from_comodule's outcome on the fixtures' comodules
+    with one entry of one chi_i, then of one w_i, of the dual basis moved
+    by each of ``_SHIFTS`` (every entry in turn)."""
+    z2 = z2_fixture(field)
+    cases = [(w.name, w, db) for w, db in z2["comodules"].values()]
+    if field.p is None:
+        w, db = nc_fixture(field)["comodule"]
+        cases.append((w.name, w, db))
+    out = {}
+    for label, w, db in cases:
+        runs = [_outcome(w, db)]
+        for p, chi in enumerate(db.chis):
+            for r, c, d in itertools.product(range(chi.nrows), range(chi.ncols), _SHIFTS):
+                chis = list(db.chis)
+                chis[p] = chi + Mat.from_entries(field, chi.nrows, chi.ncols,
+                                                 [((r, c), field.from_int(d))])
+                runs.append(_outcome(w, DualBasis("left", db.ws, chis, True, db.generator)))
+        for p, v in enumerate(db.ws):
+            for t, d in itertools.product(range(len(v)), _SHIFTS):
+                ws = [list(u) for u in db.ws]
+                ws[p][t] = _shifted(field, ws[p][t], d)
+                runs.append(_outcome(w, DualBasis("left", ws, db.chis, True, db.generator)))
+        out[f"dual-basis {field!r} {label}"] = runs
+    return out
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_corrupted_coidempotent_residuals_are_pinned(name):
+    """The located failures, in order, are those of the validator that
+    compared Delta(e_ij) with sum_k e_ik (x) e_kj one (i, j) at a time."""
+    got = _corrupted_coidempotent_residuals(name)
+    assert got == {k: v for k, v in COIDEMPOTENT_RESIDUALS.items()
+                   if k.split(" ")[:2] == ["coidempotent", name]}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["QQ", "GF5"])
+def test_corrupted_dual_basis_messages_are_pinned(field):
+    """coidempotent_from_comodule names the first failing row of property
+    (1), then the first failing (i, j) of property (2), as the checks one
+    entry at a time did."""
+    got = _corrupted_dual_basis_messages(field)
+    assert got == {k: v for k, v in COIDEMPOTENT_RESIDUALS.items()
+                   if k.split(" ")[:2] == ["dual-basis", repr(field)]}

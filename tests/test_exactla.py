@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from coralg.errors import DimensionMismatch, MemoryGuard
 from coralg.exactla import (
     GF, QQ, Field, Mat, QuotientSpace, SubspaceBasis, guard_dim, inverse,
-    kernel, kron_id, kron_vec, lincomb, mul_kron_id, rank, solve_right,
+    kernel, kron_contract, kron_id, kron_vec, lincomb, mul_kron_id, rank, solve_right,
 )
 
 Q1 = QQ.one
@@ -312,6 +312,62 @@ def test_kron_vec_order():
     # leftmost factor slowest: (u kron v)[i*len(v)+j] = u[i]*v[j]
     u, v = qvec([1, 2]), qvec([3, 5])
     assert kron_vec(QQ, u, v) == qvec([3, 5, 6, 10])
+
+
+@st.composite
+def kron_contract_case(draw):
+    """(field, F, G, inner, n, m, da, db): an n x inner matrix F with entries
+    in k^da and an inner x m matrix G with entries in k^db, as lists of
+    lists of public vectors, with small entries (so many are zero); with
+    ``cancel`` and inner >= 2, F's column 1 repeats column 0 and G's row 1
+    is minus row 0, so those terms cancel."""
+    field = draw(st.sampled_from([QQ, GF(7)]))
+    n, inner, m = (draw(st.integers(1, 3)) for _ in range(3))
+    da, db = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def vec(d):
+        return [field.from_int(x) for x in draw(st.lists(st.integers(-2, 2), min_size=d,
+                                                         max_size=d))]
+
+    f = [[vec(da) for _ in range(inner)] for _ in range(n)]
+    g = [[vec(db) for _ in range(m)] for _ in range(inner)]
+    if inner >= 2 and draw(st.booleans()):
+        for row in f:
+            row[1] = list(row[0])
+        g[1] = [[-x if field.p is None else -x % field.p for x in v] for v in g[0]]
+    return field, f, g, inner, n, m, da, db
+
+
+@settings(max_examples=150, deadline=None)
+@given(kron_contract_case())
+def test_kron_contract_is_the_sum_of_entry_krons(case):
+    """Column i * m + j of kron_contract(F, G, inner) is the naive
+    sum_k kron_vec(F_ik, G_kj), over QQ and GF(7), zero and cancelling
+    entries included; its storage is normalized like every kernel's."""
+    field, f, g, inner, n, m, da, db = case
+    fm = Mat.from_cols(field, [v for row in f for v in row], da)
+    gm = Mat.from_cols(field, [v for row in g for v in row], db)
+    got = kron_contract(fm, gm, inner)
+    assert got.shape == (da * db, n * m)
+    for i, j in itertools.product(range(n), range(m)):
+        want = [field.zero] * (da * db)
+        for k in range(inner):
+            want = [a + b for a, b in zip(want, kron_vec(field, f[i][k], g[k][j]))]
+        if field.p is not None:
+            want = [a % field.p for a in want]
+        assert got.col(i * m + j) == want
+    assert got == Mat.from_cols(field, [got.col(c) for c in range(n * m)], da * db)
+    if field.p is not None:
+        lo, hi = -((field.p - 1) // 2), field.p // 2
+        assert all(lo <= v <= hi and v for r in got._rows for v in r.values())
+
+
+def test_kron_contract_shapes():
+    """The inner size must divide both column counts; inner = 0 is the
+    product of two empty matrices."""
+    with pytest.raises(DimensionMismatch):
+        kron_contract(Mat.zeros(QQ, 1, 4), Mat.zeros(QQ, 2, 3), 2)
+    assert kron_contract(Mat.zeros(QQ, 2, 0), Mat.zeros(QQ, 3, 0), 0).shape == (6, 0)
 
 
 # -- F_p kernels against a naive mod-p oracle -----------------------------

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import itertools
+import json
 import random
 from math import prod
+from pathlib import Path
 
 from coralg.coring import Comodule, comodule_from_coidempotent
 from coralg.entwine import associated_coring
@@ -20,10 +22,10 @@ from coralg.fixtures import (
     upper_triangular_subalgebra,
 )
 from coralg.ncalg import (
-    AlgebraMorphism, Equation, Module, TensorSpace, Term, contract, descend, eq_value,
+    Algebra, AlgebraMorphism, Equation, Module, TensorSpace, Term, contract, descend, eq_value,
     eqs_linear, evaluate_equation,
     generated_subalgebra, hom_solve, kron_to_quotient, leg_apply, projective_dual_basis,
-    regular_bimodule, scalar_algebra, tensor_space,
+    regular_bimodule, scalar_algebra, tensor_space, trivial_subalgebra,
     validate_algebra, validate_module, validate_morphism,
     verify_dual_basis,
 )
@@ -970,3 +972,53 @@ def test_contract_is_the_explicit_collapse_product(name):
     for sp, m, r, f in left:
         explicit = m.left_collapse_mat(r) @ kron_id(1, f, m.dim) @ sp.S
         assert contract(sp.op(), f) == explicit, sp.name
+
+
+RESIDUALS = json.loads((Path(__file__).parent / "data" / "algebra_residuals.json").read_text())
+
+
+def _bumped(field, v):
+    """v + 1 as a public scalar of the field."""
+    return v + field.one if field.p is None else (v + 1) % field.p
+
+
+def _corrupted_algebra_residuals(field):
+    """validate_algebra's failures on k x k, ut2, M2 and k[x]/(x^2 - 1) with
+    one structure constant, then one unit coordinate, bumped by one (every
+    entry in turn), and validate_morphism's on inclusions into them with
+    one matrix entry bumped, as JSON lists."""
+    m2, ut2 = matrix_algebra(field, 2), upper_triangular_algebra(field)
+    algebras = [product_field_algebra(field), ut2, m2, quadratic_algebra(field, 1, 0)]
+    out = {}
+    for a in algebras:
+        runs = []
+        for i, j, t in itertools.product(range(a.dim), repeat=3):
+            mult = [[list(v) for v in row] for row in a.mult]
+            mult[i][j][t] = _bumped(field, mult[i][j][t])
+            runs.append(validate_algebra(Algebra(field, a.name, a.dim, mult, a.unit)).failures)
+        for t in range(a.dim):
+            unit = list(a.unit)
+            unit[t] = _bumped(field, unit[t])
+            runs.append(validate_algebra(Algebra(field, a.name, a.dim, a.mult, unit)).failures)
+        out[f"algebra {field!r} {a.name}"] = runs
+    inclusions = [("M2 diag", diagonal_subalgebra(m2)), ("M2 ut", upper_triangular_subalgebra(m2)),
+                  ("M2 k", trivial_subalgebra(m2)),
+                  ("ut2 E12", generated_subalgebra(ut2, [ut2.basis_vector(1)])),
+                  ("kxk k", trivial_subalgebra(algebras[0]))]
+    for label, (sub, incl) in inclusions:
+        m = incl.matrix
+        out[f"morphism {field!r} {label}"] = [
+            validate_morphism(AlgebraMorphism(sub, incl.target, m + Mat.from_entries(
+                field, m.nrows, m.ncols, [((r, c), field.one)]))).failures
+            for r in range(m.nrows) for c in range(m.ncols)]
+    return json.loads(json.dumps(out))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+def test_corrupted_algebra_residuals_are_pinned(field):
+    """The located failures of every single-entry corruption, in order, are
+    those of the validators that compared e_i e_j e_k, 1 e_i and e_i 1 (and
+    m(e_i e_j), m(e_i) m(e_j)) one basis tuple at a time."""
+    got = _corrupted_algebra_residuals(field)
+    assert got == {k: v for k, v in RESIDUALS.items()
+                   if k.split(" ")[0] in ("algebra", "morphism") and k.split(" ")[1] == repr(field)}

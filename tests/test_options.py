@@ -24,7 +24,12 @@ A map is restricted to a quotient by reading its columns at the free
 indices, so no product has a section (``S``, ``sect``) as its right
 operand; outside ``ncalg`` no product has a projection (``Q``, ``proj``)
 as its left operand, so there a section only lifts a map's target and a
-projection only pulls a map back or projects a vector.
+projection only pulls a map back or projects a vector.  An entry-wise
+identity of matrices with entries in a space is one residual of Mats built
+with ``exactla.kron_contract``, and ``_axpy`` is the one vector kernel: the
+dense kernel ``_axpy_dense``, the entry-by-entry idempotency loop
+``_non_idempotent_at`` and the list-of-lists ``counit_matrix`` are named
+nowhere in ``src/coralg``.
 """
 
 import argparse
@@ -341,3 +346,14 @@ def test_induced_maps_have_one_constructor_and_one_certificate():
              for line, what in sorted(set(_induced_map_bypasses(tree, path.stem == "ncalg")),
                                       key=str)]
     assert not sites, f"induced maps built or checked around leg_apply and descend: {sites}"
+
+
+_ENTRY_BY_ENTRY = ("_axpy_dense", "_non_idempotent_at", "counit_matrix")
+
+
+def test_entrywise_identities_are_mat_identities():
+    named = [f"{path.name}:{n} {name}"
+             for path in sorted((ROOT / "src" / "coralg").rglob("*.py"))
+             for n, line in enumerate(path.read_text().splitlines(), 1)
+             for name in _ENTRY_BY_ENTRY if name in line]
+    assert not named, f"entry-by-entry kernels and checks are back: {named}"
