@@ -68,6 +68,7 @@ def a_side_component(e, sc, l):
     ring = x.entwining.ring
     f = ring.field
     d = ring.dim
+    prods = ring.mult_mat().sparse_cols()  # prods[b * d + a]: e_b e_a
     n_idx = e.size
     rep_of = _connection_reps(sc)
     reps = [[rep_of(e.entries[i][j]) for j in range(n_idx)] for i in range(n_idx)]
@@ -82,14 +83,13 @@ def a_side_component(e, sc, l):
                 nxt = {}
                 for (pref, beta), coeff in partial.items():
                     for (aj, bj), zj in ell_reps[j].items():
-                        prod = ring.mult[beta][aj]
+                        prod = prods[beta * d + aj]
                         _axpy(nxt, coeff * zj,
-                              {(pref * d + k, bj): c for k, c in enumerate(prod) if c}, f.p)
+                              {(pref * d + k, bj): c for k, c in prod.items()}, f.p)
                 partial = nxt
             # close the circle: last factor is v_{nu_{l+1}} u_{nu_1}
             for (pref, beta), coeff in partial.items():
-                prod = ring.mult[beta][a1]
-                _axpy(out, coeff, {pref * d + k: c for k, c in enumerate(prod) if c}, f.p)
+                _axpy(out, coeff, {pref * d + k: c for k, c in prods[beta * d + a1].items()}, f.p)
     return _dense(f, out, d ** (l + 1))
 
 

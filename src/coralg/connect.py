@@ -244,16 +244,17 @@ def total_integral(x, side="right"):
     ring, base, cor = e.ring, e.base, e.coring
     f = ring.field
     a_mod, carrier = x.a_mod, cor.carrier
-    if side == "right":
-        eqs = eqs_linear(base, carrier, a_mod, "right")
-        eqs.append(eq_right_colinear(cor.delta, x.rho, carrier, a_mod,
-                                     cor.CC, e.AC, cor.dim, "right-colinearity"))
-        eqs.append(eq_value(x.grouplike, ring.unit, f, ring.dim))
-    else:
-        eqs = eqs_linear(base, carrier, a_mod, "left")
-        eqs.append(eq_right_colinear(cor.delta, x.lrho, carrier.op(), a_mod.op(),
-                                     cor.CC.op(), e.CA.op(), cor.dim, "left-colinearity"))
-        eqs.append(eq_value(x.grouplike, ring.unit, f, ring.dim))
+    right = side == "right"
+    # the side's coaction, psi's direction, the space j is applied on and the
+    # space the unit is inserted into (both at the leg ``leg``)
+    rho, twist, j_src, unit_tgt, leg = ((x.rho, e.psi_inv, e.CA, e.AC, 0) if right
+                                        else (x.lrho, e.psi, e.AC, e.CA, 1))
+    colinear = [carrier, a_mod, cor.CC, unit_tgt]
+    if not right:  # left colinearity is right colinearity on the opposites
+        colinear = [sp.op() for sp in colinear]
+    eqs = eqs_linear(base, carrier, a_mod, side)
+    eqs.append(eq_right_colinear(cor.delta, rho, *colinear, cor.dim, f"{side}-colinearity"))
+    eqs.append(eq_value(x.grouplike, ring.unit, f, ring.dim))
     sol = hom_solve(f, carrier.dim, ring.dim, eqs)
     result = {"relative_injective": not sol.is_empty, "solutions": sol,
               "j": None, "h": None}
@@ -266,20 +267,11 @@ def total_integral(x, side="right"):
     j = sol.particular
     aar = tensor_space([a_mod, a_mod], [base])
     mu_bar = leg_apply(aar, a_mod, 0, 2, ring.mult_mat())
-    if side == "right":
-        jleg = leg_apply(e.CA, aar, 0, 1, j)
-        h = mu_bar @ jleg @ e.psi_inv
-        rep = Report("total-integral")
-        _fail_cols(rep, "retraction", h @ x.rho - Mat.identity(f, ring.dim))
-        ins = leg_apply(carrier, e.AC, 0, 0, ring.unit_col())
-        _fail_cols(rep, "roundtrip", h @ ins - j)
-    else:
-        jleg = leg_apply(e.AC, aar, 1, 1, j)
-        h = mu_bar @ jleg @ e.psi
-        rep = Report("total-integral-left")
-        _fail_cols(rep, "retraction", h @ x.lrho - Mat.identity(f, ring.dim))
-        ins = leg_apply(carrier, e.CA, 1, 0, ring.unit_col())
-        _fail_cols(rep, "roundtrip", h @ ins - j)
+    h = mu_bar @ leg_apply(j_src, aar, leg, 1, j) @ twist
+    rep = Report("total-integral" if right else "total-integral-left")
+    _fail_cols(rep, "retraction", h @ rho - Mat.identity(f, ring.dim))
+    ins = leg_apply(carrier, unit_tgt, leg, 0, ring.unit_col())
+    _fail_cols(rep, "roundtrip", h @ ins - j)
     assert rep.ok, f"total integral roundtrip failed: {rep.failures[:3]}"
     result["j"] = j
     result["h"] = h

@@ -197,27 +197,17 @@ def dual_ring(c):
     basis_flat = sol.homogeneous
     fs = sol.directions
     dim = len(fs)
-    mult = []
-    for fa in fs:
-        row = []
-        ga = contract(c.CC, fa) @ c.delta  # c -> c_(1) f(c_(2))
-        for fb in fs:
-            prod = fb @ ga
-            flat = [prod.get(i, j) for i in range(base.dim) for j in range(car.dim)]
-            coords = basis_flat.membership(flat)
-            assert coords is not None, "dual ring product left the hom space"
-            row.append(coords)
-        mult.append(row)
-    unit = basis_flat.membership(
-        [c.eps.get(i, j) for i in range(base.dim) for j in range(car.dim)])
-    assert unit is not None
-    star = Algebra(f, f"*{c.name}", dim, mult, unit)
-    eta_cols = []
-    for i in range(base.dim):
-        mi = c.eps @ car.right[base][i]
-        eta_cols.append(basis_flat.membership(
-            [mi.get(a, b) for a in range(base.dim) for b in range(car.dim)]))
-    eta = Mat.from_cols(f, eta_cols, dim)
+
+    def coords(m):
+        """The coordinates of a map C -> R, read row-major, in the basis fs."""
+        v = basis_flat.membership(m.reshape(1, base.dim * car.dim).row_list(0))
+        assert v is not None, "dual ring element left the hom space"
+        return v
+
+    ga = [contract(c.CC, fa) @ c.delta for fa in fs]  # c -> c_(1) f(c_(2))
+    mu = Mat.from_cols(f, [coords(fb @ g) for g in ga for fb in fs], dim)
+    star = Algebra(f, f"*{c.name}", mu, coords(c.eps))
+    eta = Mat.from_cols(f, [coords(c.eps @ car.right[base][i]) for i in range(base.dim)], dim)
 
     def module_of_comodule(m):
         """Install m . f = m_(0) f(m_(1)) as a right *C-action."""

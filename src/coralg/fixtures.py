@@ -29,65 +29,37 @@ from .workspace import Workspace, serialize_workspace
 def quadratic_algebra(field, a, b, name=None):
     """k[x]/(x^2 = a + b x), basis {1, x}."""
     one, zero = field.one, field.zero
-    fa, fb = field.from_int(a), field.from_int(b)
-    mult = [
-        [[one, zero], [zero, one]],
-        [[zero, one], [fa, fb]],
-    ]
-    return Algebra(field, name or f"k[x]/(x^2-{a}-{b}x)", 2, mult, [one, zero])
+    # 1 1 = 1, 1 x = x 1 = x, x x = a + b x
+    mu = Mat.from_entries(field, 2, 4, [((0, 0), one), ((1, 1), one), ((1, 2), one),
+                                        ((0, 3), field.from_int(a)), ((1, 3), field.from_int(b))])
+    return Algebra(field, name or f"k[x]/(x^2-{a}-{b}x)", mu, [one, zero])
 
 
 def matrix_algebra(field, n=2, name=None):
     """Full matrix algebra, basis E_ij row-major: index i*n + j."""
     dim = n * n
-    zero, one = field.zero, field.one
-
-    def unit_vec(k):
-        v = [zero] * dim
-        v[k] = one
-        return v
-
-    mult = []
-    for i in range(n):
-        for j in range(n):
-            row = []
-            for k in range(n):
-                for l in range(n):
-                    row.append(unit_vec(i * n + l) if j == k else [zero] * dim)
-            mult.append(row)
-    unit = [zero] * dim
-    for i in range(n):
-        unit[i * n + i] = one
-    return Algebra(field, name or f"M{n}", dim, mult, unit)
+    # E_ij E_jl = E_il; every other product of basis matrices is zero
+    mu = Mat.from_entries(field, dim, dim * dim, (
+        ((i * n + l, (i * n + j) * dim + j * n + l), field.one)
+        for i in range(n) for j in range(n) for l in range(n)))
+    unit = [field.one if k % (n + 1) == 0 else field.zero for k in range(dim)]
+    return Algebra(field, name or f"M{n}", mu, unit)
 
 
 def upper_triangular_algebra(field):
     """Upper triangular 2x2 matrices, basis (E11, E12, E22)."""
     zero, one = field.zero, field.one
-    z3 = [zero] * 3
-
-    def v(k):
-        w = list(z3)
-        w[k] = one
-        return w
-
-    # E11*E11=E11, E11*E12=E12, E12*E22=E12, E22*E22=E22, rest zero
-    mult = [
-        [v(0), v(1), z3],
-        [z3, z3, v(1)],
-        [z3, z3, v(2)],
-    ]
-    return Algebra(field, "ut2", 3, mult, [one, zero, one])
+    # E11 E11 = E11, E11 E12 = E12, E12 E22 = E12, E22 E22 = E22, rest zero
+    mu = Mat.from_entries(field, 3, 9, [((0, 0), one), ((1, 1), one), ((1, 5), one),
+                                        ((2, 8), one)])
+    return Algebra(field, "ut2", mu, [one, zero, one])
 
 
 def product_field_algebra(field):
     """k x k with orthogonal idempotent basis (e1, e2)."""
-    zero, one = field.zero, field.one
-    mult = [
-        [[one, zero], [zero, zero]],
-        [[zero, zero], [zero, one]],
-    ]
-    return Algebra(field, "kxk", 2, mult, [one, one])
+    one = field.one
+    return Algebra(field, "kxk", Mat.from_entries(field, 2, 4, [((0, 0), one), ((1, 3), one)]),
+                   [one, one])
 
 
 def diagonal_subalgebra(m2):

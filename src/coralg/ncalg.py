@@ -4,7 +4,8 @@ tensor products over a (noncommutative) ring, and an equivariant-map solver.
 Conventions:
 
 * An algebra element is a dense coordinate vector over the algebra's basis;
-  ``mult[i][j]`` is the vector of ``e_i * e_j``.
+  the algebra is its multiplication ``mu`` (``mult_mat()``), a dim x dim^2
+  matrix whose column i*dim + j is the vector of ``e_i * e_j``, and its unit.
 * A module carries any number of declared left/right actions, keyed by the
   acting Algebra object.  ``left[s]`` matrices form a unital representation,
   ``right[t]`` matrices the matching anti-representation pattern, and every
@@ -24,11 +25,13 @@ Conventions:
   imposes none.
 * The ground field is realized as the one-dimensional algebra; a junction
   algebra of ``None`` means "over k" (no balancing relations).
-* Opposites (memoized, ``x.op().op() is x``): ``Algebra.op()`` has
-  ``mult_op[i][j] = mult[j][i]``; ``Module.op()`` swaps the sides, keyed by
-  opposite algebras.  A space whose factors are all opposite modules is the
-  reversal view ``X.op()`` of the space X of the originals in reverse
-  order: X's canonical coordinates, with the pure-tensor indices reversed.
+* Opposites (memoized, ``x.op().op() is x``, named after the original's
+  current name): ``Algebra.op()`` is mu with its columns permuted, column
+  i*dim + j of mu_op being column j*dim + i of mu; ``Module.op()`` swaps
+  the sides, keyed by opposite algebras.  A space whose factors are all
+  opposite modules is the reversal view ``X.op()`` of the space X of the
+  originals in reverse order: X's canonical coordinates, with the
+  pure-tensor indices reversed.
 """
 
 from collections import namedtuple
@@ -75,29 +78,49 @@ def _fail_cols(report, axiom, residual):
         report.fail(axiom, j)
 
 
-class Algebra:
-    """Unital associative algebra over a field, given by structure constants."""
+class _Named:
+    """The ``name`` of an algebra or module.  An opposite made by ``op()``
+    has none of its own and reads its original's, so ``x.op().name`` is
+    ``x.name + "^op"`` even after x is renamed."""
 
-    def __init__(self, field, name, dim, mult, unit):
+    @property
+    def name(self):
+        return f"{self._op.name}^op" if self._name is None else self._name
+
+    @name.setter
+    def name(self, name):
+        self._name = name
+
+
+class Algebra(_Named):
+    """Unital associative algebra over a field, given by structure constants:
+    ``mu``, the dim x dim^2 matrix of the multiplication (column i*dim + j
+    is e_i e_j), and the unit.  Both are fixed at construction, and ``unit``
+    is a new list on every read, so no memo can go stale."""
+
+    def __init__(self, field, name, mu, unit):
         self.field = field
         self.name = name
-        self.dim = dim
-        self.mult = mult
-        self.unit = list(unit)
+        self.dim = mu.nrows
+        self._mu = mu
+        self._unit = tuple(unit)
         self._left_mats = None
-        self._mult_mat = None
         self._cyclic_complexes = {}  # memo of cyclic.cyclic_complex
         self._op = None
 
     def __repr__(self):
         return f"Algebra({self.name}, dim {self.dim})"
 
+    @property
+    def unit(self):
+        return list(self._unit)
+
     def op(self):
         """The opposite algebra on the same basis: e_i *op e_j = e_j e_i."""
         if self._op is None:
-            n = self.dim
-            o = Algebra(self.field, f"{self.name}^op", n,
-                        [[self.mult[j][i] for j in range(n)] for i in range(n)], self.unit)
+            d = self.dim
+            mu_op = self._mu.cols_permuted([j * d + i for i in range(d) for j in range(d)], d * d)
+            o = Algebra(self.field, None, mu_op, self._unit)
             o._op, self._op = self, o
         return self._op
 
@@ -107,15 +130,13 @@ class Algebra:
         return v
 
     def mul_vec(self, a, b):
-        return self.mult_mat().apply(kron_vec(self.field, a, b))
+        return self._mu.apply(kron_vec(self.field, a, b))
 
     def left_mult_mats(self):
-        """L[i] = matrix of left multiplication by e_i."""
+        """L[i] = matrix of left multiplication by e_i: mu's columns i*dim + j."""
         if self._left_mats is None:
-            self._left_mats = [
-                Mat.from_cols(self.field, [self.mult[i][j] for j in range(self.dim)], self.dim)
-                for i in range(self.dim)
-            ]
+            d = self.dim
+            self._left_mats = [self._mu.cols_at(range(i * d, (i + 1) * d)) for i in range(d)]
         return self._left_mats
 
     def right_mult_mats(self):
@@ -124,13 +145,10 @@ class Algebra:
 
     def mult_mat(self):
         """dim x dim^2 matrix of the multiplication; column i*dim+j = e_i e_j."""
-        if self._mult_mat is None:
-            cols = [self.mult[i][j] for i in range(self.dim) for j in range(self.dim)]
-            self._mult_mat = Mat.from_cols(self.field, cols, self.dim)
-        return self._mult_mat
+        return self._mu
 
     def unit_col(self):
-        return Mat.from_cols(self.field, [self.unit], self.dim)
+        return Mat.from_cols(self.field, [self._unit], self.dim)
 
     def left_mult_by(self, vec):
         return lincomb(self.left_mult_mats(), vec)
@@ -150,16 +168,14 @@ class Algebra:
 
 
 def scalar_algebra(field, name="k"):
-    return Algebra(field, name, 1, [[[field.one]]], [field.one])
+    return Algebra(field, name, Mat.identity(field, 1), [field.one])
 
 
 def validate_algebra(a):
     """Associativity on all basis triples and both unit laws, located, as
-    residuals of the multiplication read from ``mult`` itself (not the
-    memoized ``mult_mat``), so an edited algebra is checked as it stands."""
+    residuals of the multiplication."""
     rep = Report(a.name)
-    d = a.dim
-    mu = Mat.from_cols(a.field, [v for row in a.mult for v in row], d)
+    d, mu = a.dim, a.mult_mat()
     for col in (mu @ kron_id(1, mu, d) - mu @ kron_id(d, mu, 1)).nonzero_cols():
         rep.fail("associativity", (col // (d * d), col // d % d, col % d))
     ident, u = Mat.identity(a.field, d), a.unit_col()
@@ -264,7 +280,7 @@ class _OuterActions(Mapping):
         return len(self._actions)
 
 
-class Module:
+class Module(_Named):
     """A k-module with declared left/right algebra actions.
 
     Module elements are dense coordinate vectors.  ``left[alg][i]`` is the
@@ -298,7 +314,7 @@ class Module:
         """The opposite module, sides swapped; an action declared on either
         one is the opposite action of the other."""
         if self._op is None:
-            o = Module(self.field, f"{self.name}^op", self.dim)
+            o = Module(self.field, None, self.dim)
             o.left = o.outer_left = _OpActions(self.right)
             o.right = o.outer_right = _OpActions(self.left)
             o.is_op = True
@@ -374,13 +390,13 @@ def validate_module(m, lalg=None, ralg=None):
                                  ("right", ralg, "antirepresentation")):
         if alg is None:
             continue
-        mats = (m.left if side == "left" else m.right)[alg]
+        mats, mu = (m.left if side == "left" else m.right)[alg], alg.mult_mat()
         if lincomb(mats, alg.unit) != Mat.identity(m.field, m.dim):
             rep.fail(f"{side}-unital", None)
         for i in range(alg.dim):
             for j in range(alg.dim):
                 prod_ij = mats[i] @ mats[j] if side == "left" else mats[j] @ mats[i]
-                if prod_ij != lincomb(mats, alg.mult[i][j]):
+                if prod_ij != lincomb(mats, mu.col(i * alg.dim + j)):
                     rep.fail(f"{side}-{rep_label}", (i, j))
     if lalg is not None and ralg is not None:
         for i in range(lalg.dim):
@@ -401,19 +417,13 @@ def generated_subalgebra(a, generators):
     f = a.field
     sub_basis = SubspaceBasis.invariant_span(f, a.dim, [a.unit] + list(generators),
                                              [a.right_mult_by(g) for g in generators])
-    basis = sub_basis.mat.to_lists()
-    mult = []
-    for u in basis:
-        row = []
-        for v in basis:
-            coords = sub_basis.membership(a.mul_vec(u, v))
-            assert coords is not None, "closure invariant violated"
-            row.append(coords)
-        mult.append(row)
-    unit = sub_basis.membership(a.unit)
-    sub = Algebra(f, f"{a.name}-sub", sub_basis.dim, mult, unit)
-    incl = AlgebraMorphism(sub, a, sub_basis.mat.transpose())
-    return sub, incl
+    emb = sub_basis.mat.transpose()  # column u: the basis vector b_u in a
+    # column u*dim + v of the subalgebra's mu: the coordinates of b_u b_v
+    cols = [sub_basis.membership(c) for c in (a.mult_mat() @ emb.kron(emb)).sparse_cols()]
+    assert None not in cols, "closure invariant violated"
+    sub = Algebra(f, f"{a.name}-sub", Mat.from_cols(f, cols, sub_basis.dim),
+                  sub_basis.membership(a.unit))
+    return sub, AlgebraMorphism(sub, a, emb)
 
 
 def trivial_subalgebra(a):

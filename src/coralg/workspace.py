@@ -206,10 +206,11 @@ def parse_workspace(doc):
         if len(mult_doc) != dim or any(not isinstance(r, list) or len(r) != dim
                                        for r in mult_doc):
             raise SchemaError(f"{path}.mult", "wrong shape")
-        mult = [[_parse_vector(field, mult_doc[i][j], dim, f"{path}.mult[{i}][{j}]")
-                 for j in range(dim)] for i in range(dim)]
+        mu = Mat.from_cols(field, [
+            _parse_vector(field, mult_doc[i][j], dim, f"{path}.mult[{i}][{j}]")
+            for i in range(dim) for j in range(dim)], dim)
         unit = _parse_vector(field, _need(a, "unit", path, list), dim, f"{path}.unit")
-        alg = Algebra(field, name, dim, mult, unit)
+        alg = Algebra(field, name, mu, unit)
         _record(ws, path, validate_algebra(alg))
         ws.algebras[name] = alg
 
@@ -379,7 +380,7 @@ def serialize_workspace(ws):
     doc["algebras"] = {
         name: {
             "dim": a.dim,
-            "mult": [[_fmt_vec(field, a.mult[i][j]) for j in range(a.dim)]
+            "mult": [[_fmt_vec(field, a.mult_mat().col(i * a.dim + j)) for j in range(a.dim)]
                      for i in range(a.dim)],
             "unit": _fmt_vec(field, a.unit),
         } for name, a in ws.algebras.items()}

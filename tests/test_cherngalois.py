@@ -67,7 +67,7 @@ def oracle_a_side_component(e, sc, l):
             for j in range(l + 1):
                 beta = nus[j][1]
                 alpha_next = nus[(j + 1) % (l + 1)][0]
-                legs.append(ring.mult[beta][alpha_next])
+                legs.append(ring.mult_mat().col(beta * ring.dim + alpha_next))
             vec = legs[0]
             for leg in legs[1:]:
                 vec = kron_vec(f, vec, leg)

@@ -2,6 +2,7 @@
 
 import contextlib
 import functools
+import hashlib
 import io
 import json
 
@@ -47,6 +48,18 @@ def test_parse_serialize_roundtrip():
         doc = fixture_document(name)
         ws = parse_workspace(doc)
         assert serialize_workspace(ws) == doc
+
+
+FIXTURE_HASHES = {"FIX-TRIV": "6123e309fbfb", "FIX-Z2": "36a6a01df3de",
+                  "FIX-SW": "742ddca1fd02", "FIX-NC": "18441d6eff83",
+                  "FIX-SEP": "0b9444bc6329", "FIX-FP": "defff61295a9"}
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixture_document_hash_is_pinned(name):
+    """Every built-in fixture's document is byte-identical to the pinned one."""
+    doc = json.dumps(fixture_document(name))
+    assert hashlib.sha256(doc.encode()).hexdigest()[:12] == FIXTURE_HASHES[name]
 
 
 def test_non_prime_modulus_rejected():

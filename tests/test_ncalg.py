@@ -54,16 +54,15 @@ def test_quadratic_mult_corruption_stays_associative():
 def test_corrupted_matrix_algebra_is_located():
     a = matrix_algebra(QQ, 2)
     assert validate_algebra(a).ok
-    a.mult[0][1] = [QQ.zero, QQ.one, QQ.one, QQ.zero]  # E11*E12 = E12 + E21
-    rep = validate_algebra(a)
+    e21 = Mat.from_entries(QQ, 4, 16, [((2, 1), QQ.one)])  # E11*E12 = E12 + E21
+    rep = validate_algebra(Algebra(QQ, a.name, a.mult_mat() + e21, a.unit))
     assert not rep.ok
     assert any(ax == "associativity" for ax, _ in rep.failures)
 
 
 def test_unit_corruption_located():
     a = quadratic_algebra(QQ, 1, 0)
-    a.unit = [qi(2), qi(0)]
-    rep = validate_algebra(a)
+    rep = validate_algebra(Algebra(QQ, a.name, a.mult_mat(), [qi(2), qi(0)]))
     assert ("left-unit", 0) in rep.failures
 
 
@@ -89,7 +88,7 @@ def test_upper_triangular_subalgebra_matches_direct_presentation():
     direct = upper_triangular_algebra(QQ)
     assert validate_algebra(direct).ok
     # same structure constants in the canonical (rref) basis order
-    assert ut.mult == direct.mult and ut.unit == direct.unit
+    assert ut.mult_mat() == direct.mult_mat() and ut.unit == direct.unit
 
 
 def test_regular_bimodule_valid():
@@ -407,11 +406,41 @@ def _m2_with_ut():
     return m2, ut, m
 
 
+def test_algebra_memos_stay_sound_when_its_unit_list_is_edited():
+    """An algebra is its mu and its unit: it keeps no second copy of its
+    products, and the unit it hands out is a new list, so editing that list
+    changes nothing it computes after its memos were read."""
+    m2 = matrix_algebra(QQ, 2)
+    mu, lefts, op = m2.mult_mat(), m2.left_mult_mats(), m2.op()
+    assert not hasattr(m2, "mult")
+    one = [qi(1), qi(0), qi(0), qi(1)]
+    unit_col = m2.unit_col()
+    unit = m2.unit
+    unit[0], unit[1] = qi(5), qi(1)
+    assert m2.unit_col() == unit_col and m2.unit == one and op.unit == one
+    e11, e12 = m2.basis_vector(0), m2.basis_vector(1)
+    assert m2.mul_vec(e11, e12) == e12
+    assert m2.mult_mat() is mu and m2.left_mult_mats() is lefts and m2.op() is op
+
+
+def test_opposite_names_follow_renames():
+    ws = fixture_workspace("FIX-Z2")
+    assert ws.algebras["A"].op().name == "A^op"
+    assert ws.bimodules["C"].op().name == "C^op"
+    m2 = matrix_algebra(QQ, 2)
+    m = regular_bimodule(m2)
+    op, mo = m2.op(), m.op()
+    m2.name = m.name = "B"
+    assert op.name == mo.name == "B^op" and op.op().name == "B"
+
+
 def test_opposite_algebra_and_module_are_memoized_involutions():
     m2, ut, m = _m2_with_ut()
     op = m2.op()
     assert m2.op() is op and op.op() is m2
-    assert all(op.mult[i][j] == m2.mult[j][i] for i in range(4) for j in range(4))
+    assert all(op.mul_vec(m2.basis_vector(i), m2.basis_vector(j))
+               == m2.mul_vec(m2.basis_vector(j), m2.basis_vector(i))
+               for i in range(4) for j in range(4))
     assert validate_algebra(op).ok
     assert op.left_mult_mats() == m2.right_mult_mats()
     mo = m.op()
@@ -992,14 +1021,14 @@ def _corrupted_algebra_residuals(field):
     out = {}
     for a in algebras:
         runs = []
-        for i, j, t in itertools.product(range(a.dim), repeat=3):
-            mult = [[list(v) for v in row] for row in a.mult]
-            mult[i][j][t] = _bumped(field, mult[i][j][t])
-            runs.append(validate_algebra(Algebra(field, a.name, a.dim, mult, a.unit)).failures)
-        for t in range(a.dim):
-            unit = list(a.unit)
+        d, mu = a.dim, a.mult_mat()
+        for i, j, t in itertools.product(range(d), repeat=3):
+            bump = Mat.from_entries(field, d, d * d, [((t, i * d + j), field.one)])
+            runs.append(validate_algebra(Algebra(field, a.name, mu + bump, a.unit)).failures)
+        for t in range(d):
+            unit = a.unit
             unit[t] = _bumped(field, unit[t])
-            runs.append(validate_algebra(Algebra(field, a.name, a.dim, a.mult, unit)).failures)
+            runs.append(validate_algebra(Algebra(field, a.name, mu, unit)).failures)
         out[f"algebra {field!r} {a.name}"] = runs
     inclusions = [("M2 diag", diagonal_subalgebra(m2)), ("M2 ut", upper_triangular_subalgebra(m2)),
                   ("M2 k", trivial_subalgebra(m2)),
