@@ -29,8 +29,8 @@ from .exactla import (
 )
 from .ncalg import (
     Equation, Module, Report, Term, check_equations, descend, eqs_linear,
-    hom_solve, kron_to_quotient, leg_apply, projective_dual_basis, regular_bimodule,
-    tensor_space,
+    hom_solve, kron_to_quotient, leg_apply, project_vec, projective_dual_basis,
+    regular_bimodule, tensor_space,
 )
 from .coring import Comodule, cotensor
 from .cyclic import cyclic_complex, homology
@@ -140,7 +140,7 @@ def chg_components(e, sc, L):
             raise IotaNotInjective(
                 f"B-side inclusion is not injective at level {l}")
         dense = a_side_component(e, sc, l)
-        x_l = cc_a.space(l).Q.apply(dense)
+        x_l = project_vec(cc_a.space(l), dense)
         y = solve_right(iota, Mat.from_cols(x.B.field, [x_l], len(x_l)))
         if y is None:
             raise MembershipFailure(
@@ -456,7 +456,7 @@ def ch_components(fmat_entries, n_size, cc_b, L):
         for (start, cur), vec in partial.items():
             if cur == start:
                 _axpy(total, f.one, vec, f.p)
-        comps.append(sp.Q.apply(_dense(f, total, d ** (l + 1))))
+        comps.append(project_vec(sp, _dense(f, total, d ** (l + 1))))
     return comps
 
 

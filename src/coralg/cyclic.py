@@ -24,15 +24,19 @@ Conventions for the bicomplex (binding):
   columns relabelled (x, y, rest) -> (y, rest, x) (``Mat.cols_permuted``),
   signed, and no ambient tau is multiplied.  Every operator is formed in
   the coordinates of its target space and then descended:
-  - only a plain target (T = k, where Q = S = I) has operators built on
-    the ambient: d'_n comes from the level below as
-    d'_n = b_0 - 1 (x) d'_{n-1} (d'_1 = b_0), two ``kron_id`` and one
-    subtraction per level;
+  - only a plain target (T = k, where Q = S = I, and neither is built)
+    has operators built on the ambient: d'_n comes from the level below
+    as d'_n = b_0 - 1 (x) d'_{n-1} (d'_1 = b_0), two ``kron_id`` and one
+    ``lincomb`` per level, and is kept for the level above.  Where d_n is
+    read alone (level D + 1 of a total complex, whose d' nothing reads),
+    b_0, -1 (x) d'_{n-1} and the rotated b_0 are one ``lincomb`` and no
+    d'_n is kept;
   - over any other target each face is read through the target's Q as
     ``mul_kron_id(Q, d**i, mu, d**(n-1-i))`` (``kron_to_quotient``), so
     no ambient face is built and the cost scales with the quotient;
   - tau_n is the signed Q of level n with its columns relabelled the same
-    way (the identity, on a plain level).
+    way; on a plain level it is the signed rotation itself, built from the
+    column relabelling with no Q read.
 * operators are built when first read: the total complex truncated at D
   reads N only up to level D - 1 and tau, tautilde, d' only up to level D,
   so it builds neither N at levels D and D + 1 nor the descended tau,
@@ -46,7 +50,7 @@ from itertools import chain
 
 from .errors import ActionMismatch, DegreeMismatch, DegreeOutOfRange, NotACycle
 from .exactla import (
-    Mat, QuotientSpace, SubspaceBasis, guard_dim, kernel, kron_id, rank,
+    Mat, QuotientSpace, SubspaceBasis, guard_dim, kernel, kron_id, lincomb, rank,
     solve_right,
 )
 from .ncalg import (
@@ -119,7 +123,9 @@ class _Level(Mapping):
     are formed from the descended tau.  d' and d are read in the
     coordinates of level n - 1 (``_dprime_read``); on a plain level n - 1
     d' is the ambient one, which stays cached for the level above.  A
-    reader of both builds them from one face sum (``vertical``)."""
+    reader of both builds them from one face sum (``vertical``); a reader
+    of d alone over a plain level n - 1 gets one ``lincomb`` of the faces,
+    and no d' is cached."""
 
     def __init__(self, cc, n):
         self.cc, self.b, self.field, self.n = cc, cc.b, cc.field, n
@@ -144,13 +150,18 @@ class _Level(Mapping):
             raise ActionMismatch(f"operator does not descend to {self.sp.name}")
         return m
 
-    def _rotated(self, m):
-        """m with its columns relabelled (b_0, b_1, ..., b_n) ->
-        (b_1, ..., b_n, b_0) on the pure tensors of B^(n+1): the column
-        b_0 d^n + r goes to r d + b_0."""
+    def _rotation(self):
+        """The column relabelling (b_0, b_1, ..., b_n) -> (b_1, ..., b_n, b_0)
+        on the pure tensors of B^(n+1): column b_0 d^n + r goes to r d + b_0."""
         d, size = self.b.dim, self.b.dim ** (self.n + 1)
-        return m.cols_permuted(list(chain.from_iterable(range(b0, size, d) for b0 in range(d))),
-                               size)
+        return list(chain.from_iterable(range(b0, size, d) for b0 in range(d)))
+
+    def _rotated(self, m):
+        return m.cols_permuted(self._rotation(), self.b.dim ** (self.n + 1))
+
+    @property
+    def _sign(self):
+        return self.field.from_int(-1 if self.n % 2 else 1)
 
     def _face(self, i):
         """The face b_i = 1 (x) mu (x) 1 on B^(n+1), in the coordinates of
@@ -168,18 +179,28 @@ class _Level(Mapping):
             W = W + self._face(i) if i % 2 == 0 else W - self._face(i)
         return W
 
-    @cached_property
-    def _dprime_ambient(self):
-        """d' on B^(n+1), as b_0 - 1 (x) d'_{n-1}; level n + 1 reads it."""
+    def _dprime_terms(self):
+        """d' on B^(n+1) as ``lincomb`` terms: b_0 - 1 (x) d'_{n-1}, and
+        d'_1 = b_0."""
+        one = self.field.one
         b0 = kron_id(1, self.b.mult_mat(), self.b.dim ** (self.n - 1))
         if self.n == 1:
-            return b0
-        return b0 - kron_id(self.b.dim, self.cc.operators(self.n - 1)._dprime_ambient, 1)
+            return [b0], [one]
+        below = self.cc.operators(self.n - 1)._dprime_ambient
+        return [b0, kron_id(self.b.dim, below, 1)], [one, -one]
+
+    @cached_property
+    def _dprime_ambient(self):
+        """d' on B^(n+1); level n + 1 reads it."""
+        return lincomb(*self._dprime_terms())
 
     @cached_property
     def tau(self):
         # the last factor moves to the front, with sign (-1)^n: Q with its
-        # columns rotated
+        # columns rotated, which on a plain level is the signed rotation
+        if _plain(self.sp):
+            return Mat.from_entries(self.field, self.sp.dim, self.sp.dim,
+                                    (((i, j), self._sign) for i, j in enumerate(self._rotation())))
         rot = self._rotated(self.sp.Q)
         return self._descend(rot if self.n % 2 == 0 else -rot)
 
@@ -190,11 +211,10 @@ class _Level(Mapping):
     @cached_property
     def N(self):
         # the sum of tau^i on the quotient (tau descends, so powers agree)
-        acc = nmat = Mat.identity(self.field, self.sp.dim)
+        powers = [Mat.identity(self.field, self.sp.dim)]
         for _ in range(self.n):
-            nmat = self.tau @ nmat
-            acc = acc + nmat
-        return acc
+            powers.append(self.tau @ powers[-1])
+        return lincomb(powers, [self.field.one] * len(powers))
 
     @cached_property
     def dprime(self):
@@ -202,6 +222,11 @@ class _Level(Mapping):
 
     @cached_property
     def d(self):
+        if _plain(self.sp1) and "_dprime_ambient" not in vars(self):
+            # d read alone, as at level D + 1 of a total complex: b_0,
+            # -1 (x) d'_{n-1} and the wrap face in one sum, keeping no d'
+            mats, coeffs = self._dprime_terms()
+            return self._descend(lincomb(mats + [self._rotated(mats[0])], coeffs + [self._sign]))
         return self._d_from(self._dprime_read())
 
     def _d_from(self, W):

@@ -283,7 +283,7 @@ class Mat:
         rows = [{} for _ in range(nrows)]
         for roff, coff, m in blocks:
             for tgt, r in zip(rows[roff:roff + m.nrows], m._rows):
-                tgt.update({coff + j: v for j, v in r.items()})
+                tgt.update({coff + j: v for j, v in r.items()} if coff else r)
         return cls(field, nrows, ncols, rows)
 
     # -- access ---------------------------------------------------------
@@ -347,7 +347,7 @@ class Mat:
         return all(not r for r in self._rows)
 
     def is_identity(self):
-        one = self.field.one
+        one = self.field._to_stored(self.field.one)  # the int 1: no Fraction.__eq__ per row
         return self.nrows == self.ncols and all(
             len(r) == 1 and r.get(i) == one for i, r in enumerate(self._rows))
 

@@ -42,8 +42,8 @@ from types import MappingProxyType
 
 from .errors import ActionMismatch, DimensionMismatch
 from .exactla import (
-    Mat, QuotientSpace, SubspaceBasis, _axpy, guard_dim, kernel, kron_contract, kron_id,
-    kron_vec, lincomb, mul_kron_id, solve_right,
+    Mat, QuotientSpace, SubspaceBasis, _axpy, _public, guard_dim, kernel, kron_contract,
+    kron_id, kron_vec, lincomb, mul_kron_id, solve_right,
 )
 
 
@@ -479,7 +479,8 @@ class TensorSpace:
                   (see ``_OuterActions``), and are empty after a circular
                   quotient, where they are no longer well defined
       trivial     True when there are no relations (Q is invertible, S = Q^-1;
-                  except on a reversal view both are one identity Mat)
+                  except on a reversal view both are one identity Mat, which
+                  such a plain space builds only when Q or S is first read)
 
     A space is one quotient step on its prefix.  With k >= 2 factors the
     prefix is the memoized space of the first k - 1 factors (the first
@@ -492,7 +493,10 @@ class TensorSpace:
     module.  t runs over ``_relation_set``, the whole basis of T less the
     pairs of identities, so over T = k a step costs nothing, and the
     relations are formed and reduced in row storage
-    (``SubspaceBasis.from_balancing``).  Spaces with the same first factors
+    (``SubspaceBasis.from_balancing``).  The space's Q is the step's
+    projection after ``kron_id(1, prefix.Q, dN)``; a plain prefix's Q is
+    not read, so the projection alone is Q, and a step without relations
+    on a plain prefix stores none.  Spaces with the same first factors
     share prefixes.  The step's section selects its free columns a of
     prefix (x) k^dN, so the space's free indices are
     ``prefix.free[a // dN] * dN + a % dN`` (dN = 1 on a circular step).
@@ -525,18 +529,20 @@ class TensorSpace:
             declared = last.right, factors[0].left
         xs = _relation_set(t, *declared)
         amb = prefix.dim * post
-        Q = kron_id(1, prefix.Q, post)
         if xs:
             rels = SubspaceBasis.from_balancing(field, amb, pre, post,
                                                 [(right[t][x], left[t][x]) for x in xs])
             qs = QuotientSpace(field, amb, rels)
-            step, cols, self.Q = (qs.proj, qs.free_cols), qs.free_cols, qs.proj @ Q
-        else:  # no relation: a plain prefix keeps one identity as both Q and S
-            step, cols, self.Q = None, range(amb), Q
+            step, cols = (qs.proj, qs.free_cols), qs.free_cols
+            self.Q = qs.proj if _plain(prefix) else qs.proj @ kron_id(1, prefix.Q, post)
+        else:  # no relation: on a plain prefix Q = S = I, built when first read
+            step, cols = None, range(amb)
+            if not _plain(prefix):
+                self.Q = kron_id(1, prefix.Q, post)
         self.free = cols if _plain(prefix) else [
             prefix.free[a // post] * post + a % post for a in cols]
         self.prefix = prefix
-        self.dim = self.Q.nrows
+        self.dim = len(cols)
         self.trivial = self.dim == self.full_dim
         if circular is None:
             self.outer_left = _OuterActions(step, prefix.outer_left, 1, post)
@@ -544,6 +550,11 @@ class TensorSpace:
         else:
             self.outer_left = self.outer_right = MappingProxyType({})
         self._op = None
+
+    @cached_property
+    def Q(self):
+        """The identity: only a plain space stores no Q."""
+        return Mat.identity(self.field, self.dim)
 
     @cached_property
     def S(self):
@@ -566,10 +577,12 @@ class TensorSpace:
         """Coordinates of v1 (x) ... (x) vk."""
         if len(vecs) != len(self.factors):
             raise DimensionMismatch("wrong number of tensor legs")
-        full = vecs[0]
+        full = _public(self.field, vecs[0])
         for v in vecs[1:]:
             full = kron_vec(self.field, full, v)
-        return self.Q.apply(full)
+        if len(full) != self.full_dim:
+            raise DimensionMismatch(f"pure tensor of length {len(full)} in {self.name}")
+        return project_vec(self, full)
 
     def embed_contracted(self, f, g, inner):
         """Coordinates of the columns of ``kron_contract(f, g, inner)`` on
@@ -647,6 +660,12 @@ def _plain(sp):
     """Q = S = I: a module, or a space without relations that is not a
     reversal view (whose Q and S permute)."""
     return sp.trivial and not isinstance(sp, _ReversalView)
+
+
+def project_vec(sp, vec):
+    """``sp.Q.apply(vec)`` for a dense vector of the field's scalars: the
+    vector itself on a plain space, whose identity Q is not built."""
+    return vec if _plain(sp) else sp.Q.apply(vec)
 
 
 def kron_to_quotient(sp, pre, f, post):

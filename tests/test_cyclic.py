@@ -6,6 +6,7 @@ import weakref
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coralg import cyclic
 from coralg.connect import tflatness_check
@@ -481,7 +482,8 @@ def test_total_complex_builds_only_the_operators_it_reads():
     # Tot_n reads N(q) only for q <= D - 1 and tau~, d' (so tau) for q <= D;
     # level D + 1 gives d alone, whose d.d certificate is still checked.  The
     # only ambient matrix a level keeps is its d', which the level above reads:
-    # no level caches an ambient tau, and level D + 1 builds no tau at all
+    # no level caches an ambient tau, and level D + 1, whose d' nothing reads,
+    # keeps d alone and builds no tau at all
     cc = CyclicComplex(matrix_algebra(QQ, 2))
     tc = cc.total(5)
     assert tc.d_squared.ok and set(tc.d) == set(range(1, 7))
@@ -492,7 +494,7 @@ def test_total_complex_builds_only_the_operators_it_reads():
     assert all(built(q) == {"tau", "tautilde", "N", "dprime", "d", "_dprime_ambient"}
                for q in range(1, 5))
     assert built(5) == {"tau", "tautilde", "dprime", "d", "_dprime_ambient"}
-    assert built(6) == {"d", "_dprime_ambient"}
+    assert built(6) == {"d"}
 
 
 def test_the_face_sum_is_formed_once_per_level(monkeypatch):
@@ -540,12 +542,63 @@ def test_levels_over_diag_build_no_ambient_matrix(monkeypatch):
 
 def test_circular_spaces_over_k_keep_one_identity_as_q_and_s():
     # over T = k no relation cuts a circular space of M2, so its projection
-    # and section are the identity, stored once
+    # and section are the identity, built once when first read
     cc = CyclicComplex(matrix_algebra(QQ, 2))
     cc.total(5)
     for n in range(7):
         sp = cc.space(n)
         assert sp.trivial and sp.Q is sp.S and sp.Q.is_identity(), n
+
+
+def test_total_complex_over_k_builds_no_identity_q():
+    # the total complex and its homology read no Q or S of a plain space:
+    # neither a circular space nor a prefix it is a step on, nor the module
+    cc = cyclic_complex(matrix_algebra(QQ, 2))
+    tc = cc.total(5)
+    assert [homology(tc, n).dim for n in range(5)] == [1, 0, 1, 0, 1]
+    spaces = set()
+    for n in range(7):
+        sp = cc.space(n)
+        while isinstance(sp, TensorSpace):
+            spaces.add(sp)
+            sp = sp.prefix
+        assert sp is cc.b_mod
+    assert len(spaces) == 13  # seven circular spaces, six balanced B^(x)k
+    for sp in spaces:
+        assert sp.trivial and not {"Q", "S"} & set(vars(sp)), sp
+    assert "Q" not in vars(cc.b_mod)
+
+
+_PLAIN = {"k": scalar_algebra, "kx": lambda f: quadratic_algebra(f, 1, 0),
+          "ut2": upper_triangular_algebra, "M2": lambda f: matrix_algebra(f, 2)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_PLAIN)), st.sampled_from([QQ, GF(7)]), st.integers(0, 4))
+def test_plain_tau_and_lone_d_match_the_two_step_builds(key, field, n):
+    """On a plain level tau is the signed rotation, built from the index
+    map, and d read alone (as at level D + 1) is one sum of the faces.
+    Both equal, entry for entry and in entry order, what the two-step
+    builds gave: tau as the rotated identity Q, signed; d as the cached
+    ambient d' = b_0 - 1 (x) d'_{n-1} plus the signed rotated b_0."""
+    b = _PLAIN[key](field)
+    d, mu, size = b.dim, b.mult_mat(), b.dim ** (n + 1)
+    level = CyclicComplex(b).operators(n)
+    perm = [(r % d ** n) * d + r // d ** n for r in range(size)]  # b_0 moves last
+    rot = Mat.identity(field, size).cols_permuted(perm, size)
+    old_tau = rot if n % 2 == 0 else -rot
+    assert level.tau == old_tau and list(level.tau.items()) == list(old_tau.items())
+    assert "Q" not in vars(level.sp)
+    if n == 0:
+        return
+
+    def old_dprime(m):
+        b0 = kron_id(1, mu, d ** (m - 1))
+        return b0 if m == 1 else b0 - kron_id(d, old_dprime(m - 1), 1)
+    wrap = kron_id(1, mu, d ** (n - 1)).cols_permuted(perm, size)
+    old_d = old_dprime(n) + wrap if n % 2 == 0 else old_dprime(n) - wrap
+    assert level.d == old_d and list(level.d.items()) == list(old_d.items())
+    assert set(vars(level)) & {"_dprime_ambient", "dprime", "tau"} == {"tau"}
 
 
 # -- the extra degeneracy: a contracting homotopy for d' over T = k --------

@@ -708,6 +708,64 @@ def test_kron_id_of_a_non_identity_takes_the_generic_path(field):
             assert not got.is_identity()
 
 
+@pytest.mark.parametrize("field", [QQ, F7, GF(2)], ids=["QQ", "GF7", "GF2"])
+def test_is_identity_compares_with_the_stored_one(field, monkeypatch):
+    one, two = field.one, field.from_int(2)
+    assert Mat.identity(field, 3).is_identity() and Mat.identity(field, 0).is_identity()
+    if field.p != 2:  # 2 (1/2) is a stored integral Fraction(1, 1) over QQ
+        half = Mat.from_entries(field, 3, 3, [((i, i), field.inv(two)) for i in range(3)])
+        doubled = half.scale(two)
+        assert doubled.is_identity() and not half.is_identity()
+        if field is QQ:
+            assert {type(v) for r in doubled._rows for v in r.values()} == {type(one)}
+    # over F_p an entry is compared as its balanced residue
+    lifts = [1, 1 + 7, 1 - 7] if field.p == 7 else [1, 3, -1] if field.p == 2 else [1]
+    for lift in lifts:
+        assert Mat.from_entries(field, 2, 2, [((0, 0), lift), ((1, 1), 1)]).is_identity()
+    for entries, shape in (([((0, 0), one), ((1, 1), two)], (2, 2)),
+                           ([((0, 0), one), ((1, 1), one), ((0, 1), one)], (2, 2)),
+                           ([((0, 0), one)], (2, 2)),
+                           ([((0, 0), one), ((1, 1), one)], (2, 3)),
+                           ([((0, 1), one), ((1, 0), one)], (2, 2))):
+        assert not Mat.from_entries(field, *shape, entries).is_identity(), entries
+    # an identity stored as ints is checked without one Fraction comparison
+    calls = []
+    eq = type(QQ.one).__eq__
+    monkeypatch.setattr(type(QQ.one), "__eq__", lambda a, b: calls.append(1) or eq(a, b))
+    assert Mat.identity(field, 50).is_identity() and not calls
+
+
+@st.composite
+def blocks_case(draw):
+    """A target shape and up to four blocks placed in it, some at column
+    offset 0 and some overlapping, over QQ or GF(7)."""
+    field = draw(st.sampled_from([QQ, F7]))
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    blocks = []
+    for _ in range(draw(st.integers(0, 4))):
+        r, c = draw(st.integers(0, nrows)), draw(st.integers(0, ncols))
+        roff = draw(st.integers(0, nrows - r))
+        coff = draw(st.sampled_from([0, draw(st.integers(0, ncols - c))]))
+        data = draw(st.lists(st.lists(st.sampled_from([0, 0, 1, -1, 2, 5]),
+                                      min_size=c, max_size=c), min_size=r, max_size=r))
+        blocks.append((roff, coff, Mat.from_rows(
+            field, [[field.from_int(x) for x in row] for row in data], c)))
+    return field, nrows, ncols, blocks
+
+
+@settings(max_examples=200, deadline=None)
+@given(blocks_case())
+def test_from_blocks_is_entrywise_placement(case):
+    field, nrows, ncols, blocks = case
+    placed = {}
+    for roff, coff, m in blocks:  # a later block's nonzero entry wins
+        for (i, j), v in m.items():
+            placed[(roff + i, coff + j)] = v
+    expected = Mat.from_entries(field, nrows, ncols, placed.items())
+    got = Mat.from_blocks(field, nrows, ncols, blocks)
+    assert got == expected and list(got.items()) == list(expected.items())
+
+
 @settings(max_examples=120, deadline=None)
 @given(mat_case(), st.data())
 def test_cols_permuted_round_trips_with_the_inverse_permutation(case, data):
