@@ -388,15 +388,14 @@ def coidempotent_from_comodule(w, db):
 
 
 def comodule_from_coidempotent(c, e, side="left"):
-    """Reconstruct the comodule W = R^(I) p from a coidempotent matrix.
+    """Reconstruct the comodule W from a coidempotent matrix.
 
     Left side: W = R^(I) p, the left R-span of the rows of p, with coaction
-    (sum_i r_i p_ij)_j -> sum_{i,k} r_i e_ik (x) (p_kj)_j.  The right side
-    is the left construction for the transposed matrix over C^cop, read
-    back through ``Comodule.op()``, with W still the k-span of the rows of
-    the transposed p: over R != k the right W should be p R^(I), which
-    builds FIX-SW's and FIX-SEP's e and FIX-NC's eg but finds FIX-NC's e
-    unclosed under the left action instead of the right one.
+    (sum_i r_i p_ij)_j -> sum_{i,k} r_i e_ik (x) (p_kj)_j.  Right side:
+    W = p R^(I), the right R-span of the columns of p, built as the left
+    construction for the transposed matrix over C^cop (whose R^op-span of
+    the rows of the transposed p is p R^(I)), read back through
+    ``Comodule.op()``.
     """
     rep = validate_coidempotent(e)
     if not rep.ok:
@@ -412,15 +411,14 @@ def _left_comodule_from_coidempotent(c, e, name, opposite):
     """The left construction; with ``opposite`` the carrier is created as a
     plain module W and the left comodule is carried by W.op().  W is the
     column span of v -> v p on R^n (block layout), p = eps(E) the counit
-    matrix, and with ``opposite`` the k-span of the rows row_k(p), the
-    images of the unit at block k; w = w p (its blocks w_i) goes to
-    sum_{i,k} w_i e_ik (x) row_k(p)."""
+    matrix; w = w p (its blocks w_i) goes to sum_{i,k} w_i e_ik (x)
+    row_k(p), row_k(p) the image of the unit at block k."""
     base = c.base
     f = base.field
     n, em = e.size, e.mat
     rp = base.right_mult_by_matrix(c.eps @ em, n)
     rows_p = rp @ kron_id(n, base.unit_col(), 1)
-    basis = SubspaceBasis.from_columns(f, n * base.dim, [rows_p if opposite else rp])
+    basis = SubspaceBasis.from_columns(f, n * base.dim, [rp])
     wdim = basis.dim
     carrier = Module(f, name, wdim)
     if opposite:
@@ -430,10 +428,11 @@ def _left_comodule_from_coidempotent(c, e, name, opposite):
         # side: the side of the action on W (on W.op() the sides swap)
         out = [basis.restrict(kron_id(n, m, 1)) for m in mats]
         if None in out:
-            raise ActionMismatch(f"{name}: W = R^(I) p is not closed under the {side} action")
+            raise ActionMismatch(f"{name}: W = {span} is not closed under the {side} action")
         return out
 
     sides = ("right", "left") if opposite else ("left", "right")
+    span = "p R^(I)" if opposite else "R^(I) p"
     carrier.add_left(base, induced(base.left_mult_mats(), sides[0]))
     carrier.add_right(base, induced(base.right_mult_mats(), sides[1]))
     space = tensor_space([c.carrier, carrier], [base])

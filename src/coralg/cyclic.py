@@ -26,18 +26,23 @@ Conventions for the bicomplex (binding):
   the coordinates of its target space and then descended:
   - only a plain target (T = k, where Q = S = I, and neither is built)
     has operators built on the ambient: d'_n comes from the level below
-    as d'_n = b_0 - 1 (x) d'_{n-1} (d'_1 = b_0), two ``kron_id`` and one
-    ``lincomb`` per level, and is kept for the level above.  Where d_n is
-    read alone (level D + 1 of a total complex, whose d' nothing reads),
-    b_0, -1 (x) d'_{n-1} and the rotated b_0 are one ``lincomb`` and no
-    d'_n is kept;
+    as d'_n = b_0 - 1 (x) d'_{n-1} (d'_1 = b_0), one ``KronSum`` per
+    level with neither term built, and is handed to the level above.
+    Where d_n is read alone onto a trivial level (level D + 1 of a total
+    complex over T = k, whose d' nothing reads), b_0, -1 (x) d'_{n-1} and
+    the rotated b_0 are one ``KronSum``, which the total complex adds
+    straight into the rows of d_{D+1}, and no d'_n is built;
   - over any other target each face is read through the target's Q as
     ``mul_kron_id(Q, d**i, mu, d**(n-1-i))`` (``kron_to_quotient``), so
     no ambient face is built and the cost scales with the quotient;
   - tau_n is the signed Q of level n with its columns relabelled the same
     way; on a plain level it is the signed rotation itself, built from the
     column relabelling with no Q read.
-* operators are built when first read: the total complex truncated at D
+* operators are built when first read, on a level object that lives only
+  while it is read: ``CyclicComplex`` keeps its circular spaces, not its
+  levels.  The total complex truncated at D walks the levels upwards,
+  places each level's blocks into every d_n that reads them and drops the
+  level, so its d_n are the only holders of the bicomplex's matrices.  It
   reads N only up to level D - 1 and tau, tautilde, d' only up to level D,
   so it builds neither N at levels D and D + 1 nor the descended tau,
   tautilde and d' at level D + 1.  Every operator that is built is checked
@@ -50,8 +55,8 @@ from itertools import chain
 
 from .errors import ActionMismatch, DegreeMismatch, DegreeOutOfRange, NotACycle
 from .exactla import (
-    Mat, QuotientSpace, SubspaceBasis, guard_dim, kernel, kron_id, lincomb, rank,
-    solve_right,
+    KronSum, Mat, QuotientSpace, SubspaceBasis, assemble, guard_dim, kernel, lincomb,
+    rank, solve_right,
 )
 from .ncalg import (
     Report, _plain, descend, kron_to_quotient, leg_apply, regular_bimodule, tensor_space,
@@ -85,7 +90,6 @@ class CyclicComplex:
         self.b_mod = regular_bimodule(b).restrict(self.t, self.t_incl)
         self.name = f"{b.name}|{self.t.name}"
         self._spaces = {}
-        self._ops = {}
         self._d = {}
 
     def space(self, n):
@@ -100,14 +104,12 @@ class CyclicComplex:
     def operators(self, n):
         """tau, tautilde, N at level n; dprime, d: level n -> n-1 (n >= 1).
 
-        All matrices act on canonical circular coordinates.  Each one is
-        built when first read, and a built operator is verified to descend
-        to the quotient (relation vectors map to relation vectors).
+        All matrices act on canonical circular coordinates.  Each read
+        gives a new level, which builds an operator when it is first read
+        and verifies it to descend to the quotient (relation vectors map to
+        relation vectors); no level is kept here.
         """
-        ops = self._ops.get(n)
-        if ops is None:
-            ops = self._ops[n] = _Level(self, n)
-        return ops
+        return _Level(self, n)
 
     # -- total complex ---------------------------------------------------
 
@@ -119,19 +121,27 @@ class CyclicComplex:
 
 class _Level(Mapping):
     """The cyclic operators of one level, read as ``operators(n)[key]``:
-    each is built, and checked to descend, when first read.  tautilde and N
-    are formed from the descended tau.  d' and d are read in the
-    coordinates of level n - 1 (``_dprime_read``); on a plain level n - 1
-    d' is the ambient one, which stays cached for the level above.  A
-    reader of both builds them from one face sum (``vertical``); a reader
-    of d alone over a plain level n - 1 gets one ``lincomb`` of the faces,
-    and no d' is cached."""
+    each is built, and checked to descend, when first read, and lives as
+    long as the level.  tautilde and N are formed from the descended tau.
+    d' and d are read in the coordinates of level n - 1 (``_dprime_read``);
+    on a plain level n - 1 d' is the ambient one, formed from the ambient
+    d' of level n - 1, which ``above`` hands over (a level built alone
+    builds it afresh).  A reader of both builds them from one face sum
+    (``vertical``); a reader of d alone over a plain level n - 1 onto a
+    trivial level n gets one ``KronSum`` of the faces (``_lone_d``), and
+    no d' is built."""
 
-    def __init__(self, cc, n):
+    def __init__(self, cc, n, dprime_below=None):
         self.cc, self.b, self.field, self.n = cc, cc.b, cc.field, n
         self.sp = cc.space(n)
         self.sp1 = cc.space(n - 1) if n >= 1 else None
         self._keys = _OPERATORS if n >= 1 else _OPERATORS[:3]
+        self._dprime_below = dprime_below
+
+    def above(self):
+        """Level n + 1, handed the one matrix it reads of this level: the
+        ambient d', where it was built."""
+        return _Level(self.cc, self.n + 1, vars(self).get("_dprime_ambient"))
 
     def __getitem__(self, key):
         if key not in self._keys:
@@ -179,28 +189,35 @@ class _Level(Mapping):
             W = W + self._face(i) if i % 2 == 0 else W - self._face(i)
         return W
 
+    def _b0_term(self, perm=None):
+        """The face b_0 = mu (x) 1 on B^(n+1) as a ``KronSum`` term, its
+        columns relabelled by ``perm``."""
+        return (1, self.b.mult_mat(), self.b.dim ** (self.n - 1), perm)
+
     def _dprime_terms(self):
-        """d' on B^(n+1) as ``lincomb`` terms: b_0 - 1 (x) d'_{n-1}, and
+        """d' on B^(n+1) as ``KronSum`` terms: b_0 - 1 (x) d'_{n-1}, and
         d'_1 = b_0."""
         one = self.field.one
-        b0 = kron_id(1, self.b.mult_mat(), self.b.dim ** (self.n - 1))
         if self.n == 1:
-            return [b0], [one]
-        below = self.cc.operators(self.n - 1)._dprime_ambient
-        return [b0, kron_id(self.b.dim, below, 1)], [one, -one]
+            return [self._b0_term()], [one]
+        below = self._dprime_below
+        if below is None:
+            below = self.cc.operators(self.n - 1)._dprime_ambient
+        return [self._b0_term(), (self.b.dim, below, 1, None)], [one, -one]
 
     @cached_property
     def _dprime_ambient(self):
         """d' on B^(n+1); level n + 1 reads it."""
-        return lincomb(*self._dprime_terms())
+        return KronSum(*self._dprime_terms()).mat()
 
     @cached_property
     def tau(self):
         # the last factor moves to the front, with sign (-1)^n: Q with its
         # columns rotated, which on a plain level is the signed rotation
         if _plain(self.sp):
+            sign = self._sign
             return Mat.from_entries(self.field, self.sp.dim, self.sp.dim,
-                                    (((i, j), self._sign) for i, j in enumerate(self._rotation())))
+                                    (((i, j), sign) for i, j in enumerate(self._rotation())))
         rot = self._rotated(self.sp.Q)
         return self._descend(rot if self.n % 2 == 0 else -rot)
 
@@ -220,14 +237,22 @@ class _Level(Mapping):
     def dprime(self):
         return self._descend(self._dprime_read())
 
+    def _lone_d(self):
+        """d read alone over a plain level n - 1 onto a trivial level n, as
+        at level D + 1 of a total complex over T = k, whose d' nothing
+        reads: the ``KronSum`` b_0 - 1 (x) d'_{n-1} + (-1)^n b_0 rotated,
+        with no d' built.  None where d' is built or level n is a proper
+        quotient.  On a trivial level n ``descend`` is the identity, so
+        the sum is d as it stands."""
+        if not (_plain(self.sp1) and self.sp.trivial) or "_dprime_ambient" in vars(self):
+            return None
+        terms, coeffs = self._dprime_terms()
+        return KronSum(terms + [self._b0_term(self._rotation())], coeffs + [self._sign])
+
     @cached_property
     def d(self):
-        if _plain(self.sp1) and "_dprime_ambient" not in vars(self):
-            # d read alone, as at level D + 1 of a total complex: b_0,
-            # -1 (x) d'_{n-1} and the wrap face in one sum, keeping no d'
-            mats, coeffs = self._dprime_terms()
-            return self._descend(lincomb(mats + [self._rotated(mats[0])], coeffs + [self._sign]))
-        return self._d_from(self._dprime_read())
+        lone = self._lone_d()
+        return self._d_from(self._dprime_read()) if lone is None else lone.mat()
 
     def _d_from(self, W):
         # the last face (-1)^n (b_n b_0) (x) b_1 ... (x) b_{n-1} is b_0 after
@@ -245,7 +270,14 @@ class _Level(Mapping):
 class TotalComplex:
     """Truncated total complex: entries C_{p,q}, p+q <= D+1, with total
     differentials d_n for 1 <= n <= D+1, the d.d = 0 certificate and
-    ``rank(n)``, the rank of d_n, computed once per n when first asked."""
+    ``rank(n)``, the rank of d_n, computed once per n when first asked.
+
+    The d_n are the only holders of the bicomplex's matrices: the levels
+    q = 0 .. D + 1 are built in ascending order, each level's blocks go
+    into every d_n that reads them as they are built (``assemble``), and
+    the level is dropped once level q + 1 is built, which keeps only its
+    ambient d' (over T = k, to form its own).  So no more than level q and
+    the ambient d' of level q - 1 are alive at once."""
 
     def __init__(self, cc, D):
         self.cc = cc
@@ -262,9 +294,8 @@ class TotalComplex:
             guard_dim(off, f"Tot_{n}")
             self.blocks[n] = blocks
             self.tot_dim[n] = off
-        for q in range(1, D + 1):  # levels whose d and d' are both read
-            cc.operators(q).vertical()
-        self.d = {n: self._build_d(n) for n in range(1, D + 2)}
+        shapes = [(self.tot_dim[n - 1], self.tot_dim[n]) for n in range(1, D + 2)]
+        self.d = dict(enumerate(assemble(cc.field, shapes, self._level_blocks()), 1))
         self.d_squared = Report(f"d.d=0 on {cc.name}")
         for n in range(2, D + 2):
             if not (self.d[n - 1] @ self.d[n]).is_zero():
@@ -279,17 +310,25 @@ class TotalComplex:
     def _offset(self, n, p):
         return self.blocks[n][p][2:]
 
-    def _build_d(self, n):
-        blocks = []
-        for (p, q, coff, cdim) in self.blocks[n]:
-            ops = self.cc.operators(q)
-            if q >= 1:
-                block = ops["d"] if p % 2 == 0 else -ops["dprime"]
-                blocks.append((self._offset(n - 1, p)[0], coff, block))
-            if p >= 1:
-                block = ops["tautilde"] if p % 2 == 1 else ops["N"]
-                blocks.append((self._offset(n - 1, p - 1)[0], coff, block))
-        return Mat.from_blocks(self.cc.field, self.tot_dim[n - 1], self.tot_dim[n], blocks)
+    def _level_blocks(self):
+        """The blocks ``(n - 1, roff, coff, m)`` of every d_n, level by
+        level: out of C_{p,q} the vertical d (p even) or -d' (p odd) and the
+        horizontal tautilde (p odd) or N (p even, p >= 2).  Level D + 1
+        gives d alone, as the ``KronSum`` ``_lone_d`` where it is one."""
+        level = _Level(self.cc, 0)
+        for q in range(self.D + 2):
+            if 1 <= q <= self.D:  # levels whose d and d' are both read
+                level.vertical()
+            for p in range(self.D + 2 - q):
+                n, coff = p + q, self._offset(p + q, p)[0]
+                if q >= 1:
+                    block = (level._lone_d() or level.d) if p % 2 == 0 else -level.dprime
+                    yield n - 1, self._offset(n - 1, p)[0], coff, block
+                if p >= 1:
+                    block = level.tautilde if p % 2 == 1 else level.N
+                    yield n - 1, self._offset(n - 1, p - 1)[0], coff, block
+            if q <= self.D:
+                level = level.above()
 
     def is_cycle(self, n, chain):
         return n == 0 or not any(self.d[n].apply(chain))

@@ -37,9 +37,11 @@ Conventions, binding for the whole package:
 * Matrices store only nonzero entries, one dict per row.  That storage
   (``Mat._rows``) is read and built only in this module.  Elsewhere a Mat
   is built by ``zeros``, ``identity``, ``from_entries``, ``from_rows``,
-  ``from_cols``, ``from_blocks``, ``kron_id``, ``mul_kron_id`` (a product
-  ``a @ kron_id(pre, f, post)`` with no row of kron_id built),
-  ``kron_contract``, ``cols_permuted`` or an operation on other matrices,
+  ``from_cols``, ``from_blocks`` (several at once by ``assemble``),
+  ``kron_id``, ``KronSum`` (a ``lincomb`` of relabelled ``kron_id`` with
+  no term built), ``mul_kron_id`` (a product ``a @ kron_id(pre, f, post)``
+  with no row of kron_id built), ``kron_contract``, ``cols_permuted`` or
+  an operation on other matrices,
   and read by ``get``, ``col``, ``row_list``, ``to_lists``, ``items``,
   ``sparse_cols``, ``nonzero_cols``, ``rows_at``, ``cols_at``,
   ``reshape``, ``apply``, ``nnz``, ``is_zero`` and ``is_identity``.  No Mat is mutated after
@@ -279,11 +281,11 @@ class Mat:
     @classmethod
     def from_blocks(cls, field, nrows, ncols, blocks):
         """Block assembly: each ``(roff, coff, m)`` places m with its (0, 0)
-        entry at (roff, coff); where blocks overlap the later one wins."""
+        entry at (roff, coff); where blocks overlap the later one wins.  A
+        ``KronSum`` m is added there instead (see ``assemble``)."""
         rows = [{} for _ in range(nrows)]
         for roff, coff, m in blocks:
-            for tgt, r in zip(rows[roff:roff + m.nrows], m._rows):
-                tgt.update({coff + j: v for j, v in r.items()} if coff else r)
+            _place(rows, roff, coff, m)
         return cls(field, nrows, ncols, rows)
 
     # -- access ---------------------------------------------------------
@@ -477,6 +479,75 @@ def kron_id(pre, f, post):
     rows = [{(a * nc + j) * post + c: v for j, v in r.items()}
             for a in range(pre) for r in f._rows for c in range(post)]
     return Mat(f.field, pre * f.nrows * post, pre * nc * post, rows)
+
+
+def _kron_rows(pre, f, post, perm, coff):
+    """The rows of ``kron_id(pre, f, post)``, made one at a time, with
+    column k relabelled ``perm[k]`` (as ``Mat.cols_permuted``; None keeps
+    it) and then moved right by ``coff``."""
+    nc = f.ncols
+    for a in range(pre):
+        for r in f._rows:
+            for c in range(post):
+                base = a * nc * post + c
+                if perm is None:
+                    yield {coff + base + j * post: v for j, v in r.items()}
+                else:
+                    yield {coff + perm[base + j * post]: v for j, v in r.items()}
+
+
+class KronSum:
+    """The sum of ``coeffs[i]`` times ``kron_id(pre, f, post)`` with its
+    columns relabelled by ``perm`` (a permutation of them, or None), for
+    ``terms[i] = (pre, f, post, perm)``, with no term built: ``assemble``
+    adds each term's rows, made one at a time, straight into the rows the
+    sum is placed at, term after term as ``lincomb`` adds built terms, so
+    every row holds the same entries in the same order.  ``mat()`` is the
+    sum on its own."""
+
+    def __init__(self, terms, coeffs):
+        shapes = {(pre * f.nrows * post, pre * f.ncols * post) for pre, f, post, _ in terms}
+        if len(shapes) != 1:
+            raise DimensionMismatch(f"terms of shapes {sorted(shapes)} in one sum")
+        (self.nrows, self.ncols), = shapes
+        self.field, self.terms, self.coeffs = terms[0][1].field, terms, coeffs
+
+    def _add_into(self, rows, coff):
+        p = self.field.p
+        stored = self.field._to_stored
+        for (pre, f, post, perm), c in zip(self.terms, self.coeffs):
+            c = c and stored(c)  # a nonzero c may still be 0 mod p
+            if c:
+                for dst, src in zip(rows, _kron_rows(pre, f, post, perm, coff)):
+                    _axpy(dst, c, src, p)
+
+    def mat(self):
+        return Mat.from_blocks(self.field, self.nrows, self.ncols, [(0, 0, self)])
+
+
+def assemble(field, shapes, blocks):
+    """One Mat per ``(nrows, ncols)`` in ``shapes``, from the blocks
+    ``(k, roff, coff, m)`` read in turn: a Mat m is placed in matrix k with
+    its (0, 0) entry at (roff, coff), where blocks overlap the later one
+    winning, and a ``KronSum`` m is added into the rows there.  Each block
+    is let go once placed, so a generator of blocks that builds them as
+    they are read holds no more than the block it is building."""
+    mats = [[{} for _ in range(nrows)] for nrows, _ in shapes]
+    for k, roff, coff, m in blocks:
+        _place(mats[k], roff, coff, m)
+        del m
+    return [Mat(field, nrows, ncols, rows) for (nrows, ncols), rows in zip(shapes, mats)]
+
+
+def _place(rows, roff, coff, m):
+    """Place the Mat m into ``rows`` with its (0, 0) entry at (roff, coff),
+    overwriting what is there, or add the ``KronSum`` m there."""
+    rows = rows[roff:roff + m.nrows]
+    if isinstance(m, KronSum):
+        m._add_into(rows, coff)
+        return
+    for tgt, r in zip(rows, m._rows):
+        tgt.update({coff + j: v for j, v in r.items()} if coff else r)
 
 
 def mul_kron_id(a, pre, f, post):

@@ -316,12 +316,27 @@ def test_left_comodule_from_coidempotent_over_a_nontrivial_base(name, cname, dim
     assert validate_comodule(w).ok
 
 
+@pytest.mark.parametrize("name,cname,dim", [("FIX-SW", "e", 2), ("FIX-SEP", "e", 2),
+                                             ("FIX-NC", "eg", 4)])
+def test_right_comodule_from_coidempotent_over_a_nontrivial_base(name, cname, dim):
+    """Over R != k the right W is p R^(I), the right R-span of the columns
+    of p, not the k-span of the columns of p: these three build valid right
+    comodules."""
+    e = fixture_workspace(name).coidempotents[cname]
+    w = comodule_from_coidempotent(e.coring, e, side="right")
+    assert w.side == "right" and w.carrier.dim == dim
+    assert validate_comodule(w).ok
+
+
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_comodule_from_coidempotent_names_the_unclosed_action(side):
     """FIX-NC: W = R^(I) p is not closed under W's induced right M2-action
-    (the left comodule W = A.E11 it comes from is no right M2-module)."""
+    (the left comodule W = A.E11 it comes from is no right M2-module), and
+    W = p R^(I) is not closed under the induced left one."""
     e = nc_fixture(QQ)["coidempotent"]
-    with pytest.raises(ActionMismatch, match="not closed under the right action"):
+    message = {"left": r"W = R\^\(I\) p is not closed under the right action",
+               "right": r"W = p R\^\(I\) is not closed under the left action"}[side]
+    with pytest.raises(ActionMismatch, match=message):
         comodule_from_coidempotent(e.coring, e, side=side)
 
 

@@ -15,7 +15,9 @@ from coralg.cyclic import (
 )
 from coralg.entwine import associated_coring
 from coralg.errors import DegreeOutOfRange, MemoryGuard, NotACycle
-from coralg.exactla import GF, QQ, Mat, QuotientSpace, SubspaceBasis, kernel, kron_id, rank
+from coralg.exactla import (
+    GF, QQ, Mat, QuotientSpace, SubspaceBasis, kernel, kron_id, lincomb, rank,
+)
 from coralg.fixtures import (
     FIXTURE_NAMES, diagonal_subalgebra, fixture_workspace, matrix_algebra, nc_fixture,
     quadratic_algebra, upper_triangular_algebra,
@@ -468,7 +470,7 @@ def test_lazy_operators_equal_the_eager_construction(key, field):
     cc = CyclicComplex(*_face_case(key, field))
     for n in range(4 if key in ("kx|k", "ut2|k") else 6):
         ops = cc.operators(n)
-        assert cc.operators(n) is ops
+        assert cc.operators(n) is not ops  # no level cache: each read is a new level
         keys = ["tau", "tautilde", "N"] + (["dprime", "d"] if n >= 1 else [])
         assert list(ops) == keys and len(ops) == len(keys)
         assert "d" in ops if n >= 1 else "d" not in ops
@@ -478,23 +480,119 @@ def test_lazy_operators_equal_the_eager_construction(key, field):
             assert ops[name] == eager[name], (key, n, name)
 
 
-def test_total_complex_builds_only_the_operators_it_reads():
+def _record_levels(monkeypatch, record=lambda level: level):
+    """Every ``_Level`` built from now on, as ``record(level)``, in order."""
+    levels = []
+    init = cyclic._Level.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        levels.append(record(self))
+    monkeypatch.setattr(cyclic._Level, "__init__", recording)
+    return levels
+
+
+def test_total_complex_builds_only_the_operators_it_reads(monkeypatch):
     # Tot_n reads N(q) only for q <= D - 1 and tau~, d' (so tau) for q <= D;
     # level D + 1 gives d alone, whose d.d certificate is still checked.  The
-    # only ambient matrix a level keeps is its d', which the level above reads:
-    # no level caches an ambient tau, and level D + 1, whose d' nothing reads,
-    # keeps d alone and builds no tau at all
+    # walk builds each level once, in ascending order, and hands each level
+    # the ambient d' of the one below; no level builds an ambient tau, and
+    # level D + 1, whose d' nothing reads, builds nothing: its d is summed
+    # straight into d_{D+1}
+    levels = _record_levels(monkeypatch)
     cc = CyclicComplex(matrix_algebra(QQ, 2))
     tc = cc.total(5)
     assert tc.d_squared.ok and set(tc.d) == set(range(1, 7))
+    assert [level.n for level in levels] == list(range(7))
 
     def built(n):
-        return {key for key, value in vars(cc.operators(n)).items() if isinstance(value, Mat)}
+        return {key for key, value in vars(levels[n]).items()
+                if isinstance(value, Mat) and key != "_dprime_below"}
     assert built(0) == {"tau", "tautilde", "N"}
     assert all(built(q) == {"tau", "tautilde", "N", "dprime", "d", "_dprime_ambient"}
                for q in range(1, 5))
     assert built(5) == {"tau", "tautilde", "dprime", "d", "_dprime_ambient"}
-    assert built(6) == {"d"}
+    assert built(6) == set()
+    for q in range(2, 7):
+        assert levels[q]._dprime_below is levels[q - 1]._dprime_ambient, q
+
+
+def test_total_complex_keeps_no_level(monkeypatch):
+    # after the total complex and HC_0..4 the d_n are the only holders of
+    # the bicomplex's matrices: no level is reachable any more
+    levels = _record_levels(monkeypatch, weakref.ref)
+    m2 = matrix_algebra(QQ, 2)
+    cc = cyclic_complex(m2)
+    tc = cc.total(5)
+    assert [homology(tc, n).dim for n in range(5)] == [1, 0, 1, 0, 1]
+    gc.collect()
+    assert levels and [ref() for ref in levels] == [None] * len(levels)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("key", ["k", "kx", "ut2", "M2"])
+def test_summed_top_differential_equals_the_lincomb_construction(key, field):
+    """Over T = k level D + 1's d is summed straight into the rows of
+    d_{D+1}: b_0 - 1 (x) d'_D + (-1)^(D+1) b_0 rotated.  Its block there
+    equals, entry for entry and in entry order, the ``lincomb`` of the
+    built terms, and so does d read alone at that level."""
+    b = _PLAIN[key](field)
+    d, mu = b.dim, b.mult_mat()
+    one = field.one
+    dprime = kron_id(1, mu, 1)  # d'_1 = b_0, then d'_m = b_0 - 1 (x) d'_{m-1}
+    for D in range(4):
+        n = D + 1
+        cc = CyclicComplex(b)
+        tc = cc.total(D)
+        b0 = kron_id(1, mu, d ** (n - 1))
+        perm = [(r % d ** n) * d + r // d ** n for r in range(d ** (n + 1))]
+        mats, coeffs = ([b0], [one]) if n == 1 else ([b0, kron_id(d, dprime, 1)], [one, -one])
+        expected = lincomb(mats + [b0.cols_permuted(perm, d ** (n + 1))],
+                           coeffs + [field.from_int((-1) ** n)])
+        block = tc.d[n].rows_at(range(d ** n)).cols_at(range(d ** (n + 1)))
+        assert block == expected and list(block.items()) == list(expected.items()), (key, D)
+        lone = cc.operators(n).d
+        assert lone == expected and list(lone.items()) == list(expected.items()), (key, D)
+        dprime = lincomb(mats, coeffs)
+
+
+_P31 = 2 ** 31 - 19
+
+
+def _criterion_2_pair(key, f):
+    """The (B, T) pairs of acceptance criterion 2, built over the field f."""
+    b, t = key.split("|")
+    alg = _PLAIN[b](f)
+    if t == "k":
+        return alg, None
+    if b == "M2":
+        return alg, diagonal_subalgebra(alg)
+    return alg, generated_subalgebra(alg, [[f.one, f.zero, f.zero], [f.zero, f.zero, f.one]])
+
+
+@pytest.mark.parametrize("key", ["k|k", "kx|k", "ut2|k", "M2|k", "M2|diag", "ut2|diag"])
+def test_total_complex_over_qq_reduces_to_the_one_over_fp(key):
+    """Reduction mod p as an oracle across the two scalar paths: at D = 5
+    every d_n over QQ, reduced mod p = 2^31 - 19, is d_n over GF(p) entry
+    for entry.  The canonical coordinates commute with reduction only where
+    ranks agree, so the ranks are compared first: the relation ranks behind
+    each Tot_n, then the rank of each d_n.  A rank that drops mod p is a
+    fact about p, reported as such."""
+    fp = GF(_P31)
+    tq = CyclicComplex(*_criterion_2_pair(key, QQ)).total(5)
+    tp = CyclicComplex(*_criterion_2_pair(key, fp)).total(5)
+    assert tq.d_squared.ok and tp.d_squared.ok
+    for n in range(7):
+        assert tq.tot_dim[n] == tp.tot_dim[n], f"a relation rank behind Tot_{n} drops mod p"
+    for n in range(1, 7):
+        assert tq.rank(n) == tp.rank(n), f"rank d_{n} drops mod p: {tq.rank(n)} -> {tp.rank(n)}"
+
+    def reduced(v):
+        return fp.from_int(v.numerator) * fp.inv(fp.from_int(v.denominator)) % _P31
+    for n in range(1, 7):
+        dq = tq.d[n]
+        assert Mat.from_entries(fp, dq.nrows, dq.ncols,
+                                ((ij, reduced(v)) for ij, v in dq.items())) == tp.d[n], (key, n)
 
 
 def test_the_face_sum_is_formed_once_per_level(monkeypatch):
@@ -521,23 +619,25 @@ def test_the_face_sum_is_formed_once_per_level(monkeypatch):
 def test_levels_over_diag_build_no_ambient_matrix(monkeypatch):
     # every circular space of M2 over diag is a proper quotient, so d', d
     # and tau are read through the target's Q: no ambient face is built
-    # (cyclic's kron_id builds only the ambient d'), and every Mat a level
-    # caches maps between the quotients
+    # (cyclic's KronSum builds only the ambient d' and the lone d over a
+    # plain level), and every Mat a level of the walk builds maps between
+    # the quotients
     def ambient(*args):
         raise AssertionError("an ambient face was built")
-    monkeypatch.setattr(cyclic, "kron_id", ambient)
+    monkeypatch.setattr(cyclic, "KronSum", ambient)
+    levels = _record_levels(monkeypatch)
     m2 = matrix_algebra(QQ, 2)
     cc = CyclicComplex(m2, diagonal_subalgebra(m2))
     assert cc.total(5).d_squared.ok
-    for n in range(7):
-        level = cc.operators(n)
+    assert [level.n for level in levels] == list(range(7))
+    for n, level in enumerate(levels):
         assert level.sp.dim < level.sp.full_dim
         shapes = {(level.sp.dim, level.sp.dim)}
         if n >= 1:
             shapes.add((level.sp1.dim, level.sp.dim))
         cached = {key: m.shape for key, m in vars(level).items() if isinstance(m, Mat)}
         assert cached and set(cached.values()) <= shapes, (n, cached)
-        assert "_dprime_ambient" not in cached
+        assert not {"_dprime_ambient", "_dprime_below"} & set(cached)
 
 
 def test_circular_spaces_over_k_keep_one_identity_as_q_and_s():
